@@ -325,8 +325,8 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path) -> None:
     # held[f] is the velocity over the step into frame f, so the
     # displacement of step k -> k+1 is held[k+1] * dt
     per_frame_v = held[1:] / est.frame_rate
-    refined, corrections, history = loop_closure.refine(est, per_frame_v,
-                                                        _refine_config(cfg))
+    refine_cfg = _refine_config(cfg)
+    refined, corrections, history = loop_closure.refine(est, per_frame_v, refine_cfg)
     trajectory.save_trajectory(refined, dataset / "refined_trajectory.csv")
     loop_closure.save_corrections(corrections, dataset / "corrections.jsonl")
     loop_closure.save_loss_history(history, dataset / "loss_history.csv")
@@ -340,11 +340,17 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path) -> None:
     # the loop term pulls the corrected endpoint toward
     gap_before = float(np.linalg.norm(est.xy[-1] - est.xy[0]))
     gap_after = float(np.linalg.norm(refined.xy[-1] - est.xy[0]))
+    # refine returns the best candidate, not the last epoch: report the
+    # loss of the corrections actually written
+    loss_final = loop_closure.refinement_loss(est, corrections, per_frame_v, refine_cfg).total
+    identity_fallback = not corrections.r.any() and not corrections.l.any()
     _write_meta(dataset, "refine", {
         "command": "refine",
         "epochs": cfg["refine.epochs"],
         "loss_initial": history[0].total,
-        "loss_final": history[-1].total,
+        "loss_final": loss_final,
+        "best_epoch": None if identity_fallback else [h.total for h in history].index(loss_final),
+        "identity_fallback": identity_fallback,
         "endpoint_gap_before_m": gap_before,
         "endpoint_gap_after_m": gap_after,
         "elapsed_s": time.perf_counter() - t_start,
@@ -355,6 +361,7 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path) -> None:
 
 def _load_velocities(path: Path, n_frames: int) -> np.ndarray:
     held = np.zeros((n_frames, 2))
+    seen: dict[int, int] = {}  # frame -> line it was read from
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "frame,vx,vy":
@@ -367,9 +374,15 @@ def _load_velocities(path: Path, n_frames: int) -> np.ndarray:
                 raise ValueError(f"{path}:{lineno}: expected 3 fields")
             try:
                 f = int(parts[0])
-                held[f] = (float(parts[1]), float(parts[2]))
-            except (ValueError, IndexError) as exc:
+                row = (float(parts[1]), float(parts[2]))
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not 0 <= f < n_frames:
+                raise ValueError(f"{path}:{lineno}: frame {f} outside 0..{n_frames - 1}")
+            if f in seen:
+                raise ValueError(f"{path}:{lineno}: frame {f} repeats line {seen[f]}")
+            seen[f] = lineno
+            held[f] = row
     return held
 
 

@@ -18,6 +18,13 @@ estimates.  The corrections are produced by a small dense network over
 the normalized frame index, which regularizes them to vary smoothly
 along the trajectory.  Gradients are analytic (the max term follows
 its argmax frame, ties to the lowest index); optimization is Adam.
+
+Memory: an epoch's cost is dominated by passes over (T, hidden)
+activations, which for long recordings exceed the CPU's L2 cache.  So
+the network reuses its (T, hidden) buffers across epochs -- two float
+arrays, which hold the activations and then their gradients, and two
+bool ReLU masks -- and ``refine`` runs training, the final check and
+the best-epoch prediction through one network, so one set is alive.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .imu import _frozen
 from .trajectory import Trajectory
 
 LOSS_CSV_HEADER = "epoch,total,loop,rot,smooth"
+_R_MAX = np.pi + 1e-12  # largest rotation correction accepted, with rounding slack
 
 
 @dataclass(frozen=True)
@@ -51,7 +59,7 @@ class CorrectionParams:
         l = _frozen(self.l)
         if r.ndim != 1 or l.shape != (len(r), 2):
             raise ValueError(f"expected r (T,) and l (T, 2), got {r.shape}, {l.shape}")
-        if len(r) and (np.abs(r) > np.pi + 1e-12).any():
+        if len(r) and (np.abs(r) > _R_MAX).any():
             raise ValueError("rotation corrections must lie in [-pi, pi]")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "l", l)
@@ -213,10 +221,19 @@ class CorrectionMlp:
     [-pi, pi].  Weights start He-uniform scaled by 0.01, so the initial
     corrections are near zero and refinement starts from the unrefined
     trajectory.
+
+    Memory model: the network owns its per-frame buffers -- two float
+    (T, hidden) activations, their two bool ReLU masks, and the (T, 3)
+    output and its gradient -- allocated on first use and again only
+    when T changes, so refinement epochs allocate no (T, hidden) array.
+    ``forward`` returns views of these buffers, valid until the next
+    ``forward``; ``backward`` overwrites the activations with their
+    gradients, so each forward pass is back-propagated at most once.
     """
 
     def __init__(self, params: list[np.ndarray]):
         self.params = params  # [W1, b1, W2, b2, W3, b3]
+        self._buffers: dict[str, np.ndarray] = {}
 
     @classmethod
     def initialize(cls, seed: int = 0, hidden: int = 64, init_scale: float = 0.01) -> "CorrectionMlp":
@@ -229,31 +246,59 @@ class CorrectionMlp:
             params.append(np.zeros(dims[i + 1]))
         return cls(params)
 
+    def _buffers_for(self, n: int) -> dict[str, np.ndarray]:
+        hidden = self.params[0].shape[1]
+        buf = self._buffers
+        if "h1" not in buf or buf["h1"].shape != (n, hidden):
+            buf = self._buffers = {
+                "h1": np.empty((n, hidden)), "h2": np.empty((n, hidden)),
+                "mask1": np.empty((n, hidden), dtype=bool),
+                "mask2": np.empty((n, hidden), dtype=bool),
+                "out": np.empty((n, 3)), "g_out": np.empty((n, 3)),
+            }
+        return buf
+
     def forward(self, s: np.ndarray) -> dict:
         """``s`` is the (T, 1) column of normalized frame indices."""
         W1, b1, W2, b2, W3, b3 = self.params
-        z1 = s @ W1 + b1
-        h1 = np.maximum(z1, 0.0)
-        z2 = h1 @ W2 + b2
-        h2 = np.maximum(z2, 0.0)
-        out = h2 @ W3 + b3
+        buf = self._buffers_for(len(s))
+        h1, h2, mask1, mask2, out = buf["h1"], buf["h2"], buf["mask1"], buf["mask2"], buf["out"]
+        # one input feature: layer 1 is an outer product, which forms the
+        # same rounded products as a K=1 matmul at half its cost
+        np.multiply(s, W1, out=h1)
+        h1 += b1
+        np.greater(h1, 0.0, out=mask1)
+        np.maximum(h1, 0.0, out=h1)
+        np.matmul(h1, W2, out=h2)
+        h2 += b2
+        np.greater(h2, 0.0, out=mask2)
+        np.maximum(h2, 0.0, out=h2)
+        np.matmul(h2, W3, out=out)
+        out += b3
         r = np.pi * np.tanh(out[:, 0])
         l = out[:, 1:]
-        return {"s": s, "z1": z1, "h1": h1, "z2": z2, "h2": h2, "out": out, "r": r, "l": l}
+        return {"s": s, "h1": h1, "mask1": mask1, "h2": h2, "mask2": mask2, "r": r, "l": l}
 
     def backward(self, cache: dict, g_r: np.ndarray, g_l: np.ndarray) -> list[np.ndarray]:
-        """Gradients w.r.t. parameters given gradients on (r, l)."""
+        """Gradients w.r.t. parameters given gradients on (r, l).
+
+        Consumes ``cache``: the activation buffers end up holding the
+        gradients of the pre-activations.
+        """
         W1, b1, W2, b2, W3, b3 = self.params
+        h1, h2 = cache["h1"], cache["h2"]
         tanh_out = cache["r"] / np.pi
-        g_out = np.column_stack([g_r * np.pi * (1.0 - tanh_out ** 2), g_l])
-        g_W3 = cache["h2"].T @ g_out
+        g_out = self._buffers["g_out"]
+        g_out[:, 0] = g_r * np.pi * (1.0 - tanh_out ** 2)
+        g_out[:, 1:] = g_l
+        g_W3 = h2.T @ g_out
         g_b3 = g_out.sum(axis=0)
-        g_h2 = g_out @ W3.T
-        g_z2 = g_h2 * (cache["z2"] > 0.0)
-        g_W2 = cache["h1"].T @ g_z2
+        g_z2 = np.matmul(g_out, W3.T, out=h2)
+        g_z2 *= cache["mask2"]
+        g_W2 = h1.T @ g_z2
         g_b2 = g_z2.sum(axis=0)
-        g_h1 = g_z2 @ W2.T
-        g_z1 = g_h1 * (cache["z1"] > 0.0)
+        g_z1 = np.matmul(g_z2, W2.T, out=h1)
+        g_z1 *= cache["mask1"]
         g_W1 = cache["s"].T @ g_z1
         g_b1 = g_z1.sum(axis=0)
         return [g_W1, g_b1, g_W2, g_b2, g_W3, g_b3]
@@ -337,7 +382,8 @@ def refine(traj: Trajectory, per_frame_v: np.ndarray,
     if best_params is None:
         corrections = identity
     else:
-        corrections = CorrectionMlp(best_params).predict(n)
+        mlp.params = best_params
+        corrections = mlp.predict(n)
     refined = apply_corrections(traj, corrections)
     return refined, corrections, history
 
@@ -359,6 +405,12 @@ def save_corrections(params: CorrectionParams, path) -> None:
 
 
 def load_corrections(path) -> CorrectionParams:
+    """Read corrections written by ``save_corrections``, in any line order.
+
+    The frames must be exactly 0..n-1, each once; a malformed line, a
+    rotation outside [-pi, pi], a repeated frame or a missing frame
+    raises ValueError naming the offending line.
+    """
     path = Path(path)
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -367,12 +419,25 @@ def load_corrections(path) -> CorrectionParams:
                 continue
             try:
                 rec = json.loads(line)
-                rows.append((int(rec["frame"]), float(rec["r"]), float(rec["lx"]), float(rec["ly"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                frame = rec["frame"]
+                if type(frame) is not int:
+                    raise ValueError(f"frame must be an integer, got {frame!r}")
+                r = float(rec["r"])
+                if abs(r) > _R_MAX:
+                    raise ValueError(f"rotation correction {r!r} outside [-pi, pi]")
+                rows.append((frame, lineno, r, float(rec["lx"]), float(rec["ly"])))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    rows.sort()
-    r = np.array([row[1] for row in rows])
-    l = np.array([[row[2], row[3]] for row in rows]) if rows else np.zeros((0, 2))
+    rows.sort(key=lambda row: row[0])
+    for expected, (frame, lineno, *_) in enumerate(rows):
+        if frame != expected:
+            if expected and frame == rows[expected - 1][0]:
+                raise ValueError(f"{path}:{lineno}: frame {frame} repeats line "
+                                 f"{rows[expected - 1][1]}")
+            raise ValueError(f"{path}:{lineno}: frame {frame} where frame {expected} "
+                             "was expected; frames must run 0..n-1, each once")
+    r = np.array([row[2] for row in rows])
+    l = np.array([[row[3], row[4]] for row in rows]) if rows else np.zeros((0, 2))
     return CorrectionParams(r, l)
 
 

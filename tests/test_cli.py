@@ -1,11 +1,14 @@
 """End-to-end tests of the sweepnav command-line pipeline."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sweepnav.cli import main
+from sweepnav.cli import _load_velocities, main
 
 # Default 4 m x 2 m sweep at 1 m row spacing: items one row apart can
 # never steal the image-center depth inside the 0.5-3 m caption band,
@@ -80,6 +83,12 @@ class TestPipelineArtifacts:
         assert len(history) == 32  # header + epochs + final eval
         totals = [float(line.split(",")[1]) for line in history[1:]]
         assert min(totals) <= totals[0]
+        # loss_final is the loss of the corrections written, not of the last epoch
+        if meta["identity_fallback"]:
+            assert meta["best_epoch"] is None
+        else:
+            assert meta["loss_final"] == min(totals)
+            assert meta["best_epoch"] == totals.index(min(totals))
         corrections = (pipeline / "corrections.jsonl").read_text().splitlines()
         n_frames = len((pipeline / "est_trajectory.csv").read_text().splitlines()) - 1
         assert len(corrections) == n_frames
@@ -153,6 +162,60 @@ class TestExitCodes:
     def test_no_command_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestLoadVelocities:
+    @staticmethod
+    def _write(tmp_path, rows):
+        path = tmp_path / "velocities.csv"
+        path.write_text("frame,vx,vy\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
+        return path
+
+    def test_frames_in_any_order(self, tmp_path):
+        held = _load_velocities(self._write(tmp_path, ["2,0.5,0.25", "0,1.0,2.0"]), 3)
+        np.testing.assert_array_equal(held, [[1.0, 2.0], [0.0, 0.0], [0.5, 0.25]])
+
+    def test_negative_frame_rejected(self, tmp_path):
+        """Python's negative indexing would write it to the last frame."""
+        path = self._write(tmp_path, ["0,1.0,0.0", "-1,1.0,0.0"])
+        with pytest.raises(ValueError, match=r"velocities.csv:3: frame -1 outside 0\.\.2"):
+            _load_velocities(path, 3)
+
+    def test_frame_past_the_end_rejected(self, tmp_path):
+        path = self._write(tmp_path, ["3,1.0,0.0"])
+        with pytest.raises(ValueError, match=r"velocities.csv:2: frame 3 outside 0\.\.2"):
+            _load_velocities(path, 3)
+
+    def test_repeated_frame_rejected(self, tmp_path):
+        path = self._write(tmp_path, ["1,1.0,0.0", "0,0.0,0.0", "1,2.0,0.0"])
+        with pytest.raises(ValueError, match="velocities.csv:4: frame 1 repeats line 2"):
+            _load_velocities(path, 3)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.one_of(
+        st.builds("{},{!r},{!r}".format, st.integers(-3, 7), st.floats(), st.floats()),
+        st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=12),
+    ), max_size=8))
+    def test_any_lines_load_cleanly_or_name_the_line(self, tmp_path, rows):
+        """Arbitrary rows either load with every row in its own frame or
+        raise a ValueError naming a line; never an IndexError or an
+        overwritten frame."""
+        n_frames = 5
+        path = self._write(tmp_path, rows)
+        try:
+            held = _load_velocities(path, n_frames)
+        except ValueError as exc:
+            line = re.match(rf"{re.escape(str(path))}:(\d+): ", str(exc))
+            assert line and 2 <= int(line[1]) <= len(rows) + 1, str(exc)
+            return
+        expected = np.zeros((n_frames, 2))
+        written = set()
+        for row in filter(str.strip, rows):
+            frame, vx, vy = row.split(",")
+            assert int(frame) not in written
+            written.add(int(frame))
+            expected[int(frame)] = (float(vx), float(vy))
+        np.testing.assert_array_equal(held, expected)
 
 
 @pytest.fixture(scope="module")

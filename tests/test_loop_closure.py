@@ -1,11 +1,18 @@
 """Tests for trajectory refinement under the loop-closure constraint."""
 
+import hashlib
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sweepnav as sn
 from sweepnav.loop_closure import (
     LOSS_CSV_HEADER,
+    _index_column,
     CorrectionMlp,
     CorrectionParams,
     RefineConfig,
@@ -196,6 +203,87 @@ class TestRefinementLoss:
             refinement_loss(traj, _zero_params(10), np.zeros((10, 2)))
 
 
+def _mlp_reference(params, s, g_r, g_l):
+    """Forward and backward written as fresh-array expressions, one
+    temporary per step: the buffer-backed network must match it bit
+    for bit, since it runs the same arithmetic in the same order."""
+    W1, b1, W2, b2, W3, b3 = params
+    z1 = s @ W1 + b1
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ W2 + b2
+    h2 = np.maximum(z2, 0.0)
+    out = h2 @ W3 + b3
+    r = np.pi * np.tanh(out[:, 0])
+    tanh_out = r / np.pi
+    g_out = np.column_stack([g_r * np.pi * (1.0 - tanh_out ** 2), g_l])
+    g_z2 = (g_out @ W3.T) * (z2 > 0.0)
+    g_z1 = (g_z2 @ W2.T) * (z1 > 0.0)
+    grads = [s.T @ g_z1, g_z1.sum(axis=0), h1.T @ g_z2, g_z2.sum(axis=0),
+             h2.T @ g_out, g_out.sum(axis=0)]
+    return r, out[:, 1:], grads
+
+
+def _mixed_mlp(seed):
+    """A network whose ReLUs are neither all on nor all off."""
+    rng = np.random.default_rng(seed)
+    mlp = CorrectionMlp.initialize(seed=seed, hidden=16, init_scale=1.0)
+    mlp.params[1][:] = rng.normal(0.0, 1.0, 16)
+    mlp.params[3][:] = rng.normal(0.0, 1.0, 16)
+    return mlp
+
+
+class TestCorrectionMlp:
+    @pytest.mark.parametrize("n", [1, 2, 50, 700])
+    def test_matches_allocating_reference(self, n):
+        mlp = _mixed_mlp(n)
+        rng = np.random.default_rng(n + 1)
+        g_r, g_l = rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, (n, 2))
+        s = _index_column(n)
+        r_ref, l_ref, grads_ref = _mlp_reference(mlp.params, s, g_r, g_l)
+        cache = mlp.forward(s)
+        assert np.array_equal(cache["r"], r_ref)
+        assert np.array_equal(cache["l"], l_ref)
+        for g, g_ref in zip(mlp.backward(cache, g_r, g_l), grads_ref):
+            assert np.array_equal(g, g_ref)
+
+    def test_frame_count_changes_match_a_fresh_network(self):
+        """Buffers are reallocated when T changes: 50, 80, then 50 frames
+        on one network give what a new network gives at each size."""
+        mlp = _mixed_mlp(5)
+        for n in (50, 80, 50):
+            traj = _drifted(_circle(n), 0.01)
+            v = np.diff(traj.xy, axis=0)
+            fresh = CorrectionMlp([p.copy() for p in mlp.params])
+            loss, grads = loss_and_gradients(traj.xy, mlp, v, RefineConfig())
+            loss_ref, grads_ref = loss_and_gradients(traj.xy, fresh, v, RefineConfig())
+            assert loss == loss_ref
+            for g, g_ref in zip(grads, grads_ref):
+                assert np.array_equal(g, g_ref)
+            got, want = mlp.predict(n), fresh.predict(n)
+            assert np.array_equal(got.r, want.r) and np.array_equal(got.l, want.l)
+
+    def test_results_do_not_alias_the_buffers(self):
+        """Gradients survive the next pass, and predictions own their
+        memory, although every pass reuses the same buffers."""
+        traj = _drifted(_circle(60), 0.01)
+        v = np.diff(traj.xy, axis=0)
+        mlp = _mixed_mlp(9)
+        _, grads = loss_and_gradients(traj.xy, mlp, v, RefineConfig())
+        kept = [g.copy() for g in grads]
+        prediction = mlp.predict(60)
+        kept_r, kept_l = prediction.r.copy(), prediction.l.copy()
+        mlp.params = [p + 0.5 for p in mlp.params]
+        loss_and_gradients(traj.xy, mlp, v, RefineConfig())
+        cache = mlp.forward(_index_column(60))
+        for g, k in zip(grads, kept):
+            assert np.array_equal(g, k)
+        assert np.array_equal(prediction.r, kept_r)
+        assert np.array_equal(prediction.l, kept_l)
+        for buf in cache.values():
+            assert not np.shares_memory(prediction.l, buf)
+            assert not np.shares_memory(prediction.r, buf)
+
+
 class TestGradients:
     @pytest.mark.parametrize("seed,temperature", [
         (1000, None), (1003, None), (1007, None), (1013, None), (1004, 0.05),
@@ -279,6 +367,30 @@ class TestRefine:
         b = refine(traj, v, RefineConfig(epochs=15, seed=1))
         assert not np.array_equal(a[1].l, b[1].l)
 
+    def test_output_bits_pinned(self):
+        """The refined positions, the corrections and every loss-history
+        total, bit for bit (recorded with numpy 2.4.6 on OpenBLAS 0.3.31).
+        Reusing buffers must not change the arithmetic; a change of
+        arithmetic, or of numpy/BLAS build, moves these bits."""
+        traj = _drifted(_circle(400), 0.02)
+        refined, corrections, history = refine(traj, np.diff(traj.xy, axis=0), RefineConfig())
+
+        def digest(data):
+            return hashlib.sha256(data).hexdigest()
+
+        totals = [repr(h.total) for h in history]
+        assert len(totals) == 101
+        assert (totals[0], min(h.total for h in history)) == (
+            "0.4369288358899473", 5.6126715140914685e-05)
+        assert digest(",".join(totals).encode()) == (
+            "02956f010c4bb58fb7cad3b6a298ea926fc6f0a675b246ebbaa3308cb4529982")
+        assert digest(refined.xy.tobytes()) == (
+            "5d0873c66afd24220f66521b8700ba4e13f2963385b5cca32955fdd2210d35cb")
+        assert digest(corrections.r.tobytes()) == (
+            "c549ff193f66820deabd24343901be144cffd003cb06fe066b333ff3baf6d9f1")
+        assert digest(corrections.l.tobytes()) == (
+            "2fc957de64050e0969834f91c63550358fd961e263f51e86634c9b5096e8fcb3")
+
     def test_two_frame_trajectory_supported(self):
         traj = _traj([[0.0, 0.0], [0.1, 0.0]])
         refined, corrections, history = refine(
@@ -333,6 +445,69 @@ class TestCorrectionFiles:
         path.write_text('{"frame": 0, "r": 0.0, "lx": 0.0, "ly": 0.0}\nnot json\n')
         with pytest.raises(ValueError, match=":2:"):
             load_corrections(path)
+
+    @staticmethod
+    def _write(tmp_path, records):
+        path = tmp_path / "corrections.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        return path
+
+    @staticmethod
+    def _rec(frame, r=0.0):
+        return {"frame": frame, "r": r, "lx": 0.0, "ly": 0.0}
+
+    def test_repeated_frame_rejected(self, tmp_path):
+        path = self._write(tmp_path, [self._rec(1), self._rec(0), self._rec(1), self._rec(2)])
+        with pytest.raises(ValueError, match="corrections.jsonl:3: frame 1 repeats line 1"):
+            load_corrections(path)
+
+    def test_missing_frame_rejected(self, tmp_path):
+        path = self._write(tmp_path, [self._rec(0), self._rec(1), self._rec(3)])
+        with pytest.raises(ValueError,
+                           match="corrections.jsonl:3: frame 3 where frame 2 was expected"):
+            load_corrections(path)
+
+    def test_negative_frame_rejected(self, tmp_path):
+        path = self._write(tmp_path, [self._rec(0), self._rec(-1)])
+        with pytest.raises(ValueError,
+                           match="corrections.jsonl:2: frame -1 where frame 0 was expected"):
+            load_corrections(path)
+
+    def test_non_integer_frame_rejected(self, tmp_path):
+        """1.5 would otherwise be truncated onto frame 1."""
+        path = self._write(tmp_path, [self._rec(0), self._rec(1.5)])
+        with pytest.raises(ValueError, match="corrections.jsonl:2: frame must be an integer"):
+            load_corrections(path)
+
+    def test_rotation_out_of_range_names_the_line(self, tmp_path):
+        path = self._write(tmp_path, [self._rec(0), self._rec(1, r=4.0)])
+        with pytest.raises(ValueError, match=r"corrections.jsonl:2: rotation correction 4\.0"):
+            load_corrections(path)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.one_of(
+        st.builds(lambda frame, r, lx: json.dumps({"frame": frame, "r": r, "lx": lx, "ly": 0.5}),
+                  st.one_of(st.integers(-2, 5), st.floats(-2, 5), st.booleans()),
+                  st.floats(-4.0, 4.0), st.floats()),
+        st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=12),
+    ), max_size=6))
+    def test_any_lines_load_cleanly_or_name_the_line(self, tmp_path, lines):
+        """Arbitrary lines either load as frames 0..n-1, each from its own
+        line, or raise a ValueError naming a line; never an IndexError,
+        a KeyError or an overwritten frame."""
+        path = tmp_path / "corrections.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        try:
+            loaded = load_corrections(path)
+        except ValueError as exc:
+            line = re.match(rf"{re.escape(str(path))}:(\d+): ", str(exc))
+            assert line and 1 <= int(line[1]) <= len(lines), str(exc)
+            return
+        records = [json.loads(line) for line in lines if line.strip()]
+        assert sorted(rec["frame"] for rec in records) == list(range(len(loaded)))
+        for rec in records:
+            assert repr(float(loaded.r[rec["frame"]])) == repr(float(rec["r"]))
+            assert repr(float(loaded.l[rec["frame"], 0])) == repr(float(rec["lx"]))
 
     def test_loss_history_csv_shape(self, tmp_path):
         traj = _drifted(_circle(50), 0.01)

@@ -24,7 +24,6 @@ from .estimator import (
 )
 from .geometry import GRAVITY, rot2, rotate_xy, wrap_angle
 from .imu import (
-    ImuSample,
     ImuSequence,
     ImuWindow,
     load_imu,
@@ -47,7 +46,6 @@ from .metrics import (
     align_similarity,
     apply_alignment,
     evaluate,
-    remove_outliers,
 )
 from .object_map import (
     CaptionRecord,
@@ -56,7 +54,6 @@ from .object_map import (
     ItemCluster,
     ItemObservation,
     MapConfig,
-    MockCaptioner,
     cluster_items,
     evaluate_map,
     fetch_captions,
@@ -107,7 +104,6 @@ __all__ = [
     "DepthRaster",
     "EvalReport",
     "HttpCaptioner",
-    "ImuSample",
     "ImuSequence",
     "ImuWindow",
     "ItemCluster",
@@ -115,7 +111,6 @@ __all__ = [
     "KalmanConfig",
     "LossBreakdown",
     "MapConfig",
-    "MockCaptioner",
     "NonFiniteEstimateError",
     "OracleConfig",
     "OracleVelocityEstimator",
@@ -158,7 +153,6 @@ __all__ = [
     "refine",
     "refinement_loss",
     "relative_yaw",
-    "remove_outliers",
     "resample",
     "rot2",
     "rotate_xy",

@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -23,6 +24,7 @@ import numpy as np
 from . import estimator as est_mod
 from . import loop_closure, metrics, object_map, rae, sim, trajectory
 from .config import DEFAULTS, ConfigError, PipelineConfig, load_config, parse_override
+from .fileio import check_frames, read_csv, write_csv, write_json
 from .imu import load_imu, resample, save_imu, to_hacf, make_windows
 from .orientation import (estimate_orientation, load_orientations, relative_yaw,
                           save_orientations)
@@ -30,6 +32,7 @@ from .orientation import (estimate_orientation, load_orientations, relative_yaw,
 logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
+VELOCITY_CSV_HEADER = "frame,vx,vy"
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +48,7 @@ def load_manifest(dataset: Path) -> dict:
 
 
 def save_manifest(dataset: Path, manifest: dict) -> None:
-    with open(dataset / MANIFEST_NAME, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(dataset / MANIFEST_NAME, manifest)
 
 
 def _manifest_file(dataset: Path, manifest: dict, key: str) -> Path:
@@ -60,107 +61,28 @@ def _manifest_file(dataset: Path, manifest: dict, key: str) -> Path:
 
 
 def _write_meta(dataset: Path, command: str, payload: dict) -> None:
-    with open(dataset / f"run_meta_{command}.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(dataset / f"run_meta_{command}.json", payload)
 
 
 # ---------------------------------------------------------------------------
 # Config -> module configs
 
 
-def _sim_config(cfg: PipelineConfig) -> sim.SimConfig:
-    for key in ("sim.room_width", "sim.room_height", "sim.row_spacing"):
-        if cfg[key] <= 0:
-            raise ConfigError(f"{key} must be positive")
+def _from_config(cfg: PipelineConfig, prefix: str, cls):
+    """Build the dataclass ``cls`` from the ``prefix.<field>`` keys of ``cfg``.
+
+    Fields without a key keep their defaults; lists become tuples.
+    """
+    values = {}
+    for f in dataclasses.fields(cls):
+        key = f"{prefix}.{f.name}"
+        if key in DEFAULTS:
+            value = cfg[key]
+            values[f.name] = tuple(value) if isinstance(value, list) else value
     try:
-        return sim.SimConfig(
-            room_width=cfg["sim.room_width"],
-            room_height=cfg["sim.room_height"],
-            row_spacing=cfg["sim.row_spacing"],
-            speed=cfg["sim.speed"],
-            sample_rate_hz=cfg["sim.sample_rate_hz"],
-            acc_noise=cfg["sim.acc_noise"],
-            gyro_noise=cfg["sim.gyro_noise"],
-            acc_bias=tuple(cfg["sim.acc_bias"]),
-            gyro_bias=tuple(cfg["sim.gyro_bias"]),
-            seed=cfg["sim.seed"],
-            turn_model=cfg["sim.turn_model"],
-            turn_rate=cfg["sim.turn_rate"],
-        )
+        return cls(**values)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"sim.*: {exc}") from None
-
-
-def _scene_config(cfg: PipelineConfig) -> sim.SceneConfig:
-    try:
-        return sim.SceneConfig(
-            width_px=cfg["scene.width_px"],
-            height_px=cfg["scene.height_px"],
-            focal_px=cfg["scene.focal_px"],
-            item_radius=cfg["scene.item_radius"],
-            caption_half_angle=cfg["scene.caption_half_angle"],
-            caption_z_min=cfg["scene.caption_z_min"],
-            caption_z_max=cfg["scene.caption_z_max"],
-            item_z=cfg["scene.item_z"],
-            wall_margin=cfg["scene.wall_margin"],
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"scene.*: {exc}") from None
-
-
-def _map_config(cfg: PipelineConfig) -> object_map.MapConfig:
-    try:
-        return object_map.MapConfig(
-            mount_height=cfg["map.mount_height"],
-            mount_forward=cfg["map.mount_forward"],
-            center_fraction=cfg["map.center_fraction"],
-            depth_min=cfg["map.depth_min"],
-            depth_max=cfg["map.depth_max"],
-            z_min=cfg["map.z_min"],
-            z_max=cfg["map.z_max"],
-            cluster_eps=cfg["map.cluster_eps"],
-            min_observations=cfg["map.min_observations"],
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"map.*: {exc}") from None
-
-
-def _rae_config(cfg: PipelineConfig) -> rae.RaeConfig:
-    try:
-        return rae.RaeConfig(
-            k=cfg["rae.k"],
-            angle_mode=cfg["rae.angle_mode"],
-            reducer=cfg["rae.reducer"],
-            trim_fraction=cfg["rae.trim_fraction"],
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"rae.*: {exc}") from None
-
-
-def _refine_config(cfg: PipelineConfig) -> loop_closure.RefineConfig:
-    try:
-        return loop_closure.RefineConfig(
-            epochs=cfg["refine.epochs"],
-            learning_rate=cfg["refine.learning_rate"],
-            lambda_loop=cfg["refine.lambda_loop"],
-            lambda_rot=cfg["refine.lambda_rot"],
-            lambda_smooth=cfg["refine.lambda_smooth"],
-            seed=cfg["refine.seed"],
-            hidden=cfg["refine.hidden"],
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"refine.*: {exc}") from None
-
-
-def _kalman_config(cfg: PipelineConfig) -> trajectory.KalmanConfig:
-    try:
-        return trajectory.KalmanConfig(
-            sigma_process=cfg["kalman.sigma_process"],
-            sigma_obs=cfg["kalman.sigma_obs"],
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"kalman.*: {exc}") from None
+        raise ConfigError(f"{prefix}.*: {exc}") from None
 
 
 def _pick_trajectory(dataset: Path, manifest: dict, which: str) -> tuple[str, "trajectory.Trajectory"]:
@@ -186,9 +108,9 @@ def _pick_trajectory(dataset: Path, manifest: dict, which: str) -> tuple[str, "t
 
 def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
     t_start = time.perf_counter()
-    sim_cfg = _sim_config(cfg)
-    scene_cfg = _scene_config(cfg)
-    map_cfg = _map_config(cfg)
+    sim_cfg = _from_config(cfg, "sim", sim.SimConfig)
+    scene_cfg = _from_config(cfg, "scene", sim.SceneConfig)
+    map_cfg = _from_config(cfg, "map", object_map.MapConfig)
     out_dir.mkdir(parents=True, exist_ok=True)
     rasters_dir = out_dir / "rasters"
     rasters_dir.mkdir(exist_ok=True)
@@ -272,7 +194,7 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path) -> None:
         model = est_mod.OracleVelocityEstimator(oracle_cfg, rng_seed=cfg["oracle.seed"])
     else:
         raise ConfigError("estimator.kind must be 'oracle' or 'network'")
-    rae_cfg = _rae_config(cfg)
+    rae_cfg = _from_config(cfg, "rae", rae.RaeConfig)
     t_rae = time.perf_counter()
     estimates = [rae.rae_estimate(w, model, rae_cfg, rng_seed=cfg["rae.seed"],
                                   v_max=cfg["estimator.v_max"])
@@ -280,7 +202,8 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path) -> None:
     t_integrate = time.perf_counter()
     held = trajectory.held_velocities(estimates, len(imu))
     yaws = relative_yaw(orientations)
-    est_traj = trajectory.integrate(held, yaws, _kalman_config(cfg),
+    kalman_cfg = _from_config(cfg, "kalman", trajectory.KalmanConfig)
+    est_traj = trajectory.integrate(held, yaws, kalman_cfg,
                                     frame_rate=float(imu.sample_rate()),
                                     t0=float(imu.t[0]))
     captures = trajectory.capture_schedule(
@@ -288,10 +211,8 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path) -> None:
         cfg["capture.mode"])
     t_end = time.perf_counter()
     trajectory.save_trajectory(est_traj, dataset / "est_trajectory.csv")
-    with open(dataset / "velocities.csv", "w", encoding="utf-8") as fh:
-        fh.write("frame,vx,vy\n")
-        for f in range(len(held)):
-            fh.write(f"{f},{float(held[f, 0])!r},{float(held[f, 1])!r}\n")
+    write_csv(dataset / "velocities.csv", VELOCITY_CSV_HEADER,
+              ([f, vx, vy] for f, (vx, vy) in enumerate(held.tolist())))
     trajectory.save_captures(captures, dataset / "captures.jsonl")
     manifest.update({
         "est_trajectory": "est_trajectory.csv",
@@ -325,7 +246,7 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path) -> None:
     # held[f] is the velocity over the step into frame f, so the
     # displacement of step k -> k+1 is held[k+1] * dt
     per_frame_v = held[1:] / est.frame_rate
-    refine_cfg = _refine_config(cfg)
+    refine_cfg = _from_config(cfg, "refine", loop_closure.RefineConfig)
     refined, corrections, history = loop_closure.refine(est, per_frame_v, refine_cfg)
     trajectory.save_trajectory(refined, dataset / "refined_trajectory.csv")
     loop_closure.save_corrections(corrections, dataset / "corrections.jsonl")
@@ -341,13 +262,15 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path) -> None:
     gap_before = float(np.linalg.norm(est.xy[-1] - est.xy[0]))
     gap_after = float(np.linalg.norm(refined.xy[-1] - est.xy[0]))
     # refine returns the best candidate, not the last epoch: report the
-    # loss of the corrections actually written
+    # loss of the corrections actually written, against that of the input
+    zero = loop_closure.CorrectionParams(np.zeros(len(est)), np.zeros((len(est), 2)))
+    loss_initial = loop_closure.refinement_loss(est, zero, per_frame_v, refine_cfg).total
     loss_final = loop_closure.refinement_loss(est, corrections, per_frame_v, refine_cfg).total
     identity_fallback = not corrections.r.any() and not corrections.l.any()
     _write_meta(dataset, "refine", {
         "command": "refine",
         "epochs": cfg["refine.epochs"],
-        "loss_initial": history[0].total,
+        "loss_initial": loss_initial,
         "loss_final": loss_final,
         "best_epoch": None if identity_fallback else [h.total for h in history].index(loss_final),
         "identity_fallback": identity_fallback,
@@ -360,29 +283,18 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path) -> None:
 
 
 def _load_velocities(path: Path, n_frames: int) -> np.ndarray:
+    """Read ``velocities.csv``: frames 0..n_frames-1, each once, in any order."""
+    def parse(fields):
+        frame = int(fields[0])
+        if not 0 <= frame < n_frames:
+            raise ValueError(f"frame {frame} outside 0..{n_frames - 1}")
+        return frame, float(fields[1]), float(fields[2])
+
+    rows = read_csv(path, VELOCITY_CSV_HEADER, parse)
+    check_frames(path, [(row[0], lineno) for lineno, row in rows], n_frames)
     held = np.zeros((n_frames, 2))
-    seen: dict[int, int] = {}  # frame -> line it was read from
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "frame,vx,vy":
-            raise ValueError(f"{path}:1: expected header 'frame,vx,vy'")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields")
-            try:
-                f = int(parts[0])
-                row = (float(parts[1]), float(parts[2]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not 0 <= f < n_frames:
-                raise ValueError(f"{path}:{lineno}: frame {f} outside 0..{n_frames - 1}")
-            if f in seen:
-                raise ValueError(f"{path}:{lineno}: frame {f} repeats line {seen[f]}")
-            seen[f] = lineno
-            held[f] = row
+    for _, (frame, vx, vy) in rows:
+        held[frame] = vx, vy
     return held
 
 
@@ -428,22 +340,14 @@ def cmd_eval(cfg: PipelineConfig, dataset: Path) -> None:
 def cmd_map(cfg: PipelineConfig, dataset: Path) -> None:
     t_start = time.perf_counter()
     manifest = load_manifest(dataset)
-    map_cfg = _map_config(cfg)
+    map_cfg = _from_config(cfg, "map", object_map.MapConfig)
     which, traj = _pick_trajectory(dataset, manifest, cfg["map.trajectory"])
     if cfg["caption.mode"] == "mock":
         records = object_map.load_captions(_manifest_file(dataset, manifest, "captions"))
     elif cfg["caption.mode"] == "http":
         if not cfg["caption.endpoint"]:
             raise ConfigError("caption.endpoint is required when caption.mode is 'http'")
-        service = object_map.CaptionServiceConfig(
-            endpoint=cfg["caption.endpoint"],
-            prompt=cfg["caption.prompt"],
-            token_env=cfg["caption.token_env"],
-            max_workers=cfg["caption.max_workers"],
-            retries=cfg["caption.retries"],
-            backoff_s=cfg["caption.backoff_s"],
-            timeout_s=cfg["caption.timeout_s"],
-        )
+        service = _from_config(cfg, "caption", object_map.CaptionServiceConfig)
         captures = trajectory.load_captures(_manifest_file(dataset, manifest,
                                                            "gt_captures"))
         records = object_map.fetch_captions(captures, object_map.HttpCaptioner(service),

@@ -12,6 +12,7 @@ import json
 import math
 from pathlib import Path
 
+from .fileio import write_json
 from .object_map import CAPTION_TOKEN_ENV, DEFAULT_PROMPT
 
 
@@ -136,9 +137,7 @@ class PipelineConfig:
         return dict(self._values)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self._values, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, self._values)
 
 
 def parse_override(text: str) -> tuple[str, object]:

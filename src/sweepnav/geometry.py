@@ -79,10 +79,6 @@ def quat_multiply(a, b) -> np.ndarray:
     )
 
 
-def quat_conjugate(q) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
 def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     n = np.linalg.norm(axis)

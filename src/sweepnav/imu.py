@@ -9,18 +9,17 @@ the result into fixed-length windows for the velocity estimator.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .fileio import read_csv, read_jsonl, write_csv, write_jsonl
 from .geometry import (
     GRAVITY_VEC,
     quat_yaw,
     quats_to_matrices,
     rotate_xyz_about_z,
-    wrap_angle,
 )
 
 IMU_FIELDS = ("t", "ax", "ay", "az", "gx", "gy", "gz")
@@ -32,13 +31,6 @@ def _frozen(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
-
-
-@dataclass(frozen=True)
-class ImuSample:
-    t: float
-    acc: np.ndarray  # (3,) specific force, device frame, m/s^2
-    gyro: np.ndarray  # (3,) angular rate, device frame, rad/s
 
 
 @dataclass(frozen=True)
@@ -79,9 +71,6 @@ class ImuSequence:
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, i: int) -> ImuSample:
-        return ImuSample(float(self.t[i]), self.acc[i], self.gyro[i])
-
     def sample_rate(self) -> float:
         if len(self) < 2:
             raise ValueError("need at least two samples to infer a rate")
@@ -97,50 +86,10 @@ def load_imu(path) -> ImuSequence:
     """
     path = Path(path)
     if path.suffix.lower() == ".jsonl":
-        return _load_imu_jsonl(path)
-    return _load_imu_csv(path)
-
-
-def _load_imu_csv(path: Path) -> ImuSequence:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or all(not ln.strip() for ln in lines):
-        return ImuSequence(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)))
-    header = lines[0].strip()
-    if header != IMU_CSV_HEADER:
-        raise ValueError(f"{path}:1: expected header '{IMU_CSV_HEADER}', got '{header}'")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return _rows_to_sequence(rows, path)
-
-
-def _load_imu_jsonl(path: Path) -> ImuSequence:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                rows.append([float(obj[k]) for k in IMU_FIELDS])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return _rows_to_sequence(rows, path)
-
-
-def _rows_to_sequence(rows, path) -> ImuSequence:
-    if not rows:
-        return ImuSequence(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)))
-    arr = np.asarray(rows, dtype=float)
+        rows = read_jsonl(path, lambda rec: [float(rec[k]) for k in IMU_FIELDS])
+    else:
+        rows = read_csv(path, IMU_CSV_HEADER, lambda fields: list(map(float, fields)))
+    arr = np.array([row for _, row in rows], dtype=float).reshape(-1, 7)
     try:
         return ImuSequence(arr[:, 0], arr[:, 1:4], arr[:, 4:7])
     except ValueError as exc:
@@ -149,26 +98,11 @@ def _rows_to_sequence(rows, path) -> ImuSequence:
 
 def save_imu(seq: ImuSequence, path) -> None:
     """Write a recording as CSV or JSONL depending on the file suffix."""
-    path = Path(path)
-    if path.suffix.lower() == ".jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for i in range(len(seq)):
-                rec = {
-                    "t": float(seq.t[i]),
-                    "ax": float(seq.acc[i, 0]),
-                    "ay": float(seq.acc[i, 1]),
-                    "az": float(seq.acc[i, 2]),
-                    "gx": float(seq.gyro[i, 0]),
-                    "gy": float(seq.gyro[i, 1]),
-                    "gz": float(seq.gyro[i, 2]),
-                }
-                fh.write(json.dumps(rec) + "\n")
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(IMU_CSV_HEADER + "\n")
-        for i in range(len(seq)):
-            vals = [seq.t[i], *seq.acc[i], *seq.gyro[i]]
-            fh.write(",".join(repr(float(v)) for v in vals) + "\n")
+    rows = np.column_stack([seq.t, seq.acc, seq.gyro]).tolist()
+    if Path(path).suffix.lower() == ".jsonl":
+        write_jsonl(path, (dict(zip(IMU_FIELDS, row)) for row in rows))
+    else:
+        write_csv(path, IMU_CSV_HEADER, rows)
 
 
 def resample(seq: ImuSequence, rate_hz: float = 50.0, max_gap_s: float = 0.5) -> ImuSequence:

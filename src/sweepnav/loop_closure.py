@@ -29,12 +29,11 @@ the best-epoch prediction through one network, so one set is alive.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .fileio import check_frames, read_jsonl, write_csv, write_jsonl
 from .geometry import wrap_angle
 from .imu import _frozen
 from .trajectory import Trajectory
@@ -393,15 +392,19 @@ def refine(traj: Trajectory, per_frame_v: np.ndarray,
 
 
 def save_corrections(params: CorrectionParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(len(params)):
-            rec = {
-                "frame": i,
-                "r": float(params.r[i]),
-                "lx": float(params.l[i, 0]),
-                "ly": float(params.l[i, 1]),
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    rows = np.column_stack([params.r, params.l]).tolist()
+    write_jsonl(path, ({"frame": i, "r": r, "lx": lx, "ly": ly}
+                       for i, (r, lx, ly) in enumerate(rows)))
+
+
+def _correction(rec) -> tuple[int, float, float, float]:
+    frame = rec["frame"]
+    if type(frame) is not int:
+        raise ValueError(f"frame must be an integer, got {frame!r}")
+    r = float(rec["r"])
+    if abs(r) > _R_MAX:
+        raise ValueError(f"rotation correction {r!r} outside [-pi, pi]")
+    return frame, r, float(rec["lx"]), float(rec["ly"])
 
 
 def load_corrections(path) -> CorrectionParams:
@@ -411,39 +414,14 @@ def load_corrections(path) -> CorrectionParams:
     rotation outside [-pi, pi], a repeated frame or a missing frame
     raises ValueError naming the offending line.
     """
-    path = Path(path)
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                frame = rec["frame"]
-                if type(frame) is not int:
-                    raise ValueError(f"frame must be an integer, got {frame!r}")
-                r = float(rec["r"])
-                if abs(r) > _R_MAX:
-                    raise ValueError(f"rotation correction {r!r} outside [-pi, pi]")
-                rows.append((frame, lineno, r, float(rec["lx"]), float(rec["ly"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    rows.sort(key=lambda row: row[0])
-    for expected, (frame, lineno, *_) in enumerate(rows):
-        if frame != expected:
-            if expected and frame == rows[expected - 1][0]:
-                raise ValueError(f"{path}:{lineno}: frame {frame} repeats line "
-                                 f"{rows[expected - 1][1]}")
-            raise ValueError(f"{path}:{lineno}: frame {frame} where frame {expected} "
-                             "was expected; frames must run 0..n-1, each once")
-    r = np.array([row[2] for row in rows])
-    l = np.array([[row[3], row[4]] for row in rows]) if rows else np.zeros((0, 2))
-    return CorrectionParams(r, l)
+    rows = read_jsonl(path, _correction)
+    check_frames(path, [(row[0], lineno) for lineno, row in rows], len(rows))
+    rows.sort(key=lambda item: item[1][0])
+    values = np.array([row[1:] for _, row in rows], dtype=float).reshape(-1, 3)
+    return CorrectionParams(values[:, 0], values[:, 1:])
 
 
 def save_loss_history(history, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(LOSS_CSV_HEADER + "\n")
-        for epoch, item in enumerate(history):
-            vals = [item.total, item.loop, item.rot, item.smooth]
-            fh.write(str(epoch) + "," + ",".join(repr(float(v)) for v in vals) + "\n")
+    write_csv(path, LOSS_CSV_HEADER,
+              ([epoch, float(h.total), float(h.loop), float(h.rot), float(h.smooth)]
+               for epoch, h in enumerate(history)))

@@ -18,11 +18,11 @@ deviation gating on alignment residuals before the final alignment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import write_csv, write_json
 from .geometry import wrap_angle
 from .imu import _frozen
 from .trajectory import Trajectory
@@ -130,43 +130,6 @@ def align_similarity(gt: np.ndarray, est: np.ndarray, fix_scale: bool = False,
     return AlignmentResult(scale, theta, t, keep, rmse)
 
 
-def remove_outliers(gt: np.ndarray, est: np.ndarray, mad_k: float = 3.0) -> np.ndarray:
-    """Flag pose pairs whose alignment residual exceeds median + mad_k * MAD.
-
-    Two rounds: fit on all pairs, gate, refit on survivors and gate
-    again.  The first fit keeps scale fixed at 1 — a gross outlier can
-    drag a free-scale fit into collapsing every point onto the centroid,
-    which hides the outlier inside the residual bulk.  The second fit
-    frees the scale, so pairs wrongly flagged in round one are
-    re-admitted once the refit lands on the true transform.  At least
-    half the pairs are always retained.  Returns a boolean inlier mask.
-    """
-    gt = np.asarray(gt, dtype=float)
-    est = np.asarray(est, dtype=float)
-    if gt.shape != est.shape or gt.ndim != 2 or gt.shape[1] != 2:
-        raise ValueError(f"expected matching (n, 2) arrays, got {gt.shape} and {est.shape}")
-    n = len(gt)
-    if n < 4:
-        raise ValueError("outlier removal needs at least four pose pairs")
-    keep = np.ones(n, dtype=bool)
-    for fix_scale in (True, False):
-        scale, theta, t = _similarity_fit(gt[keep], est[keep], fix_scale)
-        c, s = np.cos(theta), np.sin(theta)
-        R = np.array([[c, -s], [s, c]])
-        resid = np.linalg.norm(gt - (scale * (est @ R.T) + t), axis=1)
-        med = np.median(resid[keep])
-        mad = np.median(np.abs(resid[keep] - med))
-        gate = med + mad_k * max(float(mad), 1e-12)
-        new_keep = resid <= gate
-        min_keep = int(np.ceil(n / 2))
-        if new_keep.sum() < min_keep:
-            order = np.argsort(resid, kind="stable")
-            new_keep = np.zeros(n, dtype=bool)
-            new_keep[order[:min_keep]] = True
-        keep = new_keep
-    return keep
-
-
 def match_by_frame(gt: Trajectory, est: Trajectory,
                    frames: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pair poses by frame index.
@@ -220,9 +183,7 @@ def save_report(report: EvalReport, path, extra: dict | None = None) -> None:
     }
     if extra:
         payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def save_residuals(frames: np.ndarray, gt_xy: np.ndarray, est_xy: np.ndarray,
@@ -232,8 +193,6 @@ def save_residuals(frames: np.ndarray, gt_xy: np.ndarray, est_xy: np.ndarray,
     delta = gt_xy - aligned
     dist = np.linalg.norm(delta, axis=1)
     yaw_err = wrap_angle(est_yaw + alignment.rotation - gt_yaw)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(RESIDUAL_CSV_HEADER + "\n")
-        for i, frame in enumerate(frames):
-            vals = [delta[i, 0], delta[i, 1], dist[i], yaw_err[i]]
-            fh.write(str(int(frame)) + "," + ",".join(repr(float(v)) for v in vals) + "\n")
+    values = np.column_stack([delta, dist, yaw_err]).tolist()
+    write_csv(path, RESIDUAL_CSV_HEADER,
+              ([int(frame), *row] for frame, row in zip(frames, values)))

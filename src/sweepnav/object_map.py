@@ -15,18 +15,18 @@ forward, y left, z up.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import struct
 import time
 import unicodedata
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .fileio import read_csv, read_jsonl, write_csv, write_json, write_jsonl
 from .imu import _frozen
 from .metrics import AlignmentResult, apply_alignment
 from .trajectory import CaptureEvent, Pose2
@@ -372,22 +372,8 @@ class CaptionServiceConfig:
             raise ValueError("max_workers and retries must be >= 1")
 
 
-class MockCaptioner:
-    """File-backed captioner: pre-authored JSONL keyed by image_id."""
-
-    def __init__(self, path):
-        self._records = {rec.image_id: rec for rec in load_captions(path)}
-
-    def caption(self, image_id: str, frame: int) -> list[str] | None:
-        rec = self._records.get(image_id)
-        if rec is None:
-            logger.warning("%s: no mock caption on file, skipped", image_id)
-            return None
-        return list(rec.items)
-
-
 class HttpCaptioner:
-    """JSON-over-HTTP captioner with bearer auth and retry."""
+    """JSON-over-HTTP captioner with bearer auth; 5xx and 429 are retried."""
 
     def __init__(self, cfg: CaptionServiceConfig):
         if not cfg.endpoint:
@@ -412,8 +398,8 @@ class HttpCaptioner:
             except requests.RequestException as exc:
                 last_error = f"connection error: {exc}"
                 continue
-            if resp.status_code >= 500:
-                last_error = f"server error {resp.status_code}"
+            if resp.status_code >= 500 or resp.status_code == 429:
+                last_error = f"status {resp.status_code}"
                 continue
             if resp.status_code != 200:
                 logger.warning("%s: captioning failed with status %d, skipped",
@@ -493,100 +479,42 @@ def load_raster(path) -> DepthRaster:
 
 
 def save_captions(records: list[CaptionRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(
-                {"image_id": rec.image_id, "frame": rec.frame, "items": list(rec.items)},
-                sort_keys=True) + "\n")
+    write_jsonl(path, ({"image_id": rec.image_id, "frame": rec.frame, "items": list(rec.items)}
+                       for rec in records))
+
+
+def _caption(rec) -> CaptionRecord:
+    return CaptionRecord(str(rec["image_id"]), int(rec["frame"]), tuple(rec["items"]))
 
 
 def load_captions(path) -> list[CaptionRecord]:
-    path = Path(path)
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                records.append(CaptionRecord(str(rec["image_id"]), int(rec["frame"]),
-                                             tuple(rec["items"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return records
+    return [record for _, record in read_jsonl(path, _caption)]
 
 
 def save_items_csv(items: dict[str, np.ndarray], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(ITEMS_CSV_HEADER + "\n")
-        for name in sorted(items):
-            p = np.asarray(items[name], dtype=float)
-            fh.write(name + "," + ",".join(repr(float(v)) for v in p[:3]) + "\n")
+    write_csv(path, ITEMS_CSV_HEADER,
+              ([name, *np.asarray(items[name], dtype=float)[:3].tolist()]
+               for name in sorted(items)))
 
 
 def load_items_csv(path) -> dict[str, np.ndarray]:
-    path = Path(path)
-    items: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != ITEMS_CSV_HEADER:
-            raise ValueError(f"{path}:1: expected header {ITEMS_CSV_HEADER!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                items[parts[0]] = np.array([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return items
+    rows = read_csv(path, ITEMS_CSV_HEADER,
+                    lambda fields: (fields[0], np.array(list(map(float, fields[1:])))))
+    return dict(row for _, row in rows)
 
 
 def save_map(clusters: list[ItemCluster], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in clusters:
-            rec = {
-                "name": c.name,
-                "x": float(c.centroid[0]),
-                "y": float(c.centroid[1]),
-                "z": float(c.centroid[2]),
-                "n_obs": c.n_observations,
-                "spread": c.spread,
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def load_map(path) -> list[ItemCluster]:
-    path = Path(path)
-    clusters = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                clusters.append(ItemCluster(
-                    str(rec["name"]),
-                    np.array([float(rec["x"]), float(rec["y"]), float(rec["z"])]),
-                    int(rec["n_obs"]),
-                    float(rec["spread"]),
-                ))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return clusters
+    write_jsonl(path, ({"name": c.name, "x": float(c.centroid[0]), "y": float(c.centroid[1]),
+                        "z": float(c.centroid[2]), "n_obs": c.n_observations,
+                        "spread": c.spread} for c in clusters))
 
 
 def save_map_eval(report: MapEvalReport, path) -> None:
-    payload = {
+    write_json(path, {
         "per_item": report.per_item,
         "mean_error": report.mean_error,
         "std_error": report.std_error,
         "n_matched": report.n_matched,
         "unmatched_gt": list(report.unmatched_gt),
         "unmatched_est": list(report.unmatched_est),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })

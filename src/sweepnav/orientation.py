@@ -10,10 +10,10 @@ frame pins yaw at frame 0 anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .fileio import read_csv, write_csv
 from .geometry import (
     GRAVITY,
     quat_from_rotvec,
@@ -132,27 +132,8 @@ def relative_yaw(orientations: OrientationSequence) -> np.ndarray:
 
 def load_orientations(path) -> OrientationSequence:
     """Read a ``t,qw,qx,qy,qz`` CSV of precomputed orientations."""
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or all(not ln.strip() for ln in lines):
-        return OrientationSequence(np.zeros(0), np.zeros((0, 4)))
-    if lines[0].strip() != ORIENTATION_CSV_HEADER:
-        raise ValueError(
-            f"{path}:1: expected header '{ORIENTATION_CSV_HEADER}', got '{lines[0].strip()}'"
-        )
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    arr = np.asarray(rows, dtype=float)
+    rows = read_csv(path, ORIENTATION_CSV_HEADER, lambda fields: list(map(float, fields)))
+    arr = np.array([row for _, row in rows], dtype=float).reshape(-1, 5)
     try:
         return OrientationSequence(arr[:, 0], arr[:, 1:5])
     except ValueError as exc:
@@ -160,8 +141,5 @@ def load_orientations(path) -> OrientationSequence:
 
 
 def save_orientations(orientations: OrientationSequence, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(ORIENTATION_CSV_HEADER + "\n")
-        for i in range(len(orientations)):
-            vals = [orientations.t[i], *orientations.q[i]]
-            fh.write(",".join(repr(float(v)) for v in vals) + "\n")
+    write_csv(path, ORIENTATION_CSV_HEADER,
+              np.column_stack([orientations.t, orientations.q]).tolist())

@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import quat_about_z
 from .imu import ImuSequence
-from .object_map import CaptionRecord, DepthRaster, MapConfig, normalize_name
+from .object_map import CaptionRecord, DepthRaster, MapConfig, center_region, normalize_name
 from .orientation import OrientationSequence
 from .trajectory import CaptureEvent, Trajectory, image_id_for_frame
 
@@ -285,13 +285,6 @@ def _camera_origin(pose, map_cfg: MapConfig) -> tuple[float, float]:
     return pose.x + c * map_cfg.mount_forward, pose.y + s * map_cfg.mount_forward
 
 
-def _center_columns(width_px: int, fraction: float) -> tuple[int, int]:
-    # Same box the mapper samples; keep the two in lockstep.
-    bw = max(1, int(round(width_px * fraction)))
-    u0 = (width_px - bw) // 2
-    return u0, u0 + bw
-
-
 def _render_raster(pose, visible, room: tuple[float, float, float, float],
                    scene: SceneConfig, map_cfg: MapConfig) -> tuple[DepthRaster, np.ndarray]:
     """Depth image: nearest billboard per column, walls as background.
@@ -353,7 +346,6 @@ def generate_scene(captures: list[CaptureEvent], items: dict[str, tuple[float, f
             raise ValueError(f"item {name!r} at {tuple(p)} outside the room")
     room = (-scene.wall_margin, cfg.room_width + scene.wall_margin,
             -scene.wall_margin, cfg.room_height + scene.wall_margin)
-    u0, u1 = _center_columns(scene.width_px, map_cfg.center_fraction)
     rasters: list[DepthRaster] = []
     records: list[CaptionRecord] = []
     for ev in captures:
@@ -377,6 +369,8 @@ def generate_scene(captures: list[CaptureEvent], items: dict[str, tuple[float, f
                     and scene.caption_z_min <= fwd <= scene.caption_z_max):
                 candidates.append((name, fwd))
         raster, depth_cols = _render_raster(ev.pose, visible, room, scene, map_cfg)
+        # the columns of the box the mapper samples
+        u0, _, u1, _ = center_region(raster, map_cfg.center_fraction)
         center_depth = float(np.median(depth_cols[u0:u1]))
         captioned = tuple(name for name, fwd in candidates
                           if abs(center_depth - fwd) <= 1e-6)

@@ -9,12 +9,11 @@ capture, which is how image capture is throttled on the real system.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .fileio import read_csv, read_jsonl, write_csv, write_jsonl
 from .geometry import wrap_angle
 from .imu import _frozen
 
@@ -83,37 +82,22 @@ class Trajectory:
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRAJECTORY_CSV_HEADER + "\n")
-        for i in range(len(traj)):
-            vals = [traj.t[i], traj.xy[i, 0], traj.xy[i, 1], traj.yaw[i]]
-            fh.write(",".join(repr(float(v)) for v in vals) + "\n")
+    write_csv(path, TRAJECTORY_CSV_HEADER,
+              np.column_stack([traj.t, traj.xy, traj.yaw]).tolist())
 
 
 def load_trajectory(path, frame_rate: float | None = None) -> Trajectory:
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != TRAJECTORY_CSV_HEADER:
-        raise ValueError(f"{path}:1: expected header '{TRAJECTORY_CSV_HEADER}'")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    rows = read_csv(path, TRAJECTORY_CSV_HEADER, lambda fields: list(map(float, fields)))
     if not rows:
         raise ValueError(f"{path}: empty trajectory")
-    arr = np.asarray(rows, dtype=float)
+    arr = np.array([row for _, row in rows], dtype=float)
     if frame_rate is None:
         if len(arr) < 2:
             raise ValueError(f"{path}: cannot infer frame rate from a single pose")
-        frame_rate = 1.0 / float(np.median(np.diff(arr[:, 0])))
+        dt = float(np.median(np.diff(arr[:, 0])))
+        if not dt > 0:
+            raise ValueError(f"{path}: cannot infer frame rate: median time step is {dt!r}")
+        frame_rate = 1.0 / dt
     try:
         return Trajectory(arr[:, 0], arr[:, 1:3], arr[:, 3], frame_rate)
     except ValueError as exc:
@@ -287,35 +271,14 @@ def image_id_for_frame(frame: int) -> str:
 
 
 def save_captures(events, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ev in events:
-            rec = {
-                "frame": ev.frame,
-                "t": ev.pose.t,
-                "x": ev.pose.x,
-                "y": ev.pose.y,
-                "yaw": ev.pose.yaw,
-                "trigger": ev.trigger,
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(path, ({"frame": ev.frame, "t": ev.pose.t, "x": ev.pose.x, "y": ev.pose.y,
+                        "yaw": ev.pose.yaw, "trigger": ev.trigger} for ev in events))
+
+
+def _capture(rec) -> CaptureEvent:
+    pose = Pose2(float(rec["t"]), float(rec["x"]), float(rec["y"]), float(rec["yaw"]))
+    return CaptureEvent(int(rec["frame"]), pose, str(rec["trigger"]))
 
 
 def load_captures(path) -> list[CaptureEvent]:
-    path = Path(path)
-    events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                events.append(
-                    CaptureEvent(
-                        int(rec["frame"]),
-                        Pose2(float(rec["t"]), float(rec["x"]), float(rec["y"]), float(rec["yaw"])),
-                        str(rec["trigger"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return events
+    return [event for _, event in read_jsonl(path, _capture)]

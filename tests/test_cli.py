@@ -1,14 +1,21 @@
 """End-to-end tests of the sweepnav command-line pipeline."""
 
+import dataclasses
+import hashlib
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sweepnav.cli import _load_velocities, main
+from sweepnav import loop_closure, object_map, rae, sim, trajectory
+from sweepnav.cli import _load_velocities, _from_config, main
+from sweepnav.config import DEFAULTS, ConfigError, PipelineConfig
 
 # Default 4 m x 2 m sweep at 1 m row spacing: items one row apart can
 # never steal the image-center depth inside the 0.5-3 m caption band,
@@ -31,6 +38,45 @@ def _manifest(ds):
     return json.loads((ds / "manifest.json").read_text())
 
 
+# sha256 of every primary output of the ``pipeline`` run (run_meta_*
+# excluded): a change to any writer's bytes fails here.  The 42 rasters
+# are folded into one digest of their "name sha256" lines.  Floats come
+# from numpy, so another BLAS build may round differently.
+PIPELINE_SHA256 = {
+    "captions.jsonl": "a4f11c24ec49420b3403fb8efba5a74439909263ab25c49af8fcc8dc7ce1e3d7",
+    "captures.jsonl": "b6837e5827db6ad87fb76f46c4bdcdc7598d165f32ec6058b475bccaabe1df1e",
+    "config.json": "93ff86481f6ead59c2692cecfe4b64e30075c7d95453b2a85286489a8c30d9f7",
+    "corrections.jsonl": "bdd47d450a9bc50209c90d82174b69584bd4560e4f2bf8f522d9430861f0dd06",
+    "est_trajectory.csv": "1c3070bdc4e06a2425fc0d9013b7d136662357bbe3e97c9715da8e612f287d99",
+    "eval_grid_1.0.json": "b08e67780da3fb2b053aa5e10cb4b442f97165e6b82fbce835529939e55326f9",
+    "gt_captures.jsonl": "fd245f8a34366edca6ff25133f118dae302e13850aba3c81aaa343297d22ee16",
+    "gt_trajectory.csv": "4d0ca03e1acc5bc5da72c04a207b91fc16203d2e3afdd17e19e1e1abdd47d65d",
+    "imu.csv": "07af0aeabda4c0ee7ad5088b610cec005ce5c4e22bda74e47de62dab57c231db",
+    "item_map.jsonl": "a311c64858da489e0fcbf608401848febd6e7ba5e382b4b40131720a8f66f354",
+    "items.csv": "3c3d22a8708c3468a8f145b5ace0753a7aabc307e03ec9d8dbaf21660e9c9fec",
+    "loss_history.csv": "850949d250303c34b92476ba1e3e5a97fff4593665a55c1de4f316686d37f77e",
+    "manifest.json": "52f2b28bd5754187f854cebea101b3dc1c759738edd382d7eb6adf8ef303c519",
+    "map_eval.json": "a39fe5f8642d7bea9691e0db7bf9fbf32972ce33c37efffe561d9855822cf4f9",
+    "orientations.csv": "b3091441c6dc4626d155a4cf33f8e0e0d8345acf8c6dcd0f772524611e6226e2",
+    "plot.svg": "ba4219e59963c8d9e90a80b6fb34aef3e833bce3bc5be924494074e036999ca8",
+    "refined_trajectory.csv": "1c3070bdc4e06a2425fc0d9013b7d136662357bbe3e97c9715da8e612f287d99",
+    "residuals_grid_1.0.csv": "4e2f9d1adfbe2ffec94dd527f4011b22757c025074a48207f2e73712205095dd",
+    "velocities.csv": "7490776aca6e03a44488ab7b97c27b9024becc16270b47ca8edb565fc487a0b1",
+    "rasters": "8d2a9cf997ee7f6deb95ab94ee62c42600af56a7a6cb83ace541688f470585a6",
+}
+
+
+def _sha256_tree(root):
+    digests = {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(root.rglob("*"))
+               if p.is_file() and not p.name.startswith("run_meta")}
+    rasters = hashlib.sha256()
+    for name in [n for n in digests if n.startswith("rasters/")]:
+        rasters.update(f"{name} {digests.pop(name)}\n".encode())
+    digests["rasters"] = rasters.hexdigest()
+    return digests
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One full simulate -> infer -> refine -> eval -> map -> plot run."""
@@ -48,6 +94,10 @@ def pipeline(tmp_path_factory):
 
 
 class TestPipelineArtifacts:
+    def test_primary_outputs_byte_identical_to_recorded(self, pipeline):
+        """Runs first: later tests in this class add eval outputs."""
+        assert _sha256_tree(pipeline) == PIPELINE_SHA256
+
     def test_simulate_inventory(self, pipeline):
         for name in ["imu.csv", "gt_trajectory.csv", "orientations.csv",
                      "items.csv", "captions.jsonl", "gt_captures.jsonl",
@@ -83,7 +133,11 @@ class TestPipelineArtifacts:
         assert len(history) == 32  # header + epochs + final eval
         totals = [float(line.split(",")[1]) for line in history[1:]]
         assert min(totals) <= totals[0]
-        # loss_final is the loss of the corrections written, not of the last epoch
+        # loss_initial is the loss of the input trajectory, loss_final that
+        # of the corrections written (not of the last epoch), so they are
+        # equal exactly when refine kept the input
+        assert meta["loss_final"] <= meta["loss_initial"]
+        assert (meta["loss_final"] == meta["loss_initial"]) == meta["identity_fallback"]
         if meta["identity_fallback"]:
             assert meta["best_epoch"] is None
         else:
@@ -164,6 +218,31 @@ class TestExitCodes:
             main([])
 
 
+class TestModuleConfig:
+    MODULES = {"sim": sim.SimConfig, "scene": sim.SceneConfig, "map": object_map.MapConfig,
+               "rae": rae.RaeConfig, "refine": loop_closure.RefineConfig,
+               "kalman": trajectory.KalmanConfig,
+               "caption": object_map.CaptionServiceConfig}
+    # keys the commands read themselves
+    NOT_FIELDS = {"sim.n_items", "map.trajectory", "rae.seed", "caption.mode"}
+
+    def test_every_key_reaches_a_field(self):
+        """A renamed field would otherwise drop its key without a word."""
+        for key in DEFAULTS:
+            prefix, name = key.split(".", 1)
+            if prefix in self.MODULES and key not in self.NOT_FIELDS:
+                assert name in {f.name for f in dataclasses.fields(self.MODULES[prefix])}, key
+
+    def test_defaults_build_the_dataclass_defaults(self):
+        for prefix, cls in self.MODULES.items():
+            assert _from_config(PipelineConfig(), prefix, cls) == cls(), prefix
+
+    def test_invalid_value_names_the_prefix(self):
+        cfg = PipelineConfig({"rae.k": 0})
+        with pytest.raises(ConfigError, match=r"^rae\.\*: k must be >= 1"):
+            _from_config(cfg, "rae", rae.RaeConfig)
+
+
 class TestLoadVelocities:
     @staticmethod
     def _write(tmp_path, rows):
@@ -172,8 +251,20 @@ class TestLoadVelocities:
         return path
 
     def test_frames_in_any_order(self, tmp_path):
-        held = _load_velocities(self._write(tmp_path, ["2,0.5,0.25", "0,1.0,2.0"]), 3)
-        np.testing.assert_array_equal(held, [[1.0, 2.0], [0.0, 0.0], [0.5, 0.25]])
+        held = _load_velocities(self._write(tmp_path, ["2,0.5,0.25", "0,1.0,2.0", "1,3.0,4.0"]), 3)
+        np.testing.assert_array_equal(held, [[1.0, 2.0], [3.0, 4.0], [0.5, 0.25]])
+
+    def test_missing_frame_rejected(self, tmp_path):
+        """A truncated file is named at the line past its last row, a gap
+        at the row after it; neither loads as zero velocities."""
+        path = self._write(tmp_path, ["0,1.0,0.0"])
+        with pytest.raises(ValueError,
+                           match="velocities.csv:3: end of file where frame 1 was expected"):
+            _load_velocities(path, 5)
+        path = self._write(tmp_path, ["0,1.0,0.0", "2,1.0,0.0"])
+        with pytest.raises(ValueError,
+                           match="velocities.csv:3: frame 2 where frame 1 was expected"):
+            _load_velocities(path, 3)
 
     def test_negative_frame_rejected(self, tmp_path):
         """Python's negative indexing would write it to the last frame."""
@@ -197,25 +288,39 @@ class TestLoadVelocities:
         st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=12),
     ), max_size=8))
     def test_any_lines_load_cleanly_or_name_the_line(self, tmp_path, rows):
-        """Arbitrary rows either load with every row in its own frame or
-        raise a ValueError naming a line; never an IndexError or an
-        overwritten frame."""
+        """Arbitrary rows either load as frames 0..4, each from its own
+        row, or raise a ValueError naming a line (at most the one past
+        the last row, where truncation is reported); never an IndexError,
+        an overwritten frame or a frame left at zero."""
         n_frames = 5
         path = self._write(tmp_path, rows)
         try:
             held = _load_velocities(path, n_frames)
         except ValueError as exc:
             line = re.match(rf"{re.escape(str(path))}:(\d+): ", str(exc))
-            assert line and 2 <= int(line[1]) <= len(rows) + 1, str(exc)
+            assert line and 2 <= int(line[1]) <= len(rows) + 2, str(exc)
             return
         expected = np.zeros((n_frames, 2))
-        written = set()
+        frames = []
         for row in filter(str.strip, rows):
             frame, vx, vy = row.split(",")
-            assert int(frame) not in written
-            written.add(int(frame))
+            frames.append(int(frame))
             expected[int(frame)] = (float(vx), float(vy))
+        assert sorted(frames) == list(range(n_frames))
         np.testing.assert_array_equal(held, expected)
+
+
+class TestBenchmarkTracer:
+    def test_traced_cli_hooks_install(self):
+        """perfbench/traced_cli.py wraps pipeline functions by name, so a
+        rename would break ``perfbench/run.py --trace 1``.  It runs in a
+        subprocess: the wrappers stay on module globals once installed."""
+        root = Path(__file__).resolve().parents[1]
+        code = ("import sys; sys.path[:0] = sys.argv[1:]; import traced_cli, sweepnav.cli; "
+                "traced_cli.install(traced_cli.Tracer(), sweepnav.cli)")
+        proc = subprocess.run([sys.executable, "-c", code, str(root / "perfbench"),
+                               str(root / "src")], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture(scope="module")

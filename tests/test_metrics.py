@@ -12,7 +12,6 @@ from sweepnav.metrics import (
     apply_alignment,
     evaluate,
     match_by_frame,
-    remove_outliers,
     save_report,
     save_residuals,
 )
@@ -110,6 +109,14 @@ class TestAlignSimilarity:
         with pytest.raises(ValueError, match="coincident"):
             align_similarity(gt, est)
 
+    def test_noisy_pairs_mostly_retained(self):
+        """With pure iid noise and no outliers the MAD gate at k=3 keeps
+        at least 95 of 100 pairs."""
+        rng = np.random.default_rng(7)
+        gt = rng.normal(0.0, 3.0, (100, 2))
+        est = gt + rng.normal(0.0, 0.05, (100, 2))
+        assert align_similarity(gt, est).inliers.sum() >= 95
+
     def test_too_few_pairs_rejected(self):
         with pytest.raises(ValueError, match="at least two"):
             align_similarity(np.zeros((1, 2)), np.zeros((1, 2)))
@@ -117,45 +124,6 @@ class TestAlignSimilarity:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="matching"):
             align_similarity(np.zeros((5, 2)), np.zeros((4, 2)))
-
-
-class TestRemoveOutliers:
-    def test_perfect_pairs_all_kept(self):
-        pts = _cloud(5, n=20)
-        mask = remove_outliers(pts, pts)
-        assert mask.all()
-
-    def test_single_gross_outlier_flagged(self):
-        gt = _cloud(6, n=20)
-        est = gt.copy()
-        est[7] += [100.0, 0.0]
-        mask = remove_outliers(gt, est)
-        assert not mask[7]
-        assert mask.sum() == 19
-
-    def test_noisy_pairs_mostly_retained(self):
-        """With pure iid noise and no outliers the MAD gate at k=3 keeps
-        at least 95 of 100 pairs."""
-        rng = np.random.default_rng(7)
-        gt = rng.normal(0.0, 3.0, (100, 2))
-        est = gt + rng.normal(0.0, 0.05, (100, 2))
-        mask = remove_outliers(gt, est)
-        assert mask.sum() >= 95
-
-    def test_needs_four_pairs(self):
-        pts = _cloud(8, n=3)
-        with pytest.raises(ValueError, match="four"):
-            remove_outliers(pts, pts)
-
-    def test_outlier_recovery_after_refit(self):
-        """A cluster of outliers inflates the first-round fit, but the
-        second round still converges on the clean majority."""
-        gt = _cloud(9, n=30)
-        est = gt.copy()
-        est[[3, 11, 22]] += [[40.0, -25.0], [35.0, 10.0], [-50.0, 5.0]]
-        mask = remove_outliers(gt, est)
-        assert not mask[[3, 11, 22]].any()
-        assert mask.sum() == 27
 
 
 class TestEvaluate:

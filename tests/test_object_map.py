@@ -16,7 +16,6 @@ from sweepnav.object_map import (
     ItemCluster,
     ItemObservation,
     MapConfig,
-    MockCaptioner,
     camera_to_robot,
     center_region,
     cluster_items,
@@ -24,7 +23,6 @@ from sweepnav.object_map import (
     fetch_captions,
     load_captions,
     load_items_csv,
-    load_map,
     load_raster,
     normalize_name,
     observe_items,
@@ -441,49 +439,34 @@ class TestItemsCsv:
 
 class TestMapFile:
     def test_round_trip(self, tmp_path):
+        """One sorted-key JSON object per cluster, in cluster order."""
         clusters = [
             ItemCluster("milk", np.array([0.1, 0.2, 1.0]), 3, 0.05),
             ItemCluster("soap", np.array([-2.0, 4.0, 0.5]), 1, 0.0),
         ]
         path = tmp_path / "map.jsonl"
         save_map(clusters, path)
-        loaded = load_map(path)
-        assert len(loaded) == 2
-        assert loaded[0].name == "milk"
-        assert loaded[0].n_observations == 3
-        np.testing.assert_array_equal(loaded[0].centroid, clusters[0].centroid)
-        assert loaded[1].spread == 0.0
+        lines = path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"name": "milk", "x": 0.1, "y": 0.2, "z": 1.0, "n_obs": 3, "spread": 0.05},
+            {"name": "soap", "x": -2.0, "y": 4.0, "z": 0.5, "n_obs": 1, "spread": 0.0},
+        ]
+        assert lines[0] == json.dumps(json.loads(lines[0]), sort_keys=True)
 
 
 class TestCaptioners:
     def _capture(self, frame):
         return CaptureEvent(frame, Pose2(frame / 50.0, 0.0, 0.0, 0.0), "distance")
 
-    def test_mock_captioner_reads_file(self, tmp_path):
-        path = tmp_path / "captions.jsonl"
-        save_captions([
-            CaptionRecord("img_000000", 0, ("milk",)),
-            CaptionRecord("img_000050", 50, ("soap", "juice")),
-        ], path)
-        captioner = MockCaptioner(path)
-        assert captioner.caption("img_000050", 50) == ["soap", "juice"]
+    def test_fetch_orders_and_drops_missing(self):
+        class FileCaptioner:
+            items = {"img_000000": ["milk"], "img_000100": ["soap"]}
 
-    def test_mock_captioner_skips_missing(self, tmp_path, caplog):
-        path = tmp_path / "captions.jsonl"
-        save_captions([CaptionRecord("img_000000", 0, ("milk",))], path)
-        captioner = MockCaptioner(path)
-        with caplog.at_level(logging.WARNING, logger="sweepnav.object_map"):
-            assert captioner.caption("img_000099", 99) is None
-        assert "no mock caption" in caplog.text
+            def caption(self, image_id, frame):
+                return self.items.get(image_id)
 
-    def test_fetch_orders_and_drops_missing(self, tmp_path):
-        path = tmp_path / "captions.jsonl"
-        save_captions([
-            CaptionRecord("img_000000", 0, ("milk",)),
-            CaptionRecord("img_000100", 100, ("soap",)),
-        ], path)
         captures = [self._capture(100), self._capture(55), self._capture(0)]
-        records = fetch_captions(captures, MockCaptioner(path))
+        records = fetch_captions(captures, FileCaptioner())
         assert [r.image_id for r in records] == ["img_000000", "img_000100"]
         assert [r.frame for r in records] == [0, 100]
 
@@ -528,6 +511,20 @@ class TestHttpRetry:
             calls.append(url)
             if len(calls) < 3:
                 return _FakeResponse(503)
+            return _FakeResponse(200, {"items": ["milk"]})
+
+        monkeypatch.setattr("requests.post", fake_post)
+        captioner = self._captioner(monkeypatch)
+        assert captioner.caption("img_000000", 0) == ["milk"]
+        assert len(calls) == 3
+
+    def test_rate_limit_is_retried(self, monkeypatch):
+        calls = []
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            calls.append(url)
+            if len(calls) < 3:
+                return _FakeResponse(429)
             return _FakeResponse(200, {"items": ["milk"]})
 
         monkeypatch.setattr("requests.post", fake_post)

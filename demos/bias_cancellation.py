@@ -20,7 +20,8 @@ line = sn.Trajectory(t, np.column_stack([0.5 * t, np.zeros(n)]), np.zeros(n), 50
 
 bias = np.array([0.1, 0.0])
 model = OracleVelocityEstimator(OracleConfig(line, bias_hacf=bias))
-window = sn.ImuWindow(40, np.zeros((65, 3)), np.zeros((65, 3)), 0.0)
+# one window starting at frame 40; the oracle reads only where it starts
+windows, starts = np.zeros((1, 2, 65, 3)), np.array([40])
 truth = np.array([0.5, 0.0])
 
 print(f"injected bias: {np.linalg.norm(bias):.2f} m/s along +x")
@@ -28,8 +29,8 @@ print(f"{'K':>3} {'mean err':>10} {'median err':>11}")
 for k in (1, 2, 3, 4, 5, 9, 33):
     errs = []
     for reducer in ("mean", "median"):
-        est = rae_estimate(window, model, RaeConfig(k=k, reducer=reducer))
-        errs.append(np.linalg.norm(est.v - truth))
+        ens = rae_estimate(windows, starts, model, RaeConfig(k=k, reducer=reducer))
+        errs.append(np.linalg.norm(ens.v[0] - truth))
     print(f"{k:>3} {errs[0]:>10.2e} {errs[1]:>11.2e}")
 
 print("\nboth cancel exactly from K=2: the grid copies form a regular polygon")

@@ -17,7 +17,8 @@ print(f"sweep: {len(gt)} frames, {gt.t[-1]:.1f} s, "
 
 orients = sn.estimate_orientation(imu)
 hacf = sn.to_hacf(imu, orients)
-windows = sn.make_windows(hacf, tau=64)
+windows = sn.make_windows(hacf, tau=64)  # (N, 2, 65, 3): acc block, gyro block
+starts = 64 * np.arange(len(windows))
 print(f"windowing: {len(windows)} windows of tau+1 = 65 samples")
 
 # the oracle estimator stands in for a trained network; it returns the
@@ -26,8 +27,8 @@ print(f"windowing: {len(windows)} windows of tau+1 = 65 samples")
 model = OracleVelocityEstimator(OracleConfig(gt, bias_hacf=np.array([0.05, 0.02])))
 
 for k in (1, 5):
-    ests = [rae_estimate(w, model, RaeConfig(k=k)) for w in windows]
-    held = sn.held_velocities(ests, len(imu))
+    ens = rae_estimate(windows, starts, model, RaeConfig(k=k))
+    held = sn.held_velocities(ens.v, starts, len(imu))
     est = sn.integrate(held, sn.relative_yaw(orients), frame_rate=gt.frame_rate)
     report, _ = sn.evaluate(gt, est)
     print(f"K={k}: rte {report.rte:.3f} m, rte_metric {report.rte_metric:.3f} m, "

@@ -15,7 +15,6 @@ from .estimator import (
     NonFiniteEstimateError,
     OracleConfig,
     OracleVelocityEstimator,
-    VelocityEstimate,
     WeightsBundle,
     estimate_velocity,
     load_weights,
@@ -25,7 +24,6 @@ from .estimator import (
 from .geometry import GRAVITY, rot2, rotate_xy, wrap_angle
 from .imu import (
     ImuSequence,
-    ImuWindow,
     load_imu,
     make_windows,
     resample,
@@ -70,7 +68,7 @@ from .orientation import (
     relative_yaw,
     save_orientations,
 )
-from .rae import RaeConfig, ensemble_angles, equivariance_error, rae_estimate
+from .rae import RaeConfig, ensemble_angles, rae_estimate
 from .sim import (
     SceneConfig,
     SimConfig,
@@ -105,7 +103,6 @@ __all__ = [
     "EvalReport",
     "HttpCaptioner",
     "ImuSequence",
-    "ImuWindow",
     "ItemCluster",
     "ItemObservation",
     "KalmanConfig",
@@ -121,7 +118,6 @@ __all__ = [
     "SceneConfig",
     "SimConfig",
     "Trajectory",
-    "VelocityEstimate",
     "WeightsBundle",
     "align_similarity",
     "apply_alignment",
@@ -129,7 +125,6 @@ __all__ = [
     "capture_schedule",
     "cluster_items",
     "ensemble_angles",
-    "equivariance_error",
     "estimate_orientation",
     "estimate_velocity",
     "evaluate",

@@ -166,13 +166,15 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path) -> None:
         orientations = estimate_orientation(imu, alpha=cfg["orientation.alpha"])
     else:
         raise ConfigError("orientation.source must be 'filter' or 'file'")
+    t_windows = time.perf_counter()
     hacf = to_hacf(imu, orientations)
     tau = cfg["hacf.tau"]
-    stride = cfg["hacf.stride"] or None
+    stride = cfg["hacf.stride"] or tau
     windows = make_windows(hacf, tau=tau, stride=stride)
-    if not windows:
+    if not len(windows):
         raise ValueError(
             f"recording too short: {len(imu)} frames yield no windows of {tau + 1} samples")
+    starts = stride * np.arange(len(windows))
     t_model = time.perf_counter()
     if cfg["estimator.kind"] == "network":
         weights_path = cfg["estimator.weights"]
@@ -196,16 +198,16 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path) -> None:
         raise ConfigError("estimator.kind must be 'oracle' or 'network'")
     rae_cfg = _from_config(cfg, "rae", rae.RaeConfig)
     t_rae = time.perf_counter()
-    estimates = [rae.rae_estimate(w, model, rae_cfg, rng_seed=cfg["rae.seed"],
-                                  v_max=cfg["estimator.v_max"])
-                 for w in windows]
+    ens = rae.rae_estimate(windows, starts, model, rae_cfg, rng_seed=cfg["rae.seed"],
+                           v_max=cfg["estimator.v_max"])
     t_integrate = time.perf_counter()
-    held = trajectory.held_velocities(estimates, len(imu))
+    held = trajectory.held_velocities(ens.v, starts, len(imu))
     yaws = relative_yaw(orientations)
     kalman_cfg = _from_config(cfg, "kalman", trajectory.KalmanConfig)
     est_traj = trajectory.integrate(held, yaws, kalman_cfg,
                                     frame_rate=float(imu.sample_rate()),
                                     t0=float(imu.t[0]))
+    t_captures = time.perf_counter()
     captures = trajectory.capture_schedule(
         est_traj, cfg["capture.distance_m"], cfg["capture.rotation_rad"],
         cfg["capture.mode"])
@@ -226,11 +228,16 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path) -> None:
         "k": cfg["rae.k"],
         "reducer": cfg["rae.reducer"],
         "n_windows": len(windows),
+        "n_members_nonfinite": ens.n_members_nonfinite,
+        "n_windows_clamped": ens.n_windows_clamped,
+        "rae_member_spread": float(np.median(ens.member_spread)),
         "elapsed_s": {
-            "total": t_end - t_start,
-            "orientation": t_model - t_orient,
+            "total": time.perf_counter() - t_start,
+            "orientation": t_windows - t_orient,
+            "windows": t_model - t_windows,
             "rae": t_integrate - t_rae,
-            "integrate": t_end - t_integrate,
+            "integrate": t_captures - t_integrate,
+            "captures": t_end - t_captures,
         },
     })
     print(f"infer: {len(windows)} windows, K={cfg['rae.k']} "

@@ -15,33 +15,18 @@ import base64
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import rotate_xy
-from .imu import ImuWindow
 
 INPUT_LAYOUT = "acc_then_gyro_rowmajor"
 
 
 class NonFiniteEstimateError(RuntimeError):
-    """A model produced NaN or infinite output (corrupt weights, bad input)."""
-
-
-@dataclass(frozen=True)
-class VelocityEstimate:
-    """A planar velocity attributed to the window starting at ``window_start``."""
-
-    v: np.ndarray  # (2,) m/s
-    window_start: int
-    clamped: bool = False
-
-    def __post_init__(self):
-        v = np.array(self.v, dtype=float, copy=True)
-        if v.shape != (2,):
-            raise ValueError(f"velocity must be a 2-vector, got shape {v.shape}")
-        v.flags.writeable = False
-        object.__setattr__(self, "v", v)
+    """Every member of a window produced NaN or infinite output (corrupt
+    weights, bad input)."""
 
 
 @dataclass(frozen=True)
@@ -189,7 +174,7 @@ def make_random_bundle(tau: int = 64, sample_rate_hz: float = 50.0,
 
 
 class DenseVelocityNetwork:
-    """Forward pass of a dense network over a flattened window.
+    """Forward pass of a dense network over flattened windows.
 
     Parameters are stored as float32 in the bundle but promoted to
     float64 for the forward pass, which keeps repeated runs bit-stable.
@@ -199,19 +184,19 @@ class DenseVelocityNetwork:
         self.bundle = bundle
         self.tau = bundle.meta.tau
 
-    def raw_velocity(self, window: ImuWindow) -> np.ndarray:
-        if window.tau != self.tau:
+    def velocities(self, windows: np.ndarray, starts, angles) -> np.ndarray:
+        """(M, 2) outputs for an (M, 2, tau + 1, 3) stack; one matmul chain."""
+        if windows.shape[1:] != (2, self.tau + 1, 3):
             raise ValueError(
-                f"window has tau={window.tau}, network expects tau={self.tau}"
+                f"windows have shape {windows.shape[1:]}, network expects "
+                f"(2, {self.tau + 1}, 3) (tau={self.tau})"
             )
-        x = np.concatenate([window.a_seq.ravel(), window.g_seq.ravel()])
+        x = windows.reshape(len(windows), -1)
         for layer in self.bundle.layers:
             if layer.kind == "dense":
                 x = x @ layer.weights + layer.bias
             else:
                 x = np.maximum(x, 0.0)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteEstimateError("network produced non-finite output")
         return x
 
 
@@ -240,66 +225,71 @@ class OracleConfig:
             raise ValueError("noise_sigma must be non-negative")
 
 
-def oracle_velocity(window: ImuWindow, cfg: OracleConfig, rng_seed: int = 0) -> np.ndarray:
-    """True mean velocity over the window, expressed in the window's frame.
-
-    The output is ``Rz(window.rotation) @ v_true + bias + noise``: if the
-    window inputs were rotated by theta, the output rotates by theta,
-    exactly.  ``v_true`` is the ground-truth displacement across the
-    window divided by its duration.
-    """
-    traj = cfg.trajectory
-    s = window.start_frame
-    e = s + window.tau
-    if s < 0 or e >= len(traj):
-        raise ValueError(
-            f"window frames [{s}, {e}] fall outside the ground-truth span of {len(traj)} frames"
-        )
-    duration = window.tau / traj.frame_rate
-    v_true = (traj.xy[e] - traj.xy[s]) / duration
-    v = rotate_xy(v_true, window.rotation) + cfg.bias_hacf
-    if cfg.noise_sigma > 0.0:
-        if rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
-        rng = np.random.default_rng((rng_seed, s))
-        v = v + rng.normal(0.0, cfg.noise_sigma, 2)
-    return v
-
-
 class OracleVelocityEstimator:
-    """Model-protocol wrapper around ``oracle_velocity``."""
+    """True mean velocity over each window, in the window's input frame.
 
-    tau = None  # accepts any window length
+    The window starting at ``starts[m]`` with contents rotated by
+    ``angles[m]`` reads ``Rz(angles[m]) @ v_true + bias + noise``, where
+    ``v_true`` is the ground-truth displacement across the window over
+    its duration.  The contents themselves are never read.
+    """
 
     def __init__(self, cfg: OracleConfig, rng_seed: int = 0):
+        if cfg.noise_sigma > 0.0 and rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
         self.cfg = cfg
         self.rng_seed = rng_seed
 
-    def raw_velocity(self, window: ImuWindow) -> np.ndarray:
-        return oracle_velocity(window, self.cfg, self.rng_seed)
+    def velocities(self, windows: np.ndarray, starts, angles) -> np.ndarray:
+        traj = self.cfg.trajectory
+        tau = windows.shape[2] - 1
+        starts = np.asarray(starts, dtype=int)
+        ends = starts + tau
+        bad = (starts < 0) | (ends >= len(traj))
+        if bad.any():
+            raise ValueError(f"window frames [{starts[bad][0]}, {ends[bad][0]}] fall outside "
+                             f"the ground-truth span of {len(traj)} frames")
+        v_true = (traj.xy[ends] - traj.xy[starts]) / (tau / traj.frame_rate)
+        v = rotate_xy(v_true, angles) + self.cfg.bias_hacf
+        if self.cfg.noise_sigma > 0.0:
+            uniq, inverse = np.unique(starts, return_inverse=True)
+            noise = np.array([np.random.default_rng((self.rng_seed, int(s)))
+                              .normal(0.0, self.cfg.noise_sigma, 2) for s in uniq])
+            v = v + noise[inverse]
+        return v
 
 
-def estimate_velocity(window: ImuWindow, model, v_max: float = 2.0) -> VelocityEstimate:
-    """Run ``model`` on a window, then validate and clamp the output.
+class MemberEstimates(NamedTuple):
+    v: np.ndarray  # (M, 2) m/s, clamped; NaN where dropped
+    kept: np.ndarray  # (M,) bool, False for non-finite output
+    over: np.ndarray  # (M,) bool, scaled back to v_max
+    clamped: int  # over.sum()
 
-    Estimates with speed above ``v_max`` are scaled back to ``v_max``
-    and flagged; non-finite output raises ``NonFiniteEstimateError``.
+
+def estimate_velocity(windows: np.ndarray, starts, angles, model,
+                      v_max: float = 2.0) -> MemberEstimates:
+    """Run ``model`` on a stack of M windows, then validate and clamp.
+
+    ``starts`` and ``angles`` give each window's start frame and the
+    rotation applied to its contents.  Non-finite outputs are masked
+    out (NaN, ``kept`` False); speeds above ``v_max`` are scaled back
+    to ``v_max``.
     """
-    if getattr(model, "tau", None) is not None and model.tau != window.tau:
-        raise ValueError(f"window has tau={window.tau}, model expects tau={model.tau}")
-    v = np.asarray(model.raw_velocity(window), dtype=float)
-    if v.shape != (2,):
-        raise ValueError(f"model output must be a 2-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteEstimateError("velocity estimate is non-finite")
-    v, clamped = clamp_speed(v, v_max)
-    return VelocityEstimate(v, window.start_frame, clamped)
+    v = np.asarray(model.velocities(windows, starts, angles), dtype=float)
+    if v.shape != (len(windows), 2):
+        raise ValueError(f"model output must have shape ({len(windows)}, 2), got {v.shape}")
+    kept = np.isfinite(v).all(axis=1)
+    v, over = clamp_speed(np.where(kept[:, None], v, np.nan), v_max)
+    return MemberEstimates(v, kept, over, int(over.sum()))
 
 
-def clamp_speed(v: np.ndarray, v_max: float) -> tuple[np.ndarray, bool]:
+def clamp_speed(v: np.ndarray, v_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scale each row of an (M, 2) array whose norm exceeds ``v_max`` back
+    to ``v_max``; also return the mask of scaled rows.  NaN rows pass."""
     if v_max <= 0:
         raise ValueError("v_max must be positive")
-    speed = float(np.linalg.norm(v))
-    if speed > v_max:
-        return v * (v_max / speed), True
-    return v, False
+    # a dot product per row, as np.linalg.norm takes of one 2-vector
+    speed = np.sqrt((v[:, None] @ v[:, :, None])[:, 0, 0])
+    over = speed > v_max
+    scale = np.divide(v_max, speed, out=np.ones_like(speed), where=over)
+    return v * scale[:, None], over

@@ -3,8 +3,9 @@
 The estimator consumes inertial data expressed in a heading-anchored
 gravity-aligned frame: z points along gravity (up), and the horizontal
 axes are fixed by the heading at frame 0.  ``to_hacf`` performs that
-transform given a per-sample orientation stream; ``make_windows`` cuts
-the result into fixed-length windows for the velocity estimator.
+transform given a per-sample orientation stream; ``make_windows`` views
+the result as one array of fixed-length windows for the velocity
+estimator.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fileio import read_csv, read_jsonl, write_csv, write_jsonl
 from .geometry import (
@@ -179,40 +181,16 @@ def to_hacf(seq: ImuSequence, orientations) -> HacfSequence:
     return HacfSequence(seq.t, a, g)
 
 
-@dataclass(frozen=True)
-class ImuWindow:
-    """A fixed-length slice of heading-anchored samples.
-
-    ``rotation`` tracks the net planar rotation applied to the window's
-    contents after it was cut (see ``rae.rotate_window``); it exists so
-    that test doubles can honor frame equivariance exactly.
-    """
-
-    start_frame: int
-    a_seq: np.ndarray  # (tau + 1, 3)
-    g_seq: np.ndarray  # (tau + 1, 3)
-    rotation: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_seq", _frozen(self.a_seq))
-        object.__setattr__(self, "g_seq", _frozen(self.g_seq))
-        if self.a_seq.shape != self.g_seq.shape or self.a_seq.ndim != 2:
-            raise ValueError("a_seq and g_seq must share shape (tau + 1, 3)")
-        if len(self.a_seq) < 2:
-            raise ValueError("a window needs at least two samples")
-
-    @property
-    def tau(self) -> int:
-        return len(self.a_seq) - 1
-
-
-def make_windows(hacf: HacfSequence, tau: int = 64, stride: int | None = None) -> list[ImuWindow]:
+def make_windows(hacf: HacfSequence, tau: int = 64, stride: int | None = None) -> np.ndarray:
     """Cut windows of ``tau + 1`` samples starting at frames 0, stride, ...
 
-    A window starting at frame ``s`` covers frames ``s .. s + tau``
-    inclusive.  Windows that would run past the end of the recording are
-    not emitted, so a recording shorter than ``tau + 1`` samples yields
-    an empty list.
+    Returns a read-only ``(N, 2, tau + 1, 3)`` strided view: window ``i``
+    starts at frame ``i * stride`` and covers frames ``i * stride ..
+    i * stride + tau`` inclusive; ``[:, 0]`` holds the acceleration and
+    ``[:, 1]`` the angular rate, so ``windows.reshape(N, -1)`` is the
+    acc-then-gyro row-major network input.  Windows that would run past
+    the end of the recording are not emitted, so a recording shorter
+    than ``tau + 1`` samples yields no window.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
@@ -220,8 +198,8 @@ def make_windows(hacf: HacfSequence, tau: int = 64, stride: int | None = None) -
         stride = tau
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    n = len(hacf)
-    out = []
-    for s in range(0, n - tau, stride):
-        out.append(ImuWindow(s, hacf.a[s : s + tau + 1], hacf.g[s : s + tau + 1]))
-    return out
+    if len(hacf) <= tau:
+        return _frozen(np.empty((0, 2, tau + 1, 3)))
+    # (2, n - tau, 3, tau + 1) -> (N, 2, tau + 1, 3)
+    view = sliding_window_view(np.stack([hacf.a, hacf.g]), tau + 1, axis=1)
+    return view[:, ::stride].transpose(1, 0, 3, 2)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import write_csv, write_json
-from .geometry import wrap_angle
+from .geometry import rot2, wrap_angle
 from .imu import _frozen
 from .trajectory import Trajectory
 
@@ -73,16 +73,14 @@ def _similarity_fit(gt: np.ndarray, est: np.ndarray, fix_scale: bool) -> tuple[f
         if denom == 0.0:
             raise ValueError("estimate points are coincident; scale is undefined")
         scale = float(np.hypot(trace, skew) / denom)
-    c, s = np.cos(theta), np.sin(theta)
-    R = np.array([[c, -s], [s, c]])
+    R = rot2(theta)
     t = mg - scale * (R @ me)
     return scale, theta, t
 
 
 def apply_alignment(points: np.ndarray, result: AlignmentResult) -> np.ndarray:
     points = np.asarray(points, dtype=float)
-    c, s = np.cos(result.rotation), np.sin(result.rotation)
-    R = np.array([[c, -s], [s, c]])
+    R = rot2(result.rotation)
     return result.scale * (points @ R.T) + result.translation
 
 
@@ -106,8 +104,7 @@ def align_similarity(gt: np.ndarray, est: np.ndarray, fix_scale: bool = False,
     rounds = 2 if trim_outliers else 0
     for _ in range(rounds):
         scale, theta, t = _similarity_fit(gt[keep], est[keep], fix_scale)
-        c, s = np.cos(theta), np.sin(theta)
-        R = np.array([[c, -s], [s, c]])
+        R = rot2(theta)
         resid = np.linalg.norm(gt - (scale * (est @ R.T) + t), axis=1)
         med = np.median(resid[keep])
         mad = np.median(np.abs(resid[keep] - med))
@@ -123,8 +120,7 @@ def align_similarity(gt: np.ndarray, est: np.ndarray, fix_scale: bool = False,
             break
         keep = new_keep
     scale, theta, t = _similarity_fit(gt[keep], est[keep], fix_scale)
-    c, s = np.cos(theta), np.sin(theta)
-    R = np.array([[c, -s], [s, c]])
+    R = rot2(theta)
     resid = np.linalg.norm(gt - (scale * (est @ R.T) + t), axis=1)
     rmse = float(np.sqrt(np.mean(resid[keep] ** 2)))
     return AlignmentResult(scale, theta, t, keep, rmse)

@@ -498,9 +498,18 @@ def save_items_csv(items: dict[str, np.ndarray], path) -> None:
 
 
 def load_items_csv(path) -> dict[str, np.ndarray]:
+    """Ground-truth items by name; two names that ``normalize_name`` maps
+    to one key are an error at the later line."""
     rows = read_csv(path, ITEMS_CSV_HEADER,
                     lambda fields: (fields[0], np.array(list(map(float, fields[1:])))))
-    return dict(row for _, row in rows)
+    items, first_line = {}, {}
+    for lineno, (name, xyz) in rows:
+        key = normalize_name(name)
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: item {name!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        items[name] = xyz
+    return items
 
 
 def save_map(clusters: list[ItemCluster], path) -> None:

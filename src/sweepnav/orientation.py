@@ -45,6 +45,10 @@ class OrientationSequence:
         q = np.array(self.q, dtype=float, copy=True)
         if q.shape != (len(t), 4):
             raise ValueError(f"quaternion array must be ({len(t)}, 4), got {q.shape}")
+        for what, finite in (("timestamp", np.isfinite(t)),
+                             ("quaternion", np.isfinite(q).all(axis=1))):
+            if not finite.all():
+                raise ValueError(f"non-finite {what} at index {int(np.argmin(finite))}")
         if len(q):
             norms = np.linalg.norm(q, axis=1)
             if np.any(np.abs(norms - 1.0) > 1e-3):

@@ -16,17 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import (
-    NonFiniteEstimateError,
-    VelocityEstimate,
-    clamp_speed,
-    estimate_velocity,
-)
+from .estimator import NonFiniteEstimateError, clamp_speed, estimate_velocity
 from .geometry import rotate_xy, rotate_xyz_about_z
-from .imu import ImuWindow
 
 _ANGLE_MODES = ("grid", "seeded_random")
 _REDUCERS = ("median", "mean", "trimmed_mean")
@@ -36,6 +31,9 @@ _REDUCERS = ("median", "mean", "trimmed_mean")
 _COLLINEAR_TOL = 1e-12
 _GM_RTOL = 1e-10
 _GM_MAX_ITER = 100
+# Windows per model call: bounds the K rotated copies held in memory
+# (64 windows x K=5 x 390 samples is 1 MB) without a per-window call.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -69,21 +67,6 @@ def ensemble_angles(cfg: RaeConfig, rng_seed: int = 0) -> np.ndarray:
         return -np.pi + 2.0 * np.pi * np.arange(cfg.k) / cfg.k
     rng = np.random.default_rng(rng_seed)
     return rng.uniform(-np.pi, np.pi, cfg.k)
-
-
-def rotate_window(window: ImuWindow, theta: float) -> ImuWindow:
-    """Rotate every acceleration and angular-rate vector about z by ``theta``.
-
-    z components are untouched.  The window's ``rotation`` bookkeeping
-    field accumulates ``theta`` so estimators that honor input-frame
-    equivariance by construction can do so exactly.
-    """
-    return ImuWindow(
-        window.start_frame,
-        rotate_xyz_about_z(window.a_seq, theta),
-        rotate_xyz_about_z(window.g_seq, theta),
-        rotation=window.rotation + theta,
-    )
 
 
 def _pull(pts, yx, yy):
@@ -192,50 +175,53 @@ def reduce_members(members: np.ndarray, reducer: str, trim_fraction: float = 0.1
     raise ValueError(f"reducer must be one of {_REDUCERS}")
 
 
-def rae_estimate(window: ImuWindow, model, cfg: RaeConfig,
-                 rng_seed: int = 0, v_max: float = 2.0) -> VelocityEstimate:
-    """Ensemble velocity estimate for one window.
+class RaeResult(NamedTuple):
+    v: np.ndarray  # (N, 2) reduced velocity per window, clamped to v_max
+    n_members_nonfinite: int  # members dropped for non-finite output
+    n_windows_clamped: int  # windows with a member or the reduction clamped
+    member_spread: np.ndarray  # (N,) largest |kept member - reduced velocity|
 
-    Member k runs the model on the window rotated by theta_k and
-    rotates the estimate back by -theta_k.  Members with non-finite
-    output are dropped; if every member is dropped the estimate fails.
-    The reduced velocity is clamped to ``v_max`` like any single
-    estimate.
+
+def rae_estimate(windows: np.ndarray, starts, model, cfg: RaeConfig,
+                 rng_seed: int = 0, v_max: float = 2.0) -> RaeResult:
+    """Ensemble velocity estimates for an (N, 2, tau + 1, 3) window stack.
+
+    Window i starts at frame ``starts[i]``.  Member k runs the model on
+    the window rotated by theta_k and rotates the estimate back by
+    -theta_k.  Members with non-finite output are dropped; a window
+    whose members are all dropped fails.  Each window's members are
+    reduced on their own, and the reduced velocity is clamped to
+    ``v_max`` like any single estimate.  The model sees blocks of
+    windows, all K rotated copies of each at once.
     """
     angles = ensemble_angles(cfg, rng_seed)
-    members = []
-    clamped_any = False
-    for theta in angles:
-        rotated = rotate_window(window, theta)
-        try:
-            est = estimate_velocity(rotated, model, v_max)
-        except NonFiniteEstimateError:
-            continue
-        members.append(rotate_xy(est.v, -theta))
-        clamped_any = clamped_any or est.clamped
-    if not members:
+    k = len(angles)
+    n = len(windows)
+    starts = np.asarray(starts, dtype=int)
+    if starts.shape != (n,):
+        raise ValueError(f"expected {n} window starts, got shape {starts.shape}")
+    back = np.empty((n, k, 2))
+    kept = np.empty((n, k), dtype=bool)
+    over = np.empty((n, k), dtype=bool)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        # (hi - lo, K, 2, tau + 1, 3): copy k of each window rotated by theta_k
+        rotated = rotate_xyz_about_z(np.repeat(windows[lo:hi, None], k, axis=1),
+                                     angles[:, None, None])
+        est = estimate_velocity(rotated.reshape(-1, *windows.shape[1:]),
+                                np.repeat(starts[lo:hi], k), np.tile(angles, hi - lo),
+                                model, v_max)
+        back[lo:hi] = rotate_xy(est.v.reshape(-1, k, 2), -angles)
+        kept[lo:hi] = est.kept.reshape(-1, k)
+        over[lo:hi] = est.over.reshape(-1, k)
+    dead = np.flatnonzero(~kept.any(axis=1))
+    if dead.size:
         raise NonFiniteEstimateError(
-            f"all {cfg.k} ensemble members were non-finite for window {window.start_frame}"
+            f"all {k} ensemble members were non-finite for window {starts[dead[0]]}"
         )
-    v = reduce_members(np.asarray(members), cfg.reducer, cfg.trim_fraction)
-    v, clamped = clamp_speed(v, v_max)
-    return VelocityEstimate(v, window.start_frame, clamped or clamped_any)
-
-
-def equivariance_error(window: ImuWindow, model, thetas, v_max: float = 2.0) -> float:
-    """Largest pairwise disagreement between rotated-back estimates.
-
-    Zero (to fp precision) for a perfectly rotation-equivariant model;
-    grows with the model's frame sensitivity.  Needs at least two
-    angles.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.size < 2:
-        raise ValueError("need at least two angles to measure disagreement")
-    ests = []
-    for theta in thetas:
-        est = estimate_velocity(rotate_window(window, theta), model, v_max)
-        ests.append(rotate_xy(est.v, -theta))
-    ests = np.asarray(ests)
-    diff = ests[:, None, :] - ests[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(-1)).max())
+    reduced = np.array([reduce_members(m[keep], cfg.reducer, cfg.trim_fraction)
+                        for m, keep in zip(back, kept)]).reshape(n, 2)
+    spread = np.where(kept, np.linalg.norm(back - reduced[:, None], axis=2), -np.inf)
+    v, clamped = clamp_speed(reduced, v_max)
+    return RaeResult(v, int((~kept).sum()), int((over.any(axis=1) | clamped).sum()),
+                     spread.max(axis=1))

@@ -125,40 +125,33 @@ class KalmanConfig:
             raise ValueError("sigma_process must be >= 0 and sigma_obs > 0")
 
 
-def held_velocities(velocities, n_frames: int) -> np.ndarray:
+def held_velocities(velocities: np.ndarray, starts, n_frames: int) -> np.ndarray:
     """Expand windowed estimates to one velocity per frame.
 
-    Frame f (f >= 1) takes the estimate of the most recent window that
-    started at or before f - 1; frames past the last window hold its
-    value.  With non-overlapping windows this assigns each window's
-    velocity to exactly the frames it spans.  Frame 0 mirrors frame 1
-    so the array is fully populated.  An already-expanded (n_frames, 2)
-    array passes through unchanged.
+    ``velocities[i]`` belongs to the window starting at frame
+    ``starts[i]``.  Frame f (f >= 1) takes the estimate of the most
+    recent window that started at or before f - 1; frames past the last
+    window hold its value.  With non-overlapping windows this assigns
+    each window's velocity to exactly the frames it spans.  Frame 0
+    mirrors frame 1 so the array is fully populated.
     """
-    if isinstance(velocities, np.ndarray):
-        v = np.asarray(velocities, dtype=float)
-        if v.shape != (n_frames, 2):
-            raise ValueError(f"expected ({n_frames}, 2) velocities, got {v.shape}")
-        return v
-    if len(velocities) == 0:
+    v = np.asarray(velocities, dtype=float)
+    starts = np.asarray(starts)
+    if len(v) == 0:
         raise ValueError("no velocity estimates")
-    ests = sorted(velocities, key=lambda e: e.window_start)
-    starts = np.array([e.window_start for e in ests])
-    vs = np.array([e.v for e in ests])
-    out = np.zeros((n_frames, 2))
-    for f in range(1, n_frames):
-        idx = int(np.searchsorted(starts, f - 1, side="right")) - 1
-        out[f] = vs[max(idx, 0)]
+    if v.shape != (len(starts), 2):
+        raise ValueError(f"expected ({len(starts)}, 2) velocities, got {v.shape}")
+    order = np.argsort(starts, kind="stable")
+    idx = np.searchsorted(starts[order], np.arange(n_frames) - 1, side="right") - 1
     if n_frames > 1:
-        out[0] = out[1]
-    elif n_frames == 1:
-        out[0] = vs[0]
-    return out
+        idx[0] = idx[1]
+    return v[order][np.maximum(idx, 0)]
 
 
-def integrate(velocities, yaws, kf: KalmanConfig | None = None,
+def integrate(held: np.ndarray, yaws, kf: KalmanConfig | None = None,
               frame_rate: float = 50.0, origin=(0.0, 0.0), t0: float = 0.0) -> Trajectory:
-    """Fuse velocity estimates into per-frame positions.
+    """Fuse held velocities (one per frame, see ``held_velocities``) into
+    per-frame positions.
 
     State is (x, y, vx, vy).  Each frame's held velocity estimate is
     applied as an observation of (vx, vy) covering the step into that
@@ -173,7 +166,9 @@ def integrate(velocities, yaws, kf: KalmanConfig | None = None,
     n = len(yaws)
     if n == 0:
         raise ValueError("empty yaw stream")
-    v_obs = held_velocities(velocities, n)
+    v_obs = np.asarray(held, dtype=float)
+    if v_obs.shape != (n, 2):
+        raise ValueError(f"expected ({n}, 2) velocities, got {v_obs.shape}")
     dt = 1.0 / frame_rate
     q = kf.sigma_process ** 2
     F = np.array([[1, 0, dt, 0], [0, 1, 0, dt], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=float)

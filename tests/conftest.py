@@ -20,7 +20,6 @@ def clean_imu(default_sim_traj) -> sn.ImuSequence:
     return sn.synthesize_imu(default_sim_traj, sn.SimConfig())
 
 
-def make_window(start_frame=0, tau=64, rotation=0.0) -> sn.ImuWindow:
-    """Zero-content window; estimator doubles only read its bookkeeping."""
-    z = np.zeros((tau + 1, 3))
-    return sn.ImuWindow(start_frame, z, z, rotation)
+def zero_windows(n=1, tau=64) -> np.ndarray:
+    """A stack of n zero-content windows: the oracle reads only their starts."""
+    return np.zeros((n, 2, tau + 1, 3))

@@ -132,3 +132,46 @@ def turn_in_place_trajectory(total_angle, n_frames=201, rate=50.0) -> Trajectory
     xy = np.zeros((n_frames, 2))
     yaw = np.linspace(0.0, total_angle, n_frames)
     return Trajectory(t, xy, yaw, rate)
+
+
+def rae_window_ref(window, start, model, angles, reducer, trim_fraction=0.1, v_max=2.0):
+    """One window through the rotation-augmented ensemble, member by member.
+
+    For each angle: rotate the window's x-y components, run the model on
+    that single copy, skip a non-finite output, clamp its speed, rotate
+    it back; reduce the kept members; clamp the result.  Returns
+    (velocity, members dropped, whether a member or the result was
+    clamped, largest distance from a kept member to the reduced
+    velocity), or raises ``NonFiniteEstimateError`` if every member is
+    dropped.
+    """
+    from sweepnav import NonFiniteEstimateError
+    from sweepnav.rae import reduce_members
+
+    def clamp(v):
+        speed = float(np.linalg.norm(v))
+        return (v * (v_max / speed), True) if speed > v_max else (v, False)
+
+    def turn(v, c, s):
+        return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+
+    members, dropped, clamped = [], 0, False
+    for theta in angles:
+        c, s = np.cos(theta), np.sin(theta)
+        x = np.array(window, dtype=float)
+        for block in x:
+            for row in block:
+                row[:2] = turn(row[:2], c, s)
+        out = np.asarray(model.velocities(x[None], np.array([start]), np.array([theta])))[0]
+        if not np.isfinite(out).all():
+            dropped += 1
+            continue
+        out, hit = clamp(out)
+        clamped = clamped or hit
+        members.append(turn(out, np.cos(-theta), np.sin(-theta)))
+    if not members:
+        raise NonFiniteEstimateError(f"all members non-finite for window {start}")
+    reduced = reduce_members(np.array(members), reducer, trim_fraction)
+    spread = max(math.hypot(*(m - reduced)) for m in members)
+    v, hit = clamp(reduced)
+    return v, dropped, clamped or hit, spread

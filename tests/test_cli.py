@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sweepnav import estimator as est_mod
 from sweepnav import loop_closure, object_map, rae, sim, trajectory
+from sweepnav.geometry import rotate_xy
 from sweepnav.cli import _load_velocities, _from_config, main
 from sweepnav.config import DEFAULTS, ConfigError, PipelineConfig
 
@@ -310,17 +313,84 @@ class TestLoadVelocities:
         np.testing.assert_array_equal(held, expected)
 
 
+@pytest.fixture(scope="module")
+def small_ds(tmp_path_factory):
+    """A default-room dataset with a network weights file beside it."""
+    root = tmp_path_factory.mktemp("small")
+    assert run("simulate", "--out", root / "ds", *SMALL_ROOM, *NOISY) == 0
+    est_mod.save_weights(est_mod.make_random_bundle(tau=64, seed=1), root / "weights.json")
+    return root
+
+
 class TestBenchmarkTracer:
+    ROOT = Path(__file__).resolve().parents[1]
+
     def test_traced_cli_hooks_install(self):
         """perfbench/traced_cli.py wraps pipeline functions by name, so a
         rename would break ``perfbench/run.py --trace 1``.  It runs in a
         subprocess: the wrappers stay on module globals once installed."""
-        root = Path(__file__).resolve().parents[1]
         code = ("import sys; sys.path[:0] = sys.argv[1:]; import traced_cli, sweepnav.cli; "
                 "traced_cli.install(traced_cli.Tracer(), sweepnav.cli)")
-        proc = subprocess.run([sys.executable, "-c", code, str(root / "perfbench"),
-                               str(root / "src")], capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", code, str(self.ROOT / "perfbench"),
+                               str(self.ROOT / "src")], capture_output=True, text=True,
+                              timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("estimator", ["oracle", "network"])
+    def test_traced_infer_runs(self, small_ds, estimator, tmp_path):
+        """The tracer reads results of the wrapped calls (``len`` of the
+        windows, ``.clamped`` of each estimate), so run a traced infer."""
+        spans = tmp_path / "spans.json"
+        code = ("import sys; sys.path[:0] = sys.argv[1:3]; import traced_cli; "
+                "sys.exit(traced_cli.main(sys.argv[3:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(self.ROOT / "perfbench"), str(self.ROOT / "src"),
+             str(spans), "infer", "--dataset", str(small_ds / "ds"), "--estimator", estimator,
+             "--set", f"estimator.weights={small_ds / 'weights.json'}"],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(spans.read_text())
+        meta = json.loads((small_ds / "ds" / "run_meta_infer.json").read_text())
+        assert meta["estimator"] == estimator
+        assert doc["counts"]["imu.make_windows.windows"] == meta["n_windows"]
+        for name in ("rae.rae_estimate", "estimator.estimate_velocity",
+                     "trajectory.held_velocities"):
+            assert doc["spans"][name]["calls"] >= 1, name
+
+
+class TestInferRunMeta:
+    def test_buckets_and_counters(self, pipeline):
+        meta = json.loads((pipeline / "run_meta_infer.json").read_text())
+        buckets = meta["elapsed_s"]
+        assert sorted(buckets) == ["captures", "integrate", "orientation", "rae",
+                                   "total", "windows"]
+        assert all(v >= 0.0 for v in buckets.values())
+        assert sum(buckets.values()) - buckets["total"] <= buckets["total"]
+        assert meta["n_members_nonfinite"] == 0
+        assert meta["n_windows_clamped"] == 0
+        # the oracle's input-frame bias is the default (0, 0) here
+        assert 0.0 <= meta["rae_member_spread"] < 1e-12
+
+    def test_counters_are_exact(self, small_ds, tmp_path, monkeypatch):
+        """A model that loses one member of every window and reads 3 m/s
+        for the other members of the window starting at frame 128."""
+
+        class Faulty(est_mod.OracleVelocityEstimator):
+            def velocities(self, windows, starts, angles):
+                v = super().velocities(windows, starts, angles)
+                v[angles == angles.min()] = np.nan
+                fast = (starts == 128) & (angles != angles.min())
+                v[fast] = rotate_xy(np.array([3.0, 0.0]), angles[fast])
+                return v
+
+        monkeypatch.setattr(est_mod, "OracleVelocityEstimator", Faulty)
+        ds = tmp_path / "ds"
+        shutil.copytree(small_ds / "ds", ds)
+        assert run("infer", "--dataset", ds, "--set", "rae.k=5") == 0
+        meta = json.loads((ds / "run_meta_infer.json").read_text())
+        assert meta["n_windows"] > 3
+        assert meta["n_members_nonfinite"] == meta["n_windows"]
+        assert meta["n_windows_clamped"] == 1
 
 
 @pytest.fixture(scope="module")

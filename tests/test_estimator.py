@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 import sweepnav as sn
-from sweepnav.estimator import Layer, WeightsMeta, clamp_speed, oracle_velocity
+from sweepnav.estimator import Layer, WeightsMeta, clamp_speed
 from sweepnav.geometry import rot2
-from sweepnav.rae import rotate_window
 
-from .conftest import make_window
+from .conftest import zero_windows
 from .oracles import line_trajectory
 
 
@@ -22,90 +21,107 @@ def _oracle(bias=(0.0, 0.0), noise=0.0, speed=SPEED, n=201):
     return sn.OracleConfig(traj, bias_hacf=np.array(bias), noise_sigma=noise)
 
 
+def _read(cfg, starts=(0,), angles=None, rng_seed=0):
+    """Oracle output for zero windows at ``starts`` rotated by ``angles``."""
+    angles = np.zeros(len(starts)) if angles is None else np.asarray(angles)
+    model = sn.OracleVelocityEstimator(cfg, rng_seed)
+    return model.velocities(zero_windows(len(starts)), np.asarray(starts), angles)
+
+
+class _Fixed:
+    """Returns a fixed (M, 2) output whatever it is given."""
+
+    def __init__(self, out):
+        self.out = np.asarray(out, dtype=float)
+
+    def velocities(self, windows, starts, angles):
+        return self.out
+
+
 class TestOracle:
     def test_mean_velocity_over_window(self):
         """Displacement over duration: 0.5 m in 1.28 s is 0.390625 m/s."""
-        v = oracle_velocity(make_window(), _oracle())
+        v = _read(_oracle())[0]
         assert v[0] == SPEED and v[1] == 0.0
 
     def test_bias_is_added_in_the_input_frame(self):
-        v = oracle_velocity(make_window(), _oracle(bias=(0.1, 0.1)))
+        v = _read(_oracle(bias=(0.1, 0.1)))[0]
         assert v[0] == SPEED + 0.1 and v[1] == 0.1
         np.testing.assert_allclose(v, [0.490625, 0.1], atol=1e-12)
 
     def test_rotation_equivariance_with_bias(self):
         """Rotating the window rotates the truth but never the bias."""
         bias = np.array([0.1, 0.0])
-        cfg = _oracle(bias=bias)
-        base = oracle_velocity(make_window(), _oracle())
-        for theta in (0.3, -2.0, np.pi / 2, np.pi):
-            v = oracle_velocity(rotate_window(make_window(), theta), cfg)
-            np.testing.assert_allclose(v, rot2(theta) @ base + bias, atol=1e-12)
+        base = _read(_oracle())[0]
+        thetas = np.array([0.3, -2.0, np.pi / 2, np.pi])
+        v = _read(_oracle(bias=bias), starts=[0] * 4, angles=thetas)
+        for theta, row in zip(thetas, v):
+            np.testing.assert_allclose(row, rot2(theta) @ base + bias, atol=1e-12)
 
     def test_out_of_span_window_is_named(self):
-        cfg = _oracle(n=66)
         with pytest.raises(ValueError, match=r"\[64, 128\].*66 frames"):
-            oracle_velocity(make_window(start_frame=64), cfg)
+            _read(_oracle(n=66), starts=[0, 64])
 
     def test_noise_is_deterministic_per_window(self):
         """Same seed and window start give the same draw; order never matters."""
         cfg = _oracle(noise=0.05)
-        w0, w1 = make_window(0), make_window(64)
-        a = [oracle_velocity(w0, cfg, 7), oracle_velocity(w1, cfg, 7)]
-        b = [oracle_velocity(w1, cfg, 7), oracle_velocity(w0, cfg, 7)]
-        assert np.array_equal(a[0], b[1]) and np.array_equal(a[1], b[0])
+        a = _read(cfg, [0, 64], rng_seed=7)
+        b = _read(cfg, [64, 0], rng_seed=7)
+        assert np.array_equal(a, b[::-1])
         assert not np.array_equal(a[0], a[1])
-        assert not np.array_equal(a[0], oracle_velocity(w0, cfg, 8))
+        assert not np.array_equal(a[0], _read(cfg, [0], rng_seed=8)[0])
+
+    def test_members_of_one_window_share_the_noise_draw(self):
+        """K rotated copies of a window differ only by the rotated truth."""
+        thetas = np.array([-np.pi, -1.0, 0.0, 2.5])
+        noisy = _read(_oracle(noise=0.05), [64] * 4, thetas, rng_seed=3)
+        clean = _read(_oracle(), [64] * 4, thetas)
+        noise = noisy - clean
+        np.testing.assert_allclose(noise, np.tile(noise[0], (4, 1)), rtol=0, atol=1e-15)
+        assert np.linalg.norm(noise[0]) > 0
+
+    def test_negative_seed_with_noise_is_rejected(self):
+        with pytest.raises(ValueError, match="rng_seed"):
+            sn.OracleVelocityEstimator(_oracle(noise=0.05), rng_seed=-1)
 
 
 class TestEstimateVelocity:
     def test_speed_clamp_preserves_direction(self):
         model = sn.OracleVelocityEstimator(_oracle(speed=3.0))
-        est = sn.estimate_velocity(make_window(), model, v_max=2.0)
-        assert est.clamped
-        np.testing.assert_allclose(est.v, [2.0, 0.0], atol=1e-12)
+        est = sn.estimate_velocity(zero_windows(), [0], [0.0], model, v_max=2.0)
+        assert est.clamped == 1
+        np.testing.assert_allclose(est.v, [[2.0, 0.0]], atol=1e-12)
 
     def test_within_limit_untouched(self):
         model = sn.OracleVelocityEstimator(_oracle())
-        est = sn.estimate_velocity(make_window(), model)
-        assert not est.clamped
-        assert est.window_start == 0
+        est = sn.estimate_velocity(zero_windows(2), [0, 64], [0.0, 0.0], model)
+        assert est.clamped == 0 and not est.clamped
+        assert est.kept.all()
+        assert np.array_equal(est.v, [[SPEED, 0.0], [SPEED, 0.0]])
 
-    def test_non_finite_output_raises(self):
-        class Bad:
-            tau = None
-
-            def raw_velocity(self, window):
-                return np.array([np.nan, 0.0])
-
-        with pytest.raises(sn.NonFiniteEstimateError):
-            sn.estimate_velocity(make_window(), Bad())
+    def test_non_finite_members_are_masked(self):
+        bad = _Fixed([[np.nan, 0.0], [1.0, 0.0], [np.inf, 1.0], [3.0, 4.0]])
+        est = sn.estimate_velocity(zero_windows(4), [0] * 4, np.zeros(4), bad)
+        assert est.kept.tolist() == [False, True, False, True]
+        assert np.isnan(est.v[[0, 2]]).all()
+        np.testing.assert_allclose(est.v[[1, 3]], [[1.0, 0.0], [1.2, 1.6]], atol=1e-15)
+        assert est.clamped == 1
 
     def test_wrong_shape_raises(self):
-        class Bad:
-            tau = None
-
-            def raw_velocity(self, window):
-                return np.array([1.0, 2.0, 3.0])
-
-        with pytest.raises(ValueError, match="2-vector"):
-            sn.estimate_velocity(make_window(), Bad())
+        with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
+            sn.estimate_velocity(zero_windows(), [0], [0.0], _Fixed([[1.0, 2.0, 3.0]]))
 
     def test_tau_mismatch_raises(self):
-        class Fixed:
-            tau = 32
-
-            def raw_velocity(self, window):
-                return np.zeros(2)
-
-        with pytest.raises(ValueError, match="tau=64.*tau=32"):
-            sn.estimate_velocity(make_window(tau=64), Fixed())
+        net = sn.DenseVelocityNetwork(sn.make_random_bundle(tau=32))
+        with pytest.raises(ValueError, match=r"\(2, 65, 3\).*tau=32"):
+            sn.estimate_velocity(zero_windows(tau=64), [0], [0.0], net)
 
     def test_clamp_speed_is_norm_based(self):
-        v, clamped = clamp_speed(np.array([1.5, 1.5]), 2.0)
-        assert clamped
-        assert np.linalg.norm(v) == pytest.approx(2.0, abs=1e-12)
-        np.testing.assert_allclose(v[0], v[1])
+        v, over = clamp_speed(np.array([[1.5, 1.5], [0.3, 0.4], [np.nan, 0.0]]), 2.0)
+        assert over.tolist() == [True, False, False]
+        assert np.linalg.norm(v[0]) == pytest.approx(2.0, abs=1e-12)
+        np.testing.assert_allclose(v[0, 0], v[0, 1])
+        assert np.array_equal(v[1], [0.3, 0.4])
 
 
 class TestDenseNetwork:
@@ -122,14 +138,23 @@ class TestDenseNetwork:
         g = np.arange(7.0, 13.0).reshape(2, 3)
         net = sn.DenseVelocityNetwork(bundle)
         np.testing.assert_allclose(
-            net.raw_velocity(sn.ImuWindow(0, a, g)), [1.5, 6.5], atol=1e-15
+            net.velocities(np.stack([a, g])[None], [0], [0.0]), [[1.5, 6.5]], atol=1e-15
         )
 
     def test_random_bundle_is_seed_deterministic(self):
-        w = make_window(tau=64)
-        a = sn.DenseVelocityNetwork(sn.make_random_bundle(seed=3)).raw_velocity(w)
-        b = sn.DenseVelocityNetwork(sn.make_random_bundle(seed=3)).raw_velocity(w)
+        w = np.random.default_rng(2).normal(size=(3, 2, 65, 3))
+        a = sn.DenseVelocityNetwork(sn.make_random_bundle(seed=3)).velocities(w, [0] * 3, [0.0] * 3)
+        b = sn.DenseVelocityNetwork(sn.make_random_bundle(seed=3)).velocities(w, [0] * 3, [0.0] * 3)
         assert np.array_equal(a, b)
+
+    def test_batch_matches_one_window_at_a_time(self):
+        """One matmul over the stack agrees with per-window passes to
+        rounding (gemm and gemv may sum in different orders)."""
+        net = sn.DenseVelocityNetwork(sn.make_random_bundle(seed=4))
+        w = np.random.default_rng(5).normal(size=(40, 2, 65, 3))
+        batch = net.velocities(w, np.zeros(40), np.zeros(40))
+        single = np.vstack([net.velocities(w[i : i + 1], [0], [0.0]) for i in range(40)])
+        np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
 
     def test_shape_chain_is_validated(self):
         with pytest.raises(ValueError, match="layer 0"):
@@ -152,13 +177,12 @@ class TestWeightsFile:
         path = tmp_path / "weights.json"
         sn.save_weights(bundle, path)
         back = sn.load_weights(path, expected_tau=64, expected_rate=50.0)
-        rng = np.random.default_rng(6)
-        w = sn.ImuWindow(0, rng.normal(size=(65, 3)), rng.normal(size=(65, 3)))
-        a = sn.DenseVelocityNetwork(bundle).raw_velocity(w)
-        b = sn.DenseVelocityNetwork(back).raw_velocity(w)
+        w = np.random.default_rng(6).normal(size=(1, 2, 65, 3))
+        a = sn.DenseVelocityNetwork(bundle).velocities(w, [0], [0.0])
+        b = sn.DenseVelocityNetwork(back).velocities(w, [0], [0.0])
         # storage is float32, so reload twice and compare like with like
         sn.save_weights(back, path)
-        c = sn.DenseVelocityNetwork(sn.load_weights(path)).raw_velocity(w)
+        c = sn.DenseVelocityNetwork(sn.load_weights(path)).velocities(w, [0], [0.0])
         assert np.array_equal(b, c)
         np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
 

@@ -7,8 +7,6 @@ import sweepnav as sn
 from sweepnav import geometry as geo
 from sweepnav.imu import HacfSequence
 
-from .conftest import make_window
-
 
 def _static_seq(acc, n=50, rate=100.0):
     t = np.arange(n) / rate
@@ -140,31 +138,53 @@ class TestAnchoredFrame:
 
 class TestWindows:
     def _hacf(self, n):
-        t = np.arange(n) / 50.0
-        return HacfSequence(t, np.zeros((n, 3)), np.zeros((n, 3)))
+        """Sample f carries its frame number in every acceleration axis
+        and minus it in every angular-rate axis."""
+        f = np.arange(n, dtype=float)
+        a = np.tile(f[:, None], (1, 3))
+        return HacfSequence(f / 50.0, a, -a)
+
+    @staticmethod
+    def _starts(windows):
+        return windows[:, 0, 0, 0].astype(int).tolist()
 
     def test_counts_at_boundaries(self):
         """129 samples hold exactly two 65-sample windows; 64 hold none."""
-        assert [w.start_frame for w in sn.make_windows(self._hacf(129), tau=64)] == [0, 64]
-        assert sn.make_windows(self._hacf(64), tau=64) == []
-        assert [w.start_frame for w in sn.make_windows(self._hacf(65), tau=64)] == [0]
+        assert self._starts(sn.make_windows(self._hacf(129), tau=64)) == [0, 64]
+        assert sn.make_windows(self._hacf(64), tau=64).shape == (0, 2, 65, 3)
+        assert self._starts(sn.make_windows(self._hacf(65), tau=64)) == [0]
 
     def test_full_coverage_when_length_divides(self):
         """Back-to-back windows jointly cover every frame."""
         windows = sn.make_windows(self._hacf(129), tau=64)
-        covered = set()
-        for w in windows:
-            covered.update(range(w.start_frame, w.start_frame + w.tau + 1))
-        assert covered == set(range(129))
+        assert set(windows[:, 0, :, 0].ravel().astype(int)) == set(range(129))
 
     def test_custom_stride_overlaps(self):
-        starts = [w.start_frame for w in sn.make_windows(self._hacf(129), tau=64, stride=32)]
-        assert starts == [0, 32, 64]
+        assert self._starts(sn.make_windows(self._hacf(129), tau=64, stride=32)) == [0, 32, 64]
+
+    def test_layout_is_acc_then_gyro_row_major(self):
+        """Window i is frames i*stride .. i*stride + tau; its flat form is
+        the acceleration block, then the angular-rate block, row-major."""
+        hacf = self._hacf(100)
+        windows = sn.make_windows(hacf, tau=8, stride=3)
+        assert windows.shape == (31, 2, 9, 3)
+        for i, flat in enumerate(windows.reshape(len(windows), -1)):
+            s = 3 * i
+            ref = np.concatenate([hacf.a[s : s + 9].ravel(), hacf.g[s : s + 9].ravel()])
+            assert np.array_equal(flat, ref)
+
+    def test_windows_are_a_read_only_view(self):
+        """Overlapping windows share memory: no window is copied."""
+        windows = sn.make_windows(self._hacf(200), tau=64, stride=1)
+        assert not windows.flags.writeable
+        assert np.shares_memory(windows[0], windows[1])
+        assert windows.base is not None
 
     def test_window_shape_contract(self):
-        w = make_window(tau=64)
-        assert w.tau == 64
-        with pytest.raises(ValueError):
-            sn.ImuWindow(0, np.zeros((1, 3)), np.zeros((1, 3)))
-        with pytest.raises(ValueError):
-            sn.ImuWindow(0, np.zeros((5, 3)), np.zeros((4, 3)))
+        """(N, 2, tau + 1, 3) for any tau and stride; tau and stride >= 1."""
+        for tau, stride, n in ((1, 1, 99), (64, 64, 1), (8, 100, 1)):
+            assert sn.make_windows(self._hacf(100), tau, stride).shape == (n, 2, tau + 1, 3)
+        with pytest.raises(ValueError, match="tau"):
+            sn.make_windows(self._hacf(10), tau=0)
+        with pytest.raises(ValueError, match="stride"):
+            sn.make_windows(self._hacf(10), tau=4, stride=0)

@@ -436,6 +436,13 @@ class TestItemsCsv:
         with pytest.raises(ValueError, match="expected 4 fields"):
             load_items_csv(path)
 
+    def test_repeated_name_is_named_at_the_later_line(self, tmp_path):
+        """The map is matched by normalized name, so "Milk!" repeats "milk"."""
+        path = tmp_path / "items.csv"
+        path.write_text("name,x,y,z\nmilk,0,0,0\nsoap,1,1,1\nMilk!,2,2,2\n")
+        with pytest.raises(ValueError, match=rf"^{path}:4: item 'Milk!' repeats line 2$"):
+            load_items_csv(path)
+
 
 class TestMapFile:
     def test_round_trip(self, tmp_path):

@@ -64,6 +64,19 @@ class TestOrientationSequence:
         with pytest.raises(ValueError, match="far from unit norm"):
             sn.OrientationSequence(t, q)
 
+    @pytest.mark.parametrize("row, what", [("nan,0,0,0", "quaternion"),
+                                           ("1,0,inf,0", "quaternion")])
+    def test_non_finite_row_in_a_file_is_named(self, tmp_path, row, what):
+        """NaN fails the unit-norm test's comparison, so it is checked first."""
+        path = tmp_path / "orients.csv"
+        path.write_text(f"t,qw,qx,qy,qz\n0.0,1,0,0,0\n0.02,{row}\n")
+        with pytest.raises(ValueError, match=rf"^{path}: non-finite {what} at index 1$"):
+            sn.load_orientations(path)
+
+    def test_non_finite_timestamp_is_named(self):
+        with pytest.raises(ValueError, match="non-finite timestamp at index 0"):
+            sn.OrientationSequence(np.array([np.nan, 0.02]), np.tile([1.0, 0, 0, 0], (2, 1)))
+
     def test_small_norm_error_is_repaired(self):
         t = np.array([0.0])
         q = np.array([[1.0 + 5e-4, 0.0, 0.0, 0.0]])

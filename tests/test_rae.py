@@ -2,28 +2,44 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sweepnav as sn
-from sweepnav.estimator import oracle_velocity
 from sweepnav.geometry import rotate_xy
-from sweepnav.rae import ensemble_angles, reduce_members, rotate_window
+from sweepnav.rae import _BLOCK, _GM_RTOL, ensemble_angles, reduce_members
 
-from .conftest import make_window
-from .oracles import geometric_median_violation_ref, line_trajectory, rot2_ref
+from .conftest import zero_windows
+from .oracles import geometric_median_violation_ref, line_trajectory, rae_window_ref, rot2_ref
+
+STARTS = np.array([0, 40, 90, 130])
 
 
-def _oracle_model(bias=(0.0, 0.0), speed=1.0):
+def _oracle_model(bias=(0.0, 0.0), speed=1.0, noise=0.0, rng_seed=0):
     traj = line_trajectory(speed=speed, n_frames=201)
-    return sn.OracleVelocityEstimator(sn.OracleConfig(traj, bias_hacf=np.array(bias)))
+    cfg = sn.OracleConfig(traj, bias_hacf=np.array(bias), noise_sigma=noise)
+    return sn.OracleVelocityEstimator(cfg, rng_seed)
 
 
-class _ConstantModel:
-    """Frame-oblivious stub: the same output no matter how input is rotated."""
+def _rae(model, cfg, starts=STARTS, **kw):
+    return sn.rae_estimate(zero_windows(len(starts)), starts, model, cfg, **kw)
 
-    tau = None
 
-    def raw_velocity(self, window):
-        return np.array([1.0, 0.0])
+class _Injected:
+    """Wraps a model: members whose (start, angle) is in ``nan`` read NaN,
+    those in ``fast`` read ten times the wrapped output."""
+
+    def __init__(self, model, nan=(), fast=()):
+        self.model, self.nan, self.fast = model, set(nan), set(fast)
+
+    def velocities(self, windows, starts, angles):
+        v = np.array(self.model.velocities(windows, starts, angles))
+        for i, key in enumerate(zip(starts.tolist(), angles.tolist())):
+            if key in self.nan:
+                v[i] = np.nan
+            elif key in self.fast:
+                v[i] *= 10.0
+        return v
 
 
 class TestEnsembleAngles:
@@ -50,20 +66,6 @@ class TestEnsembleAngles:
             sn.RaeConfig(angle_mode="fibonacci")
         with pytest.raises(ValueError):
             sn.RaeConfig(trim_fraction=0.5)
-
-
-class TestRotateWindow:
-    def test_contents_rotate_and_z_survives(self):
-        rng = np.random.default_rng(8)
-        w = sn.ImuWindow(3, rng.normal(size=(5, 3)), rng.normal(size=(5, 3)))
-        out = rotate_window(w, 0.7)
-        np.testing.assert_allclose(out.a_seq[:, 2], w.a_seq[:, 2])
-        np.testing.assert_allclose(out.a_seq[:, :2], rotate_xy(w.a_seq[:, :2], 0.7), atol=1e-12)
-        assert out.start_frame == 3
-
-    def test_rotation_bookkeeping_accumulates(self):
-        w = rotate_window(rotate_window(make_window(), 0.4), -1.1)
-        assert w.rotation == pytest.approx(-0.7)
 
 
 class TestReducers:
@@ -178,17 +180,14 @@ class TestRaeEstimate:
     def test_exact_recovery_for_equivariant_model(self, k, reducer):
         """Ensembling an already-equivariant estimator changes nothing."""
         model = _oracle_model()
-        base = oracle_velocity(make_window(), model.cfg)
-        est = sn.rae_estimate(make_window(), model, sn.RaeConfig(k=k, reducer=reducer))
-        np.testing.assert_allclose(est.v, base, rtol=0, atol=1e-12)
+        base = model.velocities(zero_windows(len(STARTS)), STARTS, np.zeros(len(STARTS)))
+        ens = _rae(model, sn.RaeConfig(k=k, reducer=reducer))
+        np.testing.assert_allclose(ens.v, base, rtol=0, atol=1e-12)
 
     def test_k4_mean_cancels_constant_bias_exactly(self):
         """Four evenly spaced rotations sum the rotated-back bias to zero."""
-        est = sn.rae_estimate(
-            make_window(), _oracle_model(bias=(0.1, 0.0)),
-            sn.RaeConfig(k=4, reducer="mean"),
-        )
-        np.testing.assert_allclose(est.v, [1.0, 0.0], rtol=0, atol=1e-12)
+        ens = _rae(_oracle_model(bias=(0.1, 0.0)), sn.RaeConfig(k=4, reducer="mean"))
+        np.testing.assert_allclose(ens.v, np.tile([1.0, 0.0], (4, 1)), rtol=0, atol=1e-12)
 
     def test_k5_median_lands_on_middle_member(self):
         """Five members see the bias at five rotations: a regular pentagon
@@ -196,56 +195,137 @@ class TestRaeEstimate:
         component-wise median used to pick the middle member's projection
         and keep |cos(3 pi / 5)| of the bias; that value is retired because
         it depended on the input frame."""
-        est = sn.rae_estimate(
-            make_window(), _oracle_model(bias=(0.1, 0.0)), sn.RaeConfig(k=5)
-        )
-        np.testing.assert_allclose(est.v, [1.0, 0.0], rtol=0, atol=1e-12)
+        ens = _rae(_oracle_model(bias=(0.1, 0.0)), sn.RaeConfig(k=5))
+        np.testing.assert_allclose(ens.v, np.tile([1.0, 0.0], (4, 1)), rtol=0, atol=1e-12)
 
     def test_non_finite_members_are_dropped(self):
         class Flaky:
-            tau = None
+            def velocities(self, windows, starts, angles):
+                v = rotate_xy(np.array([1.0, 0.0]), angles)
+                v[angles < -np.pi + 0.1] = np.nan
+                return v
 
-            def raw_velocity(self, window):
-                if window.rotation < -np.pi + 0.1:
-                    return np.array([np.nan, np.nan])
-                return rotate_xy(np.array([1.0, 0.0]), window.rotation)
-
-        est = sn.rae_estimate(make_window(), Flaky(), sn.RaeConfig(k=5))
-        np.testing.assert_allclose(est.v, [1.0, 0.0], atol=1e-12)
+        ens = _rae(Flaky(), sn.RaeConfig(k=5))
+        np.testing.assert_allclose(ens.v, np.tile([1.0, 0.0], (4, 1)), atol=1e-12)
+        assert ens.n_members_nonfinite == 4
 
     def test_all_members_non_finite_is_fatal(self):
-        class Dead:
-            tau = None
-
-            def raw_velocity(self, window):
-                return np.array([np.nan, np.nan])
-
-        with pytest.raises(sn.NonFiniteEstimateError, match="all 5 ensemble members"):
-            sn.rae_estimate(make_window(), Dead(), sn.RaeConfig(k=5))
+        model = _Injected(_oracle_model(),
+                          nan=[(90, a) for a in ensemble_angles(sn.RaeConfig(k=5))])
+        with pytest.raises(sn.NonFiniteEstimateError,
+                           match="all 5 ensemble members were non-finite for window 90"):
+            _rae(model, sn.RaeConfig(k=5))
 
     def test_reduced_velocity_is_clamped(self):
-        est = sn.rae_estimate(make_window(), _oracle_model(speed=3.0), sn.RaeConfig(k=5))
-        assert est.clamped
-        assert np.linalg.norm(est.v) == pytest.approx(2.0, abs=1e-9)
+        ens = _rae(_oracle_model(speed=3.0), sn.RaeConfig(k=5))
+        assert ens.n_windows_clamped == 4
+        np.testing.assert_allclose(np.linalg.norm(ens.v, axis=1), 2.0, atol=1e-9)
+
+    def test_counters_are_exact(self):
+        """One NaN member in every window and one window at 3 m/s."""
+        angles = ensemble_angles(sn.RaeConfig(k=5))
+        starts = np.arange(0, 136, 1)
+        model = _Injected(_oracle_model(speed=0.3),
+                          nan=[(int(s), angles[int(s) % 5]) for s in starts],
+                          fast=[(77, a) for a in angles])
+        ens = _rae(model, sn.RaeConfig(k=5), starts=starts)
+        assert ens.n_members_nonfinite == len(starts)
+        assert ens.n_windows_clamped == 1
+        expected = np.tile([0.3, 0.0], (len(starts), 1))
+        expected[77] = [2.0, 0.0]
+        np.testing.assert_allclose(ens.v, expected, rtol=0, atol=1e-12)
+
+    def test_member_spread_reads_the_input_frame_bias(self):
+        """A bias b fixed in the input frame puts every rotated-back member
+        at |b| from the truth, where the grid ensemble lands; an
+        equivariant model's members coincide."""
+        for bias, spread in (((0.1, 0.0), 0.1), ((0.0, 0.0), 0.0)):
+            ens = _rae(_oracle_model(bias=bias), sn.RaeConfig(k=4, reducer="mean"))
+            np.testing.assert_allclose(ens.member_spread, spread, rtol=0, atol=1e-12)
+
+    def test_model_sees_whole_blocks_of_windows(self):
+        calls = []
+
+        class Counting:
+            def velocities(self, windows, starts, angles):
+                calls.append(len(windows))
+                return np.zeros((len(windows), 2))
+
+        n = 2 * _BLOCK + 3
+        sn.rae_estimate(zero_windows(n, tau=4), np.arange(n), Counting(), sn.RaeConfig(k=3))
+        assert calls == [3 * _BLOCK, 3 * _BLOCK, 9]
 
 
-class TestEquivarianceError:
-    def test_constant_bias_reads_twice_the_bias(self):
-        """Opposite rotations place the rotated-back bias at +b and -b."""
-        err = sn.equivariance_error(
-            make_window(), _oracle_model(bias=(0.1, 0.0)), [0.0, np.pi]
-        )
-        assert err == pytest.approx(0.2, abs=1e-12)
+def _ref_stack(windows, starts, model, cfg, rng_seed, v_max):
+    """rae_window_ref over every window, stacked like ``RaeResult``."""
+    angles = ensemble_angles(cfg, rng_seed)
+    rows = [rae_window_ref(w, s, model, angles, cfg.reducer, cfg.trim_fraction, v_max)
+            for w, s in zip(windows, starts)]
+    return (np.array([r[0] for r in rows]), sum(r[1] for r in rows),
+            sum(r[2] for r in rows), np.array([r[3] for r in rows]))
 
-    def test_frame_oblivious_model_reads_root_two(self):
-        err = sn.equivariance_error(make_window(), _ConstantModel(), [0.0, np.pi / 2])
-        assert err == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
-    def test_equivariant_model_reads_zero(self):
-        thetas = np.linspace(-np.pi, np.pi, 9)
-        err = sn.equivariance_error(make_window(), _oracle_model(), thetas)
-        assert err < 1e-12
+_ENSEMBLES = st.builds(
+    sn.RaeConfig,
+    k=st.integers(1, 8),
+    angle_mode=st.sampled_from(["grid", "seeded_random"]),
+    reducer=st.sampled_from(["median", "mean", "trimmed_mean"]),
+    trim_fraction=st.sampled_from([0.0, 0.1, 0.25]),
+)
 
-    def test_needs_two_angles(self):
-        with pytest.raises(ValueError, match="two angles"):
-            sn.equivariance_error(make_window(), _ConstantModel(), [0.0])
+
+class TestMatchesPerWindowReference:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=_ENSEMBLES, stride=st.sampled_from([1, 7, 16, 64]),
+           noise=st.sampled_from([0.0, 0.03]), rng_seed=st.integers(0, 5),
+           bias=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+           inject=st.lists(st.tuples(st.integers(0, 136), st.integers(0, 7),
+                                     st.booleans()), max_size=12))
+    def test_oracle_is_bit_equal(self, cfg, stride, noise, rng_seed, bias, inject):
+        traj = line_trajectory(speed=1.5, n_frames=201, heading=0.4)
+        oracle = sn.OracleVelocityEstimator(
+            sn.OracleConfig(traj, bias_hacf=np.array(bias), noise_sigma=noise), rng_seed)
+        starts = np.arange(0, 201 - 64, stride)
+        angles = ensemble_angles(cfg, rng_seed)
+        # (window index, member index, NaN or 10x) -> (start, angle, NaN or 10x)
+        keys = [(int(starts[i % len(starts)]), angles[k % cfg.k], is_nan)
+                for i, k, is_nan in inject]
+        model = _Injected(oracle, nan=[(s, a) for s, a, n in keys if n],
+                          fast=[(s, a) for s, a, n in keys if not n])
+        windows = zero_windows(len(starts))
+        try:
+            ref = _ref_stack(windows, starts, model, cfg, rng_seed, 2.0)
+        except sn.NonFiniteEstimateError as exc:
+            with pytest.raises(sn.NonFiniteEstimateError,
+                               match=f"non-finite for window {str(exc).split()[-1]}$"):
+                sn.rae_estimate(windows, starts, model, cfg, rng_seed=rng_seed)
+            return
+        ens = sn.rae_estimate(windows, starts, model, cfg, rng_seed=rng_seed)
+        assert np.array_equal(ens.v, ref[0])
+        assert (ens.n_members_nonfinite, ens.n_windows_clamped) == ref[1:3]
+        np.testing.assert_allclose(ens.member_spread, ref[3], rtol=1e-12, atol=1e-15)
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=_ENSEMBLES, stride=st.sampled_from([1, 5, 8]), seed=st.integers(0, 100),
+           scale=st.sampled_from([0.05, 5.0]))
+    def test_dense_network_agrees_to_rounding(self, cfg, stride, seed, scale):
+        """gemm over the block against one gemv per member.  Scale 0.05 is
+        the benchmark's; at 5.0 every member is clamped."""
+        net = sn.DenseVelocityNetwork(sn.make_random_bundle(tau=8, hidden=(16,), seed=seed,
+                                                            scale=scale))
+        rng = np.random.default_rng(seed)
+        n = 150
+        hacf = sn.imu.HacfSequence(np.arange(n) / 50.0, rng.normal(size=(n, 3)),
+                                   rng.normal(size=(n, 3)))
+        windows = sn.make_windows(hacf, tau=8, stride=stride)
+        starts = stride * np.arange(len(windows))
+        ref = _ref_stack(windows, starts, net, cfg, 0, 2.0)
+        ens = sn.rae_estimate(windows, starts, net, cfg)
+        bound = 1e-12 * np.linalg.norm(ref[0], axis=1)
+        if cfg.reducer == "median":
+            # the geometric median stops within _GM_RTOL of the harmonic
+            # mean member distance (at most the spread) of its optimum, so
+            # members that differ by rounding may move it by twice that
+            bound += 2 * _GM_RTOL * ref[3]
+        assert np.all(np.linalg.norm(ens.v - ref[0], axis=1) <= bound)
+        assert (ens.n_members_nonfinite, ens.n_windows_clamped) == ref[1:3]

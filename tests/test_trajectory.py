@@ -42,29 +42,36 @@ class TestHeldVelocities:
     def test_frames_hold_the_latest_window_estimate(self):
         """Window estimates cover the frames after their start; frame 0
         mirrors frame 1 so integration has a velocity everywhere."""
-        ests = [
-            sn.VelocityEstimate(np.array([1.0, 0.0]), 0),
-            sn.VelocityEstimate(np.array([0.0, 1.0]), 64),
-        ]
-        held = sn.held_velocities(ests, 129)
+        held = sn.held_velocities(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 64], 129)
         assert held.shape == (129, 2)
         assert np.all(held[0] == [1.0, 0.0])
         assert np.all(held[1:65] == [1.0, 0.0])
         assert np.all(held[65:] == [0.0, 1.0])
 
     def test_order_of_estimates_does_not_matter(self):
-        ests = [
-            sn.VelocityEstimate(np.array([0.0, 1.0]), 64),
-            sn.VelocityEstimate(np.array([1.0, 0.0]), 0),
-        ]
-        held = sn.held_velocities(ests, 129)
+        held = sn.held_velocities(np.array([[0.0, 1.0], [1.0, 0.0]]), [64, 0], 129)
         np.testing.assert_allclose(held[1], [1.0, 0.0])
+        np.testing.assert_allclose(held[65], [0.0, 1.0])
 
-    def test_array_input_passes_through(self):
-        v = np.ones((10, 2))
-        assert np.array_equal(sn.held_velocities(v, 10), v)
-        with pytest.raises(ValueError):
-            sn.held_velocities(np.ones((9, 2)), 10)
+    @pytest.mark.parametrize("n_frames", [1, 2, 5, 40, 100])
+    def test_matches_the_per_frame_definition(self, n_frames):
+        """Frame f >= 1 holds the last window started at or before f - 1
+        (the first window if none has); frame 0 copies frame 1."""
+        rng = np.random.default_rng(n_frames)
+        starts = np.sort(rng.choice(60, size=7, replace=False))
+        v = rng.normal(size=(7, 2))
+        ref = np.empty((n_frames, 2))
+        for f in range(1, n_frames):
+            before = [i for i in range(7) if starts[i] <= f - 1]
+            ref[f] = v[before[-1] if before else 0]
+        ref[0] = ref[1] if n_frames > 1 else v[0]
+        assert np.array_equal(sn.held_velocities(v, starts, n_frames), ref)
+
+    def test_shape_mismatch_and_empty_input_are_rejected(self):
+        with pytest.raises(ValueError, match=r"\(2, 2\) velocities"):
+            sn.held_velocities(np.ones((3, 2)), [0, 64], 10)
+        with pytest.raises(ValueError, match="no velocity estimates"):
+            sn.held_velocities(np.empty((0, 2)), [], 10)
 
 
 class TestIntegrate:
@@ -79,13 +86,13 @@ class TestIntegrate:
 
     def test_two_window_turn(self):
         """One window east then one window north ends near (1.28, 1.28)."""
-        ests = [
-            sn.VelocityEstimate(np.array([1.0, 0.0]), 0),
-            sn.VelocityEstimate(np.array([0.0, 1.0]), 64),
-        ]
-        held = sn.held_velocities(ests, 129)
+        held = sn.held_velocities(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 64], 129)
         traj = sn.integrate(held, np.zeros(129), frame_rate=50.0)
         np.testing.assert_allclose(traj.xy[-1], [1.28, 1.28], atol=0.05)
+
+    def test_held_array_must_cover_every_frame(self):
+        with pytest.raises(ValueError, match=r"\(10, 2\) velocities"):
+            sn.integrate(np.ones((9, 2)), np.zeros(10))
 
     def test_matches_riemann_sum_when_observations_are_trusted(self):
         """Tiny observation noise makes the filter follow the velocity

@@ -268,21 +268,22 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path) -> None:
     # the loop term pulls the corrected endpoint toward
     gap_before = float(np.linalg.norm(est.xy[-1] - est.xy[0]))
     gap_after = float(np.linalg.norm(refined.xy[-1] - est.xy[0]))
-    # refine returns the best candidate, not the last epoch: report the
-    # loss of the corrections actually written, against that of the input
     zero = loop_closure.CorrectionParams(np.zeros(len(est)), np.zeros((len(est), 2)))
     loss_initial = loop_closure.refinement_loss(est, zero, per_frame_v, refine_cfg).total
-    loss_final = loop_closure.refinement_loss(est, corrections, per_frame_v, refine_cfg).total
+    # refine returns the first strictly best history entry (its
+    # prediction replays that entry's forward pass), or the input
     identity_fallback = not corrections.r.any() and not corrections.l.any()
+    best_epoch = int(np.argmin([h.total for h in history]))
     _write_meta(dataset, "refine", {
         "command": "refine",
         "epochs": cfg["refine.epochs"],
         "loss_initial": loss_initial,
-        "loss_final": loss_final,
-        "best_epoch": None if identity_fallback else [h.total for h in history].index(loss_final),
+        "loss_final": loss_initial if identity_fallback else history[best_epoch].total,
+        "best_epoch": None if identity_fallback else best_epoch,
         "identity_fallback": identity_fallback,
         "endpoint_gap_before_m": gap_before,
         "endpoint_gap_after_m": gap_after,
+        "closure_gap_after_m": float(np.linalg.norm(refined.xy[-1] - refined.xy[0])),
         "elapsed_s": time.perf_counter() - t_start,
     })
     print(f"refine: endpoint gap {gap_before:.4f} m -> {gap_after:.4f} m "
@@ -306,6 +307,7 @@ def _load_velocities(path: Path, n_frames: int) -> np.ndarray:
 
 
 def cmd_eval(cfg: PipelineConfig, dataset: Path) -> None:
+    t_start = time.perf_counter()
     manifest = load_manifest(dataset)
     gt = trajectory.load_trajectory(_manifest_file(dataset, manifest, "gt_trajectory"))
     which = cfg["eval.trajectory"]
@@ -315,6 +317,7 @@ def cmd_eval(cfg: PipelineConfig, dataset: Path) -> None:
     grids = cfg["eval.grids"]
     if not grids:
         raise ConfigError("eval.grids must name at least one grid spacing")
+    grid_meta = {}
     for grid in grids:
         grid = float(grid)
         events = trajectory.capture_schedule(gt, distance_m=grid,
@@ -338,10 +341,18 @@ def cmd_eval(cfg: PipelineConfig, dataset: Path) -> None:
                                dataset / f"residuals_grid_{tag}.csv")
         manifest[f"eval_grid_{tag}"] = f"eval_grid_{tag}.json"
         manifest[f"residuals_grid_{tag}"] = f"residuals_grid_{tag}.csv"
+        grid_meta[tag] = {"n_pairs": report.n_pairs, "n_inliers": report.n_inliers,
+                          "rte_metric": report.rte_metric}
         print(f"eval[{which}, grid {grid} m]: rte {report.rte:.4f} m, "
               f"rte_metric {report.rte_metric:.4f} m, rre {report.rre:.4f} rad, "
               f"coverage {report.coverage:.3f}")
     save_manifest(dataset, manifest)
+    _write_meta(dataset, "eval", {
+        "command": "eval",
+        "trajectory": which,
+        "grids": grid_meta,
+        "elapsed_s": time.perf_counter() - t_start,
+    })
 
 
 def cmd_map(cfg: PipelineConfig, dataset: Path) -> None:
@@ -419,6 +430,7 @@ def cmd_map(cfg: PipelineConfig, dataset: Path) -> None:
 
 
 def cmd_plot(cfg: PipelineConfig, dataset: Path, out: Path | None) -> None:
+    t_start = time.perf_counter()
     manifest = load_manifest(dataset)
     series = []
     colors = {"gt_trajectory": "#888888", "est_trajectory": "#1f77b4",
@@ -437,6 +449,12 @@ def cmd_plot(cfg: PipelineConfig, dataset: Path, out: Path | None) -> None:
     _render_svg(series, items_xy, out)
     manifest["plot"] = out.name if out.parent == dataset else str(out)
     save_manifest(dataset, manifest)
+    _write_meta(dataset, "plot", {
+        "command": "plot",
+        "series": [name for name, _, _ in series],
+        "n_items": len(items_xy),
+        "elapsed_s": time.perf_counter() - t_start,
+    })
     print(f"plot: {', '.join(name for name, _, _ in series)} -> {out}")
 
 

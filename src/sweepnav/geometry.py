@@ -79,15 +79,6 @@ def quat_multiply(a, b) -> np.ndarray:
     )
 
 
-def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n == 0.0:
-        return quat_identity()
-    half = 0.5 * angle
-    return np.concatenate([[np.cos(half)], np.sin(half) * axis / n])
-
-
 def quat_from_rotvec(rv) -> np.ndarray:
     """Quaternion for a rotation vector (axis * angle)."""
     rv = np.asarray(rv, dtype=float)

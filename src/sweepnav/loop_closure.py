@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import check_frames, read_jsonl, write_csv, write_jsonl
+from .fileio import write_csv, write_jsonl
 from .geometry import wrap_angle
 from .imu import _frozen
 from .trajectory import Trajectory
@@ -84,7 +84,6 @@ class RefineConfig:
     lambda_smooth: float = 1.0
     seed: int = 0
     hidden: int = 64
-    smooth_temperature: float | None = None  # None = hard max
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -93,8 +92,25 @@ class RefineConfig:
             raise ValueError("learning_rate must be positive")
         if min(self.lambda_loop, self.lambda_rot, self.lambda_smooth) < 0:
             raise ValueError("loss weights must be non-negative")
-        if self.smooth_temperature is not None and self.smooth_temperature <= 0:
-            raise ValueError("smooth_temperature must be positive")
+
+
+def _corrected_positions(P: np.ndarray, r: np.ndarray, l: np.ndarray):
+    """The position model above on 0-based arrays: frame 0 starts at
+    P[0], frame t adds the increment P[t] - P[t-1] rotated by r[t], and
+    then every frame is shifted by its l.
+
+    Returns the (T, 2) positions and the (T-1, 2) rotated increments E.
+    """
+    D = P[1:] - P[:-1]
+    c, s = np.cos(r[1:]), np.sin(r[1:])
+    E = np.empty_like(D)
+    E[:, 0] = c * D[:, 0] - s * D[:, 1]
+    E[:, 1] = s * D[:, 0] + c * D[:, 1]
+    Pp = np.empty_like(P)
+    Pp[0] = P[0]
+    Pp[1:] = P[0] + np.cumsum(E, axis=0)
+    Pp += l
+    return Pp, E
 
 
 def apply_corrections(traj: Trajectory, params: CorrectionParams) -> Trajectory:
@@ -113,99 +129,53 @@ def apply_corrections(traj: Trajectory, params: CorrectionParams) -> Trajectory:
         # identity corrections reproduce the input bit for bit rather than
         # through a cumulative-sum round trip
         return Trajectory(traj.t, traj.xy, traj.yaw, traj.frame_rate)
-    d = np.diff(traj.xy, axis=0)  # (n-1, 2)
-    ang = params.r[1:]
-    c, s = np.cos(ang), np.sin(ang)
-    rotated = np.column_stack([c * d[:, 0] - s * d[:, 1], s * d[:, 0] + c * d[:, 1]])
-    xy = np.empty_like(traj.xy)
-    xy[0] = traj.xy[0]
-    xy[1:] = traj.xy[0] + np.cumsum(rotated, axis=0)
-    xy = xy + params.l
+    xy = _corrected_positions(traj.xy, params.r, params.l)[0]
     yaw = wrap_angle(traj.yaw + np.cumsum(params.r))
     return Trajectory(traj.t, xy, yaw, traj.frame_rate)
+
+
+def _loss(P: np.ndarray, r: np.ndarray, l: np.ndarray, v: np.ndarray,
+          cfg: RefineConfig, grads: bool):
+    """Loss terms ``(total, loop, rot, smooth)`` at corrections (r, l),
+    and with ``grads`` the gradients ``(g_r (T,), g_l (T, 2))`` of the
+    total (else None)."""
+    n = len(P)
+    if v.shape != (n - 1, 2):
+        raise ValueError(f"per_frame_v must have shape ({n - 1}, 2), got {v.shape}")
+    Pp, E = _corrected_positions(P, r, l)
+    loop_vec = Pp[-1] - P[0]
+    loop = float(loop_vec @ loop_vec)
+    rsum = float(r[1:].sum())
+    rot = rsum * rsum
+    S = Pp[1:] - Pp[:-1] - v
+    norms = np.linalg.norm(S, axis=1)
+    j = int(norms.argmax())  # first occurrence = lowest index on ties
+    smooth = float(norms[j])
+    total = cfg.lambda_loop * loop + cfg.lambda_rot * rot + cfg.lambda_smooth * smooth
+    if not grads:
+        return (total, loop, rot, smooth), None
+    # g_l is the gradient w.r.t. the corrected positions, which l shifts 1:1
+    g_l = np.zeros(Pp.shape)
+    g_l[-1] += 2.0 * cfg.lambda_loop * loop_vec
+    if smooth > 0.0:
+        w = cfg.lambda_smooth * S[j] / smooth
+        g_l[j + 1] += w
+        g_l[j] -= w
+    # rotated increment k enters every position after it, and turning
+    # it by dr moves it by dr times its perpendicular (-E_y, E_x)
+    g_E = np.cumsum(g_l[1:][::-1], axis=0)[::-1]
+    g_ang = g_E[:, 1] * E[:, 0] - g_E[:, 0] * E[:, 1]
+    g_r = np.zeros(n)
+    g_r[1:] = g_ang + 2.0 * cfg.lambda_rot * rsum
+    return (total, loop, rot, smooth), (g_r, g_l)
 
 
 def refinement_loss(traj: Trajectory, params: CorrectionParams, per_frame_v: np.ndarray,
                     cfg: RefineConfig | None = None) -> LossBreakdown:
     """Evaluate the refinement loss at given corrections."""
-    cfg = cfg or RefineConfig()
-    per_frame_v = np.asarray(per_frame_v, dtype=float)
-    state = _forward_positions(traj.xy, params.r, params.l, per_frame_v, cfg)
-    return state["breakdown"]
-
-
-def _forward_positions(P: np.ndarray, r: np.ndarray, l: np.ndarray,
-                       v: np.ndarray, cfg: RefineConfig) -> dict:
-    """Shared forward pass: corrected positions and loss terms."""
-    n = len(P)
-    if v.shape != (n - 1, 2):
-        raise ValueError(f"per_frame_v must have shape ({n - 1}, 2), got {v.shape}")
-    D = np.diff(P, axis=0)
-    ang = r[1:]
-    c, s = np.cos(ang), np.sin(ang)
-    E = np.column_stack([c * D[:, 0] - s * D[:, 1], s * D[:, 0] + c * D[:, 1]])
-    C = np.cumsum(E, axis=0)
-    Pp = np.empty_like(P)
-    Pp[0] = P[0]
-    Pp[1:] = P[0] + C
-    Pp = Pp + l
-    loop_vec = Pp[-1] - P[0]
-    loop = float(loop_vec @ loop_vec)
-    rsum = float(ang.sum())
-    rot = rsum * rsum
-    S = np.diff(Pp, axis=0) - v
-    norms = np.linalg.norm(S, axis=1)
-    if cfg.smooth_temperature is None:
-        j_star = int(np.argmax(norms))  # first occurrence = lowest index on ties
-        smooth = float(norms[j_star])
-        smooth_weights = None
-    else:
-        temp = cfg.smooth_temperature
-        m = norms.max()
-        expo = np.exp((norms - m) / temp)
-        smooth = float(m + temp * np.log(expo.sum()))
-        smooth_weights = expo / expo.sum()
-        j_star = None
-    total = cfg.lambda_loop * loop + cfg.lambda_rot * rot + cfg.lambda_smooth * smooth
-    return {
-        "D": D, "c": c, "s": s, "E": E, "Pp": Pp, "loop_vec": loop_vec,
-        "rsum": rsum, "S": S, "norms": norms, "j_star": j_star,
-        "smooth_weights": smooth_weights,
-        "breakdown": LossBreakdown(total, loop, rot, smooth),
-    }
-
-
-def _backward_positions(state: dict, cfg: RefineConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the total loss w.r.t. r (T,) and l (T, 2)."""
-    Pp = state["Pp"]
-    g_Pp = np.zeros_like(Pp)
-    g_Pp[-1] += 2.0 * cfg.lambda_loop * state["loop_vec"]
-    if cfg.smooth_temperature is None:
-        j = state["j_star"]
-        nj = state["norms"][j]
-        if nj > 0.0:
-            w = cfg.lambda_smooth * state["S"][j] / nj
-            g_Pp[j + 1] += w
-            g_Pp[j] -= w
-    else:
-        norms = state["norms"]
-        S = state["S"]
-        weights = state["smooth_weights"]
-        safe = np.where(norms > 0.0, norms, 1.0)
-        W = cfg.lambda_smooth * (weights / safe)[:, None] * S
-        W[norms == 0.0] = 0.0
-        g_Pp[1:] += W
-        g_Pp[:-1] -= W
-    g_l = g_Pp.copy()
-    g_C = g_Pp[1:]
-    g_E = np.cumsum(g_C[::-1], axis=0)[::-1]
-    D, c, s = state["D"], state["c"], state["s"]
-    dEx_dang = -s * D[:, 0] - c * D[:, 1]
-    dEy_dang = c * D[:, 0] - s * D[:, 1]
-    g_ang = g_E[:, 0] * dEx_dang + g_E[:, 1] * dEy_dang
-    g_r = np.zeros(n)
-    g_r[1:] = g_ang + 2.0 * cfg.lambda_rot * state["rsum"]
-    return g_r, g_l
+    terms, _ = _loss(traj.xy, params.r, params.l, np.asarray(per_frame_v, dtype=float),
+                     cfg or RefineConfig(), grads=False)
+    return LossBreakdown(*terms)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +191,11 @@ class CorrectionMlp:
     corrections are near zero and refinement starts from the unrefined
     trajectory.
 
-    Memory model: the network owns its per-frame buffers -- two float
-    (T, hidden) activations, their two bool ReLU masks, and the (T, 3)
-    output and its gradient -- allocated on first use and again only
-    when T changes, so refinement epochs allocate no (T, hidden) array.
+    Memory model: the network owns its per-frame buffers -- the (T, 1)
+    column of normalized frame indices, two float (T, hidden)
+    activations, their two bool ReLU masks, and the (T, 3) output and
+    its gradient -- allocated on first use and again only when T
+    changes, so refinement epochs allocate no (T, hidden) array.
     ``forward`` returns views of these buffers, valid until the next
     ``forward``; ``backward`` overwrites the activations with their
     gradients, so each forward pass is back-propagated at most once.
@@ -232,7 +203,7 @@ class CorrectionMlp:
 
     def __init__(self, params: list[np.ndarray]):
         self.params = params  # [W1, b1, W2, b2, W3, b3]
-        self._buffers: dict[str, np.ndarray] = {}
+        self._h1: np.ndarray | None = None
 
     @classmethod
     def initialize(cls, seed: int = 0, hidden: int = 64, init_scale: float = 0.01) -> "CorrectionMlp":
@@ -245,26 +216,24 @@ class CorrectionMlp:
             params.append(np.zeros(dims[i + 1]))
         return cls(params)
 
-    def _buffers_for(self, n: int) -> dict[str, np.ndarray]:
+    def _buffers_for(self, n: int) -> None:
         hidden = self.params[0].shape[1]
-        buf = self._buffers
-        if "h1" not in buf or buf["h1"].shape != (n, hidden):
-            buf = self._buffers = {
-                "h1": np.empty((n, hidden)), "h2": np.empty((n, hidden)),
-                "mask1": np.empty((n, hidden), dtype=bool),
-                "mask2": np.empty((n, hidden), dtype=bool),
-                "out": np.empty((n, 3)), "g_out": np.empty((n, 3)),
-            }
-        return buf
+        if self._h1 is not None and self._h1.shape == (n, hidden):
+            return
+        self._s = _index_column(n)
+        self._h1, self._h2 = np.empty((n, hidden)), np.empty((n, hidden))
+        self._mask1 = np.empty((n, hidden), dtype=bool)
+        self._mask2 = np.empty((n, hidden), dtype=bool)
+        self._out, self._g_out = np.empty((n, 3)), np.empty((n, 3))
 
-    def forward(self, s: np.ndarray) -> dict:
-        """``s`` is the (T, 1) column of normalized frame indices."""
+    def forward(self, n_frames: int) -> tuple[np.ndarray, np.ndarray]:
+        """Corrections ``(r (T,), l (T, 2))`` for ``n_frames`` frames."""
         W1, b1, W2, b2, W3, b3 = self.params
-        buf = self._buffers_for(len(s))
-        h1, h2, mask1, mask2, out = buf["h1"], buf["h2"], buf["mask1"], buf["mask2"], buf["out"]
+        self._buffers_for(n_frames)
+        h1, h2, mask1, mask2, out = self._h1, self._h2, self._mask1, self._mask2, self._out
         # one input feature: layer 1 is an outer product, which forms the
         # same rounded products as a K=1 matmul at half its cost
-        np.multiply(s, W1, out=h1)
+        np.multiply(self._s, W1, out=h1)
         h1 += b1
         np.greater(h1, 0.0, out=mask1)
         np.maximum(h1, 0.0, out=h1)
@@ -274,38 +243,35 @@ class CorrectionMlp:
         np.maximum(h2, 0.0, out=h2)
         np.matmul(h2, W3, out=out)
         out += b3
-        r = np.pi * np.tanh(out[:, 0])
-        l = out[:, 1:]
-        return {"s": s, "h1": h1, "mask1": mask1, "h2": h2, "mask2": mask2, "r": r, "l": l}
+        self._r = np.pi * np.tanh(out[:, 0])
+        return self._r, out[:, 1:]
 
-    def backward(self, cache: dict, g_r: np.ndarray, g_l: np.ndarray) -> list[np.ndarray]:
-        """Gradients w.r.t. parameters given gradients on (r, l).
+    def backward(self, g_r: np.ndarray, g_l: np.ndarray) -> list[np.ndarray]:
+        """Gradients w.r.t. parameters given gradients on the last
+        ``forward``'s (r, l).
 
-        Consumes ``cache``: the activation buffers end up holding the
-        gradients of the pre-activations.
+        The activation buffers end up holding the gradients of the
+        pre-activations.
         """
         W1, b1, W2, b2, W3, b3 = self.params
-        h1, h2 = cache["h1"], cache["h2"]
-        tanh_out = cache["r"] / np.pi
-        g_out = self._buffers["g_out"]
+        h1, h2, g_out = self._h1, self._h2, self._g_out
+        tanh_out = self._r / np.pi
         g_out[:, 0] = g_r * np.pi * (1.0 - tanh_out ** 2)
         g_out[:, 1:] = g_l
         g_W3 = h2.T @ g_out
         g_b3 = g_out.sum(axis=0)
         g_z2 = np.matmul(g_out, W3.T, out=h2)
-        g_z2 *= cache["mask2"]
+        g_z2 *= self._mask2
         g_W2 = h1.T @ g_z2
         g_b2 = g_z2.sum(axis=0)
         g_z1 = np.matmul(g_z2, W2.T, out=h1)
-        g_z1 *= cache["mask1"]
-        g_W1 = cache["s"].T @ g_z1
+        g_z1 *= self._mask1
+        g_W1 = self._s.T @ g_z1
         g_b1 = g_z1.sum(axis=0)
         return [g_W1, g_b1, g_W2, g_b2, g_W3, g_b3]
 
     def predict(self, n_frames: int) -> CorrectionParams:
-        s = _index_column(n_frames)
-        cache = self.forward(s)
-        return CorrectionParams(cache["r"], cache["l"])
+        return CorrectionParams(*self.forward(n_frames))
 
 
 def _index_column(n_frames: int) -> np.ndarray:
@@ -319,13 +285,9 @@ def _index_column(n_frames: int) -> np.ndarray:
 def loss_and_gradients(traj_xy: np.ndarray, mlp: CorrectionMlp, per_frame_v: np.ndarray,
                        cfg: RefineConfig) -> tuple[LossBreakdown, list[np.ndarray]]:
     """One full forward/backward pass through network and loss."""
-    n = len(traj_xy)
-    s = _index_column(n)
-    cache = mlp.forward(s)
-    state = _forward_positions(traj_xy, cache["r"], cache["l"], per_frame_v, cfg)
-    g_r, g_l = _backward_positions(state, cfg, n)
-    grads = mlp.backward(cache, g_r, g_l)
-    return state["breakdown"], grads
+    r, l = mlp.forward(len(traj_xy))
+    terms, (g_r, g_l) = _loss(traj_xy, r, l, per_frame_v, cfg, grads=True)
+    return LossBreakdown(*terms), mlp.backward(g_r, g_l)
 
 
 def refine(traj: Trajectory, per_frame_v: np.ndarray,
@@ -336,10 +298,13 @@ def refine(traj: Trajectory, per_frame_v: np.ndarray,
     epoch, so refinement never returns anything worse than the
     unrefined trajectory; on an already-closed input it is a no-op.
     Returns the refined trajectory, the corrections that produced it,
-    and the loss history (initial loss plus one entry per epoch; the
-    running minimum of the history is non-increasing by construction).
-    A non-finite loss aborts with the epoch and learning rate in the
-    message.
+    and the loss history: one entry per epoch, taken before that
+    epoch's step, then the trained network's loss when it is finite.
+    The identity baseline is not in the history.  The returned
+    corrections come from the first entry strictly below the baseline
+    and every earlier entry, or are the identity when none is.  A
+    non-finite epoch loss aborts with the epoch and learning rate in
+    the message.
     """
     cfg = cfg or RefineConfig()
     n = len(traj)
@@ -395,30 +360,6 @@ def save_corrections(params: CorrectionParams, path) -> None:
     rows = np.column_stack([params.r, params.l]).tolist()
     write_jsonl(path, ({"frame": i, "r": r, "lx": lx, "ly": ly}
                        for i, (r, lx, ly) in enumerate(rows)))
-
-
-def _correction(rec) -> tuple[int, float, float, float]:
-    frame = rec["frame"]
-    if type(frame) is not int:
-        raise ValueError(f"frame must be an integer, got {frame!r}")
-    r = float(rec["r"])
-    if abs(r) > _R_MAX:
-        raise ValueError(f"rotation correction {r!r} outside [-pi, pi]")
-    return frame, r, float(rec["lx"]), float(rec["ly"])
-
-
-def load_corrections(path) -> CorrectionParams:
-    """Read corrections written by ``save_corrections``, in any line order.
-
-    The frames must be exactly 0..n-1, each once; a malformed line, a
-    rotation outside [-pi, pi], a repeated frame or a missing frame
-    raises ValueError naming the offending line.
-    """
-    rows = read_jsonl(path, _correction)
-    check_frames(path, [(row[0], lineno) for lineno, row in rows], len(rows))
-    rows.sort(key=lambda item: item[1][0])
-    values = np.array([row[1:] for _, row in rows], dtype=float).reshape(-1, 3)
-    return CorrectionParams(values[:, 0], values[:, 1:])
 
 
 def save_loss_history(history, path) -> None:

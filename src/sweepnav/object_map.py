@@ -149,18 +149,6 @@ def robot_to_world(points_robot: np.ndarray, pose: Pose2) -> np.ndarray:
     return out
 
 
-def world_to_camera(points_world: np.ndarray, pose: Pose2, cfg: MapConfig) -> np.ndarray:
-    """Inverse of the unprojection frame chain (used by projection)."""
-    p = np.asarray(points_world, dtype=float).reshape(-1, 3)
-    c, s = np.cos(pose.yaw), np.sin(pose.yaw)
-    dx = p[:, 0] - pose.x
-    dy = p[:, 1] - pose.y
-    rx = c * dx + s * dy - cfg.mount_forward
-    ry = -s * dx + c * dy
-    rz = p[:, 2] - cfg.mount_height
-    return np.column_stack([-ry, -rz, rx])
-
-
 def unproject(raster: DepthRaster, region: tuple[int, int, int, int],
               pose: Pose2, cfg: MapConfig | None = None) -> np.ndarray:
     """Lift a pixel region to world-frame 3D points.
@@ -183,18 +171,6 @@ def unproject(raster: DepthRaster, region: tuple[int, int, int, int],
     y = (v - raster.cy) * depth / raster.focal_length
     cam = np.column_stack([x, y, depth])
     return robot_to_world(camera_to_robot(cam, cfg), pose)
-
-
-def project(raster: DepthRaster, points_world: np.ndarray, pose: Pose2,
-            cfg: MapConfig | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project world points back through the pinhole: (u, v, depth)."""
-    cfg = cfg or MapConfig()
-    cam = world_to_camera(points_world, pose, cfg)
-    z = cam[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = raster.cx + raster.focal_length * cam[:, 0] / z
-        v = raster.cy + raster.focal_length * cam[:, 1] / z
-    return u, v, z
 
 
 def center_region(raster: DepthRaster, fraction: float) -> tuple[int, int, int, int]:

@@ -275,11 +275,6 @@ class SceneConfig:
             raise ValueError("require 0 < caption_z_min < caption_z_max")
 
 
-def quantization_bound(scene: SceneConfig) -> float:
-    """Worst-case lateral position error of one pixel at caption range."""
-    return scene.caption_z_max / scene.focal_px
-
-
 def _camera_origin(pose, map_cfg: MapConfig) -> tuple[float, float]:
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     return pose.x + c * map_cfg.mount_forward, pose.y + s * map_cfg.mount_forward

@@ -101,6 +101,38 @@ def geometric_median_violation_ref(members, y) -> float:
     return max(0.0, math.hypot(s[0], s[1]) - m)
 
 
+def world_to_camera_ref(points_world, pose, cfg) -> np.ndarray:
+    """Undo the mapper's camera -> robot -> world chain, point by point.
+
+    The camera looks along the robot's heading from ``cfg.mount_forward``
+    ahead of the robot and ``cfg.mount_height`` up, with x to the robot's
+    right and y down.
+    """
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    out = []
+    for x, y, z in np.asarray(points_world, dtype=float).reshape(-1, 3):
+        dx, dy = x - pose.x, y - pose.y
+        forward = c * dx + s * dy - cfg.mount_forward
+        left = -s * dx + c * dy
+        up = z - cfg.mount_height
+        out.append([-left, -up, forward])
+    return np.array(out).reshape(-1, 3)
+
+
+def project_ref(raster, points_world, pose, cfg):
+    """Pinhole projection of world points: (u, v, depth) arrays."""
+    cam = world_to_camera_ref(points_world, pose, cfg)
+    z = cam[:, 2]
+    u = raster.cx + raster.focal_length * cam[:, 0] / z
+    v = raster.cy + raster.focal_length * cam[:, 1] / z
+    return u, v, z
+
+
+def quantization_bound(scene) -> float:
+    """Worst-case lateral position error of one pixel at caption range."""
+    return scene.caption_z_max / scene.focal_px
+
+
 def random_similarity(rng, scale_range=(0.5, 2.0)):
     """A random planar similarity transform (scale, rotation, translation)."""
     s = float(rng.uniform(*scale_range))

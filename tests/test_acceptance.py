@@ -21,13 +21,13 @@ from sweepnav.loop_closure import CorrectionMlp, CorrectionParams, RefineConfig,
 from sweepnav.metrics import AlignmentResult, align_similarity, apply_alignment
 from sweepnav.object_map import MapConfig, observe_items
 from sweepnav.rae import RaeConfig, rae_estimate
-from sweepnav.sim import quantization_bound
 
 from .oracles import (
     apply_similarity_ref,
     corrected_positions_ref,
     line_trajectory,
     numeric_gradients,
+    quantization_bound,
     random_similarity,
     turn_in_place_trajectory,
 )

@@ -149,6 +149,24 @@ class TestPipelineArtifacts:
         corrections = (pipeline / "corrections.jsonl").read_text().splitlines()
         n_frames = len((pipeline / "est_trajectory.csv").read_text().splitlines()) - 1
         assert len(corrections) == n_frames
+        # the refined trajectory's own start-to-end gap, as written
+        refined = trajectory.load_trajectory(pipeline / "refined_trajectory.csv")
+        assert meta["closure_gap_after_m"] == float(
+            np.linalg.norm(refined.xy[-1] - refined.xy[0]))
+
+    @pytest.mark.parametrize("command", ["simulate", "infer", "refine", "eval", "map", "plot"])
+    def test_every_command_writes_run_meta(self, pipeline, command):
+        meta = json.loads((pipeline / f"run_meta_{command}.json").read_text())
+        assert meta["command"] == command
+        elapsed = meta["elapsed_s"]  # infer's is split into stage buckets
+        assert (elapsed["total"] if command == "infer" else elapsed) > 0.0
+
+    def test_eval_run_meta_matches_the_report(self, pipeline):
+        meta = json.loads((pipeline / "run_meta_eval.json").read_text())
+        report = json.loads((pipeline / "eval_grid_1.0.json").read_text())
+        assert meta["trajectory"] == report["trajectory"] == "refined"
+        assert meta["grids"] == {"1.0": {key: report[key] for key in
+                                         ("n_pairs", "n_inliers", "rte_metric")}}
 
     def test_eval_report_content(self, pipeline):
         report = json.loads((pipeline / "eval_grid_1.0.json").read_text())

@@ -81,7 +81,7 @@ class TestQuaternions:
 
     def test_axis_angle_quarter_turn_about_x(self):
         """A +90 degree roll about x sends the y axis to z."""
-        q = geo.quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), np.pi / 2)
+        q = geo.quat_from_rotvec([np.pi / 2, 0.0, 0.0])
         np.testing.assert_allclose(geo.quat_rotate(q, [0.0, 1.0, 0.0]), [0, 0, 1], atol=1e-12)
 
     def test_conjugate_inverts_unit_rotation(self):

@@ -94,7 +94,7 @@ class TestAnchoredFrame:
 
     def test_tilted_static_device_reads_zero(self):
         """A device rolled 90 degrees senses gravity along its y axis."""
-        q = geo.quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), np.pi / 2)
+        q = geo.quat_from_rotvec([np.pi / 2, 0.0, 0.0])
         seq = _static_seq(np.array([0.0, 9.81, 0.0]))
         orients = sn.OrientationSequence(seq.t, np.tile(q, (len(seq.t), 1)))
         hacf = sn.to_hacf(seq, orients)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from sweepnav.cli import VELOCITY_CSV_HEADER, _load_velocities
 from sweepnav.imu import IMU_CSV_HEADER, IMU_FIELDS, load_imu
-from sweepnav.loop_closure import load_corrections
 from sweepnav.object_map import ITEMS_CSV_HEADER, load_captions, load_items_csv
 from sweepnav.orientation import ORIENTATION_CSV_HEADER, load_orientations
 from sweepnav.trajectory import TRAJECTORY_CSV_HEADER, load_captures, load_trajectory
@@ -75,9 +74,6 @@ LOADERS = {
         "trigger": _TEXT})),
     "captions.jsonl": (load_captions, None, _jsonl({
         "image_id": _TEXT, "frame": st.integers(), "items": st.lists(_TEXT, max_size=3)})),
-    "corrections.jsonl": (load_corrections, None, _jsonl({
-        "frame": st.one_of(_FRAME, st.floats(-2, 6)), "r": st.floats(-4.0, 4.0),
-        "lx": _NUMBER, "ly": _NUMBER})),
 }
 
 

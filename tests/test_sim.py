@@ -8,7 +8,9 @@ import pytest
 import sweepnav as sn
 from sweepnav.estimator import OracleConfig, OracleVelocityEstimator, estimate_velocity
 from sweepnav.object_map import MapConfig, observe_items
-from sweepnav.sim import default_items, quantization_bound
+from sweepnav.sim import default_items
+
+from .oracles import quantization_bound
 
 
 class TestSweepPath:

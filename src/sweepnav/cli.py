@@ -5,6 +5,11 @@ the dataset directory) so the stages compose without positional
 plumbing.  Reruns with identical inputs and seeds produce byte-identical
 primary outputs; wall-clock timings live only in run_meta_*.json files.
 
+``main`` owns what every command shares: it resolves the configuration,
+loads the manifest, times the command, then saves the manifest and
+writes ``run_meta_<command>.json``.  A ``cmd_*`` function only does its
+work and returns the fields of its run_meta.
+
 Exit codes: 0 success, 1 runtime failure, 2 configuration/validation
 failure.
 """
@@ -12,6 +17,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -23,7 +29,7 @@ import numpy as np
 
 from . import estimator as est_mod
 from . import loop_closure, metrics, object_map, rae, sim, trajectory
-from .config import DEFAULTS, ConfigError, PipelineConfig, load_config, parse_override
+from .config import DEFAULTS, SECTIONS, ConfigError, PipelineConfig, load_config, parse_value
 from .fileio import check_frames, read_csv, write_csv, write_json
 from .imu import load_imu, resample, save_imu, to_hacf, make_windows
 from .orientation import (estimate_orientation, load_orientations, relative_yaw,
@@ -33,10 +39,13 @@ logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
 VELOCITY_CSV_HEADER = "frame,vx,vy"
+# trajectory selector -> manifest key, in the order "auto" tries them
+TRAJECTORIES = {"refined": "refined_trajectory", "est": "est_trajectory",
+                "gt": "gt_trajectory"}
 
 
 # ---------------------------------------------------------------------------
-# Manifest
+# Run frame: manifest and timing
 
 
 def load_manifest(dataset: Path) -> dict:
@@ -60,57 +69,64 @@ def _manifest_file(dataset: Path, manifest: dict, key: str) -> Path:
     return path
 
 
-def _write_meta(dataset: Path, command: str, payload: dict) -> None:
-    write_json(dataset / f"run_meta_{command}.json", payload)
+class Stopwatch:
+    """Wall time of one command: its total and the named laps inside it."""
+
+    def __init__(self):
+        self.start = time.perf_counter()
+        self.laps: dict[str, float] = {}
+
+    @contextlib.contextmanager
+    def lap(self, name: str):
+        """Time the ``with`` block as the lap ``name``."""
+        start = time.perf_counter()
+        yield
+        self.laps[name] = time.perf_counter() - start
+
+    def elapsed(self) -> dict:
+        return {"total": time.perf_counter() - self.start, **self.laps}
 
 
 # ---------------------------------------------------------------------------
 # Config -> module configs
 
 
-def _from_config(cfg: PipelineConfig, prefix: str, cls):
-    """Build the dataclass ``cls`` from the ``prefix.<field>`` keys of ``cfg``.
-
-    Fields without a key keep their defaults; lists become tuples.
-    """
+def _from_config(cfg: PipelineConfig, prefix: str):
+    """Build the dataclass of section ``prefix`` from its keys; lists become tuples."""
+    cls = SECTIONS[prefix]
     values = {}
     for f in dataclasses.fields(cls):
-        key = f"{prefix}.{f.name}"
-        if key in DEFAULTS:
-            value = cfg[key]
-            values[f.name] = tuple(value) if isinstance(value, list) else value
+        value = cfg[f"{prefix}.{f.name}"]
+        values[f.name] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**values)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{prefix}.*: {exc}") from None
 
 
-def _pick_trajectory(dataset: Path, manifest: dict, which: str) -> tuple[str, "trajectory.Trajectory"]:
-    """Resolve 'auto'/'gt'/'est'/'refined' to a loaded trajectory."""
+def _pick_trajectory(dataset: Path, manifest: dict, which: str,
+                     auto=tuple(TRAJECTORIES)) -> tuple[str, "trajectory.Trajectory"]:
+    """Load the trajectory a selector of TRAJECTORIES names.
+
+    "auto" takes the first selector of ``auto`` that the manifest holds,
+    or else the last one, whose missing entry is then reported.
+    """
     if which == "auto":
-        for key in ("refined_trajectory", "est_trajectory", "gt_trajectory"):
-            if key in manifest:
-                which = {"refined_trajectory": "refined", "est_trajectory": "est",
-                         "gt_trajectory": "gt"}[key]
-                break
-        else:
-            raise ConfigError("manifest holds no trajectory")
-    key = {"gt": "gt_trajectory", "est": "est_trajectory",
-           "refined": "refined_trajectory"}.get(which)
-    if key is None:
+        which = next((w for w in auto if TRAJECTORIES[w] in manifest), auto[-1])
+    if which not in TRAJECTORIES:
         raise ConfigError(f"unknown trajectory selector {which!r}")
-    return which, trajectory.load_trajectory(_manifest_file(dataset, manifest, key))
+    return which, trajectory.load_trajectory(
+        _manifest_file(dataset, manifest, TRAJECTORIES[which]))
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
-    t_start = time.perf_counter()
-    sim_cfg = _from_config(cfg, "sim", sim.SimConfig)
-    scene_cfg = _from_config(cfg, "scene", sim.SceneConfig)
-    map_cfg = _from_config(cfg, "map", object_map.MapConfig)
+def cmd_simulate(cfg: PipelineConfig, out_dir: Path, manifest: dict, clock: Stopwatch) -> dict:
+    sim_cfg = _from_config(cfg, "sim")
+    scene_cfg = _from_config(cfg, "scene")
+    map_cfg = _from_config(cfg, "map")
     out_dir.mkdir(parents=True, exist_ok=True)
     rasters_dir = out_dir / "rasters"
     rasters_dir.mkdir(exist_ok=True)
@@ -131,8 +147,8 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
     for ev, raster in zip(captures, rasters):
         name = trajectory.image_id_for_frame(ev.frame)
         object_map.save_raster(raster, rasters_dir / f"{name}.dras")
-    PipelineConfig(cfg.as_dict()).save(out_dir / "config.json")
-    manifest = {
+    cfg.save(out_dir / "config.json")
+    manifest.update({
         "imu": "imu.csv",
         "gt_trajectory": "gt_trajectory.csv",
         "orientations": "orientations.csv",
@@ -140,42 +156,33 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
         "captions": "captions.jsonl",
         "gt_captures": "gt_captures.jsonl",
         "rasters_dir": "rasters",
-    }
-    save_manifest(out_dir, manifest)
-    _write_meta(out_dir, "simulate", {
-        "command": "simulate",
-        "n_frames": len(traj),
-        "n_captures": len(captures),
-        "elapsed_s": time.perf_counter() - t_start,
     })
     print(f"simulate: {len(traj)} frames, {len(captures)} captures -> {out_dir}")
+    return {"n_frames": len(traj), "n_captures": len(captures)}
 
 
-def cmd_infer(cfg: PipelineConfig, dataset: Path) -> None:
-    t_start = time.perf_counter()
-    manifest = load_manifest(dataset)
+def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:
     imu = load_imu(_manifest_file(dataset, manifest, "imu"))
     imu = resample(imu, rate_hz=cfg["sim.sample_rate_hz"])
-    t_orient = time.perf_counter()
-    if cfg["orientation.source"] == "file":
-        orientations = load_orientations(_manifest_file(dataset, manifest, "orientations"))
-        if len(orientations) != len(imu):
+    with clock.lap("orientation"):
+        if cfg["orientation.source"] == "file":
+            orientations = load_orientations(_manifest_file(dataset, manifest, "orientations"))
+            if len(orientations) != len(imu):
+                raise ValueError(
+                    f"orientation file covers {len(orientations)} frames, IMU has {len(imu)}")
+        elif cfg["orientation.source"] == "filter":
+            orientations = estimate_orientation(imu, alpha=cfg["orientation.alpha"])
+        else:
+            raise ConfigError("orientation.source must be 'filter' or 'file'")
+    with clock.lap("windows"):
+        hacf = to_hacf(imu, orientations)
+        tau = cfg["hacf.tau"]
+        stride = cfg["hacf.stride"] or tau
+        windows = make_windows(hacf, tau=tau, stride=stride)
+        if not len(windows):
             raise ValueError(
-                f"orientation file covers {len(orientations)} frames, IMU has {len(imu)}")
-    elif cfg["orientation.source"] == "filter":
-        orientations = estimate_orientation(imu, alpha=cfg["orientation.alpha"])
-    else:
-        raise ConfigError("orientation.source must be 'filter' or 'file'")
-    t_windows = time.perf_counter()
-    hacf = to_hacf(imu, orientations)
-    tau = cfg["hacf.tau"]
-    stride = cfg["hacf.stride"] or tau
-    windows = make_windows(hacf, tau=tau, stride=stride)
-    if not len(windows):
-        raise ValueError(
-            f"recording too short: {len(imu)} frames yield no windows of {tau + 1} samples")
-    starts = stride * np.arange(len(windows))
-    t_model = time.perf_counter()
+                f"recording too short: {len(imu)} frames yield no windows of {tau + 1} samples")
+        starts = stride * np.arange(len(windows))
     if cfg["estimator.kind"] == "network":
         weights_path = cfg["estimator.weights"]
         if not weights_path:
@@ -196,22 +203,21 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path) -> None:
         model = est_mod.OracleVelocityEstimator(oracle_cfg, rng_seed=cfg["oracle.seed"])
     else:
         raise ConfigError("estimator.kind must be 'oracle' or 'network'")
-    rae_cfg = _from_config(cfg, "rae", rae.RaeConfig)
-    t_rae = time.perf_counter()
-    ens = rae.rae_estimate(windows, starts, model, rae_cfg, rng_seed=cfg["rae.seed"],
-                           v_max=cfg["estimator.v_max"])
-    t_integrate = time.perf_counter()
-    held = trajectory.held_velocities(ens.v, starts, len(imu))
-    yaws = relative_yaw(orientations)
-    kalman_cfg = _from_config(cfg, "kalman", trajectory.KalmanConfig)
-    est_traj = trajectory.integrate(held, yaws, kalman_cfg,
-                                    frame_rate=float(imu.sample_rate()),
-                                    t0=float(imu.t[0]))
-    t_captures = time.perf_counter()
-    captures = trajectory.capture_schedule(
-        est_traj, cfg["capture.distance_m"], cfg["capture.rotation_rad"],
-        cfg["capture.mode"])
-    t_end = time.perf_counter()
+    rae_cfg = _from_config(cfg, "rae")
+    with clock.lap("rae"):
+        ens = rae.rae_estimate(windows, starts, model, rae_cfg, rng_seed=cfg["rae.seed"],
+                               v_max=cfg["estimator.v_max"])
+    with clock.lap("integrate"):
+        held = trajectory.held_velocities(ens.v, starts, len(imu))
+        yaws = relative_yaw(orientations)
+        kalman_cfg = _from_config(cfg, "kalman")
+        est_traj = trajectory.integrate(held, yaws, kalman_cfg,
+                                        frame_rate=float(imu.sample_rate()),
+                                        t0=float(imu.t[0]))
+    with clock.lap("captures"):
+        captures = trajectory.capture_schedule(
+            est_traj, cfg["capture.distance_m"], cfg["capture.rotation_rad"],
+            cfg["capture.mode"])
     trajectory.save_trajectory(est_traj, dataset / "est_trajectory.csv")
     write_csv(dataset / "velocities.csv", VELOCITY_CSV_HEADER,
               ([f, vx, vy] for f, (vx, vy) in enumerate(held.tolist())))
@@ -221,9 +227,9 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path) -> None:
         "velocities": "velocities.csv",
         "captures": "captures.jsonl",
     })
-    save_manifest(dataset, manifest)
-    _write_meta(dataset, "infer", {
-        "command": "infer",
+    print(f"infer: {len(windows)} windows, K={cfg['rae.k']} "
+          f"({cfg['rae.reducer']}), {len(captures)} captures")
+    return {
         "estimator": cfg["estimator.kind"],
         "k": cfg["rae.k"],
         "reducer": cfg["rae.reducer"],
@@ -231,29 +237,17 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path) -> None:
         "n_members_nonfinite": ens.n_members_nonfinite,
         "n_windows_clamped": ens.n_windows_clamped,
         "rae_member_spread": float(np.median(ens.member_spread)),
-        "elapsed_s": {
-            "total": time.perf_counter() - t_start,
-            "orientation": t_windows - t_orient,
-            "windows": t_model - t_windows,
-            "rae": t_integrate - t_rae,
-            "integrate": t_captures - t_integrate,
-            "captures": t_end - t_captures,
-        },
-    })
-    print(f"infer: {len(windows)} windows, K={cfg['rae.k']} "
-          f"({cfg['rae.reducer']}), {len(captures)} captures")
+    }
 
 
-def cmd_refine(cfg: PipelineConfig, dataset: Path) -> None:
-    t_start = time.perf_counter()
-    manifest = load_manifest(dataset)
+def cmd_refine(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:
     est = trajectory.load_trajectory(_manifest_file(dataset, manifest, "est_trajectory"))
     vel_path = _manifest_file(dataset, manifest, "velocities")
     held = _load_velocities(vel_path, len(est))
     # held[f] is the velocity over the step into frame f, so the
     # displacement of step k -> k+1 is held[k+1] * dt
     per_frame_v = held[1:] / est.frame_rate
-    refine_cfg = _from_config(cfg, "refine", loop_closure.RefineConfig)
+    refine_cfg = _from_config(cfg, "refine")
     refined, corrections, history = loop_closure.refine(est, per_frame_v, refine_cfg)
     trajectory.save_trajectory(refined, dataset / "refined_trajectory.csv")
     loop_closure.save_corrections(corrections, dataset / "corrections.jsonl")
@@ -263,7 +257,6 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path) -> None:
         "corrections": "corrections.jsonl",
         "loss_history": "loss_history.csv",
     })
-    save_manifest(dataset, manifest)
     # the gap is measured against the original start: that is the anchor
     # the loop term pulls the corrected endpoint toward
     gap_before = float(np.linalg.norm(est.xy[-1] - est.xy[0]))
@@ -274,8 +267,9 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path) -> None:
     # prediction replays that entry's forward pass), or the input
     identity_fallback = not corrections.r.any() and not corrections.l.any()
     best_epoch = int(np.argmin([h.total for h in history]))
-    _write_meta(dataset, "refine", {
-        "command": "refine",
+    print(f"refine: endpoint gap {gap_before:.4f} m -> {gap_after:.4f} m "
+          f"in {cfg['refine.epochs']} epochs")
+    return {
         "epochs": cfg["refine.epochs"],
         "loss_initial": loss_initial,
         "loss_final": loss_initial if identity_fallback else history[best_epoch].total,
@@ -284,10 +278,7 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path) -> None:
         "endpoint_gap_before_m": gap_before,
         "endpoint_gap_after_m": gap_after,
         "closure_gap_after_m": float(np.linalg.norm(refined.xy[-1] - refined.xy[0])),
-        "elapsed_s": time.perf_counter() - t_start,
-    })
-    print(f"refine: endpoint gap {gap_before:.4f} m -> {gap_after:.4f} m "
-          f"in {cfg['refine.epochs']} epochs")
+    }
 
 
 def _load_velocities(path: Path, n_frames: int) -> np.ndarray:
@@ -306,14 +297,10 @@ def _load_velocities(path: Path, n_frames: int) -> np.ndarray:
     return held
 
 
-def cmd_eval(cfg: PipelineConfig, dataset: Path) -> None:
-    t_start = time.perf_counter()
-    manifest = load_manifest(dataset)
+def cmd_eval(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:
     gt = trajectory.load_trajectory(_manifest_file(dataset, manifest, "gt_trajectory"))
-    which = cfg["eval.trajectory"]
-    if which == "auto":
-        which = "refined" if "refined_trajectory" in manifest else "est"
-    which, est = _pick_trajectory(dataset, manifest, which)
+    which, est = _pick_trajectory(dataset, manifest, cfg["eval.trajectory"],
+                                  auto=("refined", "est"))
     grids = cfg["eval.grids"]
     if not grids:
         raise ConfigError("eval.grids must name at least one grid spacing")
@@ -346,26 +333,18 @@ def cmd_eval(cfg: PipelineConfig, dataset: Path) -> None:
         print(f"eval[{which}, grid {grid} m]: rte {report.rte:.4f} m, "
               f"rte_metric {report.rte_metric:.4f} m, rre {report.rre:.4f} rad, "
               f"coverage {report.coverage:.3f}")
-    save_manifest(dataset, manifest)
-    _write_meta(dataset, "eval", {
-        "command": "eval",
-        "trajectory": which,
-        "grids": grid_meta,
-        "elapsed_s": time.perf_counter() - t_start,
-    })
+    return {"trajectory": which, "grids": grid_meta}
 
 
-def cmd_map(cfg: PipelineConfig, dataset: Path) -> None:
-    t_start = time.perf_counter()
-    manifest = load_manifest(dataset)
-    map_cfg = _from_config(cfg, "map", object_map.MapConfig)
+def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:
+    map_cfg = _from_config(cfg, "map")
     which, traj = _pick_trajectory(dataset, manifest, cfg["map.trajectory"])
     if cfg["caption.mode"] == "mock":
         records = object_map.load_captions(_manifest_file(dataset, manifest, "captions"))
     elif cfg["caption.mode"] == "http":
         if not cfg["caption.endpoint"]:
             raise ConfigError("caption.endpoint is required when caption.mode is 'http'")
-        service = _from_config(cfg, "caption", object_map.CaptionServiceConfig)
+        service = _from_config(cfg, "caption")
         captures = trajectory.load_captures(_manifest_file(dataset, manifest,
                                                            "gt_captures"))
         records = object_map.fetch_captions(captures, object_map.HttpCaptioner(service),
@@ -391,14 +370,13 @@ def cmd_map(cfg: PipelineConfig, dataset: Path) -> None:
     clusters = object_map.cluster_items(observations, map_cfg)
     object_map.save_map(clusters, dataset / "item_map.jsonl")
     manifest["item_map"] = "item_map.jsonl"
-    eval_done = False
+    meta = {"trajectory": which, "n_captions": len(records),
+            "n_observations": len(observations), "n_clusters": len(clusters)}
     if "items" in manifest and clusters:
         gt_items = object_map.load_items_csv(_manifest_file(dataset, manifest, "items"))
         gt_items = {object_map.normalize_name(k): v for k, v in gt_items.items()}
-        if which == "gt":
-            alignment = metrics.AlignmentResult(1.0, 0.0, np.zeros(2),
-                                                np.ones(1, dtype=bool), 0.0)
-        else:
+        alignment = None  # the ground-truth trajectory needs none
+        if which != "gt":
             gt_traj = trajectory.load_trajectory(
                 _manifest_file(dataset, manifest, "gt_trajectory"))
             frames = np.array(sorted(set(caption_frames)))
@@ -411,34 +389,23 @@ def cmd_map(cfg: PipelineConfig, dataset: Path) -> None:
         else:
             object_map.save_map_eval(map_report, dataset / "map_eval.json")
             manifest["map_eval"] = "map_eval.json"
-            eval_done = True
             print(f"map[{which}]: {len(clusters)} clusters, "
                   f"{map_report.n_matched} matched, mean error "
                   f"{map_report.mean_error:.3f} m (+/- {map_report.std_error:.3f})")
-    save_manifest(dataset, manifest)
-    _write_meta(dataset, "map", {
-        "command": "map",
-        "trajectory": which,
-        "n_captions": len(records),
-        "n_observations": len(observations),
-        "n_clusters": len(clusters),
-        "elapsed_s": time.perf_counter() - t_start,
-    })
-    if not eval_done:
-        print(f"map[{which}]: {len(clusters)} clusters from "
-              f"{len(observations)} observations")
+            return meta
+    print(f"map[{which}]: {len(clusters)} clusters from "
+          f"{len(observations)} observations")
+    return meta
 
 
-def cmd_plot(cfg: PipelineConfig, dataset: Path, out: Path | None) -> None:
-    t_start = time.perf_counter()
-    manifest = load_manifest(dataset)
+def cmd_plot(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch,
+             out: Path | None = None) -> dict:
     series = []
-    colors = {"gt_trajectory": "#888888", "est_trajectory": "#1f77b4",
-              "refined_trajectory": "#2ca02c"}
-    for key, color in colors.items():
-        if key in manifest:
-            traj = trajectory.load_trajectory(_manifest_file(dataset, manifest, key))
-            series.append((key.replace("_trajectory", ""), color, traj.xy))
+    colors = {"gt": "#888888", "est": "#1f77b4", "refined": "#2ca02c"}
+    for name, color in colors.items():
+        if TRAJECTORIES[name] in manifest:
+            _, traj = _pick_trajectory(dataset, manifest, name)
+            series.append((name, color, traj.xy))
     if not series:
         raise ConfigError("manifest holds no trajectory to plot")
     items_xy = {}
@@ -448,14 +415,8 @@ def cmd_plot(cfg: PipelineConfig, dataset: Path, out: Path | None) -> None:
     out = out or dataset / "plot.svg"
     _render_svg(series, items_xy, out)
     manifest["plot"] = out.name if out.parent == dataset else str(out)
-    save_manifest(dataset, manifest)
-    _write_meta(dataset, "plot", {
-        "command": "plot",
-        "series": [name for name, _, _ in series],
-        "n_items": len(items_xy),
-        "elapsed_s": time.perf_counter() - t_start,
-    })
     print(f"plot: {', '.join(name for name, _, _ in series)} -> {out}")
+    return {"series": [name for name, _, _ in series], "n_items": len(items_xy)}
 
 
 def _render_svg(series, items_xy: dict, path: Path) -> None:
@@ -501,51 +462,68 @@ def _render_svg(series, items_xy: dict, path: Path) -> None:
 # Argument parsing
 
 
+class _AppendToList(argparse.Action):
+    """``append`` that starts a new list over a non-list, where it would crash."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, (items if isinstance(items, list) else []) + [values])
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, default=None,
                      help="JSON config file (flat dotted keys)")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a config key (repeatable)")
     for key in DEFAULTS:
-        sub.add_argument(f"--{key}", dest=f"opt::{key}", default=None,
+        sub.add_argument(f"--{key}", dest=key, type=parse_value, default=None,
                          metavar="VALUE", help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command.  A shortcut flag stores into the
+    destination of the key it stands for, so of all flags that name one
+    key the last given wins (``--grid`` appends to it)."""
     parser = argparse.ArgumentParser(
         prog="sweepnav",
         description="IMU-only indoor navigation and object mapping pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
-    p.add_argument("--out", type=Path, required=True, help="dataset directory")
-    p.add_argument("--seed", type=int, default=None, help="shortcut for --sim.seed")
+    p.add_argument("--out", dest="dataset", metavar="OUT", type=Path, required=True,
+                   help="dataset directory")
+    p.add_argument("--seed", dest="sim.seed", metavar="SEED", type=int, default=None,
+                   help="shortcut for --sim.seed")
     _add_common(p)
 
     p = sub.add_parser("infer", help="estimate a trajectory from IMU data")
     p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--estimator", choices=["oracle", "network"], default=None,
-                   help="shortcut for --estimator.kind")
+    p.add_argument("--estimator", dest="estimator.kind", choices=["oracle", "network"],
+                   default=None, help="shortcut for --estimator.kind")
     _add_common(p)
 
     p = sub.add_parser("refine", help="loop-closure refinement of the estimate")
     p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--epochs", type=int, default=None, help="shortcut for --refine.epochs")
+    p.add_argument("--epochs", dest="refine.epochs", metavar="EPOCHS", type=int,
+                   default=None, help="shortcut for --refine.epochs")
     _add_common(p)
 
     p = sub.add_parser("eval", help="error metrics against ground truth")
     p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--grid", action="append", type=float, default=None,
+    p.add_argument("--grid", dest="eval.grids", metavar="GRID", action=_AppendToList,
+                   type=float, default=None,
                    help="evaluation grid spacing in meters (repeatable)")
-    p.add_argument("--trajectory", choices=["auto", "gt", "est", "refined"],
+    p.add_argument("--trajectory", dest="eval.trajectory",
+                   choices=["auto", "gt", "est", "refined"],
                    default=None, help="shortcut for --eval.trajectory")
     _add_common(p)
 
     p = sub.add_parser("map", help="geo-localize captioned items")
     p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--captioner", choices=["mock", "http"], default=None,
-                   help="shortcut for --caption.mode")
-    p.add_argument("--trajectory", choices=["auto", "gt", "est", "refined"],
+    p.add_argument("--captioner", dest="caption.mode", choices=["mock", "http"],
+                   default=None, help="shortcut for --caption.mode")
+    p.add_argument("--trajectory", dest="map.trajectory",
+                   choices=["auto", "gt", "est", "refined"],
                    default=None, help="shortcut for --map.trajectory")
     _add_common(p)
 
@@ -558,53 +536,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    overrides = list(args.set)
-    cfg = load_config(args.config, overrides)
-    flag_values = {}
-    for key in DEFAULTS:
-        raw = getattr(args, f"opt::{key}", None)
-        if raw is None:
-            continue
-        _, value = parse_override(f"{key}={raw}")
-        flag_values[key] = value
-    if getattr(args, "seed", None) is not None:
-        flag_values["sim.seed"] = args.seed
-    if getattr(args, "estimator", None) is not None:
-        flag_values["estimator.kind"] = args.estimator
-    if getattr(args, "epochs", None) is not None:
-        flag_values["refine.epochs"] = args.epochs
-    if getattr(args, "grid", None):
-        flag_values["eval.grids"] = [float(g) for g in args.grid]
-    if getattr(args, "captioner", None) is not None:
-        flag_values["caption.mode"] = args.captioner
-    if getattr(args, "trajectory", None) is not None:
-        if args.command == "map":
-            flag_values["map.trajectory"] = args.trajectory
-        else:
-            flag_values["eval.trajectory"] = args.trajectory
-    if flag_values:
-        cfg.update(flag_values)
+    """Defaults < ``--config`` file < ``--set`` < flags."""
+    cfg = load_config(args.config, args.set)
+    cfg.update({key: value for key, value in vars(args).items()
+                if key in DEFAULTS and value is not None})
     return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    extra = [args.out] if args.command == "plot" else []
     try:
         cfg = _resolve_config(args)
-        if args.command == "simulate":
-            cmd_simulate(cfg, args.out)
-        elif args.command == "infer":
-            cmd_infer(cfg, args.dataset)
-        elif args.command == "refine":
-            cmd_refine(cfg, args.dataset)
-        elif args.command == "eval":
-            cmd_eval(cfg, args.dataset)
-        elif args.command == "map":
-            cmd_map(cfg, args.dataset)
-        elif args.command == "plot":
-            cmd_plot(cfg, args.dataset, args.out)
+        clock = Stopwatch()
+        manifest = {} if args.command == "simulate" else load_manifest(args.dataset)
+        # looked up when called, so that a wrapper set on this module runs
+        meta = globals()[f"cmd_{args.command}"](cfg, args.dataset, manifest, clock, *extra)
+        save_manifest(args.dataset, manifest)
+        write_json(args.dataset / f"run_meta_{args.command}.json",
+                   {"command": args.command, **meta, "elapsed_s": clock.elapsed()})
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,46 +3,54 @@
 Keys are dotted (``module.field``) and flat: no nesting in the JSON
 file, no positional coupling between stages.  Precedence is defaults <
 config file < explicit overrides.  Unknown keys are an error (typo
-guard), as is a value whose type disagrees with the default.
+guard), as is a value whose type disagrees with the default.  The keys
+of a section in ``SECTIONS`` are its dataclass's fields, with their
+defaults.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 from .fileio import write_json
-from .object_map import CAPTION_TOKEN_ENV, DEFAULT_PROMPT
+from .loop_closure import RefineConfig
+from .object_map import CaptionServiceConfig, MapConfig
+from .rae import RaeConfig
+from .sim import SceneConfig, SimConfig
+from .trajectory import KalmanConfig
 
 
 class ConfigError(Exception):
     """Invalid configuration; the CLI maps this to exit code 2."""
 
 
+# prefix -> the dataclass whose fields the ``prefix.<field>`` keys set
+SECTIONS: dict = {
+    "sim": SimConfig,
+    "scene": SceneConfig,
+    "map": MapConfig,
+    "rae": RaeConfig,
+    "kalman": KalmanConfig,
+    "refine": RefineConfig,
+    "caption": CaptionServiceConfig,
+}
+
+
+def _field_defaults(prefix: str) -> dict:
+    """The ``prefix.<field>`` keys of a section at their dataclass defaults."""
+    return {f"{prefix}.{f.name}": list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in dataclasses.fields(SECTIONS[prefix])}
+
+
+# Keys of a section field default to that field; the literal keys are
+# the ones the commands read themselves.
 DEFAULTS: dict = {
-    "sim.room_width": 4.0,
-    "sim.room_height": 2.0,
-    "sim.row_spacing": 1.0,
-    "sim.speed": 0.5,
-    "sim.sample_rate_hz": 50.0,
-    "sim.acc_noise": 0.0,
-    "sim.gyro_noise": 0.0,
-    "sim.acc_bias": [0.0, 0.0, 0.0],
-    "sim.gyro_bias": [0.0, 0.0, 0.0],
-    "sim.seed": 0,
-    "sim.turn_model": "arc",
-    "sim.turn_rate": math.pi / 2,
+    **_field_defaults("sim"),
     "sim.n_items": 10,
-    "scene.width_px": 64,
-    "scene.height_px": 48,
-    "scene.focal_px": 50.0,
-    "scene.item_radius": 0.5,
-    "scene.caption_half_angle": 0.02,
-    "scene.caption_z_min": 0.5,
-    "scene.caption_z_max": 3.0,
-    "scene.item_z": 0.3,
-    "scene.wall_margin": 1.0,
+    **_field_defaults("scene"),
     "orientation.alpha": 0.02,
     "orientation.source": "filter",  # "filter" | "file"
     "hacf.tau": 64,
@@ -53,44 +61,20 @@ DEFAULTS: dict = {
     "oracle.bias": [0.0, 0.0],
     "oracle.noise_sigma": 0.0,
     "oracle.seed": 0,
-    "rae.k": 5,
-    "rae.angle_mode": "grid",
-    "rae.reducer": "median",
-    "rae.trim_fraction": 0.1,
+    **_field_defaults("rae"),
     "rae.seed": 0,
-    "kalman.sigma_process": 0.1,
-    "kalman.sigma_obs": 0.1,
+    **_field_defaults("kalman"),
     "capture.distance_m": 1.0,
     "capture.rotation_rad": math.pi / 2,
     "capture.mode": "or",
-    "refine.epochs": 100,
-    "refine.learning_rate": 0.01,
-    "refine.lambda_loop": 1.0,
-    "refine.lambda_rot": 1.0,
-    "refine.lambda_smooth": 1.0,
-    "refine.seed": 0,
-    "refine.hidden": 64,
+    **_field_defaults("refine"),
     "eval.trim_outliers": True,
     "eval.grids": [1.0],
     "eval.trajectory": "auto",  # "auto" | "gt" | "est" | "refined"
-    "map.mount_height": 0.3,
-    "map.mount_forward": 0.0,
-    "map.center_fraction": 0.2,
-    "map.depth_min": 0.3,
-    "map.depth_max": 5.0,
-    "map.z_min": 0.0,
-    "map.z_max": 3.0,
-    "map.cluster_eps": 1.5,
-    "map.min_observations": 1,
+    **_field_defaults("map"),
     "map.trajectory": "auto",  # "auto" | "gt" | "est" | "refined"
     "caption.mode": "mock",  # "mock" | "http"
-    "caption.endpoint": "",
-    "caption.prompt": DEFAULT_PROMPT,
-    "caption.token_env": CAPTION_TOKEN_ENV,
-    "caption.max_workers": 4,
-    "caption.retries": 3,
-    "caption.backoff_s": 0.5,
-    "caption.timeout_s": 10.0,
+    **_field_defaults("caption"),
 }
 
 
@@ -102,7 +86,9 @@ def _check_type(key: str, value, default):
     if isinstance(default, (int, float)):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key}: expected a number, got {value!r}")
-        return type(default)(value) if isinstance(default, float) else value
+        if isinstance(default, int) and not isinstance(value, int):
+            raise ConfigError(f"{key}: expected an integer, got {value!r}")
+        return float(value) if isinstance(default, float) else value
     if isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError(f"{key}: expected a string, got {value!r}")
@@ -140,17 +126,20 @@ class PipelineConfig:
         write_json(path, self._values)
 
 
+def parse_value(raw: str):
+    """A value given as text: read as JSON, else the string itself."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+
+
 def parse_override(text: str) -> tuple[str, object]:
-    """Parse a ``key=value`` override; values read as JSON, else string."""
+    """Parse a ``key=value`` override."""
     if "=" not in text:
         raise ConfigError(f"override {text!r} is not of the form key=value")
     key, raw = text.split("=", 1)
-    key = key.strip()
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    return key, value
+    return key.strip(), parse_value(raw)
 
 
 def load_config(path=None, overrides: list[str] | None = None) -> PipelineConfig:

@@ -364,7 +364,11 @@ class TestRefine:
         """The refined positions, the corrections and every loss-history
         total, bit for bit (recorded with numpy 2.4.6 on OpenBLAS 0.3.31).
         Reusing buffers must not change the arithmetic; a change of
-        arithmetic, or of numpy/BLAS build, moves these bits."""
+        arithmetic, or of numpy/BLAS build, moves these bits.  So does the
+        BLAS thread count: on a 2-core host these bits hold with
+        OpenBLAS's default threads and not under OPENBLAS_NUM_THREADS=1,
+        the setting perfbench gives its commands (the CLI's
+        ``PIPELINE_SHA256`` holds under both)."""
         traj = _drifted(_circle(400), 0.02)
         refined, corrections, history = refine(traj, np.diff(traj.xy, axis=0), RefineConfig())
 
@@ -387,7 +391,8 @@ class TestRefine:
     def test_non_identity_refine_bits_pinned(self):
         """A refine that beats its input, so ``apply_corrections`` runs on
         nonzero corrections: refined positions, corrections and history
-        totals, bit for bit (recorded like the pin above)."""
+        totals, bit for bit (recorded like the pin above, and like it
+        moved by OPENBLAS_NUM_THREADS=1)."""
         traj = _drifted(_circle(400), 0.002)
         refined, corrections, history = refine(
             traj, np.diff(traj.xy, axis=0), RefineConfig(epochs=40))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -475,9 +476,11 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="JSON config file (flat dotted keys)")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a config key (repeatable)")
+    sub.add_argument("--log-level", choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+                     default="WARNING", help="lowest level of log message shown")
     for key in DEFAULTS:
-        sub.add_argument(f"--{key}", dest=key, type=parse_value, default=None,
-                         metavar="VALUE", help=argparse.SUPPRESS)
+        sub.add_argument(f"--{key}", dest=key, type=functools.partial(parse_value, key),
+                         default=None, metavar="VALUE", help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -544,8 +547,8 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(message)s")
     extra = [args.out] if args.command == "plot" else []
     try:
         cfg = _resolve_config(args)

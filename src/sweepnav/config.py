@@ -126,8 +126,12 @@ class PipelineConfig:
         write_json(path, self._values)
 
 
-def parse_value(raw: str):
-    """A value given as text: read as JSON, else the string itself."""
+def parse_value(key: str, raw: str):
+    """The value of ``key`` given as text: the text itself where the
+    key's default is a string (a weights file may be named ``2024``),
+    else read as JSON, else the string itself."""
+    if isinstance(DEFAULTS.get(key), str):
+        return raw
     try:
         return json.loads(raw)
     except json.JSONDecodeError:
@@ -139,7 +143,8 @@ def parse_override(text: str) -> tuple[str, object]:
     if "=" not in text:
         raise ConfigError(f"override {text!r} is not of the form key=value")
     key, raw = text.split("=", 1)
-    return key.strip(), parse_value(raw)
+    key = key.strip()
+    return key, parse_value(key, raw)
 
 
 def load_config(path=None, overrides: list[str] | None = None) -> PipelineConfig:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import rotate_xy
+from .geometry import rotate_xy, row_norms
 
 INPUT_LAYOUT = "acc_then_gyro_rowmajor"
 
@@ -288,8 +288,7 @@ def clamp_speed(v: np.ndarray, v_max: float) -> tuple[np.ndarray, np.ndarray]:
     to ``v_max``; also return the mask of scaled rows.  NaN rows pass."""
     if v_max <= 0:
         raise ValueError("v_max must be positive")
-    # a dot product per row, as np.linalg.norm takes of one 2-vector
-    speed = np.sqrt((v[:, None] @ v[:, :, None])[:, 0, 0])
+    speed = row_norms(v)
     over = speed > v_max
     scale = np.divide(v_max, speed, out=np.ones_like(speed), where=over)
     return v * scale[:, None], over

@@ -53,52 +53,26 @@ def rotate_xyz_about_z(v, theta):
 # Quaternions
 
 
-def quat_identity() -> np.ndarray:
-    return np.array([1.0, 0.0, 0.0, 0.0])
-
-
-def quat_normalize(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n == 0.0:
-        raise ValueError("cannot normalize a zero quaternion")
-    return q / n
-
-
-def quat_multiply(a, b) -> np.ndarray:
-    """Hamilton product a * b."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
-
-
 def quat_from_rotvec(rv) -> np.ndarray:
-    """Quaternion for a rotation vector (axis * angle)."""
+    """Quaternion for a rotation vector (axis * angle), or one per row of
+    an (n, 3) array; each row's quaternion equals the single vector's
+    bit for bit (its norm is ``row_norms``'s)."""
     rv = np.asarray(rv, dtype=float)
-    angle = np.linalg.norm(rv)
-    if angle < 1e-12:
-        # second-order small-angle expansion keeps unit norm to fp precision
-        return quat_normalize(np.concatenate([[1.0], 0.5 * rv]))
-    return np.concatenate([[np.cos(0.5 * angle)], np.sin(0.5 * angle) * rv / angle])
+    rows = rv.reshape(-1, 3)
+    angle = row_norms(rows)
+    q = np.empty((len(rows), 4))
+    big = ~(angle < 1e-12)
+    half = 0.5 * angle[big]
+    q[big, 0] = np.cos(half)
+    q[big, 1:] = np.sin(half)[:, None] * rows[big] / angle[big, None]
+    # second-order small-angle expansion keeps unit norm to fp precision
+    small = np.column_stack([np.ones(len(rows) - len(half)), 0.5 * rows[~big]])
+    q[~big] = small / row_norms(small)[:, None]
+    return q.reshape(rv.shape[:-1] + (4,))
 
 
 def quat_about_z(yaw: float) -> np.ndarray:
     return np.array([np.cos(0.5 * yaw), 0.0, 0.0, np.sin(0.5 * yaw)])
-
-
-def quat_rotate(q, v) -> np.ndarray:
-    """Rotate a 3-vector by a unit quaternion."""
-    qv = np.asarray(q[1:], dtype=float)
-    v = np.asarray(v, dtype=float)
-    t = 2.0 * np.cross(qv, v)
-    return v + q[0] * t + np.cross(qv, t)
 
 
 def quat_to_matrix(q) -> np.ndarray:
@@ -129,7 +103,20 @@ def quats_to_matrices(q: np.ndarray) -> np.ndarray:
     return m
 
 
-def quat_yaw(q) -> float:
-    """Yaw (rotation about +z) of a unit quaternion."""
-    w, x, y, z = q
-    return float(np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z)))
+def quat_yaw(q):
+    """Yaw (rotation about +z) of a unit quaternion, or of each row of an
+    (n, 4) array; the rows' yaws equal the single quaternion's bit for bit."""
+    w, x, y, z = np.asarray(q, dtype=float).T
+    return np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array, bit-equal to
+    ``np.linalg.norm`` of that row.
+
+    That norm is ``sqrt`` of one BLAS dot product, which OpenBLAS sums
+    with FMA; a matmul of (n, 1, d) by (n, d, 1) makes the same dot
+    product per row, where ``np.linalg.norm(a, axis=1)`` and
+    ``math.hypot`` round differently.
+    """
+    return np.sqrt((a[:, None, :] @ a[:, :, None]).ravel())

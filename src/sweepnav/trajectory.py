@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import read_csv, read_jsonl, write_csv, write_jsonl
-from .geometry import wrap_angle
+from .geometry import row_norms, wrap_angle
 from .imu import _frozen
 
 TRAJECTORY_CSV_HEADER = "t,x,y,yaw"
@@ -160,6 +160,21 @@ def integrate(held: np.ndarray, yaws, kf: KalmanConfig | None = None,
     sum of the observations.  The velocity state is initialized from
     the first observation.  Yaw is copied from ``yaws`` (the heading
     stream), wrapped; the filter never touches it.
+
+    The gain does not depend on the data, and it turns constant: the
+    velocity columns ``P[:, 2:]`` of the covariance form a closed
+    recursion, the gain is a function of them alone, and at the default
+    noise levels they repeat bit for bit from frame 1519 on.  From the
+    first frame whose ``P[:, 2:]`` equals its predecessor's, the ``inv``
+    and Riccati step stop and the last gain is reused (the steady-state
+    gain of Anderson & Moore, *Optimal Filtering*, 1979).  With
+    ``sigma_process = 0`` the gain decays like 1/n and never repeats,
+    and some settings (``sigma_process=1``, ``sigma_obs=0.01``) end in a
+    two-frame cycle of last-bit flips; there the step runs every frame,
+    in the same loop as the state.  The output is bit-identical to the
+    filter that runs the step every frame.  The state update stays the
+    numpy matmul ``F @ (x + K @ innov)``, because BLAS sums
+    ``K @ innov`` with FMA, which scalar arithmetic would not.
     """
     kf = kf or KalmanConfig()
     yaws = np.asarray(yaws, dtype=float)
@@ -184,20 +199,21 @@ def integrate(held: np.ndarray, yaws, kf: KalmanConfig | None = None,
     R = kf.sigma_obs ** 2 * np.eye(2)
     x = np.array([origin[0], origin[1], v_obs[min(1, n - 1), 0], v_obs[min(1, n - 1), 1]])
     P = np.diag([0.0, 0.0, kf.sigma_obs ** 2, kf.sigma_obs ** 2])
-    poses = np.empty((n, 2))
-    poses[0] = x[:2]
     eye4 = np.eye(4)
+    block = P[:, 2:].tobytes()
+    states = [x]
     for f in range(1, n):
-        # measurement update with the velocity over the step (f-1, f]
-        innov = v_obs[f] - x[2:]
-        S = P[2:, 2:] + R
-        K = P[:, 2:] @ np.linalg.inv(S)
-        x = x + K @ innov
-        P = (eye4 - K @ H) @ P
-        # time update to frame f
-        x = F @ x
-        P = F @ P @ F.T + Q
-        poses[f] = x[:2]
+        if P is not None:
+            K = P[:, 2:] @ np.linalg.inv(P[2:, 2:] + R)
+            P = F @ ((eye4 - K @ H) @ P) @ F.T + Q
+            block, last = P[:, 2:].tobytes(), block
+            if block == last:
+                P = None  # the next gain is this one, and so is every later gain
+        # measurement update with the velocity over the step (f-1, f],
+        # then the time update to frame f
+        x = F @ (x + K @ (v_obs[f] - x[2:]))
+        states.append(x)
+    poses = np.array(states)[:, :2]
     t = t0 + np.arange(n) * dt
     return Trajectory(t, poses, yaws, frame_rate)
 
@@ -222,6 +238,11 @@ def capture_schedule(traj: Trajectory, distance_m: float = 1.0,
     or the accumulated absolute yaw change reaches ``rotation_rad``
     (``mode="and"`` requires both; ``"distance"``/``"rotation"`` watch
     a single trigger).  Both accumulators reset on every capture.
+
+    The step lengths and the wrapped yaw steps are computed as arrays;
+    only the accumulate-and-reset walk is a loop.  Each step length is
+    ``row_norms``'s, bit-equal to ``np.linalg.norm`` of that step, so
+    the events equal those of a walk that takes one norm per frame.
     """
     if distance_m <= 0 or rotation_rad <= 0:
         raise ValueError("capture thresholds must be positive")
@@ -230,13 +251,15 @@ def capture_schedule(traj: Trajectory, distance_m: float = 1.0,
     if len(traj) == 0:
         return []
     events = [CaptureEvent(0, traj.pose(0), "first")]
+    steps = row_norms(np.diff(traj.xy, axis=0)).tolist()
+    turns = np.abs(wrap_angle(np.diff(traj.yaw))).tolist()
     acc_d = 0.0
     acc_r = 0.0
     d_gate = distance_m * (1.0 - _TRIGGER_EPS)
     r_gate = rotation_rad * (1.0 - _TRIGGER_EPS)
-    for f in range(1, len(traj)):
-        acc_d += float(np.linalg.norm(traj.xy[f] - traj.xy[f - 1]))
-        acc_r += abs(float(wrap_angle(traj.yaw[f] - traj.yaw[f - 1])))
+    for f, (step, turn) in enumerate(zip(steps, turns), 1):
+        acc_d += step
+        acc_r += turn
         hit_d = acc_d >= d_gate
         hit_r = acc_r >= r_gate
         if mode == "and":

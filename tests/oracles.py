@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from sweepnav import Trajectory
+from sweepnav import CaptureEvent, KalmanConfig, OrientationSequence, Trajectory
+from sweepnav.geometry import wrap_angle
 
 
 def rot2_ref(theta: float) -> np.ndarray:
@@ -207,3 +208,194 @@ def rae_window_ref(window, start, model, angles, reducer, trim_fraction=0.1, v_m
     spread = max(math.hypot(*(m - reduced)) for m in members)
     v, hit = clamp(reduced)
     return v, dropped, clamped or hit, spread
+
+
+# ---------------------------------------------------------------------------
+# Per-sample references for the per-frame infer layers: the filter, the
+# Kalman loop and the capture loop as they were before they were batched.
+# The library versions must match them bit for bit.
+
+
+def quat_identity_ref() -> np.ndarray:
+    return np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def quat_normalize_ref(q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    n = np.linalg.norm(q)
+    if n == 0.0:
+        raise ValueError("cannot normalize a zero quaternion")
+    return q / n
+
+
+def quat_multiply_ref(a, b) -> np.ndarray:
+    """Hamilton product a * b."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def quat_from_rotvec_ref(rv) -> np.ndarray:
+    """Quaternion for a rotation vector (axis * angle)."""
+    rv = np.asarray(rv, dtype=float)
+    angle = np.linalg.norm(rv)
+    if angle < 1e-12:
+        # second-order small-angle expansion keeps unit norm to fp precision
+        return quat_normalize_ref(np.concatenate([[1.0], 0.5 * rv]))
+    return np.concatenate([[np.cos(0.5 * angle)], np.sin(0.5 * angle) * rv / angle])
+
+
+def quat_rotate_ref(q, v) -> np.ndarray:
+    """Rotate a 3-vector by a unit quaternion."""
+    qv = np.asarray(q[1:], dtype=float)
+    v = np.asarray(v, dtype=float)
+    t = 2.0 * np.cross(qv, v)
+    return v + q[0] * t + np.cross(qv, t)
+
+
+_ACC_GATE_REF = (0.5 * 9.81, 1.5 * 9.81)
+
+
+def _init_from_gravity_ref(acc: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(acc))
+    if norm < 1e-6:
+        return quat_identity_ref()
+    v = acc / norm
+    z = np.array([0.0, 0.0, 1.0])
+    axis = np.cross(v, z)
+    s = float(np.linalg.norm(axis))
+    if s < 1e-12:
+        if v[2] > 0:
+            return quat_identity_ref()
+        # upside down: rotate pi about x
+        return np.array([0.0, 1.0, 0.0, 0.0])
+    angle = float(np.arctan2(s, float(np.dot(v, z))))
+    return quat_from_rotvec_ref(axis / s * angle)
+
+
+def estimate_orientation_ref(seq, alpha: float = 0.02) -> OrientationSequence:
+    """The complementary filter, one sample and one numpy call at a time."""
+    n = len(seq)
+    if n == 0:
+        return OrientationSequence(np.zeros(0), np.zeros((0, 4)))
+    quats = np.empty((n, 4))
+    q = _init_from_gravity_ref(seq.acc[0])
+    quats[0] = q
+    z = np.array([0.0, 0.0, 1.0])
+    for i in range(1, n):
+        dt = float(seq.t[i] - seq.t[i - 1])
+        omega = 0.5 * (seq.gyro[i - 1] + seq.gyro[i])
+        q = quat_multiply_ref(q, quat_from_rotvec_ref(omega * dt))
+        if alpha > 0.0:
+            a = seq.acc[i]
+            norm = float(np.linalg.norm(a))
+            if _ACC_GATE_REF[0] <= norm <= _ACC_GATE_REF[1]:
+                up_meas = quat_rotate_ref(q, a / norm)  # should be +z at rest
+                axis = np.cross(up_meas, z)
+                s = float(np.linalg.norm(axis))
+                if s > 1e-12:
+                    angle = float(np.arctan2(s, float(np.dot(up_meas, z))))
+                    corr = quat_from_rotvec_ref(axis / s * (alpha * angle))
+                    q = quat_multiply_ref(corr, q)
+        q = quat_normalize_ref(q)
+        quats[i] = q
+    return OrientationSequence(seq.t, quats)
+
+
+def integrate_ref(held, yaws, kf=None, frame_rate=50.0, origin=(0.0, 0.0), t0=0.0) -> Trajectory:
+    """The constant-velocity Kalman filter with its full Riccati step every frame."""
+    kf = kf or KalmanConfig()
+    yaws = np.asarray(yaws, dtype=float)
+    n = len(yaws)
+    v_obs = np.asarray(held, dtype=float)
+    dt = 1.0 / frame_rate
+    q = kf.sigma_process ** 2
+    F = np.array([[1, 0, dt, 0], [0, 1, 0, dt], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=float)
+    Q = q * np.array(
+        [
+            [dt ** 4 / 4, 0, dt ** 3 / 2, 0],
+            [0, dt ** 4 / 4, 0, dt ** 3 / 2],
+            [dt ** 3 / 2, 0, dt ** 2, 0],
+            [0, dt ** 3 / 2, 0, dt ** 2],
+        ]
+    )
+    H = np.array([[0, 0, 1, 0], [0, 0, 0, 1]], dtype=float)
+    R = kf.sigma_obs ** 2 * np.eye(2)
+    x = np.array([origin[0], origin[1], v_obs[min(1, n - 1), 0], v_obs[min(1, n - 1), 1]])
+    P = np.diag([0.0, 0.0, kf.sigma_obs ** 2, kf.sigma_obs ** 2])
+    poses = np.empty((n, 2))
+    poses[0] = x[:2]
+    eye4 = np.eye(4)
+    for f in range(1, n):
+        # measurement update with the velocity over the step (f-1, f]
+        innov = v_obs[f] - x[2:]
+        S = P[2:, 2:] + R
+        K = P[:, 2:] @ np.linalg.inv(S)
+        x = x + K @ innov
+        P = (eye4 - K @ H) @ P
+        # time update to frame f
+        x = F @ x
+        P = F @ P @ F.T + Q
+        poses[f] = x[:2]
+    t = t0 + np.arange(n) * dt
+    return Trajectory(t, poses, yaws, frame_rate)
+
+
+def capture_schedule_ref(traj, distance_m=1.0, rotation_rad=np.pi / 2, mode="or"):
+    """Capture events, one frame and one norm at a time."""
+    if len(traj) == 0:
+        return []
+    events = [CaptureEvent(0, traj.pose(0), "first")]
+    acc_d = 0.0
+    acc_r = 0.0
+    d_gate = distance_m * (1.0 - 1e-9)
+    r_gate = rotation_rad * (1.0 - 1e-9)
+    for f in range(1, len(traj)):
+        acc_d += float(np.linalg.norm(traj.xy[f] - traj.xy[f - 1]))
+        acc_r += abs(float(wrap_angle(traj.yaw[f] - traj.yaw[f - 1])))
+        hit_d = acc_d >= d_gate
+        hit_r = acc_r >= r_gate
+        if mode == "and":
+            fire = hit_d and hit_r
+        elif mode == "distance":
+            fire = hit_d
+        elif mode == "rotation":
+            fire = hit_r
+        else:
+            fire = hit_d or hit_r
+        if fire:
+            if mode == "rotation":
+                trigger = "rotation"
+            elif mode == "distance" or hit_d:
+                trigger = "distance"
+            else:
+                trigger = "rotation"
+            events.append(CaptureEvent(f, traj.pose(f), trigger))
+            acc_d = 0.0
+            acc_r = 0.0
+    return events
+
+
+def relative_yaw_ref(orientations) -> np.ndarray:
+    """Yaw of each quaternion, one ``np.arctan2`` call per row, relative to frame 0."""
+    if len(orientations) == 0:
+        return np.zeros(0)
+    yaws = []
+    for q in orientations.q:
+        w, x, y, z = q
+        yaws.append(float(np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))))
+    yaws = np.array(yaws)
+    return wrap_angle(yaws - yaws[0])
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: signed zeros and NaN payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -276,6 +276,50 @@ class TestShortcutFlags:
         assert self._resolve("eval", "--eval.grids", "5", "--grid", 2)["eval.grids"] == [2]
 
 
+class TestStringKeys:
+    """A key whose default is a string takes the text as given, where
+    other keys read it as JSON."""
+
+    def test_set_and_flag_keep_the_text(self):
+        resolve = TestShortcutFlags._resolve
+        assert resolve("map", "--set", "caption.prompt=true")["caption.prompt"] == "true"
+        assert resolve("infer", "--estimator.weights", "2024")["estimator.weights"] == "2024"
+        assert resolve("infer", "--set", "rae.k=3")["rae.k"] == 3
+        assert resolve("infer", "--rae.k", "3")["rae.k"] == 3
+        assert resolve("infer", "--oracle.bias", "[1, 2]")["oracle.bias"] == [1, 2]
+
+    def test_weights_file_named_like_a_number(self, small_ds, tmp_path, monkeypatch):
+        ds = tmp_path / "ds"
+        shutil.copytree(small_ds / "ds", ds)
+        shutil.copy(small_ds / "weights.json", tmp_path / "2024")
+        monkeypatch.chdir(tmp_path)
+        assert run("infer", "--dataset", ds, "--estimator", "network",
+                   "--estimator.weights", 2024) == 0
+        assert json.loads((ds / "run_meta_infer.json").read_text())["estimator"] == "network"
+
+
+class TestLogLevel:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def _map_stderr(self, ds, *flags):
+        code = "import sys; sys.path.insert(0, sys.argv[1]); from sweepnav.cli import main; " \
+               "sys.exit(main(sys.argv[2:]))"
+        proc = subprocess.run([sys.executable, "-c", code, str(self.ROOT / "src"), "map",
+                               "--dataset", str(ds), "--trajectory", "gt", *flags],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr
+
+    def test_level_hides_the_skipped_raster_warning(self, pipeline, tmp_path):
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline, ds)
+        missing = sorted((ds / "rasters").iterdir())[0]
+        missing.unlink()
+        assert re.search(rf"^WARNING .*no raster at {re.escape(str(missing))}, skipped$",
+                         self._map_stderr(ds), re.M)
+        assert "no raster" not in self._map_stderr(ds, "--log-level", "ERROR")
+
+
 class TestModuleConfig:
     # keys under a section prefix that the commands read themselves
     NOT_FIELDS = {"sim.n_items", "map.trajectory", "rae.seed", "caption.mode"}

@@ -102,6 +102,11 @@ class TestParseOverride:
     def test_non_json_falls_back_to_string(self):
         assert parse_override("estimator.kind=oracle") == ("estimator.kind", "oracle")
 
+    def test_string_key_keeps_its_text(self):
+        assert parse_override("estimator.weights=2024") == ("estimator.weights", "2024")
+        assert parse_override("caption.prompt=true") == ("caption.prompt", "true")
+        assert parse_override("caption.prompt=[1]") == ("caption.prompt", "[1]")
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key=value"):
             parse_override("rae.k")

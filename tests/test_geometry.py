@@ -5,7 +5,8 @@ import pytest
 
 from sweepnav import geometry as geo
 
-from .oracles import rot2_ref
+from .oracles import (quat_from_rotvec_ref, quat_identity_ref, quat_multiply_ref,
+                      quat_normalize_ref, quat_rotate_ref, rot2_ref, same_bits)
 
 
 class TestWrapAngle:
@@ -65,52 +66,67 @@ class TestQuaternions:
         """Quaternion composition and matrix composition commute."""
         rng = np.random.default_rng(13)
         for _ in range(20):
-            qa = geo.quat_normalize(rng.normal(size=4))
-            qb = geo.quat_normalize(rng.normal(size=4))
-            lhs = geo.quat_to_matrix(geo.quat_multiply(qa, qb))
+            qa = quat_normalize_ref(rng.normal(size=4))
+            qb = quat_normalize_ref(rng.normal(size=4))
+            lhs = geo.quat_to_matrix(quat_multiply_ref(qa, qb))
             rhs = geo.quat_to_matrix(qa) @ geo.quat_to_matrix(qb)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_rotate_matches_matrix(self):
         rng = np.random.default_rng(17)
-        q = geo.quat_normalize(rng.normal(size=4))
+        q = quat_normalize_ref(rng.normal(size=4))
         v = rng.normal(size=3)
         np.testing.assert_allclose(
-            geo.quat_rotate(q, v), geo.quat_to_matrix(q) @ v, atol=1e-12
+            quat_rotate_ref(q, v), geo.quat_to_matrix(q) @ v, atol=1e-12
         )
 
     def test_axis_angle_quarter_turn_about_x(self):
         """A +90 degree roll about x sends the y axis to z."""
         q = geo.quat_from_rotvec([np.pi / 2, 0.0, 0.0])
-        np.testing.assert_allclose(geo.quat_rotate(q, [0.0, 1.0, 0.0]), [0, 0, 1], atol=1e-12)
+        np.testing.assert_allclose(quat_rotate_ref(q, [0.0, 1.0, 0.0]), [0, 0, 1], atol=1e-12)
 
     def test_conjugate_inverts_unit_rotation(self):
         rng = np.random.default_rng(19)
-        q = geo.quat_normalize(rng.normal(size=4))
+        q = quat_normalize_ref(rng.normal(size=4))
         v = rng.normal(size=3)
         np.testing.assert_allclose(
-            geo.quat_rotate(q * [1, -1, -1, -1], geo.quat_rotate(q, v)), v, atol=1e-12
+            quat_rotate_ref(q * [1, -1, -1, -1], quat_rotate_ref(q, v)), v, atol=1e-12
         )
 
     def test_yaw_is_additive_under_z_premultiplication(self):
         """Pre-rotating any orientation about z shifts its yaw by that angle."""
         rng = np.random.default_rng(23)
         for _ in range(20):
-            q = geo.quat_normalize(rng.normal(size=4))
+            q = quat_normalize_ref(rng.normal(size=4))
             delta = float(rng.uniform(-np.pi, np.pi))
-            shifted = geo.quat_multiply(geo.quat_about_z(delta), q)
+            shifted = quat_multiply_ref(geo.quat_about_z(delta), q)
             np.testing.assert_allclose(
                 geo.wrap_angle(geo.quat_yaw(shifted) - geo.quat_yaw(q) - delta),
                 0.0, atol=1e-9,
             )
 
     def test_identity_and_about_z(self):
-        np.testing.assert_allclose(geo.quat_yaw(geo.quat_identity()), 0.0)
+        np.testing.assert_allclose(geo.quat_yaw(quat_identity_ref()), 0.0)
         np.testing.assert_allclose(geo.quat_yaw(geo.quat_about_z(0.4)), 0.4, atol=1e-12)
+
+    def test_batched_rotvecs_match_one_at_a_time(self):
+        """Rows at, below and above the small-angle cutoff, and a zero."""
+        rng = np.random.default_rng(31)
+        rv = rng.normal(size=(40, 3)) * rng.choice([0.0, 1e-14, 1e-12, 1e-3, 2.0], (40, 1))
+        rv[0] = -0.0
+        q = geo.quat_from_rotvec(rv)
+        assert same_bits(q, np.array([quat_from_rotvec_ref(r) for r in rv]))
+        assert same_bits(geo.quat_from_rotvec(rv[7]), quat_from_rotvec_ref(rv[7]))
+
+    def test_row_norms_match_linalg_norm(self):
+        rng = np.random.default_rng(37)
+        for d in (2, 3, 4):
+            a = rng.normal(size=(500, d)) * rng.choice([1e-14, 1e-3, 1.0, 1e3], (500, 1))
+            assert same_bits(geo.row_norms(a), np.array([np.linalg.norm(r) for r in a]))
 
     def test_batched_matrices_match_scalar(self):
         rng = np.random.default_rng(29)
-        qs = np.array([geo.quat_normalize(rng.normal(size=4)) for _ in range(6)])
+        qs = np.array([quat_normalize_ref(rng.normal(size=4)) for _ in range(6)])
         mats = geo.quats_to_matrices(qs)
         for i in range(6):
             np.testing.assert_allclose(mats[i], geo.quat_to_matrix(qs[i]), atol=1e-12)

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sweepnav as sn
 from sweepnav import geometry as geo
+
+from .oracles import (estimate_orientation_ref, quat_identity_ref, quat_normalize_ref,
+                      quat_rotate_ref, relative_yaw_ref, same_bits)
 
 
 def _seq(acc, gyro, n, rate=100.0):
@@ -41,7 +46,7 @@ class TestGravityBlend:
         """A small roll-rate gyro bias cannot tip the estimate over."""
         seq = _seq([0.0, 0.0, 9.81], [0.001, 0.0, 0.0], n=6000, rate=100.0)
         orients = sn.estimate_orientation(seq)
-        up = geo.quat_rotate(orients.q[-1], np.array([0.0, 0.0, 1.0]))
+        up = quat_rotate_ref(orients.q[-1], np.array([0.0, 0.0, 1.0]))
         tilt = np.arccos(np.clip(up[2], -1.0, 1.0))
         # gyro-only drift would be 0.06 rad; the blend holds it far lower
         assert tilt < 0.01
@@ -54,7 +59,64 @@ class TestGravityBlend:
         acc[0] = [0.0, 0.0, 9.81]
         seq = sn.ImuSequence(t, acc, np.zeros((n, 3)))
         orients = sn.estimate_orientation(seq)
-        np.testing.assert_allclose(orients.q[-1], geo.quat_identity(), atol=1e-12)
+        np.testing.assert_allclose(orients.q[-1], quat_identity_ref(), atol=1e-12)
+
+
+@st.composite
+def imu_streams(draw):
+    """Short recordings with non-uniform steps, stretches of zero or
+    tiny gyro rate (the small-angle branch), and specific forces on
+    both edges of the gate, just outside them, and at zero, with signed
+    zeros off the axis."""
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.cumsum(rng.uniform(0.001, 0.05, n)) - 0.001
+    gyro = rng.normal(scale=draw(st.sampled_from([0.01, 0.5, 4.0])), size=(n, 3))
+    lo, hi = sorted(draw(st.tuples(st.integers(0, n), st.integers(0, n))))
+    gyro[lo:hi] = draw(st.sampled_from([0.0, -0.0, 1e-13, -2e-14]))
+    # tilted gravity plus linear acceleration, some samples far off 1 g
+    up = rng.normal(size=(n, 3)) * draw(st.sampled_from([0.0, 0.1, 1.0])) + [0.0, 0.0, 1.0]
+    acc = geo.GRAVITY * up / np.linalg.norm(up, axis=1, keepdims=True)
+    acc *= rng.uniform(0.3, 1.7, (n, 1)) if draw(st.booleans()) else 1.0
+    edges = [0.5, 1.5, 0.5 * (1 - 1e-16), 1.5 * (1 + 1e-15), 0.0]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=6)):
+        # along an axis, where the norm is exactly the value set
+        acc[i] = rng.choice([0.0, -0.0], 3)
+        acc[i, rng.integers(3)] = rng.choice([-1.0, 1.0]) * rng.choice(edges) * geo.GRAVITY
+    return sn.ImuSequence(t, acc, gyro)
+
+
+class TestMatchesPerSampleReference:
+    """The batched filter and yaw equal the per-sample, one-numpy-call-
+    per-vector recipe bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seq=imu_streams(),
+           alpha=st.one_of(st.sampled_from([0.0, 0.02, 1.0]), st.floats(0.0, 1.0)))
+    def test_filter_and_relative_yaw(self, seq, alpha):
+        got = sn.estimate_orientation(seq, alpha)
+        ref = estimate_orientation_ref(seq, alpha)
+        assert same_bits(got.q, ref.q)
+        assert same_bits(got.t, ref.t)
+        assert same_bits(sn.relative_yaw(got), relative_yaw_ref(ref))
+
+    def test_signed_zero_of_a_roll_only_recording(self):
+        """Rolled past 90 degrees about x alone, the tilt axis (up x z) has
+        a signed-zero y component that reaches the output's qy."""
+        seq = sn.ImuSequence([0.0, 0.02], [[0.0, -5.0, -8.0], [0.0, -9.8, 0.0]],
+                             [[-0.02, -0.0, -0.0]] * 2)
+        got = sn.estimate_orientation(seq, 1.0)
+        assert same_bits(got.q, estimate_orientation_ref(seq, 1.0).q)
+        assert np.signbit(got.q[:, 2]).tolist() == [True, False]
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.02, 1.0])
+    def test_simulated_sweep(self, clean_imu, alpha):
+        noisy = sn.ImuSequence(clean_imu.t, clean_imu.acc + np.random.default_rng(1).normal(
+            scale=0.05, size=clean_imu.acc.shape), clean_imu.gyro)
+        for seq in (clean_imu, noisy):
+            got = sn.estimate_orientation(seq, alpha)
+            assert same_bits(got.q, estimate_orientation_ref(seq, alpha).q)
+            assert same_bits(sn.relative_yaw(got), relative_yaw_ref(got))
 
 
 class TestOrientationSequence:
@@ -86,7 +148,7 @@ class TestOrientationSequence:
     def test_file_round_trip(self, tmp_path):
         """Timestamps survive exactly; quaternions to re-normalization ulp."""
         rng = np.random.default_rng(4)
-        q = np.array([geo.quat_normalize(rng.normal(size=4)) for _ in range(10)])
+        q = np.array([quat_normalize_ref(rng.normal(size=4)) for _ in range(10)])
         orients = sn.OrientationSequence(np.arange(10) / 50.0, q)
         path = tmp_path / "orients.csv"
         sn.save_orientations(orients, path)

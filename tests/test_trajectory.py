@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sweepnav as sn
 from sweepnav.geometry import wrap_angle
 
-from .oracles import line_trajectory, turn_in_place_trajectory
+from .oracles import (capture_schedule_ref, integrate_ref, line_trajectory, same_bits,
+                      turn_in_place_trajectory)
 
 
 class TestTrajectoryType:
@@ -122,6 +125,43 @@ class TestIntegrate:
         np.testing.assert_allclose(traj.yaw, yaws, atol=1e-12)
 
 
+class TestIntegrateMatchesPerFrameReference:
+    """Stopping the Riccati step once the gain repeats changes no bit."""
+
+    @pytest.mark.parametrize("kf", [(0.1, 0.1), (0.0, 0.1), (1.0, 0.01), (0.3, 2.0)])
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.one_of(st.integers(1, 3), st.integers(1, 3000), st.integers(1600, 3000)),
+           seed=st.integers(0, 2**32 - 1), rate=st.sampled_from([50.0, 100.0, 30.0]),
+           windowed=st.booleans())
+    def test_bit_identical(self, kf, n, seed, rate, windowed):
+        rng = np.random.default_rng(seed)
+        if windowed:  # held window estimates, as infer feeds them, with a stop
+            starts = np.arange(0, n, 64)
+            v = rng.normal(scale=0.5, size=(len(starts), 2))
+            v[rng.integers(len(v))] = 0.0
+            held = sn.held_velocities(v, starts, n)
+        else:
+            held = rng.normal(size=(n, 2))
+        yaws = rng.uniform(-4.0, 4.0, n)
+        origin = tuple(rng.normal(size=2))
+        got = sn.integrate(held, yaws, sn.KalmanConfig(*kf), rate, origin, 3.5)
+        ref = integrate_ref(held, yaws, sn.KalmanConfig(*kf), rate, origin, 3.5)
+        assert same_bits(got.xy, ref.xy)
+        assert same_bits(got.t, ref.t) and same_bits(got.yaw, ref.yaw)
+
+    @pytest.mark.parametrize("kf, most", [((0.1, 0.1), 1600), ((0.0, 0.1), 2999)])
+    def test_riccati_step_stops_once_the_gain_repeats(self, kf, most, monkeypatch):
+        """At the defaults the velocity columns of P that frame 1519 starts
+        from equal frame 1518's (with OpenBLAS 0.3.31), so that gain
+        serves every later frame; without process noise the gain decays
+        and the step runs on every one of the 2999 frames."""
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+        sn.integrate(np.ones((3000, 2)), np.zeros(3000), sn.KalmanConfig(*kf))
+        assert 1000 < len(calls) <= most
+
+
 class TestCaptureSchedule:
     def test_every_metre_on_a_five_metre_run(self):
         """5 m at 0.5 m/s with a 1 m gate: the start plus five more."""
@@ -187,6 +227,23 @@ class TestCaptureSchedule:
             wrap_angle(default_sim_traj.yaw + 0.7), default_sim_traj.frame_rate,
         )
         assert [c.frame for c in sn.capture_schedule(rotated)] == base
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+           step=st.sampled_from([0.0, 0.01, 0.3]), turn=st.sampled_from([0.0, 0.05, 2.0]),
+           distance=st.sampled_from([0.05, 0.5, 1.0]),
+           rotation=st.sampled_from([0.1, np.pi / 2, 3.0]),
+           mode=st.sampled_from(["or", "and", "distance", "rotation"]))
+    def test_matches_per_frame_reference(self, n, seed, step, turn, distance, rotation, mode):
+        """Random walks with stops, wrapping yaw and every mode."""
+        rng = np.random.default_rng(seed)
+        steps = rng.normal(scale=step, size=(n, 2))
+        steps[rng.random(n) < 0.3] = 0.0
+        xy = np.cumsum(steps, axis=0)
+        yaw = np.cumsum(rng.normal(scale=turn, size=n))
+        traj = sn.Trajectory(np.arange(n) / 50.0, xy, yaw, 50.0)
+        got = sn.capture_schedule(traj, distance, rotation, mode)
+        assert got == capture_schedule_ref(traj, distance, rotation, mode)
 
     def test_image_ids_are_zero_padded(self):
         assert sn.image_id_for_frame(42) == "img_000042"

@@ -163,8 +163,9 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path, manifest: dict, clock: Stop
 
 
 def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:
-    imu = load_imu(_manifest_file(dataset, manifest, "imu"))
-    imu = resample(imu, rate_hz=cfg["sim.sample_rate_hz"])
+    with clock.lap("load"):
+        imu = load_imu(_manifest_file(dataset, manifest, "imu"))
+        imu = resample(imu, rate_hz=cfg["sim.sample_rate_hz"])
     with clock.lap("orientation"):
         if cfg["orientation.source"] == "file":
             orientations = load_orientations(_manifest_file(dataset, manifest, "orientations"))
@@ -219,10 +220,11 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
         captures = trajectory.capture_schedule(
             est_traj, cfg["capture.distance_m"], cfg["capture.rotation_rad"],
             cfg["capture.mode"])
-    trajectory.save_trajectory(est_traj, dataset / "est_trajectory.csv")
-    write_csv(dataset / "velocities.csv", VELOCITY_CSV_HEADER,
-              ([f, vx, vy] for f, (vx, vy) in enumerate(held.tolist())))
-    trajectory.save_captures(captures, dataset / "captures.jsonl")
+    with clock.lap("write"):
+        trajectory.save_trajectory(est_traj, dataset / "est_trajectory.csv")
+        write_csv(dataset / "velocities.csv", VELOCITY_CSV_HEADER,
+                  ([f, vx, vy] for f, (vx, vy) in enumerate(held.tolist())))
+        trajectory.save_captures(captures, dataset / "captures.jsonl")
     manifest.update({
         "est_trajectory": "est_trajectory.csv",
         "velocities": "velocities.csv",
@@ -242,17 +244,20 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
 
 
 def cmd_refine(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:
-    est = trajectory.load_trajectory(_manifest_file(dataset, manifest, "est_trajectory"))
-    vel_path = _manifest_file(dataset, manifest, "velocities")
-    held = _load_velocities(vel_path, len(est))
+    with clock.lap("load"):
+        est = trajectory.load_trajectory(_manifest_file(dataset, manifest, "est_trajectory"))
+        vel_path = _manifest_file(dataset, manifest, "velocities")
+        held = _load_velocities(vel_path, len(est))
     # held[f] is the velocity over the step into frame f, so the
     # displacement of step k -> k+1 is held[k+1] * dt
     per_frame_v = held[1:] / est.frame_rate
     refine_cfg = _from_config(cfg, "refine")
-    refined, corrections, history = loop_closure.refine(est, per_frame_v, refine_cfg)
-    trajectory.save_trajectory(refined, dataset / "refined_trajectory.csv")
-    loop_closure.save_corrections(corrections, dataset / "corrections.jsonl")
-    loop_closure.save_loss_history(history, dataset / "loss_history.csv")
+    with clock.lap("fit"):
+        refined, corrections, history = loop_closure.refine(est, per_frame_v, refine_cfg)
+    with clock.lap("write"):
+        trajectory.save_trajectory(refined, dataset / "refined_trajectory.csv")
+        loop_closure.save_corrections(corrections, dataset / "corrections.jsonl")
+        loop_closure.save_loss_history(history, dataset / "loss_history.csv")
     manifest.update({
         "refined_trajectory": "refined_trajectory.csv",
         "corrections": "corrections.jsonl",

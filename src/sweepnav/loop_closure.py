@@ -19,12 +19,12 @@ the normalized frame index, which regularizes them to vary smoothly
 along the trajectory.  Gradients are analytic (the max term follows
 its argmax frame, ties to the lowest index); optimization is Adam.
 
-Memory: an epoch's cost is dominated by passes over (T, hidden)
-activations, which for long recordings exceed the CPU's L2 cache.  So
-the network reuses its (T, hidden) buffers across epochs -- two float
-arrays, which hold the activations and then their gradients, and two
-bool ReLU masks -- and ``refine`` runs training, the final check and
-the best-epoch prediction through one network, so one set is alive.
+Cost: the network has one scalar input, so it is exactly affine in s
+between the frames where one of its ReLUs switches, and a trained
+network has a few dozen such pieces.  On long recordings it runs per
+piece, so an epoch builds no (T, hidden) array and its per-frame work
+is on (T, 3) and (T, 2) arrays; below ``_PIECES_FROM`` frames it runs
+frame by frame, which is faster there (see ``CorrectionMlp``).
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def refinement_loss(traj: Trajectory, params: CorrectionParams, per_frame_v: np.
 
 
 class CorrectionMlp:
-    """Dense network mapping normalized frame index to (r_raw, lx, ly).
+    """Dense network mapping normalized frame index s to (r_raw, lx, ly).
 
     Three dense layers (1 -> hidden -> hidden -> 3) with ReLU between;
     the rotation channel passes through pi * tanh so corrections stay in
@@ -191,19 +191,19 @@ class CorrectionMlp:
     corrections are near zero and refinement starts from the unrefined
     trajectory.
 
-    Memory model: the network owns its per-frame buffers -- the (T, 1)
-    column of normalized frame indices, two float (T, hidden)
-    activations, their two bool ReLU masks, and the (T, 3) output and
-    its gradient -- allocated on first use and again only when T
-    changes, so refinement epochs allocate no (T, hidden) array.
-    ``forward`` returns views of these buffers, valid until the next
-    ``forward``; ``backward`` overwrites the activations with their
-    gradients, so each forward pass is back-propagated at most once.
+    Piece model: the network has one scalar input, so it is affine in s
+    wherever no ReLU switches.  From ``_PIECES_FROM`` frames on, a pass
+    finds these linear pieces (``_piece_pass``) and works per piece;
+    per frame it touches only (T, 3) arrays.  Below that, the dense
+    pass (``_dense_pass``) runs every frame through (T, hidden)
+    activations, which are small there.  The two agree to rounding.
+    ``backward`` differentiates the last ``forward`` and may be called
+    any number of times.
     """
 
     def __init__(self, params: list[np.ndarray]):
         self.params = params  # [W1, b1, W2, b2, W3, b3]
-        self._h1: np.ndarray | None = None
+        self._s: np.ndarray | None = None  # the last pass's input column
 
     @classmethod
     def initialize(cls, seed: int = 0, hidden: int = 64, init_scale: float = 0.01) -> "CorrectionMlp":
@@ -216,62 +216,138 @@ class CorrectionMlp:
             params.append(np.zeros(dims[i + 1]))
         return cls(params)
 
-    def _buffers_for(self, n: int) -> None:
-        hidden = self.params[0].shape[1]
-        if self._h1 is not None and self._h1.shape == (n, hidden):
-            return
-        self._s = _index_column(n)
-        self._h1, self._h2 = np.empty((n, hidden)), np.empty((n, hidden))
-        self._mask1 = np.empty((n, hidden), dtype=bool)
-        self._mask2 = np.empty((n, hidden), dtype=bool)
-        self._out, self._g_out = np.empty((n, 3)), np.empty((n, 3))
-
     def forward(self, n_frames: int) -> tuple[np.ndarray, np.ndarray]:
         """Corrections ``(r (T,), l (T, 2))`` for ``n_frames`` frames."""
-        W1, b1, W2, b2, W3, b3 = self.params
-        self._buffers_for(n_frames)
-        h1, h2, mask1, mask2, out = self._h1, self._h2, self._mask1, self._mask2, self._out
-        # one input feature: layer 1 is an outer product, which forms the
-        # same rounded products as a K=1 matmul at half its cost
-        np.multiply(self._s, W1, out=h1)
-        h1 += b1
-        np.greater(h1, 0.0, out=mask1)
-        np.maximum(h1, 0.0, out=h1)
-        np.matmul(h1, W2, out=h2)
-        h2 += b2
-        np.greater(h2, 0.0, out=mask2)
-        np.maximum(h2, 0.0, out=h2)
-        np.matmul(h2, W3, out=out)
-        out += b3
+        if self._s is None or len(self._s) != n_frames:
+            self._s = _index_column(n_frames)
+        run = _dense_pass if n_frames < _PIECES_FROM else _piece_pass
+        out, self._vjp = run(self.params, self._s)
         self._r = np.pi * np.tanh(out[:, 0])
         return self._r, out[:, 1:]
 
     def backward(self, g_r: np.ndarray, g_l: np.ndarray) -> list[np.ndarray]:
         """Gradients w.r.t. parameters given gradients on the last
-        ``forward``'s (r, l).
-
-        The activation buffers end up holding the gradients of the
-        pre-activations.
-        """
-        W1, b1, W2, b2, W3, b3 = self.params
-        h1, h2, g_out = self._h1, self._h2, self._g_out
+        ``forward``'s (r, l)."""
         tanh_out = self._r / np.pi
+        g_out = np.empty((len(g_r), 3))
         g_out[:, 0] = g_r * np.pi * (1.0 - tanh_out ** 2)
         g_out[:, 1:] = g_l
-        g_W3 = h2.T @ g_out
-        g_b3 = g_out.sum(axis=0)
-        g_z2 = np.matmul(g_out, W3.T, out=h2)
-        g_z2 *= self._mask2
-        g_W2 = h1.T @ g_z2
-        g_b2 = g_z2.sum(axis=0)
-        g_z1 = np.matmul(g_z2, W2.T, out=h1)
-        g_z1 *= self._mask1
-        g_W1 = self._s.T @ g_z1
-        g_b1 = g_z1.sum(axis=0)
-        return [g_W1, g_b1, g_W2, g_b2, g_W3, g_b3]
+        return self._vjp(g_out)
 
     def predict(self, n_frames: int) -> CorrectionParams:
         return CorrectionParams(*self.forward(n_frames))
+
+
+# Frame count from which the network runs on its linear pieces.  Timed
+# over 100 Adam epochs at hidden=64 (one BLAS thread, 2-core Xeon), one
+# loss_and_gradients call took 0.22 ms dense and 0.44 ms on pieces at
+# T=50, about the same at T=160, and 51.6 ms against 3.5 ms at T=17501:
+# the piece search costs a fixed few dozen numpy calls.
+_PIECES_FROM = 160
+
+
+def _dense_pass(params, s):
+    """Network output (T, 3) for the (T, 1) inputs s, evaluated frame by
+    frame, and the function mapping the output's gradient to the
+    parameters' gradients."""
+    W1, b1, W2, b2, W3, b3 = params
+    # one input feature: layer 1 is an outer product, which forms the
+    # same rounded products as a K=1 matmul at half its cost
+    h1 = s * W1
+    h1 += b1
+    on1 = h1 > 0.0
+    np.maximum(h1, 0.0, out=h1)
+    h2 = h1 @ W2
+    h2 += b2
+    on2 = h2 > 0.0
+    np.maximum(h2, 0.0, out=h2)
+    out = h2 @ W3
+    out += b3
+
+    def vjp(g_out):
+        g_z2 = g_out @ W3.T
+        g_z2 *= on2
+        g_z1 = g_z2 @ W2.T
+        g_z1 *= on1
+        return [s.T @ g_z1, g_z1.sum(axis=0), h1.T @ g_z2, g_z2.sum(axis=0),
+                h2.T @ g_out, g_out.sum(axis=0)]
+
+    return out, vjp
+
+
+def _piece_pass(params, s):
+    """``_dense_pass`` evaluated per linear piece of the network in s.
+
+    Layer-1 unit j switches once, where ``s W1_j + b1_j`` crosses zero,
+    so between consecutive switches its activity M1 is constant and
+    ``z2 = s A + C`` with ``A = (M1 W1) @ W2`` and ``C = (M1 b1) @ W2 +
+    b2``.  Inside such a piece each layer-2 unit switches at most once
+    more, and on the resulting sub-pieces the output is ``s alpha +
+    gamma``.  The output is linear in these per-piece slopes and
+    intercepts, so the backward pass needs only the per-piece sums of
+    the output gradient and of s times it.  A unit is active where its
+    pre-activation, rounded as it is written here, is > 0, as in the
+    dense pass: layer-1 units therefore switch at exactly the dense
+    pass's frames, ties at zero included.
+    """
+    W1, b1, W2, b2, W3, b3 = params
+    s = s[:, 0]
+    n = len(s)
+    # layer-1 pieces: frames e1[k] .. e1[k+1] - 1, activity M1[k]
+    ends = np.array([0, n])
+    e1 = np.unique(np.concatenate((ends, _switch_frames(s, W1, b1[None], ends[:1], ends[1:]))))
+    M1 = s[e1[:-1], None] * W1 + b1 > 0.0
+    w_on, b_on = M1 * W1, M1 * b1
+    A = w_on @ W2
+    C = b_on @ W2 + b2
+    # sub-pieces: frames e[m] .. e[m+1] - 1, inside layer-1 piece k[m]
+    cuts = _switch_frames(s, A, C, e1[:-1], e1[1:])
+    e = np.unique(np.concatenate((e1, cuts)))
+    lo = e[:-1]
+    k = np.searchsorted(e1, lo, side="right") - 1
+    first = np.searchsorted(lo, e1[:-1])  # first sub-piece of each layer-1 piece
+    M2 = s[lo, None] * A[k] + C[k] > 0.0
+    P, Q = M2 * A[k], M2 * C[k]  # h2 = s P + Q on each sub-piece
+    counts = np.diff(e)
+    out = (s[:, None] * np.repeat(P @ W3, counts, axis=0)
+           + np.repeat(Q @ W3 + b3, counts, axis=0))
+
+    def vjp(g_out):
+        G0 = np.add.reduceat(g_out, lo, axis=0)
+        G1 = np.add.reduceat(s[:, None] * g_out, lo, axis=0)
+        Z0 = (G0 @ W3.T) * M2
+        Z1 = (G1 @ W3.T) * M2
+        Z0k = np.add.reduceat(Z0, first, axis=0)
+        Z1k = np.add.reduceat(Z1, first, axis=0)
+        return [((Z1k @ W2.T) * M1).sum(axis=0, keepdims=True),
+                ((Z0k @ W2.T) * M1).sum(axis=0),
+                w_on.T @ Z1k + b_on.T @ Z0k, Z0.sum(axis=0),
+                P.T @ G1 + Q.T @ G0, g_out.sum(axis=0)]
+
+    return out, vjp
+
+
+def _switch_frames(s, a, c, lo, hi):
+    """Frames at which ``s a + c > 0`` changes along frames lo[i] ..
+    hi[i] - 1, for every entry of row i of a and c that changes there:
+    a 1-D array, which may also hold lo or hi values.
+
+    The rounded ``s a + c`` is monotone in s, so it changes at most
+    once.  The crossing ``-c / a``, in frames, is off by far less than
+    a frame, so the change is at its floor or one of the two frames
+    after; the two frames from the floor are decided exactly.
+    """
+    with np.errstate(all="ignore"):
+        guess = np.floor(-c / a * (len(s) - 1))
+    # a zero or non-finite slope gives an infinite or NaN guess
+    row, col = np.nonzero((guess > lo[:, None] - 2) & (guess < hi[:, None]))
+    a, c, lo, hi = a[row, col], c[row, col], lo[row], hi[row]
+    start = np.maximum(guess[row, col], lo).astype(np.intp)
+    frames = start[:, None] + np.arange(2)
+    z = s[np.minimum(frames, len(s) - 1)] * a[:, None] + c[:, None]
+    # before the change a rising z is off and a falling one on
+    before = ((z > 0.0) == (a < 0.0)[:, None]) & (frames < hi[:, None])
+    return start + before.sum(axis=1)
 
 
 def _index_column(n_frames: int) -> np.ndarray:

@@ -81,6 +81,50 @@ def numeric_gradients(fn, params, h=1e-5):
     return grads
 
 
+def correction_mlp_ref(params, s, g_r, g_l):
+    """The correction network's forward and backward pass frame by frame,
+    one fresh array per step, on the (T, 1) inputs s: returns r (T,),
+    l (T, 2) and the parameters' gradients given the gradients g_r and
+    g_l on (r, l).  The library's dense pass runs the same arithmetic
+    in the same order; its piece pass agrees to rounding."""
+    W1, b1, W2, b2, W3, b3 = params
+    z1 = s @ W1 + b1
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ W2 + b2
+    h2 = np.maximum(z2, 0.0)
+    out = h2 @ W3 + b3
+    r = np.pi * np.tanh(out[:, 0])
+    tanh_out = r / np.pi
+    g_out = np.column_stack([g_r * np.pi * (1.0 - tanh_out ** 2), g_l])
+    g_z2 = (g_out @ W3.T) * (z2 > 0.0)
+    g_z1 = (g_z2 @ W2.T) * (z1 > 0.0)
+    grads = [s.T @ g_z1, g_z1.sum(axis=0), h1.T @ g_z2, g_z2.sum(axis=0),
+             h2.T @ g_out, g_out.sum(axis=0)]
+    return r, out[:, 1:], grads
+
+
+def correction_mlp_magnitudes_ref(params, s, g_r, g_l):
+    """``correction_mlp_ref`` with every sum taken over the magnitudes of
+    its terms, under the signed pass's ReLU masks.  Each result is the
+    scale of the rounding error that any order of summation leaves in
+    the matching result of the reference: where a sum cancels, the
+    result's own norm can be far below it."""
+    W1, b1, W2, b2, W3, b3 = params
+    aW1, ab1, aW2, ab2, aW3, ab3 = (np.abs(p) for p in params)
+    z1 = s @ W1 + b1
+    m1 = z1 > 0.0
+    m2 = np.maximum(z1, 0.0) @ W2 + b2 > 0.0
+    h1 = (np.abs(s) @ aW1 + ab1) * m1
+    h2 = (h1 @ aW2 + ab2) * m2
+    out = h2 @ aW3 + ab3
+    g_out = np.column_stack([np.pi * np.abs(g_r), np.abs(g_l)])
+    g_z2 = (g_out @ aW3.T) * m2
+    g_z1 = (g_z2 @ aW2.T) * m1
+    grads = [np.abs(s).T @ g_z1, g_z1.sum(axis=0), h1.T @ g_z2, g_z2.sum(axis=0),
+             h2.T @ g_out, g_out.sum(axis=0)]
+    return np.pi * out[:, 0], out[:, 1:], grads
+
+
 def geometric_median_violation_ref(members, y) -> float:
     """How far `y` misses the optimality condition of the geometric median.
 

@@ -5,11 +5,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sweepnav as sn
 from sweepnav.loop_closure import (
     LOSS_CSV_HEADER,
+    _PIECES_FROM,
     _index_column,
+    _switch_frames,
     CorrectionMlp,
     CorrectionParams,
     RefineConfig,
@@ -21,7 +25,14 @@ from sweepnav.loop_closure import (
     save_loss_history,
 )
 
-from .oracles import corrected_positions_ref, loss_ref, numeric_gradients
+from .oracles import (
+    corrected_positions_ref,
+    correction_mlp_magnitudes_ref,
+    correction_mlp_ref,
+    loss_ref,
+    numeric_gradients,
+    same_bits,
+)
 
 
 def _traj(xy, rate=50.0, yaw=None):
@@ -185,26 +196,6 @@ class TestRefinementLoss:
             refinement_loss(traj, _zero_params(10), np.zeros((10, 2)))
 
 
-def _mlp_reference(params, s, g_r, g_l):
-    """Forward and backward written as fresh-array expressions, one
-    temporary per step: the buffer-backed network must match it bit
-    for bit, since it runs the same arithmetic in the same order."""
-    W1, b1, W2, b2, W3, b3 = params
-    z1 = s @ W1 + b1
-    h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ W2 + b2
-    h2 = np.maximum(z2, 0.0)
-    out = h2 @ W3 + b3
-    r = np.pi * np.tanh(out[:, 0])
-    tanh_out = r / np.pi
-    g_out = np.column_stack([g_r * np.pi * (1.0 - tanh_out ** 2), g_l])
-    g_z2 = (g_out @ W3.T) * (z2 > 0.0)
-    g_z1 = (g_z2 @ W2.T) * (z1 > 0.0)
-    grads = [s.T @ g_z1, g_z1.sum(axis=0), h1.T @ g_z2, g_z2.sum(axis=0),
-             h2.T @ g_out, g_out.sum(axis=0)]
-    return r, out[:, 1:], grads
-
-
 def _mixed_mlp(seed):
     """A network whose ReLUs are neither all on nor all off."""
     rng = np.random.default_rng(seed)
@@ -214,24 +205,100 @@ def _mixed_mlp(seed):
     return mlp
 
 
+# The piece pass sums in another order than the reference, so the two
+# differ by rounding: at most this much relative to the norm of the
+# reference's sums of magnitudes, which is the reference's own norm
+# wherever nothing cancels.
+_PIECE_RTOL = 1e-12
+
+
+def _assert_matches_reference(mlp, n, g_r, g_l):
+    """Bit for bit on the dense pass, within ``_PIECE_RTOL`` on the
+    piece pass."""
+    s = _index_column(n)
+    r_ref, l_ref, grads_ref = correction_mlp_ref(mlp.params, s, g_r, g_l)
+    r_mag, l_mag, grads_mag = correction_mlp_magnitudes_ref(mlp.params, s, g_r, g_l)
+    r, l = mlp.forward(n)
+    grads = mlp.backward(g_r, g_l)
+    for got, want, scale in zip([r, l, *grads], [r_ref, l_ref, *grads_ref],
+                                [r_mag, l_mag, *grads_mag]):
+        if n < _PIECES_FROM:
+            assert same_bits(got, want)
+        else:
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= _PIECE_RTOL * np.linalg.norm(scale)
+
+
+@st.composite
+def correction_networks(draw):
+    """Frame counts on both sides of ``_PIECES_FROM`` and up to 20 000,
+    with the weights drawn to hit the piece search's edge cases: all
+    kinks on frame 0 (b1 = 0, as at initialisation), kinks exactly on
+    a frame, units with zero input weight, and stretches where every
+    layer-1 unit is off."""
+    n = draw(st.one_of(st.integers(1, _PIECES_FROM - 1), st.integers(_PIECES_FROM, 20_000),
+                       st.sampled_from([_PIECES_FROM - 1, _PIECES_FROM, 20_000])))
+    hidden = draw(st.sampled_from([1, 8, 16, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mlp = CorrectionMlp.initialize(seed=draw(st.integers(0, 1000)), hidden=hidden,
+                                   init_scale=draw(st.sampled_from([0.01, 1.0])))
+    W1, b1, W2, b2, _, b3 = mlp.params
+    s = _index_column(n)[:, 0]
+    kinks = draw(st.sampled_from(["zero", "random", "on_frames", "all_off_until"]))
+    if kinks == "random":
+        b1[:] = rng.normal(0.0, np.abs(W1).max(), hidden)
+    elif kinks == "on_frames":
+        b1[:] = -(W1[0] * s[rng.integers(0, n, hidden)])
+    elif kinks == "all_off_until":
+        # every unit off before its kink, and no kink before frame f
+        W1[:] = np.abs(W1)
+        b1[:] = -(W1[0] * s[rng.integers(rng.integers(0, n), n, hidden)])
+    W1[0, rng.random(hidden) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    if draw(st.booleans()):
+        z2 = np.maximum(s[[0, -1], None] * W1 + b1, 0.0) @ W2
+        b2[:] = rng.normal(0.0, np.abs(z2).max() or 1.0, hidden)
+        b3[:] = rng.normal(0.0, 1.0, 3)
+    return mlp, n, rng
+
+
 class TestCorrectionMlp:
     @pytest.mark.parametrize("n", [1, 2, 50, 700])
     def test_matches_allocating_reference(self, n):
         mlp = _mixed_mlp(n)
         rng = np.random.default_rng(n + 1)
-        g_r, g_l = rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, (n, 2))
-        r_ref, l_ref, grads_ref = _mlp_reference(mlp.params, _index_column(n), g_r, g_l)
-        r, l = mlp.forward(n)
-        assert np.array_equal(r, r_ref)
-        assert np.array_equal(l, l_ref)
-        for g, g_ref in zip(mlp.backward(g_r, g_l), grads_ref):
-            assert np.array_equal(g, g_ref)
+        _assert_matches_reference(mlp, n, rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, (n, 2)))
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=correction_networks())
+    def test_piece_pass_matches_reference(self, case):
+        mlp, n, rng = case
+        _assert_matches_reference(mlp, n, rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, (n, 2)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 5000), seed=st.integers(0, 2**32 - 1),
+           offset=st.sampled_from([0.0, 1e-13, -1e-13, 0.5, -0.5, 1.0]))
+    def test_switch_frames_match_every_frame(self, n, seed, offset):
+        """The frames where the rounded ``s a + c > 0`` changes inside a
+        frame range, against that predicate on every frame: crossings on
+        a frame, next to one, and at or just past either end."""
+        rng = np.random.default_rng(seed)
+        s = _index_column(n)[:, 0]
+        lo, hi = np.sort(rng.choice(n + 1, 2, replace=False))
+        a = rng.normal(0.0, 1.0, 12) * rng.choice([0.0, 1e-3, 1.0, 1e3], 12)
+        frame = rng.choice([lo - 1, lo, lo + 1, hi - 1, hi, rng.integers(lo, hi)], 12)
+        c = -(a * ((frame + offset) / (n - 1)))
+        on = s[lo:hi, None] * a + c > 0.0
+        want = sorted(lo + 1 + np.nonzero(np.diff(on, axis=0))[0])
+        got = _switch_frames(s, a[None], c[None], np.array([lo]), np.array([hi]))
+        assert np.all((got >= lo) & (got <= hi))
+        assert sorted(f for f in got if lo < f < hi) == want
 
     def test_frame_count_changes_match_a_fresh_network(self):
-        """Buffers are reallocated when T changes: 50, 80, then 50 frames
-        on one network give what a new network gives at each size."""
+        """One network run at 50, 80, 400 and again 50 frames, so on the
+        dense pass, the piece pass and the dense pass again, gives what a
+        new network gives at each size."""
         mlp = _mixed_mlp(5)
-        for n in (50, 80, 50):
+        for n in (50, 80, 400, 50):
             traj = _drifted(_circle(n), 0.01)
             v = np.diff(traj.xy, axis=0)
             fresh = CorrectionMlp([p.copy() for p in mlp.params])
@@ -245,7 +312,7 @@ class TestCorrectionMlp:
 
     def test_results_do_not_alias_the_buffers(self):
         """Gradients survive the next pass, and predictions own their
-        memory, although every pass reuses the same buffers."""
+        memory: they share none with what the network keeps."""
         traj = _drifted(_circle(60), 0.01)
         v = np.diff(traj.xy, axis=0)
         mlp = _mixed_mlp(9)
@@ -260,9 +327,7 @@ class TestCorrectionMlp:
             assert np.array_equal(g, k)
         assert np.array_equal(prediction.r, kept_r)
         assert np.array_equal(prediction.l, kept_l)
-        buffers = [a for a in vars(mlp).values() if isinstance(a, np.ndarray)]
-        assert len(buffers) == 8
-        for buf in buffers:
+        for buf in [a for a in vars(mlp).values() if isinstance(a, np.ndarray)]:
             assert not np.shares_memory(prediction.l, buf)
             assert not np.shares_memory(prediction.r, buf)
 
@@ -294,6 +359,33 @@ class TestGradients:
             return loss_and_gradients(xy, mlp, v, cfg)[0].total
 
         numeric = numeric_gradients(fn, mlp.params, h=1e-5)
+        for analytic, approx in zip(grads, numeric):
+            denom = max(np.linalg.norm(analytic), np.linalg.norm(approx), 1e-6)
+            assert np.linalg.norm(analytic - approx) / denom < 1e-4
+
+
+    def test_piece_pass_matches_finite_differences(self):
+        """The same check above ``_PIECES_FROM``: T=1000 and a hidden=16
+        network whose units switch inside the recording on both layers,
+        with every pre-activation far enough from zero that no probe
+        crosses a kink."""
+        n, seed = 1000, 17
+        rng = np.random.default_rng(seed)
+        xy = np.cumsum(rng.normal(0.0, 0.03, (n, 2)), axis=0)
+        v = np.diff(xy, axis=0) + rng.normal(0.0, 0.01, (n - 1, 2))
+        mlp = _mixed_mlp(seed)
+        W1, b1, W2, b2 = mlp.params[:4]
+        # each layer-1 kink midway between two frames
+        b1[:] = -W1[0] * (rng.integers(0, n - 1, 16) + 0.5) / (n - 1)
+        z1 = _index_column(n) @ W1 + b1
+        z2 = np.maximum(z1, 0.0) @ W2 + b2
+        for z in (z1, z2):
+            assert np.diff(z > 0.0, axis=0).any()
+            assert np.abs(z).min() > 1e-4
+        cfg = RefineConfig()
+        _, grads = loss_and_gradients(xy, mlp, v, cfg)
+        numeric = numeric_gradients(
+            lambda: loss_and_gradients(xy, mlp, v, cfg)[0].total, mlp.params, h=1e-5)
         for analytic, approx in zip(grads, numeric):
             denom = max(np.linalg.norm(analytic), np.linalg.norm(approx), 1e-6)
             assert np.linalg.norm(analytic - approx) / denom < 1e-4
@@ -363,12 +455,11 @@ class TestRefine:
     def test_output_bits_pinned(self):
         """The refined positions, the corrections and every loss-history
         total, bit for bit (recorded with numpy 2.4.6 on OpenBLAS 0.3.31).
-        Reusing buffers must not change the arithmetic; a change of
-        arithmetic, or of numpy/BLAS build, moves these bits.  So does the
-        BLAS thread count: on a 2-core host these bits hold with
-        OpenBLAS's default threads and not under OPENBLAS_NUM_THREADS=1,
-        the setting perfbench gives its commands (the CLI's
-        ``PIPELINE_SHA256`` holds under both)."""
+        A change of arithmetic, or of numpy/BLAS build, moves these bits.
+        At 400 frames the network runs on its linear pieces, whose
+        products are (pieces, hidden) small, so the bits are the same
+        with OpenBLAS's default threads and under OPENBLAS_NUM_THREADS=1
+        (checked on a 2-core host)."""
         traj = _drifted(_circle(400), 0.02)
         refined, corrections, history = refine(traj, np.diff(traj.xy, axis=0), RefineConfig())
 
@@ -378,13 +469,13 @@ class TestRefine:
         totals = [repr(h.total) for h in history]
         assert len(totals) == 101
         assert (totals[0], min(h.total for h in history)) == (
-            "0.4369288358899473", 5.6126715140914685e-05)
+            "0.4369288358899473", 5.6126715140915356e-05)
         assert digest(",".join(totals).encode()) == (
-            "02956f010c4bb58fb7cad3b6a298ea926fc6f0a675b246ebbaa3308cb4529982")
+            "1ab1c3c6d93f93661565c5a468744fcdc0a33afb481a05e25fe8cc72aa90d03e")
         assert digest(refined.xy.tobytes()) == (
             "5d0873c66afd24220f66521b8700ba4e13f2963385b5cca32955fdd2210d35cb")
         assert digest(corrections.r.tobytes()) == (
-            "c549ff193f66820deabd24343901be144cffd003cb06fe066b333ff3baf6d9f1")
+            "55bff141f8c4ffc586b1817ab98d73094ecfe21256ce1329a369838ad45d2a82")
         assert digest(corrections.l.tobytes()) == (
             "2fc957de64050e0969834f91c63550358fd961e263f51e86634c9b5096e8fcb3")
 
@@ -392,7 +483,7 @@ class TestRefine:
         """A refine that beats its input, so ``apply_corrections`` runs on
         nonzero corrections: refined positions, corrections and history
         totals, bit for bit (recorded like the pin above, and like it
-        moved by OPENBLAS_NUM_THREADS=1)."""
+        the same under OPENBLAS_NUM_THREADS=1)."""
         traj = _drifted(_circle(400), 0.002)
         refined, corrections, history = refine(
             traj, np.diff(traj.xy, axis=0), RefineConfig(epochs=40))
@@ -404,11 +495,11 @@ class TestRefine:
         totals = [repr(h.total) for h in history]
         assert len(totals) == 41
         assert digest(",".join(totals).encode()) == (
-            "5b889e33dcfc7b1347e4761a653858e412437a903c77e6530b2dd9b4466efda1")
+            "6bfec9efdf3e63a83498d4cfb6e9ca97fa31165200eeb0f1d1f0a3ff612a20b3")
         assert digest(refined.xy.tobytes()) == (
             "e58e37373122800abdad6593fca67e3e4ed9c2bb64e9b503ea2b3214a8b1858d")
         assert digest(corrections.r.tobytes()) == (
-            "aed2a752ea1faddff36b0ebc09367aed4292c4f8775903b060292533cdc0967d")
+            "32648910ceb8fe5c5ea3e0812e696c8116bdf79c1f50915e38d300e1e7a4e5ab")
         assert digest(corrections.l.tobytes()) == (
             "3aeabf41ebe1790d19ef01fac87f414ade570f51b9e5ed458dec3329acfee04d")
 
@@ -427,6 +518,15 @@ class TestRefine:
 
     def test_divergence_reports_epoch_and_rate(self):
         traj = _drifted(_circle(60), 0.01)
+        with np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError, match=r"diverged at epoch \d+ \(learning_rate="):
+                refine(traj, np.diff(traj.xy, axis=0),
+                       RefineConfig(epochs=5, learning_rate=1e200))
+
+    def test_divergence_on_the_piece_pass(self):
+        """As above at 600 frames, where non-finite weights run through
+        the piece pass."""
+        traj = _drifted(_circle(600), 0.001)
         with np.errstate(all="ignore"):
             with pytest.raises(RuntimeError, match=r"diverged at epoch \d+ \(learning_rate="):
                 refine(traj, np.diff(traj.xy, axis=0),

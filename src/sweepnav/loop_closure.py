@@ -239,11 +239,16 @@ class CorrectionMlp:
 
 
 # Frame count from which the network runs on its linear pieces.  Timed
-# over 100 Adam epochs at hidden=64 (one BLAS thread, 2-core Xeon), one
-# loss_and_gradients call took 0.22 ms dense and 0.44 ms on pieces at
-# T=50, about the same at T=160, and 51.6 ms against 3.5 ms at T=17501:
-# the piece search costs a fixed few dozen numpy calls.
-_PIECES_FROM = 160
+# over 100 Adam epochs at hidden=64 only (one BLAS thread, 2-core Xeon),
+# one loss_and_gradients call took 0.19-0.21 ms dense against 0.44-0.53
+# ms on pieces at T=50, 0.41-0.43 against 0.41-0.46 ms at T=240,
+# 0.49-0.57 against 0.43-0.55 ms at T=280 and 36-41 against 2.7-2.9 ms
+# at T=17501: the piece search costs a fixed few dozen numpy calls.  The
+# dense pass's cost per frame grows with hidden^2, so at other widths
+# the crossover moves.  The only measured user of the dense side is
+# gradient checking on short recordings (acceptance criterion 5,
+# T <= 50); every benchmark workload runs on pieces.
+_PIECES_FROM = 256
 
 
 def _dense_pass(params, s):
@@ -280,71 +285,85 @@ def _piece_pass(params, s):
 
     Layer-1 unit j switches once, where ``s W1_j + b1_j`` crosses zero,
     so between consecutive switches its activity M1 is constant and
-    ``z2 = s A + C`` with ``A = (M1 W1) @ W2`` and ``C = (M1 b1) @ W2 +
-    b2``.  Inside such a piece each layer-2 unit switches at most once
-    more, and on the resulting sub-pieces the output is ``s alpha +
-    gamma``.  The output is linear in these per-piece slopes and
-    intercepts, so the backward pass needs only the per-piece sums of
-    the output gradient and of s times it.  A unit is active where its
-    pre-activation, rounded as it is written here, is > 0, as in the
-    dense pass: layer-1 units therefore switch at exactly the dense
-    pass's frames, ties at zero included.
+    ``z2 = z2(s_a) + (s - s_a) A`` with ``A = (M1 W1) @ W2``, about a
+    frame a inside the piece.  There each layer-2 unit switches at most
+    once more, and on the resulting sub-pieces the output is ``out(s_a)
+    + (s - s_a) alpha``.  Each piece is taken about its middle frame,
+    where the activations are the dense pass's, computed at that one
+    frame.  Taken about s = 0 instead, a unit near its kink would be an
+    intercept and a slope term that cancel, and lose many more ulps
+    than the dense pass does.  The output is linear in the per-piece values
+    and slopes, so the backward pass needs only the per-piece sums of
+    the output gradient and of ``s - s_a`` times it.  A unit is active
+    where its pre-activation, rounded as it is written here, is > 0, as
+    in the dense pass: layer-1 units therefore switch at exactly the
+    dense pass's frames, ties at zero included.  Per-frame arrays are
+    handled a column at a time, as numpy is slow on (T, 3) rows.
     """
     W1, b1, W2, b2, W3, b3 = params
     s = s[:, 0]
     n = len(s)
-    # layer-1 pieces: frames e1[k] .. e1[k+1] - 1, activity M1[k]
     ends = np.array([0, n])
-    e1 = np.unique(np.concatenate((ends, _switch_frames(s, W1, b1[None], ends[:1], ends[1:]))))
-    M1 = s[e1[:-1], None] * W1 + b1 > 0.0
-    w_on, b_on = M1 * W1, M1 * b1
+    # layer-1 pieces: frames e1[k] .. e1[k+1] - 1, activity M1[k]
+    e1 = np.unique(np.concatenate(
+        (ends, _switch_frames(s, W1, b1[None], np.zeros(1), ends[:1], ends[1:]))))
+    mid1 = (e1[:-1] + e1[1:] - 1) // 2
+    h1 = s[mid1, None] * W1 + b1
+    M1 = h1 > 0.0
+    w_on = M1 * W1
     A = w_on @ W2
-    C = b_on @ W2 + b2
+    z2 = np.maximum(h1, 0.0) @ W2 + b2
     # sub-pieces: frames e[m] .. e[m+1] - 1, inside layer-1 piece k[m]
-    cuts = _switch_frames(s, A, C, e1[:-1], e1[1:])
-    e = np.unique(np.concatenate((e1, cuts)))
-    lo = e[:-1]
+    e = np.unique(np.concatenate((e1, _switch_frames(s, A, z2, s[mid1], e1[:-1], e1[1:]))))
+    lo, counts = e[:-1], np.diff(e)
     k = np.searchsorted(e1, lo, side="right") - 1
-    first = np.searchsorted(lo, e1[:-1])  # first sub-piece of each layer-1 piece
-    M2 = s[lo, None] * A[k] + C[k] > 0.0
-    P, Q = M2 * A[k], M2 * C[k]  # h2 = s P + Q on each sub-piece
-    counts = np.diff(e)
-    out = (s[:, None] * np.repeat(P @ W3, counts, axis=0)
-           + np.repeat(Q @ W3 + b3, counts, axis=0))
+    mid = lo + (counts - 1) // 2
+    h1 = np.maximum(s[mid, None] * W1 + b1, 0.0)
+    z2 = h1 @ W2 + b2
+    M2 = z2 > 0.0
+    h2 = M2 * z2
+    P = M2 * A[k]  # h2 = h2(s_mid) + (s - s_mid) P on each sub-piece
+    ds = s - np.repeat(s[mid], counts)
+    level, slope = h2 @ W3 + b3, P @ W3
+    out = np.empty((n, 3))
+    for j in range(3):
+        col = np.repeat(slope[:, j], counts)
+        col *= ds
+        col += np.repeat(level[:, j], counts)
+        out[:, j] = col
 
     def vjp(g_out):
         G0 = np.add.reduceat(g_out, lo, axis=0)
-        G1 = np.add.reduceat(s[:, None] * g_out, lo, axis=0)
+        G1 = np.column_stack([np.add.reduceat(ds * g, lo) for g in g_out.T])
         Z0 = (G0 @ W3.T) * M2
         Z1 = (G1 @ W3.T) * M2
-        Z0k = np.add.reduceat(Z0, first, axis=0)
-        Z1k = np.add.reduceat(Z1, first, axis=0)
-        return [((Z1k @ W2.T) * M1).sum(axis=0, keepdims=True),
-                ((Z0k @ W2.T) * M1).sum(axis=0),
-                w_on.T @ Z1k + b_on.T @ Z0k, Z0.sum(axis=0),
-                P.T @ G1 + Q.T @ G0, g_out.sum(axis=0)]
+        Y0 = (Z0 @ W2.T) * M1[k]
+        Y1 = (Z1 @ W2.T) * M1[k]
+        return [(s[mid] @ Y0 + Y1.sum(axis=0))[None], Y0.sum(axis=0),
+                h1.T @ Z0 + w_on[k].T @ Z1, Z0.sum(axis=0),
+                h2.T @ G0 + P.T @ G1, G0.sum(axis=0)]
 
     return out, vjp
 
 
-def _switch_frames(s, a, c, lo, hi):
-    """Frames at which ``s a + c > 0`` changes along frames lo[i] ..
-    hi[i] - 1, for every entry of row i of a and c that changes there:
-    a 1-D array, which may also hold lo or hi values.
+def _switch_frames(s, a, c, s0, lo, hi):
+    """Frames at which ``(s - s0[i]) a + c > 0`` changes along frames
+    lo[i] .. hi[i] - 1, for every entry of row i of a and c that
+    changes there: a 1-D array, which may also hold lo or hi values.
 
-    The rounded ``s a + c`` is monotone in s, so it changes at most
-    once.  The crossing ``-c / a``, in frames, is off by far less than
-    a frame, so the change is at its floor or one of the two frames
-    after; the two frames from the floor are decided exactly.
+    The rounded ``(s - s0) a + c`` is monotone in s, so it changes at
+    most once.  The crossing ``s0 - c / a``, in frames, is off by far
+    less than a frame, so the change is at its floor or one of the two
+    frames after; the two frames from the floor are decided exactly.
     """
     with np.errstate(all="ignore"):
-        guess = np.floor(-c / a * (len(s) - 1))
+        guess = np.floor((s0[:, None] - c / a) * (len(s) - 1))
     # a zero or non-finite slope gives an infinite or NaN guess
     row, col = np.nonzero((guess > lo[:, None] - 2) & (guess < hi[:, None]))
-    a, c, lo, hi = a[row, col], c[row, col], lo[row], hi[row]
+    a, c, s0, lo, hi = a[row, col], c[row, col], s0[row], lo[row], hi[row]
     start = np.maximum(guess[row, col], lo).astype(np.intp)
     frames = start[:, None] + np.arange(2)
-    z = s[np.minimum(frames, len(s) - 1)] * a[:, None] + c[:, None]
+    z = (s[np.minimum(frames, len(s) - 1)] - s0[:, None]) * a[:, None] + c[:, None]
     # before the change a rising z is off and a falling one on
     before = ((z > 0.0) == (a < 0.0)[:, None]) & (frames < hi[:, None])
     return start + before.sum(axis=1)

@@ -103,28 +103,6 @@ def correction_mlp_ref(params, s, g_r, g_l):
     return r, out[:, 1:], grads
 
 
-def correction_mlp_magnitudes_ref(params, s, g_r, g_l):
-    """``correction_mlp_ref`` with every sum taken over the magnitudes of
-    its terms, under the signed pass's ReLU masks.  Each result is the
-    scale of the rounding error that any order of summation leaves in
-    the matching result of the reference: where a sum cancels, the
-    result's own norm can be far below it."""
-    W1, b1, W2, b2, W3, b3 = params
-    aW1, ab1, aW2, ab2, aW3, ab3 = (np.abs(p) for p in params)
-    z1 = s @ W1 + b1
-    m1 = z1 > 0.0
-    m2 = np.maximum(z1, 0.0) @ W2 + b2 > 0.0
-    h1 = (np.abs(s) @ aW1 + ab1) * m1
-    h2 = (h1 @ aW2 + ab2) * m2
-    out = h2 @ aW3 + ab3
-    g_out = np.column_stack([np.pi * np.abs(g_r), np.abs(g_l)])
-    g_z2 = (g_out @ aW3.T) * m2
-    g_z1 = (g_z2 @ aW2.T) * m1
-    grads = [np.abs(s).T @ g_z1, g_z1.sum(axis=0), h1.T @ g_z2, g_z2.sum(axis=0),
-             h2.T @ g_out, g_out.sum(axis=0)]
-    return np.pi * out[:, 0], out[:, 1:], grads
-
-
 def geometric_median_violation_ref(members, y) -> float:
     """How far `y` misses the optimality condition of the geometric median.
 

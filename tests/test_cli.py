@@ -57,7 +57,7 @@ PIPELINE_SHA256 = {
     "imu.csv": "07af0aeabda4c0ee7ad5088b610cec005ce5c4e22bda74e47de62dab57c231db",
     "item_map.jsonl": "a311c64858da489e0fcbf608401848febd6e7ba5e382b4b40131720a8f66f354",
     "items.csv": "3c3d22a8708c3468a8f145b5ace0753a7aabc307e03ec9d8dbaf21660e9c9fec",
-    "loss_history.csv": "78dc0d076b1cedbe277151c7cd2af276753b71280d8c46be403105ffa1b9cb90",
+    "loss_history.csv": "e42442766bd4ce59d392ce0412a3b7289a28825d3167977b4850e13ca25d7f61",
     "manifest.json": "52f2b28bd5754187f854cebea101b3dc1c759738edd382d7eb6adf8ef303c519",
     "map_eval.json": "a39fe5f8642d7bea9691e0db7bf9fbf32972ce33c37efffe561d9855822cf4f9",
     "orientations.csv": "b3091441c6dc4626d155a4cf33f8e0e0d8345acf8c6dcd0f772524611e6226e2",

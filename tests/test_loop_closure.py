@@ -27,7 +27,6 @@ from sweepnav.loop_closure import (
 
 from .oracles import (
     corrected_positions_ref,
-    correction_mlp_magnitudes_ref,
     correction_mlp_ref,
     loss_ref,
     numeric_gradients,
@@ -206,9 +205,7 @@ def _mixed_mlp(seed):
 
 
 # The piece pass sums in another order than the reference, so the two
-# differ by rounding: at most this much relative to the norm of the
-# reference's sums of magnitudes, which is the reference's own norm
-# wherever nothing cancels.
+# differ by rounding: at most this much relative to the reference's norm.
 _PIECE_RTOL = 1e-12
 
 
@@ -217,16 +214,14 @@ def _assert_matches_reference(mlp, n, g_r, g_l):
     piece pass."""
     s = _index_column(n)
     r_ref, l_ref, grads_ref = correction_mlp_ref(mlp.params, s, g_r, g_l)
-    r_mag, l_mag, grads_mag = correction_mlp_magnitudes_ref(mlp.params, s, g_r, g_l)
     r, l = mlp.forward(n)
     grads = mlp.backward(g_r, g_l)
-    for got, want, scale in zip([r, l, *grads], [r_ref, l_ref, *grads_ref],
-                                [r_mag, l_mag, *grads_mag]):
+    for got, want in zip([r, l, *grads], [r_ref, l_ref, *grads_ref]):
         if n < _PIECES_FROM:
             assert same_bits(got, want)
         else:
             assert got.shape == want.shape
-            assert np.linalg.norm(got - want) <= _PIECE_RTOL * np.linalg.norm(scale)
+            assert np.linalg.norm(got - want) <= _PIECE_RTOL * np.linalg.norm(want)
 
 
 @st.composite
@@ -276,20 +271,23 @@ class TestCorrectionMlp:
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(2, 5000), seed=st.integers(0, 2**32 - 1),
-           offset=st.sampled_from([0.0, 1e-13, -1e-13, 0.5, -0.5, 1.0]))
-    def test_switch_frames_match_every_frame(self, n, seed, offset):
-        """The frames where the rounded ``s a + c > 0`` changes inside a
-        frame range, against that predicate on every frame: crossings on
-        a frame, next to one, and at or just past either end."""
+           offset=st.sampled_from([0.0, 1e-13, -1e-13, 0.5, -0.5, 1.0]),
+           at_zero=st.booleans())
+    def test_switch_frames_match_every_frame(self, n, seed, offset, at_zero):
+        """The frames where the rounded ``(s - s0) a + c > 0`` changes
+        inside a frame range, against that predicate on every frame:
+        crossings on a frame, next to one, and at or just past either
+        end, about s0 = 0 and about a frame inside the range."""
         rng = np.random.default_rng(seed)
         s = _index_column(n)[:, 0]
         lo, hi = np.sort(rng.choice(n + 1, 2, replace=False))
+        s0 = 0.0 if at_zero else s[rng.integers(lo, hi)]
         a = rng.normal(0.0, 1.0, 12) * rng.choice([0.0, 1e-3, 1.0, 1e3], 12)
         frame = rng.choice([lo - 1, lo, lo + 1, hi - 1, hi, rng.integers(lo, hi)], 12)
-        c = -(a * ((frame + offset) / (n - 1)))
-        on = s[lo:hi, None] * a + c > 0.0
+        c = -(a * ((frame + offset) / (n - 1) - s0))
+        on = (s[lo:hi, None] - s0) * a + c > 0.0
         want = sorted(lo + 1 + np.nonzero(np.diff(on, axis=0))[0])
-        got = _switch_frames(s, a[None], c[None], np.array([lo]), np.array([hi]))
+        got = _switch_frames(s, a[None], c[None], np.array([s0]), np.array([lo]), np.array([hi]))
         assert np.all((got >= lo) & (got <= hi))
         assert sorted(f for f in got if lo < f < hi) == want
 
@@ -469,15 +467,15 @@ class TestRefine:
         totals = [repr(h.total) for h in history]
         assert len(totals) == 101
         assert (totals[0], min(h.total for h in history)) == (
-            "0.4369288358899473", 5.6126715140915356e-05)
+            "0.4369288358899473", 5.612671514093671e-05)
         assert digest(",".join(totals).encode()) == (
-            "1ab1c3c6d93f93661565c5a468744fcdc0a33afb481a05e25fe8cc72aa90d03e")
+            "f9a85c0b5331b3b1f9ce6aa150076e2cc0e67da1152d1f599bcfab026d2819cf")
         assert digest(refined.xy.tobytes()) == (
-            "5d0873c66afd24220f66521b8700ba4e13f2963385b5cca32955fdd2210d35cb")
+            "c591021e2a7e97a6b71c224fb4c8ebfff0e79db2c561e417f334cb2a8ddf881a")
         assert digest(corrections.r.tobytes()) == (
-            "55bff141f8c4ffc586b1817ab98d73094ecfe21256ce1329a369838ad45d2a82")
+            "fe54e89b9c450f47c12b564efc4076ebe831234201dd67dba027f21d3fec928e")
         assert digest(corrections.l.tobytes()) == (
-            "2fc957de64050e0969834f91c63550358fd961e263f51e86634c9b5096e8fcb3")
+            "d531f57101ae706f35c81015e45793a2ccf7b8572826476bfe87851f9b8aeb97")
 
     def test_non_identity_refine_bits_pinned(self):
         """A refine that beats its input, so ``apply_corrections`` runs on
@@ -495,11 +493,11 @@ class TestRefine:
         totals = [repr(h.total) for h in history]
         assert len(totals) == 41
         assert digest(",".join(totals).encode()) == (
-            "6bfec9efdf3e63a83498d4cfb6e9ca97fa31165200eeb0f1d1f0a3ff612a20b3")
+            "af4afd5e323cd6b15e979ec51fccc84f5e1022221e97e7b287f7c080215e5853")
         assert digest(refined.xy.tobytes()) == (
-            "e58e37373122800abdad6593fca67e3e4ed9c2bb64e9b503ea2b3214a8b1858d")
+            "9123f7679f1982218bce18d77f2b75ed09808b41538c33d6357e1259428e2a99")
         assert digest(corrections.r.tobytes()) == (
-            "32648910ceb8fe5c5ea3e0812e696c8116bdf79c1f50915e38d300e1e7a4e5ab")
+            "9fbf80cff21d03e4172709fbada6f6abb7a4465003f9e01f2be0fcc448089b7a")
         assert digest(corrections.l.tobytes()) == (
             "3aeabf41ebe1790d19ef01fac87f414ade570f51b9e5ed458dec3329acfee04d")
 

@@ -59,7 +59,6 @@ from .object_map import (
     normalize_name,
     observe_items,
     save_raster,
-    unproject,
 )
 from .orientation import (
     OrientationSequence,
@@ -159,6 +158,5 @@ __all__ = [
     "synthesize_imu",
     "to_hacf",
     "true_orientations",
-    "unproject",
     "wrap_angle",
 ]

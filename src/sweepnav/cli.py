@@ -31,7 +31,7 @@ import numpy as np
 from . import estimator as est_mod
 from . import loop_closure, metrics, object_map, rae, sim, trajectory
 from .config import DEFAULTS, SECTIONS, ConfigError, PipelineConfig, load_config, parse_value
-from .fileio import check_frames, read_csv, write_csv, write_json
+from .fileio import read_csv, write_csv, write_json
 from .imu import load_imu, resample, save_imu, to_hacf, make_windows
 from .orientation import (estimate_orientation, load_orientations, relative_yaw,
                           save_orientations)
@@ -79,10 +79,10 @@ class Stopwatch:
 
     @contextlib.contextmanager
     def lap(self, name: str):
-        """Time the ``with`` block as the lap ``name``."""
+        """Time the ``with`` block as the lap ``name``; a lap that repeats adds up."""
         start = time.perf_counter()
         yield
-        self.laps[name] = time.perf_counter() - start
+        self.laps[name] = self.laps.get(name, 0.0) + time.perf_counter() - start
 
     def elapsed(self) -> dict:
         return {"total": time.perf_counter() - self.start, **self.laps}
@@ -288,50 +288,54 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwa
 
 
 def _load_velocities(path: Path, n_frames: int) -> np.ndarray:
-    """Read ``velocities.csv``: frames 0..n_frames-1, each once, in any order."""
-    def parse(fields):
-        frame = int(fields[0])
-        if not 0 <= frame < n_frames:
-            raise ValueError(f"frame {frame} outside 0..{n_frames - 1}")
-        return frame, float(fields[1]), float(fields[2])
-
-    rows = read_csv(path, VELOCITY_CSV_HEADER, parse)
-    check_frames(path, [(row[0], lineno) for lineno, row in rows], n_frames)
-    held = np.zeros((n_frames, 2))
-    for _, (frame, vx, vy) in rows:
-        held[frame] = vx, vy
-    return held
+    """Read ``velocities.csv`` as ``cmd_infer`` writes it: frames
+    0..n_frames-1 in order, each once.  The first line that breaks the
+    order is named, and a short file at the line past its last row."""
+    rule = f"frames must run 0..{n_frames - 1} in order, each once"
+    rows = read_csv(path, VELOCITY_CSV_HEADER,
+                    lambda fields: (int(fields[0]), float(fields[1]), float(fields[2])))
+    for expected, (lineno, (frame, _, _)) in enumerate(rows):
+        if frame != expected or expected == n_frames:
+            want = f"frame {expected}" if expected < n_frames else "end of file"
+            raise ValueError(f"{path}:{lineno}: frame {frame} where {want} was expected; {rule}")
+    if len(rows) < n_frames:
+        end = rows[-1][0] + 1 if rows else 2
+        raise ValueError(f"{path}:{end}: end of file where frame {len(rows)} was expected; {rule}")
+    return np.array([row[1:] for _, row in rows]).reshape(n_frames, 2)
 
 
 def cmd_eval(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:
-    gt = trajectory.load_trajectory(_manifest_file(dataset, manifest, "gt_trajectory"))
-    which, est = _pick_trajectory(dataset, manifest, cfg["eval.trajectory"],
-                                  auto=("refined", "est"))
+    with clock.lap("load"):
+        gt = trajectory.load_trajectory(_manifest_file(dataset, manifest, "gt_trajectory"))
+        which, est = _pick_trajectory(dataset, manifest, cfg["eval.trajectory"],
+                                      auto=("refined", "est"))
     grids = cfg["eval.grids"]
     if not grids:
         raise ConfigError("eval.grids must name at least one grid spacing")
     grid_meta = {}
     for grid in grids:
         grid = float(grid)
-        events = trajectory.capture_schedule(gt, distance_m=grid,
-                                             rotation_rad=np.pi / 2, mode="distance")
-        frames = np.array([ev.frame for ev in events])
-        report, alignment = metrics.evaluate(gt, est, frames=frames,
-                                             trim_outliers=cfg["eval.trim_outliers"])
-        idx, gt_xy, est_xy, gt_yaw, est_yaw = metrics.match_by_frame(gt, est, frames)
+        with clock.lap("score"):
+            events = trajectory.capture_schedule(gt, distance_m=grid,
+                                                 rotation_rad=np.pi / 2, mode="distance")
+            frames = np.array([ev.frame for ev in events])
+            report, alignment = metrics.evaluate(gt, est, frames=frames,
+                                                 trim_outliers=cfg["eval.trim_outliers"])
+            idx, gt_xy, est_xy, gt_yaw, est_yaw = metrics.match_by_frame(gt, est, frames)
         tag = repr(grid)
-        metrics.save_report(report, dataset / f"eval_grid_{tag}.json", extra={
-            "grid_m": grid,
-            "trajectory": which,
-            "alignment": {
-                "scale": alignment.scale,
-                "rotation": alignment.rotation,
-                "tx": float(alignment.translation[0]),
-                "ty": float(alignment.translation[1]),
-            },
-        })
-        metrics.save_residuals(idx, gt_xy, est_xy, gt_yaw, est_yaw, alignment,
-                               dataset / f"residuals_grid_{tag}.csv")
+        with clock.lap("write"):
+            metrics.save_report(report, dataset / f"eval_grid_{tag}.json", extra={
+                "grid_m": grid,
+                "trajectory": which,
+                "alignment": {
+                    "scale": alignment.scale,
+                    "rotation": alignment.rotation,
+                    "tx": float(alignment.translation[0]),
+                    "ty": float(alignment.translation[1]),
+                },
+            })
+            metrics.save_residuals(idx, gt_xy, est_xy, gt_yaw, est_yaw, alignment,
+                                   dataset / f"residuals_grid_{tag}.csv")
         manifest[f"eval_grid_{tag}"] = f"eval_grid_{tag}.json"
         manifest[f"residuals_grid_{tag}"] = f"residuals_grid_{tag}.csv"
         grid_meta[tag] = {"n_pairs": report.n_pairs, "n_inliers": report.n_inliers,
@@ -344,19 +348,20 @@ def cmd_eval(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatc
 
 def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:
     map_cfg = _from_config(cfg, "map")
-    which, traj = _pick_trajectory(dataset, manifest, cfg["map.trajectory"])
-    if cfg["caption.mode"] == "mock":
-        records = object_map.load_captions(_manifest_file(dataset, manifest, "captions"))
-    elif cfg["caption.mode"] == "http":
-        if not cfg["caption.endpoint"]:
-            raise ConfigError("caption.endpoint is required when caption.mode is 'http'")
-        service = _from_config(cfg, "caption")
-        captures = trajectory.load_captures(_manifest_file(dataset, manifest,
-                                                           "gt_captures"))
-        records = object_map.fetch_captions(captures, object_map.HttpCaptioner(service),
-                                            max_workers=service.max_workers)
-    else:
-        raise ConfigError("caption.mode must be 'mock' or 'http'")
+    with clock.lap("load"):
+        which, traj = _pick_trajectory(dataset, manifest, cfg["map.trajectory"])
+        if cfg["caption.mode"] == "mock":
+            records = object_map.load_captions(_manifest_file(dataset, manifest, "captions"))
+        elif cfg["caption.mode"] == "http":
+            if not cfg["caption.endpoint"]:
+                raise ConfigError("caption.endpoint is required when caption.mode is 'http'")
+            service = _from_config(cfg, "caption")
+            captures = trajectory.load_captures(_manifest_file(dataset, manifest,
+                                                               "gt_captures"))
+            records = object_map.fetch_captions(captures, object_map.HttpCaptioner(service),
+                                                max_workers=service.max_workers)
+        else:
+            raise ConfigError("caption.mode must be 'mock' or 'http'")
     rasters_dir = dataset / manifest.get("rasters_dir", "rasters")
     observations = []
     caption_frames = []
@@ -369,31 +374,40 @@ def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch
             logger.warning("%s: frame %d outside trajectory, skipped",
                            rec.image_id, rec.frame)
             continue
-        raster = object_map.load_raster(raster_path)
-        pose = traj.pose(rec.frame)
-        observations.extend(object_map.observe_items(rec, raster, pose, map_cfg))
+        with clock.lap("load"):
+            raster = object_map.load_raster(raster_path)
+        with clock.lap("observe"):
+            pose = traj.pose(rec.frame)
+            observations.extend(object_map.observe_items(rec, raster, pose, map_cfg))
         caption_frames.append(rec.frame)
-    clusters = object_map.cluster_items(observations, map_cfg)
-    object_map.save_map(clusters, dataset / "item_map.jsonl")
+    with clock.lap("observe"):
+        clusters = object_map.cluster_items(observations, map_cfg)
+    with clock.lap("write"):
+        object_map.save_map(clusters, dataset / "item_map.jsonl")
     manifest["item_map"] = "item_map.jsonl"
     meta = {"trajectory": which, "n_captions": len(records),
             "n_observations": len(observations), "n_clusters": len(clusters)}
     if "items" in manifest and clusters:
-        gt_items = object_map.load_items_csv(_manifest_file(dataset, manifest, "items"))
-        gt_items = {object_map.normalize_name(k): v for k, v in gt_items.items()}
-        alignment = None  # the ground-truth trajectory needs none
-        if which != "gt":
-            gt_traj = trajectory.load_trajectory(
-                _manifest_file(dataset, manifest, "gt_trajectory"))
-            frames = np.array(sorted(set(caption_frames)))
-            _, alignment = metrics.evaluate(gt_traj, traj, frames=frames,
-                                            trim_outliers=cfg["eval.trim_outliers"])
-        try:
-            map_report = object_map.evaluate_map(clusters, gt_items, alignment)
-        except ValueError as exc:
-            logger.warning("map evaluation skipped: %s", exc)
-        else:
-            object_map.save_map_eval(map_report, dataset / "map_eval.json")
+        with clock.lap("load"):
+            gt_items = object_map.load_items_csv(_manifest_file(dataset, manifest, "items"))
+            gt_items = {object_map.normalize_name(k): v for k, v in gt_items.items()}
+            if which != "gt":
+                gt_traj = trajectory.load_trajectory(
+                    _manifest_file(dataset, manifest, "gt_trajectory"))
+        with clock.lap("score"):
+            alignment = None  # the ground-truth trajectory needs none
+            if which != "gt":
+                frames = np.array(sorted(set(caption_frames)))
+                _, alignment = metrics.evaluate(gt_traj, traj, frames=frames,
+                                                trim_outliers=cfg["eval.trim_outliers"])
+            try:
+                map_report = object_map.evaluate_map(clusters, gt_items, alignment)
+            except ValueError as exc:
+                map_report = None
+                logger.warning("map evaluation skipped: %s", exc)
+        if map_report is not None:
+            with clock.lap("write"):
+                object_map.save_map_eval(map_report, dataset / "map_eval.json")
             manifest["map_eval"] = "map_eval.json"
             print(f"map[{which}]: {len(clusters)} clusters, "
                   f"{map_report.n_matched} matched, mean error "
@@ -408,24 +422,29 @@ def cmd_plot(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatc
              out: Path | None = None) -> dict:
     series = []
     colors = {"gt": "#888888", "est": "#1f77b4", "refined": "#2ca02c"}
-    for name, color in colors.items():
-        if TRAJECTORIES[name] in manifest:
-            _, traj = _pick_trajectory(dataset, manifest, name)
-            series.append((name, color, traj.xy))
-    if not series:
-        raise ConfigError("manifest holds no trajectory to plot")
     items_xy = {}
-    if "items" in manifest:
-        items = object_map.load_items_csv(_manifest_file(dataset, manifest, "items"))
-        items_xy = {name: p[:2] for name, p in items.items()}
+    with clock.lap("load"):
+        for name, color in colors.items():
+            if TRAJECTORIES[name] in manifest:
+                _, traj = _pick_trajectory(dataset, manifest, name)
+                series.append((name, color, traj.xy))
+        if not series:
+            raise ConfigError("manifest holds no trajectory to plot")
+        if "items" in manifest:
+            items = object_map.load_items_csv(_manifest_file(dataset, manifest, "items"))
+            items_xy = {name: p[:2] for name, p in items.items()}
     out = out or dataset / "plot.svg"
-    _render_svg(series, items_xy, out)
+    with clock.lap("render"):
+        svg = _render_svg(series, items_xy)
+    with clock.lap("write"):
+        out.write_text(svg, encoding="utf-8")
     manifest["plot"] = out.name if out.parent == dataset else str(out)
     print(f"plot: {', '.join(name for name, _, _ in series)} -> {out}")
     return {"series": [name for name, _, _ in series], "n_items": len(items_xy)}
 
 
-def _render_svg(series, items_xy: dict, path: Path) -> None:
+def _render_svg(series, items_xy: dict) -> str:
+    """The SVG text of the trajectory ``series`` and the item markers."""
     size, margin = 640.0, 40.0
     all_xy = np.vstack([xy for _, _, xy in series] +
                        ([np.array(list(items_xy.values()))] if items_xy else []))
@@ -461,7 +480,7 @@ def _render_svg(series, items_xy: dict, path: Path) -> None:
     parts.append(f'<circle cx="{start[0]}" cy="{start[1]}" r="5" fill="none" '
                  f'stroke="#000000" stroke-width="1.5"/>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,9 @@ def load_weights(path, expected_tau: int | None = None,
     weights followed by the bias vector (``rows*cols + cols`` values).
     When ``expected_tau`` or ``expected_rate`` are given, a metadata
     mismatch with the calling pipeline is an error rather than a silent
-    reinterpretation of the input.
+    reinterpretation of the input.  ``gravity_subtracted`` must be true:
+    the pipeline only feeds windows with gravity removed.  Any malformed
+    part raises ``ValueError("path: ...")``, naming the layer at fault.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -88,15 +90,20 @@ def load_weights(path, expected_tau: int | None = None,
             raise ValueError(f"{path}: {exc}") from None
     try:
         meta_doc = doc["meta"]
+        if meta_doc["gravity_subtracted"] is not True:
+            raise ValueError("gravity_subtracted must be true: the pipeline feeds "
+                             "windows with gravity removed")
         meta = WeightsMeta(
             tau=int(meta_doc["tau"]),
             sample_rate_hz=float(meta_doc["sample_rate_hz"]),
-            gravity_subtracted=bool(meta_doc["gravity_subtracted"]),
+            gravity_subtracted=True,
             input_layout=str(meta_doc.get("input_layout", INPUT_LAYOUT)),
         )
         layer_docs = doc["layers"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed weights bundle: {exc}") from None
+        if not isinstance(layer_docs, list):
+            raise TypeError("layers is not a list")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed weights bundle: {_reason(exc)}") from None
     if expected_tau is not None and meta.tau != expected_tau:
         raise ValueError(
             f"{path}: weights were trained for tau={meta.tau}, pipeline uses tau={expected_tau}"
@@ -107,24 +114,36 @@ def load_weights(path, expected_tau: int | None = None,
         )
     layers = []
     for i, ld in enumerate(layer_docs):
-        kind = ld.get("kind")
-        if kind == "relu":
-            layers.append(Layer("relu"))
-            continue
-        if kind != "dense":
-            raise ValueError(f"{path}: layer {i}: unknown kind '{kind}'")
-        rows, cols = int(ld["rows"]), int(ld["cols"])
-        raw = base64.b64decode(ld.get("data", ""))
-        flat = np.frombuffer(raw, dtype="<f4").astype(float)
-        expected = rows * cols + cols
-        if flat.size != expected:
-            raise ValueError(
-                f"{path}: layer {i}: expected {expected} parameters, got {flat.size}"
-            )
-        weights = flat[: rows * cols].reshape(rows, cols)
-        bias = flat[rows * cols :]
-        layers.append(Layer("dense", rows, cols, weights, bias))
-    return WeightsBundle(meta, tuple(layers))
+        try:
+            layers.append(_layer(ld))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: layer {i}: {_reason(exc)}") from None
+    try:
+        return WeightsBundle(meta, tuple(layers))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _reason(exc: Exception) -> str:
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+def _layer(ld) -> Layer:
+    """One layer of a weights document."""
+    if not isinstance(ld, dict):
+        raise TypeError("not a JSON object")
+    kind = ld.get("kind")
+    if kind == "relu":
+        return Layer("relu")
+    if kind != "dense":
+        raise ValueError(f"unknown kind '{kind}'")
+    rows, cols = int(ld["rows"]), int(ld["cols"])
+    flat = np.frombuffer(base64.b64decode(ld.get("data", "")), dtype="<f4").astype(float)
+    expected = rows * cols + cols
+    if flat.size != expected:
+        raise ValueError(f"expected {expected} parameters, got {flat.size}")
+    return Layer("dense", rows, cols, flat[: rows * cols].reshape(rows, cols),
+                 flat[rows * cols :])
 
 
 def save_weights(bundle: WeightsBundle, path) -> None:

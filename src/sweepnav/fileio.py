@@ -21,6 +21,7 @@ import json
 # what a parse function may raise on a malformed line (JSONDecodeError
 # is a ValueError)
 _LINE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+_JSON_KINDS = {int: "integer", list: "list"}
 
 
 def write_csv(path, header: str, rows) -> None:
@@ -68,28 +69,17 @@ def read_jsonl(path, parse) -> list[tuple[int, object]]:
     return out
 
 
+def json_field(rec: dict, key: str, kind: type):
+    """``rec[key]``, which must be a JSON integer (not ``true`` or
+    ``false``) for ``kind`` int, or a JSON list for ``kind`` list."""
+    value = rec[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{key} must be a JSON {_JSON_KINDS[kind]}, got {json.dumps(value)}")
+    return value
+
+
 def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
-
-def check_frames(path, rows, n_frames: int) -> None:
-    """Require the ``(frame, lineno)`` pairs to cover 0..n_frames-1, each once.
-
-    A repeat or a gap is named at the line where a walk in frame order
-    finds it; frames missing from the end (a truncated file) are named
-    at the line just past the last row.
-    """
-    rows = sorted(rows)
-    for expected, (frame, lineno) in enumerate(rows):
-        if frame != expected:
-            if expected and frame == rows[expected - 1][0]:
-                raise ValueError(f"{path}:{lineno}: frame {frame} repeats line "
-                                 f"{rows[expected - 1][1]}")
-            raise ValueError(f"{path}:{lineno}: frame {frame} where frame {expected} "
-                             "was expected; frames must run 0..n-1, each once")
-    if len(rows) < n_frames:
-        end = max((lineno for _, lineno in rows), default=1) + 1
-        raise ValueError(f"{path}:{end}: end of file where frame {len(rows)} was "
-                         f"expected; frames must run 0..{n_frames - 1}, each once")

@@ -75,20 +75,9 @@ def quat_about_z(yaw: float) -> np.ndarray:
     return np.array([np.cos(0.5 * yaw), 0.0, 0.0, np.sin(0.5 * yaw)])
 
 
-def quat_to_matrix(q) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (device -> world)."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
 def quats_to_matrices(q: np.ndarray) -> np.ndarray:
-    """Vectorized ``quat_to_matrix`` for an (n, 4) array, returning (n, 3, 3)."""
+    """Rotation matrices (device -> world) of an (n, 4) array of unit
+    quaternions, as an (n, 3, 3) array."""
     w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
     m = np.empty((len(q), 3, 3))
     m[:, 0, 0] = 1 - 2 * (y * y + z * z)

@@ -26,6 +26,8 @@ from .geometry import (
 
 IMU_FIELDS = ("t", "ax", "ay", "az", "gx", "gy", "gz")
 IMU_CSV_HEADER = ",".join(IMU_FIELDS)
+# the longest time step ``resample`` interpolates across, s
+_MAX_GAP_S = 0.5
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
@@ -107,12 +109,12 @@ def save_imu(seq: ImuSequence, path) -> None:
         write_csv(path, IMU_CSV_HEADER, rows)
 
 
-def resample(seq: ImuSequence, rate_hz: float = 50.0, max_gap_s: float = 0.5) -> ImuSequence:
+def resample(seq: ImuSequence, rate_hz: float = 50.0) -> ImuSequence:
     """Resample onto a uniform grid at ``rate_hz`` via linear interpolation.
 
     Input already uniform at the requested rate is returned unchanged
     (bit-for-bit).  A gap between consecutive samples larger than
-    ``max_gap_s`` is an error: interpolating across it would fabricate
+    ``_MAX_GAP_S`` (0.5 s) is an error: interpolating across it would fabricate
     motion.
     """
     if rate_hz <= 0:
@@ -123,9 +125,9 @@ def resample(seq: ImuSequence, rate_hz: float = 50.0, max_gap_s: float = 0.5) ->
     dt = 1.0 / rate_hz
     diffs = np.diff(seq.t)
     worst = int(np.argmax(diffs))
-    if diffs[worst] > max_gap_s:
+    if diffs[worst] > _MAX_GAP_S:
         raise ValueError(
-            f"gap of {diffs[worst]:.3f} s at t={seq.t[worst]:.3f} exceeds {max_gap_s} s"
+            f"gap of {diffs[worst]:.3f} s at t={seq.t[worst]:.3f} exceeds {_MAX_GAP_S} s"
         )
     if np.max(np.abs(diffs - dt)) < 1e-9:
         return seq

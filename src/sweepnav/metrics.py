@@ -28,6 +28,8 @@ from .imu import _frozen
 from .trajectory import Trajectory
 
 RESIDUAL_CSV_HEADER = "frame,dx,dy,dist,yaw_err"
+# outlier gate on alignment residuals: median + _MAD_K * MAD
+_MAD_K = 3.0
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,11 @@ def apply_alignment(points: np.ndarray, result: AlignmentResult) -> np.ndarray:
 
 
 def align_similarity(gt: np.ndarray, est: np.ndarray, fix_scale: bool = False,
-                     trim_outliers: bool = True, mad_k: float = 3.0) -> AlignmentResult:
+                     trim_outliers: bool = True) -> AlignmentResult:
     """Fit the similarity transform, optionally trimming residual outliers.
 
     Trimming runs two rounds: fit, gate residual distances at
-    ``median + mad_k * MAD``, refit on survivors.  At least half the
+    ``median + _MAD_K * MAD``, refit on survivors.  At least half the
     pairs (rounded up) always survive; if gating would cut deeper, the
     smallest-residual half is kept instead.
     """
@@ -109,7 +111,7 @@ def align_similarity(gt: np.ndarray, est: np.ndarray, fix_scale: bool = False,
         med = np.median(resid[keep])
         mad = np.median(np.abs(resid[keep] - med))
         # Floor keeps the gate above float noise when residuals are ~0.
-        gate = med + mad_k * max(float(mad), 1e-12)
+        gate = med + _MAD_K * max(float(mad), 1e-12)
         new_keep = resid <= gate
         min_keep = int(np.ceil(n / 2))
         if new_keep.sum() < min_keep:

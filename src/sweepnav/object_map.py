@@ -2,15 +2,16 @@
 
 Each capture pairs a robot pose with a depth raster and a caption (a
 list of item names seen in the image).  Every named item in an image is
-assigned to the central-region ray at the median valid depth, unprojected
-through the pinhole model to a world-frame 3D point, and the points are
-clustered per name; cluster centroids are the estimated item positions.
+placed on the camera's principal ray at the median valid depth of the
+central region, and the points are clustered per name; cluster
+centroids are the estimated item positions.
 
 Conventions: camera frame has X right, Y down, Z forward (depth);
 raster depths are forward Z-depth in meters, 0 marks invalid pixels.
 The camera is mounted horizontal and forward-facing at a configured
-height and forward offset from the robot origin.  Robot frame is x
-forward, y left, z up.
+height and forward offset from the robot origin, so the principal ray
+at depth d meets the world at ``pose.ahead(mount_forward + d)``, at
+mount height.  Robot frame is x forward, y left, z up.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import read_csv, read_jsonl, write_csv, write_json, write_jsonl
+from .fileio import json_field, read_csv, read_jsonl, write_csv, write_json, write_jsonl
 from .imu import _frozen
 from .metrics import AlignmentResult, apply_alignment
-from .trajectory import CaptureEvent, Pose2
+from .trajectory import CaptureEvent, Pose2, image_id_for_frame
 
 logger = logging.getLogger(__name__)
 
@@ -128,49 +129,7 @@ class MapConfig:
 
 
 # ---------------------------------------------------------------------------
-# Geometry
-
-
-def camera_to_robot(points_cam: np.ndarray, cfg: MapConfig) -> np.ndarray:
-    """Camera (X right, Y down, Z fwd) to robot (x fwd, y left, z up)."""
-    p = np.asarray(points_cam, dtype=float).reshape(-1, 3)
-    out = np.column_stack([p[:, 2], -p[:, 0], -p[:, 1]])
-    out += np.array([cfg.mount_forward, 0.0, cfg.mount_height])
-    return out
-
-
-def robot_to_world(points_robot: np.ndarray, pose: Pose2) -> np.ndarray:
-    p = np.asarray(points_robot, dtype=float).reshape(-1, 3)
-    c, s = np.cos(pose.yaw), np.sin(pose.yaw)
-    out = np.empty_like(p)
-    out[:, 0] = c * p[:, 0] - s * p[:, 1] + pose.x
-    out[:, 1] = s * p[:, 0] + c * p[:, 1] + pose.y
-    out[:, 2] = p[:, 2]
-    return out
-
-
-def unproject(raster: DepthRaster, region: tuple[int, int, int, int],
-              pose: Pose2, cfg: MapConfig | None = None) -> np.ndarray:
-    """Lift a pixel region to world-frame 3D points.
-
-    ``region`` is half-open ``(u0, v0, u1, v1)``.  Zero-depth pixels are
-    skipped; the result is (n, 3) and may be empty.
-    """
-    cfg = cfg or MapConfig()
-    u0, v0, u1, v1 = region
-    if not (0 <= u0 < u1 <= raster.width and 0 <= v0 < v1 <= raster.height):
-        raise ValueError(f"region {region} outside raster {raster.width}x{raster.height}")
-    d = raster.depth[v0:v1, u0:u1]
-    vv, uu = np.nonzero(d != 0.0)
-    if len(vv) == 0:
-        return np.zeros((0, 3))
-    depth = d[vv, uu]
-    u = uu + u0
-    v = vv + v0
-    x = (u - raster.cx) * depth / raster.focal_length
-    y = (v - raster.cy) * depth / raster.focal_length
-    cam = np.column_stack([x, y, depth])
-    return robot_to_world(camera_to_robot(cam, cfg), pose)
+# Observation and clustering
 
 
 def center_region(raster: DepthRaster, fraction: float) -> tuple[int, int, int, int]:
@@ -180,10 +139,6 @@ def center_region(raster: DepthRaster, fraction: float) -> tuple[int, int, int, 
     u0 = (raster.width - bw) // 2
     v0 = (raster.height - bh) // 2
     return u0, v0, u0 + bw, v0 + bh
-
-
-# ---------------------------------------------------------------------------
-# Observation and clustering
 
 
 def normalize_name(name: str) -> str:
@@ -203,8 +158,7 @@ def observe_items(caption: CaptionRecord, raster: DepthRaster, pose: Pose2,
     resulting point leaves the configured height band.
     """
     cfg = cfg or MapConfig()
-    region = center_region(raster, cfg.center_fraction)
-    u0, v0, u1, v1 = region
+    u0, v0, u1, v1 = center_region(raster, cfg.center_fraction)
     d = raster.depth[v0:v1, u0:u1]
     valid = d[(d != 0.0) & (d >= cfg.depth_min) & (d <= cfg.depth_max)]
     names = []
@@ -223,8 +177,8 @@ def observe_items(caption: CaptionRecord, raster: DepthRaster, pose: Pose2,
                            caption.image_id, name)
         return []
     depth = float(np.median(valid))
-    cam = np.array([[0.0, 0.0, depth]])  # principal ray
-    point = robot_to_world(camera_to_robot(cam, cfg), pose)[0]
+    # the principal ray runs along the heading from the mount
+    point = np.array([*pose.ahead(cfg.mount_forward + depth), cfg.mount_height])
     if not cfg.z_min <= point[2] <= cfg.z_max:
         for name in names:
             logger.warning("%s: point height %.3f outside [%s, %s], skipped %r",
@@ -398,24 +352,15 @@ class HttpCaptioner:
 
 
 def fetch_captions(captures: list[CaptureEvent], captioner,
-                   image_ids: list[str] | None = None,
                    max_workers: int = 4) -> list[CaptionRecord]:
     """Caption every capture, concurrently, in image_id order.
 
     Per-image failures are logged by the captioner and dropped here;
     the call itself never raises for them.
     """
-    if image_ids is None:
-        from .trajectory import image_id_for_frame
-
-        image_ids = [image_id_for_frame(ev.frame) for ev in captures]
-    order = sorted(range(len(captures)), key=lambda i: image_ids[i])
-    jobs = [(image_ids[i], captures[i].frame) for i in order]
-    if max_workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda j: captioner.caption(*j), jobs))
-    else:
-        results = [captioner.caption(*j) for j in jobs]
+    jobs = sorted((image_id_for_frame(ev.frame), ev.frame) for ev in captures)
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        results = list(pool.map(lambda j: captioner.caption(*j), jobs))
     records = []
     for (image_id, frame), items in zip(jobs, results):
         if items is not None:
@@ -460,7 +405,8 @@ def save_captions(records: list[CaptionRecord], path) -> None:
 
 
 def _caption(rec) -> CaptionRecord:
-    return CaptionRecord(str(rec["image_id"]), int(rec["frame"]), tuple(rec["items"]))
+    return CaptionRecord(str(rec["image_id"]), json_field(rec, "frame", int),
+                         tuple(json_field(rec, "items", list)))
 
 
 def load_captions(path) -> list[CaptionRecord]:

@@ -275,11 +275,6 @@ class SceneConfig:
             raise ValueError("require 0 < caption_z_min < caption_z_max")
 
 
-def _camera_origin(pose, map_cfg: MapConfig) -> tuple[float, float]:
-    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    return pose.x + c * map_cfg.mount_forward, pose.y + s * map_cfg.mount_forward
-
-
 def _render_raster(pose, visible, room: tuple[float, float, float, float],
                    scene: SceneConfig, map_cfg: MapConfig) -> tuple[DepthRaster, np.ndarray]:
     """Depth image: nearest billboard per column, walls as background.
@@ -291,7 +286,7 @@ def _render_raster(pose, visible, room: tuple[float, float, float, float],
     """
     w, h, f = scene.width_px, scene.height_px, scene.focal_px
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    ox, oy = _camera_origin(pose, map_cfg)
+    ox, oy = pose.ahead(map_cfg.mount_forward)
     cyaw, syaw = math.cos(pose.yaw), math.sin(pose.yaw)
     u = np.arange(w, dtype=float)
     # Per-column ray in world coordinates, per unit forward depth.
@@ -344,7 +339,7 @@ def generate_scene(captures: list[CaptureEvent], items: dict[str, tuple[float, f
     rasters: list[DepthRaster] = []
     records: list[CaptionRecord] = []
     for ev in captures:
-        ox, oy = _camera_origin(ev.pose, map_cfg)
+        ox, oy = ev.pose.ahead(map_cfg.mount_forward)
         cyaw, syaw = math.cos(ev.pose.yaw), math.sin(ev.pose.yaw)
         visible = []
         candidates = []

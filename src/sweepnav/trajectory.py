@@ -9,11 +9,12 @@ capture, which is how image capture is throttled on the real system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import read_csv, read_jsonl, write_csv, write_jsonl
+from .fileio import json_field, read_csv, read_jsonl, write_csv, write_jsonl
 from .geometry import row_norms, wrap_angle
 from .imu import _frozen
 
@@ -34,9 +35,10 @@ class Pose2:
     def __post_init__(self):
         object.__setattr__(self, "yaw", float(wrap_angle(self.yaw)))
 
-    @property
-    def xy(self) -> np.ndarray:
-        return np.array([self.x, self.y])
+    def ahead(self, distance: float) -> tuple[float, float]:
+        """The point ``distance`` meters ahead along the heading."""
+        return (self.x + math.cos(self.yaw) * distance,
+                self.y + math.sin(self.yaw) * distance)
 
 
 @dataclass(frozen=True)
@@ -86,20 +88,19 @@ def save_trajectory(traj: Trajectory, path) -> None:
               np.column_stack([traj.t, traj.xy, traj.yaw]).tolist())
 
 
-def load_trajectory(path, frame_rate: float | None = None) -> Trajectory:
+def load_trajectory(path) -> Trajectory:
+    """Read a trajectory; its frame rate is that of the median time step."""
     rows = read_csv(path, TRAJECTORY_CSV_HEADER, lambda fields: list(map(float, fields)))
     if not rows:
         raise ValueError(f"{path}: empty trajectory")
     arr = np.array([row for _, row in rows], dtype=float)
-    if frame_rate is None:
-        if len(arr) < 2:
-            raise ValueError(f"{path}: cannot infer frame rate from a single pose")
-        dt = float(np.median(np.diff(arr[:, 0])))
-        if not dt > 0:
-            raise ValueError(f"{path}: cannot infer frame rate: median time step is {dt!r}")
-        frame_rate = 1.0 / dt
+    if len(arr) < 2:
+        raise ValueError(f"{path}: cannot infer frame rate from a single pose")
+    dt = float(np.median(np.diff(arr[:, 0])))
+    if not dt > 0:
+        raise ValueError(f"{path}: cannot infer frame rate: median time step is {dt!r}")
     try:
-        return Trajectory(arr[:, 0], arr[:, 1:3], arr[:, 3], frame_rate)
+        return Trajectory(arr[:, 0], arr[:, 1:3], arr[:, 3], 1.0 / dt)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -149,9 +150,9 @@ def held_velocities(velocities: np.ndarray, starts, n_frames: int) -> np.ndarray
 
 
 def integrate(held: np.ndarray, yaws, kf: KalmanConfig | None = None,
-              frame_rate: float = 50.0, origin=(0.0, 0.0), t0: float = 0.0) -> Trajectory:
+              frame_rate: float = 50.0, t0: float = 0.0) -> Trajectory:
     """Fuse held velocities (one per frame, see ``held_velocities``) into
-    per-frame positions.
+    per-frame positions, starting at the origin.
 
     State is (x, y, vx, vy).  Each frame's held velocity estimate is
     applied as an observation of (vx, vy) covering the step into that
@@ -197,7 +198,7 @@ def integrate(held: np.ndarray, yaws, kf: KalmanConfig | None = None,
     )
     H = np.array([[0, 0, 1, 0], [0, 0, 0, 1]], dtype=float)
     R = kf.sigma_obs ** 2 * np.eye(2)
-    x = np.array([origin[0], origin[1], v_obs[min(1, n - 1), 0], v_obs[min(1, n - 1), 1]])
+    x = np.array([0.0, 0.0, v_obs[min(1, n - 1), 0], v_obs[min(1, n - 1), 1]])
     P = np.diag([0.0, 0.0, kf.sigma_obs ** 2, kf.sigma_obs ** 2])
     eye4 = np.eye(4)
     block = P[:, 2:].tobytes()
@@ -295,7 +296,7 @@ def save_captures(events, path) -> None:
 
 def _capture(rec) -> CaptureEvent:
     pose = Pose2(float(rec["t"]), float(rec["x"]), float(rec["y"]), float(rec["yaw"]))
-    return CaptureEvent(int(rec["frame"]), pose, str(rec["trigger"]))
+    return CaptureEvent(json_field(rec, "frame", int), pose, str(rec["trigger"]))
 
 
 def load_captures(path) -> list[CaptureEvent]:

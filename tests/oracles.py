@@ -282,6 +282,19 @@ def quat_rotate_ref(q, v) -> np.ndarray:
     return v + q[0] * t + np.cross(qv, t)
 
 
+
+def quat_to_matrix_ref(q) -> np.ndarray:
+    """Rotation matrix of a unit quaternion (device -> world)."""
+    w, x, y, z = q
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
 _ACC_GATE_REF = (0.5 * 9.81, 1.5 * 9.81)
 
 
@@ -331,7 +344,7 @@ def estimate_orientation_ref(seq, alpha: float = 0.02) -> OrientationSequence:
     return OrientationSequence(seq.t, quats)
 
 
-def integrate_ref(held, yaws, kf=None, frame_rate=50.0, origin=(0.0, 0.0), t0=0.0) -> Trajectory:
+def integrate_ref(held, yaws, kf=None, frame_rate=50.0, t0=0.0) -> Trajectory:
     """The constant-velocity Kalman filter with its full Riccati step every frame."""
     kf = kf or KalmanConfig()
     yaws = np.asarray(yaws, dtype=float)
@@ -350,7 +363,7 @@ def integrate_ref(held, yaws, kf=None, frame_rate=50.0, origin=(0.0, 0.0), t0=0.
     )
     H = np.array([[0, 0, 1, 0], [0, 0, 0, 1]], dtype=float)
     R = kf.sigma_obs ** 2 * np.eye(2)
-    x = np.array([origin[0], origin[1], v_obs[min(1, n - 1), 0], v_obs[min(1, n - 1), 1]])
+    x = np.array([0.0, 0.0, v_obs[min(1, n - 1), 0], v_obs[min(1, n - 1), 1]])
     P = np.diag([0.0, 0.0, kf.sigma_obs ** 2, kf.sigma_obs ** 2])
     poses = np.empty((n, 2))
     poses[0] = x[:2]

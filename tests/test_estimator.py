@@ -1,6 +1,7 @@
 """Velocity estimators: the dense network and the ground-truth oracle."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -216,3 +217,47 @@ class TestWeightsFile:
         path.write_text("{not json")
         with pytest.raises(ValueError, match="weights.json"):
             sn.load_weights(path)
+
+    @pytest.mark.parametrize("layer, message", [
+        ({"kind": "dense", "cols": 2, "data": ""}, "layer 0: missing key 'rows'"),
+        ([1, 2], "layer 0: not a JSON object"),
+        ("dense", "layer 0: not a JSON object"),
+        ({"kind": "dense", "rows": 12, "cols": 2, "data": 7}, "layer 0: "),
+        ({"kind": "conv"}, "layer 0: unknown kind 'conv'"),
+    ])
+    def test_malformed_layer_names_file_and_layer(self, tmp_path, layer, message):
+        path = tmp_path / "weights.json"
+        sn.save_weights(sn.make_random_bundle(tau=1, hidden=()), path)
+        doc = json.loads(path.read_text())
+        doc["layers"][0] = layer
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            sn.load_weights(path)
+
+    @pytest.mark.parametrize("value", [False, None, "true", 1])
+    def test_gravity_must_be_subtracted(self, tmp_path, value):
+        """``infer`` feeds windows with gravity removed, so a network that
+        expects gravity in its input is refused, not run."""
+        path = tmp_path / "weights.json"
+        sn.save_weights(sn.make_random_bundle(tau=1, hidden=()), path)
+        doc = json.loads(path.read_text())
+        doc["meta"]["gravity_subtracted"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: .*gravity_subtracted must be true"):
+            sn.load_weights(path)
+
+    def test_infer_exits_2_on_a_malformed_layer(self, tmp_path, capsys):
+        """The documented exit code of a validation failure, not a traceback."""
+        from sweepnav.cli import main
+
+        ds = tmp_path / "ds"
+        assert main(["simulate", "--out", str(ds), "--set", "sim.n_items=0"]) == 0
+        path = tmp_path / "weights.json"
+        sn.save_weights(sn.make_random_bundle(), path)
+        doc = json.loads(path.read_text())
+        del doc["layers"][0]["rows"]
+        path.write_text(json.dumps(doc))
+        assert main(["infer", "--dataset", str(ds), "--estimator", "network",
+                     "--set", f"estimator.weights={path}"]) == 2
+        assert f"{path}: layer 0: missing key 'rows'" in capsys.readouterr().err

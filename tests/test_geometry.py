@@ -6,7 +6,8 @@ import pytest
 from sweepnav import geometry as geo
 
 from .oracles import (quat_from_rotvec_ref, quat_identity_ref, quat_multiply_ref,
-                      quat_normalize_ref, quat_rotate_ref, rot2_ref, same_bits)
+                      quat_normalize_ref, quat_rotate_ref, quat_to_matrix_ref, rot2_ref,
+                      same_bits)
 
 
 class TestWrapAngle:
@@ -68,8 +69,9 @@ class TestQuaternions:
         for _ in range(20):
             qa = quat_normalize_ref(rng.normal(size=4))
             qb = quat_normalize_ref(rng.normal(size=4))
-            lhs = geo.quat_to_matrix(quat_multiply_ref(qa, qb))
-            rhs = geo.quat_to_matrix(qa) @ geo.quat_to_matrix(qb)
+            lhs = geo.quats_to_matrices(quat_multiply_ref(qa, qb)[None])[0]
+            ma, mb = geo.quats_to_matrices(np.array([qa, qb]))
+            rhs = ma @ mb
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_rotate_matches_matrix(self):
@@ -77,7 +79,7 @@ class TestQuaternions:
         q = quat_normalize_ref(rng.normal(size=4))
         v = rng.normal(size=3)
         np.testing.assert_allclose(
-            quat_rotate_ref(q, v), geo.quat_to_matrix(q) @ v, atol=1e-12
+            quat_rotate_ref(q, v), geo.quats_to_matrices(q[None])[0] @ v, atol=1e-12
         )
 
     def test_axis_angle_quarter_turn_about_x(self):
@@ -129,4 +131,4 @@ class TestQuaternions:
         qs = np.array([quat_normalize_ref(rng.normal(size=4)) for _ in range(6)])
         mats = geo.quats_to_matrices(qs)
         for i in range(6):
-            np.testing.assert_allclose(mats[i], geo.quat_to_matrix(qs[i]), atol=1e-12)
+            np.testing.assert_allclose(mats[i], quat_to_matrix_ref(qs[i]), atol=1e-12)

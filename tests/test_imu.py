@@ -83,7 +83,7 @@ class TestResample:
         t = np.concatenate([np.arange(50) / 50.0, np.arange(50) / 50.0 + 2.0])
         seq = sn.ImuSequence(t, np.zeros((100, 3)), np.zeros((100, 3)))
         with pytest.raises(ValueError, match="gap"):
-            sn.resample(seq, rate_hz=50.0, max_gap_s=0.5)
+            sn.resample(seq, rate_hz=50.0)
 
 
 class TestAnchoredFrame:

@@ -25,6 +25,8 @@ _FLOAT = st.floats()
 _FRAME = st.integers(-2, 6)
 # JSON numbers may also be integers too large for a float
 _NUMBER = st.one_of(st.floats(), st.integers())
+# a frame of 3.7 must not load as frame 3, nor true as frame 1
+_NOT_AN_INTEGER = st.one_of(st.floats(), st.booleans(), _TEXT)
 
 
 def _csv(columns, numeric):
@@ -44,20 +46,28 @@ def _csv(columns, numeric):
     return good, bad
 
 
-def _jsonl(fields):
-    """(good, bad) line strategies for JSON objects with ``fields``."""
+def _jsonl(fields, wrong=None):
+    """(good, bad) line strategies for JSON objects with ``fields``;
+    ``wrong`` maps a field to values of a type it must not have."""
     good = st.fixed_dictionaries(fields).map(json.dumps)
 
     def drop(rec, key):
         del rec[key]
         return json.dumps(rec)
 
-    bad = st.one_of(
+    def retype(rec, key_value):
+        rec[key_value[0]] = key_value[1]
+        return json.dumps(rec)
+
+    bad = [
         # not an object: invalid JSON or a value that cannot be indexed by key
         _TEXT.filter(lambda s: s.strip() and "{" not in s),
         st.builds(drop, st.fixed_dictionaries(fields), st.sampled_from(sorted(fields))),
-    )
-    return good, bad
+    ]
+    if wrong:
+        bad.append(st.builds(retype, st.fixed_dictionaries(fields), st.one_of(
+            [st.tuples(st.just(key), values) for key, values in sorted(wrong.items())])))
+    return good, st.one_of(bad)
 
 
 LOADERS = {
@@ -71,9 +81,10 @@ LOADERS = {
                        _csv([_FRAME, _FLOAT, _FLOAT], range(3))),
     "captures.jsonl": (load_captures, None, _jsonl({
         "frame": st.integers(), "t": _NUMBER, "x": _NUMBER, "y": _NUMBER, "yaw": _NUMBER,
-        "trigger": _TEXT})),
+        "trigger": _TEXT}, wrong={"frame": _NOT_AN_INTEGER})),
     "captions.jsonl": (load_captions, None, _jsonl({
-        "image_id": _TEXT, "frame": st.integers(), "items": st.lists(_TEXT, max_size=3)})),
+        "image_id": _TEXT, "frame": st.integers(), "items": st.lists(_TEXT, max_size=3)},
+        wrong={"frame": _NOT_AN_INTEGER, "items": _TEXT})),
 }
 
 

@@ -1,4 +1,4 @@
-"""Tests for depth unprojection, item observation, clustering, and captions."""
+"""Tests for the mount model, item observation, clustering, and captions."""
 
 import json
 import logging
@@ -16,7 +16,6 @@ from sweepnav.object_map import (
     ItemCluster,
     ItemObservation,
     MapConfig,
-    camera_to_robot,
     center_region,
     cluster_items,
     evaluate_map,
@@ -26,16 +25,14 @@ from sweepnav.object_map import (
     load_raster,
     normalize_name,
     observe_items,
-    robot_to_world,
     save_captions,
     save_items_csv,
     save_map,
     save_raster,
-    unproject,
 )
 from sweepnav.trajectory import CaptureEvent, Pose2
 
-from .oracles import project_ref, world_to_camera_ref
+from .oracles import project_ref, same_bits, world_to_camera_ref
 
 IDENTITY = Pose2(0.0, 0.0, 0.0, 0.0)
 
@@ -53,121 +50,118 @@ def _uniform_raster(value=2.0, w=9, h=9, focal=4.0):
     return _raster(np.full((h, w), value), focal=focal)
 
 
+def _point(depth, pose=IDENTITY, cfg=None, w=9, h=9):
+    """The one observation point of a captioned raster of constant ``depth``."""
+    raster = _uniform_raster(depth, w=w, h=h)
+    (obs,) = observe_items(CaptionRecord("img_000000", 0, ("milk",)), raster, pose, cfg)
+    return obs.point
+
+
 class TestFrameChain:
+    """The principal ray from the camera mount: camera -> robot -> world."""
+
     def test_camera_to_robot_defaults(self):
-        out = camera_to_robot(np.array([0.0, 0.0, 2.0]), MapConfig())
-        np.testing.assert_allclose(out, [[2.0, 0.0, 0.3]], atol=1e-12)
+        """The default mount sits over the robot origin, 0.3 m up."""
+        np.testing.assert_allclose(_point(2.0), [2.0, 0.0, 0.3], atol=1e-12)
 
     def test_camera_axes_map_to_robot_axes(self):
-        cfg = MapConfig(mount_height=0.0)
-        # camera X (right) -> robot -y; camera Y (down) -> robot -z
-        np.testing.assert_allclose(
-            camera_to_robot(np.array([1.0, 0.0, 0.0]), cfg), [[0.0, -1.0, 0.0]], atol=1e-12)
-        np.testing.assert_allclose(
-            camera_to_robot(np.array([0.0, 1.0, 0.0]), cfg), [[0.0, 0.0, -1.0]], atol=1e-12)
+        """The camera's Z axis runs along the heading and its Y axis points
+        down: the point sits at camera (0, 0, depth) for any pose."""
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            pose = Pose2(0.0, *rng.uniform(-5.0, 5.0, 2), rng.uniform(-np.pi, np.pi))
+            cfg = MapConfig(mount_height=rng.uniform(0.0, 1.0),
+                            mount_forward=rng.uniform(-0.3, 0.3))
+            depth = rng.uniform(0.5, 4.5)
+            cam = world_to_camera_ref(_point(depth, pose, cfg), pose, cfg)
+            np.testing.assert_allclose(cam, [[0.0, 0.0, depth]], atol=1e-12)
 
     def test_mount_forward_offset(self):
         cfg = MapConfig(mount_forward=0.15)
-        out = camera_to_robot(np.array([0.0, 0.0, 2.0]), cfg)
-        np.testing.assert_allclose(out, [[2.15, 0.0, 0.3]], atol=1e-12)
+        np.testing.assert_allclose(_point(2.0, cfg=cfg), [2.15, 0.0, 0.3], atol=1e-12)
 
     def test_robot_to_world_quarter_turn(self):
-        pose = Pose2(0.0, 0.0, 0.0, np.pi / 2)
-        out = robot_to_world(np.array([2.0, 0.0, 0.3]), pose)
-        np.testing.assert_allclose(out, [[0.0, 2.0, 0.3]], atol=1e-12)
+        pose = Pose2(0.0, 1.0, -2.0, np.pi / 2)
+        np.testing.assert_allclose(pose.ahead(2.0), [1.0, 0.0], atol=1e-12)
+        cfg = MapConfig(mount_forward=0.5)
+        np.testing.assert_allclose(_point(2.0, pose, cfg), [1.0, 0.5, 0.3], atol=1e-12)
 
     def test_world_to_camera_inverts_chain(self):
         cfg = MapConfig(mount_forward=0.1)
         pose = Pose2(3.0, 1.2, -0.7, 0.6)
-        cam = np.array([[0.3, -0.2, 2.5], [-0.8, 0.1, 1.1]])
-        world = robot_to_world(camera_to_robot(cam, cfg), pose)
-        back = world_to_camera_ref(world, pose, cfg)
-        np.testing.assert_allclose(back, cam, atol=1e-12)
+        back = world_to_camera_ref(_point(2.5, pose, cfg), pose, cfg)
+        np.testing.assert_allclose(back, [[0.0, 0.0, 2.5]], atol=1e-12)
 
 
 class TestUnproject:
+    """``observe_items`` lifts the central box's median depth along the
+    principal ray."""
+
     def test_center_pixel_lands_ahead_at_mount_height(self):
         depth = np.zeros((9, 9))
         depth[4, 4] = 2.0
         raster = _raster(depth, focal=4.0)
-        pts = unproject(raster, (4, 4, 5, 5), IDENTITY)
-        np.testing.assert_allclose(pts, [[2.0, 0.0, 0.3]], atol=1e-12)
+        (obs,) = observe_items(CaptionRecord("img_000000", 0, ("milk",)), raster, IDENTITY)
+        np.testing.assert_allclose(obs.point, [2.0, 0.0, 0.3], atol=1e-12)
 
     def test_quarter_turn_pose_swings_point_to_plus_y(self):
-        depth = np.zeros((9, 9))
-        depth[4, 4] = 2.0
-        raster = _raster(depth, focal=4.0)
-        pts = unproject(raster, (4, 4, 5, 5), Pose2(0.0, 0.0, 0.0, np.pi / 2))
-        np.testing.assert_allclose(pts, [[0.0, 2.0, 0.3]], atol=1e-12)
-
-    def test_one_focal_length_right_is_45_degrees_lateral(self):
-        """A pixel one focal length right of center sees X = depth."""
-        depth = np.zeros((9, 9))
-        depth[4, 8] = 2.0
-        raster = _raster(depth, focal=4.0)
-        pts = unproject(raster, (0, 0, 9, 9), IDENTITY)
-        np.testing.assert_allclose(pts, [[2.0, -2.0, 0.3]], atol=1e-12)
+        pose = Pose2(0.0, 0.0, 0.0, np.pi / 2)
+        np.testing.assert_allclose(_point(2.0, pose), [0.0, 2.0, 0.3], atol=1e-12)
 
     def test_zero_depth_pixels_skipped(self):
-        depth = np.zeros((4, 4))
-        depth[1, 1] = 1.0
-        depth[2, 3] = 2.0
-        raster = _raster(depth)
-        pts = unproject(raster, (0, 0, 4, 4), IDENTITY)
-        assert pts.shape == (2, 3)
+        """Zero depth marks an invalid pixel; it never pulls the median."""
+        depth = np.full((9, 9), 2.0)
+        depth[3:5, 3:5] = [[0.0, 2.0], [2.0, 0.0]]
+        raster = _raster(depth, focal=4.0)
+        (obs,) = observe_items(CaptionRecord("img_000000", 0, ("milk",)), raster, IDENTITY)
+        np.testing.assert_allclose(obs.point, [2.0, 0.0, 0.3], atol=1e-12)
 
     def test_all_invalid_region_gives_empty_result(self):
-        raster = _raster(np.zeros((4, 4)))
-        pts = unproject(raster, (0, 0, 4, 4), IDENTITY)
-        assert pts.shape == (0, 3)
-
-    def test_region_bounds_checked(self):
-        raster = _uniform_raster()
-        with pytest.raises(ValueError, match="outside raster"):
-            unproject(raster, (0, 0, 10, 9), IDENTITY)
-        with pytest.raises(ValueError, match="outside raster"):
-            unproject(raster, (5, 0, 5, 9), IDENTITY)
+        """Only the central box counts: valid depth outside it is ignored."""
+        depth = np.full((9, 9), 2.0)
+        depth[3:5, 3:5] = 0.0
+        raster = _raster(depth, focal=4.0)
+        assert observe_items(CaptionRecord("img_000000", 0, ("milk",)), raster, IDENTITY) == []
 
     def test_pixel_round_trip(self):
-        """Unprojected pixels reproject onto themselves within half a pixel
-        and the camera-frame point survives the chain to 1e-6 m."""
+        """The point projects onto the principal point at its depth, and
+        ``observe_items`` returns the bits of the camera -> robot -> world
+        sums at ``mount_forward`` 0.12."""
         rng = np.random.default_rng(11)
-        depth = np.zeros((48, 64))
-        raster = DepthRaster(64, 48, depth, 40.0, 31.5, 23.5)
+        raster = DepthRaster(64, 48, np.zeros((48, 64)), 40.0, 31.5, 23.5)
         pose = Pose2(3.0, 1.2, -0.7, 0.6)
         cfg = MapConfig(mount_forward=0.12)
         for _ in range(25):
-            u = int(rng.integers(0, 64))
-            v = int(rng.integers(0, 48))
             d = float(rng.uniform(0.5, 4.5))
-            one = np.zeros((48, 64))
-            one[v, u] = d
-            r = DepthRaster(64, 48, one, 40.0, 31.5, 23.5)
-            world = unproject(r, (u, v, u + 1, v + 1), pose, cfg)
+            world = _point(d, pose, cfg, w=64, h=48)
             uu, vv, zz = project_ref(raster, world, pose, cfg)
-            assert abs(uu[0] - u) < 0.5
-            assert abs(vv[0] - v) < 0.5
+            np.testing.assert_allclose([uu[0], vv[0]], [31.5, 23.5], atol=1e-9)
             np.testing.assert_allclose(zz[0], d, atol=1e-9)
-            cam = world_to_camera_ref(world, pose, cfg)
-            np.testing.assert_allclose(cam[0, 2], d, atol=1e-6)
+            reach = d + cfg.mount_forward
+            expected = [np.cos(pose.yaw) * reach - np.sin(pose.yaw) * 0.0 + pose.x,
+                        np.sin(pose.yaw) * reach + np.cos(pose.yaw) * 0.0 + pose.y,
+                        cfg.mount_height]
+            assert same_bits(world, np.array(expected))
 
     def test_rigid_motion_equivariance(self):
         """Moving the capture pose by a rigid transform moves the
-        unprojected points by exactly that transform."""
+        observation by exactly that transform."""
         rng = np.random.default_rng(12)
         depth = rng.uniform(0.5, 4.0, (12, 16))
         raster = _raster(depth, focal=10.0)
+        caption = CaptionRecord("img_000000", 0, ("milk",))
+        cfg = MapConfig(mount_forward=0.2)
         pose = Pose2(0.0, 0.4, -0.2, 0.3)
-        base = unproject(raster, (2, 3, 14, 10), pose)
+        (base,) = observe_items(caption, raster, pose, cfg)
         dth, dx, dy = 0.7, 10.0, -5.0
         c, s = np.cos(dth), np.sin(dth)
         moved_pose = Pose2(0.0, c * pose.x - s * pose.y + dx,
                            s * pose.x + c * pose.y + dy,
                            sn.wrap_angle(pose.yaw + dth))
-        moved = unproject(raster, (2, 3, 14, 10), moved_pose)
-        expected_xy = base[:, :2] @ np.array([[c, -s], [s, c]]).T + [dx, dy]
-        np.testing.assert_allclose(moved[:, :2], expected_xy, atol=1e-9)
-        np.testing.assert_allclose(moved[:, 2], base[:, 2], atol=1e-12)
+        (moved,) = observe_items(caption, raster, moved_pose, cfg)
+        expected_xy = np.array([[c, -s], [s, c]]) @ base.point[:2] + [dx, dy]
+        np.testing.assert_allclose(moved.point[:2], expected_xy, atol=1e-9)
+        assert moved.point[2] == base.point[2]
 
 
 class TestCenterRegion:

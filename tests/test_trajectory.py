@@ -114,9 +114,10 @@ class TestIntegrate:
             np.testing.assert_allclose(traj.xy, ref, atol=1e-3)
 
     def test_origin_and_clock_offsets(self):
+        """Positions start at the origin; the clock starts at ``t0``."""
         v = np.zeros((10, 2))
-        traj = sn.integrate(v, np.zeros(10), origin=(3.0, 4.0), t0=2.5)
-        np.testing.assert_allclose(traj.xy, np.tile([3.0, 4.0], (10, 1)))
+        traj = sn.integrate(v, np.zeros(10), t0=2.5)
+        assert not traj.xy.any()
         assert traj.t[0] == pytest.approx(2.5)
 
     def test_yaws_are_carried_through(self):
@@ -143,9 +144,8 @@ class TestIntegrateMatchesPerFrameReference:
         else:
             held = rng.normal(size=(n, 2))
         yaws = rng.uniform(-4.0, 4.0, n)
-        origin = tuple(rng.normal(size=2))
-        got = sn.integrate(held, yaws, sn.KalmanConfig(*kf), rate, origin, 3.5)
-        ref = integrate_ref(held, yaws, sn.KalmanConfig(*kf), rate, origin, 3.5)
+        got = sn.integrate(held, yaws, sn.KalmanConfig(*kf), rate, 3.5)
+        ref = integrate_ref(held, yaws, sn.KalmanConfig(*kf), rate, 3.5)
         assert same_bits(got.xy, ref.xy)
         assert same_bits(got.t, ref.t) and same_bits(got.yaw, ref.yaw)
 

@@ -510,6 +510,14 @@ class TestInferRunMeta:
         assert meta["n_windows_clamped"] == 1
 
 
+class TestRefineRunMeta:
+    def test_buckets(self, pipeline):
+        buckets = json.loads((pipeline / "run_meta_refine.json").read_text())["elapsed_s"]
+        assert sorted(buckets) == ["fit", "load", "total", "write"]
+        assert all(v >= 0.0 for v in buckets.values())
+        assert sum(buckets.values()) - buckets["total"] <= buckets["total"]
+
+
 @pytest.fixture(scope="module")
 def bare_ds(tmp_path_factory):
     ds = tmp_path_factory.mktemp("bare") / "ds"

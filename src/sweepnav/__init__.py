@@ -8,155 +8,52 @@ image captures along the path, and geo-localizes captioned items via
 depth unprojection and per-name clustering.  A simulator generates
 closed coverage runs with synthetic IMU and scenes for testing all of
 it end to end.
+
+The names below are imported from their modules on first use (PEP 562),
+so ``import sweepnav`` or a single command loads only what it touches.
 """
 
-from .estimator import (
-    DenseVelocityNetwork,
-    NonFiniteEstimateError,
-    OracleConfig,
-    OracleVelocityEstimator,
-    WeightsBundle,
-    estimate_velocity,
-    load_weights,
-    make_random_bundle,
-    save_weights,
-)
-from .geometry import GRAVITY, rot2, rotate_xy, wrap_angle
-from .imu import (
-    ImuSequence,
-    load_imu,
-    make_windows,
-    resample,
-    save_imu,
-    to_hacf,
-)
-from .loop_closure import (
-    CorrectionParams,
-    LossBreakdown,
-    RefineConfig,
-    apply_corrections,
-    refine,
-    refinement_loss,
-)
-from .metrics import (
-    AlignmentResult,
-    EvalReport,
-    align_similarity,
-    apply_alignment,
-    evaluate,
-)
-from .object_map import (
-    CaptionRecord,
-    DepthRaster,
-    HttpCaptioner,
-    ItemCluster,
-    ItemObservation,
-    MapConfig,
-    cluster_items,
-    evaluate_map,
-    fetch_captions,
-    load_raster,
-    normalize_name,
-    observe_items,
-    save_raster,
-)
-from .orientation import (
-    OrientationSequence,
-    estimate_orientation,
-    load_orientations,
-    relative_yaw,
-    save_orientations,
-)
-from .rae import RaeConfig, ensemble_angles, rae_estimate
-from .sim import (
-    SceneConfig,
-    SimConfig,
-    generate_scene,
-    generate_trajectory,
-    synthesize_imu,
-    true_orientations,
-)
-from .trajectory import (
-    CaptureEvent,
-    KalmanConfig,
-    Pose2,
-    Trajectory,
-    capture_schedule,
-    held_velocities,
-    image_id_for_frame,
-    integrate,
-    load_trajectory,
-    save_trajectory,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GRAVITY",
-    "AlignmentResult",
-    "CaptionRecord",
-    "CaptureEvent",
-    "CorrectionParams",
-    "DenseVelocityNetwork",
-    "DepthRaster",
-    "EvalReport",
-    "HttpCaptioner",
-    "ImuSequence",
-    "ItemCluster",
-    "ItemObservation",
-    "KalmanConfig",
-    "LossBreakdown",
-    "MapConfig",
-    "NonFiniteEstimateError",
-    "OracleConfig",
-    "OracleVelocityEstimator",
-    "OrientationSequence",
-    "Pose2",
-    "RaeConfig",
-    "RefineConfig",
-    "SceneConfig",
-    "SimConfig",
-    "Trajectory",
-    "WeightsBundle",
-    "align_similarity",
-    "apply_alignment",
-    "apply_corrections",
-    "capture_schedule",
-    "cluster_items",
-    "ensemble_angles",
-    "estimate_orientation",
-    "estimate_velocity",
-    "evaluate",
-    "evaluate_map",
-    "fetch_captions",
-    "generate_scene",
-    "generate_trajectory",
-    "held_velocities",
-    "image_id_for_frame",
-    "integrate",
-    "load_imu",
-    "load_orientations",
-    "load_raster",
-    "load_trajectory",
-    "load_weights",
-    "make_random_bundle",
-    "make_windows",
-    "normalize_name",
-    "observe_items",
-    "rae_estimate",
-    "refine",
-    "refinement_loss",
-    "relative_yaw",
-    "resample",
-    "rot2",
-    "rotate_xy",
-    "save_imu",
-    "save_orientations",
-    "save_raster",
-    "save_trajectory",
-    "save_weights",
-    "synthesize_imu",
-    "to_hacf",
-    "true_orientations",
-    "wrap_angle",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "config": ("KalmanConfig", "MapConfig", "RaeConfig", "RefineConfig", "SceneConfig",
+               "SimConfig"),
+    "estimator": ("DenseVelocityNetwork", "NonFiniteEstimateError", "OracleConfig",
+                  "OracleVelocityEstimator", "WeightsBundle", "estimate_velocity",
+                  "load_weights", "make_random_bundle", "save_weights"),
+    "geometry": ("GRAVITY", "rot2", "rotate_xy", "wrap_angle"),
+    "imu": ("ImuSequence", "load_imu", "make_windows", "resample", "save_imu", "to_hacf"),
+    "loop_closure": ("CorrectionParams", "LossBreakdown", "apply_corrections", "refine",
+                     "refinement_loss"),
+    "metrics": ("AlignmentResult", "EvalReport", "align_similarity", "apply_alignment",
+                "evaluate"),
+    "object_map": ("CaptionRecord", "DepthRaster", "HttpCaptioner", "ItemCluster",
+                   "ItemObservation", "cluster_items", "evaluate_map", "fetch_captions",
+                   "load_raster", "normalize_name", "observe_items", "save_raster"),
+    "orientation": ("OrientationSequence", "estimate_orientation", "load_orientations",
+                    "relative_yaw", "save_orientations"),
+    "rae": ("ensemble_angles", "rae_estimate"),
+    "sim": ("generate_scene", "generate_trajectory", "synthesize_imu", "true_orientations"),
+    "trajectory": ("CaptureEvent", "Pose2", "Trajectory", "capture_schedule",
+                   "held_velocities", "image_id_for_frame", "integrate", "load_trajectory",
+                   "save_trajectory"),
+}
+# public name -> its module
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOMES))

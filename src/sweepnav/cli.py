@@ -8,7 +8,8 @@ primary outputs; wall-clock timings live only in run_meta_*.json files.
 ``main`` owns what every command shares: it resolves the configuration,
 loads the manifest, times the command, then saves the manifest and
 writes ``run_meta_<command>.json``.  A ``cmd_*`` function only does its
-work and returns the fields of its run_meta.
+work and returns the fields of its run_meta.  It imports the pipeline
+modules it runs itself, so that a command loads only those.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration/validation
 failure.
@@ -28,10 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import estimator as est_mod
-from . import loop_closure, metrics, object_map, rae, sim, trajectory
+from . import trajectory
 from .config import DEFAULTS, SECTIONS, ConfigError, PipelineConfig, load_config, parse_value
-from .fileio import read_csv, write_csv, write_json
+from .fileio import read_csv, read_table, write_csv, write_json
+from .geometry import median
 from .imu import load_imu, resample, save_imu, to_hacf, make_windows
 from .orientation import (estimate_orientation, load_orientations, relative_yaw,
                           save_orientations)
@@ -125,6 +126,8 @@ def _pick_trajectory(dataset: Path, manifest: dict, which: str,
 
 
 def cmd_simulate(cfg: PipelineConfig, out_dir: Path, manifest: dict, clock: Stopwatch) -> dict:
+    from . import object_map, sim
+
     sim_cfg = _from_config(cfg, "sim")
     scene_cfg = _from_config(cfg, "scene")
     map_cfg = _from_config(cfg, "map")
@@ -163,6 +166,8 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path, manifest: dict, clock: Stop
 
 
 def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:
+    from . import estimator, rae
+
     with clock.lap("load"):
         imu = load_imu(_manifest_file(dataset, manifest, "imu"))
         imu = resample(imu, rate_hz=cfg["sim.sample_rate_hz"])
@@ -192,17 +197,17 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
                 "estimator.weights must point to a weights file when "
                 "estimator.kind is 'network'")
         rate = float(imu.sample_rate())
-        bundle = est_mod.load_weights(Path(weights_path), expected_tau=tau,
-                                      expected_rate=rate)
-        model = est_mod.DenseVelocityNetwork(bundle)
+        bundle = estimator.load_weights(Path(weights_path), expected_tau=tau,
+                                        expected_rate=rate)
+        model = estimator.DenseVelocityNetwork(bundle)
     elif cfg["estimator.kind"] == "oracle":
         gt = trajectory.load_trajectory(_manifest_file(dataset, manifest, "gt_trajectory"))
-        oracle_cfg = est_mod.OracleConfig(
+        oracle_cfg = estimator.OracleConfig(
             trajectory=gt,
             bias_hacf=np.asarray(cfg["oracle.bias"], dtype=float),
             noise_sigma=cfg["oracle.noise_sigma"],
         )
-        model = est_mod.OracleVelocityEstimator(oracle_cfg, rng_seed=cfg["oracle.seed"])
+        model = estimator.OracleVelocityEstimator(oracle_cfg, rng_seed=cfg["oracle.seed"])
     else:
         raise ConfigError("estimator.kind must be 'oracle' or 'network'")
     rae_cfg = _from_config(cfg, "rae")
@@ -239,11 +244,13 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
         "n_windows": len(windows),
         "n_members_nonfinite": ens.n_members_nonfinite,
         "n_windows_clamped": ens.n_windows_clamped,
-        "rae_member_spread": float(np.median(ens.member_spread)),
+        "rae_member_spread": float(median(ens.member_spread)),
     }
 
 
 def cmd_refine(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:
+    from . import loop_closure
+
     with clock.lap("load"):
         est = trajectory.load_trajectory(_manifest_file(dataset, manifest, "est_trajectory"))
         vel_path = _manifest_file(dataset, manifest, "velocities")
@@ -290,7 +297,19 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwa
 def _load_velocities(path: Path, n_frames: int) -> np.ndarray:
     """Read ``velocities.csv`` as ``cmd_infer`` writes it: frames
     0..n_frames-1 in order, each once.  The first line that breaks the
-    order is named, and a short file at the line past its last row."""
+    order is named, and a short file at the line past its last row.
+
+    A table whose frame tokens are exactly ``0``, ``1``, ... is taken
+    from ``read_table``; any other file is read line by line."""
+    try:
+        table = read_table(path, VELOCITY_CSV_HEADER)
+    except ValueError:
+        table = None  # the line reader below names the fault
+    if table is not None and len(table) == n_frames:
+        with open(path, "r", encoding="utf-8") as fh:
+            tokens = [line.partition(",")[0] for line in fh][1:]
+        if tokens == list(map(str, range(n_frames))):
+            return np.ascontiguousarray(table[:, 1:])
     rule = f"frames must run 0..{n_frames - 1} in order, each once"
     rows = read_csv(path, VELOCITY_CSV_HEADER,
                     lambda fields: (int(fields[0]), float(fields[1]), float(fields[2])))
@@ -305,6 +324,8 @@ def _load_velocities(path: Path, n_frames: int) -> np.ndarray:
 
 
 def cmd_eval(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:
+    from . import metrics
+
     with clock.lap("load"):
         gt = trajectory.load_trajectory(_manifest_file(dataset, manifest, "gt_trajectory"))
         which, est = _pick_trajectory(dataset, manifest, cfg["eval.trajectory"],
@@ -347,6 +368,8 @@ def cmd_eval(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatc
 
 
 def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:
+    from . import metrics, object_map
+
     map_cfg = _from_config(cfg, "map")
     with clock.lap("load"):
         which, traj = _pick_trajectory(dataset, manifest, cfg["map.trajectory"])
@@ -420,6 +443,8 @@ def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch
 
 def cmd_plot(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch,
              out: Path | None = None) -> dict:
+    from . import object_map
+
     series = []
     colors = {"gt": "#888888", "est": "#1f77b4", "refined": "#2ca02c"}
     items_xy = {}
@@ -453,10 +478,11 @@ def _render_svg(series, items_xy: dict) -> str:
     span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
     scale = (size - 2 * margin) / span
 
-    def to_px(p):
-        x = margin + (p[0] - lo[0]) * scale
-        y = size - margin - (p[1] - lo[1]) * scale  # svg y grows downward
-        return f"{x:.2f},{y:.2f}"
+    def to_px(xy):
+        """The space-separated "x,y" pixel pairs of the (n, 2) points ``xy``."""
+        x = margin + (xy[:, 0] - lo[0]) * scale
+        y = size - margin - (xy[:, 1] - lo[1]) * scale  # svg y grows downward
+        return ("%.2f,%.2f " * len(xy) % tuple(np.column_stack([x, y]).ravel().tolist()))[:-1]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
@@ -464,19 +490,18 @@ def _render_svg(series, items_xy: dict) -> str:
         f'<rect width="{size:.0f}" height="{size:.0f}" fill="#ffffff"/>',
     ]
     for i, (name, color, xy) in enumerate(series):
-        pts = " ".join(to_px(p) for p in xy)
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+        parts.append(f'<polyline points="{to_px(xy)}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         parts.append(f'<text x="{margin:.0f}" y="{20 + 16 * i:.0f}" '
                      f'fill="{color}" font-family="monospace" font-size="13">'
                      f'{name}</text>')
     for name in sorted(items_xy):
-        px = to_px(items_xy[name]).split(",")
+        px = to_px(np.array([items_xy[name]])).split(",")
         parts.append(f'<circle cx="{px[0]}" cy="{px[1]}" r="4" fill="#d62728"/>')
         parts.append(f'<text x="{float(px[0]) + 6:.2f}" y="{float(px[1]) - 4:.2f}" '
                      f'fill="#d62728" font-family="monospace" font-size="11">'
                      f'{name}</text>')
-    start = to_px(series[0][2][0]).split(",")
+    start = to_px(series[0][2][:1]).split(",")
     parts.append(f'<circle cx="{start[0]}" cy="{start[1]}" r="5" fill="none" '
                  f'stroke="#000000" stroke-width="1.5"/>')
     parts.append("</svg>")

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fileio import json_field
 from .geometry import rotate_xy, row_norms
 
 INPUT_LAYOUT = "acc_then_gyro_rowmajor"
@@ -94,7 +95,7 @@ def load_weights(path, expected_tau: int | None = None,
             raise ValueError("gravity_subtracted must be true: the pipeline feeds "
                              "windows with gravity removed")
         meta = WeightsMeta(
-            tau=int(meta_doc["tau"]),
+            tau=json_field(meta_doc, "tau", int),
             sample_rate_hz=float(meta_doc["sample_rate_hz"]),
             gravity_subtracted=True,
             input_layout=str(meta_doc.get("input_layout", INPUT_LAYOUT)),
@@ -137,7 +138,7 @@ def _layer(ld) -> Layer:
         return Layer("relu")
     if kind != "dense":
         raise ValueError(f"unknown kind '{kind}'")
-    rows, cols = int(ld["rows"]), int(ld["cols"])
+    rows, cols = json_field(ld, "rows", int), json_field(ld, "cols", int)
     flat = np.frombuffer(base64.b64decode(ld.get("data", "")), dtype="<f4").astype(float)
     expected = rows * cols + cols
     if flat.size != expected:

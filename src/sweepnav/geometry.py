@@ -22,6 +22,19 @@ def wrap_angle(theta):
     return np.pi - np.mod(np.pi - np.asarray(theta, dtype=float), 2.0 * np.pi)
 
 
+def median(x) -> np.float64:
+    """``np.median`` of a float array, bit for bit: the mean of the middle
+    one or two values of the same ``np.partition``, or the value that
+    partition puts last when that is NaN.  ``np.median`` imports
+    ``numpy.ma`` for its NaN check; this does not."""
+    a = np.asarray(x, dtype=float).ravel()
+    mid, odd = divmod(len(a), 2)
+    part = np.partition(a, ([mid] if odd else [mid - 1, mid]) + [-1])
+    if len(a) and np.isnan(part[-1]):  # NaNs sort last
+        return part[-1]
+    return part[mid - 1 + odd:mid + 1].mean()
+
+
 def rot2(theta: float) -> np.ndarray:
     """2x2 rotation matrix for a counterclockwise angle ``theta``."""
     c, s = np.cos(theta), np.sin(theta)

@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fileio import read_csv, read_jsonl, write_csv, write_jsonl
+from .fileio import json_field, read_jsonl, read_table, write_csv, write_jsonl
 from .geometry import (
     GRAVITY_VEC,
+    median,
     quat_yaw,
     quats_to_matrices,
     rotate_xyz_about_z,
@@ -78,7 +79,7 @@ class ImuSequence:
     def sample_rate(self) -> float:
         if len(self) < 2:
             raise ValueError("need at least two samples to infer a rate")
-        return 1.0 / float(np.median(np.diff(self.t)))
+        return 1.0 / float(median(np.diff(self.t)))
 
 
 def load_imu(path) -> ImuSequence:
@@ -90,10 +91,10 @@ def load_imu(path) -> ImuSequence:
     """
     path = Path(path)
     if path.suffix.lower() == ".jsonl":
-        rows = read_jsonl(path, lambda rec: [float(rec[k]) for k in IMU_FIELDS])
+        rows = read_jsonl(path, lambda rec: [json_field(rec, k, float) for k in IMU_FIELDS])
+        arr = np.array([row for _, row in rows], dtype=float).reshape(-1, 7)
     else:
-        rows = read_csv(path, IMU_CSV_HEADER, lambda fields: list(map(float, fields)))
-    arr = np.array([row for _, row in rows], dtype=float).reshape(-1, 7)
+        arr = read_table(path, IMU_CSV_HEADER)
     try:
         return ImuSequence(arr[:, 0], arr[:, 1:4], arr[:, 4:7])
     except ValueError as exc:

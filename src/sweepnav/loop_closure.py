@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RefineConfig
 from .fileio import write_csv, write_jsonl
 from .geometry import wrap_angle
 from .imu import _frozen
@@ -73,25 +74,6 @@ class LossBreakdown:
     loop: float
     rot: float
     smooth: float
-
-
-@dataclass(frozen=True)
-class RefineConfig:
-    epochs: int = 100
-    learning_rate: float = 0.01
-    lambda_loop: float = 1.0
-    lambda_rot: float = 1.0
-    lambda_smooth: float = 1.0
-    seed: int = 0
-    hidden: int = 64
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if min(self.lambda_loop, self.lambda_rot, self.lambda_smooth) < 0:
-            raise ValueError("loss weights must be non-negative")
 
 
 def _corrected_positions(P: np.ndarray, r: np.ndarray, l: np.ndarray):

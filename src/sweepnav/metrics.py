@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import write_csv, write_json
-from .geometry import rot2, wrap_angle
+from .geometry import median, rot2, wrap_angle
 from .imu import _frozen
 from .trajectory import Trajectory
 
@@ -108,8 +108,8 @@ def align_similarity(gt: np.ndarray, est: np.ndarray, fix_scale: bool = False,
         scale, theta, t = _similarity_fit(gt[keep], est[keep], fix_scale)
         R = rot2(theta)
         resid = np.linalg.norm(gt - (scale * (est @ R.T) + t), axis=1)
-        med = np.median(resid[keep])
-        mad = np.median(np.abs(resid[keep] - med))
+        med = median(resid[keep])
+        mad = median(np.abs(resid[keep] - med))
         # Floor keeps the gate above float noise when residuals are ~0.
         gate = med + _MAD_K * max(float(mad), 1e-12)
         new_keep = resid <= gate

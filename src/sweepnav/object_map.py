@@ -21,13 +21,14 @@ import os
 import struct
 import time
 import unicodedata
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import CaptionServiceConfig, MapConfig
 from .fileio import json_field, read_csv, read_jsonl, write_csv, write_json, write_jsonl
+from .geometry import median
 from .imu import _frozen
 from .metrics import AlignmentResult, apply_alignment
 from .trajectory import CaptureEvent, Pose2, image_id_for_frame
@@ -37,11 +38,6 @@ logger = logging.getLogger(__name__)
 RASTER_MAGIC = b"DRAS"
 RASTER_VERSION = 1
 ITEMS_CSV_HEADER = "name,x,y,z"
-DEFAULT_PROMPT = (
-    "Describe the names of all the products in the image while "
-    "emphasizing texts if they exist."
-)
-CAPTION_TOKEN_ENV = "SWEEPNAV_CAPTION_TOKEN"
 
 
 @dataclass(frozen=True)
@@ -103,31 +99,6 @@ class ItemCluster:
         object.__setattr__(self, "centroid", _frozen(self.centroid))
 
 
-@dataclass(frozen=True)
-class MapConfig:
-    """Mount calibration, depth gating, and clustering settings."""
-
-    mount_height: float = 0.3  # camera height above floor, m
-    mount_forward: float = 0.0  # camera offset ahead of robot origin, m
-    center_fraction: float = 0.2  # side fraction of the central sampling box
-    depth_min: float = 0.3  # valid-depth band, m
-    depth_max: float = 5.0
-    z_min: float = 0.0  # indoor sanity band on observation height, m
-    z_max: float = 3.0
-    cluster_eps: float = 1.5  # single-linkage merge distance, m
-    min_observations: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.center_fraction <= 1.0:
-            raise ValueError("center_fraction must be in (0, 1]")
-        if not 0.0 <= self.depth_min < self.depth_max:
-            raise ValueError("require 0 <= depth_min < depth_max")
-        if self.cluster_eps <= 0:
-            raise ValueError("cluster_eps must be positive")
-        if self.min_observations < 1:
-            raise ValueError("min_observations must be >= 1")
-
-
 # ---------------------------------------------------------------------------
 # Observation and clustering
 
@@ -176,7 +147,7 @@ def observe_items(caption: CaptionRecord, raster: DepthRaster, pose: Pose2,
             logger.warning("%s: no valid depth in center region, skipped %r",
                            caption.image_id, name)
         return []
-    depth = float(np.median(valid))
+    depth = float(median(valid))
     # the principal ray runs along the heading from the mount
     point = np.array([*pose.ahead(cfg.mount_forward + depth), cfg.mount_height])
     if not cfg.z_min <= point[2] <= cfg.z_max:
@@ -287,21 +258,6 @@ def evaluate_map(clusters: list[ItemCluster], ground_truth: dict[str, np.ndarray
 # Caption acquisition
 
 
-@dataclass(frozen=True)
-class CaptionServiceConfig:
-    endpoint: str = ""
-    prompt: str = DEFAULT_PROMPT
-    token_env: str = CAPTION_TOKEN_ENV
-    max_workers: int = 4
-    retries: int = 3
-    backoff_s: float = 0.5
-    timeout_s: float = 10.0
-
-    def __post_init__(self):
-        if self.max_workers < 1 or self.retries < 1:
-            raise ValueError("max_workers and retries must be >= 1")
-
-
 class HttpCaptioner:
     """JSON-over-HTTP captioner with bearer auth; 5xx and 429 are retried."""
 
@@ -358,6 +314,8 @@ def fetch_captions(captures: list[CaptureEvent], captioner,
     Per-image failures are logged by the captioner and dropped here;
     the call itself never raises for them.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     jobs = sorted((image_id_for_frame(ev.frame), ev.frame) for ev in captures)
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         results = list(pool.map(lambda j: captioner.caption(*j), jobs))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import read_csv, write_csv
+from .fileio import read_table, write_csv
 from .geometry import GRAVITY, quat_from_rotvec, quat_yaw, row_norms, wrap_angle
 from .imu import ImuSequence, _frozen
 
@@ -177,8 +177,7 @@ def relative_yaw(orientations: OrientationSequence) -> np.ndarray:
 
 def load_orientations(path) -> OrientationSequence:
     """Read a ``t,qw,qx,qy,qz`` CSV of precomputed orientations."""
-    rows = read_csv(path, ORIENTATION_CSV_HEADER, lambda fields: list(map(float, fields)))
-    arr = np.array([row for _, row in rows], dtype=float).reshape(-1, 5)
+    arr = read_table(path, ORIENTATION_CSV_HEADER)
     try:
         return OrientationSequence(arr[:, 0], arr[:, 1:5])
     except ValueError as exc:

@@ -15,16 +15,14 @@ a single wild member.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import _REDUCERS, RaeConfig
 from .estimator import NonFiniteEstimateError, clamp_speed, estimate_velocity
 from .geometry import rotate_xy, rotate_xyz_about_z
 
-_ANGLE_MODES = ("grid", "seeded_random")
-_REDUCERS = ("median", "mean", "trimmed_mean")
 # Geometric median: members within _COLLINEAR_TOL * spread of one line are
 # collinear; the descent stops once a step is below _GM_RTOL times the
 # harmonic mean distance to the members, or after _GM_MAX_ITER steps.
@@ -34,26 +32,6 @@ _GM_MAX_ITER = 100
 # Windows per model call: bounds the K rotated copies held in memory
 # (64 windows x K=5 x 390 samples is 1 MB) without a per-window call.
 _BLOCK = 64
-
-
-@dataclass(frozen=True)
-class RaeConfig:
-    """Ensemble shape: member count, angle selection, reducer."""
-
-    k: int = 5
-    angle_mode: str = "grid"
-    reducer: str = "median"
-    trim_fraction: float = 0.1
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.angle_mode not in _ANGLE_MODES:
-            raise ValueError(f"angle_mode must be one of {_ANGLE_MODES}")
-        if self.reducer not in _REDUCERS:
-            raise ValueError(f"reducer must be one of {_REDUCERS}")
-        if not 0.0 <= self.trim_fraction < 0.5:
-            raise ValueError("trim_fraction must lie in [0, 0.5)")
 
 
 def ensemble_angles(cfg: RaeConfig, rng_seed: int = 0) -> np.ndarray:

@@ -15,41 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import quat_about_z
+from .config import MapConfig, SceneConfig, SimConfig
+from .geometry import median, quat_about_z
 from .imu import ImuSequence
-from .object_map import CaptionRecord, DepthRaster, MapConfig, center_region, normalize_name
+from .object_map import CaptionRecord, DepthRaster, center_region, normalize_name
 from .orientation import OrientationSequence
 from .trajectory import CaptureEvent, Trajectory, image_id_for_frame
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Room, motion, and sensor-error parameters of a simulated run."""
-
-    room_width: float = 4.0
-    room_height: float = 2.0
-    row_spacing: float = 1.0
-    speed: float = 0.5  # m/s
-    sample_rate_hz: float = 50.0
-    acc_noise: float = 0.0  # per-axis sigma, m/s^2
-    gyro_noise: float = 0.0  # per-axis sigma, rad/s
-    acc_bias: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    gyro_bias: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    seed: int = 0
-    turn_model: str = "arc"  # "arc" | "stop_and_turn"
-    turn_rate: float = math.pi / 2  # rad/s, stop_and_turn only
-
-    def __post_init__(self):
-        if min(self.room_width, self.room_height, self.row_spacing) <= 0:
-            raise ValueError("room dimensions and row_spacing must be positive")
-        if self.row_spacing > self.room_height + 1e-12:
-            raise ValueError("row_spacing must not exceed room_height")
-        if self.row_spacing > 2 * self.room_width:
-            raise ValueError("row_spacing must not exceed twice room_width (turn radius)")
-        if self.speed <= 0 or self.sample_rate_hz <= 0 or self.turn_rate <= 0:
-            raise ValueError("speed, sample_rate_hz and turn_rate must be positive")
-        if self.turn_model not in ("arc", "stop_and_turn"):
-            raise ValueError("turn_model must be 'arc' or 'stop_and_turn'")
 
 
 # ---------------------------------------------------------------------------
@@ -252,29 +223,6 @@ def synthesize_imu(traj: Trajectory, cfg: SimConfig) -> ImuSequence:
 # Scene generation
 
 
-@dataclass(frozen=True)
-class SceneConfig:
-    """Camera model and visibility rules of the synthetic scene."""
-
-    width_px: int = 64
-    height_px: int = 48
-    focal_px: float = 50.0
-    item_radius: float = 0.5  # billboard half-width, m
-    caption_half_angle: float = 0.02  # rad; captioned iff |bearing| strictly below
-    caption_z_min: float = 0.5  # captioned depth band, m
-    caption_z_max: float = 3.0
-    item_z: float = 0.3  # item height above floor, m
-    wall_margin: float = 1.0  # background walls sit this far outside the room
-
-    def __post_init__(self):
-        if self.width_px < 8 or self.height_px < 8:
-            raise ValueError("raster must be at least 8x8 pixels")
-        if self.focal_px <= 0 or self.item_radius <= 0:
-            raise ValueError("focal_px and item_radius must be positive")
-        if not 0.0 < self.caption_z_min < self.caption_z_max:
-            raise ValueError("require 0 < caption_z_min < caption_z_max")
-
-
 def _render_raster(pose, visible, room: tuple[float, float, float, float],
                    scene: SceneConfig, map_cfg: MapConfig) -> tuple[DepthRaster, np.ndarray]:
     """Depth image: nearest billboard per column, walls as background.
@@ -361,7 +309,7 @@ def generate_scene(captures: list[CaptureEvent], items: dict[str, tuple[float, f
         raster, depth_cols = _render_raster(ev.pose, visible, room, scene, map_cfg)
         # the columns of the box the mapper samples
         u0, _, u1, _ = center_region(raster, map_cfg.center_fraction)
-        center_depth = float(np.median(depth_cols[u0:u1]))
+        center_depth = float(median(depth_cols[u0:u1]))
         captioned = tuple(name for name, fwd in candidates
                           if abs(center_depth - fwd) <= 1e-6)
         rasters.append(raster)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import json_field, read_csv, read_jsonl, write_csv, write_jsonl
-from .geometry import row_norms, wrap_angle
+from .config import KalmanConfig
+from .fileio import json_field, read_jsonl, read_table, write_csv, write_jsonl
+from .geometry import median, row_norms, wrap_angle
 from .imu import _frozen
 
 TRAJECTORY_CSV_HEADER = "t,x,y,yaw"
@@ -90,13 +91,12 @@ def save_trajectory(traj: Trajectory, path) -> None:
 
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory; its frame rate is that of the median time step."""
-    rows = read_csv(path, TRAJECTORY_CSV_HEADER, lambda fields: list(map(float, fields)))
-    if not rows:
+    arr = read_table(path, TRAJECTORY_CSV_HEADER)
+    if not len(arr):
         raise ValueError(f"{path}: empty trajectory")
-    arr = np.array([row for _, row in rows], dtype=float)
     if len(arr) < 2:
         raise ValueError(f"{path}: cannot infer frame rate from a single pose")
-    dt = float(np.median(np.diff(arr[:, 0])))
+    dt = float(median(np.diff(arr[:, 0])))
     if not dt > 0:
         raise ValueError(f"{path}: cannot infer frame rate: median time step is {dt!r}")
     try:
@@ -107,23 +107,6 @@ def load_trajectory(path) -> Trajectory:
 
 # ---------------------------------------------------------------------------
 # Kalman-filtered integration
-
-
-@dataclass(frozen=True)
-class KalmanConfig:
-    """Constant-velocity filter noise levels.
-
-    ``sigma_process`` is the white-acceleration density driving the
-    velocity state; ``sigma_obs`` is the per-axis standard deviation
-    assigned to velocity observations.
-    """
-
-    sigma_process: float = 0.1
-    sigma_obs: float = 0.1
-
-    def __post_init__(self):
-        if self.sigma_process < 0 or self.sigma_obs <= 0:
-            raise ValueError("sigma_process must be >= 0 and sigma_obs > 0")
 
 
 def held_velocities(velocities: np.ndarray, starts, n_frames: int) -> np.ndarray:
@@ -295,8 +278,8 @@ def save_captures(events, path) -> None:
 
 
 def _capture(rec) -> CaptureEvent:
-    pose = Pose2(float(rec["t"]), float(rec["x"]), float(rec["y"]), float(rec["yaw"]))
-    return CaptureEvent(json_field(rec, "frame", int), pose, str(rec["trigger"]))
+    pose = Pose2(*(json_field(rec, key, float) for key in ("t", "x", "y", "yaw")))
+    return CaptureEvent(json_field(rec, "frame", int), pose, json_field(rec, "trigger", str))
 
 
 def load_captures(path) -> list[CaptureEvent]:

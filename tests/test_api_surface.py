@@ -5,7 +5,9 @@ string equal to it (a ``getattr``-style lookup, as perfbench's tracer
 makes) appears in ``src/sweepnav`` outside its package re-exports, in
 ``demos/``, in the README's Python blocks or in ``perfbench/``.  A
 ``cmd_<command>`` counts as used through the subparser of its command,
-which ``cli.main`` dispatches by name.  Tests are not callers.
+which ``cli.main`` dispatches by name.  A module-level ``__getattr__``
+or ``__dir__`` (PEP 562) counts as used: the import system calls it.
+Tests are not callers.
 """
 
 import ast
@@ -14,6 +16,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sweepnav"
+# module functions that attribute lookup and dir() call (PEP 562)
+MODULE_HOOKS = {"__getattr__", "__dir__"}
 
 
 def _references(tree: ast.AST) -> set[str]:
@@ -52,6 +56,7 @@ def test_every_top_level_definition_has_a_caller():
     trees = _caller_trees()
     used = set().union(*map(_references, trees))
     used |= {f"cmd_{name}" for tree in trees for name in _subcommands(tree)}
+    used |= MODULE_HOOKS
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))

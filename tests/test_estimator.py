@@ -247,6 +247,36 @@ class TestWeightsFile:
                            match=f"^{re.escape(str(path))}: .*gravity_subtracted must be true"):
             sn.load_weights(path)
 
+    @pytest.mark.parametrize("part, key, value, message", [
+        ("meta", "tau", 1.9, "malformed weights bundle: tau must be a JSON integer, got 1.9"),
+        ("meta", "tau", "1", 'malformed weights bundle: tau must be a JSON integer, got "1"'),
+        ("layer", "rows", 12.5, "layer 0: rows must be a JSON integer, got 12.5"),
+        ("layer", "cols", True, "layer 0: cols must be a JSON integer, got true"),
+    ])
+    def test_fractional_integers_are_refused(self, tmp_path, part, key, value, message):
+        """``"tau": 1.9`` once loaded as tau 1 and passed a tau = 1 check."""
+        path = tmp_path / "weights.json"
+        sn.save_weights(sn.make_random_bundle(tau=1, hidden=()), path)
+        doc = json.loads(path.read_text())
+        (doc["meta"] if part == "meta" else doc["layers"][0])[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            sn.load_weights(path, expected_tau=1)
+
+    def test_infer_exits_2_on_a_fractional_layer_size(self, tmp_path, capsys):
+        from sweepnav.cli import main
+
+        ds = tmp_path / "ds"
+        assert main(["simulate", "--out", str(ds), "--set", "sim.n_items=0"]) == 0
+        path = tmp_path / "weights.json"
+        sn.save_weights(sn.make_random_bundle(), path)
+        doc = json.loads(path.read_text())
+        doc["layers"][0]["rows"] += 0.5
+        path.write_text(json.dumps(doc))
+        assert main(["infer", "--dataset", str(ds), "--estimator", "network",
+                     "--set", f"estimator.weights={path}"]) == 2
+        assert f"{path}: layer 0: rows must be a JSON integer, got 390.5" in capsys.readouterr().err
+
     def test_infer_exits_2_on_a_malformed_layer(self, tmp_path, capsys):
         """The documented exit code of a validation failure, not a traceback."""
         from sweepnav.cli import main

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sweepnav import geometry as geo
 
@@ -132,3 +134,24 @@ class TestQuaternions:
         mats = geo.quats_to_matrices(qs)
         for i in range(6):
             np.testing.assert_allclose(mats[i], quat_to_matrix_ref(qs[i]), atol=1e-12)
+
+
+# values where a median can go wrong: both zeros, both infinities, NaNs
+# of either sign, ties
+_EDGE = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan, -np.nan])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+class TestMedian:
+    @given(st.lists(st.one_of(_EDGE, st.floats()), min_size=1, max_size=12))
+    def test_equals_np_median_bit_for_bit(self, values):
+        """n = 1, 2, odd and even; NaN anywhere propagates as np.median's."""
+        a = np.array(values)
+        assert same_bits(geo.median(a), np.median(a))
+        assert type(geo.median(a)) is type(np.median(a))
+
+    @pytest.mark.parametrize("values", [[-0.0], [-0.0, -0.0], [0.0, -0.0], [np.inf, -np.inf],
+                                        [1e308, 1e308], [-np.nan, 1.0, np.nan]])
+    def test_edge_cases(self, values):
+        assert same_bits(geo.median(np.array(values)), np.median(np.array(values)))

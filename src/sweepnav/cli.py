@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import json
 import logging
 import sys
@@ -30,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import trajectory
-from .config import DEFAULTS, SECTIONS, ConfigError, PipelineConfig, load_config, parse_value
+from .config import CHOICES, DEFAULTS, SECTIONS, ConfigError, PipelineConfig, load_config
 from .fileio import read_csv, read_table, write_csv, write_json
 from .geometry import median
 from .imu import load_imu, resample, save_imu, to_hacf, make_windows
@@ -41,9 +40,6 @@ logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
 VELOCITY_CSV_HEADER = "frame,vx,vy"
-# trajectory selector -> manifest key, in the order "auto" tries them
-TRAJECTORIES = {"refined": "refined_trajectory", "est": "est_trajectory",
-                "gt": "gt_trajectory"}
 
 
 # ---------------------------------------------------------------------------
@@ -107,18 +103,17 @@ def _from_config(cfg: PipelineConfig, prefix: str):
 
 
 def _pick_trajectory(dataset: Path, manifest: dict, which: str,
-                     auto=tuple(TRAJECTORIES)) -> tuple[str, "trajectory.Trajectory"]:
-    """Load the trajectory a selector of TRAJECTORIES names.
+                     auto=("refined", "est", "gt")) -> tuple[str, "trajectory.Trajectory"]:
+    """Load the trajectory that the selector ``which`` names, from the
+    manifest entry ``<which>_trajectory``.
 
     "auto" takes the first selector of ``auto`` that the manifest holds,
     or else the last one, whose missing entry is then reported.
     """
     if which == "auto":
-        which = next((w for w in auto if TRAJECTORIES[w] in manifest), auto[-1])
-    if which not in TRAJECTORIES:
-        raise ConfigError(f"unknown trajectory selector {which!r}")
+        which = next((w for w in auto if f"{w}_trajectory" in manifest), auto[-1])
     return which, trajectory.load_trajectory(
-        _manifest_file(dataset, manifest, TRAJECTORIES[which]))
+        _manifest_file(dataset, manifest, f"{which}_trajectory"))
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +172,8 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
             if len(orientations) != len(imu):
                 raise ValueError(
                     f"orientation file covers {len(orientations)} frames, IMU has {len(imu)}")
-        elif cfg["orientation.source"] == "filter":
-            orientations = estimate_orientation(imu, alpha=cfg["orientation.alpha"])
         else:
-            raise ConfigError("orientation.source must be 'filter' or 'file'")
+            orientations = estimate_orientation(imu, alpha=cfg["orientation.alpha"])
     with clock.lap("windows"):
         hacf = to_hacf(imu, orientations)
         tau = cfg["hacf.tau"]
@@ -200,7 +193,7 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
         bundle = estimator.load_weights(Path(weights_path), expected_tau=tau,
                                         expected_rate=rate)
         model = estimator.DenseVelocityNetwork(bundle)
-    elif cfg["estimator.kind"] == "oracle":
+    else:
         gt = trajectory.load_trajectory(_manifest_file(dataset, manifest, "gt_trajectory"))
         oracle_cfg = estimator.OracleConfig(
             trajectory=gt,
@@ -208,8 +201,6 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
             noise_sigma=cfg["oracle.noise_sigma"],
         )
         model = estimator.OracleVelocityEstimator(oracle_cfg, rng_seed=cfg["oracle.seed"])
-    else:
-        raise ConfigError("estimator.kind must be 'oracle' or 'network'")
     rae_cfg = _from_config(cfg, "rae")
     with clock.lap("rae"):
         ens = rae.rae_estimate(windows, starts, model, rae_cfg, rng_seed=cfg["rae.seed"],
@@ -330,11 +321,8 @@ def cmd_eval(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatc
         gt = trajectory.load_trajectory(_manifest_file(dataset, manifest, "gt_trajectory"))
         which, est = _pick_trajectory(dataset, manifest, cfg["eval.trajectory"],
                                       auto=("refined", "est"))
-    grids = cfg["eval.grids"]
-    if not grids:
-        raise ConfigError("eval.grids must name at least one grid spacing")
     grid_meta = {}
-    for grid in grids:
+    for grid in cfg["eval.grids"]:
         grid = float(grid)
         with clock.lap("score"):
             events = trajectory.capture_schedule(gt, distance_m=grid,
@@ -375,40 +363,47 @@ def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch
         which, traj = _pick_trajectory(dataset, manifest, cfg["map.trajectory"])
         if cfg["caption.mode"] == "mock":
             records = object_map.load_captions(_manifest_file(dataset, manifest, "captions"))
-        elif cfg["caption.mode"] == "http":
-            if not cfg["caption.endpoint"]:
-                raise ConfigError("caption.endpoint is required when caption.mode is 'http'")
+        elif not cfg["caption.endpoint"]:
+            raise ConfigError("caption.endpoint is required when caption.mode is 'http'")
+        else:
             service = _from_config(cfg, "caption")
             captures = trajectory.load_captures(_manifest_file(dataset, manifest,
                                                                "gt_captures"))
             records = object_map.fetch_captions(captures, object_map.HttpCaptioner(service),
                                                 max_workers=service.max_workers)
-        else:
-            raise ConfigError("caption.mode must be 'mock' or 'http'")
     rasters_dir = dataset / manifest.get("rasters_dir", "rasters")
     observations = []
     caption_frames = []
+    # what the map leaves out: captions without a raster or outside the
+    # trajectory, observed captions that name no item, and named items
+    # that observe_items places nowhere
+    skipped = dict.fromkeys(["n_captions_no_raster", "n_captions_outside_trajectory",
+                             "n_captions_no_items", "n_items_unplaced"], 0)
     for rec in records:
         raster_path = rasters_dir / f"{rec.image_id}.dras"
         if not raster_path.is_file():
             logger.warning("%s: no raster at %s, skipped", rec.image_id, raster_path)
+            skipped["n_captions_no_raster"] += 1
             continue
         if not 0 <= rec.frame < len(traj):
             logger.warning("%s: frame %d outside trajectory, skipped",
                            rec.image_id, rec.frame)
+            skipped["n_captions_outside_trajectory"] += 1
             continue
         with clock.lap("load"):
             raster = object_map.load_raster(raster_path)
         with clock.lap("observe"):
-            pose = traj.pose(rec.frame)
-            observations.extend(object_map.observe_items(rec, raster, pose, map_cfg))
+            placed = object_map.observe_items(rec, raster, traj.pose(rec.frame), map_cfg)
+        observations.extend(placed)
+        skipped["n_captions_no_items"] += not rec.items
+        skipped["n_items_unplaced"] += len(rec.items) - len(placed)
         caption_frames.append(rec.frame)
     with clock.lap("observe"):
         clusters = object_map.cluster_items(observations, map_cfg)
     with clock.lap("write"):
         object_map.save_map(clusters, dataset / "item_map.jsonl")
     manifest["item_map"] = "item_map.jsonl"
-    meta = {"trajectory": which, "n_captions": len(records),
+    meta = {"trajectory": which, "n_captions": len(records), **skipped,
             "n_observations": len(observations), "n_clusters": len(clusters)}
     if "items" in manifest and clusters:
         with clock.lap("load"):
@@ -450,7 +445,7 @@ def cmd_plot(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatc
     items_xy = {}
     with clock.lap("load"):
         for name, color in colors.items():
-            if TRAJECTORIES[name] in manifest:
+            if f"{name}_trajectory" in manifest:
                 _, traj = _pick_trajectory(dataset, manifest, name)
                 series.append((name, color, traj.xy))
         if not series:
@@ -512,83 +507,57 @@ def _render_svg(series, items_xy: dict) -> str:
 # Argument parsing
 
 
-class _AppendToList(argparse.Action):
-    """``append`` that starts a new list over a non-list, where it would crash."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        items = getattr(namespace, self.dest)
-        setattr(namespace, self.dest, (items if isinstance(items, list) else []) + [values])
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", type=Path, default=None,
-                     help="JSON config file (flat dotted keys)")
-    sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                     help="override a config key (repeatable)")
-    sub.add_argument("--log-level", choices=["DEBUG", "INFO", "WARNING", "ERROR"],
-                     default="WARNING", help="lowest level of log message shown")
-    for key in DEFAULTS:
-        sub.add_argument(f"--{key}", dest=key, type=functools.partial(parse_value, key),
-                         default=None, metavar="VALUE", help=argparse.SUPPRESS)
+# command -> its help, the flag of its dataset directory, and its
+# shortcuts, each a flag that sets one config key
+COMMANDS = {
+    "simulate": ("generate a synthetic dataset", "--out", {"--seed": "sim.seed"}),
+    "infer": ("estimate a trajectory from IMU data", "--dataset",
+              {"--estimator": "estimator.kind"}),
+    "refine": ("loop-closure refinement of the estimate", "--dataset",
+               {"--epochs": "refine.epochs"}),
+    "eval": ("error metrics against ground truth", "--dataset",
+             {"--grid": "eval.grids", "--trajectory": "eval.trajectory"}),
+    "map": ("geo-localize captioned items", "--dataset",
+            {"--captioner": "caption.mode", "--trajectory": "map.trajectory"}),
+    "plot": ("render trajectories to SVG", "--dataset", {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command.  A shortcut flag stores into the
-    destination of the key it stands for, so of all flags that name one
-    key the last given wins (``--grid`` appends to it)."""
+    """One subparser per command of ``COMMANDS``.  A shortcut stores
+    into the destination named after its key, typed as the key's
+    default; a list key's shortcut appends one number per use."""
     parser = argparse.ArgumentParser(
         prog="sweepnav",
         description="IMU-only indoor navigation and object mapping pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a synthetic dataset")
-    p.add_argument("--out", dest="dataset", metavar="OUT", type=Path, required=True,
-                   help="dataset directory")
-    p.add_argument("--seed", dest="sim.seed", metavar="SEED", type=int, default=None,
-                   help="shortcut for --sim.seed")
-    _add_common(p)
-
-    p = sub.add_parser("infer", help="estimate a trajectory from IMU data")
-    p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--estimator", dest="estimator.kind", choices=["oracle", "network"],
-                   default=None, help="shortcut for --estimator.kind")
-    _add_common(p)
-
-    p = sub.add_parser("refine", help="loop-closure refinement of the estimate")
-    p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--epochs", dest="refine.epochs", metavar="EPOCHS", type=int,
-                   default=None, help="shortcut for --refine.epochs")
-    _add_common(p)
-
-    p = sub.add_parser("eval", help="error metrics against ground truth")
-    p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--grid", dest="eval.grids", metavar="GRID", action=_AppendToList,
-                   type=float, default=None,
-                   help="evaluation grid spacing in meters (repeatable)")
-    p.add_argument("--trajectory", dest="eval.trajectory",
-                   choices=["auto", "gt", "est", "refined"],
-                   default=None, help="shortcut for --eval.trajectory")
-    _add_common(p)
-
-    p = sub.add_parser("map", help="geo-localize captioned items")
-    p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--captioner", dest="caption.mode", choices=["mock", "http"],
-                   default=None, help="shortcut for --caption.mode")
-    p.add_argument("--trajectory", dest="map.trajectory",
-                   choices=["auto", "gt", "est", "refined"],
-                   default=None, help="shortcut for --map.trajectory")
-    _add_common(p)
-
-    p = sub.add_parser("plot", help="render trajectories to SVG")
-    p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--out", type=Path, default=None)
-    _add_common(p)
-
+    for command, (help_text, dataset_flag, shortcuts) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument(dataset_flag, dest="dataset", metavar="DIR", type=Path, required=True,
+                       help="dataset directory")
+        if command == "plot":
+            p.add_argument("--out", type=Path, default=None,
+                           help="SVG file (default: plot.svg in the dataset)")
+        for flag, key in shortcuts.items():
+            default = DEFAULTS[key]
+            metavar = "{%s}" % ",".join(CHOICES[key]) if key in CHOICES else flag[2:].upper()
+            if isinstance(default, list):
+                p.add_argument(flag, dest=key, metavar=metavar, action="append", type=float,
+                               help=f"one number of {key} (repeatable; they form the list)")
+            else:
+                p.add_argument(flag, dest=key, metavar=metavar, type=type(default),
+                               help=f"sets {key}")
+        p.add_argument("--config", type=Path, default=None,
+                       help="JSON config file (flat dotted keys)")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override a config key (repeatable)")
+        p.add_argument("--log-level", choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+                       default="WARNING", help="lowest level of log message shown")
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    """Defaults < ``--config`` file < ``--set`` < flags."""
+    """Defaults < ``--config`` file < ``--set`` < shortcuts."""
     cfg = load_config(args.config, args.set)
     cfg.update({key: value for key, value in vars(args).items()
                 if key in DEFAULTS and value is not None})

@@ -3,9 +3,12 @@
 Keys are dotted (``module.field``) and flat: no nesting in the JSON
 file, no positional coupling between stages.  Precedence is defaults <
 config file < explicit overrides.  Unknown keys are an error (typo
-guard), as is a value whose type disagrees with the default.  The keys
-of a section in ``SECTIONS`` are its dataclass's fields, with their
-defaults.
+guard), as are a value whose type disagrees with the default, a value
+of a ``CHOICES`` key outside its choices, and a list that holds anything
+but JSON numbers, or not as many as the default (``eval.grids``: one or
+more).  All of it is checked as a value is set, before a command reads
+any file.  The keys of a section in ``SECTIONS`` are its dataclass's
+fields, with their defaults.
 
 The section dataclasses live here, not in the modules that run them,
 so that resolving a configuration imports no pipeline stage; each
@@ -219,10 +222,10 @@ DEFAULTS: dict = {
     "sim.n_items": 10,
     **_field_defaults("scene"),
     "orientation.alpha": 0.02,
-    "orientation.source": "filter",  # "filter" | "file"
+    "orientation.source": "filter",
     "hacf.tau": 64,
     "hacf.stride": 0,  # 0 = tau (non-overlapping windows)
-    "estimator.kind": "oracle",  # "oracle" | "network"
+    "estimator.kind": "oracle",
     "estimator.weights": "",
     "estimator.v_max": 2.0,
     "oracle.bias": [0.0, 0.0],
@@ -237,12 +240,30 @@ DEFAULTS: dict = {
     **_field_defaults("refine"),
     "eval.trim_outliers": True,
     "eval.grids": [1.0],
-    "eval.trajectory": "auto",  # "auto" | "gt" | "est" | "refined"
+    "eval.trajectory": "auto",
     **_field_defaults("map"),
-    "map.trajectory": "auto",  # "auto" | "gt" | "est" | "refined"
-    "caption.mode": "mock",  # "mock" | "http"
+    "map.trajectory": "auto",
+    "caption.mode": "mock",
     **_field_defaults("caption"),
 }
+
+# enumerated string keys that no section dataclass checks -> allowed values
+CHOICES: dict = {
+    "orientation.source": ("filter", "file"),
+    "estimator.kind": ("oracle", "network"),
+    "capture.mode": ("or", "and", "distance", "rotation"),
+    "eval.trajectory": ("auto", "gt", "est", "refined"),
+    "map.trajectory": ("auto", "gt", "est", "refined"),
+    "caption.mode": ("mock", "http"),
+}
+
+# list keys of one or more numbers; any other holds as many as its default
+_OPEN_LISTS = {"eval.grids"}
+
+
+def _is_number(value) -> bool:
+    """A JSON number: ``true`` and ``false`` are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_type(key: str, value, default):
@@ -251,7 +272,7 @@ def _check_type(key: str, value, default):
             raise ConfigError(f"{key}: expected a boolean, got {value!r}")
         return value
     if isinstance(default, (int, float)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise ConfigError(f"{key}: expected a number, got {value!r}")
         if isinstance(default, int) and not isinstance(value, int):
             raise ConfigError(f"{key}: expected an integer, got {value!r}")
@@ -259,10 +280,16 @@ def _check_type(key: str, value, default):
     if isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError(f"{key}: expected a string, got {value!r}")
+        if value not in CHOICES.get(key, (value,)):
+            raise ConfigError(f"{key}: expected one of {', '.join(CHOICES[key])}, "
+                              f"got {value!r}")
         return value
     if isinstance(default, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{key}: expected a list, got {value!r}")
+        # checked, not converted: config.json keeps the numbers as given
+        want = "one or more" if key in _OPEN_LISTS else len(default)
+        if not (isinstance(value, list) and all(map(_is_number, value))
+                and (len(value) >= 1 if key in _OPEN_LISTS else len(value) == want)):
+            raise ConfigError(f"{key}: expected a list of {want} numbers, got {value!r}")
         return value
     return value
 
@@ -293,25 +320,20 @@ class PipelineConfig:
         write_json(path, self._values)
 
 
-def parse_value(key: str, raw: str):
-    """The value of ``key`` given as text: the text itself where the
-    key's default is a string (a weights file may be named ``2024``),
-    else read as JSON, else the string itself."""
-    if isinstance(DEFAULTS.get(key), str):
-        return raw
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
-
-
 def parse_override(text: str) -> tuple[str, object]:
-    """Parse a ``key=value`` override."""
+    """Parse a ``key=value`` override.  The value is the text itself
+    where the key's default is a string (a weights file may be named
+    ``2024``), else the text read as JSON, else the text itself."""
     if "=" not in text:
         raise ConfigError(f"override {text!r} is not of the form key=value")
     key, raw = text.split("=", 1)
     key = key.strip()
-    return key, parse_value(key, raw)
+    if isinstance(DEFAULTS.get(key), str):
+        return key, raw
+    try:
+        return key, json.loads(raw)
+    except json.JSONDecodeError:
+        return key, raw
 
 
 def load_config(path=None, overrides: list[str] | None = None) -> PipelineConfig:

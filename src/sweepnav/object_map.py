@@ -16,6 +16,7 @@ mount height.  Robot frame is x forward, y left, z up.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import struct
@@ -70,9 +71,6 @@ class CaptionRecord:
     image_id: str
     frame: int
     items: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(str(s) for s in self.items))
 
 
 @dataclass(frozen=True)
@@ -293,15 +291,15 @@ class HttpCaptioner:
                 return None
             try:
                 items = resp.json()["items"]
-                if not isinstance(items, list):
-                    raise TypeError("items is not a list")
+                if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
+                    raise TypeError("items is not a list of strings")
             except (ValueError, KeyError, TypeError) as exc:
                 logger.warning("%s: malformed caption response (%s), skipped",
                                image_id, exc)
                 return None
             if attempt:
                 logger.info("%s: captioned after %d retries", image_id, attempt)
-            return [str(s) for s in items]
+            return items
         logger.warning("%s: captioning failed after %d attempts (%s), skipped",
                        image_id, self.cfg.retries, last_error)
         return None
@@ -363,8 +361,11 @@ def save_captions(records: list[CaptionRecord], path) -> None:
 
 
 def _caption(rec) -> CaptionRecord:
-    return CaptionRecord(str(rec["image_id"]), json_field(rec, "frame", int),
-                         tuple(json_field(rec, "items", list)))
+    items = tuple(json_field(rec, "items", list))
+    for item in items:
+        if not isinstance(item, str):
+            raise TypeError(f"items must hold JSON strings, got {json.dumps(item)}")
+    return CaptionRecord(json_field(rec, "image_id", str), json_field(rec, "frame", int), items)
 
 
 def load_captions(path) -> list[CaptionRecord]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import KalmanConfig
+from .config import CHOICES, KalmanConfig
 from .fileio import json_field, read_jsonl, read_table, write_csv, write_jsonl
 from .geometry import median, row_norms, wrap_angle
 from .imu import _frozen
@@ -230,8 +230,8 @@ def capture_schedule(traj: Trajectory, distance_m: float = 1.0,
     """
     if distance_m <= 0 or rotation_rad <= 0:
         raise ValueError("capture thresholds must be positive")
-    if mode not in ("or", "and", "distance", "rotation"):
-        raise ValueError("mode must be one of 'or', 'and', 'distance', 'rotation'")
+    if mode not in CHOICES["capture.mode"]:
+        raise ValueError(f"mode must be one of {', '.join(CHOICES['capture.mode'])}")
     if len(traj) == 0:
         return []
     events = [CaptureEvent(0, traj.pose(0), "first")]

@@ -4,8 +4,9 @@ A symbol counts as used when a name, an attribute, an imported name or a
 string equal to it (a ``getattr``-style lookup, as perfbench's tracer
 makes) appears in ``src/sweepnav`` outside its package re-exports, in
 ``demos/``, in the README's Python blocks or in ``perfbench/``.  A
-``cmd_<command>`` counts as used through the subparser of its command,
-which ``cli.main`` dispatches by name.  A module-level ``__getattr__``
+``cmd_<command>`` counts as used through its command's entry in
+``cli.COMMANDS``, from which ``cli.build_parser`` makes the subparser
+that ``cli.main`` dispatches by name.  A module-level ``__getattr__``
 or ``__dir__`` (PEP 562) counts as used: the import system calls it.
 Tests are not callers.
 """
@@ -36,10 +37,14 @@ def _references(tree: ast.AST) -> set[str]:
 
 
 def _subcommands(tree: ast.AST) -> set[str]:
-    return {node.args[0].value for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "add_parser" and node.args
-            and isinstance(node.args[0], ast.Constant)}
+    """The commands of a module: the literal string keys of its
+    top-level ``COMMANDS`` dict, from which ``cli.build_parser`` makes
+    one subparser each."""
+    return {key.value for node in getattr(tree, "body", [])
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+            and any(isinstance(t, ast.Name) and t.id == "COMMANDS" for t in node.targets)
+            for key in node.value.keys
+            if isinstance(key, ast.Constant) and isinstance(key.value, str)}
 
 
 def _caller_trees() -> list[ast.AST]:

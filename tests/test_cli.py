@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from sweepnav import estimator as est_mod
 from sweepnav import trajectory
 from sweepnav.geometry import rotate_xy
-from sweepnav.cli import _load_velocities, _from_config, _resolve_config, build_parser, main
-from sweepnav.config import DEFAULTS, SECTIONS, ConfigError, PipelineConfig
+from sweepnav.cli import (COMMANDS, _load_velocities, _from_config, _resolve_config,
+                          build_parser, main)
+from sweepnav.config import CHOICES, DEFAULTS, SECTIONS, ConfigError, PipelineConfig
 
 # Default 4 m x 2 m sweep at 1 m row spacing: items one row apart can
 # never steal the image-center depth inside the 0.5-3 m caption band,
@@ -204,6 +205,37 @@ class TestPipelineArtifacts:
         assert report["unmatched_gt"] == []
         assert report["mean_error"] <= 0.06 + 1e-9
 
+    def test_map_run_meta_accounts_for_every_named_item(self, pipeline):
+        """Each item an observed caption names is an observation or unplaced."""
+        meta = json.loads((pipeline / "run_meta_map.json").read_text())
+        captions = [json.loads(line) for line in
+                    (pipeline / "captions.jsonl").read_text().splitlines()]
+        assert meta["n_captions"] == len(captions)
+        assert meta["n_captions_no_raster"] == meta["n_captions_outside_trajectory"] == 0
+        assert meta["n_captions_no_items"] == sum(not c["items"] for c in captions) > 0
+        assert (sum(len(c["items"]) for c in captions)
+                == meta["n_observations"] + meta["n_items_unplaced"])
+
+    def test_map_run_meta_counts_skipped_captions(self, pipeline, tmp_path):
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline, ds)
+        captions = [json.loads(line) for line in
+                    (ds / "captions.jsonl").read_text().splitlines()]
+        named = [c for c in captions if c["items"]]
+        (ds / "rasters" / f"{named[0]['image_id']}.dras").unlink()
+        named[1]["items"].append("???")  # empty after normalization
+        outside = {**named[2], "frame": 10 ** 6}
+        (ds / "captions.jsonl").write_text(
+            "".join(json.dumps(c) + "\n" for c in [*captions, outside]))
+        assert run("map", "--dataset", ds, "--trajectory", "gt") == 0
+        meta = json.loads((ds / "run_meta_map.json").read_text())
+        assert meta["n_captions"] == len(captions) + 1
+        assert meta["n_captions_no_raster"] == meta["n_captions_outside_trajectory"] == 1
+        assert meta["n_items_unplaced"] >= 1
+        observed = [c for c in captions if c is not named[0]]
+        assert (sum(len(c["items"]) for c in observed)
+                == meta["n_observations"] + meta["n_items_unplaced"])
+
     def test_plot_svg(self, pipeline):
         svg = (pipeline / "plot.svg").read_text()
         assert svg.startswith("<svg")
@@ -248,6 +280,29 @@ class TestExitCodes:
         assert run("map", "--dataset", pipeline, "--captioner", "http") == 2
         assert "caption.endpoint" in capsys.readouterr().err
 
+    # each enumerated key with a command that reads it
+    ENUMERATED = [("infer", "orientation.source"), ("infer", "estimator.kind"),
+                  ("simulate", "capture.mode"), ("infer", "capture.mode"),
+                  ("eval", "eval.trajectory"), ("map", "map.trajectory"),
+                  ("map", "caption.mode")]
+
+    def test_every_enumerated_key_is_tried(self):
+        assert {key for _, key in self.ENUMERATED} == set(CHOICES)
+
+    @pytest.mark.parametrize("command, key", ENUMERATED)
+    def test_bad_enumerated_value_touches_no_file(self, pipeline, tmp_path, capsys,
+                                                  command, key):
+        """The value is refused before the command reads or writes a file."""
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline, ds)
+        before = {p: p.read_bytes() for p in ds.rglob("*") if p.is_file()}
+        target = ["--out", tmp_path / "new"] if command == "simulate" else ["--dataset", ds]
+        assert run(command, *target, "--set", f"{key}=bogus") == 2
+        allowed = ", ".join(CHOICES[key])
+        assert capsys.readouterr().err == f"error: {key}: expected one of {allowed}, got 'bogus'\n"
+        assert {p: p.read_bytes() for p in ds.rglob("*") if p.is_file()} == before
+        assert not (tmp_path / "new").exists()
+
     def test_no_command_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main([])
@@ -281,14 +336,34 @@ class TestShortcutFlags:
         assert resolved != self._resolve(command)
 
     def test_last_flag_wins(self):
-        assert self._resolve("simulate", "--seed", 7, "--sim.seed", 3)["sim.seed"] == 3
-        assert self._resolve("simulate", "--sim.seed", 3, "--seed", 7)["sim.seed"] == 7
-        # any flag beats --set, wherever it stands
+        assert self._resolve("simulate", "--seed", 3, "--seed", 7)["sim.seed"] == 7
+        assert self._resolve("simulate", "--set", "sim.seed=3",
+                             "--set", "sim.seed=7")["sim.seed"] == 7
+        # a shortcut beats --set, wherever it stands
         assert self._resolve("simulate", "--seed", 7, "--set", "sim.seed=3")["sim.seed"] == 7
+        assert self._resolve("simulate", "--set", "sim.seed=3", "--seed", 7)["sim.seed"] == 7
 
     def test_grid_appends_to_the_list_before_it(self):
-        assert self._resolve("eval", "--eval.grids", "[1]", "--grid", 2)["eval.grids"] == [1, 2]
-        assert self._resolve("eval", "--eval.grids", "5", "--grid", 2)["eval.grids"] == [2]
+        """The --grid flags give the whole list, whatever --set gave."""
+        assert self._resolve("eval", "--grid", 1, "--grid", 2)["eval.grids"] == [1.0, 2.0]
+        assert self._resolve("eval", "--set", "eval.grids=[1]", "--grid", 2)["eval.grids"] == [2]
+        assert self._resolve("eval", "--grid", 2, "--set", "eval.grids=[5]")["eval.grids"] == [2]
+
+    def test_help_lists_exactly_the_table_shortcuts(self, capsys):
+        """Besides its dataset flag, --config, --set and --log-level, a
+        command takes only its shortcuts (and plot its --out)."""
+        for command, (_, dataset_flag, shortcuts) in COMMANDS.items():
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--help"])
+            flags = set(re.findall(r"^  (--[\w.-]+)", capsys.readouterr().out, re.M))
+            common = {dataset_flag, "--config", "--set", "--log-level"}
+            assert flags == common | set(shortcuts) | ({"--out"} if command == "plot" else set())
+
+    def test_a_key_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["infer", "--dataset", "ds", "--rae.k", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rae.k 3" in capsys.readouterr().err
 
 
 class TestStringKeys:
@@ -298,10 +373,9 @@ class TestStringKeys:
     def test_set_and_flag_keep_the_text(self):
         resolve = TestShortcutFlags._resolve
         assert resolve("map", "--set", "caption.prompt=true")["caption.prompt"] == "true"
-        assert resolve("infer", "--estimator.weights", "2024")["estimator.weights"] == "2024"
+        assert resolve("infer", "--set", "estimator.weights=2024")["estimator.weights"] == "2024"
         assert resolve("infer", "--set", "rae.k=3")["rae.k"] == 3
-        assert resolve("infer", "--rae.k", "3")["rae.k"] == 3
-        assert resolve("infer", "--oracle.bias", "[1, 2]")["oracle.bias"] == [1, 2]
+        assert resolve("infer", "--set", "oracle.bias=[1, 2]")["oracle.bias"] == [1, 2]
 
     def test_weights_file_named_like_a_number(self, small_ds, tmp_path, monkeypatch):
         ds = tmp_path / "ds"
@@ -309,7 +383,7 @@ class TestStringKeys:
         shutil.copy(small_ds / "weights.json", tmp_path / "2024")
         monkeypatch.chdir(tmp_path)
         assert run("infer", "--dataset", ds, "--estimator", "network",
-                   "--estimator.weights", 2024) == 0
+                   "--set", "estimator.weights=2024") == 0
         assert json.loads((ds / "run_meta_infer.json").read_text())["estimator"] == "network"
 
 

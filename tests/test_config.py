@@ -1,10 +1,12 @@
 """Tests for the flat dotted-key pipeline configuration."""
 
 import json
+import re
 
 import pytest
 
 from sweepnav.config import (
+    CHOICES,
     DEFAULTS,
     ConfigError,
     PipelineConfig,
@@ -58,6 +60,38 @@ class TestValidation:
     def test_list_type_checked(self):
         with pytest.raises(ConfigError, match="expected a list"):
             PipelineConfig({"oracle.bias": 0.05})
+
+    @pytest.mark.parametrize("key, value, want", [
+        ("sim.acc_bias", [1], "3"),  # not broadcast over the three axes
+        ("sim.acc_bias", [0, 0, 0, 1], "3"),
+        ("sim.gyro_bias", ["x", 1, 2], "3"),
+        ("sim.gyro_bias", [0, False, 0], "3"),
+        ("oracle.bias", [0.1], "2"),
+        ("oracle.bias", [0.1, None], "2"),
+        ("eval.grids", [True], "one or more"),  # not a 1.0 m grid
+        ("eval.grids", [], "one or more"),
+        ("eval.grids", [[1.0]], "one or more"),
+    ])
+    def test_list_holds_its_count_of_numbers(self, key, value, want):
+        message = f"{key}: expected a list of {want} numbers, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            PipelineConfig({key: value})
+
+    def test_list_numbers_are_kept_as_given(self, tmp_path):
+        cfg = load_config(overrides=["sim.acc_bias=[0, 1, 0.5]", "eval.grids=[2, 0.5, 3]"])
+        assert cfg["sim.acc_bias"] == [0, 1, 0.5] and cfg["eval.grids"] == [2, 0.5, 3]
+        cfg.save(tmp_path / "config.json")
+        text = (tmp_path / "config.json").read_text()
+        assert '"sim.acc_bias": [\n    0,\n    1,\n    0.5\n  ]' in text
+
+    @pytest.mark.parametrize("key", sorted(CHOICES))
+    def test_enumerated_key_takes_only_its_values(self, key):
+        for value in CHOICES[key]:
+            assert PipelineConfig({key: value})[key] == value
+        assert DEFAULTS[key] in CHOICES[key]
+        message = f"{key}: expected one of {', '.join(CHOICES[key])}, got 'Auto'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            PipelineConfig({key: "Auto"})
 
 
 class TestPrecedence:

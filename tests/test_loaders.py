@@ -100,7 +100,8 @@ LOADERS = {
                                   "yaw": _NOT_A_NUMBER, "trigger": _NOT_A_STRING})),
     "captions.jsonl": (load_captions, None, _jsonl({
         "image_id": _TEXT, "frame": st.integers(), "items": st.lists(_TEXT, max_size=3)},
-        wrong={"frame": _NOT_AN_INTEGER, "items": _TEXT})),
+        wrong={"image_id": _NOT_A_STRING, "frame": _NOT_AN_INTEGER,
+               "items": st.one_of(_TEXT, st.lists(_NOT_A_STRING, min_size=1, max_size=3))})),
 }
 
 
@@ -140,6 +141,15 @@ _CAPTURE = {"frame": 3, "t": 0.5, "x": 1, "y": -2.0, "yaw": 0.25, "trigger": "di
      "trigger must be a JSON string, got 7"),
     (load_imu, "imu.jsonl", {**dict.fromkeys(IMU_FIELDS, 0.0), "ay": True},
      "ay must be a JSON number, got true"),
+    (load_captions, "captions.jsonl", {"image_id": 7, "frame": 3, "items": []},
+     "image_id must be a JSON string, got 7"),
+    (load_captions, "captions.jsonl", {"image_id": True, "frame": 3, "items": []},
+     "image_id must be a JSON string, got true"),
+    (load_captions, "captions.jsonl", {"image_id": "img_000003", "frame": 3, "items": [7, None]},
+     "items must hold JSON strings, got 7"),
+    (load_captions, "captions.jsonl", {"image_id": "img_000003", "frame": 3,
+                                       "items": ["milk", None]},
+     "items must hold JSON strings, got null"),
 ])
 def test_jsonl_numbers_and_strings_are_typed(tmp_path, load, name, rec, message):
     path = tmp_path / name

@@ -559,6 +559,15 @@ class TestHttpRetry:
         captioner = self._captioner(monkeypatch)
         assert captioner.caption("img_000000", 0) is None
 
+    @pytest.mark.parametrize("items", [["milk", 7], [None], "milk"])
+    def test_items_not_a_list_of_strings_skipped(self, monkeypatch, caplog, items):
+        monkeypatch.setattr("requests.post",
+                            lambda *a, **k: _FakeResponse(200, {"items": items}))
+        captioner = self._captioner(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="sweepnav.object_map"):
+            assert captioner.caption("img_000000", 0) is None
+        assert "malformed caption response" in caplog.text
+
     def test_bearer_token_from_environment(self, monkeypatch):
         seen = {}
 

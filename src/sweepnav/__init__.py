@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "config": ("KalmanConfig", "MapConfig", "RaeConfig", "RefineConfig", "SceneConfig",
-               "SimConfig"),
+    "config": ("KalmanConfig", "MapConfig", "RaeConfig", "RefineConfig", "SimConfig"),
     "estimator": ("DenseVelocityNetwork", "NonFiniteEstimateError", "OracleConfig",
                   "OracleVelocityEstimator", "WeightsBundle", "estimate_velocity",
                   "load_weights", "make_random_bundle", "save_weights"),

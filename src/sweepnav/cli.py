@@ -124,7 +124,6 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path, manifest: dict, clock: Stop
     from . import object_map, sim
 
     sim_cfg = _from_config(cfg, "sim")
-    scene_cfg = _from_config(cfg, "scene")
     map_cfg = _from_config(cfg, "map")
     out_dir.mkdir(parents=True, exist_ok=True)
     rasters_dir = out_dir / "rasters"
@@ -133,10 +132,9 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path, manifest: dict, clock: Stop
     imu = sim.synthesize_imu(traj, sim_cfg)
     orientations = sim.true_orientations(traj)
     captures = trajectory.capture_schedule(
-        traj, cfg["capture.distance_m"], cfg["capture.rotation_rad"], cfg["capture.mode"])
+        traj, cfg["capture.distance_m"], cfg["capture.rotation_rad"])
     items = sim.default_items(sim_cfg, cfg["sim.n_items"], seed=sim_cfg.seed)
-    rasters, captions, gt_items = sim.generate_scene(captures, items, sim_cfg,
-                                                     scene_cfg, map_cfg)
+    rasters, captions, gt_items = sim.generate_scene(captures, items, sim_cfg, map_cfg)
     save_imu(imu, out_dir / "imu.csv")
     trajectory.save_trajectory(traj, out_dir / "gt_trajectory.csv")
     save_orientations(orientations, out_dir / "orientations.csv")
@@ -203,8 +201,7 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
         model = estimator.OracleVelocityEstimator(oracle_cfg, rng_seed=cfg["oracle.seed"])
     rae_cfg = _from_config(cfg, "rae")
     with clock.lap("rae"):
-        ens = rae.rae_estimate(windows, starts, model, rae_cfg, rng_seed=cfg["rae.seed"],
-                               v_max=cfg["estimator.v_max"])
+        ens = rae.rae_estimate(windows, starts, model, rae_cfg, v_max=cfg["estimator.v_max"])
     with clock.lap("integrate"):
         held = trajectory.held_velocities(ens.v, starts, len(imu))
         yaws = relative_yaw(orientations)
@@ -214,8 +211,7 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
                                         t0=float(imu.t[0]))
     with clock.lap("captures"):
         captures = trajectory.capture_schedule(
-            est_traj, cfg["capture.distance_m"], cfg["capture.rotation_rad"],
-            cfg["capture.mode"])
+            est_traj, cfg["capture.distance_m"], cfg["capture.rotation_rad"])
     with clock.lap("write"):
         trajectory.save_trajectory(est_traj, dataset / "est_trajectory.csv")
         write_csv(dataset / "velocities.csv", VELOCITY_CSV_HEADER,
@@ -325,8 +321,7 @@ def cmd_eval(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatc
     for grid in cfg["eval.grids"]:
         grid = float(grid)
         with clock.lap("score"):
-            events = trajectory.capture_schedule(gt, distance_m=grid,
-                                                 rotation_rad=np.pi / 2, mode="distance")
+            events = trajectory.capture_schedule(gt, distance_m=grid, rotation_rad=np.inf)
             frames = np.array([ev.frame for ev in events])
             report, alignment = metrics.evaluate(gt, est, frames=frames,
                                                  trim_outliers=cfg["eval.trim_outliers"])
@@ -557,10 +552,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    """Defaults < ``--config`` file < ``--set`` < shortcuts."""
+    """Defaults < ``--config`` file < ``--set`` < shortcuts.  Every
+    section is built once from the result, so that a value its section
+    refuses exits before the command reads or writes a file."""
     cfg = load_config(args.config, args.set)
     cfg.update({key: value for key, value in vars(args).items()
                 if key in DEFAULTS and value is not None})
+    for prefix in SECTIONS:
+        _from_config(cfg, prefix)
     return cfg
 
 

@@ -3,12 +3,15 @@
 Keys are dotted (``module.field``) and flat: no nesting in the JSON
 file, no positional coupling between stages.  Precedence is defaults <
 config file < explicit overrides.  Unknown keys are an error (typo
-guard), as are a value whose type disagrees with the default, a value
-of a ``CHOICES`` key outside its choices, and a list that holds anything
-but JSON numbers, or not as many as the default (``eval.grids``: one or
-more).  All of it is checked as a value is set, before a command reads
-any file.  The keys of a section in ``SECTIONS`` are its dataclass's
-fields, with their defaults.
+guard), as are a value whose type disagrees with the default (a number
+must be finite and within a float's range), a value of a ``CHOICES`` key
+outside its choices, and a list that holds anything but such numbers, or
+not as many as the default (``eval.grids``: one or more).  All of it is
+checked as a value is set.  The keys of a section in ``SECTIONS`` are
+its dataclass's fields, with their defaults; a section's own rules (its
+dataclass's ``__post_init__``) are checked when the section is built,
+which the CLI does for every section once the configuration is
+resolved, before a command reads any file.
 
 The section dataclasses live here, not in the modules that run them,
 so that resolving a configuration imports no pipeline stage; each
@@ -48,7 +51,6 @@ class SimConfig:
     gyro_bias: tuple[float, float, float] = (0.0, 0.0, 0.0)
     seed: int = 0
     turn_model: str = "arc"  # "arc" | "stop_and_turn"
-    turn_rate: float = math.pi / 2  # rad/s, stop_and_turn only
 
     def __post_init__(self):
         if min(self.room_width, self.room_height, self.row_spacing) <= 0:
@@ -57,33 +59,10 @@ class SimConfig:
             raise ValueError("row_spacing must not exceed room_height")
         if self.row_spacing > 2 * self.room_width:
             raise ValueError("row_spacing must not exceed twice room_width (turn radius)")
-        if self.speed <= 0 or self.sample_rate_hz <= 0 or self.turn_rate <= 0:
-            raise ValueError("speed, sample_rate_hz and turn_rate must be positive")
+        if self.speed <= 0 or self.sample_rate_hz <= 0:
+            raise ValueError("speed and sample_rate_hz must be positive")
         if self.turn_model not in ("arc", "stop_and_turn"):
             raise ValueError("turn_model must be 'arc' or 'stop_and_turn'")
-
-
-@dataclass(frozen=True)
-class SceneConfig:
-    """Camera model and visibility rules of the synthetic scene."""
-
-    width_px: int = 64
-    height_px: int = 48
-    focal_px: float = 50.0
-    item_radius: float = 0.5  # billboard half-width, m
-    caption_half_angle: float = 0.02  # rad; captioned iff |bearing| strictly below
-    caption_z_min: float = 0.5  # captioned depth band, m
-    caption_z_max: float = 3.0
-    item_z: float = 0.3  # item height above floor, m
-    wall_margin: float = 1.0  # background walls sit this far outside the room
-
-    def __post_init__(self):
-        if self.width_px < 8 or self.height_px < 8:
-            raise ValueError("raster must be at least 8x8 pixels")
-        if self.focal_px <= 0 or self.item_radius <= 0:
-            raise ValueError("focal_px and item_radius must be positive")
-        if not 0.0 < self.caption_z_min < self.caption_z_max:
-            raise ValueError("require 0 < caption_z_min < caption_z_max")
 
 
 @dataclass(frozen=True)
@@ -133,28 +112,21 @@ class CaptionServiceConfig:
             raise ValueError("max_workers and retries must be >= 1")
 
 
-_ANGLE_MODES = ("grid", "seeded_random")
-_REDUCERS = ("median", "mean", "trimmed_mean")
+_REDUCERS = ("median", "mean")
 
 
 @dataclass(frozen=True)
 class RaeConfig:
-    """Ensemble shape: member count, angle selection, reducer."""
+    """Ensemble shape: member count and reducer."""
 
     k: int = 5
-    angle_mode: str = "grid"
     reducer: str = "median"
-    trim_fraction: float = 0.1
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.angle_mode not in _ANGLE_MODES:
-            raise ValueError(f"angle_mode must be one of {_ANGLE_MODES}")
         if self.reducer not in _REDUCERS:
             raise ValueError(f"reducer must be one of {_REDUCERS}")
-        if not 0.0 <= self.trim_fraction < 0.5:
-            raise ValueError("trim_fraction must lie in [0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -200,7 +172,6 @@ class RefineConfig:
 # prefix -> the dataclass whose fields the ``prefix.<field>`` keys set
 SECTIONS: dict = {
     "sim": SimConfig,
-    "scene": SceneConfig,
     "map": MapConfig,
     "rae": RaeConfig,
     "kalman": KalmanConfig,
@@ -220,7 +191,6 @@ def _field_defaults(prefix: str) -> dict:
 DEFAULTS: dict = {
     **_field_defaults("sim"),
     "sim.n_items": 10,
-    **_field_defaults("scene"),
     "orientation.alpha": 0.02,
     "orientation.source": "filter",
     "hacf.tau": 64,
@@ -232,11 +202,9 @@ DEFAULTS: dict = {
     "oracle.noise_sigma": 0.0,
     "oracle.seed": 0,
     **_field_defaults("rae"),
-    "rae.seed": 0,
     **_field_defaults("kalman"),
     "capture.distance_m": 1.0,
     "capture.rotation_rad": math.pi / 2,
-    "capture.mode": "or",
     **_field_defaults("refine"),
     "eval.trim_outliers": True,
     "eval.grids": [1.0],
@@ -251,7 +219,6 @@ DEFAULTS: dict = {
 CHOICES: dict = {
     "orientation.source": ("filter", "file"),
     "estimator.kind": ("oracle", "network"),
-    "capture.mode": ("or", "and", "distance", "rotation"),
     "eval.trajectory": ("auto", "gt", "est", "refined"),
     "map.trajectory": ("auto", "gt", "est", "refined"),
     "caption.mode": ("mock", "http"),
@@ -262,8 +229,12 @@ _OPEN_LISTS = {"eval.grids"}
 
 
 def _is_number(value) -> bool:
-    """A JSON number: ``true`` and ``false`` are not numbers."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that a float holds: ``true``, ``false``, ``NaN``,
+    ``Infinity`` and integers past the float range are not numbers."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _check_type(key: str, value, default):

@@ -34,17 +34,10 @@ _GM_MAX_ITER = 100
 _BLOCK = 64
 
 
-def ensemble_angles(cfg: RaeConfig, rng_seed: int = 0) -> np.ndarray:
-    """Rotation angles for the K ensemble members.
-
-    ``grid``: theta_k = -pi + 2 pi k / K for k = 0..K-1.
-    ``seeded_random``: K draws from U(-pi, pi), fixed per recording by
-    ``rng_seed`` (the window does not enter the seed).
-    """
-    if cfg.angle_mode == "grid":
-        return -np.pi + 2.0 * np.pi * np.arange(cfg.k) / cfg.k
-    rng = np.random.default_rng(rng_seed)
-    return rng.uniform(-np.pi, np.pi, cfg.k)
+def ensemble_angles(cfg: RaeConfig) -> np.ndarray:
+    """Rotation angles for the K ensemble members: the uniform grid
+    theta_k = -pi + 2 pi k / K for k = 0..K-1."""
+    return -np.pi + 2.0 * np.pi * np.arange(cfg.k) / cfg.k
 
 
 def _pull(pts, yx, yy):
@@ -130,13 +123,12 @@ def _geometric_median(members: np.ndarray) -> np.ndarray:
     return np.array([yx, yy])
 
 
-def reduce_members(members: np.ndarray, reducer: str, trim_fraction: float = 0.1) -> np.ndarray:
+def reduce_members(members: np.ndarray, reducer: str) -> np.ndarray:
     """Reduce a (K, 2) stack of member estimates to one velocity.
 
     ``median`` is the geometric median (see ``_geometric_median``), so
-    it commutes with rotation like ``mean``.  ``trimmed_mean`` sorts each
-    component and drops ``floor(K * trim_fraction)`` entries from both
-    ends before averaging.  All reducers are permutation-invariant.
+    it commutes with rotation like ``mean``.  Both reducers are
+    permutation-invariant.
     """
     members = np.asarray(members, dtype=float)
     if members.ndim != 2 or members.shape[1] != 2 or len(members) == 0:
@@ -145,11 +137,6 @@ def reduce_members(members: np.ndarray, reducer: str, trim_fraction: float = 0.1
         return _geometric_median(members)
     if reducer == "mean":
         return members.mean(axis=0)
-    if reducer == "trimmed_mean":
-        k = len(members)
-        cut = int(np.floor(k * trim_fraction))
-        srt = np.sort(members, axis=0)
-        return srt[cut : k - cut].mean(axis=0)
     raise ValueError(f"reducer must be one of {_REDUCERS}")
 
 
@@ -161,7 +148,7 @@ class RaeResult(NamedTuple):
 
 
 def rae_estimate(windows: np.ndarray, starts, model, cfg: RaeConfig,
-                 rng_seed: int = 0, v_max: float = 2.0) -> RaeResult:
+                 v_max: float = 2.0) -> RaeResult:
     """Ensemble velocity estimates for an (N, 2, tau + 1, 3) window stack.
 
     Window i starts at frame ``starts[i]``.  Member k runs the model on
@@ -172,7 +159,7 @@ def rae_estimate(windows: np.ndarray, starts, model, cfg: RaeConfig,
     ``v_max`` like any single estimate.  The model sees blocks of
     windows, all K rotated copies of each at once.
     """
-    angles = ensemble_angles(cfg, rng_seed)
+    angles = ensemble_angles(cfg)
     k = len(angles)
     n = len(windows)
     starts = np.asarray(starts, dtype=int)
@@ -197,7 +184,7 @@ def rae_estimate(windows: np.ndarray, starts, model, cfg: RaeConfig,
         raise NonFiniteEstimateError(
             f"all {k} ensemble members were non-finite for window {starts[dead[0]]}"
         )
-    reduced = np.array([reduce_members(m[keep], cfg.reducer, cfg.trim_fraction)
+    reduced = np.array([reduce_members(m[keep], cfg.reducer)
                         for m, keep in zip(back, kept)]).reshape(n, 2)
     spread = np.where(kept, np.linalg.norm(back - reduced[:, None], axis=2), -np.inf)
     v, clamped = clamp_speed(reduced, v_max)

@@ -15,12 +15,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MapConfig, SceneConfig, SimConfig
+from .config import MapConfig, SimConfig
 from .geometry import median, quat_about_z
 from .imu import ImuSequence
 from .object_map import CaptionRecord, DepthRaster, center_region, normalize_name
 from .orientation import OrientationSequence
 from .trajectory import CaptureEvent, Trajectory, image_id_for_frame
+
+# In-place spin rate of the stop_and_turn model, rad/s
+TURN_RATE = math.pi / 2
+
+# Camera model and visibility rules of the synthetic scene
+WIDTH_PX = 64
+HEIGHT_PX = 48
+FOCAL_PX = 50.0
+ITEM_RADIUS = 0.5  # billboard half-width, m
+CAPTION_HALF_ANGLE = 0.02  # rad; captioned iff |bearing| strictly below
+CAPTION_Z_MIN = 0.5  # captioned depth band, m
+CAPTION_Z_MAX = 3.0
+ITEM_Z = 0.3  # item height above floor, m
+WALL_MARGIN = 1.0  # background walls sit this far outside the room
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +64,8 @@ class _Seg:
 
 
 class _PathBuilder:
-    def __init__(self, speed: float, turn_rate: float):
+    def __init__(self, speed: float):
         self.speed = speed
-        self.turn_rate = turn_rate
         self.x = 0.0
         self.y = 0.0
         self.yaw = 0.0  # unwrapped
@@ -81,7 +94,7 @@ class _PathBuilder:
         self.yaw += dyaw
 
     def spin(self, dyaw: float) -> None:
-        self.segs.append(_Seg("spin", abs(dyaw) / self.turn_rate, self.x, self.y,
+        self.segs.append(_Seg("spin", abs(dyaw) / TURN_RATE, self.x, self.y,
                               self.yaw, dyaw=dyaw))
         self.yaw += dyaw
 
@@ -90,7 +103,7 @@ def _build_path(cfg: SimConfig) -> list[_Seg]:
     w, s = cfg.room_width, cfg.row_spacing
     m = int(math.floor(cfg.room_height / s + 1e-9))  # highest row index
     rho = s / 2.0
-    b = _PathBuilder(cfg.speed, cfg.turn_rate)
+    b = _PathBuilder(cfg.speed)
     arc_turns = cfg.turn_model == "arc"
     for j in range(m + 1):
         rightward = j % 2 == 0
@@ -224,7 +237,7 @@ def synthesize_imu(traj: Trajectory, cfg: SimConfig) -> ImuSequence:
 
 
 def _render_raster(pose, visible, room: tuple[float, float, float, float],
-                   scene: SceneConfig, map_cfg: MapConfig) -> tuple[DepthRaster, np.ndarray]:
+                   map_cfg: MapConfig) -> tuple[DepthRaster, np.ndarray]:
     """Depth image: nearest billboard per column, walls as background.
 
     Billboards are fronto-parallel strips (constant forward depth over
@@ -232,7 +245,7 @@ def _render_raster(pose, visible, room: tuple[float, float, float, float],
     consistent with the pinhole unprojection the mapper applies.
     Returns the raster and its per-column depths (pre-quantization).
     """
-    w, h, f = scene.width_px, scene.height_px, scene.focal_px
+    w, h, f = WIDTH_PX, HEIGHT_PX, FOCAL_PX
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     ox, oy = pose.ahead(map_cfg.mount_forward)
     cyaw, syaw = math.cos(pose.yaw), math.sin(pose.yaw)
@@ -264,26 +277,24 @@ def _render_raster(pose, visible, room: tuple[float, float, float, float],
 
 
 def generate_scene(captures: list[CaptureEvent], items: dict[str, tuple[float, float]],
-                   cfg: SimConfig, scene: SceneConfig | None = None,
-                   map_cfg: MapConfig | None = None,
+                   cfg: SimConfig, map_cfg: MapConfig | None = None,
                    ) -> tuple[list[DepthRaster], list[CaptionRecord], dict[str, np.ndarray]]:
     """Render a depth raster and caption record per capture pose.
 
     Items are vertical billboards at known floor positions.  An item is
     captioned when its bearing from the camera axis is strictly inside
-    ``caption_half_angle``, its forward depth lies in the caption band,
+    ``CAPTION_HALF_ANGLE``, its forward depth lies in the caption band,
     and its billboard actually owns the image center (a nearer item may
     occlude it); the central-box median depth then equals the item
     depth exactly and the round-trip error is bounded by pixel
     quantization.
     """
-    scene = scene or SceneConfig()
     map_cfg = map_cfg or MapConfig()
     for name, p in items.items():
         if not (0 <= p[0] <= cfg.room_width and 0 <= p[1] <= cfg.room_height):
             raise ValueError(f"item {name!r} at {tuple(p)} outside the room")
-    room = (-scene.wall_margin, cfg.room_width + scene.wall_margin,
-            -scene.wall_margin, cfg.room_height + scene.wall_margin)
+    room = (-WALL_MARGIN, cfg.room_width + WALL_MARGIN,
+            -WALL_MARGIN, cfg.room_height + WALL_MARGIN)
     rasters: list[DepthRaster] = []
     records: list[CaptionRecord] = []
     for ev in captures:
@@ -299,14 +310,13 @@ def generate_scene(captures: list[CaptureEvent], items: dict[str, tuple[float, f
             if fwd <= 0:
                 continue
             cam_x = -left  # camera x points right
-            u_item = (scene.width_px - 1) / 2.0 + scene.focal_px * cam_x / fwd
-            half_px = scene.focal_px * scene.item_radius / fwd
+            u_item = (WIDTH_PX - 1) / 2.0 + FOCAL_PX * cam_x / fwd
+            half_px = FOCAL_PX * ITEM_RADIUS / fwd
             visible.append((name, fwd, u_item, half_px))
             bearing = math.atan2(abs(cam_x), fwd)
-            if (bearing < scene.caption_half_angle
-                    and scene.caption_z_min <= fwd <= scene.caption_z_max):
+            if bearing < CAPTION_HALF_ANGLE and CAPTION_Z_MIN <= fwd <= CAPTION_Z_MAX:
                 candidates.append((name, fwd))
-        raster, depth_cols = _render_raster(ev.pose, visible, room, scene, map_cfg)
+        raster, depth_cols = _render_raster(ev.pose, visible, room, map_cfg)
         # the columns of the box the mapper samples
         u0, _, u1, _ = center_region(raster, map_cfg.center_fraction)
         center_depth = float(median(depth_cols[u0:u1]))
@@ -315,7 +325,7 @@ def generate_scene(captures: list[CaptureEvent], items: dict[str, tuple[float, f
         rasters.append(raster)
         records.append(CaptionRecord(image_id_for_frame(ev.frame), ev.frame, captioned))
     ground_truth = {
-        normalize_name(name): np.array([p[0], p[1], scene.item_z])
+        normalize_name(name): np.array([p[0], p[1], ITEM_Z])
         for name, p in items.items()
     }
     return rasters, records, ground_truth

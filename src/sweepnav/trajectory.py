@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CHOICES, KalmanConfig
+from .config import KalmanConfig
 from .fileio import json_field, read_jsonl, read_table, write_csv, write_jsonl
 from .geometry import median, row_norms, wrap_angle
 from .imu import _frozen
@@ -214,14 +214,15 @@ class CaptureEvent:
 
 
 def capture_schedule(traj: Trajectory, distance_m: float = 1.0,
-                     rotation_rad: float = np.pi / 2, mode: str = "or") -> list[CaptureEvent]:
+                     rotation_rad: float = np.pi / 2) -> list[CaptureEvent]:
     """Spatial-interval capture events along a trajectory.
 
     Frame 0 always captures.  Afterwards a capture fires when the path
     distance accumulated since the last capture reaches ``distance_m``,
-    or the accumulated absolute yaw change reaches ``rotation_rad``
-    (``mode="and"`` requires both; ``"distance"``/``"rotation"`` watch
-    a single trigger).  Both accumulators reset on every capture.
+    or the accumulated absolute yaw change reaches ``rotation_rad``; its
+    trigger is ``"distance"`` when the distance gate was reached, else
+    ``"rotation"``.  Both accumulators reset on every capture.  An
+    infinite threshold never fires, which leaves the other gate alone.
 
     The step lengths and the wrapped yaw steps are computed as arrays;
     only the accumulate-and-reset walk is a loop.  Each step length is
@@ -230,8 +231,6 @@ def capture_schedule(traj: Trajectory, distance_m: float = 1.0,
     """
     if distance_m <= 0 or rotation_rad <= 0:
         raise ValueError("capture thresholds must be positive")
-    if mode not in CHOICES["capture.mode"]:
-        raise ValueError(f"mode must be one of {', '.join(CHOICES['capture.mode'])}")
     if len(traj) == 0:
         return []
     events = [CaptureEvent(0, traj.pose(0), "first")]
@@ -245,23 +244,8 @@ def capture_schedule(traj: Trajectory, distance_m: float = 1.0,
         acc_d += step
         acc_r += turn
         hit_d = acc_d >= d_gate
-        hit_r = acc_r >= r_gate
-        if mode == "and":
-            fire = hit_d and hit_r
-        elif mode == "distance":
-            fire = hit_d
-        elif mode == "rotation":
-            fire = hit_r
-        else:
-            fire = hit_d or hit_r
-        if fire:
-            if mode == "rotation":
-                trigger = "rotation"
-            elif mode == "distance" or hit_d:
-                trigger = "distance"
-            else:
-                trigger = "rotation"
-            events.append(CaptureEvent(f, traj.pose(f), trigger))
+        if hit_d or acc_r >= r_gate:
+            events.append(CaptureEvent(f, traj.pose(f), "distance" if hit_d else "rotation"))
             acc_d = 0.0
             acc_r = 0.0
     return events

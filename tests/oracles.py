@@ -151,9 +151,11 @@ def project_ref(raster, points_world, pose, cfg):
     return u, v, z
 
 
-def quantization_bound(scene) -> float:
+def quantization_bound() -> float:
     """Worst-case lateral position error of one pixel at caption range."""
-    return scene.caption_z_max / scene.focal_px
+    from sweepnav.sim import CAPTION_Z_MAX, FOCAL_PX
+
+    return CAPTION_Z_MAX / FOCAL_PX
 
 
 def random_similarity(rng, scale_range=(0.5, 2.0)):
@@ -189,7 +191,7 @@ def turn_in_place_trajectory(total_angle, n_frames=201, rate=50.0) -> Trajectory
     return Trajectory(t, xy, yaw, rate)
 
 
-def rae_window_ref(window, start, model, angles, reducer, trim_fraction=0.1, v_max=2.0):
+def rae_window_ref(window, start, model, angles, reducer, v_max=2.0):
     """One window through the rotation-augmented ensemble, member by member.
 
     For each angle: rotate the window's x-y components, run the model on
@@ -226,7 +228,7 @@ def rae_window_ref(window, start, model, angles, reducer, trim_fraction=0.1, v_m
         members.append(turn(out, np.cos(-theta), np.sin(-theta)))
     if not members:
         raise NonFiniteEstimateError(f"all members non-finite for window {start}")
-    reduced = reduce_members(np.array(members), reducer, trim_fraction)
+    reduced = reduce_members(np.array(members), reducer)
     spread = max(math.hypot(*(m - reduced)) for m in members)
     v, hit = clamp(reduced)
     return v, dropped, clamped or hit, spread
@@ -383,7 +385,7 @@ def integrate_ref(held, yaws, kf=None, frame_rate=50.0, t0=0.0) -> Trajectory:
     return Trajectory(t, poses, yaws, frame_rate)
 
 
-def capture_schedule_ref(traj, distance_m=1.0, rotation_rad=np.pi / 2, mode="or"):
+def capture_schedule_ref(traj, distance_m=1.0, rotation_rad=np.pi / 2):
     """Capture events, one frame and one norm at a time."""
     if len(traj) == 0:
         return []
@@ -397,21 +399,8 @@ def capture_schedule_ref(traj, distance_m=1.0, rotation_rad=np.pi / 2, mode="or"
         acc_r += abs(float(wrap_angle(traj.yaw[f] - traj.yaw[f - 1])))
         hit_d = acc_d >= d_gate
         hit_r = acc_r >= r_gate
-        if mode == "and":
-            fire = hit_d and hit_r
-        elif mode == "distance":
-            fire = hit_d
-        elif mode == "rotation":
-            fire = hit_r
-        else:
-            fire = hit_d or hit_r
-        if fire:
-            if mode == "rotation":
-                trigger = "rotation"
-            elif mode == "distance" or hit_d:
-                trigger = "distance"
-            else:
-                trigger = "rotation"
+        if hit_d or hit_r:
+            trigger = "distance" if hit_d else "rotation"
             events.append(CaptureEvent(f, traj.pose(f), trigger))
             acc_d = 0.0
             acc_r = 0.0

@@ -369,11 +369,9 @@ class TestCriterion10ObjectMapping:
         t0 = time.perf_counter()
         cfg = sn.SimConfig(room_width=6.0, room_height=2.0, row_spacing=1.0,
                            acc_noise=0.05, gyro_noise=0.002, seed=0)
-        scene_cfg = sn.SceneConfig()
         gt_traj = sn.generate_trajectory(cfg)
         captures = sn.capture_schedule(gt_traj, distance_m=0.5)
-        rasters, records, gt_items = sn.generate_scene(captures, self.ITEMS, cfg,
-                                                       scene_cfg)
+        rasters, records, gt_items = sn.generate_scene(captures, self.ITEMS, cfg)
 
         def run_map(traj, alignment):
             obs = []
@@ -385,7 +383,7 @@ class TestCriterion10ObjectMapping:
 
         identity = AlignmentResult(1.0, 0.0, np.zeros(2), np.ones(1, dtype=bool), 0.0)
         rep_gt = run_map(gt_traj, identity)
-        bound = 2.0 * quantization_bound(scene_cfg)
+        bound = 2.0 * quantization_bound()
 
         imu = sn.synthesize_imu(gt_traj, cfg)
         est, held = _estimate_trajectory(gt_traj, imu, k=5)

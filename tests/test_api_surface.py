@@ -1,4 +1,5 @@
-"""Every top-level function and class of the package has a caller.
+"""Every top-level function and class of the package has a caller,
+and every configuration key has a reader.
 
 A symbol counts as used when a name, an attribute, an imported name or a
 string equal to it (a ``getattr``-style lookup, as perfbench's tracer
@@ -9,9 +10,14 @@ makes) appears in ``src/sweepnav`` outside its package re-exports, in
 that ``cli.main`` dispatches by name.  A module-level ``__getattr__``
 or ``__dir__`` (PEP 562) counts as used: the import system calls it.
 Tests are not callers.
+
+A key of ``config.DEFAULTS`` counts as read when ``cli.py`` reads it
+as a literal ``cfg["<key>"]``, or when it is a field of a section that
+a command builds with a literal ``_from_config(cfg, "<prefix>")``.
 """
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -70,3 +76,21 @@ def test_every_top_level_definition_has_a_caller():
                     and node.name not in used):
                 unused.append(f"{path.name}:{node.lineno}: {node.name}")
     assert not unused, "no caller in src/, demos/, README or perfbench/: " + ", ".join(unused)
+
+
+def test_every_config_key_is_read_by_a_command():
+    from sweepnav.config import DEFAULTS, SECTIONS
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    read = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)):
+            read.add(node.slice.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "_from_config" and len(node.args) == 2
+              and isinstance(node.args[1], ast.Constant)):
+            prefix = node.args[1].value
+            read |= {f"{prefix}.{f.name}" for f in dataclasses.fields(SECTIONS[prefix])}
+    unread = sorted(set(DEFAULTS) - read)
+    assert not unread, "no command in cli.py reads: " + ", ".join(unread)

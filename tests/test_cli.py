@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sweepnav import cli
 from sweepnav import estimator as est_mod
 from sweepnav import trajectory
 from sweepnav.geometry import rotate_xy
@@ -49,7 +50,7 @@ def _manifest(ds):
 PIPELINE_SHA256 = {
     "captions.jsonl": "a4f11c24ec49420b3403fb8efba5a74439909263ab25c49af8fcc8dc7ce1e3d7",
     "captures.jsonl": "b6837e5827db6ad87fb76f46c4bdcdc7598d165f32ec6058b475bccaabe1df1e",
-    "config.json": "93ff86481f6ead59c2692cecfe4b64e30075c7d95453b2a85286489a8c30d9f7",
+    "config.json": "492021545b89c34abb4a4bf2596060423420e066b08ecd5f86c4ebf60a846942",
     "corrections.jsonl": "bdd47d450a9bc50209c90d82174b69584bd4560e4f2bf8f522d9430861f0dd06",
     "est_trajectory.csv": "1c3070bdc4e06a2425fc0d9013b7d136662357bbe3e97c9715da8e612f287d99",
     "eval_grid_1.0.json": "b08e67780da3fb2b053aa5e10cb4b442f97165e6b82fbce835529939e55326f9",
@@ -282,24 +283,40 @@ class TestExitCodes:
 
     # each enumerated key with a command that reads it
     ENUMERATED = [("infer", "orientation.source"), ("infer", "estimator.kind"),
-                  ("simulate", "capture.mode"), ("infer", "capture.mode"),
                   ("eval", "eval.trajectory"), ("map", "map.trajectory"),
                   ("map", "caption.mode")]
+    # a value that its section or its number type refuses, or a removed
+    # key that an old config may still name, with a command that reads
+    # or read it -> the value and the error it gets
+    REFUSED = {
+        ("simulate", "capture.mode"): ("or", "unknown configuration key 'capture.mode'"),
+        ("infer", "capture.mode"): ("or", "unknown configuration key 'capture.mode'"),
+        ("infer", "rae.reducer"): ("bogus", "rae.*: reducer must be one of ('median', 'mean')"),
+        ("simulate", "sim.turn_model"):
+            ("bogus", "sim.*: turn_model must be 'arc' or 'stop_and_turn'"),
+        ("refine", "refine.epochs"): ("0", "refine.*: epochs must be >= 1"),
+        ("simulate", "sim.speed"): ("NaN", "sim.speed: expected a number, got nan"),
+    }
 
     def test_every_enumerated_key_is_tried(self):
         assert {key for _, key in self.ENUMERATED} == set(CHOICES)
 
-    @pytest.mark.parametrize("command, key", ENUMERATED)
+    @pytest.mark.parametrize("command, key", ENUMERATED + list(REFUSED))
     def test_bad_enumerated_value_touches_no_file(self, pipeline, tmp_path, capsys,
-                                                  command, key):
-        """The value is refused before the command reads or writes a file."""
+                                                  monkeypatch, command, key):
+        """The value is refused before the manifest is read or the command
+        starts, so before it reads or writes a file."""
+        for name in ("load_manifest", f"cmd_{command}"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
         ds = tmp_path / "ds"
         shutil.copytree(pipeline, ds)
         before = {p: p.read_bytes() for p in ds.rglob("*") if p.is_file()}
         target = ["--out", tmp_path / "new"] if command == "simulate" else ["--dataset", ds]
-        assert run(command, *target, "--set", f"{key}=bogus") == 2
-        allowed = ", ".join(CHOICES[key])
-        assert capsys.readouterr().err == f"error: {key}: expected one of {allowed}, got 'bogus'\n"
+        value, error = self.REFUSED.get((command, key), ("bogus", None))
+        if error is None:
+            error = f"{key}: expected one of {', '.join(CHOICES[key])}, got 'bogus'"
+        assert run(command, *target, "--set", f"{key}={value}") == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert {p: p.read_bytes() for p in ds.rglob("*") if p.is_file()} == before
         assert not (tmp_path / "new").exists()
 
@@ -411,7 +428,7 @@ class TestLogLevel:
 
 class TestModuleConfig:
     # keys under a section prefix that the commands read themselves
-    NOT_FIELDS = {"sim.n_items", "map.trajectory", "rae.seed", "caption.mode"}
+    NOT_FIELDS = {"sim.n_items", "map.trajectory", "caption.mode"}
 
     def test_every_key_reaches_a_field(self):
         """A literal key under a section prefix that names no field would

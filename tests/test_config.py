@@ -18,7 +18,7 @@ from sweepnav.config import (
 class TestDefaults:
     def test_covers_every_stage(self):
         stages = {key.split(".")[0] for key in DEFAULTS}
-        assert stages == {"sim", "scene", "orientation", "hacf", "estimator",
+        assert stages == {"sim", "orientation", "hacf", "estimator",
                           "oracle", "rae", "kalman", "capture", "refine",
                           "eval", "map", "caption"}
 
@@ -61,6 +61,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="expected a list"):
             PipelineConfig({"oracle.bias": 0.05})
 
+    @pytest.mark.parametrize("override, message", [
+        ("sim.acc_noise=NaN", "sim.acc_noise: expected a number, got nan"),
+        ("sim.speed=-Infinity", "sim.speed: expected a number, got -inf"),
+        (f"sim.speed={10 ** 400}", f"sim.speed: expected a number, got {10 ** 400}"),
+    ])
+    def test_number_must_be_finite(self, override, message):
+        """JSON parsing takes NaN, Infinity and integers of any size; no
+        number key does."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(overrides=[override])
+
     @pytest.mark.parametrize("key, value, want", [
         ("sim.acc_bias", [1], "3"),  # not broadcast over the three axes
         ("sim.acc_bias", [0, 0, 0, 1], "3"),
@@ -71,6 +82,7 @@ class TestValidation:
         ("eval.grids", [True], "one or more"),  # not a 1.0 m grid
         ("eval.grids", [], "one or more"),
         ("eval.grids", [[1.0]], "one or more"),
+        ("oracle.bias", [0.1, float("nan")], "2"),  # not a number
     ])
     def test_list_holds_its_count_of_numbers(self, key, value, want):
         message = f"{key}: expected a list of {want} numbers, got {value!r}"

@@ -76,7 +76,7 @@ print(json.dumps([bad, sorted(set(sweepnav.__all__) - listed)]))
 
 
 @pytest.mark.parametrize("module, name", [
-    ("sim", "SimConfig"), ("sim", "SceneConfig"), ("object_map", "MapConfig"),
+    ("sim", "SimConfig"), ("object_map", "MapConfig"),
     ("object_map", "CaptionServiceConfig"), ("rae", "RaeConfig"),
     ("trajectory", "KalmanConfig"), ("loop_closure", "RefineConfig")])
 def test_section_dataclasses_are_importable_from_their_stage(module, name):

@@ -208,14 +208,8 @@ class TestScene:
         # facing +x from x=1: the far wall sits at 4 + 1 margin
         assert rasters[0].depth[24, 31] == pytest.approx(4.0, abs=1e-9)
 
-    def test_scene_config_validation(self):
-        with pytest.raises(ValueError, match="at least 8x8"):
-            sn.SceneConfig(width_px=4)
-        with pytest.raises(ValueError, match="caption_z_min"):
-            sn.SceneConfig(caption_z_min=0.0)
-
     def test_quantization_bound_value(self):
-        assert quantization_bound(sn.SceneConfig()) == pytest.approx(0.06)
+        assert quantization_bound() == pytest.approx(0.06)
 
 
 class TestDefaultItems:
@@ -238,10 +232,9 @@ class TestMappingEndToEnd:
         """Items captioned from true sweep poses land within the pixel
         quantization bound of their true positions."""
         cfg = sn.SimConfig()
-        scene_cfg = sn.SceneConfig()
         items = default_items(cfg, n_items=4)
         captures = sn.capture_schedule(default_sim_traj, distance_m=0.5)
-        rasters, records, gt = sn.generate_scene(captures, items, cfg, scene_cfg)
+        rasters, records, gt = sn.generate_scene(captures, items, cfg)
         observations = []
         for ev, raster, record in zip(captures, rasters, records):
             if record.items:
@@ -250,4 +243,4 @@ class TestMappingEndToEnd:
         report = sn.evaluate_map(clusters, gt)
         assert report.n_matched == 4
         assert report.unmatched_gt == ()
-        assert report.mean_error <= quantization_bound(scene_cfg) + 1e-9
+        assert report.mean_error <= quantization_bound() + 1e-9

@@ -184,15 +184,12 @@ class TestCaptureSchedule:
         caps = sn.capture_schedule(traj)
         assert len(caps) == 1 and caps[0].frame == 0
 
-    def test_and_mode_requires_both_gates(self):
-        traj = line_trajectory(speed=0.5, n_frames=501)
-        caps = sn.capture_schedule(traj, mode="and")
-        assert [c.frame for c in caps] == [0]
-
     def test_single_gate_modes(self):
+        """An infinite threshold never fires, which leaves the other gate
+        alone: eval's distance grid passes rotation_rad=inf."""
         traj = turn_in_place_trajectory(np.deg2rad(200.0), n_frames=201)
-        assert len(sn.capture_schedule(traj, mode="distance")) == 1
-        assert len(sn.capture_schedule(traj, mode="rotation")) == 3
+        assert len(sn.capture_schedule(traj, rotation_rad=np.inf)) == 1
+        assert len(sn.capture_schedule(traj, distance_m=np.inf)) == 3
 
     def test_spacing_invariant_on_simulated_sweep(self, default_sim_traj):
         """Between consecutive captures neither accumulator reaches its
@@ -231,19 +228,18 @@ class TestCaptureSchedule:
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
            step=st.sampled_from([0.0, 0.01, 0.3]), turn=st.sampled_from([0.0, 0.05, 2.0]),
-           distance=st.sampled_from([0.05, 0.5, 1.0]),
-           rotation=st.sampled_from([0.1, np.pi / 2, 3.0]),
-           mode=st.sampled_from(["or", "and", "distance", "rotation"]))
-    def test_matches_per_frame_reference(self, n, seed, step, turn, distance, rotation, mode):
-        """Random walks with stops, wrapping yaw and every mode."""
+           distance=st.sampled_from([0.05, 0.5, 1.0, np.inf]),
+           rotation=st.sampled_from([0.1, np.pi / 2, 3.0, np.inf]))
+    def test_matches_per_frame_reference(self, n, seed, step, turn, distance, rotation):
+        """Random walks with stops, wrapping yaw, and single-gate schedules."""
         rng = np.random.default_rng(seed)
         steps = rng.normal(scale=step, size=(n, 2))
         steps[rng.random(n) < 0.3] = 0.0
         xy = np.cumsum(steps, axis=0)
         yaw = np.cumsum(rng.normal(scale=turn, size=n))
         traj = sn.Trajectory(np.arange(n) / 50.0, xy, yaw, 50.0)
-        got = sn.capture_schedule(traj, distance, rotation, mode)
-        assert got == capture_schedule_ref(traj, distance, rotation, mode)
+        got = sn.capture_schedule(traj, distance, rotation)
+        assert got == capture_schedule_ref(traj, distance, rotation)
 
     def test_image_ids_are_zero_padded(self):
         assert sn.image_id_for_frame(42) == "img_000042"

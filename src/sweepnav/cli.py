@@ -231,6 +231,7 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
         "n_windows": len(windows),
         "n_members_nonfinite": ens.n_members_nonfinite,
         "n_windows_clamped": ens.n_windows_clamped,
+        "n_windows_median_capped": ens.n_windows_median_capped,
         "rae_member_spread": float(median(ens.member_spread)),
     }
 

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+from itertools import chain, islice
 
 import numpy as np
 
@@ -38,12 +40,24 @@ _JSON_KINDS = {int: ("integer", int), float: ("number", (int, float)),
                str: ("string", str), list: ("list", list)}
 # the bytes of rows written from finite floats (see the module docstring)
 _TABLE_BYTES = b"0123456789+-.e,\n"
+# rows a writer formats at once: one % over a flat list of their values
+# costs a fraction of a format per row, and this bounds the text held
+_WRITE_ROWS = 4096
+
+
+def _write_rows(fh, line: str, rows) -> None:
+    """Write each row's values into the ``%s`` fields of ``line``: one
+    ``%`` formats a whole run of _WRITE_ROWS rows."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, _WRITE_ROWS)):
+        fh.write((line * len(chunk)) % tuple(chain.from_iterable(chunk)))
 
 
 def write_csv(path, header: str, rows) -> None:
+    """Write the header line, then each row's values with ``str``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        _write_rows(fh, ",".join(["%s"] * (header.count(",") + 1)) + "\n", rows)
 
 
 def read_csv(path, header: str, parse) -> list[tuple[int, object]]:
@@ -85,9 +99,29 @@ def read_table(path, header: str) -> np.ndarray:
     return np.array([row for _, row in rows], dtype=float).reshape(-1, n_fields)
 
 
-def write_jsonl(path, records) -> None:
+def write_jsonl(path, columns: dict) -> None:
+    """Write a table given as named columns of equal length, one record
+    per row, each line the ``json.dumps(record, sort_keys=True)`` of that
+    row."""
+    keys = sorted(columns)
+    values = [_json_texts(columns[key]) for key in keys]
+    if len({len(column) for column in values}) > 1:
+        raise ValueError(f"columns differ in length: {[len(column) for column in values]}")
+    record = "{" + ", ".join(json.dumps(key).replace("%", "%%") + ": %s" for key in keys) + "}\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+        _write_rows(fh, record, zip(*values))
+
+
+def _json_texts(column) -> list:
+    """A column's values as objects whose ``str`` is their JSON text: an
+    int or a finite float is its own (a float's ``str`` is its repr), a
+    non-finite float becomes ``NaN``, ``Infinity`` or ``-Infinity``, and
+    anything else goes through ``json.dumps``."""
+    column = list(column)
+    kinds = set(map(type, column))
+    if kinds <= {int} or (kinds == {float} and all(map(math.isfinite, column))):
+        return column
+    return [json.dumps(value, sort_keys=True) for value in column]
 
 
 def read_jsonl(path, parse) -> list[tuple[int, object]]:

@@ -103,11 +103,11 @@ def load_imu(path) -> ImuSequence:
 
 def save_imu(seq: ImuSequence, path) -> None:
     """Write a recording as CSV or JSONL depending on the file suffix."""
-    rows = np.column_stack([seq.t, seq.acc, seq.gyro]).tolist()
+    table = np.column_stack([seq.t, seq.acc, seq.gyro])
     if Path(path).suffix.lower() == ".jsonl":
-        write_jsonl(path, (dict(zip(IMU_FIELDS, row)) for row in rows))
+        write_jsonl(path, dict(zip(IMU_FIELDS, table.T.tolist())))
     else:
-        write_csv(path, IMU_CSV_HEADER, rows)
+        write_csv(path, IMU_CSV_HEADER, table.tolist())
 
 
 def resample(seq: ImuSequence, rate_hz: float = 50.0) -> ImuSequence:

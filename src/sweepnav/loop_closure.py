@@ -434,9 +434,8 @@ def refine(traj: Trajectory, per_frame_v: np.ndarray,
 
 
 def save_corrections(params: CorrectionParams, path) -> None:
-    rows = np.column_stack([params.r, params.l]).tolist()
-    write_jsonl(path, ({"frame": i, "r": r, "lx": lx, "ly": ly}
-                       for i, (r, lx, ly) in enumerate(rows)))
+    r, lx, ly = np.column_stack([params.r, params.l]).T.tolist()
+    write_jsonl(path, {"frame": list(range(len(r))), "r": r, "lx": lx, "ly": ly})
 
 
 def save_loss_history(history, path) -> None:

@@ -356,8 +356,9 @@ def load_raster(path) -> DepthRaster:
 
 
 def save_captions(records: list[CaptionRecord], path) -> None:
-    write_jsonl(path, ({"image_id": rec.image_id, "frame": rec.frame, "items": list(rec.items)}
-                       for rec in records))
+    write_jsonl(path, {"image_id": [rec.image_id for rec in records],
+                       "frame": [rec.frame for rec in records],
+                       "items": [list(rec.items) for rec in records]})
 
 
 def _caption(rec) -> CaptionRecord:
@@ -394,9 +395,10 @@ def load_items_csv(path) -> dict[str, np.ndarray]:
 
 
 def save_map(clusters: list[ItemCluster], path) -> None:
-    write_jsonl(path, ({"name": c.name, "x": float(c.centroid[0]), "y": float(c.centroid[1]),
-                        "z": float(c.centroid[2]), "n_obs": c.n_observations,
-                        "spread": c.spread} for c in clusters))
+    x, y, z = ([float(c.centroid[i]) for c in clusters] for i in range(3))
+    write_jsonl(path, {"name": [c.name for c in clusters], "x": x, "y": y, "z": z,
+                       "n_obs": [c.n_observations for c in clusters],
+                       "spread": [c.spread for c in clusters]})
 
 
 def save_map_eval(report: MapEvalReport, path) -> None:

@@ -10,6 +10,13 @@ about the true velocity on a uniform angle grid.  Both reducers that
 commute with rotation, the mean and the geometric median, land on its
 centre and cancel the error exactly; the median also bounds the pull of
 a single wild member.
+
+The reduction runs over all windows at once (``reduce_members``): each
+step of the geometric median is taken by every window still descending,
+with sums in member order and ``math.hypot``'s distances
+(``geometry.hypot``), so every window gets the bits of a loop over its
+own members.  That loop is the test reference,
+``tests/oracles.py::geometric_median_ref``.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 
 from .config import _REDUCERS, RaeConfig
 from .estimator import NonFiniteEstimateError, clamp_speed, estimate_velocity
-from .geometry import rotate_xy, rotate_xyz_about_z
+from .geometry import hypot, rotate_xy
 
 # Geometric median: members within _COLLINEAR_TOL * spread of one line are
 # collinear; the descent stops once a step is below _GM_RTOL times the
@@ -40,104 +47,138 @@ def ensemble_angles(cfg: RaeConfig) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(cfg.k) / cfg.k
 
 
-def _pull(pts, yx, yy):
-    """Sum of the unit vectors from (yx, yy) to the members (the negative
-    gradient of the distance sum), that sum's Hessian (xx, xy, yy), the
-    Weiszfeld point, and the sum of inverse distances.  Members at
-    (yx, yy) are left out."""
-    gx = gy = hxx = hxy = hyy = wsum = wx = wy = 0.0
-    for x, y in pts:
-        ex, ey = x - yx, y - yy
-        d = math.hypot(ex, ey)
-        if d > 0.0:
-            w = 1.0 / d
-            ux, uy = ex * w, ey * w
-            gx += ux
-            gy += uy
-            hxx += w * uy * uy
-            hxy -= w * ux * uy
-            hyy += w * ux * ux
-            wsum += w
-            wx += w * x
-            wy += w * y
-    return gx, gy, hxx, hxy, hyy, wx / wsum, wy / wsum, wsum
-
-
-def _distance_sum_change(pts, yx, yy, sx, sy):
-    """Change of the distance sum from (yx, yy) to (yx + sx, yy + sy), as
-    sum (|e - s|^2 - |e|^2) / (|e - s| + |e|), which keeps its precision
-    for steps far below the sum's own rounding."""
-    ss = sx * sx + sy * sy
-    total = 0.0
-    for x, y in pts:
-        ex, ey = x - yx, y - yy
-        den = math.hypot(ex, ey) + math.hypot(ex - sx, ey - sy)
-        if den > 0.0:
-            total += (ss - 2.0 * (ex * sx + ey * sy)) / den
+def _member_sums(terms: np.ndarray) -> np.ndarray:
+    """Sum a (..., m) array over its last axis in member order, from +0.0:
+    the adds a Python loop over the members makes.  A left-out member
+    holds a zero of either sign, which leaves the sum unchanged: a sum
+    that starts at +0.0 never becomes -0.0."""
+    total = np.zeros(terms.shape[:-1])
+    for j in range(terms.shape[-1]):
+        total += terms[..., j]
     return total
 
 
-def _geometric_median(members: np.ndarray) -> np.ndarray:
-    """The point minimising the sum of Euclidean distances to the members.
+def _unit_terms(ex, ey):
+    """Distances d to the members along the last axis, 1/d, and the unit
+    vectors; the last three are zero at a member where d is zero."""
+    d = hypot(ex, ey)
+    w = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
+    return d, w, ex * w, ey * w
 
-    Rotation-equivariant, breakdown point 0.5.  Collinear members
-    (including K=2) have a segment of minimisers; the 1-D median along
+
+def _geometric_medians(pts: np.ndarray) -> tuple[np.ndarray, int]:
+    """The geometric median of each window's members, an (n, m, 2) stack,
+    and the number of windows whose descent stopped at _GM_MAX_ITER.
+
+    Rotation-equivariant, breakdown point 0.5.  Members are sorted first,
+    so the result does not depend on their order.  Collinear members
+    (including m=2) have a segment of minimisers; the 1-D median along
     their line is taken (the midpoint of the middle pair for an even
     count).  A member that meets the Vardi-Zhang optimality condition
     |sum over x_j != x_i of unit(x_j - x_i)| <= multiplicity(x_i) is
     returned exactly.  Otherwise descent starts at the mean: a Newton
-    step when it lowers the distance sum, else a Weiszfeld step.  Members
-    are sorted first, so the result does not depend on their order.
+    step when it lowers the distance sum, else a Weiszfeld step.  All
+    windows take each step at once, and a window leaves once its step
+    meets the stop rule.  Sums run in member order and distances are
+    ``math.hypot``'s, so each window's result is the one a loop over its
+    members gives (``tests/oracles.py::geometric_median_ref``).
     """
-    pts = sorted(map(tuple, members.tolist()))
-    k = len(pts)
-    cx = math.fsum(x for x, _ in pts) / k
-    cy = math.fsum(y for _, y in pts) / k
-    ax, ay = max(pts, key=lambda p: math.hypot(p[0] - cx, p[1] - cy))
-    spread = math.hypot(ax - cx, ay - cy)
-    if spread == 0.0:
-        return np.array(pts[0])
-    dx, dy = (ax - cx) / spread, (ay - cy) / spread
-    if all(abs((x - cx) * dy - (y - cy) * dx) <= _COLLINEAR_TOL * spread for x, y in pts):
-        line = sorted(pts, key=lambda p: ((p[0] - cx) * dx + (p[1] - cy) * dy, p))
-        (lx, ly), (hx, hy) = line[(k - 1) // 2], line[k // 2]
-        return np.array([0.5 * (lx + hx), 0.5 * (ly + hy)])
-    for p in pts:
-        rx, ry = _pull(pts, *p)[:2]
-        if math.hypot(rx, ry) <= pts.count(p):
-            return np.array(p)
-    yx, yy = cx, cy
-    for _ in range(_GM_MAX_ITER):
-        gx, gy, hxx, hxy, hyy, qx, qy, wsum = _pull(pts, yx, yy)
-        det = hxx * hyy - hxy * hxy
-        sx = sy = 0.0
-        if det > 0.0:
-            sx = (hyy * gx - hxy * gy) / det
-            sy = (hxx * gy - hxy * gx) / det
-        if not _distance_sum_change(pts, yx, yy, sx, sy) < 0.0:
-            sx, sy = qx - yx, qy - yy
-        yx += sx
-        yy += sy
-        if math.hypot(sx, sy) <= _GM_RTOL * k / wsum:
-            break
-    return np.array([yx, yy])
+    m = pts.shape[1]
+    order = np.lexsort((pts[..., 1], pts[..., 0]), axis=1)
+    x = np.take_along_axis(pts[..., 0], order, axis=1)
+    y = np.take_along_axis(pts[..., 1], order, axis=1)
+    out = np.column_stack([x[:, 0], y[:, 0]])  # where all members are equal
+    cx = np.array([math.fsum(row) for row in x.tolist()]) / m
+    cy = np.array([math.fsum(row) for row in y.tolist()]) / m
+    ex, ey = x - cx[:, None], y - cy[:, None]
+    dist = hypot(ex, ey)
+    live = np.flatnonzero(dist.max(axis=1) != 0.0)
+    far = dist[live].argmax(axis=1)
+    spread = dist[live, far]
+    ex, ey = ex[live], ey[live]
+    dx, dy = ex[np.arange(len(live)), far] / spread, ey[np.arange(len(live)), far] / spread
+    on_line = np.all(np.abs(ex * dy[:, None] - ey * dx[:, None])
+                     <= _COLLINEAR_TOL * spread[:, None], axis=1)
+    rows = live[on_line]
+    line = np.argsort(ex[on_line] * dx[on_line, None] + ey[on_line] * dy[on_line, None],
+                      axis=1, kind="stable")
+    lo, hi = line[:, (m - 1) // 2], line[:, m // 2]
+    out[rows, 0] = 0.5 * (x[rows, lo] + x[rows, hi])
+    out[rows, 1] = 0.5 * (y[rows, lo] + y[rows, hi])
+    rows = live[~on_line]
+    px, py = x[rows], y[rows]
+    optimal = np.empty((len(rows), m), dtype=bool)
+    for i in range(m):  # Vardi-Zhang: the pull of the members on member i
+        d, _, ux, uy = _unit_terms(px - px[:, i, None], py - py[:, i, None])
+        optimal[:, i] = hypot(_member_sums(ux), _member_sums(uy)) <= (d == 0.0).sum(axis=1)
+    first = optimal.argmax(axis=1)
+    hit = optimal[np.arange(len(rows)), first]
+    out[rows[hit], 0] = px[hit, first[hit]]
+    out[rows[hit], 1] = py[hit, first[hit]]
+    rows, px, py = rows[~hit], px[~hit], py[~hit]
+    yx, yy = cx[rows], cy[rows]
+    stop_scale = _GM_RTOL * m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_GM_MAX_ITER):
+            if not len(rows):
+                break
+            ex, ey = px - yx[:, None], py - yy[:, None]
+            d, w, ux, uy = _unit_terms(ex, ey)
+            gx, gy, hxx, hxy, hyy, wsum, wx, wy = _member_sums(np.stack(
+                [ux, uy, w * uy * uy, -(w * ux * uy), w * ux * ux, w, w * px, w * py]))
+            det = hxx * hyy - hxy * hxy
+            newton = det > 0.0
+            sx = np.where(newton, (hyy * gx - hxy * gy) / det, 0.0)
+            sy = np.where(newton, (hxx * gy - hxy * gx) / det, 0.0)
+            # change of the distance sum over the step, as
+            # sum (|e - s|^2 - |e|^2) / (|e - s| + |e|), which keeps its
+            # precision for steps far below the sum's own rounding
+            den = d + hypot(ex - sx[:, None], ey - sy[:, None])
+            num = (sx * sx + sy * sy)[:, None] - 2.0 * (ex * sx[:, None] + ey * sy[:, None])
+            change = _member_sums(np.divide(num, den, out=np.zeros_like(den), where=den > 0.0))
+            weiszfeld = ~(change < 0.0)
+            sx = np.where(weiszfeld, wx / wsum - yx, sx)
+            sy = np.where(weiszfeld, wy / wsum - yy, sy)
+            yx, yy = yx + sx, yy + sy
+            done = hypot(sx, sy) <= stop_scale / wsum
+            out[rows[done], 0] = yx[done]
+            out[rows[done], 1] = yy[done]
+            rows, px, py, yx, yy = (a[~done] for a in (rows, px, py, yx, yy))
+    out[rows, 0] = yx
+    out[rows, 1] = yy
+    return out, len(rows)
 
 
-def reduce_members(members: np.ndarray, reducer: str) -> np.ndarray:
-    """Reduce a (K, 2) stack of member estimates to one velocity.
+def reduce_members(back: np.ndarray, kept: np.ndarray, reducer: str) -> tuple[np.ndarray, int]:
+    """Reduce each window's kept members to one velocity.
 
-    ``median`` is the geometric median (see ``_geometric_median``), so
-    it commutes with rotation like ``mean``.  Both reducers are
-    permutation-invariant.
+    ``back`` is an (N, K, 2) stack of member estimates and ``kept`` the
+    (N, K) mask of members to use; each window keeps at least one.
+    Returns the (N, 2) reduced velocities and the number of windows
+    whose median descent stopped at _GM_MAX_ITER steps.  ``median`` is
+    the geometric median (see ``_geometric_medians``), so it commutes
+    with rotation like ``mean``.  Both reducers are
+    permutation-invariant.  Windows are reduced together, grouped by
+    their count of kept members.
     """
-    members = np.asarray(members, dtype=float)
-    if members.ndim != 2 or members.shape[1] != 2 or len(members) == 0:
-        raise ValueError("members must have shape (K, 2) with K >= 1")
-    if reducer == "median":
-        return _geometric_median(members)
-    if reducer == "mean":
-        return members.mean(axis=0)
-    raise ValueError(f"reducer must be one of {_REDUCERS}")
+    back = np.asarray(back, dtype=float)
+    kept = np.asarray(kept, dtype=bool)
+    n_kept = kept.sum(axis=-1)
+    if back.ndim != 3 or back.shape[2] != 2 or kept.shape != back.shape[:2] or not n_kept.all():
+        raise ValueError("members must have shape (N, K, 2) with K >= 1 kept per window")
+    if reducer not in _REDUCERS:
+        raise ValueError(f"reducer must be one of {_REDUCERS}")
+    out = np.empty((len(back), 2))
+    capped = 0
+    for m in np.flatnonzero(np.bincount(n_kept)).tolist():
+        rows = np.flatnonzero(n_kept == m)
+        pts = back[rows][kept[rows]].reshape(len(rows), m, 2)
+        if reducer == "mean":
+            out[rows] = pts.mean(axis=1)
+        else:
+            out[rows], n_capped = _geometric_medians(pts)
+            capped += n_capped
+    return out, capped
 
 
 class RaeResult(NamedTuple):
@@ -145,6 +186,7 @@ class RaeResult(NamedTuple):
     n_members_nonfinite: int  # members dropped for non-finite output
     n_windows_clamped: int  # windows with a member or the reduction clamped
     member_spread: np.ndarray  # (N,) largest |kept member - reduced velocity|
+    n_windows_median_capped: int  # median descents stopped at _GM_MAX_ITER
 
 
 def rae_estimate(windows: np.ndarray, starts, model, cfg: RaeConfig,
@@ -154,10 +196,10 @@ def rae_estimate(windows: np.ndarray, starts, model, cfg: RaeConfig,
     Window i starts at frame ``starts[i]``.  Member k runs the model on
     the window rotated by theta_k and rotates the estimate back by
     -theta_k.  Members with non-finite output are dropped; a window
-    whose members are all dropped fails.  Each window's members are
-    reduced on their own, and the reduced velocity is clamped to
-    ``v_max`` like any single estimate.  The model sees blocks of
-    windows, all K rotated copies of each at once.
+    whose members are all dropped fails.  The kept members of all
+    windows are reduced at once (``reduce_members``), and each reduced
+    velocity is clamped to ``v_max`` like any single estimate.  The
+    model sees blocks of windows, all K rotated copies of each at once.
     """
     angles = ensemble_angles(cfg)
     k = len(angles)
@@ -168,12 +210,18 @@ def rae_estimate(windows: np.ndarray, starts, model, cfg: RaeConfig,
     back = np.empty((n, k, 2))
     kept = np.empty((n, k), dtype=bool)
     over = np.empty((n, k), dtype=bool)
+    # the products and sums of rotate_xyz_about_z, written into one buffer
+    # straight from the windows rather than from K repeated copies
+    cos, sin = np.cos(angles)[:, None, None], np.sin(angles)[:, None, None]
+    rotated = np.empty((min(n, _BLOCK), k) + windows.shape[1:])
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         # (hi - lo, K, 2, tau + 1, 3): copy k of each window rotated by theta_k
-        rotated = rotate_xyz_about_z(np.repeat(windows[lo:hi, None], k, axis=1),
-                                     angles[:, None, None])
-        est = estimate_velocity(rotated.reshape(-1, *windows.shape[1:]),
+        block, out = windows[lo:hi, None], rotated[:hi - lo]
+        out[..., 0] = cos * block[..., 0] - sin * block[..., 1]
+        out[..., 1] = sin * block[..., 0] + cos * block[..., 1]
+        out[..., 2] = block[..., 2]
+        est = estimate_velocity(out.reshape(-1, *windows.shape[1:]),
                                 np.repeat(starts[lo:hi], k), np.tile(angles, hi - lo),
                                 model, v_max)
         back[lo:hi] = rotate_xy(est.v.reshape(-1, k, 2), -angles)
@@ -184,9 +232,8 @@ def rae_estimate(windows: np.ndarray, starts, model, cfg: RaeConfig,
         raise NonFiniteEstimateError(
             f"all {k} ensemble members were non-finite for window {starts[dead[0]]}"
         )
-    reduced = np.array([reduce_members(m[keep], cfg.reducer)
-                        for m, keep in zip(back, kept)]).reshape(n, 2)
+    reduced, n_capped = reduce_members(back, kept, cfg.reducer)
     spread = np.where(kept, np.linalg.norm(back - reduced[:, None], axis=2), -np.inf)
     v, clamped = clamp_speed(reduced, v_max)
     return RaeResult(v, int((~kept).sum()), int((over.any(axis=1) | clamped).sum()),
-                     spread.max(axis=1))
+                     spread.max(axis=1), n_capped)

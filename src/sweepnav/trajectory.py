@@ -257,8 +257,10 @@ def image_id_for_frame(frame: int) -> str:
 
 
 def save_captures(events, path) -> None:
-    write_jsonl(path, ({"frame": ev.frame, "t": ev.pose.t, "x": ev.pose.x, "y": ev.pose.y,
-                        "yaw": ev.pose.yaw, "trigger": ev.trigger} for ev in events))
+    poses = [ev.pose for ev in events]
+    write_jsonl(path, {"frame": [ev.frame for ev in events], "t": [p.t for p in poses],
+                       "x": [p.x for p in poses], "y": [p.y for p in poses],
+                       "yaw": [p.yaw for p in poses], "trigger": [ev.trigger for ev in events]})
 
 
 def _capture(rec) -> CaptureEvent:

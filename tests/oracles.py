@@ -7,6 +7,7 @@ checked against a second opinion that is auditable by eye.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -101,6 +102,105 @@ def correction_mlp_ref(params, s, g_r, g_l):
     grads = [s.T @ g_z1, g_z1.sum(axis=0), h1.T @ g_z2, g_z2.sum(axis=0),
              h2.T @ g_out, g_out.sum(axis=0)]
     return r, out[:, 1:], grads
+
+
+# The geometric median window by window, as the library computed it
+# before the ensemble was reduced over all windows at once; the batched
+# ``rae.reduce_members`` must match it bit for bit.
+_GM_COLLINEAR_TOL = 1e-12
+
+
+def _pull_ref(pts, yx, yy):
+    """Sum of the unit vectors from (yx, yy) to the members (the negative
+    gradient of the distance sum), that sum's Hessian (xx, xy, yy), the
+    Weiszfeld point, and the sum of inverse distances.  Members at
+    (yx, yy) are left out."""
+    gx = gy = hxx = hxy = hyy = wsum = wx = wy = 0.0
+    for x, y in pts:
+        ex, ey = x - yx, y - yy
+        d = math.hypot(ex, ey)
+        if d > 0.0:
+            w = 1.0 / d
+            ux, uy = ex * w, ey * w
+            gx += ux
+            gy += uy
+            hxx += w * uy * uy
+            hxy -= w * ux * uy
+            hyy += w * ux * ux
+            wsum += w
+            wx += w * x
+            wy += w * y
+    return gx, gy, hxx, hxy, hyy, wx / wsum, wy / wsum, wsum
+
+
+def _distance_sum_change_ref(pts, yx, yy, sx, sy):
+    """Change of the distance sum from (yx, yy) to (yx + sx, yy + sy), as
+    sum (|e - s|^2 - |e|^2) / (|e - s| + |e|), which keeps its precision
+    for steps far below the sum's own rounding."""
+    ss = sx * sx + sy * sy
+    total = 0.0
+    for x, y in pts:
+        ex, ey = x - yx, y - yy
+        den = math.hypot(ex, ey) + math.hypot(ex - sx, ey - sy)
+        if den > 0.0:
+            total += (ss - 2.0 * (ex * sx + ey * sy)) / den
+    return total
+
+
+def geometric_median_ref(members, rtol=1e-10, max_iter=100):
+    """The point minimising the sum of Euclidean distances to a (K, 2)
+    stack of members, and whether the descent stopped at ``max_iter``
+    steps without meeting its step rule.
+
+    Collinear members (including K=2) have a segment of minimisers; the
+    1-D median along their line is taken (the midpoint of the middle pair
+    for an even count).  A member that meets the Vardi-Zhang optimality
+    condition |sum over x_j != x_i of unit(x_j - x_i)| <= multiplicity(x_i)
+    is returned exactly.  Otherwise descent starts at the mean: a Newton
+    step when it lowers the distance sum, else a Weiszfeld step, until a
+    step is below ``rtol`` times the harmonic mean member distance.
+    Members are sorted first, so the result does not depend on their
+    order.
+    """
+    pts = sorted(map(tuple, np.asarray(members, dtype=float).tolist()))
+    k = len(pts)
+    cx = math.fsum(x for x, _ in pts) / k
+    cy = math.fsum(y for _, y in pts) / k
+    ax, ay = max(pts, key=lambda p: math.hypot(p[0] - cx, p[1] - cy))
+    spread = math.hypot(ax - cx, ay - cy)
+    if spread == 0.0:
+        return np.array(pts[0]), False
+    dx, dy = (ax - cx) / spread, (ay - cy) / spread
+    if all(abs((x - cx) * dy - (y - cy) * dx) <= _GM_COLLINEAR_TOL * spread for x, y in pts):
+        line = sorted(pts, key=lambda p: ((p[0] - cx) * dx + (p[1] - cy) * dy, p))
+        (lx, ly), (hx, hy) = line[(k - 1) // 2], line[k // 2]
+        return np.array([0.5 * (lx + hx), 0.5 * (ly + hy)]), False
+    for p in pts:
+        rx, ry = _pull_ref(pts, *p)[:2]
+        if math.hypot(rx, ry) <= pts.count(p):
+            return np.array(p), False
+    yx, yy = cx, cy
+    for _ in range(max_iter):
+        gx, gy, hxx, hxy, hyy, qx, qy, wsum = _pull_ref(pts, yx, yy)
+        det = hxx * hyy - hxy * hxy
+        sx = sy = 0.0
+        if det > 0.0:
+            sx = (hyy * gx - hxy * gy) / det
+            sy = (hxx * gy - hxy * gx) / det
+        if not _distance_sum_change_ref(pts, yx, yy, sx, sy) < 0.0:
+            sx, sy = qx - yx, qy - yy
+        yx += sx
+        yy += sy
+        if math.hypot(sx, sy) <= rtol * k / wsum:
+            return np.array([yx, yy]), False
+    return np.array([yx, yy]), True
+
+
+def reduce_ref(members, reducer) -> np.ndarray:
+    """One window's kept members, a (K, 2) stack, reduced by ``reducer``."""
+    if reducer == "median":
+        return geometric_median_ref(members)[0]
+    return np.asarray(members, dtype=float).mean(axis=0)
 
 
 def geometric_median_violation_ref(members, y) -> float:
@@ -203,7 +303,6 @@ def rae_window_ref(window, start, model, angles, reducer, v_max=2.0):
     dropped.
     """
     from sweepnav import NonFiniteEstimateError
-    from sweepnav.rae import reduce_members
 
     def clamp(v):
         speed = float(np.linalg.norm(v))
@@ -228,7 +327,7 @@ def rae_window_ref(window, start, model, angles, reducer, v_max=2.0):
         members.append(turn(out, np.cos(-theta), np.sin(-theta)))
     if not members:
         raise NonFiniteEstimateError(f"all members non-finite for window {start}")
-    reduced = reduce_members(np.array(members), reducer)
+    reduced = reduce_ref(np.array(members), reducer)
     spread = max(math.hypot(*(m - reduced)) for m in members)
     v, hit = clamp(reduced)
     return v, dropped, clamped or hit, spread
@@ -423,3 +522,19 @@ def same_bits(a, b) -> bool:
     """Equal shape, dtype and bytes: signed zeros and NaN payloads included."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The text writers as they were before each formatted a whole table at
+# once: one join or json.dumps per row.  fileio's must write the same bytes.
+
+
+def write_csv_ref(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def write_jsonl_ref(path, records) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)

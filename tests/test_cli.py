@@ -578,6 +578,12 @@ class TestInferRunMeta:
         assert meta["n_windows_clamped"] == 0
         # the oracle's input-frame bias is the default (0, 0) here
         assert 0.0 <= meta["rae_member_spread"] < 1e-12
+        # so members differ by rounding alone, and in 12 of the 32 windows
+        # the median's step rule (1e-10 of the mean member distance, far
+        # below one ulp of the median) cannot be met: the descent runs to
+        # its cap.  The stop rule is an open ROADMAP item; this reads 0
+        # once it is fixed.
+        assert (meta["n_windows_median_capped"], meta["n_windows"]) == (12, 32)
 
     def test_counters_are_exact(self, small_ds, tmp_path, monkeypatch):
         """A model that loses one member of every window and reads 3 m/s

@@ -1,4 +1,6 @@
-"""Planar rotations, angle wrapping, and quaternion algebra."""
+"""Planar rotations, angle wrapping, hypot, and quaternion algebra."""
+
+import math
 
 import numpy as np
 import pytest
@@ -155,3 +157,36 @@ class TestMedian:
                                         [1e308, 1e308], [-np.nan, 1.0, np.nan]])
     def test_edge_cases(self, values):
         assert same_bits(geo.median(np.array(values)), np.median(np.array(values)))
+
+
+# where hypot can go wrong: zeros of either sign, subnormals, the smallest
+# normal and its neighbours in scale, the largest doubles, infinities, NaNs
+_HYPOT_EDGE = [0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.0 ** -1024, 2.0 ** -1023,
+               2.2250738585072014e-308, 1e-162, 1.0, -1.0, 3.0, 4.0, 1e154,
+               8.98846567431158e307, 1.7976931348623157e308, np.inf, -np.inf, np.nan]
+
+
+class TestHypot:
+    def test_edge_values_equal_math_hypot(self):
+        x, y = np.meshgrid(_HYPOT_EDGE, _HYPOT_EDGE)
+        ref = [math.hypot(a, b) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
+        assert same_bits(geo.hypot(x, y).ravel(), np.array(ref))
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-9, 1e-3, 1.0, 1e3, 1e9, 1e300])
+    def test_random_pairs_equal_math_hypot(self, scale):
+        """np.hypot misses math.hypot's last bit on about 0.5% of pairs."""
+        rng = np.random.default_rng(int(-np.log10(scale)) % 97)
+        x = rng.normal(size=20000) * scale
+        with np.errstate(over="ignore"):  # some of the 1e300 pairs overflow to inf
+            y = x * rng.choice([1.0, -1.0, 0.5, 1e-8, 1e8, 0.0], size=len(x))
+        y += rng.normal(size=len(x)) * scale
+        ref = [math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert same_bits(geo.hypot(x, y), np.array(ref))
+
+    @given(st.floats(), st.floats())
+    def test_any_pair_equals_math_hypot(self, a, b):
+        assert same_bits(geo.hypot(a, b), np.array(math.hypot(a, b)))
+
+    def test_broadcasts(self):
+        assert same_bits(geo.hypot(np.array([[3.0], [5.0]]), np.array([4.0, 12.0])),
+                         np.array([[5.0, math.hypot(3.0, 12.0)], [math.hypot(5.0, 4.0), 13.0]]))

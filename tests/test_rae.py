@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sweepnav as sn
-from sweepnav.geometry import rotate_xy
+from sweepnav import rae
+from sweepnav.geometry import rotate_xy, rotate_xyz_about_z
 from sweepnav.rae import _BLOCK, _GM_RTOL, ensemble_angles, reduce_members
 
 from .conftest import zero_windows
-from .oracles import geometric_median_violation_ref, line_trajectory, rae_window_ref, rot2_ref
+from .oracles import (geometric_median_ref, geometric_median_violation_ref, line_trajectory,
+                      rae_window_ref, reduce_ref, rot2_ref)
 
 STARTS = np.array([0, 40, 90, 130])
 
@@ -19,6 +21,12 @@ def _oracle_model(bias=(0.0, 0.0), speed=1.0, noise=0.0, rng_seed=0):
     traj = line_trajectory(speed=speed, n_frames=201)
     cfg = sn.OracleConfig(traj, bias_hacf=np.array(bias), noise_sigma=noise)
     return sn.OracleVelocityEstimator(cfg, rng_seed)
+
+
+def _reduce(members, reducer):
+    """One window's (K, 2) members through the batched reducer."""
+    members = np.asarray(members, dtype=float)
+    return reduce_members(members[None], np.ones((1, len(members)), dtype=bool), reducer)[0][0]
 
 
 def _rae(model, cfg, starts=STARTS, **kw):
@@ -66,25 +74,25 @@ class TestReducers:
         Off a line the minimiser is unique and meets the optimality
         condition."""
         members = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.0], [9.0, 18.0]])
-        np.testing.assert_allclose(reduce_members(members, "median"), [1.5, 3.0],
+        np.testing.assert_allclose(_reduce(members, "median"), [1.5, 3.0],
                                    rtol=0, atol=1e-12)
         members = np.random.default_rng(11).normal(size=(6, 2))
-        out = reduce_members(members, "median")
+        out = _reduce(members, "median")
         assert np.min(np.linalg.norm(members - out, axis=1)) > 1e-3
         assert geometric_median_violation_ref(members, out) < 1e-8
 
     @pytest.mark.parametrize("reducer", ["median", "mean"])
     def test_empty_stack_is_rejected(self, reducer):
         with pytest.raises(ValueError, match="K >= 1"):
-            reduce_members(np.empty((0, 2)), reducer)
+            reduce_members(np.empty((1, 0, 2)), np.empty((1, 0), dtype=bool), reducer)
 
     def test_single_member_is_its_own_median(self):
-        np.testing.assert_array_equal(reduce_members(np.array([[0.3, -0.7]]), "median"),
+        np.testing.assert_array_equal(_reduce(np.array([[0.3, -0.7]]), "median"),
                                       [0.3, -0.7])
 
     def test_equal_members_are_returned_exactly(self):
         members = np.tile([0.45, -0.125], (5, 1))
-        np.testing.assert_array_equal(reduce_members(members, "median"), [0.45, -0.125])
+        np.testing.assert_array_equal(_reduce(members, "median"), [0.45, -0.125])
 
     def test_member_meeting_the_optimality_condition_is_returned_exactly(self):
         """Unit vectors from member 0 to the others sum to less than one,
@@ -93,13 +101,13 @@ class TestReducers:
         members = np.array([[0.2, 0.1], [1.2, 0.1], [-0.8, 0.3], [0.3, 1.4], [0.1, -0.9]])
         assert geometric_median_violation_ref(members, members[0]) == 0.0
         for perm in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1]):
-            np.testing.assert_array_equal(reduce_members(members[perm], "median"), members[0])
+            np.testing.assert_array_equal(_reduce(members[perm], "median"), members[0])
 
     def test_median_just_off_a_member_is_converged(self):
         """Member 2 misses the optimality condition by 0.16%, so the median
         lies 3e-4 away from it, where Weiszfeld steps alone crawl."""
         members = np.array([[0.0, -0.1], [-0.3, 0.3], [-0.1, 0.1], [0.4, 0.3], [-0.6, 0.8]])
-        out = reduce_members(members, "median")
+        out = _reduce(members, "median")
         assert 1e-4 < np.linalg.norm(out - members[2]) < 1e-3
         assert geometric_median_violation_ref(members, out) < 1e-9
 
@@ -112,7 +120,7 @@ class TestReducers:
         for phi in np.linspace(-np.pi, np.pi, 25):
             bias = 0.1 * np.array([np.cos(phi), np.sin(phi)])
             members = np.array([truth + rotate_xy(bias, -t) for t in thetas])
-            out = reduce_members(members, "median")
+            out = _reduce(members, "median")
             assert np.linalg.norm(out - truth) < 1e-12
 
     @pytest.mark.parametrize("k", range(3, 10))
@@ -124,19 +132,19 @@ class TestReducers:
             members = rng.normal(size=(k, 2))
             rot = rot2_ref(rng.uniform(-np.pi, np.pi))
             np.testing.assert_allclose(
-                reduce_members(members @ rot.T, "median"),
-                rot @ reduce_members(members, "median"), rtol=0, atol=1e-12,
+                _reduce(members @ rot.T, "median"),
+                rot @ _reduce(members, "median"), rtol=0, atol=1e-12,
             )
 
     @pytest.mark.parametrize("reducer", ["median", "mean"])
     def test_permutation_invariance(self, reducer):
         rng = np.random.default_rng(9)
         members = rng.normal(size=(7, 2))
-        base = reduce_members(members, reducer)
+        base = _reduce(members, reducer)
         for _ in range(5):
             shuffled = members[rng.permutation(7)]
             # mean sums in input order, so exactness stops at the last ulp
-            np.testing.assert_allclose(reduce_members(shuffled, reducer), base,
+            np.testing.assert_allclose(_reduce(shuffled, reducer), base,
                                        rtol=0, atol=1e-12)
 
     def test_single_member_corruption_is_bounded_by_peer_spread(self):
@@ -156,8 +164,96 @@ class TestReducers:
             for offset in (1e3, -1e3, 1e9):
                 corrupted = members.copy()
                 corrupted[i] += offset
-                out = reduce_members(corrupted, "median")
+                out = _reduce(corrupted, "median")
                 assert np.linalg.norm(out - z) <= 0.8 / np.sqrt(0.6) * r
+
+
+@st.composite
+def member_stacks(draw):
+    """An (N, K, 2) stack of members with its (N, K) kept mask, at least
+    one member kept per window.  Each window is drawn as one of: a
+    Gaussian cloud; a small lattice, which gives duplicates, collinear
+    sets and members on the mean; points on one line; or copies of one
+    member with signed zeros.  Values are scaled by 1e-9 to 1e3."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    back = np.empty((n, k, 2))
+    for i in range(n):
+        scale = 10.0 ** draw(st.integers(-9, 3))
+        kind = draw(st.sampled_from(["cloud", "lattice", "line", "zeros"]))
+        if kind == "cloud":
+            back[i] = rng.normal(size=(k, 2))
+        elif kind == "lattice":
+            back[i] = rng.integers(-2, 3, size=(k, 2))
+        elif kind == "line":
+            back[i] = rng.normal(size=2) + rng.normal(size=(k, 1)) * rng.normal(size=2)
+        else:
+            back[i] = rng.normal(size=2)
+            back[i][rng.random((k, 2)) < 0.5] = 0.0
+        back[i] *= scale * rng.choice([-1.0, 1.0], size=(k, 2))
+    kept = rng.random((n, k)) < 0.7
+    kept[np.arange(n), rng.integers(0, k, size=n)] = True
+    return back, kept
+
+
+class TestBatchedReducer:
+    @settings(max_examples=300, deadline=None)
+    @given(case=member_stacks(), reducer=st.sampled_from(["median", "mean"]))
+    def test_equals_the_per_window_reference_bit_for_bit(self, case, reducer):
+        """Each window's result, signed zeros included, is the one the
+        loop over its kept members gives."""
+        back, kept = case
+        out, capped = reduce_members(back, kept, reducer)
+        for i, members in enumerate(back):
+            assert out[i].tobytes() == reduce_ref(members[kept[i]], reducer).tobytes()
+        assert capped == (reducer == "median") * sum(
+            geometric_median_ref(members[keep])[1] for members, keep in zip(back, kept))
+
+    def test_capped_descents_are_counted(self, monkeypatch):
+        """With one step allowed, every window that needs descent stops at
+        the cap; the count and the values are the reference's."""
+        back = np.random.default_rng(3).normal(size=(40, 5, 2))
+        kept = np.ones((40, 5), dtype=bool)
+        ref = [geometric_median_ref(members, max_iter=1) for members in back]
+        n_ref = sum(hit for _, hit in ref)
+        assert n_ref > 20
+        monkeypatch.setattr(rae, "_GM_MAX_ITER", 1)
+        out, capped = reduce_members(back, kept, "median")
+        assert capped == n_ref
+        assert out.tobytes() == np.array([v for v, _ in ref]).tobytes()
+
+    def test_capped_windows_reach_the_result(self, monkeypatch):
+        """One member of each window reads ten times the others, so no
+        window's median is the mean or a member."""
+        cfg = sn.RaeConfig(k=5)
+        model = _Injected(_oracle_model(bias=(0.05, 0.02)),
+                          fast=[(s, ensemble_angles(cfg)[0]) for s in STARTS.tolist()])
+        assert _rae(model, cfg).n_windows_median_capped == 0
+        monkeypatch.setattr(rae, "_GM_MAX_ITER", 1)
+        assert _rae(model, cfg).n_windows_median_capped == len(STARTS)
+
+    def test_rotated_copies_equal_repeat_then_rotate(self):
+        """The model sees, block by block, the bits that rotating K
+        repeated copies of each window gives."""
+        seen = []
+
+        class Recording:
+            def velocities(self, windows, starts, angles):
+                seen.append(windows.copy())
+                return np.zeros((len(windows), 2))
+
+        cfg = sn.RaeConfig(k=5)
+        angles = ensemble_angles(cfg)
+        n = 2 * _BLOCK + 3
+        windows = np.random.default_rng(4).normal(size=(n, 2, 9, 3))
+        sn.rae_estimate(windows, np.arange(n), Recording(), cfg)
+        assert len(seen) == 3
+        for lo, got in zip(range(0, n, _BLOCK), seen):
+            block = windows[lo:lo + _BLOCK]
+            ref = rotate_xyz_about_z(np.repeat(block[:, None], cfg.k, axis=1),
+                                     angles[:, None, None])
+            assert got.tobytes() == ref.reshape(-1, *windows.shape[1:]).tobytes()
 
 
 class TestRaeEstimate:

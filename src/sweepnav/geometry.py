@@ -11,6 +11,8 @@ Conventions
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 GRAVITY = 9.81
@@ -37,63 +39,12 @@ def median(x) -> np.float64:
 
 def hypot(x, y) -> np.ndarray:
     """``math.hypot`` of each pair, bit for bit, where ``np.hypot`` can
-    differ in the last place.  This is the two-argument ``vector_norm``
-    of CPython 3.10 and 3.11 (3.12 reorders its rounding steps; the
-    tests compare with the running interpreter): both values are scaled
-    by the power of two that ``frexp`` gives their larger magnitude,
-    squared exactly as Veltkamp/Dekker products, summed with the error
-    terms kept, and the square root gets one correction step.  A larger
-    magnitude below 2**-1023 is divided out instead.  An infinity gives
-    inf, then a NaN gives NaN, and two zeros give +0.0."""
+    differ in the last place.  Each pair goes through the running
+    interpreter's ``math.hypot``, whose rounding steps differ between
+    CPython versions."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    shape = x.shape
-    ax, ay = np.abs(x).ravel(), np.abs(y).ravel()
-    big = np.fmax(ax, ay)
-    _, e = np.frexp(big)
-    scale = np.ldexp(1.0, -np.maximum(e, -1023))
-    csum, frac1, frac2, frac3 = 1.0, 0.0, 0.0, 0.0
-    with np.errstate(all="ignore"):
-        for v in (ax * scale, ay * scale):
-            t = v * _SPLIT
-            hi = t - (t - v)
-            lo = v - hi
-            csum, frac1 = _two_sum(csum, hi * hi, frac1)
-            csum, frac2 = _two_sum(csum, 2.0 * hi * lo, frac2)
-            frac3 = frac3 + lo * lo
-        h = np.sqrt(csum - 1.0 + (frac1 + frac2 + frac3))
-        t = h * _SPLIT
-        hi = t - (t - h)
-        lo = h - hi
-        csum, frac1 = _two_sum(csum, -hi * hi, frac1)
-        csum, frac2 = _two_sum(csum, -2.0 * hi * lo, frac2)
-        csum, frac3 = _two_sum(csum, -lo * lo, frac3)
-        out = (h + (csum - 1.0 + (frac1 + frac2 + frac3)) / (2.0 * h)) / scale
-    tiny = e < -1023
-    if tiny.any():
-        out[tiny] = _hypot_tiny(ax[tiny], ay[tiny], big[tiny])
-    out[big == 0.0] = 0.0
-    out[np.isnan(ax) | np.isnan(ay)] = np.nan
-    out[np.isinf(big)] = np.inf
-    return out.reshape(shape)
-
-
-# 2**27 + 1, Veltkamp's constant for splitting a double into two halves
-_SPLIT = 134217729.0
-
-
-def _two_sum(csum, x, frac):
-    """csum + x, with its rounding error added to ``frac`` (|csum| >= |x|)."""
-    total = csum + x
-    return total, frac + ((csum - total) + x)
-
-
-def _hypot_tiny(ax, ay, big):
-    """``hypot`` below 2**-1023, where CPython divides by the larger
-    magnitude rather than scale by a power of two."""
-    csum, frac = 1.0, 0.0
-    for v in (ax / big, ay / big):
-        csum, frac = _two_sum(csum, v * v, frac)
-    return big * np.sqrt(csum - 1.0 + frac)
+    pairs = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
+    return np.fromiter(pairs, float, count=x.size).reshape(x.shape)
 
 
 def rot2(theta: float) -> np.ndarray:

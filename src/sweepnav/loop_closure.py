@@ -59,7 +59,7 @@ class CorrectionParams:
         l = _frozen(self.l)
         if r.ndim != 1 or l.shape != (len(r), 2):
             raise ValueError(f"expected r (T,) and l (T, 2), got {r.shape}, {l.shape}")
-        if len(r) and np.abs(r).max() > _R_MAX:
+        if len(r) and (np.abs(r) > _R_MAX).any():
             raise ValueError("rotation corrections must lie in [-pi, pi]")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "l", l)
@@ -86,12 +86,11 @@ def _corrected_positions(P: np.ndarray, r: np.ndarray, l: np.ndarray):
     D = P[1:] - P[:-1]
     c, s = np.cos(r[1:]), np.sin(r[1:])
     E = np.empty_like(D)
-    np.subtract(c * D[:, 0], s * D[:, 1], out=E[:, 0])
-    np.add(s * D[:, 0], c * D[:, 1], out=E[:, 1])
+    E[:, 0] = c * D[:, 0] - s * D[:, 1]
+    E[:, 1] = s * D[:, 0] + c * D[:, 1]
     Pp = np.empty_like(P)
     Pp[0] = P[0]
-    E.cumsum(axis=0, out=Pp[1:])
-    Pp[1:] += P[0]
+    Pp[1:] = P[0] + np.cumsum(E, axis=0)
     Pp += l
     return Pp, E
 
@@ -128,15 +127,10 @@ def _loss(P: np.ndarray, r: np.ndarray, l: np.ndarray, v: np.ndarray,
     Pp, E = _corrected_positions(P, r, l)
     loop_vec = Pp[-1] - P[0]
     loop = float(loop_vec @ loop_vec)
-    rsum = float(np.add.reduce(r[1:]))
+    rsum = float(r[1:].sum())
     rot = rsum * rsum
-    S = Pp[1:] - Pp[:-1]
-    S -= v
-    # the per-frame norms as np.linalg.norm rounds them, without its wrapper
-    x, y = S[:, 0], S[:, 1]
-    norms = x * x
-    norms += y * y
-    np.sqrt(norms, out=norms)
+    S = Pp[1:] - Pp[:-1] - v
+    norms = np.linalg.norm(S, axis=1)
     j = int(norms.argmax())  # first occurrence = lowest index on ties
     smooth = float(norms[j])
     total = cfg.lambda_loop * loop + cfg.lambda_rot * rot + cfg.lambda_smooth * smooth
@@ -151,11 +145,10 @@ def _loss(P: np.ndarray, r: np.ndarray, l: np.ndarray, v: np.ndarray,
         g_l[j] -= w
     # rotated increment k enters every position after it, and turning
     # it by dr moves it by dr times its perpendicular (-E_y, E_x)
-    g_E = g_l[:0:-1].cumsum(axis=0)[::-1]
-    g_r = np.empty(n)
-    g_r[0] = 0.0
-    np.subtract(g_E[:, 1] * E[:, 0], g_E[:, 0] * E[:, 1], out=g_r[1:])
-    g_r[1:] += 2.0 * cfg.lambda_rot * rsum
+    g_E = np.cumsum(g_l[1:][::-1], axis=0)[::-1]
+    g_ang = g_E[:, 1] * E[:, 0] - g_E[:, 0] * E[:, 1]
+    g_r = np.zeros(n)
+    g_r[1:] = g_ang + 2.0 * cfg.lambda_rot * rsum
     return (total, loop, rot, smooth), (g_r, g_l)
 
 
@@ -219,7 +212,7 @@ class CorrectionMlp:
         ``forward``'s (r, l)."""
         tanh_out = self._r / np.pi
         g_out = np.empty((len(g_r), 3))
-        np.multiply(g_r * np.pi, 1.0 - tanh_out ** 2, out=g_out[:, 0])
+        g_out[:, 0] = g_r * np.pi * (1.0 - tanh_out ** 2)
         g_out[:, 1:] = g_l
         return self._vjp(g_out)
 
@@ -249,22 +242,22 @@ def _dense_pass(params, s):
     # same rounded products as a K=1 matmul at half its cost
     h1 = s * W1
     h1 += b1
+    on1 = h1 > 0.0
     np.maximum(h1, 0.0, out=h1)
     h2 = h1 @ W2
     h2 += b2
+    on2 = h2 > 0.0
     np.maximum(h2, 0.0, out=h2)
     out = h2 @ W3
     out += b3
 
     def vjp(g_out):
-        # a ReLU output is > 0 exactly where its input was, so a pass
-        # without backward forms no masks
         g_z2 = g_out @ W3.T
-        g_z2 *= h2 > 0.0
+        g_z2 *= on2
         g_z1 = g_z2 @ W2.T
-        g_z1 *= h1 > 0.0
-        return [s.T @ g_z1, np.add.reduce(g_z1), h1.T @ g_z2, np.add.reduce(g_z2),
-                h2.T @ g_out, np.add.reduce(g_out)]
+        g_z1 *= on1
+        return [s.T @ g_z1, g_z1.sum(axis=0), h1.T @ g_z2, g_z2.sum(axis=0),
+                h2.T @ g_out, g_out.sum(axis=0)]
 
     return out, vjp
 

@@ -17,7 +17,7 @@ import sweepnav as sn
 from sweepnav.cli import main as cli_main
 from sweepnav.estimator import OracleConfig, OracleVelocityEstimator, estimate_velocity
 from sweepnav.loop_closure import CorrectionMlp, CorrectionParams, RefineConfig, \
-    apply_corrections, loss_and_gradients, refine, refinement_loss
+    apply_corrections, loss_and_gradients, refine
 from sweepnav.metrics import AlignmentResult, align_similarity, apply_alignment
 from sweepnav.object_map import MapConfig, observe_items
 from sweepnav.rae import RaeConfig, rae_estimate
@@ -200,12 +200,9 @@ class TestCriterion05GradientCheck:
             mlp.params[1][:] = rng.choice([-0.08, 0.08], size=mlp.params[1].shape)
             mlp.params[3][:] = rng.choice([-0.08, 0.08], size=mlp.params[3].shape)
             _, grads = loss_and_gradients(xy, mlp, v, cfg)
-            traj = sn.Trajectory(np.arange(n) / 50.0, xy, np.zeros(n), 50.0)
 
             def fn():
-                # the loss alone, as refine scores its trained network: the
-                # same total as loss_and_gradients, without the gradients
-                return refinement_loss(traj, mlp.predict(n), v, cfg).total
+                return loss_and_gradients(xy, mlp, v, cfg)[0].total
 
             numeric = numeric_gradients(fn, mlp.params, h=1e-5)
             for analytic, approx in zip(grads, numeric):

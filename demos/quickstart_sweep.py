@@ -28,7 +28,7 @@ model = OracleVelocityEstimator(OracleConfig(gt, bias_hacf=np.array([0.05, 0.02]
 
 for k in (1, 5):
     ens = rae_estimate(windows, starts, model, RaeConfig(k=k))
-    held = sn.held_velocities(ens.v, starts, len(imu))
+    held = sn.held_velocities(ens.v, starts, len(imu), 64)
     est = sn.integrate(held, sn.relative_yaw(orients), frame_rate=gt.frame_rate)
     report, _ = sn.evaluate(gt, est)
     print(f"K={k}: rte {report.rte:.3f} m, rte_metric {report.rte_metric:.3f} m, "

@@ -203,7 +203,7 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
     with clock.lap("rae"):
         ens = rae.rae_estimate(windows, starts, model, rae_cfg, v_max=cfg["estimator.v_max"])
     with clock.lap("integrate"):
-        held = trajectory.held_velocities(ens.v, starts, len(imu))
+        held = trajectory.held_velocities(ens.v, starts, len(imu), tau)
         yaws = relative_yaw(orientations)
         kalman_cfg = _from_config(cfg, "kalman")
         est_traj = trajectory.integrate(held, yaws, kalman_cfg,

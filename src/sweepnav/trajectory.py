@@ -109,15 +109,17 @@ def load_trajectory(path) -> Trajectory:
 # Kalman-filtered integration
 
 
-def held_velocities(velocities: np.ndarray, starts, n_frames: int) -> np.ndarray:
+def held_velocities(velocities: np.ndarray, starts, n_frames: int, tau: int) -> np.ndarray:
     """Expand windowed estimates to one velocity per frame.
 
-    ``velocities[i]`` belongs to the window starting at frame
-    ``starts[i]``.  Frame f (f >= 1) takes the estimate of the most
-    recent window that started at or before f - 1; frames past the last
-    window hold its value.  With non-overlapping windows this assigns
-    each window's velocity to exactly the frames it spans.  Frame 0
-    mirrors frame 1 so the array is fully populated.
+    ``velocities[i]`` belongs to the window of ``tau`` steps starting at
+    frame ``starts[i]``, whose centre step is ``starts[i] + (tau - 1) / 2``.
+    The step into frame f (f >= 1) takes the window whose centre is
+    nearest to f - 1, or the mean of the two windows whose centres are
+    equally near; frames past the last centre hold the last window.  With
+    non-overlapping windows this assigns each window's velocity to
+    exactly the frames it spans.  Frame 0 mirrors frame 1 so the array
+    is fully populated.
     """
     v = np.asarray(velocities, dtype=float)
     starts = np.asarray(starts)
@@ -126,10 +128,19 @@ def held_velocities(velocities: np.ndarray, starts, n_frames: int) -> np.ndarray
     if v.shape != (len(starts), 2):
         raise ValueError(f"expected ({len(starts)}, 2) velocities, got {v.shape}")
     order = np.argsort(starts, kind="stable")
-    idx = np.searchsorted(starts[order], np.arange(n_frames) - 1, side="right") - 1
-    if n_frames > 1:
-        idx[0] = idx[1]
-    return v[order][np.maximum(idx, 0)]
+    v = v[order]
+    # twice the centre step of each window, and of the step into each frame
+    centre2 = 2 * starts[order] + (tau - 1)
+    step2 = 2 * np.maximum(np.arange(n_frames) - 1, 0)
+    j = np.searchsorted(centre2, step2)  # the first centre at or after the step
+    lo, hi = np.maximum(j - 1, 0), np.minimum(j, len(v) - 1)
+    d_lo, d_hi = step2 - centre2[lo], centre2[hi] - step2
+    lo = np.where(d_hi < d_lo, hi, lo)
+    hi = np.where(d_lo < d_hi, lo, hi)
+    held = v[lo]
+    tie = lo != hi
+    held[tie] = 0.5 * (held[tie] + v[hi[tie]])
+    return held
 
 
 def integrate(held: np.ndarray, yaws, kf: KalmanConfig | None = None,

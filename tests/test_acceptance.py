@@ -68,7 +68,7 @@ def _estimate_trajectory(gt, imu, k, bias=(0.05, 0.02), tau=64):
     starts = tau * np.arange(len(windows))
     model = OracleVelocityEstimator(OracleConfig(gt, bias_hacf=np.asarray(bias, float)))
     ens = rae_estimate(windows, starts, model, RaeConfig(k=k))
-    held = sn.held_velocities(ens.v, starts, len(imu))
+    held = sn.held_velocities(ens.v, starts, len(imu), tau)
     est = sn.integrate(held, sn.relative_yaw(orients), frame_rate=gt.frame_rate)
     return est, held
 

@@ -139,7 +139,7 @@ class TestZeroNoiseRoundTrip:
         starts = 64 * np.arange(len(windows))
         model = OracleVelocityEstimator(OracleConfig(traj))
         est = estimate_velocity(windows, starts, np.zeros(len(windows)), model)
-        held = sn.held_velocities(est.v, starts, len(imu))
+        held = sn.held_velocities(est.v, starts, len(imu), 64)
         est_traj = sn.integrate(held, sn.relative_yaw(orients), frame_rate=traj.frame_rate)
         report, _ = sn.evaluate(traj, est_traj)
         assert report.rte_metric < 0.05

@@ -41,40 +41,81 @@ class TestTrajectoryType:
         assert back.frame_rate == pytest.approx(50.0)
 
 
+def _held_ref(v, starts, n_frames, tau):
+    """The centre rule one frame at a time: the step into frame f >= 1
+    takes the window whose centre step start + (tau - 1) / 2 is nearest
+    to f - 1, or the mean of the two equally near; frame 0 copies frame 1."""
+    held = np.empty((n_frames, 2))
+    for f in range(n_frames):
+        dist = [abs(2 * (max(f, 1) - 1) - (2 * s + tau - 1)) for s in starts]
+        near = [i for i, d in enumerate(dist) if d == min(dist)]
+        held[f] = v[near[0]] if len(near) == 1 else 0.5 * (v[near[0]] + v[near[1]])
+    return held
+
+
 class TestHeldVelocities:
     def test_frames_hold_the_latest_window_estimate(self):
-        """Window estimates cover the frames after their start; frame 0
+        """At stride = tau each window covers the steps of its own span; frame 0
         mirrors frame 1 so integration has a velocity everywhere."""
-        held = sn.held_velocities(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 64], 129)
+        held = sn.held_velocities(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 64], 129, 64)
         assert held.shape == (129, 2)
         assert np.all(held[0] == [1.0, 0.0])
         assert np.all(held[1:65] == [1.0, 0.0])
         assert np.all(held[65:] == [0.0, 1.0])
 
+    @pytest.mark.parametrize("n_frames", [1, 2, 63, 64, 65, 200, 641])
+    def test_stride_tau_keeps_the_latest_window_started(self, n_frames):
+        """At stride = tau no two centres are equally near a step, and
+        frame f >= 1 holds the last window started at or before f - 1 (the
+        first if none has): the assignment of the start rule before it."""
+        v = np.random.default_rng(n_frames).normal(size=(8, 2))
+        starts = 64 * np.arange(8)
+        ref = np.empty((n_frames, 2))
+        for f in range(n_frames):
+            ref[f] = v[max(i for i in range(8) if starts[i] <= max(f - 1, 0))]
+        assert np.array_equal(sn.held_velocities(v, starts, n_frames, 64), ref)
+
+    def test_odd_stride_takes_the_mean_of_two_equally_near_windows(self):
+        """Centres 1.5, 2.5 and 3.5: steps 2 and 3 lie halfway between two."""
+        v = np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 3.0]])
+        held = sn.held_velocities(v, [0, 1, 2], 6, 4)
+        assert held.tolist() == [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0],
+                                 [0.5, 0.5], [1.5, 2.0], [3.0, 3.0]]
+
+    def test_last_frames_take_the_last_window(self):
+        """Centres 31.5, ..., 61.5, 71.5: from step 67, nearer 71.5 than
+        61.5, to the end of the recording, every step takes the last window."""
+        v = np.random.default_rng(4).normal(size=(5, 2))
+        held = sn.held_velocities(v, 10 * np.arange(5), 300, 64)
+        assert np.all(held[68:] == v[-1])
+        assert np.all(held[67] == v[-2])
+
+    @pytest.mark.parametrize("stride", [1, 5, 16, 64])
+    def test_frame_zero_mirrors_frame_one(self, stride):
+        v = np.random.default_rng(stride).normal(size=(20, 2))
+        held = sn.held_velocities(v, stride * np.arange(20), 400, 64)
+        assert np.array_equal(held[0], held[1])
+
     def test_order_of_estimates_does_not_matter(self):
-        held = sn.held_velocities(np.array([[0.0, 1.0], [1.0, 0.0]]), [64, 0], 129)
+        held = sn.held_velocities(np.array([[0.0, 1.0], [1.0, 0.0]]), [64, 0], 129, 64)
         np.testing.assert_allclose(held[1], [1.0, 0.0])
         np.testing.assert_allclose(held[65], [0.0, 1.0])
 
     @pytest.mark.parametrize("n_frames", [1, 2, 5, 40, 100])
     def test_matches_the_per_frame_definition(self, n_frames):
-        """Frame f >= 1 holds the last window started at or before f - 1
-        (the first window if none has); frame 0 copies frame 1."""
+        """Unordered starts at any spacing, odd and even window lengths."""
         rng = np.random.default_rng(n_frames)
-        starts = np.sort(rng.choice(60, size=7, replace=False))
-        v = rng.normal(size=(7, 2))
-        ref = np.empty((n_frames, 2))
-        for f in range(1, n_frames):
-            before = [i for i in range(7) if starts[i] <= f - 1]
-            ref[f] = v[before[-1] if before else 0]
-        ref[0] = ref[1] if n_frames > 1 else v[0]
-        assert np.array_equal(sn.held_velocities(v, starts, n_frames), ref)
+        for tau in (1, 4, 7, 16, 64):
+            starts = rng.choice(60, size=7, replace=False)
+            v = rng.normal(size=(7, 2))
+            ref = _held_ref(v, starts, n_frames, tau)
+            assert np.array_equal(sn.held_velocities(v, starts, n_frames, tau), ref)
 
     def test_shape_mismatch_and_empty_input_are_rejected(self):
         with pytest.raises(ValueError, match=r"\(2, 2\) velocities"):
-            sn.held_velocities(np.ones((3, 2)), [0, 64], 10)
+            sn.held_velocities(np.ones((3, 2)), [0, 64], 10, 64)
         with pytest.raises(ValueError, match="no velocity estimates"):
-            sn.held_velocities(np.empty((0, 2)), [], 10)
+            sn.held_velocities(np.empty((0, 2)), [], 10, 64)
 
 
 class TestIntegrate:
@@ -89,7 +130,7 @@ class TestIntegrate:
 
     def test_two_window_turn(self):
         """One window east then one window north ends near (1.28, 1.28)."""
-        held = sn.held_velocities(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 64], 129)
+        held = sn.held_velocities(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 64], 129, 64)
         traj = sn.integrate(held, np.zeros(129), frame_rate=50.0)
         np.testing.assert_allclose(traj.xy[-1], [1.28, 1.28], atol=0.05)
 
@@ -140,7 +181,7 @@ class TestIntegrateMatchesPerFrameReference:
             starts = np.arange(0, n, 64)
             v = rng.normal(scale=0.5, size=(len(starts), 2))
             v[rng.integers(len(v))] = 0.0
-            held = sn.held_velocities(v, starts, n)
+            held = sn.held_velocities(v, starts, n, 64)
         else:
             held = rng.normal(size=(n, 2))
         yaws = rng.uniform(-4.0, 4.0, n)

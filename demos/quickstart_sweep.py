@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Full pipeline on a synthetic sweep: IMU -> orientation -> windows ->
-rotation-averaged velocities -> Kalman integration -> evaluation."""
+rotation-averaged velocities -> each window's velocity at its centre,
+summed frame by frame -> evaluation."""
 
 import numpy as np
 

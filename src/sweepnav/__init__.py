@@ -2,8 +2,9 @@
 
 A smartphone strapped to a cleaning robot records IMU data; this
 package turns that stream into a trajectory (learned velocity
-regression wrapped in a rotation-augmented ensemble, Kalman
-integration), tightens it with start-equals-end loop closure, schedules
+regression wrapped in a rotation-augmented ensemble, each window's
+velocity applied at its centre and summed frame by frame), tightens it
+with start-equals-end loop closure, schedules
 image captures along the path, and geo-localizes captioned items via
 depth unprojection and per-name clustering.  A simulator generates
 closed coverage runs with synthetic IMU and scenes for testing all of
@@ -19,7 +20,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "config": ("KalmanConfig", "MapConfig", "RaeConfig", "RefineConfig", "SimConfig"),
+    "config": ("MapConfig", "RaeConfig", "RefineConfig", "SimConfig"),
     "estimator": ("DenseVelocityNetwork", "NonFiniteEstimateError", "OracleConfig",
                   "OracleVelocityEstimator", "WeightsBundle", "estimate_velocity",
                   "load_weights", "make_random_bundle", "save_weights"),

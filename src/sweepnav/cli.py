@@ -205,9 +205,7 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
     with clock.lap("integrate"):
         held = trajectory.held_velocities(ens.v, starts, len(imu), tau)
         yaws = relative_yaw(orientations)
-        kalman_cfg = _from_config(cfg, "kalman")
-        est_traj = trajectory.integrate(held, yaws, kalman_cfg,
-                                        frame_rate=float(imu.sample_rate()),
+        est_traj = trajectory.integrate(held, yaws, frame_rate=float(imu.sample_rate()),
                                         t0=float(imu.t[0]))
     with clock.lap("captures"):
         captures = trajectory.capture_schedule(

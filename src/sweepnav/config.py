@@ -130,23 +130,6 @@ class RaeConfig:
 
 
 @dataclass(frozen=True)
-class KalmanConfig:
-    """Constant-velocity filter noise levels.
-
-    ``sigma_process`` is the white-acceleration density driving the
-    velocity state; ``sigma_obs`` is the per-axis standard deviation
-    assigned to velocity observations.
-    """
-
-    sigma_process: float = 0.1
-    sigma_obs: float = 0.1
-
-    def __post_init__(self):
-        if self.sigma_process < 0 or self.sigma_obs <= 0:
-            raise ValueError("sigma_process must be >= 0 and sigma_obs > 0")
-
-
-@dataclass(frozen=True)
 class RefineConfig:
     epochs: int = 100
     learning_rate: float = 0.01
@@ -174,7 +157,6 @@ SECTIONS: dict = {
     "sim": SimConfig,
     "map": MapConfig,
     "rae": RaeConfig,
-    "kalman": KalmanConfig,
     "refine": RefineConfig,
     "caption": CaptionServiceConfig,
 }
@@ -202,7 +184,6 @@ DEFAULTS: dict = {
     "oracle.noise_sigma": 0.0,
     "oracle.seed": 0,
     **_field_defaults("rae"),
-    **_field_defaults("kalman"),
     "capture.distance_m": 1.0,
     "capture.rotation_rad": math.pi / 2,
     **_field_defaults("refine"),

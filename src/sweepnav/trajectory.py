@@ -1,11 +1,12 @@
-"""Planar trajectories: Kalman-filtered velocity integration and captures.
+"""Planar trajectories: velocity integration and captures.
 
-Windowed velocity estimates are fused by a constant-velocity Kalman
-filter into per-frame positions; yaw comes from the orientation stream,
-not from the filter.  A capture schedule walks the resulting trajectory
+Each window's velocity estimate is applied at its centre: the step into
+a frame takes the window whose centre step is nearest, or the mean of
+the two equally near (``held_velocities``).  The running sum of those
+per-frame velocities gives the positions (``integrate``); yaw comes from
+the orientation stream.  A capture schedule walks the resulting trajectory
 and fires whenever the robot has moved or turned enough since the last
-capture, which is how image capture is throttled on the real system.
-"""
+capture, which is how image capture is throttled on the real system."""
 
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import KalmanConfig
 from .fileio import json_field, read_jsonl, read_table, write_csv, write_jsonl
 from .geometry import median, row_norms, wrap_angle
 from .imu import _frozen
@@ -106,7 +106,7 @@ def load_trajectory(path) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Kalman-filtered integration
+# Velocity integration
 
 
 def held_velocities(velocities: np.ndarray, starts, n_frames: int, tau: int) -> np.ndarray:
@@ -143,74 +143,26 @@ def held_velocities(velocities: np.ndarray, starts, n_frames: int, tau: int) -> 
     return held
 
 
-def integrate(held: np.ndarray, yaws, kf: KalmanConfig | None = None,
-              frame_rate: float = 50.0, t0: float = 0.0) -> Trajectory:
-    """Fuse held velocities (one per frame, see ``held_velocities``) into
+def integrate(held: np.ndarray, yaws, frame_rate: float = 50.0,
+              t0: float = 0.0) -> Trajectory:
+    """Sum held velocities (one per frame, see ``held_velocities``) into
     per-frame positions, starting at the origin.
 
-    State is (x, y, vx, vy).  Each frame's held velocity estimate is
-    applied as an observation of (vx, vy) covering the step into that
-    frame: the filter updates velocity first, then propagates position,
-    so in the small-noise limit the positions converge to the Riemann
-    sum of the observations.  The velocity state is initialized from
-    the first observation.  Yaw is copied from ``yaws`` (the heading
-    stream), wrapped; the filter never touches it.
-
-    The gain does not depend on the data, and it turns constant: the
-    velocity columns ``P[:, 2:]`` of the covariance form a closed
-    recursion, the gain is a function of them alone, and at the default
-    noise levels they repeat bit for bit from frame 1519 on.  From the
-    first frame whose ``P[:, 2:]`` equals its predecessor's, the ``inv``
-    and Riccati step stop and the last gain is reused (the steady-state
-    gain of Anderson & Moore, *Optimal Filtering*, 1979).  With
-    ``sigma_process = 0`` the gain decays like 1/n and never repeats,
-    and some settings (``sigma_process=1``, ``sigma_obs=0.01``) end in a
-    two-frame cycle of last-bit flips; there the step runs every frame,
-    in the same loop as the state.  The output is bit-identical to the
-    filter that runs the step every frame.  The state update stays the
-    numpy matmul ``F @ (x + K @ innov)``, because BLAS sums
-    ``K @ innov`` with FMA, which scalar arithmetic would not.
+    ``held[f]`` is the velocity over the step into frame f, so frame f
+    lies ``held[f] / frame_rate`` past frame f - 1; ``held[0]`` is not
+    used.  Yaw is copied from ``yaws`` (the heading stream), wrapped.
     """
-    kf = kf or KalmanConfig()
     yaws = np.asarray(yaws, dtype=float)
     n = len(yaws)
     if n == 0:
         raise ValueError("empty yaw stream")
-    v_obs = np.asarray(held, dtype=float)
-    if v_obs.shape != (n, 2):
-        raise ValueError(f"expected ({n}, 2) velocities, got {v_obs.shape}")
-    dt = 1.0 / frame_rate
-    q = kf.sigma_process ** 2
-    F = np.array([[1, 0, dt, 0], [0, 1, 0, dt], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=float)
-    Q = q * np.array(
-        [
-            [dt ** 4 / 4, 0, dt ** 3 / 2, 0],
-            [0, dt ** 4 / 4, 0, dt ** 3 / 2],
-            [dt ** 3 / 2, 0, dt ** 2, 0],
-            [0, dt ** 3 / 2, 0, dt ** 2],
-        ]
-    )
-    H = np.array([[0, 0, 1, 0], [0, 0, 0, 1]], dtype=float)
-    R = kf.sigma_obs ** 2 * np.eye(2)
-    x = np.array([0.0, 0.0, v_obs[min(1, n - 1), 0], v_obs[min(1, n - 1), 1]])
-    P = np.diag([0.0, 0.0, kf.sigma_obs ** 2, kf.sigma_obs ** 2])
-    eye4 = np.eye(4)
-    block = P[:, 2:].tobytes()
-    states = [x]
-    for f in range(1, n):
-        if P is not None:
-            K = P[:, 2:] @ np.linalg.inv(P[2:, 2:] + R)
-            P = F @ ((eye4 - K @ H) @ P) @ F.T + Q
-            block, last = P[:, 2:].tobytes(), block
-            if block == last:
-                P = None  # the next gain is this one, and so is every later gain
-        # measurement update with the velocity over the step (f-1, f],
-        # then the time update to frame f
-        x = F @ (x + K @ (v_obs[f] - x[2:]))
-        states.append(x)
-    poses = np.array(states)[:, :2]
-    t = t0 + np.arange(n) * dt
-    return Trajectory(t, poses, yaws, frame_rate)
+    held = np.asarray(held, dtype=float)
+    if held.shape != (n, 2):
+        raise ValueError(f"expected ({n}, 2) velocities, got {held.shape}")
+    xy = np.zeros((n, 2))
+    np.cumsum(held[1:] / frame_rate, axis=0, out=xy[1:])
+    t = t0 + np.arange(n) * (1.0 / frame_rate)
+    return Trajectory(t, xy, yaws, frame_rate)
 
 
 # ---------------------------------------------------------------------------

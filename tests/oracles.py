@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from sweepnav import CaptureEvent, KalmanConfig, OrientationSequence, Trajectory
+from sweepnav import CaptureEvent, OrientationSequence, Trajectory
 from sweepnav.geometry import wrap_angle
 
 
@@ -334,8 +334,8 @@ def rae_window_ref(window, start, model, angles, reducer, v_max=2.0):
 
 
 # ---------------------------------------------------------------------------
-# Per-sample references for the per-frame infer layers: the filter, the
-# Kalman loop and the capture loop as they were before they were batched.
+# Per-sample references for the per-frame infer layers: the orientation
+# filter and the capture loop as they were before they were batched.
 # The library versions must match them bit for bit.
 
 
@@ -443,45 +443,6 @@ def estimate_orientation_ref(seq, alpha: float = 0.02) -> OrientationSequence:
         q = quat_normalize_ref(q)
         quats[i] = q
     return OrientationSequence(seq.t, quats)
-
-
-def integrate_ref(held, yaws, kf=None, frame_rate=50.0, t0=0.0) -> Trajectory:
-    """The constant-velocity Kalman filter with its full Riccati step every frame."""
-    kf = kf or KalmanConfig()
-    yaws = np.asarray(yaws, dtype=float)
-    n = len(yaws)
-    v_obs = np.asarray(held, dtype=float)
-    dt = 1.0 / frame_rate
-    q = kf.sigma_process ** 2
-    F = np.array([[1, 0, dt, 0], [0, 1, 0, dt], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=float)
-    Q = q * np.array(
-        [
-            [dt ** 4 / 4, 0, dt ** 3 / 2, 0],
-            [0, dt ** 4 / 4, 0, dt ** 3 / 2],
-            [dt ** 3 / 2, 0, dt ** 2, 0],
-            [0, dt ** 3 / 2, 0, dt ** 2],
-        ]
-    )
-    H = np.array([[0, 0, 1, 0], [0, 0, 0, 1]], dtype=float)
-    R = kf.sigma_obs ** 2 * np.eye(2)
-    x = np.array([0.0, 0.0, v_obs[min(1, n - 1), 0], v_obs[min(1, n - 1), 1]])
-    P = np.diag([0.0, 0.0, kf.sigma_obs ** 2, kf.sigma_obs ** 2])
-    poses = np.empty((n, 2))
-    poses[0] = x[:2]
-    eye4 = np.eye(4)
-    for f in range(1, n):
-        # measurement update with the velocity over the step (f-1, f]
-        innov = v_obs[f] - x[2:]
-        S = P[2:, 2:] + R
-        K = P[:, 2:] @ np.linalg.inv(S)
-        x = x + K @ innov
-        P = (eye4 - K @ H) @ P
-        # time update to frame f
-        x = F @ x
-        P = F @ P @ F.T + Q
-        poses[f] = x[:2]
-    t = t0 + np.arange(n) * dt
-    return Trajectory(t, poses, yaws, frame_rate)
 
 
 def capture_schedule_ref(traj, distance_m=1.0, rotation_rad=np.pi / 2):

@@ -49,23 +49,23 @@ def _manifest(ds):
 # from numpy, so another BLAS build may round differently.
 PIPELINE_SHA256 = {
     "captions.jsonl": "a4f11c24ec49420b3403fb8efba5a74439909263ab25c49af8fcc8dc7ce1e3d7",
-    "captures.jsonl": "b6837e5827db6ad87fb76f46c4bdcdc7598d165f32ec6058b475bccaabe1df1e",
-    "config.json": "492021545b89c34abb4a4bf2596060423420e066b08ecd5f86c4ebf60a846942",
+    "captures.jsonl": "ee45bb045f8a01944be52f0f33cd264c3460e8a962d628a1211fa93d49f310a3",
+    "config.json": "4fbd52f865f249a6235ef4cb41cbe9443d8d58973bafe618a00ff2bd28da596f",
     "corrections.jsonl": "bdd47d450a9bc50209c90d82174b69584bd4560e4f2bf8f522d9430861f0dd06",
-    "est_trajectory.csv": "1c3070bdc4e06a2425fc0d9013b7d136662357bbe3e97c9715da8e612f287d99",
-    "eval_grid_1.0.json": "b08e67780da3fb2b053aa5e10cb4b442f97165e6b82fbce835529939e55326f9",
+    "est_trajectory.csv": "aae38e6a05f51d5a14555781d5e042c2c80e5dacd82366f9532fa7f6b6f2c66b",
+    "eval_grid_1.0.json": "a1cc0a069646146560ab983df8cd53f305a98ae34153293813cea8fc1267c9df",
     "gt_captures.jsonl": "fd245f8a34366edca6ff25133f118dae302e13850aba3c81aaa343297d22ee16",
     "gt_trajectory.csv": "4d0ca03e1acc5bc5da72c04a207b91fc16203d2e3afdd17e19e1e1abdd47d65d",
     "imu.csv": "07af0aeabda4c0ee7ad5088b610cec005ce5c4e22bda74e47de62dab57c231db",
     "item_map.jsonl": "a311c64858da489e0fcbf608401848febd6e7ba5e382b4b40131720a8f66f354",
     "items.csv": "3c3d22a8708c3468a8f145b5ace0753a7aabc307e03ec9d8dbaf21660e9c9fec",
-    "loss_history.csv": "e42442766bd4ce59d392ce0412a3b7289a28825d3167977b4850e13ca25d7f61",
+    "loss_history.csv": "94f7837904320075d2fb707071b03c726c590ea8695f7079e4b6c273b32fdb42",
     "manifest.json": "52f2b28bd5754187f854cebea101b3dc1c759738edd382d7eb6adf8ef303c519",
     "map_eval.json": "a39fe5f8642d7bea9691e0db7bf9fbf32972ce33c37efffe561d9855822cf4f9",
     "orientations.csv": "b3091441c6dc4626d155a4cf33f8e0e0d8345acf8c6dcd0f772524611e6226e2",
-    "plot.svg": "ba4219e59963c8d9e90a80b6fb34aef3e833bce3bc5be924494074e036999ca8",
-    "refined_trajectory.csv": "1c3070bdc4e06a2425fc0d9013b7d136662357bbe3e97c9715da8e612f287d99",
-    "residuals_grid_1.0.csv": "4e2f9d1adfbe2ffec94dd527f4011b22757c025074a48207f2e73712205095dd",
+    "plot.svg": "725cdded3255216ffe2049893ea1b4f4a45af0d1cd32c8df0254a49698124c29",
+    "refined_trajectory.csv": "aae38e6a05f51d5a14555781d5e042c2c80e5dacd82366f9532fa7f6b6f2c66b",
+    "residuals_grid_1.0.csv": "3c775063a14f58a6809365b72f71bd571936a4658ab102bbdeb954a7ad0f1a68",
     "velocities.csv": "7490776aca6e03a44488ab7b97c27b9024becc16270b47ca8edb565fc487a0b1",
     "rasters": "8d2a9cf997ee7f6deb95ab94ee62c42600af56a7a6cb83ace541688f470585a6",
 }
@@ -291,6 +291,7 @@ class TestExitCodes:
     REFUSED = {
         ("simulate", "capture.mode"): ("or", "unknown configuration key 'capture.mode'"),
         ("infer", "capture.mode"): ("or", "unknown configuration key 'capture.mode'"),
+        ("infer", "kalman.sigma_obs"): ("0.1", "unknown configuration key 'kalman.sigma_obs'"),
         ("infer", "rae.reducer"): ("bogus", "rae.*: reducer must be one of ('median', 'mean')"),
         ("simulate", "sim.turn_model"):
             ("bogus", "sim.*: turn_model must be 'arc' or 'stop_and_turn'"),

@@ -19,7 +19,7 @@ class TestDefaults:
     def test_covers_every_stage(self):
         stages = {key.split(".")[0] for key in DEFAULTS}
         assert stages == {"sim", "orientation", "hacf", "estimator",
-                          "oracle", "rae", "kalman", "capture", "refine",
+                          "oracle", "rae", "capture", "refine",
                           "eval", "map", "caption"}
 
     def test_fresh_config_equals_defaults(self):

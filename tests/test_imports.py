@@ -78,7 +78,7 @@ print(json.dumps([bad, sorted(set(sweepnav.__all__) - listed)]))
 @pytest.mark.parametrize("module, name", [
     ("sim", "SimConfig"), ("object_map", "MapConfig"),
     ("object_map", "CaptionServiceConfig"), ("rae", "RaeConfig"),
-    ("trajectory", "KalmanConfig"), ("loop_closure", "RefineConfig")])
+    ("loop_closure", "RefineConfig")])
 def test_section_dataclasses_are_importable_from_their_stage(module, name):
     import importlib
 

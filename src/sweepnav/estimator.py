@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fileio import json_field
-from .geometry import rotate_xy, row_norms
+from .geometry import rotate_xy, row_norms, unique
 
 INPUT_LAYOUT = "acc_then_gyro_rowmajor"
 
@@ -272,10 +272,10 @@ class OracleVelocityEstimator:
         v_true = (traj.xy[ends] - traj.xy[starts]) / (tau / traj.frame_rate)
         v = rotate_xy(v_true, angles) + self.cfg.bias_hacf
         if self.cfg.noise_sigma > 0.0:
-            uniq, inverse = np.unique(starts, return_inverse=True)
+            uniq = unique(starts)
             noise = np.array([np.random.default_rng((self.rng_seed, int(s)))
                               .normal(0.0, self.cfg.noise_sigma, 2) for s in uniq])
-            v = v + noise[inverse]
+            v = v + noise[np.searchsorted(uniq, starts)]
         return v
 
 

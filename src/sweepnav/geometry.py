@@ -37,6 +37,15 @@ def median(x) -> np.float64:
     return part[mid - 1 + odd:mid + 1].mean()
 
 
+def unique(a) -> np.ndarray:
+    """``np.unique`` of a 1-D integer array: its distinct values, sorted.
+    ``np.unique`` imports ``numpy.ma`` to check for a mask; this does not."""
+    a = np.sort(a)
+    first = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
 def hypot(x, y) -> np.ndarray:
     """``math.hypot`` of each pair, bit for bit, where ``np.hypot`` can
     differ in the last place.  Each pair goes through the running

@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import RefineConfig
 from .fileio import write_csv, write_jsonl
-from .geometry import wrap_angle
+from .geometry import unique, wrap_angle
 from .imu import _frozen
 from .trajectory import Trajectory
 
@@ -287,7 +287,7 @@ def _piece_pass(params, s):
     n = len(s)
     ends = np.array([0, n])
     # layer-1 pieces: frames e1[k] .. e1[k+1] - 1, activity M1[k]
-    e1 = np.unique(np.concatenate(
+    e1 = unique(np.concatenate(
         (ends, _switch_frames(s, W1, b1[None], np.zeros(1), ends[:1], ends[1:]))))
     mid1 = (e1[:-1] + e1[1:] - 1) // 2
     h1 = s[mid1, None] * W1 + b1
@@ -296,7 +296,7 @@ def _piece_pass(params, s):
     A = w_on @ W2
     z2 = np.maximum(h1, 0.0) @ W2 + b2
     # sub-pieces: frames e[m] .. e[m+1] - 1, inside layer-1 piece k[m]
-    e = np.unique(np.concatenate((e1, _switch_frames(s, A, z2, s[mid1], e1[:-1], e1[1:]))))
+    e = unique(np.concatenate((e1, _switch_frames(s, A, z2, s[mid1], e1[:-1], e1[1:]))))
     lo, counts = e[:-1], np.diff(e)
     k = np.searchsorted(e1, lo, side="right") - 1
     mid = lo + (counts - 1) // 2

@@ -11,6 +11,7 @@ imported everything already.
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,12 +50,18 @@ def refined_dataset(tmp_path_factory):
     return ds
 
 
-@pytest.mark.parametrize("command", ["eval", "map", "plot"])
-def test_post_commands_never_import_numpy_ma(refined_dataset, command):
+# extra arguments of a command; infer draws oracle noise per window start
+_ARGS = {"infer": ["--set", "oracle.noise_sigma=0.01"]}
+
+
+@pytest.mark.parametrize("command", ["eval", "map", "plot", "refine", "infer"])
+def test_post_commands_never_import_numpy_ma(refined_dataset, tmp_path, command):
+    ds = tmp_path / "ds"
+    shutil.copytree(refined_dataset, ds)
     out = _python("import sys\nfrom sweepnav.cli import main\n"
                   "code = main(sys.argv[1:])\n"
                   "print(code, 'numpy.ma' in sys.modules)",
-                  command, "--dataset", str(refined_dataset))
+                  command, "--dataset", str(ds), *_ARGS.get(command, []))
     assert out.splitlines()[-1] == "0 False"
 
 

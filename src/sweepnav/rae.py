@@ -32,9 +32,13 @@ from .geometry import hypot, rotate_xy
 
 # Geometric median: members within _COLLINEAR_TOL * spread of one line are
 # collinear; the descent stops once a step is below _GM_RTOL times the
-# harmonic mean distance to the members, or after _GM_MAX_ITER steps.
+# harmonic mean distance to the members or below _GM_ULPS ulps of the
+# median's norm, whichever is larger, or after _GM_MAX_ITER steps.  The
+# floor ends descents among members that differ only by rounding, where
+# the relative rule asks for a step far below one ulp of the median.
 _COLLINEAR_TOL = 1e-12
 _GM_RTOL = 1e-10
+_GM_ULPS = 4
 _GM_MAX_ITER = 100
 # Windows per model call: bounds the K rotated copies held in memory
 # (64 windows x K=5 x 390 samples is 1 MB) without a per-window call.
@@ -140,7 +144,8 @@ def _geometric_medians(pts: np.ndarray) -> tuple[np.ndarray, int]:
             sx = np.where(weiszfeld, wx / wsum - yx, sx)
             sy = np.where(weiszfeld, wy / wsum - yy, sy)
             yx, yy = yx + sx, yy + sy
-            done = hypot(sx, sy) <= stop_scale / wsum
+            done = hypot(sx, sy) <= np.maximum(stop_scale / wsum,
+                                               _GM_ULPS * np.spacing(hypot(yx, yy)))
             out[rows[done], 0] = yx[done]
             out[rows[done], 1] = yy[done]
             rows, px, py, yx, yy = (a[~done] for a in (rows, px, py, yx, yy))

@@ -147,7 +147,7 @@ def _distance_sum_change_ref(pts, yx, yy, sx, sy):
     return total
 
 
-def geometric_median_ref(members, rtol=1e-10, max_iter=100):
+def geometric_median_ref(members, rtol=1e-10, max_iter=100, ulps=4):
     """The point minimising the sum of Euclidean distances to a (K, 2)
     stack of members, and whether the descent stopped at ``max_iter``
     steps without meeting its step rule.
@@ -158,7 +158,8 @@ def geometric_median_ref(members, rtol=1e-10, max_iter=100):
     condition |sum over x_j != x_i of unit(x_j - x_i)| <= multiplicity(x_i)
     is returned exactly.  Otherwise descent starts at the mean: a Newton
     step when it lowers the distance sum, else a Weiszfeld step, until a
-    step is below ``rtol`` times the harmonic mean member distance.
+    step is below ``rtol`` times the harmonic mean member distance or
+    below ``ulps`` ulps of the median's norm, whichever is larger.
     Members are sorted first, so the result does not depend on their
     order.
     """
@@ -191,7 +192,7 @@ def geometric_median_ref(members, rtol=1e-10, max_iter=100):
             sx, sy = qx - yx, qy - yy
         yx += sx
         yy += sy
-        if math.hypot(sx, sy) <= rtol * k / wsum:
+        if math.hypot(sx, sy) <= max(rtol * k / wsum, ulps * math.ulp(math.hypot(yx, yy))):
             return np.array([yx, yy]), False
     return np.array([yx, yy]), True
 

@@ -223,6 +223,22 @@ class TestBatchedReducer:
         assert capped == n_ref
         assert out.tobytes() == np.array([v for v, _ in ref]).tobytes()
 
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_members_that_differ_by_rounding_stop_before_the_cap(self, k, monkeypatch):
+        """A velocity rotated by the K ensemble angles and back differs
+        from itself by rounding alone.  The relative step rule asks for a
+        step far below one ulp of the median there; the ulp floor ends
+        every such descent, at the reference's bits."""
+        v = np.random.default_rng(k).uniform(-2.0, 2.0, size=(200, 2))
+        angles = ensemble_angles(sn.RaeConfig(k=k))
+        back = rotate_xy(rotate_xy(np.repeat(v[:, None], k, axis=1), angles), -angles)
+        kept = np.ones((200, k), dtype=bool)
+        out, capped = reduce_members(back, kept, "median")
+        assert capped == 0
+        assert out.tobytes() == np.array([reduce_ref(m, "median") for m in back]).tobytes()
+        monkeypatch.setattr(rae, "_GM_ULPS", 0)
+        assert reduce_members(back, kept, "median")[1] > 10
+
     def test_capped_windows_reach_the_result(self, monkeypatch):
         """One member of each window reads ten times the others, so no
         window's median is the mean or a member."""

@@ -60,12 +60,13 @@ def _drifted(traj, rate_per_frame):
     return sn.Trajectory(traj.t, out, yaw, traj.frame_rate)
 
 
-def _estimate_trajectory(gt, imu, k, bias=(0.05, 0.02), tau=64):
-    """Noisy recording through orientation, RAE(K) and Kalman integration."""
+def _estimate_trajectory(gt, imu, k, bias=(0.05, 0.02), tau=64, stride=None):
+    """Noisy recording through orientation, RAE(K) and integration."""
     orients = sn.estimate_orientation(imu)
     hacf = sn.to_hacf(imu, orients)
-    windows = sn.make_windows(hacf, tau=tau)
-    starts = tau * np.arange(len(windows))
+    stride = stride or tau
+    windows = sn.make_windows(hacf, tau=tau, stride=stride)
+    starts = stride * np.arange(len(windows))
     model = OracleVelocityEstimator(OracleConfig(gt, bias_hacf=np.asarray(bias, float)))
     ens = rae_estimate(windows, starts, model, RaeConfig(k=k))
     held = sn.held_velocities(ens.v, starts, len(imu), tau)
@@ -156,6 +157,34 @@ class TestCriterion03EndToEndOrdering:
                 f"{elapsed:.1f} s")
         assert wins >= 9
         assert elapsed < 30.0
+
+
+class TestExactVelocitiesGiveTheExactPath:
+    """At K = 5 the ensemble cancels the oracle's input-frame bias, so the
+    windows' velocities are exact.  Each applied at its centre and summed
+    frame by frame, they must give back the closed true path at any
+    stride: overlapping windows applied early, or a filter between the
+    velocities and the positions, would show as a gap of centimetres."""
+
+    @pytest.fixture(scope="class", params=[
+        {"room_width": 6.5, "room_height": 2.0},  # perfbench sweep60
+        {"room_width": 20.0, "room_height": 6.0},  # perfbench long_sweep
+    ], ids=["sweep60", "long_sweep"])
+    def recording(self, request):
+        cfg = sn.SimConfig(acc_noise=0.05, gyro_noise=0.002, seed=1, **request.param)
+        gt = sn.generate_trajectory(cfg)
+        return gt, sn.synthesize_imu(gt, cfg)
+
+    @pytest.mark.parametrize("stride", [1, 16, 64])
+    def test_rte_metric_and_closure_gap_below_a_millimetre(self, recording, stride):
+        gt, imu = recording
+        est, _ = _estimate_trajectory(gt, imu, 5, stride=stride)
+        rte = sn.evaluate(gt, est)[0].rte_metric
+        gap = float(np.linalg.norm(est.xy[-1] - est.xy[0]))
+        print(f"exact path, T={len(gt)}, stride {stride}: "
+              f"RTE-metric {rte:.2e} m, closure gap {gap:.2e} m")
+        assert rte <= 1e-3
+        assert gap <= 1e-3
 
 
 class TestCriterion04LoopClosureEfficacy:

@@ -131,7 +131,7 @@ class TestImuSynthesis:
 class TestZeroNoiseRoundTrip:
     def test_pipeline_recovers_the_sweep(self, default_sim_traj, clean_imu):
         """Noise-free IMU through orientation, windowing, the ground-truth
-        estimator double and Kalman integration lands near the true path."""
+        estimator double and integration lands near the true path."""
         traj, imu = default_sim_traj, clean_imu
         orients = sn.estimate_orientation(imu)
         hacf = sn.to_hacf(imu, orients)

@@ -6,7 +6,8 @@ the two equally near (``held_velocities``).  The running sum of those
 per-frame velocities gives the positions (``integrate``); yaw comes from
 the orientation stream.  A capture schedule walks the resulting trajectory
 and fires whenever the robot has moved or turned enough since the last
-capture, which is how image capture is throttled on the real system."""
+capture, which is how image capture is throttled on the real system.
+"""
 
 from __future__ import annotations
 

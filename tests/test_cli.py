@@ -579,10 +579,10 @@ class TestInferRunMeta:
         assert meta["n_windows_clamped"] == 0
         # the oracle's input-frame bias is the default (0, 0) here
         assert 0.0 <= meta["rae_member_spread"] < 1e-12
-        # so members differ by rounding alone; the median's relative step
-        # rule (1e-10 of the mean member distance) is far below one ulp of
-        # the median there, and 12 of the 32 windows ran to the cap before
-        # the stop rule got its floor of a few ulps of the median
+        # so members differ by rounding alone; there the median's relative
+        # step rule (1e-10 of the mean member distance) is far below one
+        # ulp of the median, and the rule's floor of a few ulps ends the
+        # descent before its cap
         assert (meta["n_windows_median_capped"], meta["n_windows"]) == (0, 32)
 
     def test_counters_are_exact(self, small_ds, tmp_path, monkeypatch):

@@ -19,7 +19,7 @@ t = np.arange(n) / 50.0
 line = sn.Trajectory(t, np.column_stack([0.5 * t, np.zeros(n)]), np.zeros(n), 50.0)
 
 bias = np.array([0.1, 0.0])
-model = OracleVelocityEstimator(OracleConfig(line, bias_hacf=bias))
+model = OracleVelocityEstimator(line, OracleConfig(bias=bias))
 # one window starting at frame 40; the oracle reads only where it starts
 windows, starts = np.zeros((1, 2, 65, 3)), np.array([40])
 truth = np.array([0.5, 0.0])

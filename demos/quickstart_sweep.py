@@ -17,7 +17,7 @@ print(f"sweep: {len(gt)} frames, {gt.t[-1]:.1f} s, "
       f"{gt.path_length():.1f} m of travel")
 
 orients = sn.estimate_orientation(imu)
-hacf = sn.to_hacf(imu, orients)
+hacf = sn.to_hacf(imu, orients)  # (2, n, 3): acceleration, angular rate
 windows = sn.make_windows(hacf, tau=64)  # (N, 2, 65, 3): acc block, gyro block
 starts = 64 * np.arange(len(windows))
 print(f"windowing: {len(windows)} windows of tau+1 = 65 samples")
@@ -25,7 +25,7 @@ print(f"windowing: {len(windows)} windows of tau+1 = 65 samples")
 # the oracle estimator stands in for a trained network; it returns the
 # true window velocity with a fixed input-frame bias, which is what the
 # rotation ensemble is there to cancel
-model = OracleVelocityEstimator(OracleConfig(gt, bias_hacf=np.array([0.05, 0.02])))
+model = OracleVelocityEstimator(gt, OracleConfig(bias=(0.05, 0.02)))
 
 for k in (1, 5):
     ens = rae_estimate(windows, starts, model, RaeConfig(k=k))

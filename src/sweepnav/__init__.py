@@ -20,10 +20,10 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "config": ("MapConfig", "RaeConfig", "RefineConfig", "SimConfig"),
-    "estimator": ("DenseVelocityNetwork", "NonFiniteEstimateError", "OracleConfig",
-                  "OracleVelocityEstimator", "WeightsBundle", "estimate_velocity",
-                  "load_weights", "make_random_bundle", "save_weights"),
+    "config": ("MapConfig", "OracleConfig", "RaeConfig", "RefineConfig", "SimConfig"),
+    "estimator": ("DenseVelocityNetwork", "NonFiniteEstimateError", "OracleVelocityEstimator",
+                  "WeightsBundle", "estimate_velocity", "load_weights", "make_random_bundle",
+                  "save_weights"),
     "geometry": ("GRAVITY", "rot2", "rotate_xy", "wrap_angle"),
     "imu": ("ImuSequence", "load_imu", "make_windows", "resample", "save_imu", "to_hacf"),
     "loop_closure": ("CorrectionParams", "LossBreakdown", "apply_corrections", "refine",

@@ -32,7 +32,7 @@ from . import trajectory
 from .config import CHOICES, DEFAULTS, SECTIONS, ConfigError, PipelineConfig, load_config
 from .fileio import read_csv, read_table, write_csv, write_json
 from .geometry import median
-from .imu import load_imu, resample, save_imu, to_hacf, make_windows
+from .imu import load_imu, make_windows, resample, save_imu, to_hacf, window_stride
 from .orientation import (estimate_orientation, load_orientations, relative_yaw,
                           save_orientations)
 
@@ -125,16 +125,15 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path, manifest: dict, clock: Stop
 
     sim_cfg = _from_config(cfg, "sim")
     map_cfg = _from_config(cfg, "map")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rasters_dir = out_dir / "rasters"
-    rasters_dir.mkdir(exist_ok=True)
     traj = sim.generate_trajectory(sim_cfg)
     imu = sim.synthesize_imu(traj, sim_cfg)
     orientations = sim.true_orientations(traj)
     captures = trajectory.capture_schedule(
         traj, cfg["capture.distance_m"], cfg["capture.rotation_rad"])
-    items = sim.default_items(sim_cfg, cfg["sim.n_items"], seed=sim_cfg.seed)
+    items = sim.default_items(sim_cfg)
     rasters, captions, gt_items = sim.generate_scene(captures, items, sim_cfg, map_cfg)
+    rasters_dir = out_dir / "rasters"
+    rasters_dir.mkdir(parents=True, exist_ok=True)
     save_imu(imu, out_dir / "imu.csv")
     trajectory.save_trajectory(traj, out_dir / "gt_trajectory.csv")
     save_orientations(orientations, out_dir / "orientations.csv")
@@ -161,44 +160,35 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path, manifest: dict, clock: Stop
 def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:
     from . import estimator, rae
 
+    tau = cfg["hacf.tau"]
     with clock.lap("load"):
-        imu = load_imu(_manifest_file(dataset, manifest, "imu"))
-        imu = resample(imu, rate_hz=cfg["sim.sample_rate_hz"])
+        # the estimator fixes the frame grid: a network runs at the rate it
+        # was trained at, the oracle at that of the ground truth it reads
+        if cfg["estimator.kind"] == "network":
+            if not cfg["estimator.weights"]:
+                raise ConfigError(
+                    "estimator.weights must point to a weights file when "
+                    "estimator.kind is 'network'")
+            bundle = estimator.load_weights(Path(cfg["estimator.weights"]), expected_tau=tau)
+            model = estimator.DenseVelocityNetwork(bundle)
+            rate = bundle.meta.sample_rate_hz
+        else:
+            gt = trajectory.load_trajectory(_manifest_file(dataset, manifest, "gt_trajectory"))
+            model = estimator.OracleVelocityEstimator(gt, _from_config(cfg, "oracle"))
+            rate = gt.frame_rate
+        imu = resample(load_imu(_manifest_file(dataset, manifest, "imu")), rate_hz=rate)
     with clock.lap("orientation"):
         if cfg["orientation.source"] == "file":
             orientations = load_orientations(_manifest_file(dataset, manifest, "orientations"))
-            if len(orientations) != len(imu):
-                raise ValueError(
-                    f"orientation file covers {len(orientations)} frames, IMU has {len(imu)}")
         else:
             orientations = estimate_orientation(imu, alpha=cfg["orientation.alpha"])
     with clock.lap("windows"):
-        hacf = to_hacf(imu, orientations)
-        tau = cfg["hacf.tau"]
-        stride = cfg["hacf.stride"] or tau
-        windows = make_windows(hacf, tau=tau, stride=stride)
+        stride = window_stride(tau, cfg["hacf.stride"])
+        windows = make_windows(to_hacf(imu, orientations), tau=tau, stride=stride)
         if not len(windows):
             raise ValueError(
                 f"recording too short: {len(imu)} frames yield no windows of {tau + 1} samples")
         starts = stride * np.arange(len(windows))
-    if cfg["estimator.kind"] == "network":
-        weights_path = cfg["estimator.weights"]
-        if not weights_path:
-            raise ConfigError(
-                "estimator.weights must point to a weights file when "
-                "estimator.kind is 'network'")
-        rate = float(imu.sample_rate())
-        bundle = estimator.load_weights(Path(weights_path), expected_tau=tau,
-                                        expected_rate=rate)
-        model = estimator.DenseVelocityNetwork(bundle)
-    else:
-        gt = trajectory.load_trajectory(_manifest_file(dataset, manifest, "gt_trajectory"))
-        oracle_cfg = estimator.OracleConfig(
-            trajectory=gt,
-            bias_hacf=np.asarray(cfg["oracle.bias"], dtype=float),
-            noise_sigma=cfg["oracle.noise_sigma"],
-        )
-        model = estimator.OracleVelocityEstimator(oracle_cfg, rng_seed=cfg["oracle.seed"])
     rae_cfg = _from_config(cfg, "rae")
     with clock.lap("rae"):
         ens = rae.rae_estimate(windows, starts, model, rae_cfg, v_max=cfg["estimator.v_max"])

@@ -51,6 +51,7 @@ class SimConfig:
     gyro_bias: tuple[float, float, float] = (0.0, 0.0, 0.0)
     seed: int = 0
     turn_model: str = "arc"  # "arc" | "stop_and_turn"
+    n_items: int = 10  # items placed in the scene
 
     def __post_init__(self):
         if min(self.room_width, self.room_height, self.row_spacing) <= 0:
@@ -63,6 +64,8 @@ class SimConfig:
             raise ValueError("speed and sample_rate_hz must be positive")
         if self.turn_model not in ("arc", "stop_and_turn"):
             raise ValueError("turn_model must be 'arc' or 'stop_and_turn'")
+        if self.n_items < 0:
+            raise ValueError("n_items must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,26 @@ class CaptionServiceConfig:
             raise ValueError("max_workers and retries must be >= 1")
 
 
+@dataclass(frozen=True)
+class OracleConfig:
+    """Errors of the ground-truth estimator double: ``bias`` is added in
+    the estimator's input frame, and noise of ``noise_sigma`` per axis is
+    drawn per window from a generator seeded by ``(seed, window_start)``."""
+
+    bias: tuple[float, float] = (0.0, 0.0)
+    noise_sigma: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "bias", tuple(map(float, self.bias)))
+        if len(self.bias) != 2:
+            raise ValueError("bias must hold 2 numbers")
+        if self.noise_sigma < 0:
+            raise ValueError("noise_sigma must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+
+
 _REDUCERS = ("median", "mean")
 
 
@@ -146,6 +169,8 @@ class RefineConfig:
             raise ValueError("learning_rate must be positive")
         if min(self.lambda_loop, self.lambda_rot, self.lambda_smooth) < 0:
             raise ValueError("loss weights must be non-negative")
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +180,7 @@ class RefineConfig:
 # prefix -> the dataclass whose fields the ``prefix.<field>`` keys set
 SECTIONS: dict = {
     "sim": SimConfig,
+    "oracle": OracleConfig,
     "map": MapConfig,
     "rae": RaeConfig,
     "refine": RefineConfig,
@@ -172,7 +198,6 @@ def _field_defaults(prefix: str) -> dict:
 # the ones the commands read themselves.
 DEFAULTS: dict = {
     **_field_defaults("sim"),
-    "sim.n_items": 10,
     "orientation.alpha": 0.02,
     "orientation.source": "filter",
     "hacf.tau": 64,
@@ -180,9 +205,7 @@ DEFAULTS: dict = {
     "estimator.kind": "oracle",
     "estimator.weights": "",
     "estimator.v_max": 2.0,
-    "oracle.bias": [0.0, 0.0],
-    "oracle.noise_sigma": 0.0,
-    "oracle.seed": 0,
+    **_field_defaults("oracle"),
     **_field_defaults("rae"),
     "capture.distance_m": 1.0,
     "capture.rotation_rad": math.pi / 2,
@@ -264,9 +287,6 @@ class PipelineConfig:
         if key not in self._values:
             raise ConfigError(f"unknown configuration key {key!r}")
         return self._values[key]
-
-    def as_dict(self) -> dict:
-        return dict(self._values)
 
     def save(self, path) -> None:
         write_json(path, self._values)

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import OracleConfig
 from .fileio import json_field
 from .geometry import rotate_xy, row_norms, unique
 
@@ -71,17 +72,17 @@ class WeightsBundle:
             raise ValueError(f"unsupported input layout '{self.meta.input_layout}'")
 
 
-def load_weights(path, expected_tau: int | None = None,
-                 expected_rate: float | None = None) -> WeightsBundle:
+def load_weights(path, expected_tau: int | None = None) -> WeightsBundle:
     """Load a weights bundle from JSON.
 
     Dense layer data is base64 of little-endian float32, row-major
     weights followed by the bias vector (``rows*cols + cols`` values).
-    When ``expected_tau`` or ``expected_rate`` are given, a metadata
-    mismatch with the calling pipeline is an error rather than a silent
-    reinterpretation of the input.  ``gravity_subtracted`` must be true:
-    the pipeline only feeds windows with gravity removed.  Any malformed
-    part raises ``ValueError("path: ...")``, naming the layer at fault.
+    When ``expected_tau`` is given, a window length other than the
+    bundle's is an error rather than a silent reinterpretation of the
+    input; the caller resamples its input to ``meta.sample_rate_hz``.
+    ``gravity_subtracted`` must be true: the pipeline only feeds windows
+    with gravity removed.  Any malformed part raises
+    ``ValueError("path: ...")``, naming the layer at fault.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -108,10 +109,6 @@ def load_weights(path, expected_tau: int | None = None,
     if expected_tau is not None and meta.tau != expected_tau:
         raise ValueError(
             f"{path}: weights were trained for tau={meta.tau}, pipeline uses tau={expected_tau}"
-        )
-    if expected_rate is not None and abs(meta.sample_rate_hz - expected_rate) > 1e-9:
-        raise ValueError(
-            f"{path}: weights expect {meta.sample_rate_hz} Hz input, pipeline runs at {expected_rate} Hz"
         )
     layers = []
     for i, ld in enumerate(layer_docs):
@@ -220,48 +217,24 @@ class DenseVelocityNetwork:
         return x
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Configuration of the ground-truth-backed estimator double.
-
-    ``bias_hacf`` is added in the estimator's input frame, after any
-    rotation of the window contents; that is exactly the error mode a
-    rotation ensemble averages out.  Noise is drawn once per window
-    from a generator seeded by ``(rng_seed, window_start)``, so
-    evaluation order (or parallelism) cannot change results.
-    """
-
-    trajectory: "Trajectory"
-    bias_hacf: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    noise_sigma: float = 0.0
-
-    def __post_init__(self):
-        b = np.array(self.bias_hacf, dtype=float, copy=True)
-        if b.shape != (2,):
-            raise ValueError("bias_hacf must be a 2-vector")
-        b.flags.writeable = False
-        object.__setattr__(self, "bias_hacf", b)
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
-
-
 class OracleVelocityEstimator:
     """True mean velocity over each window, in the window's input frame.
 
     The window starting at ``starts[m]`` with contents rotated by
     ``angles[m]`` reads ``Rz(angles[m]) @ v_true + bias + noise``, where
     ``v_true`` is the ground-truth displacement across the window over
-    its duration.  The contents themselves are never read.
+    its duration.  The bias is added after the rotation: that is exactly
+    the error mode a rotation ensemble averages out.  The noise is drawn
+    once per window start, so evaluation order (or parallelism) cannot
+    change results.  The contents themselves are never read.
     """
 
-    def __init__(self, cfg: OracleConfig, rng_seed: int = 0):
-        if cfg.noise_sigma > 0.0 and rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
+    def __init__(self, trajectory: "Trajectory", cfg: OracleConfig = OracleConfig()):
+        self.trajectory = trajectory
         self.cfg = cfg
-        self.rng_seed = rng_seed
 
     def velocities(self, windows: np.ndarray, starts, angles) -> np.ndarray:
-        traj = self.cfg.trajectory
+        traj = self.trajectory
         tau = windows.shape[2] - 1
         starts = np.asarray(starts, dtype=int)
         ends = starts + tau
@@ -270,10 +243,10 @@ class OracleVelocityEstimator:
             raise ValueError(f"window frames [{starts[bad][0]}, {ends[bad][0]}] fall outside "
                              f"the ground-truth span of {len(traj)} frames")
         v_true = (traj.xy[ends] - traj.xy[starts]) / (tau / traj.frame_rate)
-        v = rotate_xy(v_true, angles) + self.cfg.bias_hacf
+        v = rotate_xy(v_true, angles) + np.array(self.cfg.bias)
         if self.cfg.noise_sigma > 0.0:
             uniq = unique(starts)
-            noise = np.array([np.random.default_rng((self.rng_seed, int(s)))
+            noise = np.array([np.random.default_rng((self.cfg.seed, int(s)))
                               .normal(0.0, self.cfg.noise_sigma, 2) for s in uniq])
             v = v + noise[np.searchsorted(uniq, starts)]
         return v

@@ -110,7 +110,7 @@ def save_imu(seq: ImuSequence, path) -> None:
         write_csv(path, IMU_CSV_HEADER, table.tolist())
 
 
-def resample(seq: ImuSequence, rate_hz: float = 50.0) -> ImuSequence:
+def resample(seq: ImuSequence, rate_hz: float) -> ImuSequence:
     """Resample onto a uniform grid at ``rate_hz`` via linear interpolation.
 
     Input already uniform at the requested rate is returned unchanged
@@ -143,49 +143,45 @@ def resample(seq: ImuSequence, rate_hz: float = 50.0) -> ImuSequence:
 # Heading-anchored gravity-aligned frame
 
 
-@dataclass(frozen=True)
-class HacfSequence:
-    """Gravity-removed inertial data in the heading-anchored frame."""
-
-    t: np.ndarray  # (n,)
-    a: np.ndarray  # (n, 3) linear acceleration, gravity removed
-    g: np.ndarray  # (n, 3) angular rate
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", _frozen(self.t))
-        object.__setattr__(self, "a", _frozen(self.a))
-        object.__setattr__(self, "g", _frozen(self.g))
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-
-def to_hacf(seq: ImuSequence, orientations) -> HacfSequence:
+def to_hacf(seq: ImuSequence, orientations) -> np.ndarray:
     """Rotate device-frame samples into the heading-anchored frame.
 
-    Per sample: ``a = Rz(-yaw0) R(q) acc - (0, 0, 9.81)`` and
-    ``g = Rz(-yaw0) R(q) gyro`` where ``yaw0`` is the yaw of the first
-    orientation.  Anchoring makes the output frame's x axis coincide
-    with the heading at frame 0, so the transform is idempotent with
-    respect to the initial heading.
+    Returns a read-only ``(2, n, 3)`` array: ``[0]`` holds the linear
+    acceleration ``Rz(-yaw0) R(q) acc - (0, 0, 9.81)`` and ``[1]`` the
+    angular rate ``Rz(-yaw0) R(q) gyro`` of each sample, where ``yaw0``
+    is the yaw of the first orientation.  Anchoring makes the output
+    frame's x axis coincide with the heading at frame 0, so the
+    transform is idempotent with respect to the initial heading.
     """
     if len(orientations) != len(seq):
         raise ValueError(
             f"orientation stream has {len(orientations)} samples, IMU has {len(seq)}"
         )
-    if len(seq) == 0:
-        return HacfSequence(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)))
-    mats = quats_to_matrices(orientations.q)
-    a_world = np.einsum("nij,nj->ni", mats, seq.acc)
-    g_world = np.einsum("nij,nj->ni", mats, seq.gyro)
-    yaw0 = quat_yaw(orientations.q[0])
-    a = rotate_xyz_about_z(a_world, -yaw0) - GRAVITY_VEC
-    g = rotate_xyz_about_z(g_world, -yaw0)
-    return HacfSequence(seq.t, a, g)
+    hacf = np.zeros((2, len(seq), 3))
+    if len(seq):
+        mats = quats_to_matrices(orientations.q)
+        yaw0 = quat_yaw(orientations.q[0])
+        for out, x in zip(hacf, (seq.acc, seq.gyro)):
+            out[:] = rotate_xyz_about_z(np.einsum("nij,nj->ni", mats, x), -yaw0)
+        hacf[0] -= GRAVITY_VEC
+    hacf.flags.writeable = False
+    return hacf
 
 
-def make_windows(hacf: HacfSequence, tau: int = 64, stride: int | None = None) -> np.ndarray:
-    """Cut windows of ``tau + 1`` samples starting at frames 0, stride, ...
+def window_stride(tau: int, stride: int = 0) -> int:
+    """Frames from one window's start to the next: ``stride``, where 0
+    stands for ``tau`` (windows that share only their end sample)."""
+    if tau < 1:
+        raise ValueError("tau must be >= 1")
+    if stride < 0:
+        raise ValueError("stride must be >= 0 (0 = tau)")
+    return stride or tau
+
+
+def make_windows(hacf: np.ndarray, tau: int = 64, stride: int = 0) -> np.ndarray:
+    """Cut windows of ``tau + 1`` samples from the ``(2, n, 3)`` array
+    that ``to_hacf`` returns, starting at frames 0, stride, ... (stride
+    as ``window_stride`` reads it).
 
     Returns a read-only ``(N, 2, tau + 1, 3)`` strided view: window ``i``
     starts at frame ``i * stride`` and covers frames ``i * stride ..
@@ -195,14 +191,9 @@ def make_windows(hacf: HacfSequence, tau: int = 64, stride: int | None = None) -
     the end of the recording are not emitted, so a recording shorter
     than ``tau + 1`` samples yields no window.
     """
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    if stride is None:
-        stride = tau
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if len(hacf) <= tau:
+    stride = window_stride(tau, stride)
+    if hacf.shape[1] <= tau:
         return _frozen(np.empty((0, 2, tau + 1, 3)))
     # (2, n - tau, 3, tau + 1) -> (N, 2, tau + 1, 3)
-    view = sliding_window_view(np.stack([hacf.a, hacf.g]), tau + 1, axis=1)
+    view = sliding_window_view(hacf, tau + 1, axis=1)
     return view[:, ::stride].transpose(1, 0, 3, 2)

@@ -331,18 +331,19 @@ def generate_scene(captures: list[CaptureEvent], items: dict[str, tuple[float, f
     return rasters, records, ground_truth
 
 
-def default_items(cfg: SimConfig, n_items: int = 10, seed: int = 0) -> dict[str, tuple[float, float]]:
-    """Uniquely named items spread along the sweep rows.
+def default_items(cfg: SimConfig) -> dict[str, tuple[float, float]]:
+    """``cfg.n_items`` uniquely named items spread along the sweep rows,
+    placed by a generator seeded with ``cfg.seed``.
 
     Items sit on row lines so the robot drives straight at them during
     the sweep, giving every item at least one near-axis sighting.
     """
     names = ["milk", "cereal", "soap", "coffee", "pasta", "rice", "juice",
              "flour", "honey", "tea", "salt", "sugar", "beans", "oats", "jam"]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     m = int(math.floor(cfg.room_height / cfg.row_spacing + 1e-9))
     items: dict[str, tuple[float, float]] = {}
-    for i in range(n_items):
+    for i in range(cfg.n_items):
         name = names[i] if i < len(names) else f"item {i}"
         row = i % (m + 1)
         # Mid-row band keeps a >= 0.9 m approach window inside the

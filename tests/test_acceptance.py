@@ -67,7 +67,7 @@ def _estimate_trajectory(gt, imu, k, bias=(0.05, 0.02), tau=64, stride=None):
     stride = stride or tau
     windows = sn.make_windows(hacf, tau=tau, stride=stride)
     starts = stride * np.arange(len(windows))
-    model = OracleVelocityEstimator(OracleConfig(gt, bias_hacf=np.asarray(bias, float)))
+    model = OracleVelocityEstimator(gt, OracleConfig(bias=bias))
     ens = rae_estimate(windows, starts, model, RaeConfig(k=k))
     held = sn.held_velocities(ens.v, starts, len(imu), tau)
     est = sn.integrate(held, sn.relative_yaw(orients), frame_rate=gt.frame_rate)
@@ -77,7 +77,7 @@ def _estimate_trajectory(gt, imu, k, bias=(0.05, 0.02), tau=64, stride=None):
 class TestCriterion01RaeExactness:
     def test_ensemble_equals_single_estimate_on_equivariant_model(self, sweep_60s):
         t0 = time.perf_counter()
-        model = OracleVelocityEstimator(OracleConfig(sweep_60s))
+        model = OracleVelocityEstimator(sweep_60s)
         starts = np.arange(0, 2000, 100)
         windows = np.zeros((len(starts), 2, 65, 3))
         single = estimate_velocity(windows, starts, np.zeros(len(starts)), model).v
@@ -100,7 +100,7 @@ class TestCriterion02BiasCancellation:
 
     def _window_error(self, k, reducer):
         line = line_trajectory(speed=0.5, n_frames=201)
-        model = OracleVelocityEstimator(OracleConfig(line, bias_hacf=self.BIAS))
+        model = OracleVelocityEstimator(line, OracleConfig(bias=self.BIAS))
         starts = np.array([0, 40, 90, 130])
         ens = rae_estimate(np.zeros((len(starts), 2, 65, 3)), starts, model,
                            RaeConfig(k=k, reducer=reducer))

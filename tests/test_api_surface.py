@@ -1,5 +1,6 @@
-"""Every top-level function and class of the package has a caller,
-and every configuration key has a reader.
+"""Every top-level function and class of the package, and every public
+method of a top-level class, has a caller, and every configuration key
+has a reader.
 
 A symbol counts as used when a name, an attribute, an imported name or a
 string equal to it (a ``getattr``-style lookup, as perfbench's tracer
@@ -63,6 +64,19 @@ def _caller_trees() -> list[ast.AST]:
     return trees
 
 
+def _definitions(tree: ast.Module):
+    """The top-level functions and classes of a module, and the public
+    methods (no leading underscore) of its classes, as ``(name, node)``;
+    a method is named ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    yield f"{node.name}.{method.name}", method
+
+
 def test_every_top_level_definition_has_a_caller():
     trees = _caller_trees()
     used = set().union(*map(_references, trees))
@@ -71,10 +85,9 @@ def test_every_top_level_definition_has_a_caller():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name not in used):
-                unused.append(f"{path.name}:{node.lineno}: {node.name}")
+        for name, node in _definitions(tree):
+            if node.name not in used:
+                unused.append(f"{path.name}:{node.lineno}: {name}")
     assert not unused, "no caller in src/, demos/, README or perfbench/: " + ", ".join(unused)
 
 

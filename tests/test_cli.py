@@ -264,6 +264,14 @@ class TestExitCodes:
                    "--set", "sim.room_width=-1") == 2
         assert "must be positive" in capsys.readouterr().err
 
+    def test_refused_simulation_leaves_no_directory(self, tmp_path, capsys):
+        """The settings are refused while the run is generated, before
+        simulate creates the dataset directory or anything in it."""
+        assert run("simulate", "--out", tmp_path / "ds",
+                   "--set", "capture.distance_m=-1") == 2
+        assert capsys.readouterr().err == "error: capture thresholds must be positive\n"
+        assert not (tmp_path / "ds").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         assert run("simulate", "--out", tmp_path / "ds", "--set", "nope=1") == 2
         assert "unknown configuration key" in capsys.readouterr().err
@@ -296,6 +304,10 @@ class TestExitCodes:
         ("simulate", "sim.turn_model"):
             ("bogus", "sim.*: turn_model must be 'arc' or 'stop_and_turn'"),
         ("refine", "refine.epochs"): ("0", "refine.*: epochs must be >= 1"),
+        ("refine", "refine.hidden"): ("0", "refine.*: hidden must be >= 1"),
+        ("simulate", "sim.n_items"): ("-1", "sim.*: n_items must be >= 0"),
+        ("infer", "oracle.noise_sigma"): ("-1", "oracle.*: noise_sigma must be non-negative"),
+        ("simulate", "oracle.noise_sigma"): ("-1", "oracle.*: noise_sigma must be non-negative"),
         ("simulate", "sim.speed"): ("NaN", "sim.speed: expected a number, got nan"),
     }
 
@@ -337,7 +349,8 @@ class TestShortcutFlags:
     def _resolve(command, *flags):
         target = "--out" if command == "simulate" else "--dataset"
         args = build_parser().parse_args([command, target, "ds", *map(str, flags)])
-        return _resolve_config(args).as_dict()
+        cfg = _resolve_config(args)
+        return {key: cfg[key] for key in DEFAULTS}
 
     @pytest.mark.parametrize("command, shortcut, override", [
         ("simulate", ["--seed", 7], "sim.seed=7"),
@@ -429,7 +442,7 @@ class TestLogLevel:
 
 class TestModuleConfig:
     # keys under a section prefix that the commands read themselves
-    NOT_FIELDS = {"sim.n_items", "map.trajectory", "caption.mode"}
+    NOT_FIELDS = {"map.trajectory", "caption.mode"}
 
     def test_every_key_reaches_a_field(self):
         """A literal key under a section prefix that names no field would
@@ -605,6 +618,19 @@ class TestInferRunMeta:
         assert meta["n_windows"] > 3
         assert meta["n_members_nonfinite"] == meta["n_windows"]
         assert meta["n_windows_clamped"] == 1
+
+
+def test_oracle_runs_at_the_rate_of_its_ground_truth(tmp_path):
+    """``infer`` resamples to the estimator's rate, here the 100 Hz of the
+    ground truth that the oracle reads; ``sim.sample_rate_hz`` only sets
+    the simulator, so a default infer frames the recording as it was made."""
+    ds = tmp_path / "ds"
+    assert run("simulate", "--out", ds, "--seed", 1, "--set", "sim.sample_rate_hz=100") == 0
+    assert run("infer", "--dataset", ds) == 0
+    assert run("eval", "--dataset", ds) == 0
+    report = json.loads((ds / "eval_grid_1.0.json").read_text())
+    assert report["rte_metric"] < 1e-3
+    assert report["coverage"] == 1.0
 
 
 class TestRefineRunMeta:

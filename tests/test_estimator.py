@@ -17,15 +17,14 @@ from .oracles import line_trajectory
 SPEED = 0.390625  # dyadic, so displacement/duration round-trips exactly
 
 
-def _oracle(bias=(0.0, 0.0), noise=0.0, speed=SPEED, n=201):
+def _oracle(bias=(0.0, 0.0), noise=0.0, speed=SPEED, n=201, seed=0):
     traj = line_trajectory(speed=speed, n_frames=n)
-    return sn.OracleConfig(traj, bias_hacf=np.array(bias), noise_sigma=noise)
+    return sn.OracleVelocityEstimator(traj, sn.OracleConfig(bias, noise, seed))
 
 
-def _read(cfg, starts=(0,), angles=None, rng_seed=0):
+def _read(model, starts=(0,), angles=None):
     """Oracle output for zero windows at ``starts`` rotated by ``angles``."""
     angles = np.zeros(len(starts)) if angles is None else np.asarray(angles)
-    model = sn.OracleVelocityEstimator(cfg, rng_seed)
     return model.velocities(zero_windows(len(starts)), np.asarray(starts), angles)
 
 
@@ -65,36 +64,35 @@ class TestOracle:
 
     def test_noise_is_deterministic_per_window(self):
         """Same seed and window start give the same draw; order never matters."""
-        cfg = _oracle(noise=0.05)
-        a = _read(cfg, [0, 64], rng_seed=7)
-        b = _read(cfg, [64, 0], rng_seed=7)
+        a = _read(_oracle(noise=0.05, seed=7), [0, 64])
+        b = _read(_oracle(noise=0.05, seed=7), [64, 0])
         assert np.array_equal(a, b[::-1])
         assert not np.array_equal(a[0], a[1])
-        assert not np.array_equal(a[0], _read(cfg, [0], rng_seed=8)[0])
+        assert not np.array_equal(a[0], _read(_oracle(noise=0.05, seed=8), [0])[0])
 
     def test_members_of_one_window_share_the_noise_draw(self):
         """K rotated copies of a window differ only by the rotated truth."""
         thetas = np.array([-np.pi, -1.0, 0.0, 2.5])
-        noisy = _read(_oracle(noise=0.05), [64] * 4, thetas, rng_seed=3)
+        noisy = _read(_oracle(noise=0.05, seed=3), [64] * 4, thetas)
         clean = _read(_oracle(), [64] * 4, thetas)
         noise = noisy - clean
         np.testing.assert_allclose(noise, np.tile(noise[0], (4, 1)), rtol=0, atol=1e-15)
         assert np.linalg.norm(noise[0]) > 0
 
     def test_negative_seed_with_noise_is_rejected(self):
-        with pytest.raises(ValueError, match="rng_seed"):
-            sn.OracleVelocityEstimator(_oracle(noise=0.05), rng_seed=-1)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            sn.OracleConfig(noise_sigma=0.05, seed=-1)
 
 
 class TestEstimateVelocity:
     def test_speed_clamp_preserves_direction(self):
-        model = sn.OracleVelocityEstimator(_oracle(speed=3.0))
+        model = _oracle(speed=3.0)
         est = sn.estimate_velocity(zero_windows(), [0], [0.0], model, v_max=2.0)
         assert est.clamped == 1
         np.testing.assert_allclose(est.v, [[2.0, 0.0]], atol=1e-12)
 
     def test_within_limit_untouched(self):
-        model = sn.OracleVelocityEstimator(_oracle())
+        model = _oracle()
         est = sn.estimate_velocity(zero_windows(2), [0, 64], [0.0, 0.0], model)
         assert est.clamped == 0 and not est.clamped
         assert est.kept.all()
@@ -177,7 +175,7 @@ class TestWeightsFile:
         bundle = sn.make_random_bundle(seed=5)
         path = tmp_path / "weights.json"
         sn.save_weights(bundle, path)
-        back = sn.load_weights(path, expected_tau=64, expected_rate=50.0)
+        back = sn.load_weights(path, expected_tau=64)
         w = np.random.default_rng(6).normal(size=(1, 2, 65, 3))
         a = sn.DenseVelocityNetwork(bundle).velocities(w, [0], [0.0])
         b = sn.DenseVelocityNetwork(back).velocities(w, [0], [0.0])
@@ -193,11 +191,22 @@ class TestWeightsFile:
         with pytest.raises(ValueError, match="trained for tau=32, pipeline uses tau=64"):
             sn.load_weights(path, expected_tau=64)
 
-    def test_rate_mismatch_is_actionable(self, tmp_path):
+    def test_infer_runs_the_network_at_its_own_rate(self, tmp_path):
+        """A 50 Hz recording reaches a network trained at 100 Hz resampled
+        to 100 Hz: the weights set the frame grid, not the simulator."""
+        from sweepnav.cli import main
+
+        ds = tmp_path / "ds"
+        assert main(["simulate", "--out", str(ds), "--set", "sim.n_items=0"]) == 0
         path = tmp_path / "weights.json"
-        sn.save_weights(sn.make_random_bundle(sample_rate_hz=200.0), path)
-        with pytest.raises(ValueError, match="200.0 Hz.*50.0 Hz"):
-            sn.load_weights(path, expected_rate=50.0)
+        sn.save_weights(sn.make_random_bundle(sample_rate_hz=100.0), path)
+        assert main(["infer", "--dataset", str(ds), "--estimator", "network",
+                     "--set", f"estimator.weights={path}"]) == 0
+        gt = sn.load_trajectory(ds / "gt_trajectory.csv")
+        est = sn.load_trajectory(ds / "est_trajectory.csv")
+        assert gt.frame_rate == pytest.approx(50.0)
+        assert est.frame_rate == pytest.approx(100.0)
+        assert est.t[-1] == pytest.approx(gt.t[-1], abs=0.01)
 
     def test_truncated_parameters_are_counted(self, tmp_path):
         path = tmp_path / "weights.json"

@@ -85,7 +85,7 @@ print(json.dumps([bad, sorted(set(sweepnav.__all__) - listed)]))
 @pytest.mark.parametrize("module, name", [
     ("sim", "SimConfig"), ("object_map", "MapConfig"),
     ("object_map", "CaptionServiceConfig"), ("rae", "RaeConfig"),
-    ("loop_closure", "RefineConfig")])
+    ("loop_closure", "RefineConfig"), ("estimator", "OracleConfig")])
 def test_section_dataclasses_are_importable_from_their_stage(module, name):
     import importlib
 

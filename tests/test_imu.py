@@ -5,7 +5,6 @@ import pytest
 
 import sweepnav as sn
 from sweepnav import geometry as geo
-from sweepnav.imu import HacfSequence
 
 from .oracles import quat_identity_ref, quat_multiply_ref, quat_normalize_ref
 
@@ -91,8 +90,8 @@ class TestAnchoredFrame:
         """Gravity is removed exactly for a level, motionless device."""
         seq = _static_seq(np.array([0.0, 0.0, 9.81]))
         hacf = sn.to_hacf(seq, _identity_orients(seq.t))
-        np.testing.assert_allclose(hacf.a, 0.0, atol=1e-12)
-        np.testing.assert_allclose(hacf.g, 0.0, atol=1e-12)
+        assert hacf.shape == (2, len(seq), 3) and not hacf.flags.writeable
+        np.testing.assert_allclose(hacf, 0.0, atol=1e-12)
 
     def test_tilted_static_device_reads_zero(self):
         """A device rolled 90 degrees senses gravity along its y axis."""
@@ -100,7 +99,7 @@ class TestAnchoredFrame:
         seq = _static_seq(np.array([0.0, 9.81, 0.0]))
         orients = sn.OrientationSequence(seq.t, np.tile(q, (len(seq.t), 1)))
         hacf = sn.to_hacf(seq, orients)
-        np.testing.assert_allclose(hacf.a, 0.0, atol=1e-9)
+        np.testing.assert_allclose(hacf[0], 0.0, atol=1e-9)
 
     def test_initial_heading_does_not_leak(self):
         """The same device-frame motion maps to the same anchored vector
@@ -112,8 +111,8 @@ class TestAnchoredFrame:
             q = geo.quat_about_z(yaw0)
             orients = sn.OrientationSequence(seq.t, np.tile(q, (len(seq.t), 1)))
             out = sn.to_hacf(seq, orients)
-            np.testing.assert_allclose(out.a, base.a, atol=1e-12)
-        np.testing.assert_allclose(base.a[0], [1.0, 0.0, 0.0], atol=1e-12)
+            np.testing.assert_allclose(out[0], base[0], atol=1e-12)
+        np.testing.assert_allclose(base[0, 0], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_anchoring_invariance_for_arbitrary_orientations(self):
         """Pre-rotating every orientation about z leaves the output alone."""
@@ -127,24 +126,22 @@ class TestAnchoredFrame:
         qz = geo.quat_about_z(delta)
         q2 = np.array([quat_multiply_ref(qz, qi) for qi in q])
         out = sn.to_hacf(seq, sn.OrientationSequence(t, q2))
-        np.testing.assert_allclose(out.a, base.a, atol=1e-12)
-        np.testing.assert_allclose(out.g, base.g, atol=1e-12)
+        np.testing.assert_allclose(out, base, atol=1e-12)
 
     def test_gyro_is_rotated_but_not_offset(self):
         gyro = np.tile([0.1, -0.2, 0.3], (30, 1))
         t = np.arange(30) / 50.0
         seq = sn.ImuSequence(t, np.tile([0.0, 0.0, 9.81], (30, 1)), gyro)
         hacf = sn.to_hacf(seq, _identity_orients(t))
-        np.testing.assert_allclose(hacf.g, gyro, atol=1e-12)
+        np.testing.assert_allclose(hacf[1], gyro, atol=1e-12)
 
 
 class TestWindows:
     def _hacf(self, n):
         """Sample f carries its frame number in every acceleration axis
         and minus it in every angular-rate axis."""
-        f = np.arange(n, dtype=float)
-        a = np.tile(f[:, None], (1, 3))
-        return HacfSequence(f / 50.0, a, -a)
+        a = np.tile(np.arange(n, dtype=float)[:, None], (1, 3))
+        return np.stack([a, -a])
 
     @staticmethod
     def _starts(windows):
@@ -172,7 +169,7 @@ class TestWindows:
         assert windows.shape == (31, 2, 9, 3)
         for i, flat in enumerate(windows.reshape(len(windows), -1)):
             s = 3 * i
-            ref = np.concatenate([hacf.a[s : s + 9].ravel(), hacf.g[s : s + 9].ravel()])
+            ref = np.concatenate([hacf[0, s : s + 9].ravel(), hacf[1, s : s + 9].ravel()])
             assert np.array_equal(flat, ref)
 
     def test_windows_are_a_read_only_view(self):
@@ -183,10 +180,13 @@ class TestWindows:
         assert windows.base is not None
 
     def test_window_shape_contract(self):
-        """(N, 2, tau + 1, 3) for any tau and stride; tau and stride >= 1."""
-        for tau, stride, n in ((1, 1, 99), (64, 64, 1), (8, 100, 1)):
+        """(N, 2, tau + 1, 3) for any tau and stride; tau >= 1, stride >= 0,
+        and stride 0 is tau, as the ``hacf.stride`` key reads it."""
+        for tau, stride, n in ((1, 1, 99), (64, 64, 1), (8, 100, 1), (8, 0, 12)):
             assert sn.make_windows(self._hacf(100), tau, stride).shape == (n, 2, tau + 1, 3)
+        assert np.array_equal(sn.make_windows(self._hacf(100), 8, 0),
+                              sn.make_windows(self._hacf(100), 8, 8))
         with pytest.raises(ValueError, match="tau"):
             sn.make_windows(self._hacf(10), tau=0)
         with pytest.raises(ValueError, match="stride"):
-            sn.make_windows(self._hacf(10), tau=4, stride=0)
+            sn.make_windows(self._hacf(10), tau=4, stride=-1)

@@ -40,7 +40,7 @@ class TestGravityBlend:
         seq = _seq([0.0, 9.81, 0.0], [0.0, 0.0, 0.0], n=100)
         orients = sn.estimate_orientation(seq)
         hacf = sn.to_hacf(seq, orients)
-        np.testing.assert_allclose(hacf.a, 0.0, atol=1e-9)
+        np.testing.assert_allclose(hacf[0], 0.0, atol=1e-9)
 
     def test_corrects_slow_tilt_drift(self):
         """A small roll-rate gyro bias cannot tip the estimate over."""

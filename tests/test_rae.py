@@ -19,8 +19,8 @@ STARTS = np.array([0, 40, 90, 130])
 
 def _oracle_model(bias=(0.0, 0.0), speed=1.0, noise=0.0, rng_seed=0):
     traj = line_trajectory(speed=speed, n_frames=201)
-    cfg = sn.OracleConfig(traj, bias_hacf=np.array(bias), noise_sigma=noise)
-    return sn.OracleVelocityEstimator(cfg, rng_seed)
+    return sn.OracleVelocityEstimator(
+        traj, sn.OracleConfig(bias=bias, noise_sigma=noise, seed=rng_seed))
 
 
 def _reduce(members, reducer):
@@ -380,7 +380,7 @@ class TestMatchesPerWindowReference:
     def test_oracle_is_bit_equal(self, cfg, stride, noise, rng_seed, bias, inject):
         traj = line_trajectory(speed=1.5, n_frames=201, heading=0.4)
         oracle = sn.OracleVelocityEstimator(
-            sn.OracleConfig(traj, bias_hacf=np.array(bias), noise_sigma=noise), rng_seed)
+            traj, sn.OracleConfig(bias=bias, noise_sigma=noise, seed=rng_seed))
         starts = np.arange(0, 201 - 64, stride)
         angles = ensemble_angles(cfg)
         # (window index, member index, NaN or 10x) -> (start, angle, NaN or 10x)
@@ -411,8 +411,7 @@ class TestMatchesPerWindowReference:
                                                             scale=scale))
         rng = np.random.default_rng(seed)
         n = 150
-        hacf = sn.imu.HacfSequence(np.arange(n) / 50.0, rng.normal(size=(n, 3)),
-                                   rng.normal(size=(n, 3)))
+        hacf = rng.normal(size=(2, n, 3))
         windows = sn.make_windows(hacf, tau=8, stride=stride)
         starts = stride * np.arange(len(windows))
         ref = _ref_stack(windows, starts, net, cfg, 2.0)

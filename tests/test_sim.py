@@ -137,7 +137,7 @@ class TestZeroNoiseRoundTrip:
         hacf = sn.to_hacf(imu, orients)
         windows = sn.make_windows(hacf, tau=64)
         starts = 64 * np.arange(len(windows))
-        model = OracleVelocityEstimator(OracleConfig(traj))
+        model = OracleVelocityEstimator(traj)
         est = estimate_velocity(windows, starts, np.zeros(len(windows)), model)
         held = sn.held_velocities(est.v, starts, len(imu), 64)
         est_traj = sn.integrate(held, sn.relative_yaw(orients), frame_rate=traj.frame_rate)
@@ -215,24 +215,25 @@ class TestScene:
 class TestDefaultItems:
     def test_items_on_row_lines_inside_room(self):
         cfg = sn.SimConfig()
-        items = default_items(cfg, n_items=10)
+        items = default_items(cfg)
         assert len(items) == 10
         for x, y in items.values():
             assert 0.0 <= x <= cfg.room_width
             assert y in (0.0, 1.0, 2.0)
 
     def test_deterministic_per_seed(self):
-        cfg = sn.SimConfig()
-        assert default_items(cfg, 6, seed=1) == default_items(cfg, 6, seed=1)
-        assert default_items(cfg, 6, seed=1) != default_items(cfg, 6, seed=2)
+        assert (default_items(sn.SimConfig(n_items=6, seed=1))
+                == default_items(sn.SimConfig(n_items=6, seed=1)))
+        assert (default_items(sn.SimConfig(n_items=6, seed=1))
+                != default_items(sn.SimConfig(n_items=6, seed=2)))
 
 
 class TestMappingEndToEnd:
     def test_sweep_captures_localize_items_within_pixel_bound(self, default_sim_traj):
         """Items captioned from true sweep poses land within the pixel
         quantization bound of their true positions."""
-        cfg = sn.SimConfig()
-        items = default_items(cfg, n_items=4)
+        cfg = sn.SimConfig(n_items=4)
+        items = default_items(cfg)
         captures = sn.capture_schedule(default_sim_traj, distance_m=0.5)
         rasters, records, gt = sn.generate_scene(captures, items, cfg)
         observations = []

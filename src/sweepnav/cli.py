@@ -22,6 +22,7 @@ import contextlib
 import dataclasses
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -162,8 +163,8 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
 
     tau = cfg["hacf.tau"]
     with clock.lap("load"):
-        # the estimator fixes the frame grid: a network runs at the rate it
-        # was trained at, the oracle at that of the ground truth it reads
+        # a network runs at the rate it was trained at, the oracle at that of
+        # the ground truth it reads
         if cfg["estimator.kind"] == "network":
             if not cfg["estimator.weights"]:
                 raise ConfigError(
@@ -171,12 +172,22 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
                     "estimator.kind is 'network'")
             bundle = estimator.load_weights(Path(cfg["estimator.weights"]), expected_tau=tau)
             model = estimator.DenseVelocityNetwork(bundle)
-            rate = bundle.meta.sample_rate_hz
+            rate, source = bundle.meta.sample_rate_hz, f"the weights in {cfg['estimator.weights']}"
         else:
-            gt = trajectory.load_trajectory(_manifest_file(dataset, manifest, "gt_trajectory"))
+            gt_path = _manifest_file(dataset, manifest, "gt_trajectory")
+            gt = trajectory.load_trajectory(gt_path)
             model = estimator.OracleVelocityEstimator(gt, _from_config(cfg, "oracle"))
-            rate = gt.frame_rate
-        imu = resample(load_imu(_manifest_file(dataset, manifest, "imu")), rate_hz=rate)
+            rate, source = gt.frame_rate, f"the ground truth in {gt_path}"
+        imu_path = _manifest_file(dataset, manifest, "imu")
+        imu = load_imu(imu_path)
+        # eval and map pair the estimate with the ground truth and the
+        # captions frame by frame, so it must come out on the recording's
+        # grid; resampling then only evens out the recording's time steps
+        if not math.isclose(rate, imu.sample_rate(), rel_tol=1e-6):
+            raise ValueError(
+                f"{source} run at {rate:g} Hz but {imu_path} is recorded at "
+                f"{imu.sample_rate():g} Hz; infer runs only at the recording's rate")
+        imu = resample(imu, rate_hz=rate)
     with clock.lap("orientation"):
         if cfg["orientation.source"] == "file":
             orientations = load_orientations(_manifest_file(dataset, manifest, "orientations"))

@@ -191,22 +191,32 @@ class TestWeightsFile:
         with pytest.raises(ValueError, match="trained for tau=32, pipeline uses tau=64"):
             sn.load_weights(path, expected_tau=64)
 
-    def test_infer_runs_the_network_at_its_own_rate(self, tmp_path):
-        """A 50 Hz recording reaches a network trained at 100 Hz resampled
-        to 100 Hz: the weights set the frame grid, not the simulator."""
+    def test_rate_mismatch_is_actionable(self, tmp_path, capsys):
+        """``eval`` pairs the estimate with the ground truth frame by frame,
+        so ``infer`` refuses weights trained at another rate than the
+        recording's, before it writes anything, and runs weights trained
+        at the recording's rate on the ground truth's frames."""
         from sweepnav.cli import main
 
         ds = tmp_path / "ds"
         assert main(["simulate", "--out", str(ds), "--set", "sim.n_items=0"]) == 0
+        before = sorted(p.name for p in ds.iterdir())
         path = tmp_path / "weights.json"
-        sn.save_weights(sn.make_random_bundle(sample_rate_hz=100.0), path)
+        sn.save_weights(sn.make_random_bundle(sample_rate_hz=200.0), path)
+        assert main(["infer", "--dataset", str(ds), "--estimator", "network",
+                     "--set", f"estimator.weights={path}"]) == 2
+        assert re.search(r"200 Hz.*imu\.csv is recorded at 50 Hz", capsys.readouterr().err)
+        assert sorted(p.name for p in ds.iterdir()) == before
+
+        sn.save_weights(sn.make_random_bundle(sample_rate_hz=50.0), path)
         assert main(["infer", "--dataset", str(ds), "--estimator", "network",
                      "--set", f"estimator.weights={path}"]) == 0
+        assert main(["eval", "--dataset", str(ds), "--set", "eval.trajectory=est"]) == 0
         gt = sn.load_trajectory(ds / "gt_trajectory.csv")
         est = sn.load_trajectory(ds / "est_trajectory.csv")
-        assert gt.frame_rate == pytest.approx(50.0)
-        assert est.frame_rate == pytest.approx(100.0)
-        assert est.t[-1] == pytest.approx(gt.t[-1], abs=0.01)
+        assert len(est) == len(gt)
+        np.testing.assert_allclose(est.t, gt.t, rtol=0, atol=1e-9)
+        assert json.loads((ds / "eval_grid_1.0.json").read_text())["coverage"] == 1.0
 
     def test_truncated_parameters_are_counted(self, tmp_path):
         path = tmp_path / "weights.json"

@@ -287,16 +287,19 @@ def _load_velocities(path: Path, n_frames: int) -> np.ndarray:
     order is named, and a short file at the line past its last row.
 
     A table whose frame tokens are exactly ``0``, ``1``, ... is taken
-    from ``read_table``; any other file is read line by line."""
+    from ``read_table``: a frame column that reads 0, 1, ... and whose
+    token i is as many digits as ``str(i)`` has no sign, point, exponent
+    or leading zero.  Any other file is read line by line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        table = read_table(path, VELOCITY_CSV_HEADER)
+        table = read_table(path, VELOCITY_CSV_HEADER, data)
     except ValueError:
         table = None  # the line reader below names the fault
-    if table is not None and len(table) == n_frames:
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = [line.partition(",")[0] for line in fh][1:]
-        if tokens == list(map(str, range(n_frames))):
-            return np.ascontiguousarray(table[:, 1:])
+    if (table is not None and len(table) == n_frames
+            and np.array_equal(table[:, 0], np.arange(n_frames))
+            and _numbered(data.partition(b"\n")[2], n_frames)):
+        return np.ascontiguousarray(table[:, 1:])
     rule = f"frames must run 0..{n_frames - 1} in order, each once"
     rows = read_csv(path, VELOCITY_CSV_HEADER,
                     lambda fields: (int(fields[0]), float(fields[1]), float(fields[2])))
@@ -308,6 +311,22 @@ def _load_velocities(path: Path, n_frames: int) -> np.ndarray:
         end = rows[-1][0] + 1 if rows else 2
         raise ValueError(f"{path}:{end}: end of file where frame {len(rows)} was expected; {rule}")
     return np.array([row[1:] for _, row in rows]).reshape(n_frames, 2)
+
+
+def _numbered(body: bytes, n: int) -> bool:
+    """Whether line i of ``body``, for each i < n, starts with as many
+    digits as ``str(i)`` has and then a comma."""
+    if n == 0:
+        return True
+    text = np.frombuffer(body + b"\n" * 20, np.uint8)  # reads past the end see newlines
+    starts = np.concatenate(([0], np.flatnonzero(text[:len(body)] == ord("\n")) + 1))[:n]
+    if len(starts) < n:
+        return False
+    digits = np.searchsorted(10 ** np.arange(1, 19), np.arange(n), side="right") + 1
+    chars = text[starts[:, None] + np.arange(digits[-1] + 1)]
+    in_token = np.arange(chars.shape[1]) < digits[:, None]
+    is_digit = (chars >= ord("0")) & (chars <= ord("9"))
+    return bool((is_digit | ~in_token).all() and (chars[np.arange(n), digits] == ord(",")).all())
 
 
 def cmd_eval(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:

@@ -5,13 +5,14 @@ file, no positional coupling between stages.  Precedence is defaults <
 config file < explicit overrides.  Unknown keys are an error (typo
 guard), as are a value whose type disagrees with the default (a number
 must be finite and within a float's range), a value of a ``CHOICES`` key
-outside its choices, and a list that holds anything but such numbers, or
-not as many as the default (``eval.grids``: one or more).  All of it is
-checked as a value is set.  The keys of a section in ``SECTIONS`` are
-its dataclass's fields, with their defaults; a section's own rules (its
-dataclass's ``__post_init__``) are checked when the section is built,
-which the CLI does for every section once the configuration is
-resolved, before a command reads any file.
+outside its choices, a value of a ``LIMITS`` key that breaks its rule,
+and a list that holds anything but such numbers, or not as many as the
+default (``eval.grids``: one or more).  All of it is checked as a value
+is set.  The keys of a section in ``SECTIONS`` are its dataclass's
+fields, with their defaults; a section's own rules (its dataclass's
+``__post_init__``) are checked when the section is built, which the CLI
+does for every section once the configuration is resolved, before a
+command reads any file.
 
 The section dataclasses live here, not in the modules that run them,
 so that resolving a configuration imports no pipeline stage; each
@@ -228,6 +229,17 @@ CHOICES: dict = {
     "caption.mode": ("mock", "http"),
 }
 
+# number keys that no section dataclass checks -> the rule their values
+# keep, and its text
+LIMITS: dict = {
+    "orientation.alpha": (lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]"),
+    "hacf.tau": (lambda x: x >= 1, "must be >= 1"),
+    "hacf.stride": (lambda x: x >= 0, "must be >= 0 (0 = tau)"),
+    "estimator.v_max": (lambda x: x > 0, "must be positive"),
+    "capture.distance_m": (lambda x: x > 0, "must be positive"),
+    "capture.rotation_rad": (lambda x: x > 0, "must be positive"),
+}
+
 # list keys of one or more numbers; any other holds as many as its default
 _OPEN_LISTS = {"eval.grids"}
 
@@ -251,7 +263,11 @@ def _check_type(key: str, value, default):
             raise ConfigError(f"{key}: expected a number, got {value!r}")
         if isinstance(default, int) and not isinstance(value, int):
             raise ConfigError(f"{key}: expected an integer, got {value!r}")
-        return float(value) if isinstance(default, float) else value
+        value = float(value) if isinstance(default, float) else value
+        holds, rule = LIMITS.get(key, (None, None))
+        if holds and not holds(value):
+            raise ConfigError(f"{key}: {rule}, got {value!r}")
+        return value
     if isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError(f"{key}: expected a string, got {value!r}")

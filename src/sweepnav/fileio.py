@@ -81,12 +81,15 @@ def read_csv(path, header: str, parse) -> list[tuple[int, object]]:
     return out
 
 
-def read_table(path, header: str) -> np.ndarray:
+def read_table(path, header: str, data: bytes | None = None) -> np.ndarray:
     """The rows of a CSV table of numbers as an (n, k) float array, k
-    the header's field count; errors as ``read_csv`` raises them."""
+    the header's field count; errors as ``read_csv`` raises them.
+    ``data`` is the file's bytes, where the caller has read them."""
     n_fields = header.count(",") + 1
-    with open(path, "rb") as fh:
-        first, _, body = fh.read().partition(b"\n")
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    first, _, body = data.partition(b"\n")
     if first == header.encode() and body.strip() and not body.translate(None, _TABLE_BYTES):
         try:
             table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2)

@@ -23,8 +23,16 @@ Cost: the network has one scalar input, so it is exactly affine in s
 between the frames where one of its ReLUs switches, and a trained
 network has a few dozen such pieces.  On long recordings it runs per
 piece, so an epoch builds no (T, hidden) array and its per-frame work
-is on (T, 3) and (T, 2) arrays; below ``_PIECES_FROM`` frames it runs
-frame by frame, which is faster there (see ``CorrectionMlp``).
+is on (T, 3) arrays; below ``_PIECES_FROM`` frames it runs frame by
+frame, which is faster there (see ``CorrectionMlp``).  The loss works
+on the x and y coordinates as contiguous rows of (2, T) arrays, as
+numpy is slow on the two-wide rows of (T, 2) arrays, and its rotation
+gradient takes the sparse loop and smoothness terms as three constant
+runs, with no running sum.  At T = 17 501 most of its time goes on the
+cos and sin of the corrections and on the running sum of the
+increments.  It computes every value as the row layout did:
+elementwise work and running sums give the same bits in any layout,
+and each reduction is taken as before.
 """
 
 from __future__ import annotations
@@ -81,18 +89,21 @@ def _corrected_positions(P: np.ndarray, r: np.ndarray, l: np.ndarray):
     P[0], frame t adds the increment P[t] - P[t-1] rotated by r[t], and
     then every frame is shifted by its l.
 
-    Returns the (T, 2) positions and the (T-1, 2) rotated increments E.
+    Returns the positions (2, T) and the rotated increments E (2, T-1),
+    x in row 0 and y in row 1, so that each coordinate is contiguous.
     """
-    D = P[1:] - P[:-1]
+    Q = P.T.copy()
+    D = Q[:, 1:] - Q[:, :-1]
     c, s = np.cos(r[1:]), np.sin(r[1:])
-    E = np.empty_like(D)
-    E[:, 0] = c * D[:, 0] - s * D[:, 1]
-    E[:, 1] = s * D[:, 0] + c * D[:, 1]
-    Pp = np.empty_like(P)
-    Pp[0] = P[0]
-    Pp[1:] = P[0] + np.cumsum(E, axis=0)
-    Pp += l
-    return Pp, E
+    E, sD = c * D, s * D
+    E[0] -= sD[1]
+    E[1] += sD[0]
+    X = np.empty_like(Q)
+    X[:, 0] = -0.0  # -0.0 + x is x for every x, so frame 0 gets P[0]
+    np.add.accumulate(E, axis=1, out=X[:, 1:])
+    X += Q[:, :1]
+    X += l.T
+    return X, E
 
 
 def apply_corrections(traj: Trajectory, params: CorrectionParams) -> Trajectory:
@@ -111,7 +122,7 @@ def apply_corrections(traj: Trajectory, params: CorrectionParams) -> Trajectory:
         # identity corrections reproduce the input bit for bit rather than
         # through a cumulative-sum round trip
         return Trajectory(traj.t, traj.xy, traj.yaw, traj.frame_rate)
-    xy = _corrected_positions(traj.xy, params.r, params.l)[0]
+    xy = np.ascontiguousarray(_corrected_positions(traj.xy, params.r, params.l)[0].T)
     yaw = wrap_angle(traj.yaw + np.cumsum(params.r))
     return Trajectory(traj.t, xy, yaw, traj.frame_rate)
 
@@ -124,31 +135,53 @@ def _loss(P: np.ndarray, r: np.ndarray, l: np.ndarray, v: np.ndarray,
     n = len(P)
     if v.shape != (n - 1, 2):
         raise ValueError(f"per_frame_v must have shape ({n - 1}, 2), got {v.shape}")
-    Pp, E = _corrected_positions(P, r, l)
-    loop_vec = Pp[-1] - P[0]
+    X, E = _corrected_positions(P, r, l)
+    loop_vec = X[:, -1] - P[0]
     loop = float(loop_vec @ loop_vec)
-    rsum = float(r[1:].sum())
+    rsum = float(np.add.reduce(r[1:]))
     rot = rsum * rsum
-    S = Pp[1:] - Pp[:-1] - v
-    norms = np.linalg.norm(S, axis=1)
+    S = X[:, 1:] - X[:, :-1]
+    S -= v.T
+    norms, sq1 = S * S
+    norms += sq1
+    np.sqrt(norms, out=norms)
     j = int(norms.argmax())  # first occurrence = lowest index on ties
     smooth = float(norms[j])
     total = cfg.lambda_loop * loop + cfg.lambda_rot * rot + cfg.lambda_smooth * smooth
     if not grads:
         return (total, loop, rot, smooth), None
-    # g_l is the gradient w.r.t. the corrected positions, which l shifts 1:1
-    g_l = np.zeros(Pp.shape)
-    g_l[-1] += 2.0 * cfg.lambda_loop * loop_vec
-    if smooth > 0.0:
-        w = cfg.lambda_smooth * S[j] / smooth
-        g_l[j + 1] += w
-        g_l[j] -= w
-    # rotated increment k enters every position after it, and turning
-    # it by dr moves it by dr times its perpendicular (-E_y, E_x)
-    g_E = np.cumsum(g_l[1:][::-1], axis=0)[::-1]
-    g_ang = g_E[:, 1] * E[:, 0] - g_E[:, 0] * E[:, 1]
-    g_r = np.zeros(n)
-    g_r[1:] = g_ang + 2.0 * cfg.lambda_rot * rsum
+    # g_l, the gradient w.r.t. the corrected positions (which l shifts
+    # 1:1), is zero but for the loop term at frame T-1 and the smoothness
+    # term's w at j+1 and -w at j (w = 0 where that term has no gradient,
+    # which adds only zeros).  Each of these is added to a 0.0, as to the
+    # zeros of a dense g_l, which turns -0.0 into +0.0.  The rotated
+    # increment k enters every position after it, so its gradient g_E[k]
+    # sums g_l over frames k+1..T-1: tail on frames j+1.., at_j on j and
+    # head on ..j-1, each summed from the end in the order of a reverse
+    # cumsum.  The +0.0 that such a cumsum adds elsewhere changes none of
+    # them, as none is -0.0.
+    tail = [0.0 + 2.0 * cfg.lambda_loop * g for g in loop_vec.tolist()]
+    w = ([cfg.lambda_smooth * g / smooth for g in S[:, j].tolist()] if smooth > 0.0
+         else [0.0, 0.0])
+    before = [0.0 - g for g in w]
+    if j + 1 < n - 1:
+        after = [0.0 + g for g in w]
+        at_j = [a + b for a, b in zip(tail, after)]
+    else:
+        after = tail = at_j = [a + b for a, b in zip(tail, w)]
+    head = [a + b for a, b in zip(at_j, before)]
+    g_l = np.zeros((n, 2))
+    g_l[-1] = tail
+    g_l[j + 1] = after
+    g_l[j] = before
+    # turning increment k by dr moves it by dr times its perpendicular
+    # (-E_y, E_x): rows y, x of g_E meet rows x, y of E
+    g_ang = np.array((head, at_j, tail)).T[::-1].repeat((j, 1, n - 2 - j), axis=1)
+    g_ang *= E
+    g_r = np.empty(n)
+    g_r[0] = 0.0
+    np.subtract(g_ang[0], g_ang[1], out=g_r[1:])
+    g_r[1:] += 2.0 * cfg.lambda_rot * rsum
     return (total, loop, rot, smooth), (g_r, g_l)
 
 
@@ -213,7 +246,10 @@ class CorrectionMlp:
         tanh_out = self._r / np.pi
         g_out = np.empty((len(g_r), 3))
         g_out[:, 0] = g_r * np.pi * (1.0 - tanh_out ** 2)
-        g_out[:, 1:] = g_l
+        # column by column: numpy copies a (T, 2) block into strided
+        # columns two values at a time
+        g_out[:, 1] = g_l[:, 0]
+        g_out[:, 2] = g_l[:, 1]
         return self._vjp(g_out)
 
     def predict(self, n_frames: int) -> CorrectionParams:
@@ -221,15 +257,17 @@ class CorrectionMlp:
 
 
 # Frame count from which the network runs on its linear pieces.  Timed
-# over 100 Adam epochs at hidden=64 only (one BLAS thread, 2-core Xeon),
-# one loss_and_gradients call took 0.19-0.21 ms dense against 0.44-0.53
-# ms on pieces at T=50, 0.41-0.43 against 0.41-0.46 ms at T=240,
-# 0.49-0.57 against 0.43-0.55 ms at T=280 and 36-41 against 2.7-2.9 ms
-# at T=17501: the piece search costs a fixed few dozen numpy calls.  The
-# dense pass's cost per frame grows with hidden^2, so at other widths
-# the crossover moves.  The only measured user of the dense side is
-# gradient checking on short recordings (acceptance criterion 5,
-# T <= 50); every benchmark workload runs on pieces.
+# over 100 Adam epochs at hidden=64 only (one BLAS thread, 2-core Xeon,
+# range over five refines), one loss_and_gradients call took 0.17-0.21
+# ms dense against 0.49-0.58 ms on pieces at T=50, 0.42-0.52 against
+# 0.42-0.57 ms at T=240, 0.51-0.58 against 0.50-0.61 ms at T=280 and 51
+# against 1.9-2.4 ms at T=17501: the piece search costs a fixed few
+# dozen numpy calls.  The loss is the same on both sides, so only the
+# network's two passes decide the crossover.  The dense pass's cost per
+# frame grows with hidden^2, so at other widths the crossover moves.
+# The only measured user of the dense side is gradient checking on
+# short recordings (acceptance criterion 5, T <= 50); every benchmark
+# workload runs on pieces.
 _PIECES_FROM = 256
 
 

@@ -104,6 +104,56 @@ def correction_mlp_ref(params, s, g_r, g_l):
     return r, out[:, 1:], grads
 
 
+# The refinement loss on (T, 2) rows, as the library computed it before
+# it worked on x and y columns; ``loop_closure._loss`` must match it bit
+# for bit, values and gradients, signed zeros included.
+
+
+def corrected_positions_rows_ref(P, r, l):
+    """The (T, 2) positions and (T-1, 2) rotated increments of the
+    library's ``_corrected_positions``."""
+    D = P[1:] - P[:-1]
+    c, s = np.cos(r[1:]), np.sin(r[1:])
+    E = np.empty_like(D)
+    E[:, 0] = c * D[:, 0] - s * D[:, 1]
+    E[:, 1] = s * D[:, 0] + c * D[:, 1]
+    Pp = np.empty_like(P)
+    Pp[0] = P[0]
+    Pp[1:] = P[0] + np.cumsum(E, axis=0)
+    Pp += l
+    return Pp, E
+
+
+def refinement_loss_ref(P, r, l, v, cfg, grads):
+    """Loss terms ``(total, loop, rot, smooth)`` and, with ``grads``, the
+    gradients ``(g_r (T,), g_l (T, 2))``: the library's ``_loss``
+    arguments and results."""
+    n = len(P)
+    Pp, E = corrected_positions_rows_ref(P, r, l)
+    loop_vec = Pp[-1] - P[0]
+    loop = float(loop_vec @ loop_vec)
+    rsum = float(r[1:].sum())
+    rot = rsum * rsum
+    S = Pp[1:] - Pp[:-1] - v
+    norms = np.linalg.norm(S, axis=1)
+    j = int(norms.argmax())
+    smooth = float(norms[j])
+    total = cfg.lambda_loop * loop + cfg.lambda_rot * rot + cfg.lambda_smooth * smooth
+    if not grads:
+        return (total, loop, rot, smooth), None
+    g_l = np.zeros(Pp.shape)
+    g_l[-1] += 2.0 * cfg.lambda_loop * loop_vec
+    if smooth > 0.0:
+        w = cfg.lambda_smooth * S[j] / smooth
+        g_l[j + 1] += w
+        g_l[j] -= w
+    g_E = np.cumsum(g_l[1:][::-1], axis=0)[::-1]
+    g_ang = g_E[:, 1] * E[:, 0] - g_E[:, 0] * E[:, 1]
+    g_r = np.zeros(n)
+    g_r[1:] = g_ang + 2.0 * cfg.lambda_rot * rsum
+    return (total, loop, rot, smooth), (g_r, g_l)
+
+
 # The geometric median window by window, as the library computed it
 # before the ensemble was reduced over all windows at once; the batched
 # ``rae.reduce_members`` must match it bit for bit.

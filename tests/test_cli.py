@@ -20,7 +20,8 @@ from sweepnav import trajectory
 from sweepnav.geometry import rotate_xy
 from sweepnav.cli import (COMMANDS, _load_velocities, _from_config, _resolve_config,
                           build_parser, main)
-from sweepnav.config import CHOICES, DEFAULTS, SECTIONS, ConfigError, PipelineConfig
+from sweepnav.config import CHOICES, DEFAULTS, LIMITS, SECTIONS, ConfigError, PipelineConfig
+from sweepnav.fileio import read_csv
 
 # Default 4 m x 2 m sweep at 1 m row spacing: items one row apart can
 # never steal the image-center depth inside the 0.5-3 m caption band,
@@ -265,11 +266,12 @@ class TestExitCodes:
         assert "must be positive" in capsys.readouterr().err
 
     def test_refused_simulation_leaves_no_directory(self, tmp_path, capsys):
-        """The settings are refused while the run is generated, before
-        simulate creates the dataset directory or anything in it."""
+        """The settings are refused before simulate creates the dataset
+        directory or anything in it."""
         assert run("simulate", "--out", tmp_path / "ds",
                    "--set", "capture.distance_m=-1") == 2
-        assert capsys.readouterr().err == "error: capture thresholds must be positive\n"
+        assert capsys.readouterr().err == (
+            "error: capture.distance_m: must be positive, got -1.0\n")
         assert not (tmp_path / "ds").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
@@ -293,9 +295,9 @@ class TestExitCodes:
     ENUMERATED = [("infer", "orientation.source"), ("infer", "estimator.kind"),
                   ("eval", "eval.trajectory"), ("map", "map.trajectory"),
                   ("map", "caption.mode")]
-    # a value that its section or its number type refuses, or a removed
-    # key that an old config may still name, with a command that reads
-    # or read it -> the value and the error it gets
+    # a value that its section, its ``LIMITS`` rule or its number type
+    # refuses, or a removed key that an old config may still name, with a
+    # command that reads or read it -> the value and the error it gets
     REFUSED = {
         ("simulate", "capture.mode"): ("or", "unknown configuration key 'capture.mode'"),
         ("infer", "capture.mode"): ("or", "unknown configuration key 'capture.mode'"),
@@ -309,10 +311,21 @@ class TestExitCodes:
         ("infer", "oracle.noise_sigma"): ("-1", "oracle.*: noise_sigma must be non-negative"),
         ("simulate", "oracle.noise_sigma"): ("-1", "oracle.*: noise_sigma must be non-negative"),
         ("simulate", "sim.speed"): ("NaN", "sim.speed: expected a number, got nan"),
+        ("simulate", "hacf.tau"): ("0", "hacf.tau: must be >= 1, got 0"),
+        ("infer", "hacf.tau"): ("0", "hacf.tau: must be >= 1, got 0"),
+        ("infer", "hacf.stride"): ("-1", "hacf.stride: must be >= 0 (0 = tau), got -1"),
+        ("infer", "orientation.alpha"): ("1.5", "orientation.alpha: must lie in [0, 1], got 1.5"),
+        ("infer", "estimator.v_max"): ("0", "estimator.v_max: must be positive, got 0.0"),
+        ("infer", "capture.distance_m"): ("-1", "capture.distance_m: must be positive, got -1.0"),
+        ("simulate", "capture.rotation_rad"):
+            ("0", "capture.rotation_rad: must be positive, got 0.0"),
     }
 
     def test_every_enumerated_key_is_tried(self):
         assert {key for _, key in self.ENUMERATED} == set(CHOICES)
+
+    def test_every_limited_key_is_tried(self):
+        assert set(LIMITS) <= {key for _, key in self.REFUSED}
 
     @pytest.mark.parametrize("command, key", ENUMERATED + list(REFUSED))
     def test_bad_enumerated_value_touches_no_file(self, pipeline, tmp_path, capsys,
@@ -508,6 +521,29 @@ class TestLoadVelocities:
         with pytest.raises(ValueError,
                            match="velocities.csv:4: frame 1 where frame 2 was expected"):
             _load_velocities(path, 3)
+
+    @pytest.mark.parametrize("frame, token, error", [
+        (1, "1.0", r"velocities.csv:3: invalid literal for int\(\) with base 10: '1.0'"),
+        (100, "1e2", r"velocities.csv:102: invalid literal for int\(\) with base 10: '1e2'"),
+        (1, "01", None), (1, "+1", None)])
+    def test_respelled_frame_is_read_line_by_line(self, tmp_path, monkeypatch, frame, token,
+                                                  error):
+        """A frame token that reads as the right number but is not spelled
+        as ``infer`` writes it goes to the line reader: ``1.0`` and ``1e2``
+        (as long as ``100``) are refused at their line, and ``01`` and
+        ``+1`` are read as ``int`` reads them."""
+        calls = []
+        monkeypatch.setattr(cli, "read_csv", lambda *args: calls.append(1) or read_csv(*args))
+        rows = [f"{i},{i}.5,-{i}.25" for i in range(frame + 2)]
+        rows[frame] = rows[frame].replace(str(frame), token, 1)
+        path = self._write(tmp_path, rows)
+        if error:
+            with pytest.raises(ValueError, match=error):
+                _load_velocities(path, len(rows))
+        else:
+            held = _load_velocities(path, len(rows))
+            np.testing.assert_array_equal(held, [[i + 0.5, -i - 0.25] for i in range(len(rows))])
+        assert calls == [1]
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(st.one_of(

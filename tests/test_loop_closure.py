@@ -12,7 +12,9 @@ import sweepnav as sn
 from sweepnav.loop_closure import (
     LOSS_CSV_HEADER,
     _PIECES_FROM,
+    _corrected_positions,
     _index_column,
+    _loss,
     _switch_frames,
     CorrectionMlp,
     CorrectionParams,
@@ -27,9 +29,11 @@ from sweepnav.loop_closure import (
 
 from .oracles import (
     corrected_positions_ref,
+    corrected_positions_rows_ref,
     correction_mlp_ref,
     loss_ref,
     numeric_gradients,
+    refinement_loss_ref,
     same_bits,
 )
 
@@ -193,6 +197,88 @@ class TestRefinementLoss:
         traj = _circle(10)
         with pytest.raises(ValueError, match="per_frame_v must have shape"):
             refinement_loss(traj, _zero_params(10), np.zeros((10, 2)))
+
+
+# every smoothness residual of an integer-step case in "ties": norm 5
+_NORM_5 = np.array([[3.0, 4.0], [4.0, 3.0], [-5.0, 0.0], [0.0, 5.0], [-3.0, -4.0]])
+
+
+@st.composite
+def loss_cases(draw):
+    """Arguments of the loss: T = 2 and T on both sides of
+    ``_PIECES_FROM``; the worst smoothness residual forced to frame 0 or
+    to frame T-2, whose next frame is the loop frame; all residuals of
+    one norm, so the lowest frame wins the tie; all residuals zero; a
+    -0.0 start and offsets; and zero loss weights, which with a negative
+    loop gap make a -0.0 loop gradient.  Integer steps without rotation
+    keep the tied and zero residuals exact."""
+    n = draw(st.one_of(st.just(2), st.integers(3, _PIECES_FROM - 1),
+                       st.integers(_PIECES_FROM, 3000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "spike", "ties", "still"]))
+    if kind in ("random", "spike"):
+        P = np.cumsum(rng.normal(0.0, 0.2, (n, 2)), axis=0)
+        r = rng.uniform(-np.pi, np.pi, n)
+        # l as the network returns it: two columns of a (T, 3) array
+        l = rng.normal(0.0, 0.5, (n, 3))[:, 1:]
+        v = np.diff(P, axis=0) + rng.normal(0.0, 0.01, (n - 1, 2))
+        if kind == "spike":
+            v[draw(st.sampled_from([0, n - 2]))] += 100.0
+    else:
+        # a signed zero as start and offsets: frame 0 must keep -0.0 + -0.0
+        zero = draw(st.sampled_from([0.0, -0.0]))
+        D = rng.integers(-3, 4, (n - 1, 2)).astype(float)
+        P = np.vstack([np.full(2, zero), np.cumsum(D, axis=0)])
+        r, l = np.zeros(n), np.full((n, 2), zero)
+        v = D - _NORM_5[rng.integers(0, len(_NORM_5), n - 1)] if kind == "ties" else D
+    weights = draw(st.sampled_from([(1.0, 1.0, 1.0), (2.5, 0.3, 4.0), (0.0, 1.0, 1.0),
+                                    (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)]))
+    cfg = RefineConfig(lambda_loop=weights[0], lambda_rot=weights[1], lambda_smooth=weights[2])
+    return P, r, l, v, cfg
+
+
+class TestLossOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=loss_cases())
+    def test_matches_row_layout_bit_for_bit(self, case):
+        """The loss on x and y columns gives the terms and gradients of
+        the loss on (T, 2) rows, bit for bit, signed zeros included, and
+        the positions and rotated increments that it starts from."""
+        P, r, l = case[:3]
+        for got, want in zip(_corrected_positions(P, r, l), corrected_positions_rows_ref(P, r, l)):
+            assert same_bits(got.T.copy(), want)
+        for grads in (False, True):
+            got, want = _loss(*case, grads), refinement_loss_ref(*case, grads)
+            assert got[0] == want[0]
+            if grads:
+                for g, g_ref in zip(got[1], want[1]):
+                    assert same_bits(g, g_ref)
+            else:
+                assert got[1] is want[1] is None
+
+    def test_cases_reach_each_edge(self):
+        """The strategy above reaches every case it promises."""
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(case=loss_cases())
+        def collect(case):
+            P, r, l, v, cfg = case
+            n = len(P)
+            Pp = corrected_positions_rows_ref(P, r, l)[0]
+            norms = np.linalg.norm(np.diff(Pp, axis=0) - v, axis=1)
+            smooth, j = norms.max(), int(norms.argmax())
+            loop_grad = 2.0 * cfg.lambda_loop * (Pp[-1] - P[0])
+            seen.update(name for name, hit in [
+                ("T=2", n == 2), ("below", 2 < n < _PIECES_FROM), ("above", n >= _PIECES_FROM),
+                ("j=0", smooth > 0 and j == 0 and n > 2), ("j=T-2", smooth > 0 and j == n - 2 > 0),
+                ("ties", smooth > 0 and (norms == smooth).sum() > 1), ("smooth=0", smooth == 0.0),
+                ("-0.0 loop gradient", np.signbit(loop_grad[loop_grad == 0.0]).any()),
+            ] if hit)
+
+        collect()
+        assert seen == {"T=2", "below", "above", "j=0", "j=T-2", "ties", "smooth=0",
+                        "-0.0 loop gradient"}
 
 
 def _mixed_mlp(seed):

@@ -214,7 +214,7 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
     with clock.lap("write"):
         trajectory.save_trajectory(est_traj, dataset / "est_trajectory.csv")
         write_csv(dataset / "velocities.csv", VELOCITY_CSV_HEADER,
-                  ([f, vx, vy] for f, (vx, vy) in enumerate(held.tolist())))
+                  [range(len(held)), *held.T])
         trajectory.save_captures(captures, dataset / "captures.jsonl")
     manifest.update({
         "est_trajectory": "est_trajectory.csv",
@@ -375,6 +375,7 @@ def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch
     map_cfg = _from_config(cfg, "map")
     with clock.lap("load"):
         which, traj = _pick_trajectory(dataset, manifest, cfg["map.trajectory"])
+        service_meta = {}
         if cfg["caption.mode"] == "mock":
             records = object_map.load_captions(_manifest_file(dataset, manifest, "captions"))
         elif not cfg["caption.endpoint"]:
@@ -383,8 +384,11 @@ def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch
             service = _from_config(cfg, "caption")
             captures = trajectory.load_captures(_manifest_file(dataset, manifest,
                                                                "gt_captures"))
-            records = object_map.fetch_captions(captures, object_map.HttpCaptioner(service),
+            captioner = object_map.HttpCaptioner(service)
+            records = object_map.fetch_captions(captures, captioner,
                                                 max_workers=service.max_workers)
+            service_meta = {"n_caption_retries": captioner.n_retries,
+                            "n_captions_failed": captioner.n_failed}
     rasters_dir = dataset / manifest.get("rasters_dir", "rasters")
     observations = []
     caption_frames = []
@@ -417,7 +421,7 @@ def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch
     with clock.lap("write"):
         object_map.save_map(clusters, dataset / "item_map.jsonl")
     manifest["item_map"] = "item_map.jsonl"
-    meta = {"trajectory": which, "n_captions": len(records), **skipped,
+    meta = {"trajectory": which, "n_captions": len(records), **skipped, **service_meta,
             "n_observations": len(observations), "n_clusters": len(clusters)}
     if "items" in manifest and clusters:
         with clock.lap("load"):

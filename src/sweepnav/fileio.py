@@ -2,12 +2,21 @@
 
 CSV: a literal header line, then one comma-separated row per line.
 Values are written with ``str``, which for a Python float is its repr
-(the shortest string that reads back as the identical double); callers
-pass Python scalars (``ndarray.tolist()``), not numpy ones.  A blank
+(the shortest string that reads back as the identical double).  A blank
 file reads as a table with no rows; blank lines are skipped.
 
 JSONL: one JSON object per line, keys sorted.  JSON: one document,
 keys sorted, indented by two, ending in a newline.
+
+Both table writers take the table as columns, one per field, and share
+one path from column to text; no object is built per row.  A column is
+formatted in blocks of ``_WRITE_ROWS`` rows.  In a float64 array column
+each run of values with equal bits (so ``-0.0`` and ``0.0`` differ) is
+formatted once and its text repeated over the run; a block with no
+repeats goes through ``tolist()``.  Lists, ranges and other arrays are
+formatted value by value, as a Python scalar's ``str`` (CSV) or JSON
+text.  A block's texts are interleaved into one flat list and written
+with one ``%``, so the text held at once is one block's.
 
 A table of numbers is read as one array by ``read_table``: after the
 header check, one ``np.loadtxt`` parses the body when it holds only the
@@ -28,7 +37,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from itertools import chain, islice
 
 import numpy as np
 
@@ -40,24 +48,57 @@ _JSON_KINDS = {int: ("integer", int), float: ("number", (int, float)),
                str: ("string", str), list: ("list", list)}
 # the bytes of rows written from finite floats (see the module docstring)
 _TABLE_BYTES = b"0123456789+-.e,\n"
-# rows a writer formats at once: one % over a flat list of their values
+# rows a writer formats at once: one % over a flat list of their texts
 # costs a fraction of a format per row, and this bounds the text held
 _WRITE_ROWS = 4096
 
 
-def _write_rows(fh, line: str, rows) -> None:
-    """Write each row's values into the ``%s`` fields of ``line``: one
-    ``%`` formats a whole run of _WRITE_ROWS rows."""
-    rows = iter(rows)
-    while chunk := list(islice(rows, _WRITE_ROWS)):
-        fh.write((line * len(chunk)) % tuple(chain.from_iterable(chunk)))
-
-
-def write_csv(path, header: str, rows) -> None:
-    """Write the header line, then each row's values with ``str``."""
+def _write_table(path, head: str, line: str, columns: list, texts) -> None:
+    """Write ``head``, then row i of ``columns`` into the ``%s`` fields
+    of ``line``, for every i: one ``%`` formats a block of _WRITE_ROWS
+    rows.  ``texts`` maps a list of a column's values to objects whose
+    ``str`` is their text."""
+    n_rows = {len(column) for column in columns}
+    if len(n_rows) > 1:
+        raise ValueError(f"columns differ in length: {[len(column) for column in columns]}")
+    k = len(columns)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        _write_rows(fh, ",".join(["%s"] * (header.count(",") + 1)) + "\n", rows)
+        fh.write(head)
+        for lo in range(0, n_rows.pop() if n_rows else 0, _WRITE_ROWS):
+            block = [_block_texts(column[lo:lo + _WRITE_ROWS], texts) for column in columns]
+            flat = [None] * (k * len(block[0]))
+            for i, column in enumerate(block):
+                flat[i::k] = column
+            fh.write((line * len(block[0])) % tuple(flat))
+
+
+def _block_texts(values, texts) -> list:
+    """One block of a column as ``texts`` objects.  A float64 array is
+    formatted once per run of equal bits, each run's text repeated."""
+    if not isinstance(values, np.ndarray):
+        return texts(list(values))
+    if values.dtype != np.float64 or len(values) < 2:
+        return texts(values.tolist())
+    bits = values.view(np.int64)
+    new = np.empty(len(values), dtype=bool)
+    new[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    if new.all():
+        return texts(values.tolist())
+    starts = np.flatnonzero(new)
+    once = np.array(list(map(str, texts(values[starts].tolist()))), dtype=object)
+    return np.repeat(once, np.diff(starts, append=len(values))).tolist()
+
+
+def write_csv(path, header: str, columns) -> None:
+    """Write the header line, then one row per index of ``columns`` (one
+    column per header field), each value with ``str``."""
+    columns = list(columns)
+    n_fields = header.count(",") + 1
+    if len(columns) != n_fields:
+        raise ValueError(f"header '{header}' has {n_fields} fields, got {len(columns)} columns")
+    _write_table(path, header + "\n", ",".join(["%s"] * n_fields) + "\n", columns,
+                 lambda values: values)
 
 
 def read_csv(path, header: str, parse) -> list[tuple[int, object]]:
@@ -107,24 +148,19 @@ def write_jsonl(path, columns: dict) -> None:
     per row, each line the ``json.dumps(record, sort_keys=True)`` of that
     row."""
     keys = sorted(columns)
-    values = [_json_texts(columns[key]) for key in keys]
-    if len({len(column) for column in values}) > 1:
-        raise ValueError(f"columns differ in length: {[len(column) for column in values]}")
     record = "{" + ", ".join(json.dumps(key).replace("%", "%%") + ": %s" for key in keys) + "}\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_rows(fh, record, zip(*values))
+    _write_table(path, "", record, [columns[key] for key in keys], _json_texts)
 
 
-def _json_texts(column) -> list:
-    """A column's values as objects whose ``str`` is their JSON text: an
-    int or a finite float is its own (a float's ``str`` is its repr), a
-    non-finite float becomes ``NaN``, ``Infinity`` or ``-Infinity``, and
-    anything else goes through ``json.dumps``."""
-    column = list(column)
-    kinds = set(map(type, column))
-    if kinds <= {int} or (kinds == {float} and all(map(math.isfinite, column))):
-        return column
-    return [json.dumps(value, sort_keys=True) for value in column]
+def _json_texts(values: list) -> list:
+    """Values as objects whose ``str`` is their JSON text: an int or a
+    finite float is its own (a float's ``str`` is its repr), a non-finite
+    float becomes ``NaN``, ``Infinity`` or ``-Infinity``, and anything
+    else goes through ``json.dumps``."""
+    kinds = set(map(type, values))
+    if kinds <= {int} or (kinds == {float} and all(map(math.isfinite, values))):
+        return values
+    return [json.dumps(value, sort_keys=True) for value in values]
 
 
 def read_jsonl(path, parse) -> list[tuple[int, object]]:

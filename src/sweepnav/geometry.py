@@ -105,8 +105,14 @@ def quat_from_rotvec(rv) -> np.ndarray:
     return q.reshape(rv.shape[:-1] + (4,))
 
 
-def quat_about_z(yaw: float) -> np.ndarray:
-    return np.array([np.cos(0.5 * yaw), 0.0, 0.0, np.sin(0.5 * yaw)])
+def quat_about_z(yaw) -> np.ndarray:
+    """The rotation by ``yaw`` about +z, or one per element of an array
+    of yaws, as (..., 4) quaternions."""
+    half = 0.5 * np.asarray(yaw, dtype=float)
+    q = np.zeros(half.shape + (4,))
+    q[..., 0] = np.cos(half)
+    q[..., 3] = np.sin(half)
+    return q
 
 
 def quats_to_matrices(q: np.ndarray) -> np.ndarray:

@@ -103,11 +103,11 @@ def load_imu(path) -> ImuSequence:
 
 def save_imu(seq: ImuSequence, path) -> None:
     """Write a recording as CSV or JSONL depending on the file suffix."""
-    table = np.column_stack([seq.t, seq.acc, seq.gyro])
+    columns = [seq.t, *seq.acc.T, *seq.gyro.T]
     if Path(path).suffix.lower() == ".jsonl":
-        write_jsonl(path, dict(zip(IMU_FIELDS, table.T.tolist())))
+        write_jsonl(path, dict(zip(IMU_FIELDS, columns)))
     else:
-        write_csv(path, IMU_CSV_HEADER, table.tolist())
+        write_csv(path, IMU_CSV_HEADER, columns)
 
 
 def resample(seq: ImuSequence, rate_hz: float) -> ImuSequence:

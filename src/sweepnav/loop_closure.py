@@ -472,11 +472,11 @@ def refine(traj: Trajectory, per_frame_v: np.ndarray,
 
 
 def save_corrections(params: CorrectionParams, path) -> None:
-    r, lx, ly = np.column_stack([params.r, params.l]).T.tolist()
-    write_jsonl(path, {"frame": list(range(len(r))), "r": r, "lx": lx, "ly": ly})
+    lx, ly = params.l.T
+    write_jsonl(path, {"frame": range(len(params.r)), "r": params.r, "lx": lx, "ly": ly})
 
 
 def save_loss_history(history, path) -> None:
     write_csv(path, LOSS_CSV_HEADER,
-              ([epoch, float(h.total), float(h.loop), float(h.rot), float(h.smooth)]
-               for epoch, h in enumerate(history)))
+              [range(len(history)), *([float(getattr(h, name)) for h in history]
+                                      for name in ("total", "loop", "rot", "smooth"))])

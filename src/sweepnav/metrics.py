@@ -191,6 +191,5 @@ def save_residuals(frames: np.ndarray, gt_xy: np.ndarray, est_xy: np.ndarray,
     delta = gt_xy - aligned
     dist = np.linalg.norm(delta, axis=1)
     yaw_err = wrap_angle(est_yaw + alignment.rotation - gt_yaw)
-    values = np.column_stack([delta, dist, yaw_err]).tolist()
     write_csv(path, RESIDUAL_CSV_HEADER,
-              ([int(frame), *row] for frame, row in zip(frames, values)))
+              [np.asarray(frames, dtype=int), *delta.T, dist, yaw_err])

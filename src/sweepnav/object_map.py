@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import struct
+import threading
 import time
 import unicodedata
 from dataclasses import dataclass
@@ -257,15 +258,31 @@ def evaluate_map(clusters: list[ItemCluster], ground_truth: dict[str, np.ndarray
 
 
 class HttpCaptioner:
-    """JSON-over-HTTP captioner with bearer auth; 5xx and 429 are retried."""
+    """JSON-over-HTTP captioner with bearer auth; 5xx and 429 are retried.
+
+    ``n_retries`` counts the requests after an image's first and
+    ``n_failed`` the images skipped, over every thread that calls
+    ``caption``."""
 
     def __init__(self, cfg: CaptionServiceConfig):
         if not cfg.endpoint:
             raise ValueError("captioning endpoint is not configured")
         self.cfg = cfg
         self._token = os.environ.get(cfg.token_env, "")
+        self.n_retries = 0
+        self.n_failed = 0
+        self._lock = threading.Lock()
 
     def caption(self, image_id: str, frame: int) -> list[str] | None:
+        items, retries = self._request(image_id)
+        with self._lock:
+            self.n_retries += retries
+            self.n_failed += items is None
+        return items
+
+    def _request(self, image_id: str) -> tuple[list[str] | None, int]:
+        """The image's items, or None if it is skipped, and the number of
+        retries made."""
         import requests
 
         headers = {"Content-Type": "application/json"}
@@ -288,7 +305,7 @@ class HttpCaptioner:
             if resp.status_code != 200:
                 logger.warning("%s: captioning failed with status %d, skipped",
                                image_id, resp.status_code)
-                return None
+                return None, attempt
             try:
                 items = resp.json()["items"]
                 if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
@@ -296,13 +313,13 @@ class HttpCaptioner:
             except (ValueError, KeyError, TypeError) as exc:
                 logger.warning("%s: malformed caption response (%s), skipped",
                                image_id, exc)
-                return None
+                return None, attempt
             if attempt:
                 logger.info("%s: captioned after %d retries", image_id, attempt)
-            return items
+            return items, attempt
         logger.warning("%s: captioning failed after %d attempts (%s), skipped",
                        image_id, self.cfg.retries, last_error)
-        return None
+        return None, self.cfg.retries - 1
 
 
 def fetch_captions(captures: list[CaptureEvent], captioner,
@@ -358,7 +375,7 @@ def load_raster(path) -> DepthRaster:
 def save_captions(records: list[CaptionRecord], path) -> None:
     write_jsonl(path, {"image_id": [rec.image_id for rec in records],
                        "frame": [rec.frame for rec in records],
-                       "items": [list(rec.items) for rec in records]})
+                       "items": [rec.items for rec in records]})
 
 
 def _caption(rec) -> CaptionRecord:
@@ -374,9 +391,9 @@ def load_captions(path) -> list[CaptionRecord]:
 
 
 def save_items_csv(items: dict[str, np.ndarray], path) -> None:
-    write_csv(path, ITEMS_CSV_HEADER,
-              ([name, *np.asarray(items[name], dtype=float)[:3].tolist()]
-               for name in sorted(items)))
+    names = sorted(items)
+    xyz = np.array([items[name] for name in names], dtype=float).reshape(-1, 3)
+    write_csv(path, ITEMS_CSV_HEADER, [names, *xyz.T])
 
 
 def load_items_csv(path) -> dict[str, np.ndarray]:
@@ -395,7 +412,7 @@ def load_items_csv(path) -> dict[str, np.ndarray]:
 
 
 def save_map(clusters: list[ItemCluster], path) -> None:
-    x, y, z = ([float(c.centroid[i]) for c in clusters] for i in range(3))
+    x, y, z = np.array([c.centroid for c in clusters], dtype=float).reshape(-1, 3).T
     write_jsonl(path, {"name": [c.name for c in clusters], "x": x, "y": y, "z": z,
                        "n_obs": [c.n_observations for c in clusters],
                        "spread": [c.spread for c in clusters]})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -72,42 +73,47 @@ def estimate_orientation(seq: ImuSequence, alpha: float = 0.02) -> OrientationSe
     The output is bit-identical to that recipe written with one numpy
     call per 3- or 4-vector (the reference in the test suite).  What
     depends only on the data (the increment quaternions, the gate and
-    the unit specific force) is computed as arrays up front; the state
-    is four Python floats.  Every norm is ``sqrt`` of a BLAS dot
-    product, as ``np.linalg.norm`` takes it of a vector: OpenBLAS sums
-    with FMA, so ``math.sqrt(x*x + y*y + z*z)`` would differ in the
-    last bit for about one vector in ten.  The data-only norms come
-    from ``row_norms``; the three that depend on the state (tilt axis,
-    correction angle, renormalisation) call ``ndarray.dot`` on a small
-    reused buffer.  ``np.arctan2`` stays because ``math.atan2``
-    rounds differently; ``math.sin``/``math.cos`` match numpy's here.
+    the unit specific force) is computed as arrays up front and read
+    from flat float lists, four or three values at a time; the state is
+    four Python floats, appended to one flat list that becomes the
+    (n, 4) output, so no object is kept per sample.  Every norm is
+    ``sqrt`` of a BLAS dot product, as ``np.linalg.norm`` takes it of a
+    vector: OpenBLAS sums with FMA, so ``math.sqrt(x*x + y*y + z*z)``
+    would differ in the last bit for about one vector in ten.  The
+    data-only norms come from ``row_norms``; the three that depend on
+    the state (tilt axis, correction angle, renormalisation) call
+    ``ndarray.dot`` on a small reused buffer.  ``np.arctan2`` stays
+    because ``math.atan2`` rounds differently; ``math.sin``/``math.cos``
+    match numpy's here.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     n = len(seq)
     if n == 0:
         return OrientationSequence(np.zeros(0), np.zeros((0, 4)))
-    # the midpoint gyro rate over each step, as a rotation
-    steps = quat_from_rotvec(0.5 * (seq.gyro[:-1] + seq.gyro[1:])
-                             * np.diff(seq.t)[:, None]).tolist()
+    # the midpoint gyro rate over each step as a rotation, four floats a
+    # step, and the gate and unit specific force of samples 1..n-1, three
+    # floats a sample
+    steps = iter(quat_from_rotvec(0.5 * (seq.gyro[:-1] + seq.gyro[1:])
+                                  * np.diff(seq.t)[:, None]).ravel().tolist())
     if alpha > 0.0:
         norms = row_norms(seq.acc)
-        gated = ((_ACC_GATE[0] <= norms) & (norms <= _ACC_GATE[1])).tolist()
-        ups = (seq.acc / np.where(gated, norms, 1.0)[:, None]).tolist()
+        gate = (_ACC_GATE[0] <= norms) & (norms <= _ACC_GATE[1])
+        gated = gate[1:].tolist()
+        ups = iter((seq.acc / np.where(gate, norms, 1.0)[:, None])[1:].ravel().tolist())
     else:
-        gated = [False] * n
+        gated, ups = [False] * (n - 1), repeat(0.0)
     buf3, buf4 = np.empty(3), np.empty(4)
-    w, x, y, z = _init_from_gravity(seq.acc[0]).tolist()
-    rows = [(w, x, y, z)]
-    for i in range(1, n):
-        bw, bx, by, bz = steps[i - 1]
+    out = _init_from_gravity(seq.acc[0]).tolist()
+    w, x, y, z = out
+    for bw, bx, by, bz, in_gate, ux, uy, uz in zip(steps, steps, steps, steps,
+                                                    gated, ups, ups, ups):
         w, x, y, z = (w * bw - x * bx - y * by - z * bz,
                       w * bx + x * bw + y * bz - z * by,
                       w * by - x * bz + y * bw + z * bx,
                       w * bz + x * by - y * bx + z * bw)
-        if gated[i]:
+        if in_gate:
             # the unit specific force rotated to the world: +z at rest
-            ux, uy, uz = ups[i]
             tx, ty, tz = 2.0 * (y * uz - z * uy), 2.0 * (z * ux - x * uz), 2.0 * (x * uy - y * ux)
             upx = ux + w * tx + (y * tz - z * ty)
             upy = uy + w * ty + (z * tx - x * tz)
@@ -136,8 +142,8 @@ def estimate_orientation(seq: ImuSequence, alpha: float = 0.02) -> OrientationSe
         buf4[0], buf4[1], buf4[2], buf4[3] = w, x, y, z
         norm = math.sqrt(buf4.dot(buf4))
         w, x, y, z = w / norm, x / norm, y / norm, z / norm
-        rows.append((w, x, y, z))
-    return OrientationSequence(seq.t, np.array(rows))
+        out += (w, x, y, z)
+    return OrientationSequence(seq.t, np.array(out).reshape(n, 4))
 
 
 def _init_from_gravity(acc: np.ndarray) -> np.ndarray:
@@ -185,5 +191,4 @@ def load_orientations(path) -> OrientationSequence:
 
 
 def save_orientations(orientations: OrientationSequence, path) -> None:
-    write_csv(path, ORIENTATION_CSV_HEADER,
-              np.column_stack([orientations.t, orientations.q]).tolist())
+    write_csv(path, ORIENTATION_CSV_HEADER, [orientations.t, *orientations.q.T])

@@ -183,8 +183,7 @@ def generate_trajectory(cfg: SimConfig) -> Trajectory:
 
 def true_orientations(traj: Trajectory) -> OrientationSequence:
     """Exact orientations of a planar trajectory (yaw about world z)."""
-    q = np.array([quat_about_z(v) for v in traj.yaw])
-    return OrientationSequence(traj.t, q)
+    return OrientationSequence(traj.t, quat_about_z(traj.yaw))
 
 
 def synthesize_imu(traj: Trajectory, cfg: SimConfig) -> ImuSequence:

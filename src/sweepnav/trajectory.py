@@ -86,8 +86,7 @@ class Trajectory:
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    write_csv(path, TRAJECTORY_CSV_HEADER,
-              np.column_stack([traj.t, traj.xy, traj.yaw]).tolist())
+    write_csv(path, TRAJECTORY_CSV_HEADER, [traj.t, *traj.xy.T, traj.yaw])
 
 
 def load_trajectory(path) -> Trajectory:

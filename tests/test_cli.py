@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -237,6 +238,30 @@ class TestPipelineArtifacts:
         observed = [c for c in captions if c is not named[0]]
         assert (sum(len(c["items"]) for c in observed)
                 == meta["n_observations"] + meta["n_items_unplaced"])
+
+    def test_map_run_meta_counts_caption_retries_and_failures(self, pipeline, tmp_path,
+                                                               monkeypatch):
+        """With the http captioner, run_meta counts its retries and skips."""
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline, ds)
+        images = [f"img_{json.loads(line)['frame']:06d}" for line in
+                  (ds / "gt_captures.jsonl").read_text().splitlines()]
+        # image j: 503 then 200 if j % 3 == 0, always 500 if j % 3 == 1
+        plan = {image: [[503, 200], [500] * 3, [200]][j % 3] for j, image in enumerate(images)}
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            return SimpleNamespace(status_code=plan[json["image_ref"]].pop(0),
+                                   json=lambda: {"items": []})
+
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        monkeypatch.setattr("requests.post", fake_post)
+        assert run("map", "--dataset", ds, "--trajectory", "gt", "--captioner", "http",
+                   "--set", "caption.endpoint=http://caption.test/v1") == 0
+        meta = json.loads((ds / "run_meta_map.json").read_text())
+        n_failing = len(images[1::3])
+        assert meta["n_captions_failed"] == n_failing > 0
+        assert meta["n_caption_retries"] == len(images[0::3]) + 2 * n_failing
+        assert meta["n_captions"] == len(images) - n_failing
 
     def test_plot_svg(self, pipeline):
         svg = (pipeline / "plot.svg").read_text()

@@ -2,6 +2,8 @@
 
 import json
 import logging
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -540,6 +542,50 @@ class TestHttpRetry:
         with caplog.at_level(logging.WARNING, logger="sweepnav.object_map"):
             assert captioner.caption("img_000000", 0) is None
         assert "after 3 attempts" in caplog.text
+
+    def test_counters_count_retries_and_skipped_images(self, monkeypatch):
+        """A retry is a request after an image's first; an image given up
+        for any reason is skipped."""
+        statuses = {"img_000000": [503, 200], "img_000001": [500, 429, 500],
+                    "img_000002": [404], "img_000003": [200], "img_000004": [429, 200]}
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            status = statuses[json["image_ref"]].pop(0)
+            return _FakeResponse(status, {"items": ["milk"]})
+
+        monkeypatch.setattr("requests.post", fake_post)
+        captioner = self._captioner(monkeypatch)
+        results = [captioner.caption(image_id, 0) for image_id in list(statuses)]
+        assert results == [["milk"], None, None, ["milk"], ["milk"]]
+        assert all(not left for left in statuses.values())
+        assert (captioner.n_retries, captioner.n_failed) == (1 + 2 + 1, 2)
+
+    def test_counters_lose_no_update_across_threads(self, monkeypatch):
+        """Many workers, switching often: every retry and skip is counted."""
+        n_images, first = 400, set()
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            image = json["image_ref"]
+            if image not in first:  # each image is handled by one thread
+                first.add(image)
+                return _FakeResponse(503)
+            return _FakeResponse(200 if int(image[4:]) % 3 else 500, {"items": []})
+
+        monkeypatch.setattr("requests.post", fake_post)
+        captioner = self._captioner(monkeypatch)
+        captures = [CaptureEvent(f, IDENTITY, "distance") for f in range(n_images)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            records = fetch_captions(captures, captioner, max_workers=16)
+            assert time.perf_counter() - start < 60
+        finally:
+            sys.setswitchinterval(interval)
+        n_failed = len(range(0, n_images, 3))
+        assert len(records) == n_images - n_failed
+        assert captioner.n_failed == n_failed
+        assert captioner.n_retries == n_images + n_failed  # failed ones retry twice
 
     def test_client_error_not_retried(self, monkeypatch):
         calls = []

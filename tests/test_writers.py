@@ -6,6 +6,8 @@ whatever the columns hold: non-finite floats, signed zeros, integers,
 strings, lists and other JSON values.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from sweepnav import fileio
 from sweepnav.fileio import write_csv, write_jsonl
+from sweepnav.trajectory import Trajectory, save_trajectory
 
 from .oracles import write_csv_ref, write_jsonl_ref
 
@@ -44,7 +47,7 @@ def _columns(draw, kinds):
 def test_csv_table_equals_rows_joined_one_by_one(tmp_path, columns):
     header = ",".join(f"c{i}" for i in range(len(columns)))
     rows = [list(row) for row in zip(*columns.values())]
-    write_csv(tmp_path / "new.csv", header, rows)
+    write_csv(tmp_path / "new.csv", header, columns.values())
     write_csv_ref(tmp_path / "ref.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -68,7 +71,7 @@ def test_edge_values(tmp_path):
                                              for row in zip(*columns.values())])
     assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
     rows = [list(row) for row in zip(*columns.values())]
-    write_csv(tmp_path / "new.csv", "a,b,c,d,e", rows)
+    write_csv(tmp_path / "new.csv", "a,b,c,d,e", columns.values())
     write_csv_ref(tmp_path / "ref.csv", "a,b,c,d,e", rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -81,7 +84,7 @@ def test_tables_longer_than_one_run_of_rows(tmp_path, monkeypatch):
                "name": [f"n{i}" for i in range(23)]}
     rows = [list(row) for row in zip(*columns.values())]
     for n_rows in (0, 5, 23):
-        write_csv(tmp_path / "new.csv", "a,b,c", rows[:n_rows])
+        write_csv(tmp_path / "new.csv", "a,b,c", [v[:n_rows] for v in columns.values()])
         write_csv_ref(tmp_path / "ref.csv", "a,b,c", rows[:n_rows])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         write_jsonl(tmp_path / "new.jsonl", {k: v[:n_rows] for k, v in columns.items()})
@@ -93,3 +96,96 @@ def test_tables_longer_than_one_run_of_rows(tmp_path, monkeypatch):
 def test_columns_of_unequal_length_are_refused(tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
         write_jsonl(tmp_path / "x.jsonl", {"a": [1, 2], "b": [1.0]})
+
+
+# a small pool, so that drawn array columns hold runs of equal values
+_POOL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-320, 0.1, -2.5, 1e300]
+
+
+@st.composite
+def _array_columns(draw):
+    n_rows = draw(st.integers(0, 23))
+    n_columns = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(n_columns):
+        kind = draw(st.sampled_from(["pool", "distinct", "int"]))
+        if kind == "pool":
+            picks = draw(st.lists(st.integers(0, len(_POOL) - 1), min_size=n_rows,
+                                  max_size=n_rows))
+            columns.append(np.array(_POOL)[picks])
+        elif kind == "distinct":
+            columns.append(np.array(draw(st.lists(_FLOAT, min_size=n_rows, max_size=n_rows,
+                                                  unique_by=lambda v: repr(v))), dtype=float))
+        else:
+            columns.append(np.array(draw(st.lists(st.integers(-2**62, 2**62),
+                                                  min_size=n_rows, max_size=n_rows)),
+                                    dtype=np.int64))
+    return columns
+
+
+@_SETTINGS
+@given(columns=_array_columns())
+def test_array_columns_with_runs_across_blocks(tmp_path, monkeypatch, columns):
+    """Runs of equal float64 values (formatted once each), signed zeros,
+    NaNs, infinities, subnormals and int arrays, in blocks of 5 rows so
+    that runs cross block boundaries: the bytes are those of the rows'
+    Python scalars written one by one."""
+    monkeypatch.setattr(fileio, "_WRITE_ROWS", 5)
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    rows = [list(row) for row in zip(*(column.tolist() for column in columns))]
+    write_csv(tmp_path / "new.csv", header, columns)
+    write_csv_ref(tmp_path / "ref.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    names = header.split(",")
+    write_jsonl(tmp_path / "new.jsonl", dict(zip(names, columns)))
+    write_jsonl_ref(tmp_path / "ref.jsonl", [dict(zip(names, row)) for row in rows])
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+
+
+def test_adjacent_signed_zeros_are_formatted_apart(tmp_path):
+    """0.0 and -0.0 compare equal but are runs of their own."""
+    v = np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0])
+    write_csv(tmp_path / "z.csv", "v", [v])
+    assert (tmp_path / "z.csv").read_text().split() == ["v", "0.0", "-0.0", "-0.0",
+                                                       "0.0", "0.0", "-0.0"]
+
+
+def test_held_values_and_strided_columns(tmp_path, monkeypatch):
+    """A held velocity column (each value repeated over its window) and
+    strided views of a 2-D array, as ``infer`` and ``save_trajectory``
+    pass them."""
+    monkeypatch.setattr(fileio, "_WRITE_ROWS", 64)
+    rng = np.random.default_rng(4)
+    held = np.repeat(rng.normal(size=(9, 2)), rng.integers(1, 150, size=9), axis=0)
+    columns = [range(len(held)), *held.T]
+    rows = [[f, vx, vy] for f, (vx, vy) in enumerate(held.tolist())]
+    write_csv(tmp_path / "new.csv", "frame,vx,vy", columns)
+    write_csv_ref(tmp_path / "ref.csv", "frame,vx,vy", rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_header_and_column_count_must_agree(tmp_path):
+    with pytest.raises(ValueError, match="2 fields, got 3 columns"):
+        write_csv(tmp_path / "x.csv", "a,b", [[1], [2], [3]])
+    with pytest.raises(ValueError, match="differ in length"):
+        write_csv(tmp_path / "x.csv", "a,b", [[1, 2], np.zeros(3)])
+
+
+def test_writing_a_long_trajectory_builds_no_object_per_row(tmp_path):
+    """Peak traced memory of ``save_trajectory`` on 200 000 frames stays
+    below 4 MiB: one block's text and values, not a list per row (a
+    writer that built a list per row peaked at 42.7 MiB on this input)."""
+    n = 200_000
+    rng = np.random.default_rng(0)
+    traj = Trajectory(np.arange(n) / 50.0, np.cumsum(rng.normal(size=(n, 2)), axis=0),
+                      rng.uniform(-np.pi, np.pi, n), 50.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        save_trajectory(traj, tmp_path / "traj.csv")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert (tmp_path / "traj.csv").read_text().count("\n") == n + 1

@@ -388,7 +388,7 @@ def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch
             records = object_map.fetch_captions(captures, captioner,
                                                 max_workers=service.max_workers)
             service_meta = {"n_caption_retries": captioner.n_retries,
-                            "n_captions_failed": captioner.n_failed}
+                            "n_captions_failed": len(captures) - len(records)}
     rasters_dir = dataset / manifest.get("rasters_dir", "rasters")
     observations = []
     caption_frames = []

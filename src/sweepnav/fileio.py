@@ -12,8 +12,7 @@ Both table writers take the table as columns, one per field, and share
 one path from column to text; no object is built per row.  A column is
 formatted in blocks of ``_WRITE_ROWS`` rows.  In a float64 array column
 each run of values with equal bits (so ``-0.0`` and ``0.0`` differ) is
-formatted once and its text repeated over the run; a block with no
-repeats goes through ``tolist()``.  Lists, ranges and other arrays are
+formatted once and its text repeated over the run.  Lists, ranges and other arrays are
 formatted value by value, as a Python scalar's ``str`` (CSV) or JSON
 text.  A block's texts are interleaved into one flat list and written
 with one ``%``, so the text held at once is one block's.
@@ -83,8 +82,6 @@ def _block_texts(values, texts) -> list:
     new = np.empty(len(values), dtype=bool)
     new[0] = True
     np.not_equal(bits[1:], bits[:-1], out=new[1:])
-    if new.all():
-        return texts(values.tolist())
     starts = np.flatnonzero(new)
     once = np.array(list(map(str, texts(values[starts].tolist()))), dtype=object)
     return np.repeat(once, np.diff(starts, append=len(values))).tolist()
@@ -94,10 +91,7 @@ def write_csv(path, header: str, columns) -> None:
     """Write the header line, then one row per index of ``columns`` (one
     column per header field), each value with ``str``."""
     columns = list(columns)
-    n_fields = header.count(",") + 1
-    if len(columns) != n_fields:
-        raise ValueError(f"header '{header}' has {n_fields} fields, got {len(columns)} columns")
-    _write_table(path, header + "\n", ",".join(["%s"] * n_fields) + "\n", columns,
+    _write_table(path, header + "\n", ",".join(["%s"] * len(columns)) + "\n", columns,
                  lambda values: values)
 
 

@@ -260,9 +260,8 @@ def evaluate_map(clusters: list[ItemCluster], ground_truth: dict[str, np.ndarray
 class HttpCaptioner:
     """JSON-over-HTTP captioner with bearer auth; 5xx and 429 are retried.
 
-    ``n_retries`` counts the requests after an image's first and
-    ``n_failed`` the images skipped, over every thread that calls
-    ``caption``."""
+    ``n_retries`` counts the requests after an image's first, over
+    every thread that calls ``caption``."""
 
     def __init__(self, cfg: CaptionServiceConfig):
         if not cfg.endpoint:
@@ -270,14 +269,12 @@ class HttpCaptioner:
         self.cfg = cfg
         self._token = os.environ.get(cfg.token_env, "")
         self.n_retries = 0
-        self.n_failed = 0
         self._lock = threading.Lock()
 
     def caption(self, image_id: str, frame: int) -> list[str] | None:
         items, retries = self._request(image_id)
         with self._lock:
             self.n_retries += retries
-            self.n_failed += items is None
         return items
 
     def _request(self, image_id: str) -> tuple[list[str] | None, int]:

@@ -49,7 +49,8 @@ _JSON_KINDS = {int: ("integer", int), float: ("number", (int, float)),
 _TABLE_BYTES = b"0123456789+-.e,\n"
 # rows a writer formats at once: one % over a flat list of their texts
 # costs a fraction of a format per row, and this bounds the text held
-_WRITE_ROWS = 4096
+# (about half a MiB for a 7-column table of float texts)
+_WRITE_ROWS = 1024
 
 
 def _write_table(path, head: str, line: str, columns: list, texts) -> None:

@@ -14,8 +14,9 @@ formatted in blocks of ``_WRITE_ROWS`` rows.  In a float64 array column
 each run of values with equal bits (so ``-0.0`` and ``0.0`` differ) is
 formatted once and its text repeated over the run.  Lists, ranges and
 other arrays are formatted value by value, as a Python scalar's ``str``
-(CSV) or JSON text.  A block's texts are interleaved into one flat list and written
-with one ``%``, so the text held at once is one block's.
+(CSV) or JSON text.  A block's texts are interleaved into one flat
+list and written with one ``%``, so the text held at once is one
+block's.
 
 A table of numbers is read as one array by ``read_table``: after the
 header check, one ``np.loadtxt`` parses the body when it holds only the

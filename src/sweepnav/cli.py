@@ -12,7 +12,8 @@ work and returns the fields of its run_meta.  It imports the pipeline
 modules it runs itself, so that a command loads only those.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration/validation
-failure.
+failure.  ``main`` returns the code; ``entrypoint``, the console
+script, ends the process with it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -52,7 +54,16 @@ def load_manifest(dataset: Path) -> dict:
     if not path.is_file():
         raise ConfigError(f"no {MANIFEST_NAME} in {dataset}")
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{path}: expected a JSON object of paths")
+    for key, value in manifest.items():
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: entry {key!r} must be a path, got {value!r}")
+    return manifest
 
 
 def save_manifest(dataset: Path, manifest: dict) -> None:
@@ -609,7 +620,23 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run ``main`` on the command line and end the process with its code.
+
+    Every file a command writes is closed, and every thread it starts
+    joined, before ``main`` returns, so the process skips the
+    interpreter's teardown of its modules: it flushes the log handlers
+    and the standard streams and calls ``os._exit``.  A stream that
+    fails to flush makes the code 120, as the interpreter's own exit
+    does.  An exception that escapes ``main`` exits the normal way."""
+    code = main()
+    logging.shutdown()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+        except OSError:
+            code = 120
+    os._exit(code)
 
 
 if __name__ == "__main__":

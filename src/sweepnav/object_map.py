@@ -25,6 +25,7 @@ import time
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,8 +33,10 @@ from .config import CaptionServiceConfig, MapConfig
 from .fileio import json_field, read_csv, read_jsonl, write_csv, write_json, write_jsonl
 from .geometry import median
 from .imu import _frozen
-from .metrics import AlignmentResult, apply_alignment
 from .trajectory import CaptureEvent, Pose2, image_id_for_frame
+
+if TYPE_CHECKING:
+    from .metrics import AlignmentResult
 
 logger = logging.getLogger(__name__)
 
@@ -224,6 +227,8 @@ def evaluate_map(clusters: list[ItemCluster], ground_truth: dict[str, np.ndarray
     (ties by proximity).  Unmatched names on either side are listed,
     not averaged.
     """
+    from .metrics import apply_alignment
+
     by_name: dict[str, list[ItemCluster]] = {}
     for c in clusters:
         by_name.setdefault(c.name, []).append(c)

@@ -1,12 +1,19 @@
 """End-to-end tests of the sweepnav command-line pipeline."""
 
 import dataclasses
+import functools
+import gc
 import hashlib
 import json
+import logging
+import os
 import re
 import shutil
 import subprocess
 import sys
+import threading
+import warnings
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -285,6 +292,19 @@ class TestExitCodes:
         assert run("infer", "--dataset", tmp_path) == 2
         assert "manifest.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, error", [
+        ("gt_trajectory.csv\n", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('["gt_trajectory.csv"]\n', "expected a JSON object of paths"),
+        (None, "entry 'gt_trajectory' must be a path, got 3"),
+    ], ids=["not_json", "list", "number_entry"])
+    def test_malformed_manifest_is_config_error(self, pipeline, tmp_path, capsys, text, error):
+        """None stands for the pipeline's manifest with one entry a number."""
+        if text is None:
+            text = json.dumps({**_manifest(pipeline), "gt_trajectory": 3})
+        (tmp_path / "manifest.json").write_text(text)
+        assert run("eval", "--dataset", tmp_path) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'manifest.json'}: {error}\n"
+
     def test_invalid_room_rejected(self, tmp_path, capsys):
         assert run("simulate", "--out", tmp_path / "ds",
                    "--set", "sim.room_width=-1") == 2
@@ -456,16 +476,22 @@ class TestStringKeys:
         assert json.loads((ds / "run_meta_infer.json").read_text())["estimator"] == "network"
 
 
-class TestLogLevel:
-    ROOT = Path(__file__).resolve().parents[1]
+def _console(*argv) -> subprocess.CompletedProcess:
+    """Run ``python -m sweepnav.cli`` on this source tree, with its
+    standard output block-buffered, as on any pipe."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "sweepnav.cli", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=300)
 
+
+class TestLogLevel:
     def _map_stderr(self, ds, *flags):
-        code = "import sys; sys.path.insert(0, sys.argv[1]); from sweepnav.cli import main; " \
-               "sys.exit(main(sys.argv[2:]))"
-        proc = subprocess.run([sys.executable, "-c", code, str(self.ROOT / "src"), "map",
-                               "--dataset", str(ds), "--trajectory", "gt", *flags],
-                              capture_output=True, text=True, timeout=120)
+        proc = _console("map", "--dataset", ds, "--trajectory", "gt", *flags)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("map[gt]: ")
         return proc.stderr
 
     def test_level_hides_the_skipped_raster_warning(self, pipeline, tmp_path):
@@ -728,16 +754,21 @@ class TestBareDataset:
         assert (bare_ds / "items.csv").read_text() == "name,x,y,z\n"
 
 
+def _chain(ds):
+    """The six commands, in order, on a small noisy dataset at ``ds``."""
+    return [
+        ["simulate", "--out", ds, "--seed", 7, *SMALL_ROOM, *NOISY],
+        ["infer", "--dataset", ds],
+        ["refine", "--dataset", ds, "--epochs", 5],
+        ["eval", "--dataset", ds],
+        ["map", "--dataset", ds, "--trajectory", "gt"],
+        ["plot", "--dataset", ds],
+    ]
+
+
 class TestDeterminism:
     def _run_chain(self, ds):
-        for argv in [
-            ["simulate", "--out", ds, "--seed", 7, *SMALL_ROOM, *NOISY],
-            ["infer", "--dataset", ds],
-            ["refine", "--dataset", ds, "--epochs", 5],
-            ["eval", "--dataset", ds],
-            ["map", "--dataset", ds, "--trajectory", "gt"],
-            ["plot", "--dataset", ds],
-        ]:
+        for argv in _chain(ds):
             assert run(*argv) == 0
 
     @staticmethod
@@ -756,3 +787,142 @@ class TestDeterminism:
         assert set(ta) == set(tb)
         for name in ta:
             assert ta[name] == tb[name], f"{name} differs between reruns"
+
+
+# ---------------------------------------------------------------------------
+# The console entry: ``python -m sweepnav.cli`` ends with ``os._exit``
+
+
+def _left_behind(*argv) -> list[str]:
+    """Run one command in process and return what the process would still
+    hold when the console entry exits: files that no one closed (found
+    as ResourceWarnings by a collection) and threads besides the main one."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert run(*argv) == 0
+        gc.collect()
+    left = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    return left + [repr(t) for t in threading.enumerate() if t is not threading.main_thread()]
+
+
+@pytest.fixture(scope="module")
+def guarded_chain(tmp_path_factory):
+    """The chain run in process: its dataset, and what each command left behind."""
+    ds = tmp_path_factory.mktemp("guarded") / "ds"
+    return ds, {argv[0]: _left_behind(*argv) for argv in _chain(ds)}
+
+
+@pytest.fixture(scope="module")
+def console_chain(tmp_path_factory):
+    """The chain run as one process per command: its dataset, and each
+    command's finished process."""
+    ds = tmp_path_factory.mktemp("console") / "ds"
+    return ds, {argv[0]: _console(*argv) for argv in _chain(ds)}
+
+
+class TestConsoleEntry:
+    def test_each_command_exits_0_and_prints_its_summary(self, console_chain):
+        """Standard output is block-buffered here: the summary shows only
+        if the entry flushed it before ending the process."""
+        _, procs = console_chain
+        for command, proc in procs.items():
+            assert proc.returncode == 0, proc.stderr
+            assert re.fullmatch(rf"{command}\W.*\n", proc.stdout), proc.stdout
+            assert proc.stderr == ""
+
+    def test_outputs_equal_the_in_process_chain(self, console_chain, guarded_chain):
+        (ds, _), (ref, _) = console_chain, guarded_chain
+        assert TestDeterminism._tree_bytes(ds) == TestDeterminism._tree_bytes(ref)
+        assert {p.name for p in ds.glob("run_meta_*")} == {f"run_meta_{c}.json"
+                                                          for c in COMMANDS}
+
+    def test_refused_set_exits_2(self, console_chain):
+        ds, _ = console_chain
+        proc = _console("eval", "--dataset", ds, "--set", "eval.trajectory=bogus")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: eval.trajectory: ")
+        assert proc.stdout == ""
+
+
+class TestWhatTheExitSkips:
+    """The console entry skips the interpreter's teardown, so nothing may
+    be left for it: every command closes its files and joins its threads
+    before ``main`` returns."""
+
+    def test_no_command_leaves_a_file_or_a_thread(self, guarded_chain):
+        _, left = guarded_chain
+        assert left == {command: [] for command in COMMANDS}
+
+    def test_http_captioner_leaves_no_file_or_thread(self, guarded_chain, tmp_path,
+                                                     monkeypatch):
+        ds = tmp_path / "ds"
+        shutil.copytree(guarded_chain[0], ds)
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        monkeypatch.setattr("requests.post", lambda url, json=None, headers=None, timeout=None:
+                            SimpleNamespace(status_code=200, json=lambda: {"items": ["milk"]}))
+        assert _left_behind("map", "--dataset", ds, "--captioner", "http",
+                            "--set", "caption.endpoint=http://caption.test/v1") == []
+        meta = json.loads((ds / "run_meta_map.json").read_text())
+        assert meta["n_captions"] > 0 and meta["n_captions_failed"] == 0
+
+
+class TestEntrypoint:
+    """``entrypoint`` with ``os._exit`` replaced by a recorder."""
+
+    class Stream:
+        def __init__(self, events, name, fails=False):
+            self.events, self.name, self.fails = events, name, fails
+
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            self.events.append(self.name)
+            if self.fails:
+                raise OSError(32, "Broken pipe")
+
+    class Handler(logging.Handler):
+        def __init__(self, events):
+            super().__init__()
+            self.events = events
+
+        def emit(self, record):
+            pass
+
+        def flush(self):
+            self.events.append("log")
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """Flushes and exits in the order they happen.  ``logging.shutdown``
+        runs on a handler of the test's own, not on the test runner's."""
+        events = []
+        handler = self.Handler(events)
+        monkeypatch.setattr(logging, "shutdown",
+                            functools.partial(logging.shutdown, [weakref.ref(handler)]))
+        monkeypatch.setattr(os, "_exit", lambda code: events.append(("exit", code)))
+        yield events
+        assert handler  # alive until here, so its weak reference holds
+
+    def _entry(self, monkeypatch, events, main_fn, stdout_fails=False):
+        """Run ``entrypoint`` over ``main_fn``.  The streams are replaced
+        here, in the test's call, since the runner's output capture sets
+        them again after the fixtures run."""
+        monkeypatch.setattr(cli, "main", main_fn)
+        monkeypatch.setattr(sys, "stdout", self.Stream(events, "stdout", stdout_fails))
+        monkeypatch.setattr(sys, "stderr", self.Stream(events, "stderr"))
+        cli.entrypoint()
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_code_passes_through_after_every_flush(self, events, monkeypatch, code):
+        self._entry(monkeypatch, events, lambda: code)
+        assert events == ["log", "stdout", "stderr", ("exit", code)]
+
+    def test_failed_flush_exits_120(self, events, monkeypatch):
+        self._entry(monkeypatch, events, lambda: 0, stdout_fails=True)
+        assert events == ["log", "stdout", "stderr", ("exit", 120)]
+
+    def test_an_escaping_exception_exits_the_normal_way(self, events, monkeypatch):
+        with pytest.raises(SystemExit):
+            self._entry(monkeypatch, events, functools.partial(main, []))
+        assert events == []

@@ -65,6 +65,19 @@ def test_post_commands_never_import_numpy_ma(refined_dataset, tmp_path, command)
     assert out.splitlines()[-1] == "0 False"
 
 
+def test_plot_and_simulate_leave_metrics_unloaded(refined_dataset, tmp_path):
+    """Only eval and map score a trajectory; the map's own scorer
+    imports ``metrics`` when it runs."""
+    ds = tmp_path / "ds"
+    shutil.copytree(refined_dataset, ds)
+    code = ("import sys\nfrom sweepnav.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'sweepnav.metrics' in sys.modules)")
+    assert _python(code, "plot", "--dataset", str(ds)).splitlines()[-1] == "0 False"
+    out = _python(code, "simulate", "--out", str(tmp_path / "new"), "--set", "sim.n_items=3")
+    assert out.splitlines()[-1] == "0 False"
+
+
 def test_public_names_resolve_to_their_home_objects():
     bad, unlisted = json.loads(_python("""
 import importlib, json

@@ -6,10 +6,12 @@ plumbing.  Reruns with identical inputs and seeds produce byte-identical
 primary outputs; wall-clock timings live only in run_meta_*.json files.
 
 ``main`` owns what every command shares: it resolves the configuration,
-loads the manifest, times the command, then saves the manifest and
-writes ``run_meta_<command>.json``.  A ``cmd_*`` function only does its
-work and returns the fields of its run_meta.  It imports the pipeline
-modules it runs itself, so that a command loads only those.
+loads the manifest, times the command, then saves the manifest, writes
+``run_meta_<command>.json`` and prints the command's summary.  A
+``cmd_*`` function only does its work and returns the fields of its
+run_meta and its summary text, so that every file it wrote is listed
+before standard output can fail.  It imports the pipeline modules it
+runs itself, so that a command loads only those.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration/validation
 failure.  ``main`` returns the code; ``entrypoint``, the console
@@ -132,7 +134,8 @@ def _pick_trajectory(dataset: Path, manifest: dict, which: str,
 # Commands
 
 
-def cmd_simulate(cfg: PipelineConfig, out_dir: Path, manifest: dict, clock: Stopwatch) -> dict:
+def cmd_simulate(cfg: PipelineConfig, out_dir: Path, manifest: dict,
+                 clock: Stopwatch) -> tuple[dict, str]:
     from . import object_map, sim
 
     sim_cfg = _from_config(cfg, "sim")
@@ -165,11 +168,12 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path, manifest: dict, clock: Stop
         "gt_captures": "gt_captures.jsonl",
         "rasters_dir": "rasters",
     })
-    print(f"simulate: {len(traj)} frames, {len(captures)} captures -> {out_dir}")
-    return {"n_frames": len(traj), "n_captures": len(captures)}
+    return ({"n_frames": len(traj), "n_captures": len(captures)},
+            f"simulate: {len(traj)} frames, {len(captures)} captures -> {out_dir}")
 
 
-def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:
+def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict,
+              clock: Stopwatch) -> tuple[dict, str]:
     from . import estimator, rae
 
     tau = cfg["hacf.tau"]
@@ -203,7 +207,7 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
         if cfg["orientation.source"] == "file":
             orientations = load_orientations(_manifest_file(dataset, manifest, "orientations"))
         else:
-            orientations = estimate_orientation(imu, alpha=cfg["orientation.alpha"])
+            orientations = estimate_orientation(imu)
     with clock.lap("windows"):
         stride = window_stride(tau, cfg["hacf.stride"])
         windows = make_windows(to_hacf(imu, orientations), tau=tau, stride=stride)
@@ -232,8 +236,6 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
         "velocities": "velocities.csv",
         "captures": "captures.jsonl",
     })
-    print(f"infer: {len(windows)} windows, K={cfg['rae.k']} "
-          f"({cfg['rae.reducer']}), {len(captures)} captures")
     return {
         "estimator": cfg["estimator.kind"],
         "k": cfg["rae.k"],
@@ -243,10 +245,12 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwat
         "n_windows_clamped": ens.n_windows_clamped,
         "n_windows_median_capped": ens.n_windows_median_capped,
         "rae_member_spread": float(median(ens.member_spread)),
-    }
+    }, (f"infer: {len(windows)} windows, K={cfg['rae.k']} "
+        f"({cfg['rae.reducer']}), {len(captures)} captures")
 
 
-def cmd_refine(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:
+def cmd_refine(cfg: PipelineConfig, dataset: Path, manifest: dict,
+               clock: Stopwatch) -> tuple[dict, str]:
     from . import loop_closure
 
     with clock.lap("load"):
@@ -278,8 +282,6 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwa
     # prediction replays that entry's forward pass), or the input
     identity_fallback = not corrections.r.any() and not corrections.l.any()
     best_epoch = int(np.argmin([h.total for h in history]))
-    print(f"refine: endpoint gap {gap_before:.4f} m -> {gap_after:.4f} m "
-          f"in {cfg['refine.epochs']} epochs")
     return {
         "epochs": cfg["refine.epochs"],
         "loss_initial": loss_initial,
@@ -289,7 +291,8 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwa
         "endpoint_gap_before_m": gap_before,
         "endpoint_gap_after_m": gap_after,
         "closure_gap_after_m": float(np.linalg.norm(refined.xy[-1] - refined.xy[0])),
-    }
+    }, (f"refine: endpoint gap {gap_before:.4f} m -> {gap_after:.4f} m "
+        f"in {cfg['refine.epochs']} epochs")
 
 
 def _load_velocities(path: Path, n_frames: int) -> np.ndarray:
@@ -340,14 +343,15 @@ def _numbered(body: bytes, n: int) -> bool:
     return bool((is_digit | ~in_token).all() and (chars[np.arange(n), digits] == ord(",")).all())
 
 
-def cmd_eval(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:
+def cmd_eval(cfg: PipelineConfig, dataset: Path, manifest: dict,
+             clock: Stopwatch) -> tuple[dict, str]:
     from . import metrics
 
     with clock.lap("load"):
         gt = trajectory.load_trajectory(_manifest_file(dataset, manifest, "gt_trajectory"))
         which, est = _pick_trajectory(dataset, manifest, cfg["eval.trajectory"],
                                       auto=("refined", "est"))
-    grid_meta = {}
+    grid_meta, lines = {}, []
     for grid in cfg["eval.grids"]:
         grid = float(grid)
         with clock.lap("score"):
@@ -374,13 +378,14 @@ def cmd_eval(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatc
         manifest[f"residuals_grid_{tag}"] = f"residuals_grid_{tag}.csv"
         grid_meta[tag] = {"n_pairs": report.n_pairs, "n_inliers": report.n_inliers,
                           "rte_metric": report.rte_metric}
-        print(f"eval[{which}, grid {grid} m]: rte {report.rte:.4f} m, "
-              f"rte_metric {report.rte_metric:.4f} m, rre {report.rre:.4f} rad, "
-              f"coverage {report.coverage:.3f}")
-    return {"trajectory": which, "grids": grid_meta}
+        lines.append(f"eval[{which}, grid {grid} m]: rte {report.rte:.4f} m, "
+                     f"rte_metric {report.rte_metric:.4f} m, rre {report.rre:.4f} rad, "
+                     f"coverage {report.coverage:.3f}")
+    return {"trajectory": which, "grids": grid_meta}, "\n".join(lines)
 
 
-def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch) -> dict:
+def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict,
+            clock: Stopwatch) -> tuple[dict, str]:
     from . import metrics, object_map
 
     map_cfg = _from_config(cfg, "map")
@@ -456,17 +461,14 @@ def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch
             with clock.lap("write"):
                 object_map.save_map_eval(map_report, dataset / "map_eval.json")
             manifest["map_eval"] = "map_eval.json"
-            print(f"map[{which}]: {len(clusters)} clusters, "
-                  f"{map_report.n_matched} matched, mean error "
-                  f"{map_report.mean_error:.3f} m (+/- {map_report.std_error:.3f})")
-            return meta
-    print(f"map[{which}]: {len(clusters)} clusters from "
-          f"{len(observations)} observations")
-    return meta
+            return meta, (f"map[{which}]: {len(clusters)} clusters, "
+                          f"{map_report.n_matched} matched, mean error "
+                          f"{map_report.mean_error:.3f} m (+/- {map_report.std_error:.3f})")
+    return meta, f"map[{which}]: {len(clusters)} clusters from {len(observations)} observations"
 
 
 def cmd_plot(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatch,
-             out: Path | None = None) -> dict:
+             out: Path | None = None) -> tuple[dict, str]:
     from . import object_map
 
     series = []
@@ -488,8 +490,8 @@ def cmd_plot(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatc
     with clock.lap("write"):
         out.write_text(svg, encoding="utf-8")
     manifest["plot"] = out.name if out.parent == dataset else str(out)
-    print(f"plot: {', '.join(name for name, _, _ in series)} -> {out}")
-    return {"series": [name for name, _, _ in series], "n_items": len(items_xy)}
+    names = [name for name, _, _ in series]
+    return {"series": names, "n_items": len(items_xy)}, f"plot: {', '.join(names)} -> {out}"
 
 
 def _render_svg(series, items_xy: dict) -> str:
@@ -606,10 +608,12 @@ def main(argv: list[str] | None = None) -> int:
         clock = Stopwatch()
         manifest = {} if args.command == "simulate" else load_manifest(args.dataset)
         # looked up when called, so that a wrapper set on this module runs
-        meta = globals()[f"cmd_{args.command}"](cfg, args.dataset, manifest, clock, *extra)
+        meta, summary = globals()[f"cmd_{args.command}"](cfg, args.dataset, manifest, clock,
+                                                         *extra)
         save_manifest(args.dataset, manifest)
         write_json(args.dataset / f"run_meta_{args.command}.json",
                    {"command": args.command, **meta, "elapsed_s": clock.elapsed()})
+        print(summary)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -199,7 +199,6 @@ def _field_defaults(prefix: str) -> dict:
 # the ones the commands read themselves.
 DEFAULTS: dict = {
     **_field_defaults("sim"),
-    "orientation.alpha": 0.02,
     "orientation.source": "filter",
     "hacf.tau": 64,
     "hacf.stride": 0,  # 0 = tau (non-overlapping windows)
@@ -232,7 +231,6 @@ CHOICES: dict = {
 # number keys that no section dataclass checks -> the rule their values
 # keep, and its text
 LIMITS: dict = {
-    "orientation.alpha": (lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]"),
     "hacf.tau": (lambda x: x >= 1, "must be >= 1"),
     "hacf.stride": (lambda x: x >= 0, "must be >= 0 (0 = tau)"),
     "estimator.v_max": (lambda x: x > 0, "must be positive"),

@@ -87,24 +87,6 @@ def rotate_xyz_about_z(v, theta):
 # Quaternions
 
 
-def quat_from_rotvec(rv) -> np.ndarray:
-    """Quaternion for a rotation vector (axis * angle), or one per row of
-    an (n, 3) array; each row's quaternion equals the single vector's
-    bit for bit (its norm is ``row_norms``'s)."""
-    rv = np.asarray(rv, dtype=float)
-    rows = rv.reshape(-1, 3)
-    angle = row_norms(rows)
-    q = np.empty((len(rows), 4))
-    big = ~(angle < 1e-12)
-    half = 0.5 * angle[big]
-    q[big, 0] = np.cos(half)
-    q[big, 1:] = np.sin(half)[:, None] * rows[big] / angle[big, None]
-    # second-order small-angle expansion keeps unit norm to fp precision
-    small = np.column_stack([np.ones(len(rows) - len(half)), 0.5 * rows[~big]])
-    q[~big] = small / row_norms(small)[:, None]
-    return q.reshape(rv.shape[:-1] + (4,))
-
-
 def quat_about_z(yaw) -> np.ndarray:
     """The rotation by ``yaw`` about +z, or one per element of an array
     of yaws, as (..., 4) quaternions."""

@@ -1,29 +1,24 @@
-"""Per-sample device orientation from gyro integration with gravity blending.
+"""Per-sample device orientation of a phone mounted rigidly on a floor robot.
 
-A complementary filter: the gyro is integrated between samples, and the
-tilt component is nudged toward the direction implied by the measured
-specific force.  Yaw is gyro-only (gravity carries no heading
-information), which is fine downstream because the heading-anchored
-frame pins yaw at frame 0 anyway.
+The mount fixes the device's tilt and a level floor keeps it fixed, so
+only the heading changes: gravity, read once from the recording's mean
+specific force, gives the tilt, and the gyro's rate about the up axis,
+summed over the recording, gives the heading.  A recording made any
+other way brings its own orientations (``orientation.source=file``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .fileio import read_table, write_csv
-from .geometry import GRAVITY, quat_from_rotvec, quat_yaw, row_norms, wrap_angle
+from .geometry import quat_yaw, quats_to_matrices, wrap_angle
 from .imu import ImuSequence, _frozen
 
 ORIENTATION_CSV_HEADER = "t,qw,qx,qy,qz"
 
-# corrections are gated to specific-force magnitudes near 1 g; far outside
-# that band the measurement is dominated by linear acceleration
-_ACC_GATE = (0.5 * GRAVITY, 1.5 * GRAVITY)
 _IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
@@ -57,115 +52,53 @@ class OrientationSequence:
         return len(self.t)
 
 
-def estimate_orientation(seq: ImuSequence, alpha: float = 0.02) -> OrientationSequence:
-    """Run the complementary filter over a recording.
+def estimate_orientation(seq: ImuSequence) -> OrientationSequence:
+    """Orientation of a device mounted rigidly on a robot that drives on
+    a level floor: q_t = Rz(psi_t) M.
 
-    ``alpha`` is the per-sample blend fraction toward the
-    accelerometer's gravity direction (0 disables blending).  The
-    initial orientation is taken from the first sample's specific
-    force, so a recording should start near rest for a clean start.
-
-    Per sample: compose the gyro increment (the midpoint rate over the
-    step, as a rotation vector), then, when the specific force lies in
-    the gate around 1 g, turn the estimate by ``alpha`` of the angle
-    between the measured and the world up, then renormalise.
-
-    The output is bit-identical to that recipe written with one numpy
-    call per 3- or 4-vector (the reference in the test suite).  What
-    depends only on the data (the increment quaternions, the gate and
-    the unit specific force) is computed as arrays up front and read
-    from flat float lists, four or three values at a time; the state is
-    four Python floats, appended to one flat list that becomes the
-    (n, 4) output, so no object is kept per sample.  Every norm is
-    ``sqrt`` of a BLAS dot product, as ``np.linalg.norm`` takes it of a
-    vector: OpenBLAS sums with FMA, so ``math.sqrt(x*x + y*y + z*z)``
-    would differ in the last bit for about one vector in ten.  The
-    data-only norms come from ``row_norms``; the three that depend on
-    the state (tilt axis, correction angle, renormalisation) call
-    ``ndarray.dot`` on a small reused buffer.  ``np.arctan2`` stays
-    because ``math.atan2`` rounds differently; ``math.sin``/``math.cos``
-    match numpy's here.
+    The mount ``M`` is ``_init_from_gravity`` of the recording's mean
+    specific force, which levels the device once.  The heading ``psi``
+    is the trapezoid running sum of the gyro rate about the up axis
+    that ``M`` finds, from 0 at the first sample.  The mean specific
+    force leans off gravity only by the run's mean body acceleration:
+    its change of speed and, on turns, speed times turned angle, each
+    over the run's duration.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
     n = len(seq)
     if n == 0:
         return OrientationSequence(np.zeros(0), np.zeros((0, 4)))
-    # the midpoint gyro rate over each step as a rotation, four floats a
-    # step, and the gate and unit specific force of samples 1..n-1, three
-    # floats a sample
-    steps = iter(quat_from_rotvec(0.5 * (seq.gyro[:-1] + seq.gyro[1:])
-                                  * np.diff(seq.t)[:, None]).ravel().tolist())
-    if alpha > 0.0:
-        norms = row_norms(seq.acc)
-        gate = (_ACC_GATE[0] <= norms) & (norms <= _ACC_GATE[1])
-        gated = gate[1:].tolist()
-        ups = iter((seq.acc / np.where(gate, norms, 1.0)[:, None])[1:].ravel().tolist())
-    else:
-        gated, ups = [False] * (n - 1), repeat(0.0)
-    buf3, buf4 = np.empty(3), np.empty(4)
-    out = _init_from_gravity(seq.acc[0]).tolist()
-    w, x, y, z = out
-    for bw, bx, by, bz, in_gate, ux, uy, uz in zip(steps, steps, steps, steps,
-                                                    gated, ups, ups, ups):
-        w, x, y, z = (w * bw - x * bx - y * by - z * bz,
-                      w * bx + x * bw + y * bz - z * by,
-                      w * by - x * bz + y * bw + z * bx,
-                      w * bz + x * by - y * bx + z * bw)
-        if in_gate:
-            # the unit specific force rotated to the world: +z at rest
-            tx, ty, tz = 2.0 * (y * uz - z * uy), 2.0 * (z * ux - x * uz), 2.0 * (x * uy - y * ux)
-            upx = ux + w * tx + (y * tz - z * ty)
-            upy = uy + w * ty + (z * tx - x * tz)
-            upz = uz + w * tz + (x * ty - y * tx)
-            # up x (0, 0, 1); the zero products keep np.cross's signed zeros
-            buf3[0] = ax = upy - upz * 0.0
-            buf3[1] = ay = upz * 0.0 - upx
-            buf3[2] = az = upx * 0.0 - upy * 0.0
-            s = math.sqrt(buf3.dot(buf3))
-            if s > 1e-12:
-                turn = alpha * float(np.arctan2(s, upz))
-                buf3[0] = rx = ax / s * turn
-                buf3[1] = ry = ay / s * turn
-                buf3[2] = rz = az / s * turn
-                angle = math.sqrt(buf3.dot(buf3))
-                if angle < 1e-12:
-                    cw, cx, cy, cz = quat_from_rotvec(buf3).tolist()
-                else:
-                    cw, sin_half = math.cos(0.5 * angle), math.sin(0.5 * angle)
-                    cx, cy, cz = (sin_half * rx / angle, sin_half * ry / angle,
-                                  sin_half * rz / angle)
-                w, x, y, z = (cw * w - cx * x - cy * y - cz * z,
-                              cw * x + cx * w + cy * z - cz * y,
-                              cw * y - cx * z + cy * w + cz * x,
-                              cw * z + cx * y - cy * x + cz * w)
-        buf4[0], buf4[1], buf4[2], buf4[3] = w, x, y, z
-        norm = math.sqrt(buf4.dot(buf4))
-        w, x, y, z = w / norm, x / norm, y / norm, z / norm
-        out += (w, x, y, z)
-    return OrientationSequence(seq.t, np.array(out).reshape(n, 4))
+    mount = _init_from_gravity(seq.acc.mean(axis=0))
+    up = quats_to_matrices(mount[None])[0, 2]  # world +z in the device frame
+    rate = seq.gyro @ up
+    psi = np.zeros(n)
+    np.cumsum(0.5 * (rate[:-1] + rate[1:]) * np.diff(seq.t), out=psi[1:])
+    # the Hamilton product of (cos psi/2, 0, 0, sin psi/2) and the mount
+    c, s = np.cos(0.5 * psi), np.sin(0.5 * psi)
+    w, x, y, z = mount
+    return OrientationSequence(seq.t, np.column_stack(
+        [c * w - s * z, c * x - s * y, c * y + s * x, c * z + s * w]))
 
 
 def _init_from_gravity(acc: np.ndarray) -> np.ndarray:
-    """Orientation aligning the measured specific force with world +z.
+    """The rotation about a horizontal axis that turns the specific force
+    ``acc`` to world +z.
 
-    The result has zero yaw by construction (its rotation axis is
-    horizontal).  Near-zero specific force (free fall) yields identity.
+    Its ZYX yaw is not zero in general (``[1, 1, 9.7]`` gives -5.3e-3
+    rad); ``to_hacf`` and ``relative_yaw`` subtract the first sample's
+    yaw, so nothing downstream depends on it.  Near-zero specific force
+    (free fall) yields identity, and force straight down a half turn
+    about x.
     """
     norm = float(np.linalg.norm(acc))
     if norm < 1e-6:
         return np.array(_IDENTITY)
     v = acc / norm
-    z = np.array([0.0, 0.0, 1.0])
-    axis = np.cross(v, z)
+    axis = np.cross(v, [0.0, 0.0, 1.0])
     s = float(np.linalg.norm(axis))
     if s < 1e-12:
-        if v[2] > 0:
-            return np.array(_IDENTITY)
-        # upside down: rotate pi about x
-        return np.array([0.0, 1.0, 0.0, 0.0])
-    angle = float(np.arctan2(s, float(np.dot(v, z))))
-    return quat_from_rotvec(axis / s * angle)
+        return np.array(_IDENTITY if v[2] > 0 else (0.0, 1.0, 0.0, 0.0))
+    half = 0.5 * float(np.arctan2(s, v[2]))
+    return np.concatenate([[np.cos(half)], np.sin(half) / s * axis])
 
 
 def relative_yaw(orientations: OrientationSequence) -> np.ndarray:

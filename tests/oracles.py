@@ -447,9 +447,6 @@ def quat_to_matrix_ref(q) -> np.ndarray:
     )
 
 
-_ACC_GATE_REF = (0.5 * 9.81, 1.5 * 9.81)
-
-
 def _init_from_gravity_ref(acc: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(acc))
     if norm < 1e-6:
@@ -467,32 +464,26 @@ def _init_from_gravity_ref(acc: np.ndarray) -> np.ndarray:
     return quat_from_rotvec_ref(axis / s * angle)
 
 
-def estimate_orientation_ref(seq, alpha: float = 0.02) -> OrientationSequence:
-    """The complementary filter, one sample and one numpy call at a time."""
+def estimate_orientation_ref(seq) -> OrientationSequence:
+    """The mount from the mean specific force, then the heading summed
+    one trapezoid step at a time about the mount's up axis."""
     n = len(seq)
     if n == 0:
         return OrientationSequence(np.zeros(0), np.zeros((0, 4)))
+    total = np.zeros(3)
+    for a in seq.acc:
+        total = total + a
+    mount = _init_from_gravity_ref(total / n)
+    # world +z seen in the device frame
+    up = quat_rotate_ref(mount * [1.0, -1.0, -1.0, -1.0], [0.0, 0.0, 1.0])
     quats = np.empty((n, 4))
-    q = _init_from_gravity_ref(seq.acc[0])
-    quats[0] = q
-    z = np.array([0.0, 0.0, 1.0])
-    for i in range(1, n):
-        dt = float(seq.t[i] - seq.t[i - 1])
-        omega = 0.5 * (seq.gyro[i - 1] + seq.gyro[i])
-        q = quat_multiply_ref(q, quat_from_rotvec_ref(omega * dt))
-        if alpha > 0.0:
-            a = seq.acc[i]
-            norm = float(np.linalg.norm(a))
-            if _ACC_GATE_REF[0] <= norm <= _ACC_GATE_REF[1]:
-                up_meas = quat_rotate_ref(q, a / norm)  # should be +z at rest
-                axis = np.cross(up_meas, z)
-                s = float(np.linalg.norm(axis))
-                if s > 1e-12:
-                    angle = float(np.arctan2(s, float(np.dot(up_meas, z))))
-                    corr = quat_from_rotvec_ref(axis / s * (alpha * angle))
-                    q = quat_multiply_ref(corr, q)
-        q = quat_normalize_ref(q)
-        quats[i] = q
+    psi = 0.0
+    for i in range(n):
+        if i:
+            rate = 0.5 * (float(np.dot(seq.gyro[i - 1], up)) + float(np.dot(seq.gyro[i], up)))
+            psi += rate * float(seq.t[i] - seq.t[i - 1])
+        heading = np.array([math.cos(0.5 * psi), 0.0, 0.0, math.sin(0.5 * psi)])
+        quats[i] = quat_multiply_ref(heading, mount)
     return OrientationSequence(seq.t, quats)
 
 

@@ -58,11 +58,11 @@ def _manifest(ds):
 # from numpy, so another BLAS build may round differently.
 PIPELINE_SHA256 = {
     "captions.jsonl": "a4f11c24ec49420b3403fb8efba5a74439909263ab25c49af8fcc8dc7ce1e3d7",
-    "captures.jsonl": "1de6c10420ccf34e10e256ec4c1d0923e921fcd171a8e19ea20c4c708dd778b9",
-    "config.json": "4fbd52f865f249a6235ef4cb41cbe9443d8d58973bafe618a00ff2bd28da596f",
+    "captures.jsonl": "f1dfc8e8857833b7dd36c5e524683136bd3c874c3ae670d8a3e08b4a04b11b78",
+    "config.json": "361dda75ce1ec367f7aacf1ef0bb1b032a60e56439a30f7db26753eb72df2571",
     "corrections.jsonl": "bdd47d450a9bc50209c90d82174b69584bd4560e4f2bf8f522d9430861f0dd06",
-    "est_trajectory.csv": "1baf7e9de1580cbe1385297e69e4986bba7d48a4229cd5c8de125ab6ea8916e7",
-    "eval_grid_1.0.json": "74f7d78efda26b0dcaa5d7d924f1040559ee73cec0b4bd978a7a88761ba3735f",
+    "est_trajectory.csv": "be23cd4152fc56db6967be5fc93229bd3f1b72ef429d3daa4ec1fc27b07c4492",
+    "eval_grid_1.0.json": "8033c367213d8bc40816bd6bf4b73b0ea29a60cc6e7336f57e11d8195878f709",
     "gt_captures.jsonl": "fd245f8a34366edca6ff25133f118dae302e13850aba3c81aaa343297d22ee16",
     "gt_trajectory.csv": "4d0ca03e1acc5bc5da72c04a207b91fc16203d2e3afdd17e19e1e1abdd47d65d",
     "imu.csv": "07af0aeabda4c0ee7ad5088b610cec005ce5c4e22bda74e47de62dab57c231db",
@@ -73,8 +73,8 @@ PIPELINE_SHA256 = {
     "map_eval.json": "a39fe5f8642d7bea9691e0db7bf9fbf32972ce33c37efffe561d9855822cf4f9",
     "orientations.csv": "b3091441c6dc4626d155a4cf33f8e0e0d8345acf8c6dcd0f772524611e6226e2",
     "plot.svg": "725cdded3255216ffe2049893ea1b4f4a45af0d1cd32c8df0254a49698124c29",
-    "refined_trajectory.csv": "1baf7e9de1580cbe1385297e69e4986bba7d48a4229cd5c8de125ab6ea8916e7",
-    "residuals_grid_1.0.csv": "f449ba1ed7c90bde0b600a16dd246a59a68d20c890a7c03dbf30725a6692aaed",
+    "refined_trajectory.csv": "be23cd4152fc56db6967be5fc93229bd3f1b72ef429d3daa4ec1fc27b07c4492",
+    "residuals_grid_1.0.csv": "ab63a714561f6a09fa9b24eda24ad972e2f51eeb2c37b4f08ae4233fecf1a2cc",
     "velocities.csv": "44afbb652ecee526b3d1a3e308227bdcf7c3973c471aeea53acf524a6cba1ae7",
     "rasters": "8d2a9cf997ee7f6deb95ab94ee62c42600af56a7a6cb83ace541688f470585a6",
 }
@@ -305,6 +305,33 @@ class TestExitCodes:
         assert run("eval", "--dataset", tmp_path) == 2
         assert capsys.readouterr().err == f"error: {tmp_path / 'manifest.json'}: {error}\n"
 
+    class FullStdout:
+        """Standard output on a full disk: every write fails."""
+
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+        def flush(self):
+            pass
+
+    def test_failed_summary_leaves_the_outputs_listed(self, pipeline, tmp_path, capsys,
+                                                      monkeypatch):
+        """``eval > /dev/full``: the summary is printed after the manifest
+        and run_meta are saved, so the files eval wrote stay listed."""
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline, ds)
+        manifest = _manifest(ds)
+        for key in ("eval_grid_1.0", "residuals_grid_1.0"):
+            (ds / manifest.pop(key)).unlink()
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        (ds / "run_meta_eval.json").unlink()
+        monkeypatch.setattr(sys, "stdout", self.FullStdout())
+        assert run("eval", "--dataset", ds) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert _manifest(ds)["eval_grid_1.0"] == "eval_grid_1.0.json"
+        assert (ds / "eval_grid_1.0.json").is_file()
+        assert (ds / "run_meta_eval.json").is_file()
+
     def test_invalid_room_rejected(self, tmp_path, capsys):
         assert run("simulate", "--out", tmp_path / "ds",
                    "--set", "sim.room_width=-1") == 2
@@ -359,7 +386,7 @@ class TestExitCodes:
         ("simulate", "hacf.tau"): ("0", "hacf.tau: must be >= 1, got 0"),
         ("infer", "hacf.tau"): ("0", "hacf.tau: must be >= 1, got 0"),
         ("infer", "hacf.stride"): ("-1", "hacf.stride: must be >= 0 (0 = tau), got -1"),
-        ("infer", "orientation.alpha"): ("1.5", "orientation.alpha: must lie in [0, 1], got 1.5"),
+        ("infer", "orientation.alpha"): ("0.02", "unknown configuration key 'orientation.alpha'"),
         ("infer", "estimator.v_max"): ("0", "estimator.v_max: must be positive, got 0.0"),
         ("infer", "capture.distance_m"): ("-1", "capture.distance_m: must be positive, got -1.0"),
         ("simulate", "capture.rotation_rad"):
@@ -670,6 +697,57 @@ class TestBenchmarkTracer:
                      "rae.rae_estimate", "estimator.estimate_velocity",
                      "trajectory.held_velocities"):
             assert doc["spans"][name]["calls"] >= 1, name
+
+
+    # each command of a traced chain -> spans its run must hold, and
+    # counts that the tracer's hooks take from the wrapped calls' results
+    TRACED = [
+        (["simulate", "--out", "{ds}", *SMALL_ROOM],
+         ["cli.simulate", "sim.generate_trajectory", "sim.synthesize_imu",
+          "sim.generate_scene", "imu.save_imu", "object_map.save_raster"], []),
+        (["infer", "--dataset", "{ds}"],
+         ["cli.infer", "imu.load_imu", "orientation.estimate_orientation", "imu.to_hacf",
+          "imu.make_windows", "rae.rae_estimate", "estimator.estimate_velocity",
+          "orientation.relative_yaw", "trajectory.integrate", "trajectory.capture_schedule"],
+         ["orientation.samples", "imu.make_windows.windows", "estimator.returned"]),
+        (["refine", "--dataset", "{ds}", "--epochs", "5"],
+         ["cli.refine", "cli._load_velocities", "loop_closure.refine",
+          "loop_closure.loss_and_gradients", "loop_closure.refinement_loss",
+          "loop_closure.save_corrections"],
+         ["loop_closure.hidden", "loop_closure.epochs", "loop_closure.identity_fallback"]),
+        (["eval", "--dataset", "{ds}"],
+         ["cli.eval", "metrics.evaluate", "metrics.save_report", "metrics.save_residuals"],
+         ["metrics.pairs"]),
+        (["map", "--dataset", "{ds}"],
+         ["cli.map", "object_map.load_captions", "object_map.load_raster",
+          "object_map.observe_items", "object_map.cluster_items", "metrics.evaluate",
+          "object_map.evaluate_map"], ["object_map.observations"]),
+        (["plot", "--dataset", "{ds}"], ["cli.plot", "cli._render_svg"], []),
+        (["infer", "--dataset", "{ds}", "--estimator", "network",
+          "--set", "estimator.weights={weights}"],
+         ["cli.infer", "estimator.load_weights", "estimator.estimate_velocity"],
+         ["estimator.flop_per_pass", "estimator.returned"]),
+    ]
+
+    def test_traced_chain_runs(self, tmp_path):
+        """Every command as ``perfbench/run.py --trace 1`` runs it: the
+        tracer script in its own process, on this source tree.  Its
+        hooks read what the wrapped calls return, so a changed result
+        fails here and not only in a traced benchmark run."""
+        ds, weights = tmp_path / "ds", tmp_path / "weights.json"
+        est_mod.save_weights(est_mod.make_random_bundle(tau=64, seed=1), weights)
+        paths = [str(self.ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        for i, (argv, spans, counts) in enumerate(self.TRACED):
+            out = tmp_path / f"spans_{i}.json"
+            argv = [a.format(ds=ds, weights=weights) for a in argv]
+            proc = subprocess.run(
+                [sys.executable, str(self.ROOT / "perfbench" / "traced_cli.py"), str(out),
+                 *argv], env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, (argv, proc.stderr)
+            doc = json.loads(out.read_text())
+            assert [s for s in spans if doc["spans"].get(s, {}).get("calls", 0) < 1] == [], argv
+            assert [c for c in counts if c not in doc["counts"]] == [], argv
 
 
 class TestInferRunMeta:

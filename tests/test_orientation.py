@@ -1,4 +1,4 @@
-"""Complementary-filter orientation estimation."""
+"""Orientation from the fixed mount and the summed gyro."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,24 @@ from hypothesis import strategies as st
 import sweepnav as sn
 from sweepnav import geometry as geo
 
-from .oracles import (estimate_orientation_ref, quat_identity_ref, quat_normalize_ref,
-                      quat_rotate_ref, relative_yaw_ref, same_bits)
+from .oracles import (estimate_orientation_ref, quat_from_rotvec_ref, quat_multiply_ref,
+                      quat_normalize_ref, quat_rotate_ref, relative_yaw_ref)
 
 
 def _seq(acc, gyro, n, rate=100.0):
     t = np.arange(n) / rate
     return sn.ImuSequence(t, np.tile(acc, (n, 1)), np.tile(gyro, (n, 1)))
+
+
+def _angle(u, v):
+    """The angle between two 3-vectors, accurate near zero."""
+    return float(np.arctan2(np.linalg.norm(np.cross(u, v)), np.dot(u, v)))
+
+
+def _up(orients):
+    """World +z in the device frame: the same for every sample of a
+    rotation about world z times the mount."""
+    return geo.quats_to_matrices(orients.q[:1])[0, 2]
 
 
 class TestGyroIntegration:
@@ -35,6 +46,8 @@ class TestGyroIntegration:
 
 
 class TestGravityBlend:
+    """The tilt comes from gravity alone, never from the gyro."""
+
     def test_initializes_from_first_accelerometer_sample(self):
         """A rolled device is recognized as rolled from sample one."""
         seq = _seq([0.0, 9.81, 0.0], [0.0, 0.0, 0.0], n=100)
@@ -48,75 +61,123 @@ class TestGravityBlend:
         orients = sn.estimate_orientation(seq)
         up = quat_rotate_ref(orients.q[-1], np.array([0.0, 0.0, 1.0]))
         tilt = np.arccos(np.clip(up[2], -1.0, 1.0))
-        # gyro-only drift would be 0.06 rad; the blend holds it far lower
-        assert tilt < 0.01
+        # the gyro alone would tilt it by 0.06 rad; the tilt never sums the gyro
+        assert tilt < 1e-12
 
-    def test_acceleration_gate_ignores_dynamic_samples(self):
-        """Specific force far from 1 g never feeds the tilt correction."""
-        n = 200
-        t = np.arange(n) / 100.0
-        acc = np.tile([20.0, 0.0, 9.81], (n, 1))  # norm well above the gate
-        acc[0] = [0.0, 0.0, 9.81]
-        seq = sn.ImuSequence(t, acc, np.zeros((n, 3)))
-        orients = sn.estimate_orientation(seq)
-        np.testing.assert_allclose(orients.q[-1], quat_identity_ref(), atol=1e-12)
+
+def _sweep(turn_model, room_width=6.5, room_height=2.0):
+    """The noise-free ground truth and IMU of a sweep."""
+    cfg = sn.SimConfig(room_width=room_width, room_height=room_height, turn_model=turn_model)
+    gt = sn.generate_trajectory(cfg)
+    return gt, sn.synthesize_imu(gt, cfg)
+
+
+@pytest.fixture(scope="module", params=["arc", "stop_and_turn"])
+def sweep60(request):
+    """The 60 s reference room, by turn model."""
+    return request.param, *_sweep(request.param)
+
+
+class TestFixedMount:
+    """A device turned on its mount by a fixed roll of 0.2 rad and pitch
+    of -0.1 rad records the level device's vectors in its own frame."""
+
+    ROLL, PITCH = 0.2, -0.1
+
+    def _tilt(self, imu):
+        """The recording of the turned device, and its true up axis."""
+        q = quat_multiply_ref(quat_from_rotvec_ref([0.0, self.PITCH, 0.0]),
+                              quat_from_rotvec_ref([self.ROLL, 0.0, 0.0]))
+        mount = geo.quats_to_matrices(q[None])[0]  # turned device -> level device
+        return sn.ImuSequence(imu.t, imu.acc @ mount, imu.gyro @ mount), mount[2]
+
+    def test_heading_does_not_see_the_tilt(self, sweep60):
+        _, _, imu = sweep60
+        tilted, _ = self._tilt(imu)
+        level = sn.relative_yaw(sn.estimate_orientation(imu))
+        turned = sn.relative_yaw(sn.estimate_orientation(tilted))
+        np.testing.assert_allclose(geo.wrap_angle(turned - level), 0.0, rtol=0, atol=1e-12)
+
+    def test_up_axis_is_off_by_the_mean_acceleration(self, sweep60):
+        """Stop-and-turn starts and ends each leg at rest, so its mean
+        acceleration is zero.  On arcs the mean lateral acceleration,
+        speed times turned angle over the duration, leans the mean
+        specific force by at most its ratio to g."""
+        turn_model, gt, imu = sweep60
+        tilted, up = self._tilt(imu)
+        err = _angle(_up(sn.estimate_orientation(tilted)), up)
+        if turn_model == "stop_and_turn":
+            assert err < 1e-12
+        else:
+            duration = gt.t[-1] - gt.t[0]
+            speed = np.linalg.norm(np.diff(gt.xy, axis=0), axis=1).sum() / duration
+            turned = abs(np.unwrap(gt.yaw)[-1] - gt.yaw[0])
+            assert err <= speed * turned / (geo.GRAVITY * duration) + 1e-9
+
+    def test_long_arc_sweep_heading(self):
+        """The 350 s sweep of a 20 m x 6 m room, noise-free."""
+        gt, imu = _sweep("arc", room_width=20.0, room_height=6.0)
+        yaw = sn.relative_yaw(sn.estimate_orientation(imu))
+        err = geo.wrap_angle(yaw - (gt.yaw - gt.yaw[0]))
+        assert np.abs(err).mean() <= 1e-5
 
 
 @st.composite
 def imu_streams(draw):
-    """Short recordings with non-uniform steps, stretches of zero or
-    tiny gyro rate (the small-angle branch), and specific forces on
-    both edges of the gate, just outside them, and at zero, with signed
-    zeros off the axis."""
-    n = draw(st.integers(1, 80))
+    """Short recordings, empty ones too, with non-uniform steps,
+    stretches of zero or tiny gyro rate, specific forces tilted, off
+    1 g and at zero along an axis with signed zeros off it, and some
+    with a zero mean."""
+    n = draw(st.integers(0, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t = np.cumsum(rng.uniform(0.001, 0.05, n)) - 0.001
     gyro = rng.normal(scale=draw(st.sampled_from([0.01, 0.5, 4.0])), size=(n, 3))
     lo, hi = sorted(draw(st.tuples(st.integers(0, n), st.integers(0, n))))
     gyro[lo:hi] = draw(st.sampled_from([0.0, -0.0, 1e-13, -2e-14]))
-    # tilted gravity plus linear acceleration, some samples far off 1 g
     up = rng.normal(size=(n, 3)) * draw(st.sampled_from([0.0, 0.1, 1.0])) + [0.0, 0.0, 1.0]
     acc = geo.GRAVITY * up / np.linalg.norm(up, axis=1, keepdims=True)
     acc *= rng.uniform(0.3, 1.7, (n, 1)) if draw(st.booleans()) else 1.0
-    edges = [0.5, 1.5, 0.5 * (1 - 1e-16), 1.5 * (1 + 1e-15), 0.0]
-    for i in draw(st.lists(st.integers(0, n - 1), max_size=6)):
-        # along an axis, where the norm is exactly the value set
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=6)) if n else []:
         acc[i] = rng.choice([0.0, -0.0], 3)
-        acc[i, rng.integers(3)] = rng.choice([-1.0, 1.0]) * rng.choice(edges) * geo.GRAVITY
+        acc[i, rng.integers(3)] = rng.choice([-1.0, 0.0, 0.5, 1.5]) * geo.GRAVITY
+    if n and draw(st.booleans()):
+        acc -= acc.mean(axis=0)
     return sn.ImuSequence(t, acc, gyro)
 
 
 class TestMatchesPerSampleReference:
-    """The batched filter and yaw equal the per-sample, one-numpy-call-
-    per-vector recipe bit for bit."""
+    """The array estimate and yaw equal the per-sample recipe: the mount
+    from the mean specific force, then one trapezoid step at a time."""
 
     @settings(max_examples=150, deadline=None)
-    @given(seq=imu_streams(),
-           alpha=st.one_of(st.sampled_from([0.0, 0.02, 1.0]), st.floats(0.0, 1.0)))
-    def test_filter_and_relative_yaw(self, seq, alpha):
-        got = sn.estimate_orientation(seq, alpha)
-        ref = estimate_orientation_ref(seq, alpha)
-        assert same_bits(got.q, ref.q)
-        assert same_bits(got.t, ref.t)
-        assert same_bits(sn.relative_yaw(got), relative_yaw_ref(ref))
+    @given(seq=imu_streams())
+    def test_filter_and_relative_yaw(self, seq):
+        got = sn.estimate_orientation(seq)
+        ref = estimate_orientation_ref(seq)
+        np.testing.assert_allclose(got.q, ref.q, rtol=0, atol=1e-12)
+        assert np.array_equal(got.t, ref.t)
+        np.testing.assert_allclose(geo.wrap_angle(sn.relative_yaw(got) - relative_yaw_ref(ref)),
+                                   0.0, rtol=0, atol=1e-12)
 
-    def test_signed_zero_of_a_roll_only_recording(self):
-        """Rolled past 90 degrees about x alone, the tilt axis (up x z) has
-        a signed-zero y component that reaches the output's qy."""
-        seq = sn.ImuSequence([0.0, 0.02], [[0.0, -5.0, -8.0], [0.0, -9.8, 0.0]],
-                             [[-0.02, -0.0, -0.0]] * 2)
-        got = sn.estimate_orientation(seq, 1.0)
-        assert same_bits(got.q, estimate_orientation_ref(seq, 1.0).q)
-        assert np.signbit(got.q[:, 2]).tolist() == [True, False]
+    @pytest.mark.parametrize("acc, q", [
+        ([[9.81, 0.0, 0.0], [-9.81, 0.0, 0.0]], [1.0, 0.0, 0.0, 0.0]),
+        ([[0.0, 0.0, -9.81]] * 2, [0.0, 1.0, 0.0, 0.0]),
+    ])
+    def test_degenerate_mounts(self, acc, q):
+        """No mean specific force keeps the identity, and one straight
+        down turns half a turn about x."""
+        seq = sn.ImuSequence([0.0, 0.02], acc, np.zeros((2, 3)))
+        np.testing.assert_array_equal(sn.estimate_orientation(seq).q, [q, q])
+        np.testing.assert_array_equal(estimate_orientation_ref(seq).q, [q, q])
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.02, 1.0])
-    def test_simulated_sweep(self, clean_imu, alpha):
+    def test_simulated_sweep(self, clean_imu):
         noisy = sn.ImuSequence(clean_imu.t, clean_imu.acc + np.random.default_rng(1).normal(
             scale=0.05, size=clean_imu.acc.shape), clean_imu.gyro)
         for seq in (clean_imu, noisy):
-            got = sn.estimate_orientation(seq, alpha)
-            assert same_bits(got.q, estimate_orientation_ref(seq, alpha).q)
-            assert same_bits(sn.relative_yaw(got), relative_yaw_ref(got))
+            got = sn.estimate_orientation(seq)
+            np.testing.assert_allclose(got.q, estimate_orientation_ref(seq).q,
+                                       rtol=0, atol=1e-12)
+            assert np.array_equal(sn.relative_yaw(got), relative_yaw_ref(got))
 
 
 class TestOrientationSequence:

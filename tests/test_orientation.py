@@ -170,14 +170,15 @@ class TestMatchesPerSampleReference:
         np.testing.assert_array_equal(sn.estimate_orientation(seq).q, [q, q])
         np.testing.assert_array_equal(estimate_orientation_ref(seq).q, [q, q])
 
-    def test_simulated_sweep(self, clean_imu):
-        noisy = sn.ImuSequence(clean_imu.t, clean_imu.acc + np.random.default_rng(1).normal(
-            scale=0.05, size=clean_imu.acc.shape), clean_imu.gyro)
-        for seq in (clean_imu, noisy):
-            got = sn.estimate_orientation(seq)
-            np.testing.assert_allclose(got.q, estimate_orientation_ref(seq).q,
-                                       rtol=0, atol=1e-12)
-            assert np.array_equal(sn.relative_yaw(got), relative_yaw_ref(got))
+    @pytest.mark.parametrize("noise", [0.0, 0.02, 1.0])
+    def test_simulated_sweep(self, clean_imu, noise):
+        """The clean sweep, and the same with accelerometer noise of this
+        standard deviation in m/s^2."""
+        seq = sn.ImuSequence(clean_imu.t, clean_imu.acc + np.random.default_rng(1).normal(
+            scale=noise, size=clean_imu.acc.shape), clean_imu.gyro)
+        got = sn.estimate_orientation(seq)
+        np.testing.assert_allclose(got.q, estimate_orientation_ref(seq).q, rtol=0, atol=1e-12)
+        assert np.array_equal(sn.relative_yaw(got), relative_yaw_ref(got))
 
 
 class TestOrientationSequence:

@@ -199,7 +199,7 @@ def _field_defaults(prefix: str) -> dict:
 # the ones the commands read themselves.
 DEFAULTS: dict = {
     **_field_defaults("sim"),
-    "orientation.source": "filter",
+    "orientation.source": "imu",
     "hacf.tau": 64,
     "hacf.stride": 0,  # 0 = tau (non-overlapping windows)
     "estimator.kind": "oracle",
@@ -221,7 +221,7 @@ DEFAULTS: dict = {
 
 # enumerated string keys that no section dataclass checks -> allowed values
 CHOICES: dict = {
-    "orientation.source": ("filter", "file"),
+    "orientation.source": ("imu", "file"),
     "estimator.kind": ("oracle", "network"),
     "eval.trajectory": ("auto", "gt", "est", "refined"),
     "map.trajectory": ("auto", "gt", "est", "refined"),

@@ -11,8 +11,6 @@ Conventions
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 GRAVITY = 9.81
@@ -44,16 +42,6 @@ def unique(a) -> np.ndarray:
     first = np.ones(len(a), dtype=bool)
     np.not_equal(a[1:], a[:-1], out=first[1:])
     return a[first]
-
-
-def hypot(x, y) -> np.ndarray:
-    """``math.hypot`` of each pair, bit for bit, where ``np.hypot`` can
-    differ in the last place.  Each pair goes through the running
-    interpreter's ``math.hypot``, whose rounding steps differ between
-    CPython versions."""
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    pairs = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
-    return np.fromiter(pairs, float, count=x.size).reshape(x.shape)
 
 
 def rot2(theta: float) -> np.ndarray:

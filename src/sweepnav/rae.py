@@ -13,10 +13,11 @@ a single wild member.
 
 The reduction runs over all windows at once (``reduce_members``): each
 step of the geometric median is taken by every window still descending,
-with sums in member order and ``math.hypot``'s distances
-(``geometry.hypot``), so every window gets the bits of a loop over its
-own members.  That loop is the test reference,
-``tests/oracles.py::geometric_median_ref``.
+with sums in member order and ``np.hypot``'s distances, so every window
+gets the bits of a loop over its own members.  That loop is the test
+reference, ``tests/oracles.py::geometric_median_ref``, and it calls the
+same ``np.hypot`` on each pair, so the two agree on any platform; the
+bits themselves follow the platform's libm ``hypot``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .config import _REDUCERS, RaeConfig
 from .estimator import NonFiniteEstimateError, clamp_speed, estimate_velocity
-from .geometry import hypot, rotate_xy
+from .geometry import rotate_xy
 
 # Geometric median: members within _COLLINEAR_TOL * spread of one line are
 # collinear; the descent stops once a step is below _GM_RTOL times the
@@ -65,7 +66,7 @@ def _member_sums(terms: np.ndarray) -> np.ndarray:
 def _unit_terms(ex, ey):
     """Distances d to the members along the last axis, 1/d, and the unit
     vectors; the last three are zero at a member where d is zero."""
-    d = hypot(ex, ey)
+    d = np.hypot(ex, ey)
     w = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
     return d, w, ex * w, ey * w
 
@@ -84,8 +85,10 @@ def _geometric_medians(pts: np.ndarray) -> tuple[np.ndarray, int]:
     step when it lowers the distance sum, else a Weiszfeld step.  All
     windows take each step at once, and a window leaves once its step
     meets the stop rule.  Sums run in member order and distances are
-    ``math.hypot``'s, so each window's result is the one a loop over its
-    members gives (``tests/oracles.py::geometric_median_ref``).
+    ``np.hypot``'s, so each window's result is the one a loop over its
+    members gives (``tests/oracles.py::geometric_median_ref``, which
+    calls ``np.hypot`` on each pair: the bits follow the platform's libm,
+    not the Python version, and both sides follow it alike).
     """
     m = pts.shape[1]
     order = np.lexsort((pts[..., 1], pts[..., 0]), axis=1)
@@ -95,7 +98,7 @@ def _geometric_medians(pts: np.ndarray) -> tuple[np.ndarray, int]:
     cx = np.array([math.fsum(row) for row in x.tolist()]) / m
     cy = np.array([math.fsum(row) for row in y.tolist()]) / m
     ex, ey = x - cx[:, None], y - cy[:, None]
-    dist = hypot(ex, ey)
+    dist = np.hypot(ex, ey)
     live = np.flatnonzero(dist.max(axis=1) != 0.0)
     far = dist[live].argmax(axis=1)
     spread = dist[live, far]
@@ -114,7 +117,7 @@ def _geometric_medians(pts: np.ndarray) -> tuple[np.ndarray, int]:
     optimal = np.empty((len(rows), m), dtype=bool)
     for i in range(m):  # Vardi-Zhang: the pull of the members on member i
         d, _, ux, uy = _unit_terms(px - px[:, i, None], py - py[:, i, None])
-        optimal[:, i] = hypot(_member_sums(ux), _member_sums(uy)) <= (d == 0.0).sum(axis=1)
+        optimal[:, i] = np.hypot(_member_sums(ux), _member_sums(uy)) <= (d == 0.0).sum(axis=1)
     first = optimal.argmax(axis=1)
     hit = optimal[np.arange(len(rows)), first]
     out[rows[hit], 0] = px[hit, first[hit]]
@@ -137,15 +140,15 @@ def _geometric_medians(pts: np.ndarray) -> tuple[np.ndarray, int]:
             # change of the distance sum over the step, as
             # sum (|e - s|^2 - |e|^2) / (|e - s| + |e|), which keeps its
             # precision for steps far below the sum's own rounding
-            den = d + hypot(ex - sx[:, None], ey - sy[:, None])
+            den = d + np.hypot(ex - sx[:, None], ey - sy[:, None])
             num = (sx * sx + sy * sy)[:, None] - 2.0 * (ex * sx[:, None] + ey * sy[:, None])
             change = _member_sums(np.divide(num, den, out=np.zeros_like(den), where=den > 0.0))
             weiszfeld = ~(change < 0.0)
             sx = np.where(weiszfeld, wx / wsum - yx, sx)
             sy = np.where(weiszfeld, wy / wsum - yy, sy)
             yx, yy = yx + sx, yy + sy
-            done = hypot(sx, sy) <= np.maximum(stop_scale / wsum,
-                                               _GM_ULPS * np.spacing(hypot(yx, yy)))
+            done = np.hypot(sx, sy) <= np.maximum(stop_scale / wsum,
+                                                  _GM_ULPS * np.spacing(np.hypot(yx, yy)))
             out[rows[done], 0] = yx[done]
             out[rows[done], 1] = yy[done]
             rows, px, py, yx, yy = (a[~done] for a in (rows, px, py, yx, yy))
@@ -216,15 +219,20 @@ def rae_estimate(windows: np.ndarray, starts, model, cfg: RaeConfig,
     kept = np.empty((n, k), dtype=bool)
     over = np.empty((n, k), dtype=bool)
     # the products and sums of rotate_xyz_about_z, written into one buffer
-    # straight from the windows rather than from K repeated copies
+    # straight from the windows rather than from K repeated copies, with
+    # one reused (block, K, 2, tau + 1) buffer for the second product
     cos, sin = np.cos(angles)[:, None, None], np.sin(angles)[:, None, None]
     rotated = np.empty((min(n, _BLOCK), k) + windows.shape[1:])
+    scratch = np.empty(rotated.shape[:-1])
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         # (hi - lo, K, 2, tau + 1, 3): copy k of each window rotated by theta_k
-        block, out = windows[lo:hi, None], rotated[:hi - lo]
-        out[..., 0] = cos * block[..., 0] - sin * block[..., 1]
-        out[..., 1] = sin * block[..., 0] + cos * block[..., 1]
+        block, out, tmp = windows[lo:hi, None], rotated[:hi - lo], scratch[:hi - lo]
+        x, y = out[..., 0], out[..., 1]
+        np.multiply(cos, block[..., 0], out=x)
+        x -= np.multiply(sin, block[..., 1], out=tmp)
+        np.multiply(sin, block[..., 0], out=y)
+        y += np.multiply(cos, block[..., 1], out=tmp)
         out[..., 2] = block[..., 2]
         est = estimate_velocity(out.reshape(-1, *windows.shape[1:]),
                                 np.repeat(starts[lo:hi], k), np.tile(angles, hi - lo),

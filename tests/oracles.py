@@ -160,6 +160,13 @@ def refinement_loss_ref(P, r, l, v, cfg, grads):
 _GM_COLLINEAR_TOL = 1e-12
 
 
+def _hypot(x, y) -> float:
+    """``np.hypot`` of two Python floats, as a Python float: the bits that
+    the batched median's array calls give (``test_geometry.py::
+    TestNpHypotLayouts``), followed by plain float arithmetic."""
+    return float(np.hypot(x, y))
+
+
 def _pull_ref(pts, yx, yy):
     """Sum of the unit vectors from (yx, yy) to the members (the negative
     gradient of the distance sum), that sum's Hessian (xx, xy, yy), the
@@ -168,7 +175,7 @@ def _pull_ref(pts, yx, yy):
     gx = gy = hxx = hxy = hyy = wsum = wx = wy = 0.0
     for x, y in pts:
         ex, ey = x - yx, y - yy
-        d = math.hypot(ex, ey)
+        d = _hypot(ex, ey)
         if d > 0.0:
             w = 1.0 / d
             ux, uy = ex * w, ey * w
@@ -191,7 +198,7 @@ def _distance_sum_change_ref(pts, yx, yy, sx, sy):
     total = 0.0
     for x, y in pts:
         ex, ey = x - yx, y - yy
-        den = math.hypot(ex, ey) + math.hypot(ex - sx, ey - sy)
+        den = _hypot(ex, ey) + _hypot(ex - sx, ey - sy)
         if den > 0.0:
             total += (ss - 2.0 * (ex * sx + ey * sy)) / den
     return total
@@ -217,8 +224,8 @@ def geometric_median_ref(members, rtol=1e-10, max_iter=100, ulps=4):
     k = len(pts)
     cx = math.fsum(x for x, _ in pts) / k
     cy = math.fsum(y for _, y in pts) / k
-    ax, ay = max(pts, key=lambda p: math.hypot(p[0] - cx, p[1] - cy))
-    spread = math.hypot(ax - cx, ay - cy)
+    ax, ay = max(pts, key=lambda p: _hypot(p[0] - cx, p[1] - cy))
+    spread = _hypot(ax - cx, ay - cy)
     if spread == 0.0:
         return np.array(pts[0]), False
     dx, dy = (ax - cx) / spread, (ay - cy) / spread
@@ -228,7 +235,7 @@ def geometric_median_ref(members, rtol=1e-10, max_iter=100, ulps=4):
         return np.array([0.5 * (lx + hx), 0.5 * (ly + hy)]), False
     for p in pts:
         rx, ry = _pull_ref(pts, *p)[:2]
-        if math.hypot(rx, ry) <= pts.count(p):
+        if _hypot(rx, ry) <= pts.count(p):
             return np.array(p), False
     yx, yy = cx, cy
     for _ in range(max_iter):
@@ -242,7 +249,7 @@ def geometric_median_ref(members, rtol=1e-10, max_iter=100, ulps=4):
             sx, sy = qx - yx, qy - yy
         yx += sx
         yy += sy
-        if math.hypot(sx, sy) <= max(rtol * k / wsum, ulps * math.ulp(math.hypot(yx, yy))):
+        if _hypot(sx, sy) <= max(rtol * k / wsum, ulps * math.ulp(_hypot(yx, yy))):
             return np.array([yx, yy]), False
     return np.array([yx, yy]), True
 
@@ -267,12 +274,12 @@ def geometric_median_violation_ref(members, y) -> float:
     m = 0
     s = np.zeros(2)
     for x in np.asarray(members, dtype=float):
-        d = math.hypot(x[0] - y[0], x[1] - y[1])
+        d = _hypot(x[0] - y[0], x[1] - y[1])
         if d == 0.0:
             m += 1
         else:
             s += (x - y) / d
-    return max(0.0, math.hypot(s[0], s[1]) - m)
+    return max(0.0, _hypot(s[0], s[1]) - m)
 
 
 def world_to_camera_ref(points_world, pose, cfg) -> np.ndarray:

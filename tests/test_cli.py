@@ -59,7 +59,7 @@ def _manifest(ds):
 PIPELINE_SHA256 = {
     "captions.jsonl": "a4f11c24ec49420b3403fb8efba5a74439909263ab25c49af8fcc8dc7ce1e3d7",
     "captures.jsonl": "f1dfc8e8857833b7dd36c5e524683136bd3c874c3ae670d8a3e08b4a04b11b78",
-    "config.json": "361dda75ce1ec367f7aacf1ef0bb1b032a60e56439a30f7db26753eb72df2571",
+    "config.json": "9579731566fdfeee017af52b3191b6fb3c59f1bb94915688880f9a3bca9243dc",
     "corrections.jsonl": "bdd47d450a9bc50209c90d82174b69584bd4560e4f2bf8f522d9430861f0dd06",
     "est_trajectory.csv": "be23cd4152fc56db6967be5fc93229bd3f1b72ef429d3daa4ec1fc27b07c4492",
     "eval_grid_1.0.json": "8033c367213d8bc40816bd6bf4b73b0ea29a60cc6e7336f57e11d8195878f709",
@@ -417,6 +417,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert {p: p.read_bytes() for p in ds.rglob("*") if p.is_file()} == before
         assert not (tmp_path / "new").exists()
+
+    def test_orientation_source_filter_has_no_alias(self, tmp_path, capsys):
+        """``imu`` names the estimate from the levelled mount and the summed
+        gyro; ``filter`` named the complementary filter it replaced."""
+        assert run("infer", "--dataset", tmp_path, "--set", "orientation.source=filter") == 2
+        assert capsys.readouterr().err == (
+            "error: orientation.source: expected one of imu, file, got 'filter'\n")
 
     def test_no_command_exits_via_argparse(self):
         with pytest.raises(SystemExit):

@@ -174,13 +174,15 @@ def member_stacks(draw):
     one member kept per window.  Each window is drawn as one of: a
     Gaussian cloud; a small lattice, which gives duplicates, collinear
     sets and members on the mean; points on one line; or copies of one
-    member with signed zeros.  Values are scaled by 1e-9 to 1e3."""
+    member with signed zeros.  Values are scaled by 1e-9 to 1e3, or by
+    1e-300 or 1e300, where libm's hypot rescales its arguments."""
     k = draw(st.integers(1, 8))
     n = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     back = np.empty((n, k, 2))
     for i in range(n):
-        scale = 10.0 ** draw(st.integers(-9, 3))
+        scale = draw(st.integers(-9, 3).map(lambda e: 10.0 ** e)
+                     | st.sampled_from([1e-300, 1e300]))
         kind = draw(st.sampled_from(["cloud", "lattice", "line", "zeros"]))
         if kind == "cloud":
             back[i] = rng.normal(size=(k, 2))
@@ -198,6 +200,9 @@ def member_stacks(draw):
 
 
 class TestBatchedReducer:
+    # at 1e-300 and 1e300 the Newton determinant overflows, here with a
+    # warning and in the reference's float arithmetic silently
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(case=member_stacks(), reducer=st.sampled_from(["median", "mean"]))
     def test_equals_the_per_window_reference_bit_for_bit(self, case, reducer):
@@ -248,6 +253,28 @@ class TestBatchedReducer:
         assert _rae(model, cfg).n_windows_median_capped == 0
         monkeypatch.setattr(rae, "_GM_MAX_ITER", 1)
         assert _rae(model, cfg).n_windows_median_capped == len(STARTS)
+
+    def test_benchmark_stack_equals_the_reference(self, monkeypatch):
+        """The members that the benchmark's random network gives at stride
+        1 on the ``sweep60`` room (3008 windows x K=5) lie about 4e-6
+        apart, where the descent runs longest.  Every window's median and
+        the capped count are the per-window reference's."""
+        cfg = sn.SimConfig(room_width=6.5, room_height=2.0, acc_noise=0.05,
+                           gyro_noise=0.002, seed=1)
+        imu = sn.synthesize_imu(sn.generate_trajectory(cfg), cfg)
+        windows = sn.make_windows(sn.to_hacf(imu, sn.estimate_orientation(imu)), tau=64, stride=1)
+        net = sn.DenseVelocityNetwork(sn.make_random_bundle(tau=64, seed=1))
+        stacks = []
+        monkeypatch.setattr(rae, "reduce_members",
+                            lambda back, kept, reducer: stacks.append((back, kept)) or
+                            reduce_members(back, kept, reducer))
+        sn.rae_estimate(windows, np.arange(len(windows)), net, sn.RaeConfig(k=5))
+        [(back, kept)] = stacks
+        assert back.shape == (3008, 5, 2) and kept.all()
+        out, capped = reduce_members(back, kept, "median")
+        ref = [geometric_median_ref(members) for members in back]
+        assert out.tobytes() == np.array([v for v, _ in ref]).tobytes()
+        assert capped == sum(hit for _, hit in ref)
 
     def test_rotated_copies_equal_repeat_then_rotate(self):
         """The model sees, block by block, the bits that rotating K

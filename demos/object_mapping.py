@@ -10,7 +10,7 @@ sightings into one entry per product."""
 import numpy as np
 
 import sweepnav as sn
-from sweepnav.object_map import MapConfig, cluster_items, observe_items
+from sweepnav.object_map import cluster_items, observe_items
 
 cfg = sn.SimConfig(room_width=6.0, room_height=2.0, row_spacing=1.0)
 items = {"milk": (1.0, 0.0), "cereal": (2.6, 0.0), "soap": (4.2, 0.0),
@@ -27,7 +27,7 @@ for raster, rec in zip(rasters, records):
     if rec.items:
         observations.extend(observe_items(rec, raster, gt.pose(rec.frame)))
 
-clusters = cluster_items(observations, MapConfig())
+clusters = cluster_items(observations)
 report = sn.evaluate_map(clusters, gt_items)
 print(f"{len(clusters)} clusters from {len(observations)} sightings")
 for c in sorted(clusters, key=lambda c: c.name):

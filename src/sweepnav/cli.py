@@ -277,7 +277,7 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path, manifest: dict,
     gap_before = float(np.linalg.norm(est.xy[-1] - est.xy[0]))
     gap_after = float(np.linalg.norm(refined.xy[-1] - est.xy[0]))
     zero = loop_closure.CorrectionParams(np.zeros(len(est)), np.zeros((len(est), 2)))
-    loss_initial = loop_closure.refinement_loss(est, zero, per_frame_v, refine_cfg).total
+    loss_initial = loop_closure.refinement_loss(est, zero, per_frame_v).total
     # refine returns the first strictly best history entry (its
     # prediction replays that entry's forward pass), or the input
     identity_fallback = not corrections.r.any() and not corrections.l.any()
@@ -433,7 +433,7 @@ def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict,
         skipped["n_items_unplaced"] += len(rec.items) - len(placed)
         caption_frames.append(rec.frame)
     with clock.lap("observe"):
-        clusters = object_map.cluster_items(observations, map_cfg)
+        clusters = object_map.cluster_items(observations)
     with clock.lap("write"):
         object_map.save_map(clusters, dataset / "item_map.jsonl")
     manifest["item_map"] = "item_map.jsonl"

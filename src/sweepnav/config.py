@@ -71,27 +71,16 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class MapConfig:
-    """Mount calibration, depth gating, and clustering settings."""
+    """Mount calibration: the camera's height above the floor, which must
+    lie in the indoor band [0, 3] m, and its offset ahead of the robot
+    origin."""
 
-    mount_height: float = 0.3  # camera height above floor, m
-    mount_forward: float = 0.0  # camera offset ahead of robot origin, m
-    center_fraction: float = 0.2  # side fraction of the central sampling box
-    depth_min: float = 0.3  # valid-depth band, m
-    depth_max: float = 5.0
-    z_min: float = 0.0  # indoor sanity band on observation height, m
-    z_max: float = 3.0
-    cluster_eps: float = 1.5  # single-linkage merge distance, m
-    min_observations: int = 1
+    mount_height: float = 0.3  # m
+    mount_forward: float = 0.0  # m
 
     def __post_init__(self):
-        if not 0.0 < self.center_fraction <= 1.0:
-            raise ValueError("center_fraction must be in (0, 1]")
-        if not 0.0 <= self.depth_min < self.depth_max:
-            raise ValueError("require 0 <= depth_min < depth_max")
-        if self.cluster_eps <= 0:
-            raise ValueError("cluster_eps must be positive")
-        if self.min_observations < 1:
-            raise ValueError("min_observations must be >= 1")
+        if not 0.0 <= self.mount_height <= 3.0:
+            raise ValueError("mount_height must be within [0, 3] m")
 
 
 DEFAULT_PROMPT = (
@@ -157,10 +146,6 @@ class RaeConfig:
 class RefineConfig:
     epochs: int = 100
     learning_rate: float = 0.01
-    lambda_loop: float = 1.0
-    lambda_rot: float = 1.0
-    lambda_smooth: float = 1.0
-    seed: int = 0
     hidden: int = 64
 
     def __post_init__(self):
@@ -168,8 +153,6 @@ class RefineConfig:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if min(self.lambda_loop, self.lambda_rot, self.lambda_smooth) < 0:
-            raise ValueError("loss weights must be non-negative")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
 

@@ -11,12 +11,11 @@ estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fileio import json_field, read_jsonl, read_table, write_csv, write_jsonl
+from .fileio import read_table, write_csv
 from .geometry import (
     GRAVITY_VEC,
     median,
@@ -83,18 +82,13 @@ class ImuSequence:
 
 
 def load_imu(path) -> ImuSequence:
-    """Load an IMU recording from CSV or JSONL (by file suffix).
-
-    CSV has a literal ``t,ax,ay,az,gx,gy,gz`` header; JSONL carries one
-    object per line with the same keys.  Parse failures report the
-    1-based line number.  An empty file yields an empty sequence.
+    """Load an IMU recording from CSV with a literal
+    ``t,ax,ay,az,gx,gy,gz`` header, whatever the file's suffix.  Parse
+    failures report the 1-based line number, so a file in any other
+    format is refused at line 1.  An empty file yields an empty
+    sequence.
     """
-    path = Path(path)
-    if path.suffix.lower() == ".jsonl":
-        rows = read_jsonl(path, lambda rec: [json_field(rec, k, float) for k in IMU_FIELDS])
-        arr = np.array([row for _, row in rows], dtype=float).reshape(-1, 7)
-    else:
-        arr = read_table(path, IMU_CSV_HEADER)
+    arr = read_table(path, IMU_CSV_HEADER)
     try:
         return ImuSequence(arr[:, 0], arr[:, 1:4], arr[:, 4:7])
     except ValueError as exc:
@@ -102,12 +96,8 @@ def load_imu(path) -> ImuSequence:
 
 
 def save_imu(seq: ImuSequence, path) -> None:
-    """Write a recording as CSV or JSONL depending on the file suffix."""
-    columns = [seq.t, *seq.acc.T, *seq.gyro.T]
-    if Path(path).suffix.lower() == ".jsonl":
-        write_jsonl(path, dict(zip(IMU_FIELDS, columns)))
-    else:
-        write_csv(path, IMU_CSV_HEADER, columns)
+    """Write a recording as CSV, as ``load_imu`` reads it."""
+    write_csv(path, IMU_CSV_HEADER, [seq.t, *seq.acc.T, *seq.gyro.T])
 
 
 def resample(seq: ImuSequence, rate_hz: float) -> ImuSequence:

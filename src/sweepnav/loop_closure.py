@@ -9,9 +9,9 @@ trajectory with per-frame corrections
 (each increment rotated by its own correction angle r, plus a
 translation l), and fits the corrections by gradient descent on
 
-    L = lam_loop ||p'_T - p_1||^2
-      + lam_rot  (sum_{t=2..T} r_t)^2
-      + lam_smooth max_t ||p'_t - p'_{t-1} - v_t||
+    L = ||p'_T - p_1||^2
+      + (sum_{t=2..T} r_t)^2
+      + max_t ||p'_t - p'_{t-1} - v_t||
 
 where v_t is the per-frame displacement implied by the velocity
 estimates.  The corrections are produced by a small dense network over
@@ -127,8 +127,7 @@ def apply_corrections(traj: Trajectory, params: CorrectionParams) -> Trajectory:
     return Trajectory(traj.t, xy, yaw, traj.frame_rate)
 
 
-def _loss(P: np.ndarray, r: np.ndarray, l: np.ndarray, v: np.ndarray,
-          cfg: RefineConfig, grads: bool):
+def _loss(P: np.ndarray, r: np.ndarray, l: np.ndarray, v: np.ndarray, grads: bool):
     """Loss terms ``(total, loop, rot, smooth)`` at corrections (r, l),
     and with ``grads`` the gradients ``(g_r (T,), g_l (T, 2))`` of the
     total (else None)."""
@@ -147,7 +146,7 @@ def _loss(P: np.ndarray, r: np.ndarray, l: np.ndarray, v: np.ndarray,
     np.sqrt(norms, out=norms)
     j = int(norms.argmax())  # first occurrence = lowest index on ties
     smooth = float(norms[j])
-    total = cfg.lambda_loop * loop + cfg.lambda_rot * rot + cfg.lambda_smooth * smooth
+    total = loop + rot + smooth
     if not grads:
         return (total, loop, rot, smooth), None
     # g_l, the gradient w.r.t. the corrected positions (which l shifts
@@ -160,9 +159,8 @@ def _loss(P: np.ndarray, r: np.ndarray, l: np.ndarray, v: np.ndarray,
     # head on ..j-1, each summed from the end in the order of a reverse
     # cumsum.  The +0.0 that such a cumsum adds elsewhere changes none of
     # them, as none is -0.0.
-    tail = [0.0 + 2.0 * cfg.lambda_loop * g for g in loop_vec.tolist()]
-    w = ([cfg.lambda_smooth * g / smooth for g in S[:, j].tolist()] if smooth > 0.0
-         else [0.0, 0.0])
+    tail = [0.0 + 2.0 * g for g in loop_vec.tolist()]
+    w = [g / smooth for g in S[:, j].tolist()] if smooth > 0.0 else [0.0, 0.0]
     before = [0.0 - g for g in w]
     if j + 1 < n - 1:
         after = [0.0 + g for g in w]
@@ -181,15 +179,15 @@ def _loss(P: np.ndarray, r: np.ndarray, l: np.ndarray, v: np.ndarray,
     g_r = np.empty(n)
     g_r[0] = 0.0
     np.subtract(g_ang[0], g_ang[1], out=g_r[1:])
-    g_r[1:] += 2.0 * cfg.lambda_rot * rsum
+    g_r[1:] += 2.0 * rsum
     return (total, loop, rot, smooth), (g_r, g_l)
 
 
-def refinement_loss(traj: Trajectory, params: CorrectionParams, per_frame_v: np.ndarray,
-                    cfg: RefineConfig | None = None) -> LossBreakdown:
+def refinement_loss(traj: Trajectory, params: CorrectionParams,
+                    per_frame_v: np.ndarray) -> LossBreakdown:
     """Evaluate the refinement loss at given corrections."""
     terms, _ = _loss(traj.xy, params.r, params.l, np.asarray(per_frame_v, dtype=float),
-                     cfg or RefineConfig(), grads=False)
+                     grads=False)
     return LossBreakdown(*terms)
 
 
@@ -397,17 +395,18 @@ def _index_column(n_frames: int) -> np.ndarray:
     return (np.arange(n_frames) / (n_frames - 1)).reshape(-1, 1)
 
 
-def loss_and_gradients(traj_xy: np.ndarray, mlp: CorrectionMlp, per_frame_v: np.ndarray,
-                       cfg: RefineConfig) -> tuple[LossBreakdown, list[np.ndarray]]:
+def loss_and_gradients(traj_xy: np.ndarray, mlp: CorrectionMlp,
+                       per_frame_v: np.ndarray) -> tuple[LossBreakdown, list[np.ndarray]]:
     """One full forward/backward pass through network and loss."""
     r, l = mlp.forward(len(traj_xy))
-    terms, (g_r, g_l) = _loss(traj_xy, r, l, per_frame_v, cfg, grads=True)
+    terms, (g_r, g_l) = _loss(traj_xy, r, l, per_frame_v, grads=True)
     return LossBreakdown(*terms), mlp.backward(g_r, g_l)
 
 
 def refine(traj: Trajectory, per_frame_v: np.ndarray,
            cfg: RefineConfig | None = None) -> tuple[Trajectory, CorrectionParams, list[LossBreakdown]]:
-    """Fit corrections by Adam and return the best-loss refinement.
+    """Fit corrections by Adam, from the network that seed 0
+    initialises, and return the best-loss refinement.
 
     The zero-correction input is kept as a candidate alongside every
     epoch, so refinement never returns anything worse than the
@@ -427,8 +426,8 @@ def refine(traj: Trajectory, per_frame_v: np.ndarray,
         raise ValueError("refinement needs at least two frames")
     per_frame_v = np.asarray(per_frame_v, dtype=float)
     identity = CorrectionParams(np.zeros(n), np.zeros((n, 2)))
-    baseline = refinement_loss(traj, identity, per_frame_v, cfg)
-    mlp = CorrectionMlp.initialize(cfg.seed, cfg.hidden)
+    baseline = refinement_loss(traj, identity, per_frame_v)
+    mlp = CorrectionMlp.initialize(hidden=cfg.hidden)
     m_state = [np.zeros_like(p) for p in mlp.params]
     v_state = [np.zeros_like(p) for p in mlp.params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -436,7 +435,7 @@ def refine(traj: Trajectory, per_frame_v: np.ndarray,
     best_loss = baseline.total
     best_params: list[np.ndarray] | None = None  # None = keep the input
     for epoch in range(cfg.epochs):
-        breakdown, grads = loss_and_gradients(traj.xy, mlp, per_frame_v, cfg)
+        breakdown, grads = loss_and_gradients(traj.xy, mlp, per_frame_v)
         if not np.isfinite(breakdown.total):
             raise RuntimeError(
                 f"refinement diverged at epoch {epoch} (learning_rate={cfg.learning_rate})"
@@ -452,7 +451,7 @@ def refine(traj: Trajectory, per_frame_v: np.ndarray,
             m_hat = m_state[i] / (1 - beta1 ** step)
             v_hat = v_state[i] / (1 - beta2 ** step)
             mlp.params[i] = mlp.params[i] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-    final = refinement_loss(traj, mlp.predict(n), per_frame_v, cfg)
+    final = refinement_loss(traj, mlp.predict(n), per_frame_v)
     if np.isfinite(final.total):
         history.append(final)
         if final.total < best_loss:

@@ -40,6 +40,14 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
+# side fraction of the central box whose median depth places a sighting
+CENTER_FRACTION = 0.2
+# band of raster depths that count as valid, m
+DEPTH_MIN = 0.3
+DEPTH_MAX = 5.0
+# single-linkage merge distance of one name's sightings, m
+CLUSTER_EPS = 1.5
+
 RASTER_MAGIC = b"DRAS"
 RASTER_VERSION = 1
 ITEMS_CSV_HEADER = "name,x,y,z"
@@ -125,15 +133,16 @@ def observe_items(caption: CaptionRecord, raster: DepthRaster, pose: Pose2,
                   cfg: MapConfig | None = None) -> list[ItemObservation]:
     """One world-frame observation per named item in a captioned image.
 
-    All items in an image share the central-box median-depth ray along
-    the camera axis.  Items are skipped (with a log line) when the name
-    normalizes to empty, the central box holds no in-band depth, or the
-    resulting point leaves the configured height band.
+    All items in an image share one point: the median depth in
+    [``DEPTH_MIN``, ``DEPTH_MAX``] of the central box
+    (``CENTER_FRACTION``) along the camera axis, at the mount's height.
+    Items are skipped (with a log line) when the name normalizes to
+    empty or the central box holds no in-band depth.
     """
     cfg = cfg or MapConfig()
-    u0, v0, u1, v1 = center_region(raster, cfg.center_fraction)
+    u0, v0, u1, v1 = center_region(raster, CENTER_FRACTION)
     d = raster.depth[v0:v1, u0:u1]
-    valid = d[(d != 0.0) & (d >= cfg.depth_min) & (d <= cfg.depth_max)]
+    valid = d[(d != 0.0) & (d >= DEPTH_MIN) & (d <= DEPTH_MAX)]
     names = []
     for raw in caption.items:
         name = normalize_name(raw)
@@ -152,23 +161,17 @@ def observe_items(caption: CaptionRecord, raster: DepthRaster, pose: Pose2,
     depth = float(median(valid))
     # the principal ray runs along the heading from the mount
     point = np.array([*pose.ahead(cfg.mount_forward + depth), cfg.mount_height])
-    if not cfg.z_min <= point[2] <= cfg.z_max:
-        for name in names:
-            logger.warning("%s: point height %.3f outside [%s, %s], skipped %r",
-                           caption.image_id, point[2], cfg.z_min, cfg.z_max, name)
-        return []
     return [ItemObservation(name, point, caption.image_id) for name in names]
 
 
-def cluster_items(observations: list[ItemObservation],
-                  cfg: MapConfig | None = None) -> list[ItemCluster]:
-    """Group observations by name, then single-linkage merge within eps.
+def cluster_items(observations: list[ItemObservation]) -> list[ItemCluster]:
+    """Group observations by name, then single-linkage merge within
+    ``CLUSTER_EPS``.
 
     Observations are sorted by (name, x, y, z) first, so the result does
     not depend on input order.  Clusters are returned in that same order
     of their first member.
     """
-    cfg = cfg or MapConfig()
     obs = sorted(observations, key=lambda o: (o.name, o.point[0], o.point[1], o.point[2]))
     clusters: list[ItemCluster] = []
     i = 0
@@ -188,7 +191,7 @@ def cluster_items(observations: list[ItemObservation],
 
         for a in range(len(group)):
             for b in range(a + 1, len(group)):
-                if np.linalg.norm(pts[a] - pts[b]) <= cfg.cluster_eps:
+                if np.linalg.norm(pts[a] - pts[b]) <= CLUSTER_EPS:
                     ra, rb = find(a), find(b)
                     if ra != rb:
                         parent[max(ra, rb)] = min(ra, rb)
@@ -197,8 +200,6 @@ def cluster_items(observations: list[ItemObservation],
             members.setdefault(find(a), []).append(a)
         for root in sorted(members):
             idx = members[root]
-            if len(idx) < cfg.min_observations:
-                continue
             sub = pts[idx]
             centroid = sub.mean(axis=0)
             spread = float(np.sqrt(np.mean(np.sum((sub - centroid) ** 2, axis=1))))

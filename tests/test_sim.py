@@ -7,7 +7,7 @@ import pytest
 
 import sweepnav as sn
 from sweepnav.estimator import OracleConfig, OracleVelocityEstimator, estimate_velocity
-from sweepnav.object_map import MapConfig, observe_items
+from sweepnav.object_map import observe_items
 from sweepnav.sim import default_items
 
 from .oracles import quantization_bound
@@ -240,7 +240,7 @@ class TestMappingEndToEnd:
         for ev, raster, record in zip(captures, rasters, records):
             if record.items:
                 observations.extend(observe_items(record, raster, ev.pose))
-        clusters = sn.cluster_items(observations, MapConfig())
+        clusters = sn.cluster_items(observations)
         report = sn.evaluate_map(clusters, gt)
         assert report.n_matched == 4
         assert report.unmatched_gt == ()

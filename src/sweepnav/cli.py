@@ -35,7 +35,7 @@ import numpy as np
 
 from . import trajectory
 from .config import CHOICES, DEFAULTS, SECTIONS, ConfigError, PipelineConfig, load_config
-from .fileio import read_csv, read_table, write_csv, write_json
+from .fileio import read_csv, read_table, write_json, write_table
 from .geometry import median
 from .imu import load_imu, make_windows, resample, save_imu, to_hacf, window_stride
 from .orientation import (estimate_orientation, load_orientations, relative_yaw,
@@ -228,8 +228,8 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict,
             est_traj, cfg["capture.distance_m"], cfg["capture.rotation_rad"])
     with clock.lap("write"):
         trajectory.save_trajectory(est_traj, dataset / "est_trajectory.csv")
-        write_csv(dataset / "velocities.csv", VELOCITY_CSV_HEADER,
-                  [range(len(held)), *held.T])
+        write_table(dataset / "velocities.csv", VELOCITY_CSV_HEADER,
+                    [range(len(held)), *held.T])
         trajectory.save_captures(captures, dataset / "captures.jsonl")
     manifest.update({
         "est_trajectory": "est_trajectory.csv",

@@ -8,24 +8,41 @@ file reads as a table with no rows; blank lines are skipped.
 JSONL: one JSON object per line, keys sorted.  JSON: one document,
 keys sorted, indented by two, ending in a newline.
 
-Both table writers take the table as columns, one per field, and share
+The table writers take the table as columns, one per field, and share
 one path from column to text; no object is built per row.  A column is
 formatted in blocks of ``_WRITE_ROWS`` rows.  In a float64 array column
 each run of values with equal bits (so ``-0.0`` and ``0.0`` differ) is
-formatted once and its text repeated over the run.  Lists, ranges and
-other arrays are formatted value by value, as a Python scalar's ``str``
-(CSV) or JSON text.  A block's texts are interleaved into one flat
-list and written with one ``%``, so the text held at once is one
-block's.
+formatted once and its text repeated over the run; a block with no two
+equal neighbours is formatted value by value, as are lists, ranges and
+other arrays, each as a Python scalar's ``str`` (CSV) or JSON text.  A
+block's texts are interleaved into one flat list and written with one
+``%``, so the text held at once is one block's.
 
-A table of numbers is read as one array by ``read_table``: after the
-header check, one ``np.loadtxt`` parses the body when it holds only the
-bytes ``write_csv`` writes for finite floats (digits, ``+-.e``, commas
-and newlines).  Over those bytes loadtxt and ``float`` agree value for
-value, so that path is only taken where it changes nothing.  Any other
-body, or one loadtxt refuses, goes through the line codec
-(``read_csv``), which then returns the same values or raises the same
-error.
+Sidecar: ``write_table`` writes ``write_csv``'s bytes for a table of
+numbers and, in the same block loop, ``<name>.csv.f64``: a 16-byte stamp
+(the CSV's byte length as a little-endian uint64, the CSV's
+``zlib.crc32`` and the CRC-32 of the values as uint32s), then the
+table's values as little-endian float64, row-major, exactly as the CSV
+parses.  A table with a NaN or an infinity gets no sidecar.
+``read_table`` still reads the CSV's bytes, and returns a copy of the
+sidecar's values in place of a parse only when the CSV's first line is
+the caller's header, the sidecar's size fits the header's field count,
+and its stamp matches the CSV and the values.  Otherwise it parses the
+CSV as if there were no sidecar, so an edited or foreign CSV reads, or
+fails, as it always did; no read writes a file, and deleting a sidecar
+changes nothing but speed.  The checksum is CRC-32 rather than a
+``hashlib`` digest because ``import hashlib`` loads OpenSSL, which adds
+about 3.6 MB to every command's resident memory; the sidecar guards
+against a stale copy, not against tampering.
+
+Without a matching sidecar, a table of numbers is read as one array
+by ``read_table``: after the header check, one ``np.loadtxt`` parses
+the body when it holds only the bytes ``write_csv`` writes for finite
+floats (digits, ``+-.e``, commas and newlines).  Over those bytes
+loadtxt and ``float`` agree value for value, so that path is only taken
+where it changes nothing.  Any other body, or one loadtxt refuses, goes
+through the line codec (``read_csv``), which then returns the same
+values or raises the same error.
 
 The line codec hands each row or record to the caller's ``parse`` and
 returns ``(lineno, parsed)`` pairs; any failure of a line raises
@@ -37,6 +54,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import struct
+import zlib
 
 import numpy as np
 
@@ -52,25 +72,26 @@ _TABLE_BYTES = b"0123456789+-.e,\n"
 # costs a fraction of a format per row, and this bounds the text held
 # (about half a MiB for a 7-column table of float texts)
 _WRITE_ROWS = 1024
+# a sidecar's stamp: its CSV's byte length and CRC-32, and the CRC-32
+# of the values that follow it
+_STAMP = struct.Struct("<QII")
 
 
-def _write_table(path, head: str, line: str, columns: list, texts) -> None:
-    """Write ``head``, then row i of ``columns`` into the ``%s`` fields
-    of ``line``, for every i: one ``%`` formats a block of _WRITE_ROWS
-    rows.  ``texts`` maps a list of a column's values to objects whose
-    ``str`` is their text."""
+def _table_texts(line: str, columns: list, texts):
+    """Row i of ``columns`` in the ``%s`` fields of ``line``, for every i,
+    as ``(lo, text)`` per block of _WRITE_ROWS rows from row ``lo``: one
+    ``%`` formats a block.  ``texts`` maps a list of a column's values
+    to objects whose ``str`` is their text."""
     n_rows = {len(column) for column in columns}
     if len(n_rows) > 1:
         raise ValueError(f"columns differ in length: {[len(column) for column in columns]}")
     k = len(columns)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head)
-        for lo in range(0, n_rows.pop() if n_rows else 0, _WRITE_ROWS):
-            block = [_block_texts(column[lo:lo + _WRITE_ROWS], texts) for column in columns]
-            flat = [None] * (k * len(block[0]))
-            for i, column in enumerate(block):
-                flat[i::k] = column
-            fh.write((line * len(block[0])) % tuple(flat))
+    for lo in range(0, n_rows.pop() if n_rows else 0, _WRITE_ROWS):
+        block = [_block_texts(column[lo:lo + _WRITE_ROWS], texts) for column in columns]
+        flat = [None] * (k * len(block[0]))
+        for i, column in enumerate(block):
+            flat[i::k] = column
+        yield lo, (line * len(block[0])) % tuple(flat)
 
 
 def _block_texts(values, texts) -> list:
@@ -84,17 +105,54 @@ def _block_texts(values, texts) -> list:
     new = np.empty(len(values), dtype=bool)
     new[0] = True
     np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    if new.all():  # no repeats: every value is a run of its own
+        return texts(values.tolist())
     starts = np.flatnonzero(new)
     once = np.array(list(map(str, texts(values[starts].tolist()))), dtype=object)
     return np.repeat(once, np.diff(starts, append=len(values))).tolist()
+
+
+def _csv_texts(columns: list):
+    """The CSV rows of ``columns`` as ``_table_texts`` yields them."""
+    return _table_texts(",".join(["%s"] * len(columns)) + "\n", columns, lambda values: values)
 
 
 def write_csv(path, header: str, columns) -> None:
     """Write the header line, then one row per index of ``columns`` (one
     column per header field), each value with ``str``."""
     columns = list(columns)
-    _write_table(path, header + "\n", ",".join(["%s"] * len(columns)) + "\n", columns,
-                 lambda values: values)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(text for _, text in _csv_texts(columns))
+
+
+def write_table(path, header: str, columns) -> None:
+    """``write_csv`` for a table of numbers (float arrays, integer arrays
+    or ranges), and beside it the sidecar ``<path>.f64`` that
+    ``read_table`` takes in place of a parse.  A table with a NaN or an
+    infinity gets no sidecar."""
+    columns = list(columns)
+    sidecar = f"{path}.f64"
+    text = (header + "\n").encode()
+    size, crc, values_crc, finite = len(text), zlib.crc32(text), 0, True
+    with open(path, "wb") as fh, open(sidecar, "wb") as side:
+        fh.write(text)
+        side.write(bytes(_STAMP.size))  # a zero stamp matches no CSV with a header
+        for lo, block in _csv_texts(columns):
+            text = block.encode()
+            fh.write(text)
+            size, crc = size + len(text), zlib.crc32(text, crc)
+            values = np.stack([np.asarray(column[lo:lo + _WRITE_ROWS], dtype=np.float64)
+                               for column in columns], axis=1).astype("<f8", copy=False)
+            finite = finite and bool(np.isfinite(values).all())
+            if finite:
+                side.write(values)
+                values_crc = zlib.crc32(values, values_crc)
+        if finite:
+            side.seek(0)
+            side.write(_STAMP.pack(size, crc, values_crc))
+    if not finite:
+        os.remove(sidecar)
 
 
 def read_csv(path, header: str, parse) -> list[tuple[int, object]]:
@@ -127,16 +185,38 @@ def read_table(path, header: str, data: bytes | None = None) -> np.ndarray:
         with open(path, "rb") as fh:
             data = fh.read()
     first, _, body = data.partition(b"\n")
-    if first == header.encode() and body.strip() and not body.translate(None, _TABLE_BYTES):
-        try:
-            table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass  # the codec names the line
-        else:
-            if table.shape[1] == n_fields:
-                return table
+    if first == header.encode():
+        table = _sidecar_table(path, data, n_fields)
+        if table is not None:
+            return table
+        if body.strip() and not body.translate(None, _TABLE_BYTES):
+            try:
+                table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass  # the codec names the line
+            else:
+                if table.shape[1] == n_fields:
+                    return table
     rows = read_csv(path, header, lambda fields: list(map(float, fields)))
     return np.array([row for _, row in rows], dtype=float).reshape(-1, n_fields)
+
+
+def _sidecar_table(path, data: bytes, n_fields: int) -> np.ndarray | None:
+    """A copy of the values in ``path``'s sidecar when they fill rows of
+    ``n_fields`` columns and its stamp holds their CRC-32 and the length
+    and CRC-32 of ``data``, the CSV's bytes; else None."""
+    try:
+        with open(f"{path}.f64", "rb") as fh:
+            side = fh.read()
+    except OSError:
+        return None
+    if len(side) < _STAMP.size or (len(side) - _STAMP.size) % (8 * n_fields):
+        return None
+    size, crc, values_crc = _STAMP.unpack_from(side)
+    if (size != len(data) or crc != zlib.crc32(data)
+            or values_crc != zlib.crc32(memoryview(side)[_STAMP.size:])):
+        return None
+    return np.frombuffer(side, "<f8", offset=_STAMP.size).astype(np.float64).reshape(-1, n_fields)
 
 
 def write_jsonl(path, columns: dict) -> None:
@@ -145,7 +225,9 @@ def write_jsonl(path, columns: dict) -> None:
     row."""
     keys = sorted(columns)
     record = "{" + ", ".join(json.dumps(key).replace("%", "%%") + ": %s" for key in keys) + "}\n"
-    _write_table(path, "", record, [columns[key] for key in keys], _json_texts)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(text for _, text in _table_texts(record, [columns[key] for key in keys],
+                                                       _json_texts))
 
 
 def _json_texts(values: list) -> list:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fileio import read_table, write_csv
+from .fileio import read_table, write_table
 from .geometry import (
     GRAVITY_VEC,
     median,
@@ -97,7 +97,7 @@ def load_imu(path) -> ImuSequence:
 
 def save_imu(seq: ImuSequence, path) -> None:
     """Write a recording as CSV, as ``load_imu`` reads it."""
-    write_csv(path, IMU_CSV_HEADER, [seq.t, *seq.acc.T, *seq.gyro.T])
+    write_table(path, IMU_CSV_HEADER, [seq.t, *seq.acc.T, *seq.gyro.T])
 
 
 def resample(seq: ImuSequence, rate_hz: float) -> ImuSequence:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import read_table, write_csv
+from .fileio import read_table, write_table
 from .geometry import quat_yaw, quats_to_matrices, wrap_angle
 from .imu import ImuSequence, _frozen
 
@@ -124,4 +124,4 @@ def load_orientations(path) -> OrientationSequence:
 
 
 def save_orientations(orientations: OrientationSequence, path) -> None:
-    write_csv(path, ORIENTATION_CSV_HEADER, [orientations.t, *orientations.q.T])
+    write_table(path, ORIENTATION_CSV_HEADER, [orientations.t, *orientations.q.T])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import json_field, read_jsonl, read_table, write_csv, write_jsonl
+from .fileio import json_field, read_jsonl, read_table, write_jsonl, write_table
 from .geometry import median, row_norms, wrap_angle
 from .imu import _frozen
 
@@ -86,7 +86,7 @@ class Trajectory:
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    write_csv(path, TRAJECTORY_CSV_HEADER, [traj.t, *traj.xy.T, traj.yaw])
+    write_table(path, TRAJECTORY_CSV_HEADER, [traj.t, *traj.xy.T, traj.yaw])
 
 
 def load_trajectory(path) -> Trajectory:

@@ -54,28 +54,35 @@ def _manifest(ds):
 
 # sha256 of every primary output of the ``pipeline`` run (run_meta_*
 # excluded): a change to any writer's bytes fails here.  The 42 rasters
-# are folded into one digest of their "name sha256" lines.  Floats come
-# from numpy, so another BLAS build may round differently.
+# are folded into one digest of their "name sha256" lines, and each
+# ``*.csv.f64`` is the float64 sidecar of the table beside it.  Floats
+# come from numpy, so another BLAS build may round differently.
 PIPELINE_SHA256 = {
     "captions.jsonl": "a4f11c24ec49420b3403fb8efba5a74439909263ab25c49af8fcc8dc7ce1e3d7",
     "captures.jsonl": "f1dfc8e8857833b7dd36c5e524683136bd3c874c3ae670d8a3e08b4a04b11b78",
     "config.json": "2b00cf7d3f019827d3712145f2dd6c06b28afbbb878d4b0a4fb6b538779bb59f",
     "corrections.jsonl": "bdd47d450a9bc50209c90d82174b69584bd4560e4f2bf8f522d9430861f0dd06",
     "est_trajectory.csv": "be23cd4152fc56db6967be5fc93229bd3f1b72ef429d3daa4ec1fc27b07c4492",
+    "est_trajectory.csv.f64": "1785c7a46dcb8e2dcb2d52978129967b0d205a5e01b2d9c79ae4fb99910d8e58",
     "eval_grid_1.0.json": "8033c367213d8bc40816bd6bf4b73b0ea29a60cc6e7336f57e11d8195878f709",
     "gt_captures.jsonl": "fd245f8a34366edca6ff25133f118dae302e13850aba3c81aaa343297d22ee16",
     "gt_trajectory.csv": "4d0ca03e1acc5bc5da72c04a207b91fc16203d2e3afdd17e19e1e1abdd47d65d",
+    "gt_trajectory.csv.f64": "a49514c1d6dbca35a2230acb5c61e364de163963b2cd157275f2739c6b497079",
     "imu.csv": "07af0aeabda4c0ee7ad5088b610cec005ce5c4e22bda74e47de62dab57c231db",
+    "imu.csv.f64": "2e2a392d9af38fd9f2e6fed7f84f1a16568f4dbbdc340575712b2661e5498173",
     "item_map.jsonl": "a311c64858da489e0fcbf608401848febd6e7ba5e382b4b40131720a8f66f354",
     "items.csv": "3c3d22a8708c3468a8f145b5ace0753a7aabc307e03ec9d8dbaf21660e9c9fec",
     "loss_history.csv": "acf15524b6e700f30b2bca33d31babfb4bd5e69e3b7e0605f203a4d388bec14b",
     "manifest.json": "52f2b28bd5754187f854cebea101b3dc1c759738edd382d7eb6adf8ef303c519",
     "map_eval.json": "a39fe5f8642d7bea9691e0db7bf9fbf32972ce33c37efffe561d9855822cf4f9",
     "orientations.csv": "b3091441c6dc4626d155a4cf33f8e0e0d8345acf8c6dcd0f772524611e6226e2",
+    "orientations.csv.f64": "016df6c19de09708dca1d4e8620a33d517b5817d67c8fd7d6dd196fb69d68e6d",
     "plot.svg": "725cdded3255216ffe2049893ea1b4f4a45af0d1cd32c8df0254a49698124c29",
     "refined_trajectory.csv": "be23cd4152fc56db6967be5fc93229bd3f1b72ef429d3daa4ec1fc27b07c4492",
+    "refined_trajectory.csv.f64": "1785c7a46dcb8e2dcb2d52978129967b0d205a5e01b2d9c79ae4fb99910d8e58",
     "residuals_grid_1.0.csv": "ab63a714561f6a09fa9b24eda24ad972e2f51eeb2c37b4f08ae4233fecf1a2cc",
     "velocities.csv": "44afbb652ecee526b3d1a3e308227bdcf7c3973c471aeea53acf524a6cba1ae7",
+    "velocities.csv.f64": "2ebe7371ca67b7cbe710f531ca3dfaaee3d1eb67769f8bc8a79eb4e34b43cd82",
     "rasters": "8d2a9cf997ee7f6deb95ab94ee62c42600af56a7a6cb83ace541688f470585a6",
 }
 
@@ -111,6 +118,23 @@ class TestPipelineArtifacts:
     def test_primary_outputs_byte_identical_to_recorded(self, pipeline):
         """Runs first: later tests in this class add eval outputs."""
         assert _sha256_tree(pipeline) == PIPELINE_SHA256
+
+    @pytest.mark.parametrize("sidecars", ["kept", "deleted"])
+    @pytest.mark.parametrize("argv", [["eval"], ["map", "--trajectory", "gt"], ["plot"]],
+                             ids=["eval", "map", "plot"])
+    def test_a_read_writes_no_file(self, pipeline, tmp_path, argv, sidecars):
+        """On a copy of the chain's dataset, a command that only reads
+        tables leaves the file set and every file's bytes as they were
+        (run_meta_* aside): it rewrites its own outputs as they stand and
+        creates no sidecar where one is missing."""
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline, ds)
+        if sidecars == "deleted":
+            for sidecar in ds.glob("*.csv.f64"):
+                sidecar.unlink()
+        before = TestDeterminism._tree_bytes(ds)
+        assert run(argv[0], "--dataset", ds, *argv[1:]) == 0
+        assert TestDeterminism._tree_bytes(ds) == before
 
     def test_simulate_inventory(self, pipeline):
         for name in ["imu.csv", "gt_trajectory.csv", "orientations.csv",

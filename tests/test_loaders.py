@@ -8,7 +8,9 @@ blamed before it.  Any other exception type fails the test.
 
 ``read_table`` and ``_load_velocities`` read a well-formed table as one
 array; against the line codec they return the same bits or raise the
-same error, whatever the lines hold.
+same error, whatever the lines hold.  A float64 sidecar is read in place
+of the parse only while it is the one written with the CSV's bytes; any
+other sidecar leaves the parse and its errors as they are.
 """
 
 import json
@@ -22,11 +24,12 @@ from hypothesis import strategies as st
 
 from sweepnav import cli
 from sweepnav.cli import VELOCITY_CSV_HEADER, _load_velocities
-from sweepnav.fileio import read_csv, read_table
+from sweepnav.fileio import read_csv, read_table, write_table
 from sweepnav.imu import IMU_CSV_HEADER, IMU_FIELDS, load_imu
 from sweepnav.object_map import ITEMS_CSV_HEADER, load_captions, load_items_csv
 from sweepnav.orientation import ORIENTATION_CSV_HEADER, load_orientations
-from sweepnav.trajectory import TRAJECTORY_CSV_HEADER, load_captures, load_trajectory
+from sweepnav.trajectory import (TRAJECTORY_CSV_HEADER, Trajectory, load_captures,
+                                 load_trajectory, save_trajectory)
 
 from .oracles import same_bits
 
@@ -246,3 +249,90 @@ def test_load_velocities_equals_the_line_codec(tmp_path, data):
     with mock.patch.object(cli, "read_table", side_effect=ValueError("line codec only")):
         codec = _outcome(_load_velocities, path, n_frames)
     assert _same_outcome(fast, codec)
+
+
+@pytest.fixture
+def saved_trajectory(tmp_path):
+    """A 40-pose trajectory saved with its sidecar: (path, sidecar, the
+    table the CSV parses to)."""
+    rng = np.random.default_rng(3)
+    path, sidecar = tmp_path / "trajectory.csv", tmp_path / "trajectory.csv.f64"
+    save_trajectory(Trajectory(np.arange(40) / 50.0, rng.normal(size=(40, 2)),
+                               rng.uniform(-3.0, 3.0, 40), 50.0), path)
+    assert sidecar.exists()
+    return path, sidecar, _codec_table(path, TRAJECTORY_CSV_HEADER)
+
+
+def _files(path):
+    return {p.name: p.read_bytes() for p in path.parent.iterdir()}
+
+
+def test_an_edited_csv_reads_the_edit_not_its_old_sidecar(saved_trajectory):
+    """One digit changed, so the length stays: the CRC refuses the sidecar."""
+    path, _, table = saved_trajectory
+    lines = path.read_text().split("\n")
+    fields = lines[5].split(",")
+    digit = next(i for i, c in enumerate(fields[1]) if c in "12345678")
+    fields[1] = fields[1][:digit] + str(int(fields[1][digit]) + 1) + fields[1][digit + 1:]
+    lines[5] = ",".join(fields)
+    path.write_text("\n".join(lines))
+    files = _files(path)
+    loaded = read_table(path, TRAJECTORY_CSV_HEADER)
+    assert loaded[4, 1] == float(fields[1]) != table[4, 1]
+    assert same_bits(loaded, _codec_table(path, TRAJECTORY_CSV_HEADER))
+    assert load_trajectory(path).xy[4, 0] == float(fields[1])
+    assert _files(path) == files
+
+
+def _flip_last_value_bit(side):
+    return side[:-1] + bytes([side[-1] ^ 1])
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda side: b"",
+    lambda side: side[:10],  # part of the stamp
+    lambda side: side[:-1],
+    lambda side: side[:-32],  # one row short: the values' CRC differs
+    lambda side: side + bytes(32),  # one row of zeros more
+    _flip_last_value_bit,
+    lambda side: bytes(len(side)),  # a zero stamp, as a write cut short leaves
+    lambda side: bytes(range(256)) * (len(side) // 256) + side[:len(side) % 256],
+], ids=["empty", "stamp-only", "byte-short", "row-short", "row-more", "flipped-bit",
+        "zeros", "garbage"])
+def test_a_damaged_sidecar_falls_back_to_the_parse(saved_trajectory, spoil):
+    path, sidecar, table = saved_trajectory
+    sidecar.write_bytes(spoil(sidecar.read_bytes()))
+    files = _files(path)
+    assert same_bits(read_table(path, TRAJECTORY_CSV_HEADER), table)
+    assert _files(path) == files
+
+
+def test_a_sidecar_read_under_another_header_raises_the_header_error(saved_trajectory):
+    """Same field count, so the sidecar's size fits: the header decides."""
+    path, _, _ = saved_trajectory
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: expected header "
+                                         "'t,x,y,theta', got 't,x,y,yaw'$"):
+        read_table(path, "t,x,y,theta")
+
+
+def test_a_malformed_line_beside_a_stale_sidecar_is_named(saved_trajectory):
+    path, sidecar, _ = saved_trajectory
+    lines = path.read_text().split("\n")
+    lines[7] = "0.12,x,0.5,0.25"
+    path.write_text("\n".join(lines))
+    stale = _outcome(load_trajectory, path)
+    sidecar.unlink()
+    assert stale == _outcome(load_trajectory, path) == (
+        "error", f"{path}:8: could not convert string to float: 'x'")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_table_gets_no_sidecar_and_loads_as_before(saved_trajectory, bad):
+    """The old sidecar goes too, and the load raises as it did."""
+    path, sidecar, table = saved_trajectory
+    yaw = table[:, 3].copy()
+    yaw[9] = bad
+    write_table(path, TRAJECTORY_CSV_HEADER, [table[:, 0], table[:, 1], table[:, 2], yaw])
+    assert not sidecar.exists()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: non-finite trajectory entry$"):
+        load_trajectory(path)

@@ -3,7 +3,9 @@
 ``write_csv`` and ``write_jsonl`` format a whole table in one pass; the
 bytes must be the ones a ``join`` or ``json.dumps`` per row writes,
 whatever the columns hold: non-finite floats, signed zeros, integers,
-strings, lists and other JSON values.
+strings, lists and other JSON values.  ``write_table`` writes
+``write_csv``'s bytes and a float64 sidecar that reads back as the
+parse of those bytes would.
 """
 
 import tracemalloc
@@ -14,10 +16,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sweepnav import fileio
-from sweepnav.fileio import write_csv, write_jsonl
-from sweepnav.trajectory import Trajectory, save_trajectory
+from sweepnav.cli import VELOCITY_CSV_HEADER, _load_velocities
+from sweepnav.fileio import read_table, write_csv, write_jsonl, write_table
+from sweepnav.imu import IMU_CSV_HEADER, ImuSequence, load_imu, save_imu
+from sweepnav.orientation import (ORIENTATION_CSV_HEADER, OrientationSequence,
+                                  load_orientations, save_orientations)
+from sweepnav.trajectory import (TRAJECTORY_CSV_HEADER, Trajectory, load_trajectory,
+                                 save_trajectory)
 
-from .oracles import write_csv_ref, write_jsonl_ref
+from .oracles import same_bits, write_csv_ref, write_jsonl_ref
 
 _SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-320, 1e300, 0.1])
 _FLOAT = st.one_of(st.floats(), _SPECIAL)
@@ -131,7 +138,8 @@ def test_array_columns_with_runs_across_blocks(tmp_path, monkeypatch, columns):
     """Runs of equal float64 values (formatted once each), signed zeros,
     NaNs, infinities, subnormals and int arrays, in blocks of 5 rows so
     that runs cross block boundaries: the bytes are those of the rows'
-    Python scalars written one by one."""
+    Python scalars written one by one.  A "distinct" column is a block
+    with no two equal neighbours, which is formatted value by value."""
     monkeypatch.setattr(fileio, "_WRITE_ROWS", 5)
     header = ",".join(f"c{i}" for i in range(len(columns)))
     rows = [list(row) for row in zip(*(column.tolist() for column in columns))]
@@ -184,3 +192,111 @@ def test_writing_a_long_trajectory_builds_no_object_per_row(tmp_path):
         tracemalloc.stop()
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert (tmp_path / "traj.csv").read_text().count("\n") == n + 1
+
+
+@_SETTINGS
+@given(columns=_array_columns())
+def test_table_writes_the_csv_bytes_and_a_sidecar_of_their_parse(tmp_path, monkeypatch,
+                                                                 columns):
+    """``write_table`` writes ``write_csv``'s bytes; its sidecar, written
+    only for a finite table, reads as the bits the CSV parses to.  Int
+    columns up to 2**62 round to float64 as their text does."""
+    monkeypatch.setattr(fileio, "_WRITE_ROWS", 5)
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    path, sidecar = tmp_path / "t.csv", tmp_path / "t.csv.f64"
+    write_table(path, header, columns)
+    write_csv(tmp_path / "ref.csv", header, columns)
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert sidecar.exists() == all(np.isfinite(column).all() for column in columns)
+    kept = read_table(path, header)
+    sidecar.unlink(missing_ok=True)
+    assert same_bits(kept, read_table(path, header))
+
+
+# values a sidecar must carry bit for bit
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1]
+# unit quaternions holding signed zeros and subnormals
+_UNIT_Q = [[1.0, -0.0, 0.0, 5e-324], [-0.0, -1.0, -5e-324, 0.0], [0.6, -0.8, -0.0, 1e-310]]
+
+
+@st.composite
+def _values(draw, n_rows, n_columns):
+    """Normal values at a drawn scale, with drawn edge or arbitrary
+    finite values at drawn cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.normal(size=(n_rows, n_columns)) * 10.0 ** draw(st.integers(-300, 300))
+    for _ in range(draw(st.integers(0, 12)) if n_rows else 0):
+        table[draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_columns - 1))] = draw(
+            st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_infinity=False)))
+    return table
+
+
+@st.composite
+def _quaternions(draw, n_rows):
+    """Random unit quaternions, some rows replaced by the ``_UNIT_Q`` ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = rng.normal(size=(n_rows, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    for _ in range(draw(st.integers(0, 6)) if n_rows else 0):
+        q[draw(st.integers(0, n_rows - 1))] = draw(st.sampled_from(_UNIT_Q))
+    return q
+
+
+def _save_velocities(held, path):
+    write_table(path, VELOCITY_CSV_HEADER, [range(len(held)), *held.T])  # as infer does
+
+
+def _load_velocities_of(path):
+    return _load_velocities(path, len(path.read_text().splitlines()) - 1)
+
+
+# each table writer: its header, the number of columns beside the
+# first, how to draw them, the object saved from (t, values), save,
+# load, and an object's table as the CSV holds it
+_TABLE_WRITERS = {
+    "imu": (IMU_CSV_HEADER, 6, _values, lambda t, v: ImuSequence(t, v[:, :3], v[:, 3:]),
+            save_imu, load_imu, lambda seq: np.column_stack([seq.t, seq.acc, seq.gyro])),
+    "trajectory": (TRAJECTORY_CSV_HEADER, 3, _values,
+                   lambda t, v: Trajectory(t, v[:, :2], v[:, 2], 50.0),
+                   save_trajectory, load_trajectory,
+                   lambda traj: np.column_stack([traj.t, traj.xy, traj.yaw])),
+    "orientations": (ORIENTATION_CSV_HEADER, 4, lambda n_rows, _: _quaternions(n_rows),
+                     OrientationSequence, save_orientations, load_orientations,
+                     lambda o: np.column_stack([o.t, o.q])),
+    "velocities": (VELOCITY_CSV_HEADER, 2, _values, lambda t, v: v, _save_velocities,
+                   _load_velocities_of,
+                   lambda held: np.column_stack([np.arange(len(held)), held])),
+}
+
+
+def _outcome(load, path):
+    try:
+        return "ok", load(path)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_WRITERS))
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_each_table_writer_round_trips_with_and_without_its_sidecar(tmp_path, name, data):
+    """0 rows, one row (which no trajectory loads), and more than one
+    1024-row block: the table reads as saved, and the load returns the
+    same bits, or raises the same error, whether it takes the sidecar or
+    parses the CSV."""
+    header, n_values, draw_values, build, save, load, table = _TABLE_WRITERS[name]
+    n_rows = data.draw(st.sampled_from([0, 1, 2, 3, 1024, 1025, 2500]))
+    saved = build(np.arange(n_rows) / 50.0, data.draw(draw_values(n_rows, n_values)))
+    path, sidecar = tmp_path / f"{name}.csv", tmp_path / f"{name}.csv.f64"
+    save(saved, path)
+    assert sidecar.exists()
+    assert same_bits(read_table(path, header), table(saved))
+    kept = _outcome(lambda p: table(load(p)), path)
+    sidecar.unlink()
+    parsed = _outcome(lambda p: table(load(p)), path)
+    if kept[0] == "ok" == parsed[0]:
+        assert same_bits(kept[1], parsed[1])
+    else:
+        assert kept == parsed
+        assert name == "trajectory" and n_rows < 2

@@ -33,8 +33,8 @@ _EXPORTS = {
     "object_map": ("CaptionRecord", "DepthRaster", "HttpCaptioner", "ItemCluster",
                    "ItemObservation", "cluster_items", "evaluate_map", "fetch_captions",
                    "load_raster", "normalize_name", "observe_items", "save_raster"),
-    "orientation": ("OrientationSequence", "estimate_orientation", "load_orientations",
-                    "relative_yaw", "save_orientations"),
+    "orientation": ("OrientationSequence", "estimate_orientation", "relative_yaw",
+                    "save_orientations"),
     "rae": ("ensemble_angles", "rae_estimate"),
     "sim": ("generate_scene", "generate_trajectory", "synthesize_imu", "true_orientations"),
     "trajectory": ("CaptureEvent", "Pose2", "Trajectory", "capture_schedule",

@@ -38,8 +38,7 @@ from .config import CHOICES, DEFAULTS, SECTIONS, ConfigError, PipelineConfig, lo
 from .fileio import read_csv, read_table, write_json, write_table
 from .geometry import median
 from .imu import load_imu, make_windows, resample, save_imu, to_hacf, window_stride
-from .orientation import (estimate_orientation, load_orientations, relative_yaw,
-                          save_orientations)
+from .orientation import estimate_orientation, relative_yaw, save_orientations
 
 logger = logging.getLogger(__name__)
 
@@ -204,10 +203,7 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict,
                 f"{imu.sample_rate():g} Hz; infer runs only at the recording's rate")
         imu = resample(imu, rate_hz=rate)
     with clock.lap("orientation"):
-        if cfg["orientation.source"] == "file":
-            orientations = load_orientations(_manifest_file(dataset, manifest, "orientations"))
-        else:
-            orientations = estimate_orientation(imu)
+        orientations = estimate_orientation(imu)
     with clock.lap("windows"):
         stride = window_stride(tau, cfg["hacf.stride"])
         windows = make_windows(to_hacf(imu, orientations), tau=tau, stride=stride)

@@ -182,7 +182,6 @@ def _field_defaults(prefix: str) -> dict:
 # the ones the commands read themselves.
 DEFAULTS: dict = {
     **_field_defaults("sim"),
-    "orientation.source": "imu",
     "hacf.tau": 64,
     "hacf.stride": 0,  # 0 = tau (non-overlapping windows)
     "estimator.kind": "oracle",
@@ -204,7 +203,6 @@ DEFAULTS: dict = {
 
 # enumerated string keys that no section dataclass checks -> allowed values
 CHOICES: dict = {
-    "orientation.source": ("imu", "file"),
     "estimator.kind": ("oracle", "network"),
     "eval.trajectory": ("auto", "gt", "est", "refined"),
     "map.trajectory": ("auto", "gt", "est", "refined"),

@@ -75,16 +75,6 @@ def rotate_xyz_about_z(v, theta):
 # Quaternions
 
 
-def quat_about_z(yaw) -> np.ndarray:
-    """The rotation by ``yaw`` about +z, or one per element of an array
-    of yaws, as (..., 4) quaternions."""
-    half = 0.5 * np.asarray(yaw, dtype=float)
-    q = np.zeros(half.shape + (4,))
-    q[..., 0] = np.cos(half)
-    q[..., 3] = np.sin(half)
-    return q
-
-
 def quats_to_matrices(q: np.ndarray) -> np.ndarray:
     """Rotation matrices (device -> world) of an (n, 4) array of unit
     quaternions, as an (n, 3, 3) array."""
@@ -100,13 +90,6 @@ def quats_to_matrices(q: np.ndarray) -> np.ndarray:
     m[:, 2, 1] = 2 * (y * z + w * x)
     m[:, 2, 2] = 1 - 2 * (x * x + y * y)
     return m
-
-
-def quat_yaw(q):
-    """Yaw (rotation about +z) of a unit quaternion, or of each row of an
-    (n, 4) array; the rows' yaws equal the single quaternion's bit for bit."""
-    w, x, y, z = np.asarray(q, dtype=float).T
-    return np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:

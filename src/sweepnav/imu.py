@@ -3,9 +3,9 @@
 The estimator consumes inertial data expressed in a heading-anchored
 gravity-aligned frame: z points along gravity (up), and the horizontal
 axes are fixed by the heading at frame 0.  ``to_hacf`` performs that
-transform given a per-sample orientation stream; ``make_windows`` views
-the result as one array of fixed-length windows for the velocity
-estimator.
+transform given the orientation model's mount and headings;
+``make_windows`` views the result as one array of fixed-length windows
+for the velocity estimator.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fileio import read_table, write_table
-from .geometry import (
-    GRAVITY_VEC,
-    median,
-    quat_yaw,
-    quats_to_matrices,
-    rotate_xyz_about_z,
-)
+from .geometry import GRAVITY_VEC, median, quats_to_matrices, rotate_xyz_about_z
 
 IMU_FIELDS = ("t", "ax", "ay", "az", "gx", "gy", "gz")
 IMU_CSV_HEADER = ",".join(IMU_FIELDS)
@@ -137,23 +131,23 @@ def to_hacf(seq: ImuSequence, orientations) -> np.ndarray:
     """Rotate device-frame samples into the heading-anchored frame.
 
     Returns a read-only ``(2, n, 3)`` array: ``[0]`` holds the linear
-    acceleration ``Rz(-yaw0) R(q) acc - (0, 0, 9.81)`` and ``[1]`` the
-    angular rate ``Rz(-yaw0) R(q) gyro`` of each sample, where ``yaw0``
-    is the yaw of the first orientation.  Anchoring makes the output
-    frame's x axis coincide with the heading at frame 0, so the
-    transform is idempotent with respect to the initial heading.
+    acceleration ``Rz(psi - psi0) M acc - (0, 0, 9.81)`` and ``[1]`` the
+    angular rate ``Rz(psi - psi0) M gyro`` of each sample, where ``M``
+    is the orientations' mount, which levels every sample, ``psi`` each
+    sample's heading and ``psi0`` the first.  The output frame is the
+    levelled device at frame 0, so it does not depend on the heading
+    the recording starts at.
     """
     if len(orientations) != len(seq):
         raise ValueError(
             f"orientation stream has {len(orientations)} samples, IMU has {len(seq)}"
         )
-    hacf = np.zeros((2, len(seq), 3))
-    if len(seq):
-        mats = quats_to_matrices(orientations.q)
-        yaw0 = quat_yaw(orientations.q[0])
-        for out, x in zip(hacf, (seq.acc, seq.gyro)):
-            out[:] = rotate_xyz_about_z(np.einsum("nij,nj->ni", mats, x), -yaw0)
-        hacf[0] -= GRAVITY_VEC
+    level = quats_to_matrices(orientations.mount[None])[0]
+    turn = orientations.heading - orientations.heading[:1]
+    hacf = np.empty((2, len(seq), 3))
+    for out, x in zip(hacf, (seq.acc, seq.gyro)):
+        out[:] = rotate_xyz_about_z(x @ level.T, turn)
+    hacf[0] -= GRAVITY_VEC
     hacf.flags.writeable = False
     return hacf
 

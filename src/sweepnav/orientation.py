@@ -1,10 +1,11 @@
-"""Per-sample device orientation of a phone mounted rigidly on a floor robot.
+"""Orientation of a phone mounted rigidly on a floor robot.
 
 The mount fixes the device's tilt and a level floor keeps it fixed, so
-only the heading changes: gravity, read once from the recording's mean
-specific force, gives the tilt, and the gyro's rate about the up axis,
-summed over the recording, gives the heading.  A recording made any
-other way brings its own orientations (``orientation.source=file``).
+only the heading changes: the orientation at sample t is
+q_t = Rz(psi_t) M, one mount ``M`` and a heading ``psi`` about world
++z.  Gravity, read once from the recording's mean specific force, gives
+the mount, and the gyro's rate about the up axis, summed over the
+recording, gives the heading.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import read_table, write_table
-from .geometry import quat_yaw, quats_to_matrices, wrap_angle
+from .fileio import write_csv
+from .geometry import quats_to_matrices, wrap_angle
 from .imu import ImuSequence, _frozen
 
 ORIENTATION_CSV_HEADER = "t,qw,qx,qy,qz"
@@ -24,29 +25,27 @@ _IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 @dataclass(frozen=True)
 class OrientationSequence:
-    """Unit quaternions (w, x, y, z), one per IMU sample."""
+    """The orientation model's parameters: per-sample timestamps and
+    headings (rad about world +z), and one unit quaternion (w, x, y, z)
+    that turns the device frame into the levelled frame."""
 
     t: np.ndarray  # (n,)
-    q: np.ndarray  # (n, 4)
+    heading: np.ndarray  # (n,)
+    mount: np.ndarray = _IDENTITY  # (4,)
 
     def __post_init__(self):
-        t = _frozen(self.t)
-        q = np.array(self.q, dtype=float, copy=True)
-        if q.shape != (len(t), 4):
-            raise ValueError(f"quaternion array must be ({len(t)}, 4), got {q.shape}")
-        for what, finite in (("timestamp", np.isfinite(t)),
-                             ("quaternion", np.isfinite(q).all(axis=1))):
+        t, heading, mount = _frozen(self.t), _frozen(self.heading), _frozen(self.mount)
+        if heading.shape != t.shape or mount.shape != (4,):
+            raise ValueError(f"expected ({len(t)},) headings and a (4,) mount, "
+                             f"got {heading.shape} and {mount.shape}")
+        for what, finite in (("timestamp", np.isfinite(t)), ("heading", np.isfinite(heading))):
             if not finite.all():
                 raise ValueError(f"non-finite {what} at index {int(np.argmin(finite))}")
-        if len(q):
-            norms = np.linalg.norm(q, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-3):
-                bad = int(np.argmax(np.abs(norms - 1.0)))
-                raise ValueError(f"quaternion at index {bad} is far from unit norm")
-            q /= norms[:, None]
-        q.flags.writeable = False
+        if not np.isclose(np.linalg.norm(mount), 1.0, rtol=0.0, atol=1e-9):
+            raise ValueError("mount quaternion is far from unit norm")
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "heading", heading)
+        object.__setattr__(self, "mount", mount)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -66,28 +65,25 @@ def estimate_orientation(seq: ImuSequence) -> OrientationSequence:
     """
     n = len(seq)
     if n == 0:
-        return OrientationSequence(np.zeros(0), np.zeros((0, 4)))
+        return OrientationSequence(np.zeros(0), np.zeros(0))
     mount = _init_from_gravity(seq.acc.mean(axis=0))
     up = quats_to_matrices(mount[None])[0, 2]  # world +z in the device frame
     rate = seq.gyro @ up
     psi = np.zeros(n)
     np.cumsum(0.5 * (rate[:-1] + rate[1:]) * np.diff(seq.t), out=psi[1:])
-    # the Hamilton product of (cos psi/2, 0, 0, sin psi/2) and the mount
-    c, s = np.cos(0.5 * psi), np.sin(0.5 * psi)
-    w, x, y, z = mount
-    return OrientationSequence(seq.t, np.column_stack(
-        [c * w - s * z, c * x - s * y, c * y + s * x, c * z + s * w]))
+    return OrientationSequence(seq.t, psi, mount)
 
 
 def _init_from_gravity(acc: np.ndarray) -> np.ndarray:
     """The rotation about a horizontal axis that turns the specific force
     ``acc`` to world +z.
 
-    Its ZYX yaw is not zero in general (``[1, 1, 9.7]`` gives -5.3e-3
-    rad); ``to_hacf`` and ``relative_yaw`` subtract the first sample's
-    yaw, so nothing downstream depends on it.  Near-zero specific force
-    (free fall) yields identity, and force straight down a half turn
-    about x.
+    The levelled device keeps whatever heading this rotation gives it
+    (its ZYX yaw is not zero in general: ``[1, 1, 9.7]`` gives -5.3e-3
+    rad).  Nothing reads that heading: ``psi`` starts at 0 and
+    ``to_hacf`` anchors its frame to the levelled device at frame 0.
+    Near-zero specific force (free fall) yields identity, and force
+    straight down a half turn about x.
     """
     norm = float(np.linalg.norm(acc))
     if norm < 1e-6:
@@ -102,26 +98,22 @@ def _init_from_gravity(acc: np.ndarray) -> np.ndarray:
 
 
 def relative_yaw(orientations: OrientationSequence) -> np.ndarray:
-    """Per-sample yaw minus the yaw at frame 0, wrapped to (-pi, pi].
+    """Per-sample heading minus the heading at frame 0, wrapped to
+    (-pi, pi].
 
     This is the heading stream in the heading-anchored frame and is the
-    yaw source for integrated trajectories.  One array ``np.arctan2``;
-    its elements equal ``quat_yaw`` of each row bit for bit.
+    yaw source for integrated trajectories.
     """
-    if len(orientations) == 0:
-        return np.zeros(0)
-    yaws = quat_yaw(orientations.q)
-    return wrap_angle(yaws - yaws[0])
-
-
-def load_orientations(path) -> OrientationSequence:
-    """Read a ``t,qw,qx,qy,qz`` CSV of precomputed orientations."""
-    arr = read_table(path, ORIENTATION_CSV_HEADER)
-    try:
-        return OrientationSequence(arr[:, 0], arr[:, 1:5])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    heading = orientations.heading
+    return wrap_angle(heading - heading[:1])
 
 
 def save_orientations(orientations: OrientationSequence, path) -> None:
-    write_table(path, ORIENTATION_CSV_HEADER, [orientations.t, *orientations.q.T])
+    """Write each sample's quaternion Rz(psi_t) M as a ``t,qw,qx,qy,qz``
+    CSV, for inspection; no command reads it back."""
+    # the Hamilton product of (cos psi/2, 0, 0, sin psi/2) and the mount
+    half = 0.5 * orientations.heading
+    c, s = np.cos(half), np.sin(half)
+    w, x, y, z = orientations.mount
+    write_csv(path, ORIENTATION_CSV_HEADER,
+              [orientations.t, c * w - s * z, c * x - s * y, c * y + s * x, c * z + s * w])

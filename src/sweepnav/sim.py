@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MapConfig, SimConfig
-from .geometry import median, quat_about_z
+from .geometry import median
 from .imu import ImuSequence
 from .object_map import CENTER_FRACTION, CaptionRecord, DepthRaster, center_region, normalize_name
 from .orientation import OrientationSequence
@@ -182,8 +182,9 @@ def generate_trajectory(cfg: SimConfig) -> Trajectory:
 
 
 def true_orientations(traj: Trajectory) -> OrientationSequence:
-    """Exact orientations of a planar trajectory (yaw about world z)."""
-    return OrientationSequence(traj.t, quat_about_z(traj.yaw))
+    """Exact orientations of a planar trajectory: its yaw as the heading,
+    and the identity mount of a level device."""
+    return OrientationSequence(traj.t, traj.yaw)
 
 
 def synthesize_imu(traj: Trajectory, cfg: SimConfig) -> ImuSequence:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from sweepnav import CaptureEvent, OrientationSequence, Trajectory
+from sweepnav import CaptureEvent, Trajectory
 from sweepnav.geometry import wrap_angle
 
 
@@ -494,27 +494,22 @@ def _init_from_gravity_ref(acc: np.ndarray) -> np.ndarray:
     return quat_from_rotvec_ref(axis / s * angle)
 
 
-def estimate_orientation_ref(seq) -> OrientationSequence:
-    """The mount from the mean specific force, then the heading summed
-    one trapezoid step at a time about the mount's up axis."""
+def estimate_orientation_ref(seq) -> tuple[np.ndarray, np.ndarray]:
+    """The heading ``psi`` and the mount ``M``: the mount from the mean
+    specific force, then the heading summed one trapezoid step at a time
+    about the mount's up axis."""
     n = len(seq)
-    if n == 0:
-        return OrientationSequence(np.zeros(0), np.zeros((0, 4)))
     total = np.zeros(3)
     for a in seq.acc:
         total = total + a
-    mount = _init_from_gravity_ref(total / n)
+    mount = _init_from_gravity_ref(total / n) if n else quat_identity_ref()
     # world +z seen in the device frame
     up = quat_rotate_ref(mount * [1.0, -1.0, -1.0, -1.0], [0.0, 0.0, 1.0])
-    quats = np.empty((n, 4))
-    psi = 0.0
-    for i in range(n):
-        if i:
-            rate = 0.5 * (float(np.dot(seq.gyro[i - 1], up)) + float(np.dot(seq.gyro[i], up)))
-            psi += rate * float(seq.t[i] - seq.t[i - 1])
-        heading = np.array([math.cos(0.5 * psi), 0.0, 0.0, math.sin(0.5 * psi)])
-        quats[i] = quat_multiply_ref(heading, mount)
-    return OrientationSequence(seq.t, quats)
+    psi = np.zeros(n)
+    for i in range(1, n):
+        rate = 0.5 * (float(np.dot(seq.gyro[i - 1], up)) + float(np.dot(seq.gyro[i], up)))
+        psi[i] = psi[i - 1] + rate * float(seq.t[i] - seq.t[i - 1])
+    return psi, mount
 
 
 def capture_schedule_ref(traj, distance_m=1.0, rotation_rad=np.pi / 2):
@@ -537,18 +532,6 @@ def capture_schedule_ref(traj, distance_m=1.0, rotation_rad=np.pi / 2):
             acc_d = 0.0
             acc_r = 0.0
     return events
-
-
-def relative_yaw_ref(orientations) -> np.ndarray:
-    """Yaw of each quaternion, one ``np.arctan2`` call per row, relative to frame 0."""
-    if len(orientations) == 0:
-        return np.zeros(0)
-    yaws = []
-    for q in orientations.q:
-        w, x, y, z = q
-        yaws.append(float(np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))))
-    yaws = np.array(yaws)
-    return wrap_angle(yaws - yaws[0])
 
 
 def same_bits(a, b) -> bool:

@@ -59,11 +59,11 @@ def _manifest(ds):
 # come from numpy, so another BLAS build may round differently.
 PIPELINE_SHA256 = {
     "captions.jsonl": "a4f11c24ec49420b3403fb8efba5a74439909263ab25c49af8fcc8dc7ce1e3d7",
-    "captures.jsonl": "f1dfc8e8857833b7dd36c5e524683136bd3c874c3ae670d8a3e08b4a04b11b78",
-    "config.json": "2b00cf7d3f019827d3712145f2dd6c06b28afbbb878d4b0a4fb6b538779bb59f",
+    "captures.jsonl": "abbcaab2e16e82e9c1ef796fc934ac371823e504bd722c45f2c20d43b39ef71b",
+    "config.json": "768a10e05a2348ea5b6d9babd1dac01c4a0be6f54313f780a35fd3b24c6feba4",
     "corrections.jsonl": "bdd47d450a9bc50209c90d82174b69584bd4560e4f2bf8f522d9430861f0dd06",
-    "est_trajectory.csv": "be23cd4152fc56db6967be5fc93229bd3f1b72ef429d3daa4ec1fc27b07c4492",
-    "est_trajectory.csv.f64": "1785c7a46dcb8e2dcb2d52978129967b0d205a5e01b2d9c79ae4fb99910d8e58",
+    "est_trajectory.csv": "d58c41190125d34f648f1d3bc5d8034d19cabd2feb0788637e9c1c8e2fcfc4eb",
+    "est_trajectory.csv.f64": "b3b3b9f7fe1431a25d95aac6287ede01e1d7cf2c506b29209cf1df7416075b15",
     "eval_grid_1.0.json": "8033c367213d8bc40816bd6bf4b73b0ea29a60cc6e7336f57e11d8195878f709",
     "gt_captures.jsonl": "fd245f8a34366edca6ff25133f118dae302e13850aba3c81aaa343297d22ee16",
     "gt_trajectory.csv": "4d0ca03e1acc5bc5da72c04a207b91fc16203d2e3afdd17e19e1e1abdd47d65d",
@@ -75,12 +75,11 @@ PIPELINE_SHA256 = {
     "loss_history.csv": "acf15524b6e700f30b2bca33d31babfb4bd5e69e3b7e0605f203a4d388bec14b",
     "manifest.json": "52f2b28bd5754187f854cebea101b3dc1c759738edd382d7eb6adf8ef303c519",
     "map_eval.json": "a39fe5f8642d7bea9691e0db7bf9fbf32972ce33c37efffe561d9855822cf4f9",
-    "orientations.csv": "b3091441c6dc4626d155a4cf33f8e0e0d8345acf8c6dcd0f772524611e6226e2",
-    "orientations.csv.f64": "016df6c19de09708dca1d4e8620a33d517b5817d67c8fd7d6dd196fb69d68e6d",
+    "orientations.csv": "c95ac1987241437788c89c0673a82fbc7c861ff156ae4b28a5b81668979e95f6",
     "plot.svg": "725cdded3255216ffe2049893ea1b4f4a45af0d1cd32c8df0254a49698124c29",
-    "refined_trajectory.csv": "be23cd4152fc56db6967be5fc93229bd3f1b72ef429d3daa4ec1fc27b07c4492",
-    "refined_trajectory.csv.f64": "1785c7a46dcb8e2dcb2d52978129967b0d205a5e01b2d9c79ae4fb99910d8e58",
-    "residuals_grid_1.0.csv": "ab63a714561f6a09fa9b24eda24ad972e2f51eeb2c37b4f08ae4233fecf1a2cc",
+    "refined_trajectory.csv": "d58c41190125d34f648f1d3bc5d8034d19cabd2feb0788637e9c1c8e2fcfc4eb",
+    "refined_trajectory.csv.f64": "b3b3b9f7fe1431a25d95aac6287ede01e1d7cf2c506b29209cf1df7416075b15",
+    "residuals_grid_1.0.csv": "1eba53eaac62edf16e33d0f447d84d180d3813b167c55caf90a2926e5a957879",
     "velocities.csv": "44afbb652ecee526b3d1a3e308227bdcf7c3973c471aeea53acf524a6cba1ae7",
     "velocities.csv.f64": "2ebe7371ca67b7cbe710f531ca3dfaaee3d1eb67769f8bc8a79eb4e34b43cd82",
     "rasters": "8d2a9cf997ee7f6deb95ab94ee62c42600af56a7a6cb83ace541688f470585a6",
@@ -388,7 +387,7 @@ class TestExitCodes:
         assert "caption.endpoint" in capsys.readouterr().err
 
     # each enumerated key with a command that reads it
-    ENUMERATED = [("infer", "orientation.source"), ("infer", "estimator.kind"),
+    ENUMERATED = [("infer", "estimator.kind"),
                   ("eval", "eval.trajectory"), ("map", "map.trajectory"),
                   ("map", "caption.mode")]
     # a value that its section, its ``LIMITS`` rule or its number type
@@ -411,6 +410,8 @@ class TestExitCodes:
         ("infer", "hacf.tau"): ("0", "hacf.tau: must be >= 1, got 0"),
         ("infer", "hacf.stride"): ("-1", "hacf.stride: must be >= 0 (0 = tau), got -1"),
         ("infer", "orientation.alpha"): ("0.02", "unknown configuration key 'orientation.alpha'"),
+        ("infer", "orientation.source"):
+            ("file", "unknown configuration key 'orientation.source'"),
         ("map", "map.cluster_eps"): ("2", "unknown configuration key 'map.cluster_eps'"),
         ("refine", "refine.lambda_loop"): ("2", "unknown configuration key 'refine.lambda_loop'"),
         ("map", "map.mount_height"): ("3.5", "map.*: mount_height must be within [0, 3] m"),
@@ -444,13 +445,6 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert {p: p.read_bytes() for p in ds.rglob("*") if p.is_file()} == before
         assert not (tmp_path / "new").exists()
-
-    def test_orientation_source_filter_has_no_alias(self, tmp_path, capsys):
-        """``imu`` names the estimate from the levelled mount and the summed
-        gyro; ``filter`` named the complementary filter it replaced."""
-        assert run("infer", "--dataset", tmp_path, "--set", "orientation.source=filter") == 2
-        assert capsys.readouterr().err == (
-            "error: orientation.source: expected one of imu, file, got 'filter'\n")
 
     def test_no_command_exits_via_argparse(self):
         with pytest.raises(SystemExit):

@@ -18,7 +18,7 @@ from sweepnav.config import (
 class TestDefaults:
     def test_covers_every_stage(self):
         stages = {key.split(".")[0] for key in DEFAULTS}
-        assert stages == {"sim", "orientation", "hacf", "estimator",
+        assert stages == {"sim", "hacf", "estimator",
                           "oracle", "rae", "capture", "refine",
                           "eval", "map", "caption"}
 

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from sweepnav import geometry as geo
 
-from .oracles import (quat_from_rotvec_ref, quat_identity_ref, quat_multiply_ref,
-                      quat_normalize_ref, quat_rotate_ref, quat_to_matrix_ref, rot2_ref,
-                      same_bits)
+from .oracles import (quat_from_rotvec_ref, quat_multiply_ref, quat_normalize_ref,
+                      quat_rotate_ref, quat_to_matrix_ref, rot2_ref, same_bits)
 
 
 class TestWrapAngle:
@@ -96,22 +95,6 @@ class TestQuaternions:
         np.testing.assert_allclose(
             quat_rotate_ref(q * [1, -1, -1, -1], quat_rotate_ref(q, v)), v, atol=1e-12
         )
-
-    def test_yaw_is_additive_under_z_premultiplication(self):
-        """Pre-rotating any orientation about z shifts its yaw by that angle."""
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            q = quat_normalize_ref(rng.normal(size=4))
-            delta = float(rng.uniform(-np.pi, np.pi))
-            shifted = quat_multiply_ref(geo.quat_about_z(delta), q)
-            np.testing.assert_allclose(
-                geo.wrap_angle(geo.quat_yaw(shifted) - geo.quat_yaw(q) - delta),
-                0.0, atol=1e-9,
-            )
-
-    def test_identity_and_about_z(self):
-        np.testing.assert_allclose(geo.quat_yaw(quat_identity_ref()), 0.0)
-        np.testing.assert_allclose(geo.quat_yaw(geo.quat_about_z(0.4)), 0.4, atol=1e-12)
 
     def test_row_norms_match_linalg_norm(self):
         rng = np.random.default_rng(37)

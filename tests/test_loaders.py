@@ -27,7 +27,6 @@ from sweepnav.cli import VELOCITY_CSV_HEADER, _load_velocities
 from sweepnav.fileio import read_csv, read_table, write_table
 from sweepnav.imu import IMU_CSV_HEADER, IMU_FIELDS, load_imu
 from sweepnav.object_map import ITEMS_CSV_HEADER, load_captions, load_items_csv
-from sweepnav.orientation import ORIENTATION_CSV_HEADER, load_orientations
 from sweepnav.trajectory import (TRAJECTORY_CSV_HEADER, Trajectory, load_captures,
                                  load_trajectory, save_trajectory)
 
@@ -92,8 +91,6 @@ LOADERS = {
     "imu.jsonl": (load_imu, None, _jsonl({k: _NUMBER for k in IMU_FIELDS},
                                          wrong={k: _NOT_A_NUMBER for k in IMU_FIELDS})),
     "trajectory.csv": (load_trajectory, TRAJECTORY_CSV_HEADER, _csv([_FLOAT] * 4, range(4))),
-    "orientations.csv": (load_orientations, ORIENTATION_CSV_HEADER,
-                         _csv([_FLOAT] * 5, range(5))),
     "items.csv": (load_items_csv, ITEMS_CSV_HEADER, _csv([_TEXT] + [_FLOAT] * 3, [1, 2, 3])),
     "velocities.csv": (lambda path: _load_velocities(path, 5), VELOCITY_CSV_HEADER,
                        _csv([_FRAME, _FLOAT, _FLOAT], range(3))),

@@ -19,8 +19,6 @@ from sweepnav import fileio
 from sweepnav.cli import VELOCITY_CSV_HEADER, _load_velocities
 from sweepnav.fileio import read_table, write_csv, write_jsonl, write_table
 from sweepnav.imu import IMU_CSV_HEADER, ImuSequence, load_imu, save_imu
-from sweepnav.orientation import (ORIENTATION_CSV_HEADER, OrientationSequence,
-                                  load_orientations, save_orientations)
 from sweepnav.trajectory import (TRAJECTORY_CSV_HEADER, Trajectory, load_trajectory,
                                  save_trajectory)
 
@@ -215,8 +213,6 @@ def test_table_writes_the_csv_bytes_and_a_sidecar_of_their_parse(tmp_path, monke
 
 # values a sidecar must carry bit for bit
 _EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1]
-# unit quaternions holding signed zeros and subnormals
-_UNIT_Q = [[1.0, -0.0, 0.0, 5e-324], [-0.0, -1.0, -5e-324, 0.0], [0.6, -0.8, -0.0, 1e-310]]
 
 
 @st.composite
@@ -229,17 +225,6 @@ def _values(draw, n_rows, n_columns):
         table[draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_columns - 1))] = draw(
             st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_infinity=False)))
     return table
-
-
-@st.composite
-def _quaternions(draw, n_rows):
-    """Random unit quaternions, some rows replaced by the ``_UNIT_Q`` ones."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    q = rng.normal(size=(n_rows, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    for _ in range(draw(st.integers(0, 6)) if n_rows else 0):
-        q[draw(st.integers(0, n_rows - 1))] = draw(st.sampled_from(_UNIT_Q))
-    return q
 
 
 def _save_velocities(held, path):
@@ -260,9 +245,6 @@ _TABLE_WRITERS = {
                    lambda t, v: Trajectory(t, v[:, :2], v[:, 2], 50.0),
                    save_trajectory, load_trajectory,
                    lambda traj: np.column_stack([traj.t, traj.xy, traj.yaw])),
-    "orientations": (ORIENTATION_CSV_HEADER, 4, lambda n_rows, _: _quaternions(n_rows),
-                     OrientationSequence, save_orientations, load_orientations,
-                     lambda o: np.column_stack([o.t, o.q])),
     "velocities": (VELOCITY_CSV_HEADER, 2, _values, lambda t, v: v, _save_velocities,
                    _load_velocities_of,
                    lambda held: np.column_stack([np.arange(len(held)), held])),

@@ -1,11 +1,13 @@
 """Windowed velocity estimation: dense network inference and an oracle double.
 
-The network maps a flattened window of heading-anchored samples to a
-planar velocity.  The oracle replaces the network in tests and
-simulation studies: it reads the true mean velocity straight from a
-ground-truth trajectory, re-expressed in the frame of the window's
-inputs, then adds a configurable input-frame bias and seeded noise.
-Because the oracle honors frame rotations exactly, ensemble properties
+A model's ``velocities(windows, starts, angles)`` takes an
+(N, 2, tau + 1, 3) stack of heading-anchored windows, their N start
+frames and K angles, and returns (N, K, 2): member (i, k) is the planar
+velocity of window i turned by ``angles[k]`` about gravity, so each
+window enters the model once.  The oracle replaces the network in tests
+and simulation studies: it reads the true mean velocity from a
+ground-truth trajectory, turned into each member's frame, then adds a
+configurable input-frame bias and seeded noise, so ensemble properties
 can be checked against closed-form expectations.
 """
 
@@ -55,6 +57,9 @@ class WeightsBundle:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        # the network turns windows through layer 0; relu does not commute with that
+        if not self.layers or self.layers[0].kind != "dense":
+            raise ValueError("layer 0: the first layer must be dense")
         dim = 6 * (self.meta.tau + 1)
         for i, layer in enumerate(self.layers):
             if layer.kind == "relu":
@@ -145,28 +150,15 @@ def _layer(ld) -> Layer:
 
 
 def save_weights(bundle: WeightsBundle, path) -> None:
-    doc = {
-        "meta": {
-            "tau": bundle.meta.tau,
-            "sample_rate_hz": bundle.meta.sample_rate_hz,
-            "gravity_subtracted": bundle.meta.gravity_subtracted,
-            "input_layout": bundle.meta.input_layout,
-        },
-        "layers": [],
-    }
+    meta, layers = bundle.meta, []
     for layer in bundle.layers:
-        if layer.kind == "relu":
-            doc["layers"].append({"kind": "relu", "rows": 0, "cols": 0, "data": ""})
-            continue
-        flat = np.concatenate([layer.weights.ravel(), layer.bias]).astype("<f4")
-        doc["layers"].append(
-            {
-                "kind": "dense",
-                "rows": layer.rows,
-                "cols": layer.cols,
-                "data": base64.b64encode(flat.tobytes()).decode("ascii"),
-            }
-        )
+        flat = (np.concatenate([layer.weights.ravel(), layer.bias]).astype("<f4").tobytes()
+                if layer.kind == "dense" else b"")
+        layers.append({"kind": layer.kind, "rows": layer.rows, "cols": layer.cols,
+                       "data": base64.b64encode(flat).decode("ascii")})
+    doc = {"meta": {"tau": meta.tau, "sample_rate_hz": meta.sample_rate_hz,
+                    "gravity_subtracted": meta.gravity_subtracted,
+                    "input_layout": meta.input_layout}, "layers": layers}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
@@ -179,51 +171,63 @@ def make_random_bundle(tau: int = 64, sample_rate_hz: float = 50.0,
     rng = np.random.default_rng(seed)
     dims = [6 * (tau + 1), *hidden, 2]
     layers = []
-    for i in range(len(dims) - 1):
-        rows, cols = dims[i], dims[i + 1]
-        w = rng.normal(0.0, scale / np.sqrt(rows), (rows, cols))
-        b = np.zeros(cols)
-        layers.append(Layer("dense", rows, cols, w, b))
-        if i < len(dims) - 2:
-            layers.append(Layer("relu"))
+    for rows, cols in zip(dims[:-1], dims[1:]):
+        layers += [Layer("relu")] if layers else []
+        layers.append(Layer("dense", rows, cols,
+                            rng.normal(0.0, scale / np.sqrt(rows), (rows, cols)), np.zeros(cols)))
     meta = WeightsMeta(tau, sample_rate_hz, gravity_subtracted=True)
     return WeightsBundle(meta, tuple(layers))
 
 
 class DenseVelocityNetwork:
-    """Forward pass of a dense network over flattened windows.
+    """Forward pass of a dense network over windows turned about gravity.
 
-    Parameters are stored as float32 in the bundle but promoted to
-    float64 for the forward pass, which keeps repeated runs bit-stable.
+    The turn is linear and the first layer dense, so member k's
+    first-layer pre-activation is exactly cos(theta_k) A + sin(theta_k) B
+    + C, with A|B = [X|Y] @ [[Wx, Wy], [Wy, -Wx]] and C = Z @ Wz + b
+    shared by the K members of a window (X, Y, Z its x, y and z samples;
+    Wx, Wy, Wz the rows of the first layer that read them).  Only the
+    later layers run per member.  The bundle's float32 parameters are
+    used as float64, which keeps repeated runs bit-stable.
     """
 
     def __init__(self, bundle: WeightsBundle):
-        self.bundle = bundle
         self.tau = bundle.meta.tau
+        first, self._rest = bundle.layers[0], bundle.layers[1:]
+        w = first.weights.reshape(2 * (self.tau + 1), 3, first.cols)  # (sample, xyz, out)
+        wx, wy = w[:, 0], w[:, 1]
+        self._w_ab = np.stack([np.vstack([wx, wy]), np.vstack([wy, -wx])])  # A's, B's columns
+        self._w_z, self._b = np.ascontiguousarray(w[:, 2]), first.bias
 
     def velocities(self, windows: np.ndarray, starts, angles) -> np.ndarray:
-        """(M, 2) outputs for an (M, 2, tau + 1, 3) stack; one matmul chain."""
+        """(N, K, 2) outputs for an (N, 2, tau + 1, 3) stack and K angles."""
         if windows.shape[1:] != (2, self.tau + 1, 3):
             raise ValueError(
                 f"windows have shape {windows.shape[1:]}, network expects "
                 f"(2, {self.tau + 1}, 3) (tau={self.tau})"
             )
-        x = windows.reshape(len(windows), -1)
-        for layer in self.bundle.layers:
+        n, k, (m, hidden) = len(windows), len(angles), self._w_z.shape
+        xyz = np.moveaxis(windows, 3, 1).reshape(n, 3, m)  # X, Y, Z
+        ab = np.matmul(xyz[:, :2].reshape(n, 2 * m), self._w_ab)  # (2, N, hidden)
+        turn = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # (K, 2)
+        x = (turn @ ab.reshape(2, -1)).reshape(k, n, hidden)  # cos A + sin B
+        x += xyz[:, 2] @ self._w_z + self._b
+        x = x.reshape(-1, hidden)
+        for layer in self._rest:
             if layer.kind == "dense":
-                x = x @ layer.weights + layer.bias
+                x = x @ layer.weights
+                x += layer.bias
             else:
-                x = np.maximum(x, 0.0)
-        return x
+                np.maximum(x, 0.0, out=x)
+        return x.reshape(k, n, 2).transpose(1, 0, 2)
 
 
 class OracleVelocityEstimator:
-    """True mean velocity over each window, in the window's input frame.
+    """True mean velocity over each window, in the frame of each member.
 
-    The window starting at ``starts[m]`` with contents rotated by
-    ``angles[m]`` reads ``Rz(angles[m]) @ v_true + bias + noise``, where
-    ``v_true`` is the ground-truth displacement across the window over
-    its duration.  The bias is added after the rotation: that is exactly
+    Member (i, k) reads ``Rz(angles[k]) @ v_true + bias + noise``, where
+    ``v_true`` is the ground-truth displacement across window i over its
+    duration.  The bias is added after the rotation: that is exactly
     the error mode a rotation ensemble averages out.  The noise is drawn
     once per window start, so evaluation order (or parallelism) cannot
     change results.  The contents themselves are never read.
@@ -243,37 +247,39 @@ class OracleVelocityEstimator:
             raise ValueError(f"window frames [{starts[bad][0]}, {ends[bad][0]}] fall outside "
                              f"the ground-truth span of {len(traj)} frames")
         v_true = (traj.xy[ends] - traj.xy[starts]) / (tau / traj.frame_rate)
-        v = rotate_xy(v_true, angles) + np.array(self.cfg.bias)
+        v = rotate_xy(v_true[:, None], angles) + np.array(self.cfg.bias)
         if self.cfg.noise_sigma > 0.0:
             uniq = unique(starts)
             noise = np.array([np.random.default_rng((self.cfg.seed, int(s)))
                               .normal(0.0, self.cfg.noise_sigma, 2) for s in uniq])
-            v = v + noise[np.searchsorted(uniq, starts)]
+            v = v + noise[np.searchsorted(uniq, starts), None]
         return v
 
 
 class MemberEstimates(NamedTuple):
-    v: np.ndarray  # (M, 2) m/s, clamped; NaN where dropped
-    kept: np.ndarray  # (M,) bool, False for non-finite output
-    over: np.ndarray  # (M,) bool, scaled back to v_max
+    v: np.ndarray  # (N, K, 2) m/s, clamped; NaN where dropped
+    kept: np.ndarray  # (N, K) bool, False for non-finite output
+    over: np.ndarray  # (N, K) bool, scaled back to v_max
     clamped: int  # over.sum()
 
 
 def estimate_velocity(windows: np.ndarray, starts, angles, model,
                       v_max: float = 2.0) -> MemberEstimates:
-    """Run ``model`` on a stack of M windows, then validate and clamp.
+    """Run ``model`` on N windows, each turned by K angles, then validate
+    and clamp its (N, K, 2) members.
 
-    ``starts`` and ``angles`` give each window's start frame and the
-    rotation applied to its contents.  Non-finite outputs are masked
-    out (NaN, ``kept`` False); speeds above ``v_max`` are scaled back
-    to ``v_max``.
+    ``starts`` gives each window's start frame.  Non-finite outputs are
+    masked out (NaN, ``kept`` False); speeds above ``v_max`` are scaled
+    back to ``v_max``.
     """
+    starts, angles = np.asarray(starts, dtype=int), np.asarray(angles, dtype=float)
+    shape = (len(windows), len(angles), 2)
     v = np.asarray(model.velocities(windows, starts, angles), dtype=float)
-    if v.shape != (len(windows), 2):
-        raise ValueError(f"model output must have shape ({len(windows)}, 2), got {v.shape}")
-    kept = np.isfinite(v).all(axis=1)
-    v, over = clamp_speed(np.where(kept[:, None], v, np.nan), v_max)
-    return MemberEstimates(v, kept, over, int(over.sum()))
+    if v.shape != shape:
+        raise ValueError(f"model output must have shape {shape}, got {v.shape}")
+    kept = np.isfinite(v).all(axis=2)
+    v, over = clamp_speed(np.where(kept[..., None], v, np.nan).reshape(-1, 2), v_max)
+    return MemberEstimates(v.reshape(shape), kept, over.reshape(shape[:2]), int(over.sum()))
 
 
 def clamp_speed(v: np.ndarray, v_max: float) -> tuple[np.ndarray, np.ndarray]:

@@ -2,8 +2,10 @@
 
 A velocity estimator trained on handheld data sees a coverage robot's
 motion as out-of-domain, and its errors are not rotation-equivariant.
-Ensembling helps: rotate the window inputs by K angles about gravity,
-run the estimator on each copy, rotate each estimate back, and reduce.
+Ensembling helps: turn the window inputs by K angles about gravity,
+estimate each turned window, rotate each estimate back, and reduce.  The
+model does the turning: it takes each window once with the K angles and
+returns its K members (see ``estimator``), so no turned copy is made.
 Any error component that is fixed in the estimator's input frame is
 spread over K directions by the rotate-back step, onto a regular polygon
 about the true velocity on a uniform angle grid.  Both reducers that
@@ -41,9 +43,9 @@ _COLLINEAR_TOL = 1e-12
 _GM_RTOL = 1e-10
 _GM_ULPS = 4
 _GM_MAX_ITER = 100
-# Windows per model call: bounds the K rotated copies held in memory
-# (64 windows x K=5 x 390 samples is 1 MB) without a per-window call.
-_BLOCK = 64
+# Ensemble members per model call (64 windows at K=5; at least one window):
+# bounds the activations a call holds, whatever K is.
+_MEMBERS = 320
 
 
 def ensemble_angles(cfg: RaeConfig) -> np.ndarray:
@@ -201,13 +203,14 @@ def rae_estimate(windows: np.ndarray, starts, model, cfg: RaeConfig,
                  v_max: float = 2.0) -> RaeResult:
     """Ensemble velocity estimates for an (N, 2, tau + 1, 3) window stack.
 
-    Window i starts at frame ``starts[i]``.  Member k runs the model on
-    the window rotated by theta_k and rotates the estimate back by
+    Window i starts at frame ``starts[i]``.  Member k, the model's
+    estimate for the window turned by theta_k, is rotated back by
     -theta_k.  Members with non-finite output are dropped; a window
     whose members are all dropped fails.  The kept members of all
     windows are reduced at once (``reduce_members``), and each reduced
-    velocity is clamped to ``v_max`` like any single estimate.  The
-    model sees blocks of windows, all K rotated copies of each at once.
+    velocity is clamped to ``v_max`` like any single estimate.  A model
+    call takes whole windows with all K angles: at most _MEMBERS
+    members, or one window where K is larger.
     """
     angles = ensemble_angles(cfg)
     k = len(angles)
@@ -218,28 +221,13 @@ def rae_estimate(windows: np.ndarray, starts, model, cfg: RaeConfig,
     back = np.empty((n, k, 2))
     kept = np.empty((n, k), dtype=bool)
     over = np.empty((n, k), dtype=bool)
-    # the products and sums of rotate_xyz_about_z, written into one buffer
-    # straight from the windows rather than from K repeated copies, with
-    # one reused (block, K, 2, tau + 1) buffer for the second product
-    cos, sin = np.cos(angles)[:, None, None], np.sin(angles)[:, None, None]
-    rotated = np.empty((min(n, _BLOCK), k) + windows.shape[1:])
-    scratch = np.empty(rotated.shape[:-1])
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        # (hi - lo, K, 2, tau + 1, 3): copy k of each window rotated by theta_k
-        block, out, tmp = windows[lo:hi, None], rotated[:hi - lo], scratch[:hi - lo]
-        x, y = out[..., 0], out[..., 1]
-        np.multiply(cos, block[..., 0], out=x)
-        x -= np.multiply(sin, block[..., 1], out=tmp)
-        np.multiply(sin, block[..., 0], out=y)
-        y += np.multiply(cos, block[..., 1], out=tmp)
-        out[..., 2] = block[..., 2]
-        est = estimate_velocity(out.reshape(-1, *windows.shape[1:]),
-                                np.repeat(starts[lo:hi], k), np.tile(angles, hi - lo),
-                                model, v_max)
-        back[lo:hi] = rotate_xy(est.v.reshape(-1, k, 2), -angles)
-        kept[lo:hi] = est.kept.reshape(-1, k)
-        over[lo:hi] = est.over.reshape(-1, k)
+    step = max(1, _MEMBERS // k)
+    for lo in range(0, n, step):
+        block = slice(lo, lo + step)
+        est = estimate_velocity(windows[block], starts[block], angles, model, v_max)
+        back[block] = rotate_xy(est.v, -angles)
+        kept[block] = est.kept
+        over[block] = est.over
     dead = np.flatnonzero(~kept.any(axis=1))
     if dead.size:
         raise NonFiniteEstimateError(

@@ -372,14 +372,24 @@ def turn_in_place_trajectory(total_angle, n_frames=201, rate=50.0) -> Trajectory
     return Trajectory(t, xy, yaw, rate)
 
 
+def dense_forward_ref(bundle, window) -> np.ndarray:
+    """The plain forward pass of a weights bundle on one (2, tau + 1, 3)
+    window: its acc-then-gyro row-major flattening through each layer in
+    turn, the first layer included."""
+    x = np.asarray(window, dtype=float).ravel()
+    for layer in bundle.layers:
+        x = x @ layer.weights + layer.bias if layer.kind == "dense" else np.maximum(x, 0.0)
+    return x
+
+
 def rae_window_ref(window, start, model, angles, reducer, v_max=2.0):
     """One window through the rotation-augmented ensemble, member by member.
 
-    For each angle: rotate the window's x-y components, run the model on
-    that single copy, skip a non-finite output, clamp its speed, rotate
-    it back; reduce the kept members; clamp the result.  Returns
-    (velocity, members dropped, whether a member or the result was
-    clamped, largest distance from a kept member to the reduced
+    For each angle: run the model on the window turned by that angle
+    alone (one window, one angle), skip a non-finite output, clamp its
+    speed, rotate it back; reduce the kept members; clamp the result.
+    Returns (velocity, members dropped, whether a member or the result
+    was clamped, largest distance from a kept member to the reduced
     velocity), or raises ``NonFiniteEstimateError`` if every member is
     dropped.
     """
@@ -394,12 +404,8 @@ def rae_window_ref(window, start, model, angles, reducer, v_max=2.0):
 
     members, dropped, clamped = [], 0, False
     for theta in angles:
-        c, s = np.cos(theta), np.sin(theta)
-        x = np.array(window, dtype=float)
-        for block in x:
-            for row in block:
-                row[:2] = turn(row[:2], c, s)
-        out = np.asarray(model.velocities(x[None], np.array([start]), np.array([theta])))[0]
+        out = np.asarray(model.velocities(window[None], np.array([start]),
+                                          np.array([theta])))[0, 0]
         if not np.isfinite(out).all():
             dropped += 1
             continue

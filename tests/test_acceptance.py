@@ -80,7 +80,7 @@ class TestCriterion01RaeExactness:
         model = OracleVelocityEstimator(sweep_60s)
         starts = np.arange(0, 2000, 100)
         windows = np.zeros((len(starts), 2, 65, 3))
-        single = estimate_velocity(windows, starts, np.zeros(len(starts)), model).v
+        single = estimate_velocity(windows, starts, [0.0], model).v[:, 0]
         worst = 0.0
         for k in (1, 3, 5):
             for reducer in ("mean", "median"):

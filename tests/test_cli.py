@@ -798,9 +798,10 @@ class TestInferRunMeta:
         class Faulty(est_mod.OracleVelocityEstimator):
             def velocities(self, windows, starts, angles):
                 v = super().velocities(windows, starts, angles)
-                v[angles == angles.min()] = np.nan
-                fast = (starts == 128) & (angles != angles.min())
-                v[fast] = rotate_xy(np.array([3.0, 0.0]), angles[fast])
+                v[:, angles == angles.min()] = np.nan
+                fast = np.outer(starts == 128, angles != angles.min())
+                turned = rotate_xy(np.array([3.0, 0.0]), angles)
+                v[fast] = np.broadcast_to(turned, v.shape)[fast]
                 return v
 
         monkeypatch.setattr(est_mod, "OracleVelocityEstimator", Faulty)

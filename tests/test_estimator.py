@@ -5,13 +5,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sweepnav as sn
 from sweepnav.estimator import Layer, WeightsMeta, clamp_speed
-from sweepnav.geometry import rot2
+from sweepnav.geometry import rot2, rotate_xyz_about_z
 
 from .conftest import zero_windows
-from .oracles import line_trajectory
+from .oracles import dense_forward_ref, line_trajectory
 
 
 SPEED = 0.390625  # dyadic, so displacement/duration round-trips exactly
@@ -22,14 +24,14 @@ def _oracle(bias=(0.0, 0.0), noise=0.0, speed=SPEED, n=201, seed=0):
     return sn.OracleVelocityEstimator(traj, sn.OracleConfig(bias, noise, seed))
 
 
-def _read(model, starts=(0,), angles=None):
-    """Oracle output for zero windows at ``starts`` rotated by ``angles``."""
-    angles = np.zeros(len(starts)) if angles is None else np.asarray(angles)
-    return model.velocities(zero_windows(len(starts)), np.asarray(starts), angles)
+def _read(model, starts=(0,), angles=(0.0,)):
+    """Oracle output, (N, K, 2), for zero windows at ``starts`` turned by
+    each of ``angles``."""
+    return model.velocities(zero_windows(len(starts)), np.asarray(starts), np.asarray(angles))
 
 
 class _Fixed:
-    """Returns a fixed (M, 2) output whatever it is given."""
+    """Returns a fixed (N, K, 2) output whatever it is given."""
 
     def __init__(self, out):
         self.out = np.asarray(out, dtype=float)
@@ -41,20 +43,20 @@ class _Fixed:
 class TestOracle:
     def test_mean_velocity_over_window(self):
         """Displacement over duration: 0.5 m in 1.28 s is 0.390625 m/s."""
-        v = _read(_oracle())[0]
+        v = _read(_oracle())[0, 0]
         assert v[0] == SPEED and v[1] == 0.0
 
     def test_bias_is_added_in_the_input_frame(self):
-        v = _read(_oracle(bias=(0.1, 0.1)))[0]
+        v = _read(_oracle(bias=(0.1, 0.1)))[0, 0]
         assert v[0] == SPEED + 0.1 and v[1] == 0.1
         np.testing.assert_allclose(v, [0.490625, 0.1], atol=1e-12)
 
     def test_rotation_equivariance_with_bias(self):
         """Rotating the window rotates the truth but never the bias."""
         bias = np.array([0.1, 0.0])
-        base = _read(_oracle())[0]
+        base = _read(_oracle())[0, 0]
         thetas = np.array([0.3, -2.0, np.pi / 2, np.pi])
-        v = _read(_oracle(bias=bias), starts=[0] * 4, angles=thetas)
+        v = _read(_oracle(bias=bias), angles=thetas)[0]
         for theta, row in zip(thetas, v):
             np.testing.assert_allclose(row, rot2(theta) @ base + bias, atol=1e-12)
 
@@ -69,12 +71,13 @@ class TestOracle:
         assert np.array_equal(a, b[::-1])
         assert not np.array_equal(a[0], a[1])
         assert not np.array_equal(a[0], _read(_oracle(noise=0.05, seed=8), [0])[0])
+        assert a.shape == (2, 1, 2)
 
     def test_members_of_one_window_share_the_noise_draw(self):
-        """K rotated copies of a window differ only by the rotated truth."""
+        """K members of a window differ only by the rotated truth."""
         thetas = np.array([-np.pi, -1.0, 0.0, 2.5])
-        noisy = _read(_oracle(noise=0.05, seed=3), [64] * 4, thetas)
-        clean = _read(_oracle(), [64] * 4, thetas)
+        noisy = _read(_oracle(noise=0.05, seed=3), [64], thetas)[0]
+        clean = _read(_oracle(), [64], thetas)[0]
         noise = noisy - clean
         np.testing.assert_allclose(noise, np.tile(noise[0], (4, 1)), rtol=0, atol=1e-15)
         assert np.linalg.norm(noise[0]) > 0
@@ -89,26 +92,27 @@ class TestEstimateVelocity:
         model = _oracle(speed=3.0)
         est = sn.estimate_velocity(zero_windows(), [0], [0.0], model, v_max=2.0)
         assert est.clamped == 1
-        np.testing.assert_allclose(est.v, [[2.0, 0.0]], atol=1e-12)
+        np.testing.assert_allclose(est.v, [[[2.0, 0.0]]], atol=1e-12)
 
     def test_within_limit_untouched(self):
         model = _oracle()
-        est = sn.estimate_velocity(zero_windows(2), [0, 64], [0.0, 0.0], model)
+        est = sn.estimate_velocity(zero_windows(2), [0, 64], [0.0], model)
         assert est.clamped == 0 and not est.clamped
         assert est.kept.all()
-        assert np.array_equal(est.v, [[SPEED, 0.0], [SPEED, 0.0]])
+        assert np.array_equal(est.v, [[[SPEED, 0.0]], [[SPEED, 0.0]]])
 
     def test_non_finite_members_are_masked(self):
-        bad = _Fixed([[np.nan, 0.0], [1.0, 0.0], [np.inf, 1.0], [3.0, 4.0]])
-        est = sn.estimate_velocity(zero_windows(4), [0] * 4, np.zeros(4), bad)
-        assert est.kept.tolist() == [False, True, False, True]
-        assert np.isnan(est.v[[0, 2]]).all()
-        np.testing.assert_allclose(est.v[[1, 3]], [[1.0, 0.0], [1.2, 1.6]], atol=1e-15)
+        bad = _Fixed([[[np.nan, 0.0], [1.0, 0.0]], [[np.inf, 1.0], [3.0, 4.0]]])
+        est = sn.estimate_velocity(zero_windows(2), [0, 64], np.zeros(2), bad)
+        assert est.kept.tolist() == [[False, True], [False, True]]
+        assert np.isnan(est.v[:, 0]).all()
+        np.testing.assert_allclose(est.v[:, 1], [[1.0, 0.0], [1.2, 1.6]], atol=1e-15)
+        assert est.over.tolist() == [[False, False], [False, True]]
         assert est.clamped == 1
 
     def test_wrong_shape_raises(self):
-        with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
-            sn.estimate_velocity(zero_windows(), [0], [0.0], _Fixed([[1.0, 2.0, 3.0]]))
+        with pytest.raises(ValueError, match=r"shape \(1, 1, 2\)"):
+            sn.estimate_velocity(zero_windows(), [0], [0.0], _Fixed([[[1.0, 2.0, 3.0]]]))
 
     def test_tau_mismatch_raises(self):
         net = sn.DenseVelocityNetwork(sn.make_random_bundle(tau=32))
@@ -121,6 +125,28 @@ class TestEstimateVelocity:
         assert np.linalg.norm(v[0]) == pytest.approx(2.0, abs=1e-12)
         np.testing.assert_allclose(v[0, 0], v[0, 1])
         assert np.array_equal(v[1], [0.3, 0.4])
+
+
+@st.composite
+def _bundles_and_windows(draw):
+    """A random bundle with non-zero biases (tau 8 or 64, one or two
+    hidden layers), 1 to 4 random windows and K in {1, 2, 5, 8} angles,
+    either the ensemble grid or arbitrary ones."""
+    tau = draw(st.sampled_from([8, 64]))
+    hidden = draw(st.lists(st.integers(1, 48), min_size=1, max_size=2))
+    k = draw(st.sampled_from([1, 2, 5, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = [6 * (tau + 1), *hidden, 2]
+    layers = []
+    for rows, cols in zip(dims[:-1], dims[1:]):
+        layers += [Layer("relu")] if layers else []
+        layers.append(Layer("dense", rows, cols, rng.normal(0.0, rows ** -0.5, (rows, cols)),
+                            rng.normal(0.0, 0.5, cols)))
+    bundle = sn.WeightsBundle(WeightsMeta(tau, 50.0, gravity_subtracted=True), tuple(layers))
+    windows = rng.normal(0.0, 2.0, (draw(st.integers(1, 4)), 2, tau + 1, 3))
+    angles = draw(st.just(sn.ensemble_angles(sn.RaeConfig(k=k)))
+                  | st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k).map(np.array))
+    return bundle, windows, angles
 
 
 class TestDenseNetwork:
@@ -137,13 +163,13 @@ class TestDenseNetwork:
         g = np.arange(7.0, 13.0).reshape(2, 3)
         net = sn.DenseVelocityNetwork(bundle)
         np.testing.assert_allclose(
-            net.velocities(np.stack([a, g])[None], [0], [0.0]), [[1.5, 6.5]], atol=1e-15
+            net.velocities(np.stack([a, g])[None], [0], [0.0]), [[[1.5, 6.5]]], atol=1e-15
         )
 
     def test_random_bundle_is_seed_deterministic(self):
         w = np.random.default_rng(2).normal(size=(3, 2, 65, 3))
-        a = sn.DenseVelocityNetwork(sn.make_random_bundle(seed=3)).velocities(w, [0] * 3, [0.0] * 3)
-        b = sn.DenseVelocityNetwork(sn.make_random_bundle(seed=3)).velocities(w, [0] * 3, [0.0] * 3)
+        a = sn.DenseVelocityNetwork(sn.make_random_bundle(seed=3)).velocities(w, [0] * 3, [0.0])
+        b = sn.DenseVelocityNetwork(sn.make_random_bundle(seed=3)).velocities(w, [0] * 3, [0.0])
         assert np.array_equal(a, b)
 
     def test_batch_matches_one_window_at_a_time(self):
@@ -151,9 +177,31 @@ class TestDenseNetwork:
         rounding (gemm and gemv may sum in different orders)."""
         net = sn.DenseVelocityNetwork(sn.make_random_bundle(seed=4))
         w = np.random.default_rng(5).normal(size=(40, 2, 65, 3))
-        batch = net.velocities(w, np.zeros(40), np.zeros(40))
+        batch = net.velocities(w, np.zeros(40), np.zeros(1))
         single = np.vstack([net.velocities(w[i : i + 1], [0], [0.0]) for i in range(40)])
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_bundles_and_windows())
+    def test_members_are_the_forward_pass_of_turned_windows(self, case):
+        """cos(theta) A + sin(theta) B + C through the first layer is the
+        plain forward pass of the window turned by theta about z."""
+        bundle, windows, angles = case
+        got = sn.DenseVelocityNetwork(bundle).velocities(windows, np.zeros(len(windows)), angles)
+        assert got.shape == (len(windows), len(angles), 2)
+        for i, window in enumerate(windows):
+            for k, theta in enumerate(angles):
+                ref = dense_forward_ref(bundle, rotate_xyz_about_z(window, theta))
+                assert np.linalg.norm(got[i, k] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_first_layer_must_be_dense(self):
+        """relu does not commute with rotation, so a network that starts
+        with one cannot turn its windows through the first layer."""
+        with pytest.raises(ValueError, match="^layer 0: the first layer must be dense"):
+            sn.WeightsBundle(
+                WeightsMeta(tau=1, sample_rate_hz=50.0, gravity_subtracted=True),
+                (Layer("relu"), Layer("dense", 12, 2, np.zeros((12, 2)), np.zeros(2))),
+            )
 
     def test_shape_chain_is_validated(self):
         with pytest.raises(ValueError, match="layer 0"):
@@ -251,6 +299,18 @@ class TestWeightsFile:
         doc["layers"][0] = layer
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            sn.load_weights(path)
+
+    def test_a_leading_relu_is_refused(self, tmp_path):
+        """[relu, dense] chains its shapes, but the network turns windows
+        through a dense first layer, and relu does not commute with that."""
+        path = tmp_path / "weights.json"
+        sn.save_weights(sn.make_random_bundle(tau=1, hidden=()), path)
+        doc = json.loads(path.read_text())
+        doc["layers"].insert(0, {"kind": "relu", "rows": 0, "cols": 0, "data": ""})
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: layer 0: the first "
+                                             "layer must be dense"):
             sn.load_weights(path)
 
     @pytest.mark.parametrize("value", [False, None, "true", 1])

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import sweepnav as sn
 from sweepnav import rae
-from sweepnav.geometry import rotate_xy, rotate_xyz_about_z
-from sweepnav.rae import _BLOCK, _GM_RTOL, ensemble_angles, reduce_members
+from sweepnav.geometry import rotate_xy
+from sweepnav.rae import _GM_RTOL, _MEMBERS, ensemble_angles, reduce_members
 
 from .conftest import zero_windows
 from .oracles import (geometric_median_ref, geometric_median_violation_ref, line_trajectory,
@@ -42,11 +42,12 @@ class _Injected:
 
     def velocities(self, windows, starts, angles):
         v = np.array(self.model.velocities(windows, starts, angles))
-        for i, key in enumerate(zip(starts.tolist(), angles.tolist())):
-            if key in self.nan:
-                v[i] = np.nan
-            elif key in self.fast:
-                v[i] *= 10.0
+        for i, start in enumerate(starts.tolist()):
+            for k, angle in enumerate(angles.tolist()):
+                if (start, angle) in self.nan:
+                    v[i, k] = np.nan
+                elif (start, angle) in self.fast:
+                    v[i, k] *= 10.0
         return v
 
 
@@ -276,28 +277,6 @@ class TestBatchedReducer:
         assert out.tobytes() == np.array([v for v, _ in ref]).tobytes()
         assert capped == sum(hit for _, hit in ref)
 
-    def test_rotated_copies_equal_repeat_then_rotate(self):
-        """The model sees, block by block, the bits that rotating K
-        repeated copies of each window gives."""
-        seen = []
-
-        class Recording:
-            def velocities(self, windows, starts, angles):
-                seen.append(windows.copy())
-                return np.zeros((len(windows), 2))
-
-        cfg = sn.RaeConfig(k=5)
-        angles = ensemble_angles(cfg)
-        n = 2 * _BLOCK + 3
-        windows = np.random.default_rng(4).normal(size=(n, 2, 9, 3))
-        sn.rae_estimate(windows, np.arange(n), Recording(), cfg)
-        assert len(seen) == 3
-        for lo, got in zip(range(0, n, _BLOCK), seen):
-            block = windows[lo:lo + _BLOCK]
-            ref = rotate_xyz_about_z(np.repeat(block[:, None], cfg.k, axis=1),
-                                     angles[:, None, None])
-            assert got.tobytes() == ref.reshape(-1, *windows.shape[1:]).tobytes()
-
 
 class TestRaeEstimate:
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -305,7 +284,7 @@ class TestRaeEstimate:
     def test_exact_recovery_for_equivariant_model(self, k, reducer):
         """Ensembling an already-equivariant estimator changes nothing."""
         model = _oracle_model()
-        base = model.velocities(zero_windows(len(STARTS)), STARTS, np.zeros(len(STARTS)))
+        base = model.velocities(zero_windows(len(STARTS)), STARTS, np.zeros(1))[:, 0]
         ens = _rae(model, sn.RaeConfig(k=k, reducer=reducer))
         np.testing.assert_allclose(ens.v, base, rtol=0, atol=1e-12)
 
@@ -326,8 +305,8 @@ class TestRaeEstimate:
     def test_non_finite_members_are_dropped(self):
         class Flaky:
             def velocities(self, windows, starts, angles):
-                v = rotate_xy(np.array([1.0, 0.0]), angles)
-                v[angles < -np.pi + 0.1] = np.nan
+                v = np.tile(rotate_xy(np.array([1.0, 0.0]), angles), (len(windows), 1, 1))
+                v[:, angles < -np.pi + 0.1] = np.nan
                 return v
 
         ens = _rae(Flaky(), sn.RaeConfig(k=5))
@@ -369,16 +348,25 @@ class TestRaeEstimate:
             np.testing.assert_allclose(ens.member_spread, spread, rtol=0, atol=1e-12)
 
     def test_model_sees_whole_blocks_of_windows(self):
-        calls = []
+        """Each call holds at most _MEMBERS members, and at least one
+        window: the memory of a call is bounded by its members, whatever
+        K is, and each window enters the model once with all K angles."""
+        for k in (1, 5, 50, 2 * _MEMBERS):
+            calls = []
 
-        class Counting:
-            def velocities(self, windows, starts, angles):
-                calls.append(len(windows))
-                return np.zeros((len(windows), 2))
+            class Recording:
+                def velocities(self, windows, starts, angles):
+                    calls.append((starts.tolist(), len(angles)))
+                    return np.zeros((len(windows), len(angles), 2))
 
-        n = 2 * _BLOCK + 3
-        sn.rae_estimate(zero_windows(n, tau=4), np.arange(n), Counting(), sn.RaeConfig(k=3))
-        assert calls == [3 * _BLOCK, 3 * _BLOCK, 9]
+            step = max(1, _MEMBERS // k)
+            n = 2 * step + 1
+            sn.rae_estimate(zero_windows(n, tau=4), np.arange(n), Recording(), sn.RaeConfig(k=k))
+            assert [len(starts) for starts, _ in calls] == [step, step, 1]
+            assert [s for starts, _ in calls for s in starts] == list(range(n))
+            assert all(n_angles == k for _, n_angles in calls)
+            assert max(len(starts) * n_angles for starts, n_angles in calls) \
+                <= max(_MEMBERS, k)
 
 
 def _ref_stack(windows, starts, model, cfg, v_max):

@@ -138,8 +138,8 @@ class TestZeroNoiseRoundTrip:
         windows = sn.make_windows(hacf, tau=64)
         starts = 64 * np.arange(len(windows))
         model = OracleVelocityEstimator(traj)
-        est = estimate_velocity(windows, starts, np.zeros(len(windows)), model)
-        held = sn.held_velocities(est.v, starts, len(imu), 64)
+        est = estimate_velocity(windows, starts, [0.0], model)
+        held = sn.held_velocities(est.v[:, 0], starts, len(imu), 64)
         est_traj = sn.integrate(held, sn.relative_yaw(orients), frame_rate=traj.frame_rate)
         report, _ = sn.evaluate(traj, est_traj)
         assert report.rte_metric < 0.05

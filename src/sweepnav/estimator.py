@@ -171,10 +171,13 @@ def make_random_bundle(tau: int = 64, sample_rate_hz: float = 50.0,
     rng = np.random.default_rng(seed)
     dims = [6 * (tau + 1), *hidden, 2]
     layers = []
-    for rows, cols in zip(dims[:-1], dims[1:]):
-        layers += [Layer("relu")] if layers else []
-        layers.append(Layer("dense", rows, cols,
-                            rng.normal(0.0, scale / np.sqrt(rows), (rows, cols)), np.zeros(cols)))
+    for i in range(len(dims) - 1):
+        rows, cols = dims[i], dims[i + 1]
+        w = rng.normal(0.0, scale / np.sqrt(rows), (rows, cols))
+        b = np.zeros(cols)
+        layers.append(Layer("dense", rows, cols, w, b))
+        if i < len(dims) - 2:
+            layers.append(Layer("relu"))
     meta = WeightsMeta(tau, sample_rate_hz, gravity_subtracted=True)
     return WeightsBundle(meta, tuple(layers))
 

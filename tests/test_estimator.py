@@ -71,7 +71,6 @@ class TestOracle:
         assert np.array_equal(a, b[::-1])
         assert not np.array_equal(a[0], a[1])
         assert not np.array_equal(a[0], _read(_oracle(noise=0.05, seed=8), [0])[0])
-        assert a.shape == (2, 1, 2)
 
     def test_members_of_one_window_share_the_noise_draw(self):
         """K members of a window differ only by the rotated truth."""
@@ -193,15 +192,6 @@ class TestDenseNetwork:
             for k, theta in enumerate(angles):
                 ref = dense_forward_ref(bundle, rotate_xyz_about_z(window, theta))
                 assert np.linalg.norm(got[i, k] - ref) <= 1e-12 * np.linalg.norm(ref)
-
-    def test_first_layer_must_be_dense(self):
-        """relu does not commute with rotation, so a network that starts
-        with one cannot turn its windows through the first layer."""
-        with pytest.raises(ValueError, match="^layer 0: the first layer must be dense"):
-            sn.WeightsBundle(
-                WeightsMeta(tau=1, sample_rate_hz=50.0, gravity_subtracted=True),
-                (Layer("relu"), Layer("dense", 12, 2, np.zeros((12, 2)), np.zeros(2))),
-            )
 
     def test_shape_chain_is_validated(self):
         with pytest.raises(ValueError, match="layer 0"):

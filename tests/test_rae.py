@@ -348,25 +348,24 @@ class TestRaeEstimate:
             np.testing.assert_allclose(ens.member_spread, spread, rtol=0, atol=1e-12)
 
     def test_model_sees_whole_blocks_of_windows(self):
-        """Each call holds at most _MEMBERS members, and at least one
-        window: the memory of a call is bounded by its members, whatever
-        K is, and each window enters the model once with all K angles."""
+        """A call holds _MEMBERS // K whole windows, or one window where K
+        is larger, each with all K angles: its memory is bounded by its
+        members whatever K is."""
+
+        class Recording:
+            def velocities(self, windows, starts, angles):
+                calls.append((starts.tolist(), len(angles)))
+                return np.zeros((len(windows), len(angles), 2))
+
         for k in (1, 5, 50, 2 * _MEMBERS):
             calls = []
-
-            class Recording:
-                def velocities(self, windows, starts, angles):
-                    calls.append((starts.tolist(), len(angles)))
-                    return np.zeros((len(windows), len(angles), 2))
-
             step = max(1, _MEMBERS // k)
             n = 2 * step + 1
             sn.rae_estimate(zero_windows(n, tau=4), np.arange(n), Recording(), sn.RaeConfig(k=k))
             assert [len(starts) for starts, _ in calls] == [step, step, 1]
             assert [s for starts, _ in calls for s in starts] == list(range(n))
             assert all(n_angles == k for _, n_angles in calls)
-            assert max(len(starts) * n_angles for starts, n_angles in calls) \
-                <= max(_MEMBERS, k)
+            assert step * k <= max(_MEMBERS, k)
 
 
 def _ref_stack(windows, starts, model, cfg, v_max):

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import trajectory
 from .config import CHOICES, DEFAULTS, SECTIONS, ConfigError, PipelineConfig, load_config
-from .fileio import read_csv, read_table, write_json, write_table
+from .fileio import read_csv, read_stamped, write_json, write_table
 from .geometry import median
 from .imu import load_imu, make_windows, resample, save_imu, to_hacf, window_stride
 from .orientation import estimate_orientation, relative_yaw, save_orientations
@@ -296,19 +296,14 @@ def _load_velocities(path: Path, n_frames: int) -> np.ndarray:
     0..n_frames-1 in order, each once.  The first line that breaks the
     order is named, and a short file at the line past its last row.
 
-    A table whose frame tokens are exactly ``0``, ``1``, ... is taken
-    from ``read_table``: a frame column that reads 0, 1, ... and whose
-    token i is as many digits as ``str(i)`` has no sign, point, exponent
-    or leading zero.  Any other file is read line by line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        table = read_table(path, VELOCITY_CSV_HEADER, data)
-    except ValueError:
-        table = None  # the line reader below names the fault
+    A file whose sidecar stamp matches (``fileio``'s stamp rule) is
+    ``cmd_infer``'s own ``write_table`` output, its frame column written
+    from a ``range``, so its sidecar is taken once that column reads
+    0..n_frames-1.  Any other file is read line by line, each frame token
+    as an integer."""
+    _, table = read_stamped(path, VELOCITY_CSV_HEADER)
     if (table is not None and len(table) == n_frames
-            and np.array_equal(table[:, 0], np.arange(n_frames))
-            and _numbered(data.partition(b"\n")[2], n_frames)):
+            and np.array_equal(table[:, 0], np.arange(n_frames))):
         return np.ascontiguousarray(table[:, 1:])
     rule = f"frames must run 0..{n_frames - 1} in order, each once"
     rows = read_csv(path, VELOCITY_CSV_HEADER,
@@ -321,22 +316,6 @@ def _load_velocities(path: Path, n_frames: int) -> np.ndarray:
         end = rows[-1][0] + 1 if rows else 2
         raise ValueError(f"{path}:{end}: end of file where frame {len(rows)} was expected; {rule}")
     return np.array([row[1:] for _, row in rows]).reshape(n_frames, 2)
-
-
-def _numbered(body: bytes, n: int) -> bool:
-    """Whether line i of ``body``, for each i < n, starts with as many
-    digits as ``str(i)`` has and then a comma."""
-    if n == 0:
-        return True
-    text = np.frombuffer(body + b"\n" * 20, np.uint8)  # reads past the end see newlines
-    starts = np.concatenate(([0], np.flatnonzero(text[:len(body)] == ord("\n")) + 1))[:n]
-    if len(starts) < n:
-        return False
-    digits = np.searchsorted(10 ** np.arange(1, 19), np.arange(n), side="right") + 1
-    chars = text[starts[:, None] + np.arange(digits[-1] + 1)]
-    in_token = np.arange(chars.shape[1]) < digits[:, None]
-    is_digit = (chars >= ord("0")) & (chars <= ord("9"))
-    return bool((is_digit | ~in_token).all() and (chars[np.arange(n), digits] == ord(",")).all())
 
 
 def cmd_eval(cfg: PipelineConfig, dataset: Path, manifest: dict,
@@ -405,8 +384,8 @@ def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict,
     observations = []
     caption_frames = []
     # what the map leaves out: captions without a raster or outside the
-    # trajectory, observed captions that name no item, and named items
-    # that observe_items places nowhere
+    # trajectory, captions that name no item (their rasters are not
+    # read), and named items that observe_items places nowhere
     skipped = dict.fromkeys(["n_captions_no_raster", "n_captions_outside_trajectory",
                              "n_captions_no_items", "n_items_unplaced"], 0)
     for rec in records:
@@ -420,14 +399,16 @@ def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict,
                            rec.image_id, rec.frame)
             skipped["n_captions_outside_trajectory"] += 1
             continue
+        caption_frames.append(rec.frame)
+        if not rec.items:
+            skipped["n_captions_no_items"] += 1
+            continue
         with clock.lap("load"):
             raster = object_map.load_raster(raster_path)
         with clock.lap("observe"):
             placed = object_map.observe_items(rec, raster, traj.pose(rec.frame), map_cfg)
         observations.extend(placed)
-        skipped["n_captions_no_items"] += not rec.items
         skipped["n_items_unplaced"] += len(rec.items) - len(placed)
-        caption_frames.append(rec.frame)
     with clock.lap("observe"):
         clusters = object_map.cluster_items(observations)
     with clock.lap("write"):

@@ -23,17 +23,17 @@ numbers and, in the same block loop, ``<name>.csv.f64``: a 16-byte stamp
 (the CSV's byte length as a little-endian uint64, the CSV's
 ``zlib.crc32`` and the CRC-32 of the values as uint32s), then the
 table's values as little-endian float64, row-major, exactly as the CSV
-parses.  A table with a NaN or an infinity gets no sidecar.
-``read_table`` still reads the CSV's bytes, and returns a copy of the
-sidecar's values in place of a parse only when the CSV's first line is
-the caller's header, the sidecar's size fits the header's field count,
-and its stamp matches the CSV and the values.  Otherwise it parses the
-CSV as if there were no sidecar, so an edited or foreign CSV reads, or
-fails, as it always did; no read writes a file, and deleting a sidecar
-changes nothing but speed.  The checksum is CRC-32 rather than a
-``hashlib`` digest because ``import hashlib`` loads OpenSSL, which adds
-about 3.6 MB to every command's resident memory; the sidecar guards
-against a stale copy, not against tampering.
+parses.  A table with a NaN or an infinity gets no sidecar.  The stamp
+rule, checked once (``read_stamped``): a sidecar stands for its CSV when
+the CSV's first line is the caller's header, the sidecar's size fits
+its field count, and the stamp matches the CSV's bytes and the values.
+Such a CSV is ``write_table``'s text of those values, each token the
+``str`` of its value (a ``range`` column's are plain integers), and
+``read_table`` returns a copy of the values in place of a parse.  Any
+other CSV reads, or fails, as if there were no sidecar; no read writes a
+file.  The checksum is CRC-32, not a ``hashlib`` digest: ``import
+hashlib`` loads OpenSSL, about 3.6 MB of resident memory per command.
+It guards against a stale copy, not against tampering.
 
 Without a matching sidecar, a table of numbers is read as one array
 by ``read_table``: after the header check, one ``np.loadtxt`` parses
@@ -176,47 +176,49 @@ def read_csv(path, header: str, parse) -> list[tuple[int, object]]:
     return out
 
 
-def read_table(path, header: str, data: bytes | None = None) -> np.ndarray:
+def read_table(path, header: str) -> np.ndarray:
     """The rows of a CSV table of numbers as an (n, k) float array, k
-    the header's field count; errors as ``read_csv`` raises them.
-    ``data`` is the file's bytes, where the caller has read them."""
+    the header's field count; errors as ``read_csv`` raises them."""
     n_fields = header.count(",") + 1
-    if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
+    data, table = read_stamped(path, header)
+    if table is not None:
+        return table
     first, _, body = data.partition(b"\n")
-    if first == header.encode():
-        table = _sidecar_table(path, data, n_fields)
-        if table is not None:
-            return table
-        if body.strip() and not body.translate(None, _TABLE_BYTES):
-            try:
-                table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                pass  # the codec names the line
-            else:
-                if table.shape[1] == n_fields:
-                    return table
+    if first == header.encode() and body.strip() and not body.translate(None, _TABLE_BYTES):
+        try:
+            table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass  # the codec names the line
+        else:
+            if table.shape[1] == n_fields:
+                return table
     rows = read_csv(path, header, lambda fields: list(map(float, fields)))
     return np.array([row for _, row in rows], dtype=float).reshape(-1, n_fields)
 
 
-def _sidecar_table(path, data: bytes, n_fields: int) -> np.ndarray | None:
-    """A copy of the values in ``path``'s sidecar when they fill rows of
-    ``n_fields`` columns and its stamp holds their CRC-32 and the length
-    and CRC-32 of ``data``, the CSV's bytes; else None."""
+def read_stamped(path, header: str) -> tuple[bytes, np.ndarray | None]:
+    """The bytes of the CSV at ``path``, and a copy of its sidecar's
+    values as an (n, k) array, k the header's field count, when the CSV
+    starts with the line ``header``, as ``write_table`` starts it, and
+    the stamp matches (else None)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    n_fields = header.count(",") + 1
+    if not data.startswith(header.encode() + b"\n"):
+        return data, None
     try:
         with open(f"{path}.f64", "rb") as fh:
             side = fh.read()
     except OSError:
-        return None
+        return data, None
     if len(side) < _STAMP.size or (len(side) - _STAMP.size) % (8 * n_fields):
-        return None
+        return data, None
     size, crc, values_crc = _STAMP.unpack_from(side)
     if (size != len(data) or crc != zlib.crc32(data)
             or values_crc != zlib.crc32(memoryview(side)[_STAMP.size:])):
-        return None
-    return np.frombuffer(side, "<f8", offset=_STAMP.size).astype(np.float64).reshape(-1, n_fields)
+        return data, None
+    return data, np.frombuffer(side, "<f8", offset=_STAMP.size).astype(np.float64).reshape(
+        -1, n_fields)
 
 
 def write_jsonl(path, columns: dict) -> None:

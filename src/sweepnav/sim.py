@@ -336,7 +336,9 @@ def default_items(cfg: SimConfig) -> dict[str, tuple[float, float]]:
     placed by a generator seeded with ``cfg.seed``.
 
     Items sit on row lines so the robot drives straight at them during
-    the sweep, giving every item at least one near-axis sighting.
+    the sweep.  That does not give every item a sighting: from the true
+    poses at 1 m capture spacing, seeds 1-3 caption 4-5 of 10 items in a
+    6.5 x 2 m room and 10-13 of 15 in a 20 x 6 m one (ROADMAP item 13).
     """
     names = ["milk", "cereal", "soap", "coffee", "pasta", "rice", "juice",
              "flour", "honey", "tea", "salt", "sugar", "beans", "oats", "jam"]

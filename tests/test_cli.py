@@ -269,6 +269,30 @@ class TestPipelineArtifacts:
         assert (sum(len(c["items"]) for c in observed)
                 == meta["n_observations"] + meta["n_items_unplaced"])
 
+    @pytest.mark.parametrize("names_items", [False, True], ids=["names_nothing", "names_items"])
+    def test_map_reads_a_raster_only_for_a_caption_that_names_items(self, pipeline, tmp_path,
+                                                                     capsys, names_items):
+        """A corrupt raster behind a caption that names nothing is not
+        read: map writes what it wrote with the raster intact.  Behind a
+        caption that names an item it still exits 2 and names the file."""
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline, ds)
+        caption = next(c for c in map(json.loads, (ds / "captions.jsonl").read_text().splitlines())
+                       if bool(c["items"]) == names_items)
+        raster = ds / "rasters" / f"{caption['image_id']}.dras"
+        raster.write_bytes(b"not a raster")
+        code = run("map", "--dataset", ds, "--trajectory", "gt")
+        if names_items:
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {raster}: not a depth raster (bad magic)\n"
+            return
+        assert code == 0
+        for name in ("item_map.jsonl", "map_eval.json"):
+            assert (ds / name).read_bytes() == (pipeline / name).read_bytes(), name
+        meta, before = (json.loads((d / "run_meta_map.json").read_text()) for d in (ds, pipeline))
+        assert meta.pop("elapsed_s").keys() == before.pop("elapsed_s").keys()
+        assert meta == before
+
     def test_map_run_meta_counts_caption_retries_and_failures(self, pipeline, tmp_path,
                                                                monkeypatch):
         """With the http captioner, run_meta counts its retries and skips."""

@@ -6,16 +6,16 @@ A load either succeeds or raises a ValueError that starts with the
 path; a line that cannot parse is always named, and no later line is
 blamed before it.  Any other exception type fails the test.
 
-``read_table`` and ``_load_velocities`` read a well-formed table as one
-array; against the line codec they return the same bits or raise the
-same error, whatever the lines hold.  A float64 sidecar is read in place
-of the parse only while it is the one written with the CSV's bytes; any
-other sidecar leaves the parse and its errors as they are.
+``read_table`` reads a well-formed table as one array; against the line
+codec it returns the same bits or raises the same error, whatever the
+lines hold.  A float64 sidecar is read in place of the parse, by
+``read_table`` or ``_load_velocities``, only while it is the one written
+with the CSV's bytes; any other sidecar leaves the parse and its errors
+as they are.
 """
 
 import json
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -217,35 +217,69 @@ def test_read_table_equals_the_line_codec(tmp_path, data):
                          _outcome(_codec_table, path, _TABLE_HEADER))
 
 
-@st.composite
-def _velocity_line(draw, frame, exact):
-    """A row of frame ``frame``: its token exactly ``str(frame)`` when
-    ``exact``, else often one that merely reads as a number near it."""
-    token = str(frame)
-    if not exact and draw(st.booleans()):
-        token = draw(st.sampled_from([
-            f"+{frame}", f"0{frame}", f"{frame}.0", f" {frame}", f"{frame} ", f"{frame}e0",
-            f"{frame}_0", str(frame + 1), str(frame - 1), "\u0661", "x", ""]))
-    value = st.floats().map(str) if exact else st.one_of(st.floats().map(str), _TOKEN)
-    return ",".join([token] + draw(st.lists(value, min_size=2, max_size=2)))
+# edits of a frame token ``{}``, some of which ``int`` reads as the same
+# frame; each breaks the stamp
+_RESPELLED = ["+{}", "0{}", "{}.0", " {}", "{} ", "{}e0", "{}_0", "1{}", "\u0661", "x", ""]
+
+
+def _save_velocities(path, held):
+    write_table(path, VELOCITY_CSV_HEADER, [range(len(held)), *held.T])  # as infer does
+
+
+def _respell(path, frame, spelling):
+    """Respell the frame token of ``frame``'s row, the sidecar left as it was."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    token, rest = lines[frame + 1].split(",", 1)
+    lines[frame + 1] = spelling.format(token) + "," + rest
+    path.write_text("\n".join(lines), encoding="utf-8")
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_load_velocities_equals_the_line_codec(tmp_path, data):
-    """Frame tokens such as +3, 03, 3.0 and ' 3' are the codec's to take
-    or refuse."""
+    """``infer``'s own file, or a copy with one frame token respelled:
+    with its sidecar it reads as the line codec reads it once the
+    sidecar is gone, the same bits or the same error, for any expected
+    frame count."""
     n_rows = data.draw(st.integers(0, 6))
-    exact = data.draw(st.booleans())  # the array path's case
-    lines = [data.draw(_velocity_line(i, exact)) for i in range(n_rows)]
-    text = data.draw(_text_file(VELOCITY_CSV_HEADER, lines))
-    n_frames = data.draw(st.one_of(st.just(n_rows), st.integers(0, 6)))
+    held = np.array(data.draw(st.lists(st.tuples(_FLOAT, _FLOAT), min_size=n_rows,
+                                       max_size=n_rows)), dtype=float).reshape(-1, 2)
     path = tmp_path / "velocities.csv"
-    path.write_bytes(text.encode("utf-8"))
-    fast = _outcome(_load_velocities, path, n_frames)
-    with mock.patch.object(cli, "read_table", side_effect=ValueError("line codec only")):
-        codec = _outcome(_load_velocities, path, n_frames)
-    assert _same_outcome(fast, codec)
+    _save_velocities(path, held)
+    if n_rows and data.draw(st.booleans()):
+        _respell(path, data.draw(st.integers(0, n_rows - 1)),
+                 data.draw(st.sampled_from(_RESPELLED)))
+    n_frames = data.draw(st.one_of(st.just(n_rows), st.integers(0, 6)))
+    stamped = _outcome(_load_velocities, path, n_frames)
+    (tmp_path / "velocities.csv.f64").unlink(missing_ok=True)
+    assert _same_outcome(stamped, _outcome(_load_velocities, path, n_frames))
+
+
+@pytest.mark.parametrize("spelling, error", [
+    (None, None),
+    ("{}.0", r"5: invalid literal for int\(\) with base 10: '3.0'"),
+    ("0{}", None), ("+{}", None)])
+def test_a_respelled_frame_breaks_the_stamp(tmp_path, monkeypatch, spelling, error):
+    """``infer``'s file with its sidecar reads bit-equal to the line codec
+    without a parse.  A copy with frame 3 respelled no longer matches
+    its stamp and goes to the codec, which refuses ``3.0`` at its line and
+    reads ``03`` and ``+3`` as ``int`` does."""
+    rng = np.random.default_rng(5)
+    held = rng.normal(size=(40, 2)) * 10.0 ** rng.integers(-5, 5, size=(40, 2))
+    path = tmp_path / "velocities.csv"
+    _save_velocities(path, held)
+    if spelling:
+        _respell(path, 3, spelling)
+    codec = []
+    monkeypatch.setattr(cli, "read_csv", lambda *args: codec.append(1) or read_csv(*args))
+    stamped = _outcome(_load_velocities, path, 40)
+    assert codec == ([1] if spelling else [])
+    if error:
+        assert stamped[0] == "error" and re.match(f"{re.escape(str(path))}:{error}", stamped[1])
+    else:
+        assert same_bits(stamped[1], held)
+    (tmp_path / "velocities.csv.f64").unlink()
+    assert _same_outcome(stamped, _outcome(_load_velocities, path, 40))
 
 
 @pytest.fixture

@@ -367,6 +367,37 @@ class TestRaeEstimate:
             assert all(n_angles == k for _, n_angles in calls)
             assert step * k <= max(_MEMBERS, k)
 
+    @pytest.mark.parametrize("k", [1, 5, 50])
+    @pytest.mark.parametrize("reducer", ["median", "mean"])
+    def test_blocked_reduction_equals_the_whole(self, monkeypatch, k, reducer):
+        """Windows with mixed kept counts give the same bits, spreads and
+        counters reduced all at once, seven windows at a time or one by
+        one; a block holds at most _REDUCED members, or one window."""
+        cfg = sn.RaeConfig(k=k, reducer=reducer)
+        starts = np.arange(0, 120, 3)
+        angles = ensemble_angles(cfg).tolist()
+        rng = np.random.default_rng(k)
+        nan = [(s, a) for s in starts.tolist() for a in angles[1:] if rng.random() < 0.4]
+        if k > 1:
+            assert len({sum((s, a) not in nan for a in angles) for s in starts.tolist()}) > 1
+        model = _Injected(_oracle_model(bias=(0.05, 0.02), noise=0.05, rng_seed=k), nan=nan)
+        blocks = []
+        monkeypatch.setattr(rae, "reduce_members",
+                            lambda back, kept, reducer: blocks.append(len(back)) or
+                            reduce_members(back, kept, reducer))
+        results = []
+        for members, sizes in ((len(starts) * k, [40]), (7 * k, [7] * 5 + [5]),
+                               (1, [1] * 40)):
+            blocks.clear()
+            monkeypatch.setattr(rae, "_REDUCED", members)
+            results.append(_rae(model, cfg, starts=starts))
+            assert blocks == sizes
+        whole = results[0]
+        for blocked in results[1:]:
+            assert blocked.v.tobytes() == whole.v.tobytes()
+            assert blocked.member_spread.tobytes() == whole.member_spread.tobytes()
+            assert blocked[1:3] == whole[1:3] and blocked[4] == whole[4]
+
 
 def _ref_stack(windows, starts, model, cfg, v_max):
     """rae_window_ref over every window, stacked like ``RaeResult``."""

@@ -11,7 +11,10 @@ loads the manifest, times the command, then saves the manifest, writes
 ``cmd_*`` function only does its work and returns the fields of its
 run_meta and its summary text, so that every file it wrote is listed
 before standard output can fail.  It imports the pipeline modules it
-runs itself, so that a command loads only those.
+runs itself, so that a command loads only those.  ``imu`` and
+``orientation`` are the exception: they are imported at the top, since
+perfbench's tracer wraps their functions by their names as globals of
+this module.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration/validation
 failure.  ``main`` returns the code; ``entrypoint``, the console
@@ -142,8 +145,7 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path, manifest: dict,
     traj = sim.generate_trajectory(sim_cfg)
     imu = sim.synthesize_imu(traj, sim_cfg)
     orientations = sim.true_orientations(traj)
-    captures = trajectory.capture_schedule(
-        traj, cfg["capture.distance_m"], cfg["capture.rotation_rad"])
+    captures = trajectory.capture_schedule(traj, cfg["capture.distance_m"])
     items = sim.default_items(sim_cfg)
     rasters, captions, gt_items = sim.generate_scene(captures, items, sim_cfg, map_cfg)
     rasters_dir = out_dir / "rasters"
@@ -175,16 +177,15 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict,
               clock: Stopwatch) -> tuple[dict, str]:
     from . import estimator, rae
 
-    tau = cfg["hacf.tau"]
     with clock.lap("load"):
-        # a network runs at the rate it was trained at, the oracle at that of
-        # the ground truth it reads
+        # a network runs at the rate and on the window length it was trained
+        # at, the oracle at the rate of the ground truth it reads
         if cfg["estimator.kind"] == "network":
             if not cfg["estimator.weights"]:
                 raise ConfigError(
                     "estimator.weights must point to a weights file when "
                     "estimator.kind is 'network'")
-            bundle = estimator.load_weights(Path(cfg["estimator.weights"]), expected_tau=tau)
+            bundle = estimator.load_weights(Path(cfg["estimator.weights"]))
             model = estimator.DenseVelocityNetwork(bundle)
             rate, source = bundle.meta.sample_rate_hz, f"the weights in {cfg['estimator.weights']}"
         else:
@@ -202,6 +203,7 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict,
                 f"{source} run at {rate:g} Hz but {imu_path} is recorded at "
                 f"{imu.sample_rate():g} Hz; infer runs only at the recording's rate")
         imu = resample(imu, rate_hz=rate)
+        tau = model.tau
     with clock.lap("orientation"):
         orientations = estimate_orientation(imu)
     with clock.lap("windows"):
@@ -213,15 +215,14 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict,
         starts = stride * np.arange(len(windows))
     rae_cfg = _from_config(cfg, "rae")
     with clock.lap("rae"):
-        ens = rae.rae_estimate(windows, starts, model, rae_cfg, v_max=cfg["estimator.v_max"])
+        ens = rae.rae_estimate(windows, starts, model, rae_cfg)
     with clock.lap("integrate"):
         held = trajectory.held_velocities(ens.v, starts, len(imu), tau)
         yaws = relative_yaw(orientations)
         est_traj = trajectory.integrate(held, yaws, frame_rate=float(imu.sample_rate()),
                                         t0=float(imu.t[0]))
     with clock.lap("captures"):
-        captures = trajectory.capture_schedule(
-            est_traj, cfg["capture.distance_m"], cfg["capture.rotation_rad"])
+        captures = trajectory.capture_schedule(est_traj, cfg["capture.distance_m"])
     with clock.lap("write"):
         trajectory.save_trajectory(est_traj, dataset / "est_trajectory.csv")
         write_table(dataset / "velocities.csv", VELOCITY_CSV_HEADER,
@@ -367,10 +368,8 @@ def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict,
     with clock.lap("load"):
         which, traj = _pick_trajectory(dataset, manifest, cfg["map.trajectory"])
         service_meta = {}
-        if cfg["caption.mode"] == "mock":
+        if not cfg["caption.endpoint"]:
             records = object_map.load_captions(_manifest_file(dataset, manifest, "captions"))
-        elif not cfg["caption.endpoint"]:
-            raise ConfigError("caption.endpoint is required when caption.mode is 'http'")
         else:
             service = _from_config(cfg, "caption")
             captures = trajectory.load_captures(_manifest_file(dataset, manifest,
@@ -526,7 +525,7 @@ COMMANDS = {
     "eval": ("error metrics against ground truth", "--dataset",
              {"--grid": "eval.grids", "--trajectory": "eval.trajectory"}),
     "map": ("geo-localize captioned items", "--dataset",
-            {"--captioner": "caption.mode", "--trajectory": "map.trajectory"}),
+            {"--trajectory": "map.trajectory"}),
     "plot": ("render trajectories to SVG", "--dataset", {}),
 }
 

@@ -182,22 +182,18 @@ def _field_defaults(prefix: str) -> dict:
 # the ones the commands read themselves.
 DEFAULTS: dict = {
     **_field_defaults("sim"),
-    "hacf.tau": 64,
-    "hacf.stride": 0,  # 0 = tau (non-overlapping windows)
+    "hacf.stride": 0,  # 0 = the model's tau (non-overlapping windows)
     "estimator.kind": "oracle",
     "estimator.weights": "",
-    "estimator.v_max": 2.0,
     **_field_defaults("oracle"),
     **_field_defaults("rae"),
     "capture.distance_m": 1.0,
-    "capture.rotation_rad": math.pi / 2,
     **_field_defaults("refine"),
     "eval.trim_outliers": True,
     "eval.grids": [1.0],
     "eval.trajectory": "auto",
     **_field_defaults("map"),
     "map.trajectory": "auto",
-    "caption.mode": "mock",
     **_field_defaults("caption"),
 }
 
@@ -206,17 +202,13 @@ CHOICES: dict = {
     "estimator.kind": ("oracle", "network"),
     "eval.trajectory": ("auto", "gt", "est", "refined"),
     "map.trajectory": ("auto", "gt", "est", "refined"),
-    "caption.mode": ("mock", "http"),
 }
 
 # number keys that no section dataclass checks -> the rule their values
 # keep, and its text
 LIMITS: dict = {
-    "hacf.tau": (lambda x: x >= 1, "must be >= 1"),
     "hacf.stride": (lambda x: x >= 0, "must be >= 0 (0 = tau)"),
-    "estimator.v_max": (lambda x: x > 0, "must be positive"),
     "capture.distance_m": (lambda x: x > 0, "must be positive"),
-    "capture.rotation_rad": (lambda x: x > 0, "must be positive"),
 }
 
 # list keys of one or more numbers; any other holds as many as its default

@@ -77,17 +77,15 @@ class WeightsBundle:
             raise ValueError(f"unsupported input layout '{self.meta.input_layout}'")
 
 
-def load_weights(path, expected_tau: int | None = None) -> WeightsBundle:
+def load_weights(path) -> WeightsBundle:
     """Load a weights bundle from JSON.
 
     Dense layer data is base64 of little-endian float32, row-major
     weights followed by the bias vector (``rows*cols + cols`` values).
-    When ``expected_tau`` is given, a window length other than the
-    bundle's is an error rather than a silent reinterpretation of the
-    input; the caller resamples its input to ``meta.sample_rate_hz``.
-    ``gravity_subtracted`` must be true: the pipeline only feeds windows
-    with gravity removed.  Any malformed part raises
-    ``ValueError("path: ...")``, naming the layer at fault.
+    The caller cuts windows of ``meta.tau`` and resamples its input to
+    ``meta.sample_rate_hz``.  ``gravity_subtracted`` must be true: the
+    pipeline only feeds windows with gravity removed.  Any malformed
+    part raises ``ValueError("path: ...")``, naming the layer at fault.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -111,10 +109,6 @@ def load_weights(path, expected_tau: int | None = None) -> WeightsBundle:
             raise TypeError("layers is not a list")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed weights bundle: {_reason(exc)}") from None
-    if expected_tau is not None and meta.tau != expected_tau:
-        raise ValueError(
-            f"{path}: weights were trained for tau={meta.tau}, pipeline uses tau={expected_tau}"
-        )
     layers = []
     for i, ld in enumerate(layer_docs):
         try:
@@ -233,8 +227,11 @@ class OracleVelocityEstimator:
     duration.  The bias is added after the rotation: that is exactly
     the error mode a rotation ensemble averages out.  The noise is drawn
     once per window start, so evaluation order (or parallelism) cannot
-    change results.  The contents themselves are never read.
+    change results.  The contents themselves are never read, so the
+    window length ``tau`` that ``infer`` cuts for it is a constant.
     """
+
+    tau = 64
 
     def __init__(self, trajectory: "Trajectory", cfg: OracleConfig = OracleConfig()):
         self.trajectory = trajectory

@@ -1,4 +1,5 @@
-"""Planar rotation and quaternion helpers shared across the package.
+"""Planar rotation and quaternion helpers, and the read-only array copy
+that the frozen dataclasses hold, shared across the package.
 
 Conventions
 -----------
@@ -15,6 +16,13 @@ import numpy as np
 
 GRAVITY = 9.81
 GRAVITY_VEC = np.array([0.0, 0.0, GRAVITY])
+
+
+def _frozen(a, dtype=float) -> np.ndarray:
+    """Copy to an owned array and mark it read-only."""
+    out = np.array(a, dtype=dtype, copy=True)
+    out.flags.writeable = False
+    return out
 
 
 def wrap_angle(theta):

@@ -16,19 +16,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fileio import read_table, write_table
-from .geometry import GRAVITY_VEC, median, quats_to_matrices, rotate_xyz_about_z
+from .geometry import GRAVITY_VEC, _frozen, median, quats_to_matrices, rotate_xyz_about_z
 
 IMU_FIELDS = ("t", "ax", "ay", "az", "gx", "gy", "gz")
 IMU_CSV_HEADER = ",".join(IMU_FIELDS)
 # the longest time step ``resample`` interpolates across, s
 _MAX_GAP_S = 0.5
-
-
-def _frozen(a, dtype=float) -> np.ndarray:
-    """Copy to an owned array and mark it read-only."""
-    out = np.array(a, dtype=dtype, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)

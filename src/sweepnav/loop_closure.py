@@ -43,8 +43,7 @@ import numpy as np
 
 from .config import RefineConfig
 from .fileio import write_csv, write_jsonl
-from .geometry import unique, wrap_angle
-from .imu import _frozen
+from .geometry import _frozen, unique, wrap_angle
 from .trajectory import Trajectory
 
 LOSS_CSV_HEADER = "epoch,total,loop,rot,smooth"

@@ -11,9 +11,12 @@ transform (rotation, translation, and optionally scale), then reports:
              rotation (rad)
   coverage   fraction of ground-truth poses with a matched estimate
 
-Pose pairs are matched by frame index.  Outliers (capture detections
-gone wrong, degenerate windows) are trimmed by median-absolute-
-deviation gating on alignment residuals before the final alignment.
+Pose pairs are matched by frame index, so no stage makes a mismatched
+pair.  The median-absolute-deviation gate on alignment residuals,
+applied before the final alignment, therefore trims drift on clean runs,
+not outliers: on the seed-1 350 s sweep of a 20 m x 6 m room it keeps
+152 of 174 pairs of an estimate that is exact to 1e-13 m.  ROADMAP item
+18 deletes the gate.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import write_csv, write_json
-from .geometry import median, rot2, wrap_angle
-from .imu import _frozen
+from .geometry import _frozen, median, rot2, wrap_angle
 from .trajectory import Trajectory
 
 RESIDUAL_CSV_HEADER = "frame,dx,dy,dist,yaw_err"

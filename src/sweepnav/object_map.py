@@ -31,8 +31,7 @@ import numpy as np
 
 from .config import CaptionServiceConfig, MapConfig
 from .fileio import json_field, read_csv, read_jsonl, write_csv, write_json, write_jsonl
-from .geometry import median
-from .imu import _frozen
+from .geometry import _frozen, median
 from .trajectory import CaptureEvent, Pose2, image_id_for_frame
 
 if TYPE_CHECKING:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import write_csv
-from .geometry import quats_to_matrices, wrap_angle
-from .imu import ImuSequence, _frozen
+from .geometry import _frozen, quats_to_matrices, wrap_angle
+from .imu import ImuSequence
 
 ORIENTATION_CSV_HEADER = "t,qw,qx,qy,qz"
 

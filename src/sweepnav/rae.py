@@ -46,9 +46,10 @@ _GM_MAX_ITER = 100
 # Ensemble members per model call (64 windows at K=5; at least one window):
 # bounds the activations a call holds, whatever K is.
 _MEMBERS = 320
-# Ensemble members per reduction (at least one window): bounds the arrays
-# the median holds.  Far above _MEMBERS, as each descent step costs a few
-# dozen array calls per block (3008 windows at K=5: 67 ms in blocks of 320).
+# Ensemble members per reduction, in whole model calls (at least one):
+# bounds the members held and the arrays the median holds.  Far above
+# _MEMBERS, as each descent step costs a few dozen array calls per block
+# (3008 windows at K=5: 67 ms in blocks of 320).
 _REDUCED = 65536
 
 
@@ -211,10 +212,12 @@ def rae_estimate(windows: np.ndarray, starts, model, cfg: RaeConfig,
     estimate for the window turned by theta_k, is rotated back by
     -theta_k.  Members with non-finite output are dropped; a window
     whose members are all dropped fails.  The kept members are reduced
-    (``reduce_members``) in blocks of whole windows, and each reduced
-    velocity is clamped to ``v_max`` like any single estimate.  A model
-    call, or a reduction, takes whole windows with all K angles: at most
-    _MEMBERS, or _REDUCED, members, or one window where K is larger.
+    (``reduce_members``) and each reduced velocity is clamped to
+    ``v_max`` like any single estimate.  A model call takes whole
+    windows with all K angles: at most _MEMBERS members, or one window
+    where K is larger.  Members are collected and reduced one block of
+    whole calls at a time, at most _REDUCED members or one call, so
+    memory does not grow with N x K.
     """
     angles = ensemble_angles(cfg)
     k = len(angles)
@@ -222,29 +225,28 @@ def rae_estimate(windows: np.ndarray, starts, model, cfg: RaeConfig,
     starts = np.asarray(starts, dtype=int)
     if starts.shape != (n,):
         raise ValueError(f"expected {n} window starts, got shape {starts.shape}")
-    back = np.empty((n, k, 2))
-    kept = np.empty((n, k), dtype=bool)
-    over = np.empty((n, k), dtype=bool)
-    step = max(1, _MEMBERS // k)
+    reduced, spread, over = np.empty((n, 2)), np.empty(n), np.empty(n, dtype=bool)
+    n_dropped = n_capped = 0
+    call = max(1, _MEMBERS // k)
+    step = call * max(1, _REDUCED // (call * k))
     for lo in range(0, n, step):
-        block = slice(lo, lo + step)
-        est = estimate_velocity(windows[block], starts[block], angles, model, v_max)
-        back[block] = rotate_xy(est.v, -angles)
-        kept[block] = est.kept
-        over[block] = est.over
-    dead = np.flatnonzero(~kept.any(axis=1))
-    if dead.size:
-        raise NonFiniteEstimateError(
-            f"all {k} ensemble members were non-finite for window {starts[dead[0]]}"
-        )
-    reduced, spread, n_capped = np.empty((n, 2)), np.empty(n), 0
-    step = max(1, _REDUCED // k)
-    for lo in range(0, n, step):
-        block = slice(lo, lo + step)
-        reduced[block], capped = reduce_members(back[block], kept[block], cfg.reducer)
+        block = slice(lo, min(lo + step, n))
+        back = np.empty((block.stop - lo, k, 2))
+        kept = np.empty((block.stop - lo, k), dtype=bool)
+        for c in range(lo, block.stop, call):
+            est = estimate_velocity(windows[c:c + call], starts[c:c + call], angles, model, v_max)
+            back[c - lo:c - lo + call] = rotate_xy(est.v, -angles)
+            kept[c - lo:c - lo + call] = est.kept
+            over[c:c + call] = est.over.any(axis=1)
+        dead = np.flatnonzero(~kept.any(axis=1))
+        if dead.size:
+            raise NonFiniteEstimateError(
+                f"all {k} ensemble members were non-finite for window {starts[lo + dead[0]]}"
+            )
+        reduced[block], capped = reduce_members(back, kept, cfg.reducer)
         n_capped += capped
-        spread[block] = np.where(kept[block], np.linalg.norm(
-            back[block] - reduced[block, None], axis=2), -np.inf).max(axis=1)
+        n_dropped += int((~kept).sum())
+        spread[block] = np.where(kept, np.linalg.norm(
+            back - reduced[block, None], axis=2), -np.inf).max(axis=1)
     v, clamped = clamp_speed(reduced, v_max)
-    return RaeResult(v, int((~kept).sum()), int((over.any(axis=1) | clamped).sum()),
-                     spread, n_capped)
+    return RaeResult(v, n_dropped, int((over | clamped).sum()), spread, n_capped)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import json_field, read_jsonl, read_table, write_jsonl, write_table
-from .geometry import median, row_norms, wrap_angle
-from .imu import _frozen
+from .geometry import _frozen, median, row_norms, wrap_angle
 
 TRAJECTORY_CSV_HEADER = "t,x,y,yaw"
 

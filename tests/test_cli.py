@@ -60,7 +60,7 @@ def _manifest(ds):
 PIPELINE_SHA256 = {
     "captions.jsonl": "a4f11c24ec49420b3403fb8efba5a74439909263ab25c49af8fcc8dc7ce1e3d7",
     "captures.jsonl": "abbcaab2e16e82e9c1ef796fc934ac371823e504bd722c45f2c20d43b39ef71b",
-    "config.json": "768a10e05a2348ea5b6d9babd1dac01c4a0be6f54313f780a35fd3b24c6feba4",
+    "config.json": "b044567417f21315d3cf2aced107dede8b2737aa4d2f6f672c18effec37f5878",
     "corrections.jsonl": "bdd47d450a9bc50209c90d82174b69584bd4560e4f2bf8f522d9430861f0dd06",
     "est_trajectory.csv": "d58c41190125d34f648f1d3bc5d8034d19cabd2feb0788637e9c1c8e2fcfc4eb",
     "est_trajectory.csv.f64": "b3b3b9f7fe1431a25d95aac6287ede01e1d7cf2c506b29209cf1df7416075b15",
@@ -309,7 +309,7 @@ class TestPipelineArtifacts:
 
         monkeypatch.setattr("time.sleep", lambda s: None)
         monkeypatch.setattr("requests.post", fake_post)
-        assert run("map", "--dataset", ds, "--trajectory", "gt", "--captioner", "http",
+        assert run("map", "--dataset", ds, "--trajectory", "gt",
                    "--set", "caption.endpoint=http://caption.test/v1") == 0
         meta = json.loads((ds / "run_meta_map.json").read_text())
         n_failing = len(images[1::3])
@@ -406,14 +406,9 @@ class TestExitCodes:
                    "--set", "estimator.weights=/nonexistent/w.json") == 1
         assert "/nonexistent/w.json" in capsys.readouterr().err
 
-    def test_http_captioner_requires_endpoint(self, pipeline, capsys):
-        assert run("map", "--dataset", pipeline, "--captioner", "http") == 2
-        assert "caption.endpoint" in capsys.readouterr().err
-
     # each enumerated key with a command that reads it
     ENUMERATED = [("infer", "estimator.kind"),
-                  ("eval", "eval.trajectory"), ("map", "map.trajectory"),
-                  ("map", "caption.mode")]
+                  ("eval", "eval.trajectory"), ("map", "map.trajectory")]
     # a value that its section, its ``LIMITS`` rule or its number type
     # refuses, or a removed key that an old config may still name, with a
     # command that reads or read it -> the value and the error it gets
@@ -430,8 +425,8 @@ class TestExitCodes:
         ("infer", "oracle.noise_sigma"): ("-1", "oracle.*: noise_sigma must be non-negative"),
         ("simulate", "oracle.noise_sigma"): ("-1", "oracle.*: noise_sigma must be non-negative"),
         ("simulate", "sim.speed"): ("NaN", "sim.speed: expected a number, got nan"),
-        ("simulate", "hacf.tau"): ("0", "hacf.tau: must be >= 1, got 0"),
-        ("infer", "hacf.tau"): ("0", "hacf.tau: must be >= 1, got 0"),
+        ("simulate", "hacf.tau"): ("0", "unknown configuration key 'hacf.tau'"),
+        ("infer", "hacf.tau"): ("0", "unknown configuration key 'hacf.tau'"),
         ("infer", "hacf.stride"): ("-1", "hacf.stride: must be >= 0 (0 = tau), got -1"),
         ("infer", "orientation.alpha"): ("0.02", "unknown configuration key 'orientation.alpha'"),
         ("infer", "orientation.source"):
@@ -439,10 +434,11 @@ class TestExitCodes:
         ("map", "map.cluster_eps"): ("2", "unknown configuration key 'map.cluster_eps'"),
         ("refine", "refine.lambda_loop"): ("2", "unknown configuration key 'refine.lambda_loop'"),
         ("map", "map.mount_height"): ("3.5", "map.*: mount_height must be within [0, 3] m"),
-        ("infer", "estimator.v_max"): ("0", "estimator.v_max: must be positive, got 0.0"),
+        ("infer", "estimator.v_max"): ("0", "unknown configuration key 'estimator.v_max'"),
         ("infer", "capture.distance_m"): ("-1", "capture.distance_m: must be positive, got -1.0"),
         ("simulate", "capture.rotation_rad"):
-            ("0", "capture.rotation_rad: must be positive, got 0.0"),
+            ("0", "unknown configuration key 'capture.rotation_rad'"),
+        ("map", "caption.mode"): ("http", "unknown configuration key 'caption.mode'"),
     }
 
     def test_every_enumerated_key_is_tried(self):
@@ -475,7 +471,7 @@ class TestExitCodes:
             main([])
 
     @pytest.mark.parametrize("command, key", [("infer", "rae.k"), ("refine", "refine.epochs"),
-                                              ("infer", "hacf.tau")])
+                                              ("infer", "oracle.seed")])
     def test_integer_key_rejects_a_fraction(self, tmp_path, capsys, command, key):
         assert run(command, "--dataset", tmp_path, "--set", f"{key}=2.5") == 2
         assert f"error: {key}: expected an integer, got 2.5" in capsys.readouterr().err
@@ -494,7 +490,6 @@ class TestShortcutFlags:
         ("infer", ["--estimator", "network"], "estimator.kind=network"),
         ("refine", ["--epochs", 3], "refine.epochs=3"),
         ("eval", ["--grid", 0.5, "--grid", 2], "eval.grids=[0.5, 2.0]"),
-        ("map", ["--captioner", "http"], "caption.mode=http"),
         ("eval", ["--trajectory", "gt"], "eval.trajectory=gt"),
         ("map", ["--trajectory", "gt"], "map.trajectory=gt"),
     ])
@@ -585,7 +580,7 @@ class TestLogLevel:
 
 class TestModuleConfig:
     # keys under a section prefix that the commands read themselves
-    NOT_FIELDS = {"map.trajectory", "caption.mode"}
+    NOT_FIELDS = {"map.trajectory"}
 
     def test_every_key_reaches_a_field(self):
         """A literal key under a section prefix that names no field would
@@ -991,7 +986,7 @@ class TestWhatTheExitSkips:
         monkeypatch.setattr("time.sleep", lambda s: None)
         monkeypatch.setattr("requests.post", lambda url, json=None, headers=None, timeout=None:
                             SimpleNamespace(status_code=200, json=lambda: {"items": ["milk"]}))
-        assert _left_behind("map", "--dataset", ds, "--captioner", "http",
+        assert _left_behind("map", "--dataset", ds,
                             "--set", "caption.endpoint=http://caption.test/v1") == []
         meta = json.loads((ds / "run_meta_map.json").read_text())
         assert meta["n_captions"] > 0 and meta["n_captions_failed"] == 0

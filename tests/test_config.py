@@ -2,12 +2,15 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
+from sweepnav.cli import COMMANDS
 from sweepnav.config import (
     CHOICES,
     DEFAULTS,
+    LIMITS,
     ConfigError,
     PipelineConfig,
     load_config,
@@ -161,8 +164,47 @@ class TestParseOverride:
 
 class TestSaveRoundTrip:
     def test_saved_file_reloads_identically(self, tmp_path):
-        cfg = PipelineConfig({"rae.k": 3, "caption.mode": "http"})
+        cfg = PipelineConfig({"rae.k": 3, "caption.endpoint": "http://caption.test/v1"})
         path = tmp_path / "resolved.json"
         cfg.save(path)
         load_config(path).save(tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def _readme_table(header: str) -> list[list[list[str]]]:
+    """The rows of README's table under ``header``: per cell, its
+    backticked spans."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([re.findall(r"`([^`]*)`", cell) for cell in line.strip("|").split(" | ")])
+    return rows
+
+
+class TestReadmeTables:
+    """README's configuration tables name only keys that exist, and its
+    enumerated, number-range and shortcut tables list exactly those of
+    ``config`` and ``cli``."""
+
+    def test_every_key_in_the_key_table_exists(self):
+        keys = [key for row in _readme_table("| key | default | meaning |") for key in row[0]]
+        assert keys and set(keys) <= set(DEFAULTS)
+
+    def test_enumerated_table_lists_the_choices(self):
+        listed = {key: tuple(row[1]) for row in _readme_table("| key | values (default first) |")
+                  for key in row[0]}
+        assert listed == CHOICES
+        assert all(values[0] == DEFAULTS[key] for key, values in listed.items())
+
+    def test_number_range_table_lists_the_limits(self):
+        keys = [key for row in _readme_table("| key | values |") for key in row[0]]
+        assert sorted(keys) == sorted(LIMITS)
+
+    def test_shortcut_table_matches_the_commands(self):
+        listed = {(row[0][0], row[1][0].split()[0], row[2][0])
+                  for row in _readme_table("| command | shortcut | sets |")}
+        assert listed == {(command, flag, key) for command, (_, _, shortcuts) in COMMANDS.items()
+                          for flag, key in shortcuts.items()}

@@ -213,7 +213,7 @@ class TestWeightsFile:
         bundle = sn.make_random_bundle(seed=5)
         path = tmp_path / "weights.json"
         sn.save_weights(bundle, path)
-        back = sn.load_weights(path, expected_tau=64)
+        back = sn.load_weights(path)
         w = np.random.default_rng(6).normal(size=(1, 2, 65, 3))
         a = sn.DenseVelocityNetwork(bundle).velocities(w, [0], [0.0])
         b = sn.DenseVelocityNetwork(back).velocities(w, [0], [0.0])
@@ -223,11 +223,21 @@ class TestWeightsFile:
         assert np.array_equal(b, c)
         np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
 
-    def test_tau_mismatch_is_actionable(self, tmp_path):
+    def test_infer_cuts_the_bundles_tau(self, tmp_path):
+        """``infer`` cuts windows of the length the weights were trained
+        for; no key repeats it, so none can disagree with it."""
+        from sweepnav.cli import main
+
+        ds = tmp_path / "ds"
+        assert main(["simulate", "--out", str(ds), "--set", "sim.n_items=0"]) == 0
+        n = len(sn.load_imu(ds / "imu.csv"))
         path = tmp_path / "weights.json"
-        sn.save_weights(sn.make_random_bundle(tau=32), path)
-        with pytest.raises(ValueError, match="trained for tau=32, pipeline uses tau=64"):
-            sn.load_weights(path, expected_tau=64)
+        for tau in (32, 64):
+            sn.save_weights(sn.make_random_bundle(tau=tau), path)
+            assert main(["infer", "--dataset", str(ds), "--estimator", "network",
+                         "--set", f"estimator.weights={path}"]) == 0
+            meta = json.loads((ds / "run_meta_infer.json").read_text())
+            assert meta["n_windows"] == len(sn.make_windows(np.zeros((2, n, 3)), tau=tau))
 
     def test_rate_mismatch_is_actionable(self, tmp_path, capsys):
         """``eval`` pairs the estimate with the ground truth frame by frame,
@@ -330,7 +340,7 @@ class TestWeightsFile:
         (doc["meta"] if part == "meta" else doc["layers"][0])[key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
-            sn.load_weights(path, expected_tau=1)
+            sn.load_weights(path)
 
     def test_infer_exits_2_on_a_fractional_layer_size(self, tmp_path, capsys):
         from sweepnav.cli import main

@@ -41,6 +41,16 @@ def test_import_cli_leaves_the_pipeline_modules_unloaded():
     assert not set(DEFERRED) & set(loaded)
 
 
+def test_stages_that_read_no_recording_leave_imu_unloaded():
+    """Trajectories, metrics, maps and loop closure hold read-only arrays
+    (``geometry._frozen``) but read no IMU recording."""
+    loaded = json.loads(_python("import json, sys\n"
+                                "import sweepnav.metrics, sweepnav.object_map, "
+                                "sweepnav.loop_closure\n"
+                                "print(json.dumps(sorted(sys.modules)))"))
+    assert "sweepnav.trajectory" in loaded and "sweepnav.imu" not in loaded
+
+
 @pytest.fixture(scope="module")
 def refined_dataset(tmp_path_factory):
     ds = tmp_path_factory.mktemp("imports") / "ds"

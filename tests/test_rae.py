@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sweepnav as sn
 from sweepnav import rae
-from sweepnav.geometry import rotate_xy
+from sweepnav.geometry import rotate_xy, rotate_xyz_about_z
 from sweepnav.rae import _GM_RTOL, _MEMBERS, ensemble_angles, reduce_members
 
 from .conftest import zero_windows
@@ -371,8 +371,9 @@ class TestRaeEstimate:
     @pytest.mark.parametrize("reducer", ["median", "mean"])
     def test_blocked_reduction_equals_the_whole(self, monkeypatch, k, reducer):
         """Windows with mixed kept counts give the same bits, spreads and
-        counters reduced all at once, seven windows at a time or one by
-        one; a block holds at most _REDUCED members, or one window."""
+        counters reduced all at once, six windows at a time or two by
+        two; a block holds whole model calls (here two windows each), at
+        most _REDUCED members or one call."""
         cfg = sn.RaeConfig(k=k, reducer=reducer)
         starts = np.arange(0, 120, 3)
         angles = ensemble_angles(cfg).tolist()
@@ -385,9 +386,10 @@ class TestRaeEstimate:
         monkeypatch.setattr(rae, "reduce_members",
                             lambda back, kept, reducer: blocks.append(len(back)) or
                             reduce_members(back, kept, reducer))
+        monkeypatch.setattr(rae, "_MEMBERS", 2 * k)
         results = []
-        for members, sizes in ((len(starts) * k, [40]), (7 * k, [7] * 5 + [5]),
-                               (1, [1] * 40)):
+        for members, sizes in ((len(starts) * k, [40]), (7 * k, [6] * 6 + [4]),
+                               (1, [2] * 20)):
             blocks.clear()
             monkeypatch.setattr(rae, "_REDUCED", members)
             results.append(_rae(model, cfg, starts=starts))
@@ -397,6 +399,39 @@ class TestRaeEstimate:
             assert blocked.v.tobytes() == whole.v.tobytes()
             assert blocked.member_spread.tobytes() == whole.member_spread.tobytes()
             assert blocked[1:3] == whole[1:3] and blocked[4] == whole[4]
+
+
+@pytest.fixture(scope="module")
+def sweep60_windows():
+    """The windows of the 60 s reference sweep (sim seed 1, its sensor
+    noise) at stride 16, and their start frames."""
+    cfg = sn.SimConfig(room_width=6.5, room_height=2.0, acc_noise=0.05, gyro_noise=0.002,
+                       seed=1)
+    imu = sn.synthesize_imu(sn.generate_trajectory(cfg), cfg)
+    windows = sn.make_windows(sn.to_hacf(imu, sn.estimate_orientation(imu)), tau=64, stride=16)
+    return windows, 16 * np.arange(len(windows))
+
+
+class TestEquivariance:
+    @pytest.mark.parametrize("k", [2, 4, 5, 8])
+    @pytest.mark.parametrize("reducer", ["median", "mean"])
+    def test_ensemble_of_a_dense_network_turns_with_its_input(self, sweep60_windows, k,
+                                                              reducer):
+        """A random dense network is not rotation-equivariant, but its
+        ensemble is on its own angle grid: turning every window by 2 pi j / K
+        maps the grid onto itself, so the members are the same set turned
+        by that angle, and both reducers turn with them.  ``v_max`` is
+        large, so no clamp acts."""
+        windows, starts = sweep60_windows
+        model = sn.DenseVelocityNetwork(sn.make_random_bundle(tau=64, seed=3, scale=1.0))
+        cfg = sn.RaeConfig(k=k, reducer=reducer)
+        v = sn.rae_estimate(windows, starts, model, cfg, v_max=1e9).v
+        tol = 1e-12 * np.abs(v).max()
+        for j in range(1, k):
+            phi = 2 * np.pi * j / k
+            turned = rotate_xyz_about_z(windows, phi)
+            v_turned = sn.rae_estimate(turned, starts, model, cfg, v_max=1e9).v
+            np.testing.assert_allclose(v_turned, rotate_xy(v, phi), rtol=0, atol=tol)
 
 
 def _ref_stack(windows, starts, model, cfg, v_max):

@@ -251,7 +251,8 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path, manifest: dict,
     from . import loop_closure
 
     with clock.lap("load"):
-        est = trajectory.load_trajectory(_manifest_file(dataset, manifest, "est_trajectory"))
+        est_path = _manifest_file(dataset, manifest, "est_trajectory")
+        est = trajectory.load_trajectory(est_path)
         vel_path = _manifest_file(dataset, manifest, "velocities")
         held = _load_velocities(vel_path, len(est))
     # held[f] is the velocity over the step into frame f, so the
@@ -261,7 +262,8 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path, manifest: dict,
     with clock.lap("fit"):
         refined, corrections, history = loop_closure.refine(est, per_frame_v, refine_cfg)
     with clock.lap("write"):
-        trajectory.save_trajectory(refined, dataset / "refined_trajectory.csv")
+        # a refine that keeps its input copies est_path's bytes
+        trajectory.save_trajectory(refined, dataset / "refined_trajectory.csv", est_path)
         loop_closure.save_corrections(corrections, dataset / "corrections.jsonl")
         loop_closure.save_loss_history(history, dataset / "loss_history.csv")
     manifest.update({
@@ -491,9 +493,18 @@ def _render_svg(series, items_xy: dict) -> str:
         f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">',
         f'<rect width="{size:.0f}" height="{size:.0f}" fill="#ffffff"/>',
     ]
+    drawn = []  # (xy, color, polyline) of each series whose points were formatted
     for i, (name, color, xy) in enumerate(series):
-        parts.append(f'<polyline points="{to_px(xy)}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.5"/>')
+        # a series bit-equal to a drawn one takes its line in this color:
+        # the points' text holds no quote, so the stroke is matched once
+        line = next((text.replace(f'stroke="{first}"', f'stroke="{color}"')
+                     for seen, first, text in drawn
+                     if np.array_equal(seen.view(np.int64), xy.view(np.int64))), None)
+        if line is None:
+            line = (f'<polyline points="{to_px(xy)}" fill="none" stroke="{color}" '
+                    f'stroke-width="1.5"/>')
+            drawn.append((xy, color, line))
+        parts.append(line)
         parts.append(f'<text x="{margin:.0f}" y="{20 + 16 * i:.0f}" '
                      f'fill="{color}" font-family="monospace" font-size="13">'
                      f'{name}</text>')

@@ -35,6 +35,17 @@ file.  The checksum is CRC-32, not a ``hashlib`` digest: ``import
 hashlib`` loads OpenSSL, about 3.6 MB of resident memory per command.
 It guards against a stale copy, not against tampering.
 
+The copy rule: ``write_table`` given a ``source`` table copies its CSV
+and sidecar in place of writing when they already are its bytes: every
+column is a float64 array, the sidecar holds the columns' values bit for
+bit, all finite, under a stamp that matches the CSV, the CSV starts
+with the header, and each of its tokens has a ``.`` or an ``e``, as a
+float's ``str`` does and an integer's does not.  By the stamp rule that
+CSV is then the ``str`` of each value, which is the text ``write_table``
+writes.  The check reads block by block and stops at the first block
+that differs: the sidecar first, the CSV only once every value matches.
+Any other source is ignored and the table is written as usual.
+
 Without a matching sidecar, a table of numbers is read as one array
 by ``read_table``: after the header check, one ``np.loadtxt`` parses
 the body when it holds only the bytes ``write_csv`` writes for finite
@@ -55,6 +66,7 @@ import io
 import json
 import math
 import os
+import shutil
 import struct
 import zlib
 
@@ -75,6 +87,9 @@ _WRITE_ROWS = 1024
 # a sidecar's stamp: its CSV's byte length and CRC-32, and the CRC-32
 # of the values that follow it
 _STAMP = struct.Struct("<QII")
+# bytes of a CSV the copy rule reads at once
+_COPY_BYTES = 1 << 16
+_NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
 
 
 def _table_texts(line: str, columns: list, texts):
@@ -126,12 +141,18 @@ def write_csv(path, header: str, columns) -> None:
         fh.writelines(text for _, text in _csv_texts(columns))
 
 
-def write_table(path, header: str, columns) -> None:
+def write_table(path, header: str, columns, source=None) -> None:
     """``write_csv`` for a table of numbers (float arrays, integer arrays
     or ranges), and beside it the sidecar ``<path>.f64`` that
     ``read_table`` takes in place of a parse.  A table with a NaN or an
-    infinity gets no sidecar."""
+    infinity gets no sidecar.  When ``source`` is a stamped table that
+    holds ``columns`` (the copy rule), it and its sidecar are copied
+    in place of formatting."""
     columns = list(columns)
+    if source is not None and _holds(source, header, columns):
+        shutil.copyfile(source, path)
+        shutil.copyfile(f"{source}.f64", f"{path}.f64")
+        return
     sidecar = f"{path}.f64"
     text = (header + "\n").encode()
     size, crc, values_crc, finite = len(text), zlib.crc32(text), 0, True
@@ -142,8 +163,7 @@ def write_table(path, header: str, columns) -> None:
             text = block.encode()
             fh.write(text)
             size, crc = size + len(text), zlib.crc32(text, crc)
-            values = np.stack([np.asarray(column[lo:lo + _WRITE_ROWS], dtype=np.float64)
-                               for column in columns], axis=1).astype("<f8", copy=False)
+            values = _values_block(columns, lo)
             finite = finite and bool(np.isfinite(values).all())
             if finite:
                 side.write(values)
@@ -153,6 +173,52 @@ def write_table(path, header: str, columns) -> None:
             side.write(_STAMP.pack(size, crc, values_crc))
     if not finite:
         os.remove(sidecar)
+
+
+def _values_block(columns: list, lo: int) -> np.ndarray:
+    """Rows lo .. lo + _WRITE_ROWS - 1 of ``columns`` as the sidecar
+    holds them: little-endian float64, row-major."""
+    return np.stack([np.asarray(column[lo:lo + _WRITE_ROWS], dtype=np.float64)
+                     for column in columns], axis=1).astype("<f8", copy=False)
+
+
+def _holds(source, header: str, columns: list) -> bool:
+    """Whether ``source`` and its sidecar are ``write_table``'s bytes for
+    ``columns`` (the copy rule).  Reads block by block, the CSV only once
+    every value matches, and stops at the first difference."""
+    n_rows = {len(column) for column in columns}
+    if len(n_rows) != 1 or not all(isinstance(column, np.ndarray)
+                                   and column.dtype == np.float64 for column in columns):
+        return False
+    n = n_rows.pop()
+    try:
+        with open(f"{source}.f64", "rb") as side:
+            if os.fstat(side.fileno()).st_size != _STAMP.size + 8 * n * len(columns):
+                return False
+            stamp = _STAMP.unpack(side.read(_STAMP.size))
+            values_crc = 0
+            for lo in range(0, n, _WRITE_ROWS):
+                values = _values_block(columns, lo)
+                if side.read(values.nbytes) != values.tobytes() or not np.isfinite(values).all():
+                    return False
+                values_crc = zlib.crc32(values, values_crc)
+        if values_crc != stamp[2]:
+            return False
+        with open(source, "rb") as fh:
+            text = (header + "\n").encode()
+            if fh.read(len(text)) != text:
+                return False
+            size, crc, rest = len(text), zlib.crc32(text), b""
+            while chunk := fh.read(_COPY_BYTES):
+                size, crc = size + len(chunk), zlib.crc32(chunk, crc)
+                lines, _, rest = (rest + chunk).rpartition(b"\n")
+                # a token with no '.' or 'e' is an integer's text, not a float's
+                if lines and b",," in b",%s," % lines.translate(_NEWLINE_TO_COMMA,
+                                                                b"0123456789-"):
+                    return False
+    except OSError:
+        return False
+    return not rest and (size, crc) == stamp[:2]
 
 
 def read_csv(path, header: str, parse) -> list[tuple[int, object]]:

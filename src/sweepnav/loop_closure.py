@@ -18,6 +18,9 @@ estimates.  The corrections are produced by a small dense network over
 the normalized frame index, which regularizes them to vary smoothly
 along the trajectory.  Gradients are analytic (the max term follows
 its argmax frame, ties to the lowest index); optimization is Adam.
+Adam's update is elementwise, so it steps one flat vector of all the
+network's parameters, whose arrays are views of it; that gives the bits
+of an update array by array.
 
 Cost: the network has one scalar input, so it is exactly affine in s
 between the frames where one of its ReLUs switches, and a trained
@@ -427,12 +430,15 @@ def refine(traj: Trajectory, per_frame_v: np.ndarray,
     identity = CorrectionParams(np.zeros(n), np.zeros((n, 2)))
     baseline = refinement_loss(traj, identity, per_frame_v)
     mlp = CorrectionMlp.initialize(hidden=cfg.hidden)
-    m_state = [np.zeros_like(p) for p in mlp.params]
-    v_state = [np.zeros_like(p) for p in mlp.params]
+    shapes = [p.shape for p in mlp.params]
+    flat = np.concatenate([p.ravel() for p in mlp.params])
+    mlp.params = _views(flat, shapes)  # Adam steps flat in place
+    m_state = np.zeros_like(flat)
+    v_state = np.zeros_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     history: list[LossBreakdown] = []
     best_loss = baseline.total
-    best_params: list[np.ndarray] | None = None  # None = keep the input
+    best_flat: np.ndarray | None = None  # None = keep the input
     for epoch in range(cfg.epochs):
         breakdown, grads = loss_and_gradients(traj.xy, mlp, per_frame_v)
         if not np.isfinite(breakdown.total):
@@ -442,27 +448,33 @@ def refine(traj: Trajectory, per_frame_v: np.ndarray,
         history.append(breakdown)
         if breakdown.total < best_loss:
             best_loss = breakdown.total
-            best_params = [p.copy() for p in mlp.params]
+            best_flat = flat.copy()
         step = epoch + 1
-        for i, g in enumerate(grads):
-            m_state[i] = beta1 * m_state[i] + (1 - beta1) * g
-            v_state[i] = beta2 * v_state[i] + (1 - beta2) * g * g
-            m_hat = m_state[i] / (1 - beta1 ** step)
-            v_hat = v_state[i] / (1 - beta2 ** step)
-            mlp.params[i] = mlp.params[i] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        g = np.concatenate([part.ravel() for part in grads])
+        m_state = beta1 * m_state + (1 - beta1) * g
+        v_state = beta2 * v_state + (1 - beta2) * g * g
+        m_hat = m_state / (1 - beta1 ** step)
+        v_hat = v_state / (1 - beta2 ** step)
+        flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
     final = refinement_loss(traj, mlp.predict(n), per_frame_v)
     if np.isfinite(final.total):
         history.append(final)
         if final.total < best_loss:
             best_loss = final.total
-            best_params = [p.copy() for p in mlp.params]
-    if best_params is None:
+            best_flat = flat.copy()
+    if best_flat is None:
         corrections = identity
     else:
-        mlp.params = best_params
+        mlp.params = _views(best_flat, shapes)
         corrections = mlp.predict(n)
     refined = apply_corrections(traj, corrections)
     return refined, corrections, history
+
+
+def _views(flat: np.ndarray, shapes: list) -> list[np.ndarray]:
+    """Consecutive pieces of ``flat`` as arrays of ``shapes``, as views."""
+    ends = np.cumsum([np.prod(shape, dtype=int) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
 
 # ---------------------------------------------------------------------------

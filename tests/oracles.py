@@ -177,6 +177,47 @@ def refinement_loss_ref(P, r, l, v, grads):
     return (total, loop, rot, smooth), (g_r, g_l)
 
 
+def refine_ref(traj, per_frame_v, cfg):
+    """``loop_closure.refine`` with Adam as it was written per parameter
+    array: each epoch updates the six arrays one after another, each into
+    a fresh array.  The network and the loss are the library's; only the
+    optimizer loop is the reference, without the divergence check."""
+    from sweepnav.loop_closure import (CorrectionMlp, CorrectionParams, apply_corrections,
+                                       loss_and_gradients, refinement_loss)
+
+    n = len(traj)
+    identity = CorrectionParams(np.zeros(n), np.zeros((n, 2)))
+    best_loss = refinement_loss(traj, identity, per_frame_v).total
+    mlp = CorrectionMlp.initialize(hidden=cfg.hidden)
+    m_state = [np.zeros_like(p) for p in mlp.params]
+    v_state = [np.zeros_like(p) for p in mlp.params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    history, best_params = [], None
+    for epoch in range(cfg.epochs):
+        breakdown, grads = loss_and_gradients(traj.xy, mlp, per_frame_v)
+        history.append(breakdown)
+        if breakdown.total < best_loss:
+            best_loss, best_params = breakdown.total, [p.copy() for p in mlp.params]
+        step = epoch + 1
+        for i, g in enumerate(grads):
+            m_state[i] = beta1 * m_state[i] + (1 - beta1) * g
+            v_state[i] = beta2 * v_state[i] + (1 - beta2) * g * g
+            m_hat = m_state[i] / (1 - beta1 ** step)
+            v_hat = v_state[i] / (1 - beta2 ** step)
+            mlp.params[i] = mlp.params[i] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    final = refinement_loss(traj, mlp.predict(n), per_frame_v)
+    if np.isfinite(final.total):
+        history.append(final)
+        if final.total < best_loss:
+            best_params = [p.copy() for p in mlp.params]
+    if best_params is None:
+        corrections = identity
+    else:
+        mlp.params = best_params
+        corrections = mlp.predict(n)
+    return apply_corrections(traj, corrections), corrections, history
+
+
 # The geometric median window by window, as the library computed it
 # before the ensemble was reduced over all windows at once; the batched
 # ``rae.reduce_members`` must match it bit for bit.

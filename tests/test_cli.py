@@ -188,6 +188,47 @@ class TestPipelineArtifacts:
         assert meta["closure_gap_after_m"] == float(
             np.linalg.norm(refined.xy[-1] - refined.xy[0]))
 
+    def test_refine_copies_an_estimate_it_keeps(self, pipeline, tmp_path):
+        """The chain's refine keeps its input, so its trajectory and sidecar
+        are the estimate's bytes, which are ``save_trajectory``'s own."""
+        assert json.loads((pipeline / "run_meta_refine.json").read_text())["identity_fallback"]
+        est = [(pipeline / name).read_bytes() for name in ("est_trajectory.csv",
+                                                           "est_trajectory.csv.f64")]
+        refined = [(pipeline / name).read_bytes() for name in ("refined_trajectory.csv",
+                                                               "refined_trajectory.csv.f64")]
+        trajectory.save_trajectory(trajectory.load_trajectory(pipeline / "est_trajectory.csv"),
+                                   tmp_path / "saved.csv")
+        saved = [(tmp_path / name).read_bytes() for name in ("saved.csv", "saved.csv.f64")]
+        assert refined == est == saved
+
+    def test_refine_that_moves_the_estimate_writes_its_own_text(self, pipeline, tmp_path):
+        """An estimate opened by a heading ramp: refine moves it and writes
+        ``save_trajectory``'s text of the result, and leaves the estimate's
+        files as they were."""
+        from sweepnav import loop_closure
+
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline, ds)
+        est = trajectory.load_trajectory(ds / "est_trajectory.csv")
+        ramp = 1e-3 * np.arange(len(est))
+        xy = np.vstack([est.xy[:1], est.xy[0] + np.cumsum(
+            rotate_xy(np.diff(est.xy, axis=0), ramp[1:]), axis=0)])
+        est = trajectory.Trajectory(est.t, xy, est.yaw + ramp, est.frame_rate)
+        trajectory.save_trajectory(est, ds / "est_trajectory.csv")
+        before = [(ds / name).read_bytes() for name in ("est_trajectory.csv",
+                                                        "est_trajectory.csv.f64")]
+        assert run("refine", "--dataset", ds, "--epochs", 30) == 0
+        assert not json.loads((ds / "run_meta_refine.json").read_text())["identity_fallback"]
+        held = _load_velocities(ds / "velocities.csv", len(est))
+        refined, _, _ = loop_closure.refine(est, held[1:] / est.frame_rate,
+                                            loop_closure.RefineConfig(epochs=30))
+        trajectory.save_trajectory(refined, tmp_path / "saved.csv")
+        for name, saved in [("refined_trajectory.csv", "saved.csv"),
+                            ("refined_trajectory.csv.f64", "saved.csv.f64")]:
+            assert (ds / name).read_bytes() == (tmp_path / saved).read_bytes()
+        assert [(ds / name).read_bytes() for name in ("est_trajectory.csv",
+                                                      "est_trajectory.csv.f64")] == before
+
     LAPS = {
         "simulate": [],
         "infer": ["captures", "integrate", "load", "orientation", "rae", "windows", "write"],

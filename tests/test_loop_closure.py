@@ -34,6 +34,7 @@ from .oracles import (
     correction_mlp_ref,
     loss_ref,
     numeric_gradients,
+    refine_ref,
     refinement_loss_ref,
     same_bits,
 )
@@ -564,6 +565,27 @@ class TestRefine:
             "9fbf80cff21d03e4172709fbada6f6abb7a4465003f9e01f2be0fcc448089b7a")
         assert digest(corrections.l.tobytes()) == (
             "3aeabf41ebe1790d19ef01fac87f414ade570f51b9e5ed458dec3329acfee04d")
+
+    @pytest.mark.parametrize("n_frames, drift", [(100, 0.01), (400, 0.002)],
+                             ids=["dense", "pieces"])
+    @pytest.mark.parametrize("hidden", [1, 8, 64])
+    @pytest.mark.parametrize("learning_rate", [0.01, 0.003])
+    def test_flat_adam_matches_the_per_array_loop(self, n_frames, drift, hidden,
+                                                  learning_rate):
+        """Adam is elementwise, so stepping one flat vector gives the bits
+        of the per-array loop: refined positions, corrections and the
+        whole history, on refines that move their input, on both passes
+        of the network."""
+        traj = _drifted(_circle(n_frames), drift)
+        v = np.diff(traj.xy, axis=0)
+        cfg = RefineConfig(epochs=40, learning_rate=learning_rate, hidden=hidden)
+        refined, corrections, history = refine(traj, v, cfg)
+        ref_refined, ref_corrections, ref_history = refine_ref(traj, v, cfg)
+        assert corrections.r.any() and corrections.l.any()
+        assert same_bits(refined.xy, ref_refined.xy)
+        assert same_bits(corrections.r, ref_corrections.r)
+        assert same_bits(corrections.l, ref_corrections.l)
+        assert list(map(repr, history)) == list(map(repr, ref_history))
 
     def test_two_frame_trajectory_supported(self):
         traj = _traj([[0.0, 0.0], [0.1, 0.0]])

@@ -412,6 +412,21 @@ def sweep60_windows():
     return windows, 16 * np.arange(len(windows))
 
 
+def _assert_turns_with_its_input(windows, starts, bundle, k, reducer):
+    """Turning every window by 2 pi j / K, for each j, turns the ensemble
+    estimate by the same angle, within 1e-12 of its largest speed.
+    ``v_max`` is large, so no clamp acts."""
+    model = sn.DenseVelocityNetwork(bundle)
+    cfg = sn.RaeConfig(k=k, reducer=reducer)
+    v = sn.rae_estimate(windows, starts, model, cfg, v_max=1e9).v
+    tol = 1e-12 * np.abs(v).max()
+    for j in range(1, k):
+        phi = 2 * np.pi * j / k
+        turned = rotate_xyz_about_z(windows, phi)
+        v_turned = sn.rae_estimate(turned, starts, model, cfg, v_max=1e9).v
+        np.testing.assert_allclose(v_turned, rotate_xy(v, phi), rtol=0, atol=tol)
+
+
 class TestEquivariance:
     @pytest.mark.parametrize("k", [2, 4, 5, 8])
     @pytest.mark.parametrize("reducer", ["median", "mean"])
@@ -420,18 +435,19 @@ class TestEquivariance:
         """A random dense network is not rotation-equivariant, but its
         ensemble is on its own angle grid: turning every window by 2 pi j / K
         maps the grid onto itself, so the members are the same set turned
-        by that angle, and both reducers turn with them.  ``v_max`` is
-        large, so no clamp acts."""
-        windows, starts = sweep60_windows
-        model = sn.DenseVelocityNetwork(sn.make_random_bundle(tau=64, seed=3, scale=1.0))
-        cfg = sn.RaeConfig(k=k, reducer=reducer)
-        v = sn.rae_estimate(windows, starts, model, cfg, v_max=1e9).v
-        tol = 1e-12 * np.abs(v).max()
-        for j in range(1, k):
-            phi = 2 * np.pi * j / k
-            turned = rotate_xyz_about_z(windows, phi)
-            v_turned = sn.rae_estimate(turned, starts, model, cfg, v_max=1e9).v
-            np.testing.assert_allclose(v_turned, rotate_xy(v, phi), rtol=0, atol=tol)
+        by that angle, and both reducers turn with them."""
+        _assert_turns_with_its_input(*sweep60_windows,
+                                     sn.make_random_bundle(tau=64, seed=3, scale=1.0),
+                                     k, reducer)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 1.0),
+           k=st.sampled_from([2, 4, 5, 8]), reducer=st.sampled_from(["median", "mean"]))
+    def test_any_random_dense_network(self, sweep60_windows, seed, log_scale, k, reducer):
+        """As above for random bundles of any seed and weight scale."""
+        _assert_turns_with_its_input(
+            *sweep60_windows, sn.make_random_bundle(tau=64, seed=seed, scale=10.0 ** log_scale),
+            k, reducer)
 
 
 def _ref_stack(windows, starts, model, cfg, v_max):

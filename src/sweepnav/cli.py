@@ -30,6 +30,7 @@ import json
 import logging
 import math
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -598,8 +599,11 @@ def main(argv: list[str] | None = None) -> int:
         meta, summary = globals()[f"cmd_{args.command}"](cfg, args.dataset, manifest, clock,
                                                          *extra)
         save_manifest(args.dataset, manifest)
+        # the process's peak resident set so far; Linux counts ru_maxrss in KiB
+        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
         write_json(args.dataset / f"run_meta_{args.command}.json",
-                   {"command": args.command, **meta, "elapsed_s": clock.elapsed()})
+                   {"command": args.command, **meta, "elapsed_s": clock.elapsed(),
+                    "peak_rss_mb": peak_rss_mb})
         print(summary)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

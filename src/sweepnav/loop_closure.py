@@ -16,8 +16,12 @@ translation l), and fits the corrections by gradient descent on
 where v_t is the per-frame displacement implied by the velocity
 estimates.  The corrections are produced by a small dense network over
 the normalized frame index, which regularizes them to vary smoothly
-along the trajectory.  Gradients are analytic (the max term follows
-its argmax frame, ties to the lowest index); optimization is Adam.
+along the trajectory.  Its initial weights are the draws of
+``np.random.default_rng(0)``, made here by a copy of that stream
+(``_uniforms``) so that refining imports no ``numpy.random``, which
+would take about 6 MiB for a start that is the same on every run.
+Gradients are analytic (the max term follows its argmax frame, ties to
+the lowest index); optimization is Adam.
 Adam's update is elementwise, so it steps one flat vector of all the
 network's parameters, whose arrays are views of it; that gives the bits
 of an update array by array.
@@ -204,7 +208,11 @@ class CorrectionMlp:
     the rotation channel passes through pi * tanh so corrections stay in
     [-pi, pi].  Weights start He-uniform scaled by 0.01, so the initial
     corrections are near zero and refinement starts from the unrefined
-    trajectory.
+    trajectory.  They are the bits that
+    ``np.random.default_rng(seed).uniform`` draws, taken from
+    ``_uniforms``' copy of numpy's stream: a start that is the same on
+    every run is not worth the 6 MiB that ``numpy.random`` and the
+    OpenSSL it loads add to refine's memory peak.
 
     Piece model: the network has one scalar input, so it is affine in s
     wherever no ReLU switches.  From ``_PIECES_FROM`` frames on, a pass
@@ -222,13 +230,18 @@ class CorrectionMlp:
 
     @classmethod
     def initialize(cls, seed: int = 0, hidden: int = 64, init_scale: float = 0.01) -> "CorrectionMlp":
-        rng = np.random.default_rng(seed)
+        """The network whose weights ``np.random.default_rng(seed).uniform``
+        would draw, layer by layer, bit for bit (see ``_uniforms``)."""
         dims = [1, hidden, hidden, 3]
+        u = np.array(_uniforms(seed, sum(a * b for a, b in zip(dims, dims[1:]))))
         params = []
-        for i in range(3):
-            lim = np.sqrt(6.0 / dims[i])
-            params.append(rng.uniform(-lim, lim, (dims[i], dims[i + 1])) * init_scale)
-            params.append(np.zeros(dims[i + 1]))
+        for a, b in zip(dims, dims[1:]):
+            lim = np.sqrt(6.0 / a)
+            low, high = -lim, lim
+            draws, u = u[:a * b].reshape(a, b), u[a * b:]
+            # numpy's uniform is low + (high - low) * u, rounded per step
+            params.append((low + (high - low) * draws) * init_scale)
+            params.append(np.zeros(b))
         return cls(params)
 
     def forward(self, n_frames: int) -> tuple[np.ndarray, np.ndarray]:
@@ -387,6 +400,78 @@ def _switch_frames(s, a, c, s0, lo, hi):
     # before the change a rising z is off and a falling one on
     before = ((z > 0.0) == (a < 0.0)[:, None]) & (frames < hi[:, None])
     return start + before.sum(axis=1)
+
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
+
+
+def _uniforms(seed: int, n: int) -> list[float]:
+    """The first n doubles of ``np.random.default_rng(seed).random()``,
+    bit for bit, without importing ``numpy.random``.
+
+    That import costs about 6 MiB of resident memory (``secrets`` loads
+    OpenSSL) for a start that is the same on every run.  The stream is
+    numpy's: ``SeedSequence(seed).generate_state(4, uint64)`` seeds
+    PCG64 (O'Neill 2014), whose 128-bit LCG state gives each output by
+    XSL-RR, and a double is its top 53 bits times 2**-53.  A negative
+    seed raises ``ValueError``, as numpy's does.
+    """
+    s_hi, s_lo, i_hi, i_lo = _seed_sequence(seed)
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+    out = []
+    for _ in range(n):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        rot = state >> 122
+        x = (state >> 64 ^ state) & _MASK64
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        out.append((x >> 11) * 2.0 ** -53)
+    return out
+
+
+def _seed_sequence(seed: int) -> list[int]:
+    """``np.random.SeedSequence(seed).generate_state(4, np.uint64)`` as
+    Python ints: the seed's 32-bit words, least significant first, are
+    hashed into a pool of four words, which is hashed out to eight
+    32-bit words, paired low word first."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    return [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]
 
 
 def _index_column(n_frames: int) -> np.ndarray:

@@ -13,6 +13,17 @@ commute with rotation, the mean and the geometric median, land on its
 centre and cancel the error exactly; the median also bounds the pull of
 a single wild member.
 
+More generally, write a member's error as a function of the heading phi
+of the true velocity in its input frame, in complex xy: e(phi) =
+sum_n c_n e^{i n phi}.  Turned back and averaged over the grid theta_k =
+-pi + 2 pi k / K, the mean keeps exactly the harmonics n = 1 (mod K),
+each times (-1)^{n-1}, and cancels every other.  So a bias fixed in the
+input frame (n = 0) and an axis-dependent gain (n = 2) cancel at every
+K >= 2.  An error along or across the velocity, a speed bias or a crab
+angle (n = 1), is the same on every turned-back member, so it survives
+every K and either reducer: no rotation ensemble removes it
+(``tests/oracles.py::harmonic_residual_ref``).
+
 The reduction runs over blocks of windows (``reduce_members``): each
 step of the geometric median is taken by every window still descending,
 with sums in member order and ``np.hypot``'s distances, so every window

@@ -7,6 +7,7 @@ checked against a second opinion that is auditable by eye.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
@@ -175,6 +176,19 @@ def refinement_loss_ref(P, r, l, v, grads):
     g_r = np.zeros(n)
     g_r[1:] = g_ang + 2.0 * rsum
     return (total, loop, rot, smooth), (g_r, g_l)
+
+
+def correction_mlp_init_ref(seed=0, hidden=64, init_scale=0.01) -> list[np.ndarray]:
+    """``CorrectionMlp.initialize``'s parameters as drawn by numpy's own
+    generator, layer after layer from one ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    dims = [1, hidden, hidden, 3]
+    params = []
+    for i in range(3):
+        lim = np.sqrt(6.0 / dims[i])
+        params.append(rng.uniform(-lim, lim, (dims[i], dims[i + 1])) * init_scale)
+        params.append(np.zeros(dims[i + 1]))
+    return params
 
 
 def refine_ref(traj, per_frame_v, cfg):
@@ -421,6 +435,45 @@ def dense_forward_ref(bundle, window) -> np.ndarray:
     for layer in bundle.layers:
         x = x @ layer.weights + layer.bias if layer.kind == "dense" else np.maximum(x, 0.0)
     return x
+
+
+class HarmonicErrorModel:
+    """A velocity model whose member error is a harmonic series of the
+    heading it sees.
+
+    Window i moves at ``truth[i]`` (x, y).  Member k sees it turned by
+    theta_k, so the true velocity in its input frame, as a complex
+    number, is u = v e^{i theta_k}, with heading phi = arg u; it returns
+    u + sum_n c_n e^{i n phi} for the complex coefficients
+    ``spectrum = {n: c_n}``.  Windows are looked up by start frame."""
+
+    def __init__(self, truth, starts, spectrum):
+        self.truth = {int(s): complex(*v) for s, v in zip(starts, truth)}
+        self.spectrum = dict(spectrum)
+
+    def velocities(self, windows, starts, angles):
+        out = np.empty((len(starts), len(angles), 2))
+        for i, start in enumerate(starts):
+            for k, theta in enumerate(angles):
+                u = self.truth[int(start)] * cmath.exp(1j * theta)
+                phi = cmath.phase(u)
+                z = u + sum(c * cmath.exp(1j * n * phi) for n, c in self.spectrum.items())
+                out[i, k] = z.real, z.imag
+        return out
+
+
+def harmonic_residual_ref(v, spectrum, k) -> np.ndarray:
+    """The mean reducer's residual for ``HarmonicErrorModel``'s error at
+    true velocity v (x, y) on the K-angle grid theta_k = -pi + 2 pi k / K.
+
+    Member k, turned back, errs by e^{-i theta_k} sum_n c_n e^{i n (psi
+    + theta_k)}, psi = arg v.  Over the grid, the mean of e^{i (n - 1)
+    theta_k} is (-1)^{n-1} where n = 1 (mod K) and 0 elsewhere, so only
+    those harmonics stay, each times (-1)^{n-1}."""
+    psi = math.atan2(v[1], v[0])
+    z = sum(c * (-1) ** (n - 1) * cmath.exp(1j * n * psi)
+            for n, c in spectrum.items() if (n - 1) % k == 0)
+    return np.array([z.real, z.imag])
 
 
 def rae_window_ref(window, start, model, angles, reducer, v_max=2.0):

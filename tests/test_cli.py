@@ -241,9 +241,10 @@ class TestPipelineArtifacts:
     @pytest.mark.parametrize("command", list(LAPS))
     def test_every_command_writes_run_meta(self, pipeline, command):
         """``elapsed_s`` holds the command's total and its laps, which
-        fit inside it."""
+        fit inside it, and ``peak_rss_mb`` the process's peak memory."""
         meta = json.loads((pipeline / f"run_meta_{command}.json").read_text())
         assert meta["command"] == command
+        assert meta["peak_rss_mb"] > 0.0
         elapsed = meta["elapsed_s"]
         assert sorted(elapsed) == sorted(["total", *self.LAPS[command]])
         assert elapsed["total"] > 0.0

@@ -3,9 +3,11 @@
 ``import sweepnav.cli`` loads the run frame and the modules whose
 functions perfbench's tracer wraps as globals of ``cli``; every other
 pipeline module, ``concurrent.futures`` and ``numpy.ma`` wait for the
-command that needs them.  The package's public names resolve on first
-use.  The import checks run in fresh interpreters, since this one has
-imported everything already.
+command that needs them.  ``numpy.random``, and OpenSSL's ``_hashlib``
+that it loads through ``secrets``, wait for the oracle's noise: no
+other command draws a random number.  The package's public names
+resolve on first use.  The import checks run in fresh interpreters,
+since this one has imported everything already.
 """
 
 import ast
@@ -73,6 +75,19 @@ def test_post_commands_never_import_numpy_ma(refined_dataset, tmp_path, command)
                   "print(code, 'numpy.ma' in sys.modules)",
                   command, "--dataset", str(ds), *_ARGS.get(command, []))
     assert out.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("command", ["eval", "map", "plot", "refine", "infer"])
+def test_noise_free_commands_never_import_numpy_random(refined_dataset, tmp_path, command):
+    """``refine``'s initial weights come from its own copy of numpy's
+    stream, and a noise-free oracle draws nothing."""
+    ds = tmp_path / "ds"
+    shutil.copytree(refined_dataset, ds)
+    out = _python("import sys\nfrom sweepnav.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print(code, 'numpy.random' in sys.modules, '_hashlib' in sys.modules)",
+                  command, "--dataset", str(ds))
+    assert out.splitlines()[-1] == "0 False False"
 
 
 def test_plot_and_simulate_leave_metrics_unloaded(refined_dataset, tmp_path):

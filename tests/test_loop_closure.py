@@ -16,6 +16,7 @@ from sweepnav.loop_closure import (
     _index_column,
     _loss,
     _switch_frames,
+    _uniforms,
     CorrectionMlp,
     CorrectionParams,
     RefineConfig,
@@ -30,6 +31,7 @@ from sweepnav.loop_closure import (
 from .oracles import (
     corrected_positions_ref,
     corrected_positions_rows_ref,
+    correction_mlp_init_ref,
     correction_mlp_magnitudes_ref,
     correction_mlp_ref,
     loss_ref,
@@ -408,6 +410,43 @@ class TestCorrectionMlp:
         for buf in [a for a in vars(mlp).values() if isinstance(a, np.ndarray)]:
             assert not np.shares_memory(prediction.l, buf)
             assert not np.shares_memory(prediction.r, buf)
+
+
+class TestInitialWeights:
+    """``_uniforms`` is numpy's ``default_rng(seed).random`` stream, and
+    ``CorrectionMlp.initialize`` draws from it what numpy's ``uniform``
+    would."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 3])
+    def test_stream_is_numpys(self, seed):
+        assert same_bits(np.array(_uniforms(seed, 5000)), np.random.default_rng(seed).random(5000))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 5000))
+    def test_stream_is_numpys_for_any_seed(self, seed, n):
+        assert same_bits(np.array(_uniforms(seed, n), dtype=float),
+                         np.random.default_rng(seed).random(n))
+
+    def test_first_draws_of_seed_0(self):
+        """Pinned as written, since numpy does not promise to keep its
+        generators' streams across versions (NEP 19)."""
+        assert [u.hex() for u in _uniforms(0, 4)] == [
+            "0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2",
+            "0x1.4fa7b529d9bd0p-5", "0x1.0ec9ed84d0bc0p-6"]
+
+    def test_negative_seed_is_refused_as_numpy_refuses_it(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError):
+            _uniforms(-1, 1)
+
+    @pytest.mark.parametrize("hidden", [1, 8, 64, 100])
+    @pytest.mark.parametrize("seed", [0, 3, 2**40 + 1])
+    @pytest.mark.parametrize("init_scale", [0.01, 1.0])
+    def test_initialize_draws_numpys_weights(self, hidden, seed, init_scale):
+        got = CorrectionMlp.initialize(seed, hidden, init_scale).params
+        want = correction_mlp_init_ref(seed, hidden, init_scale)
+        assert len(got) == len(want) and all(map(same_bits, got, want))
 
 
 class TestGradients:

@@ -11,8 +11,9 @@ from sweepnav.geometry import rotate_xy, rotate_xyz_about_z
 from sweepnav.rae import _GM_RTOL, _MEMBERS, ensemble_angles, reduce_members
 
 from .conftest import zero_windows
-from .oracles import (geometric_median_ref, geometric_median_violation_ref, line_trajectory,
-                      rae_window_ref, reduce_ref, rot2_ref)
+from .oracles import (HarmonicErrorModel, geometric_median_ref, geometric_median_violation_ref,
+                      harmonic_residual_ref, line_trajectory, rae_window_ref, reduce_ref,
+                      rot2_ref)
 
 STARTS = np.array([0, 40, 90, 130])
 
@@ -448,6 +449,52 @@ class TestEquivariance:
         _assert_turns_with_its_input(
             *sweep60_windows, sn.make_random_bundle(tau=64, seed=seed, scale=10.0 ** log_scale),
             k, reducer)
+
+
+@st.composite
+def harmonic_errors(draw):
+    """Windows moving at 0.05-0.5 m/s in any direction, and a member error
+    of up to six harmonics n in -8..9, each at most 0.1 m/s: members stay
+    below 1.1 m/s, far from the 2 m/s clamp."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_windows = draw(st.integers(1, 12))
+    speed = rng.uniform(0.05, 0.5, n_windows)
+    heading = rng.uniform(-np.pi, np.pi, n_windows)
+    truth = np.column_stack([speed * np.cos(heading), speed * np.sin(heading)])
+    orders = draw(st.lists(st.integers(-8, 9), min_size=1, max_size=6, unique=True))
+    spectrum = {n: 0.1 * rng.uniform() * complex(np.cos(a), np.sin(a))
+                for n, a in zip(orders, rng.uniform(-np.pi, np.pi, len(orders)))}
+    return truth, 10 * np.arange(n_windows), spectrum
+
+
+class TestHarmonicErrors:
+    """What the ensemble does to an error that depends on the heading the
+    model sees (``rae``'s module docstring)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=harmonic_errors(), k=st.integers(1, 8))
+    def test_mean_keeps_the_harmonics_one_mod_k(self, case, k):
+        truth, starts, spectrum = case
+        model = HarmonicErrorModel(truth, starts, spectrum)
+        got = sn.rae_estimate(zero_windows(len(starts)), starts, model,
+                              sn.RaeConfig(k=k, reducer="mean")).v
+        want = truth + [harmonic_residual_ref(v, spectrum, k) for v in truth]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=harmonic_errors())
+    def test_first_harmonic_survives_every_k_and_reducer(self, case):
+        """Turned back, every member carries the same n = 1 error, a
+        speed bias or crab angle, so no grid and no reducer removes it."""
+        truth, starts, spectrum = case
+        c1 = {1: next(iter(spectrum.values()))}
+        model = HarmonicErrorModel(truth, starts, c1)
+        want = truth + [harmonic_residual_ref(v, c1, 1) for v in truth]
+        for k in range(1, 9):
+            for reducer in ("mean", "median"):
+                got = sn.rae_estimate(zero_windows(len(starts)), starts, model,
+                                      sn.RaeConfig(k=k, reducer=reducer)).v
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def _ref_stack(windows, starts, model, cfg, v_max):

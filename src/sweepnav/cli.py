@@ -31,6 +31,7 @@ import logging
 import math
 import os
 import resource
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -262,9 +263,20 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path, manifest: dict,
     refine_cfg = _from_config(cfg, "refine")
     with clock.lap("fit"):
         refined, corrections, history = loop_closure.refine(est, per_frame_v, refine_cfg)
+    # refine returns the first strictly best history entry (its
+    # prediction replays that entry's forward pass), or the input
+    identity_fallback = not corrections.r.any() and not corrections.l.any()
+    refined_path = dataset / "refined_trajectory.csv"
     with clock.lap("write"):
-        # a refine that keeps its input copies est_path's bytes
-        trajectory.save_trajectory(refined, dataset / "refined_trajectory.csv", est_path)
+        if identity_fallback:
+            # the input passes through: its bytes, and its sidecar or none
+            shutil.copyfile(est_path, refined_path)
+            try:
+                shutil.copyfile(f"{est_path}.f64", f"{refined_path}.f64")
+            except FileNotFoundError:
+                Path(f"{refined_path}.f64").unlink(missing_ok=True)
+        else:
+            trajectory.save_trajectory(refined, refined_path)
         loop_closure.save_corrections(corrections, dataset / "corrections.jsonl")
         loop_closure.save_loss_history(history, dataset / "loss_history.csv")
     manifest.update({
@@ -278,9 +290,6 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path, manifest: dict,
     gap_after = float(np.linalg.norm(refined.xy[-1] - est.xy[0]))
     zero = loop_closure.CorrectionParams(np.zeros(len(est)), np.zeros((len(est), 2)))
     loss_initial = loop_closure.refinement_loss(est, zero, per_frame_v).total
-    # refine returns the first strictly best history entry (its
-    # prediction replays that entry's forward pass), or the input
-    identity_fallback = not corrections.r.any() and not corrections.l.any()
     best_epoch = int(np.argmin([h.total for h in history]))
     return {
         "epochs": cfg["refine.epochs"],
@@ -468,7 +477,11 @@ def cmd_plot(cfg: PipelineConfig, dataset: Path, manifest: dict, clock: Stopwatc
         svg = _render_svg(series, items_xy)
     with clock.lap("write"):
         out.write_text(svg, encoding="utf-8")
-    manifest["plot"] = out.name if out.parent == dataset else str(out)
+    # manifest entries resolve against the dataset: one inside it is
+    # stored relative to it, any other as an absolute path
+    out_abs, dataset_abs = out.resolve(), dataset.resolve()
+    manifest["plot"] = str(out_abs.relative_to(dataset_abs)
+                           if out_abs.is_relative_to(dataset_abs) else out_abs)
     names = [name for name, _, _ in series]
     return {"series": names, "n_items": len(items_xy)}, f"plot: {', '.join(names)} -> {out}"
 
@@ -511,10 +524,11 @@ def _render_svg(series, items_xy: dict) -> str:
                      f'{name}</text>')
     for name in sorted(items_xy):
         px = to_px(np.array([items_xy[name]])).split(",")
+        text = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<circle cx="{px[0]}" cy="{px[1]}" r="4" fill="#d62728"/>')
         parts.append(f'<text x="{float(px[0]) + 6:.2f}" y="{float(px[1]) - 4:.2f}" '
                      f'fill="#d62728" font-family="monospace" font-size="11">'
-                     f'{name}</text>')
+                     f'{text}</text>')
     start = to_px(series[0][2][:1]).split(",")
     parts.append(f'<circle cx="{start[0]}" cy="{start[1]}" r="5" fill="none" '
                  f'stroke="#000000" stroke-width="1.5"/>')

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -83,7 +84,8 @@ def load_weights(path) -> WeightsBundle:
     Dense layer data is base64 of little-endian float32, row-major
     weights followed by the bias vector (``rows*cols + cols`` values).
     The caller cuts windows of ``meta.tau`` and resamples its input to
-    ``meta.sample_rate_hz``.  ``gravity_subtracted`` must be true: the
+    ``meta.sample_rate_hz``, which must be a finite, positive JSON
+    number.  ``gravity_subtracted`` must be true: the
     pipeline only feeds windows with gravity removed.  Any malformed
     part raises ``ValueError("path: ...")``, naming the layer at fault.
     """
@@ -98,16 +100,19 @@ def load_weights(path) -> WeightsBundle:
         if meta_doc["gravity_subtracted"] is not True:
             raise ValueError("gravity_subtracted must be true: the pipeline feeds "
                              "windows with gravity removed")
+        rate = json_field(meta_doc, "sample_rate_hz", float)
+        if not (math.isfinite(rate) and rate > 0.0):
+            raise ValueError(f"sample_rate_hz must be finite and positive, got {rate:g}")
         meta = WeightsMeta(
             tau=json_field(meta_doc, "tau", int),
-            sample_rate_hz=float(meta_doc["sample_rate_hz"]),
+            sample_rate_hz=rate,
             gravity_subtracted=True,
             input_layout=str(meta_doc.get("input_layout", INPUT_LAYOUT)),
         )
         layer_docs = doc["layers"]
         if not isinstance(layer_docs, list):
             raise TypeError("layers is not a list")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed weights bundle: {_reason(exc)}") from None
     layers = []
     for i, ld in enumerate(layer_docs):

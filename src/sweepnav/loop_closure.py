@@ -117,17 +117,14 @@ def apply_corrections(traj: Trajectory, params: CorrectionParams) -> Trajectory:
 
     Positions follow the increment-rotation model above; yaw becomes
     ``yaw_t + sum_{t'<=t} r_{t'}``, wrapped.  Timestamps and frame rate
-    are preserved.
+    are preserved.  Identity corrections (all zero) return ``traj``
+    itself, which is frozen, in place of a cumulative-sum round trip.
     """
     n = len(traj)
     if len(params) != n:
         raise ValueError(f"corrections cover {len(params)} frames, trajectory has {n}")
-    if n == 0:
-        return traj
     if not params.r.any() and not params.l.any():
-        # identity corrections reproduce the input bit for bit rather than
-        # through a cumulative-sum round trip
-        return Trajectory(traj.t, traj.xy, traj.yaw, traj.frame_rate)
+        return traj
     xy = np.ascontiguousarray(_corrected_positions(traj.xy, params.r, params.l)[0].T)
     yaw = wrap_angle(traj.yaw + np.cumsum(params.r))
     return Trajectory(traj.t, xy, yaw, traj.frame_rate)
@@ -497,10 +494,11 @@ def refine(traj: Trajectory, per_frame_v: np.ndarray,
 
     The zero-correction input is kept as a candidate alongside every
     epoch, so refinement never returns anything worse than the
-    unrefined trajectory; on an already-closed input it is a no-op.
-    Returns the refined trajectory, the corrections that produced it,
-    and the loss history: one entry per epoch, taken before that
-    epoch's step, then the trained network's loss when it is finite.
+    unrefined trajectory; when it wins, as on an already-closed input,
+    the trajectory returned is ``traj`` itself.  Returns the refined
+    trajectory, the corrections that produced it, and the loss history:
+    one entry per epoch, taken before that epoch's step, then the
+    trained network's loss when it is finite.
     The identity baseline is not in the history.  The returned
     corrections come from the first entry strictly below the baseline
     and every earlier entry, or are the identity when none is.  A

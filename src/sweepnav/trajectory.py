@@ -84,10 +84,8 @@ class Trajectory:
         return float(np.linalg.norm(np.diff(self.xy, axis=0), axis=1).sum())
 
 
-def save_trajectory(traj: Trajectory, path, source=None) -> None:
-    """Write ``traj``; a ``source`` trajectory file that holds it is
-    copied instead (``fileio.write_table``)."""
-    write_table(path, TRAJECTORY_CSV_HEADER, [traj.t, *traj.xy.T, traj.yaw], source)
+def save_trajectory(traj: Trajectory, path) -> None:
+    write_table(path, TRAJECTORY_CSV_HEADER, [traj.t, *traj.xy.T, traj.yaw])
 
 
 def load_trajectory(path) -> Trajectory:

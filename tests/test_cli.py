@@ -375,6 +375,72 @@ class TestPipelineArtifacts:
         assert report["rre"] < 1e-9
         assert report["coverage"] == 1.0
 
+    @pytest.mark.parametrize("foreign", ["no_sidecar", "respelled_token"])
+    def test_refine_copies_a_foreign_estimate_it_keeps(self, pipeline, tmp_path, foreign):
+        """An estimate that ``infer`` did not write: one with no sidecar,
+        over a stale refined sidecar, or one whose first time is respelled
+        ``0.00`` under its now stale sidecar.  A refine that keeps it
+        passes its bytes through, its sidecar or none, and the copy loads
+        bit-equal to the estimate."""
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline, ds)
+        est_path, refined_path = ds / "est_trajectory.csv", ds / "refined_trajectory.csv"
+
+        def files(path):
+            sidecar = path.with_name(path.name + ".f64")
+            return path.read_bytes(), sidecar.read_bytes() if sidecar.exists() else None
+
+        if foreign == "no_sidecar":
+            (ds / "est_trajectory.csv.f64").unlink()
+            (ds / "refined_trajectory.csv.f64").write_bytes(b"stale")
+        else:
+            text = est_path.read_bytes()
+            assert text.count(b"\n0.0,0.0,") == 1
+            est_path.write_bytes(text.replace(b"\n0.0,0.0,", b"\n0.00,0.0,"))
+        before = files(est_path)
+        assert (before[1] is None) == (foreign == "no_sidecar")
+        assert run("refine", "--dataset", ds, "--epochs", 30) == 0
+        assert json.loads((ds / "run_meta_refine.json").read_text())["identity_fallback"]
+        assert files(refined_path) == before == files(est_path)
+        est, refined = (trajectory.load_trajectory(path) for path in (est_path, refined_path))
+        for want, got in [(est.t, refined.t), (est.xy, refined.xy), (est.yaw, refined.yaw)]:
+            assert got.tobytes() == want.tobytes()
+
+    def test_plot_escapes_item_names(self, pipeline, tmp_path):
+        """An item name with XML's special characters reads back from a
+        well-formed ``plot.svg``."""
+        from xml.dom import minidom
+
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline, ds)
+        name = "salt & pepper <2kg>"
+        header, first, *rest = (ds / "items.csv").read_text().splitlines()
+        (ds / "items.csv").write_text(
+            "\n".join([header, name + first[first.index(","):], *rest]) + "\n")
+        assert run("plot", "--dataset", ds) == 0
+        texts = [node.firstChild.data for node in
+                 minidom.parse(str(ds / "plot.svg")).getElementsByTagName("text")]
+        assert name in texts
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+    def test_plot_out_is_recorded_against_the_dataset(self, pipeline, tmp_path, monkeypatch,
+                                                     inside):
+        """``--out`` relative to the working directory: the manifest's
+        entry, read against the dataset as every reader reads it, is the
+        plot written; relative when the plot is inside the dataset, else
+        absolute."""
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline, ds)
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        out = Path("../ds/sub/p.svg") if inside else Path("elsewhere/p.svg")
+        out.parent.mkdir()
+        assert run("plot", "--dataset", ds, "--out", out) == 0
+        entry = Path(_manifest(ds)["plot"])
+        assert entry.is_absolute() != inside
+        assert entry == (Path("sub/p.svg") if inside else out.resolve())
+        assert (ds / entry).read_bytes() == out.read_bytes()
+
 
 class TestExitCodes:
     def test_missing_manifest_is_config_error(self, tmp_path, capsys):

@@ -342,6 +342,27 @@ class TestWeightsFile:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             sn.load_weights(path)
 
+    @pytest.mark.parametrize("value, reason", [
+        ("50", 'sample_rate_hz must be a JSON number, got "50"'),
+        (True, "sample_rate_hz must be a JSON number, got true"),
+        (-50, "sample_rate_hz must be finite and positive, got -50"),
+        (0, "sample_rate_hz must be finite and positive, got 0"),
+        (float("inf"), "sample_rate_hz must be finite and positive, got inf"),
+        (float("nan"), "sample_rate_hz must be finite and positive, got nan"),
+        (10**400, "int too large to convert to float"),
+    ], ids=["string", "bool", "negative", "zero", "infinite", "nan", "huge"])
+    def test_sample_rate_must_be_a_finite_positive_number(self, tmp_path, value, reason):
+        """``"50"`` once loaded as 50 Hz, ``true`` as 1 Hz, and -50 and 0
+        loaded too."""
+        path = tmp_path / "weights.json"
+        sn.save_weights(sn.make_random_bundle(tau=1, hidden=()), path)
+        doc = json.loads(path.read_text())
+        doc["meta"]["sample_rate_hz"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'{path}: malformed weights bundle: {reason}')}$"):
+            sn.load_weights(path)
+
     def test_infer_exits_2_on_a_fractional_layer_size(self, tmp_path, capsys):
         from sweepnav.cli import main
 

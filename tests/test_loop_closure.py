@@ -105,6 +105,12 @@ class TestApplyCorrections:
         assert np.array_equal(out.yaw, traj.yaw)
         assert np.array_equal(out.t, traj.t)
 
+    def test_identity_returns_the_input_itself(self):
+        """A frozen trajectory needs no copy, and its yaw is not wrapped
+        a second time."""
+        traj = _circle(64)
+        assert apply_corrections(traj, _zero_params(64)) is traj
+
     def test_quarter_turn_on_straight_line(self):
         """Each increment is rotated by its own frame's angle, so only the
         first step of (0,0)->(1,0)->(2,0) turns under r=(0, pi/2, 0)."""
@@ -529,6 +535,11 @@ class TestRefine:
         assert np.array_equal(refined.xy, traj.xy)
         assert not corrections.r.any()
         assert not corrections.l.any()
+
+    def test_a_refine_that_keeps_its_input_returns_it(self):
+        traj = _circle(300)
+        refined, _, _ = refine(traj, np.diff(traj.xy, axis=0), RefineConfig(epochs=30))
+        assert refined is traj
 
     def test_history_has_initial_plus_final_entry(self):
         """One entry per epoch, the first at the untrained network, plus

@@ -282,114 +282,3 @@ def test_each_table_writer_round_trips_with_and_without_its_sidecar(tmp_path, na
     else:
         assert kept == parsed
         assert name == "trajectory" and n_rows < 2
-
-
-# ---------------------------------------------------------------------------
-# The copy rule: ``write_table(..., source)`` copies a stamped source that
-# holds its columns, and formats its own text in every other case.
-
-
-def _files(path):
-    """The bytes of a table and of its sidecar (None where there is none)."""
-    sidecar = path.with_name(path.name + ".f64")
-    return path.read_bytes(), sidecar.read_bytes() if sidecar.exists() else None
-
-
-def _saved_without_source(traj, tmp_path):
-    save_trajectory(traj, tmp_path / "ref.csv")
-    return _files(tmp_path / "ref.csv")
-
-
-def _long_trajectory(n=2500):
-    """More than two 1024-row blocks, with t = 0.5 at frame 25."""
-    rng = np.random.default_rng(7)
-    return Trajectory(np.arange(n) / 50.0, np.cumsum(rng.normal(size=(n, 2)), axis=0),
-                      rng.uniform(-np.pi, np.pi, n), 50.0)
-
-
-def test_a_source_that_holds_the_table_is_copied(tmp_path, monkeypatch):
-    """No text is formatted, and the CSV and its sidecar are the source's
-    bytes, which are those ``save_trajectory`` writes on its own."""
-    traj = _long_trajectory()
-    source = tmp_path / "est.csv"
-    save_trajectory(traj, source)
-    before = _files(source)
-
-    def no_format(columns):
-        raise AssertionError("formatted a table its source holds")
-
-    monkeypatch.setattr(fileio, "_csv_texts", no_format)
-    save_trajectory(traj, tmp_path / "refined.csv", source)
-    assert _files(tmp_path / "refined.csv") == before == _files(source)
-    monkeypatch.undo()
-    assert _saved_without_source(traj, tmp_path) == before
-
-
-def _delete_sidecar(source, traj):
-    source.with_name(source.name + ".f64").unlink()
-    return traj
-
-
-def _respell_a_token(source, traj):
-    """One token written again with the same value: the sidecar's values
-    still match, its stamp no longer does."""
-    text = source.read_bytes()
-    assert text.count(b"\n0.5,") == 1
-    source.write_bytes(text.replace(b"\n0.5,", b"\n0.50,"))
-    return traj
-
-
-def _change_the_last_value(source, traj):
-    """The table to write differs from the source in its last block only."""
-    yaw = traj.yaw.copy()
-    yaw[-1] = np.nextafter(yaw[-1], 0.0)
-    return Trajectory(traj.t, traj.xy, yaw, traj.frame_rate)
-
-
-def _integer_times(source, traj):
-    """The source's times written from integers: the same float64 values
-    and a stamp that matches, but each time's text lacks a float's '.0'."""
-    n = len(traj)
-    write_table(source, TRAJECTORY_CSV_HEADER, [range(n), *traj.xy.T, traj.yaw])
-    return Trajectory(np.arange(n, dtype=float), traj.xy, traj.yaw, 1.0)
-
-
-@pytest.mark.parametrize("case", [_delete_sidecar, _respell_a_token, _change_the_last_value,
-                                  _integer_times])
-def test_a_source_that_may_differ_is_not_copied(tmp_path, case):
-    """A deleted or stale sidecar, values that differ in the last block
-    only, or integer tokens: the CSV is ``save_trajectory``'s own text and
-    the sidecar a fresh one, over stale files at the destination, and the
-    source is left as it was."""
-    source = tmp_path / "est.csv"
-    save_trajectory(_long_trajectory(), source)
-    traj = case(source, _long_trajectory())
-    before = _files(source)
-    dest = tmp_path / "refined.csv"
-    dest.write_bytes(before[0])
-    dest.with_name(dest.name + ".f64").write_bytes(b"stale")
-    save_trajectory(traj, dest, source)
-    assert _files(dest) == _saved_without_source(traj, tmp_path)
-    assert _files(source) == before
-
-
-@_SETTINGS
-@given(columns=_array_columns(), change=st.booleans())
-def test_a_table_written_from_a_source_has_its_own_bytes(tmp_path, monkeypatch, columns,
-                                                         change):
-    """A source written from any array columns, and a table of their
-    float64 values, with one value moved by an ulp if ``change``: the
-    table written from the source has the bytes ``write_table`` writes
-    without one, and the source keeps its own."""
-    monkeypatch.setattr(fileio, "_WRITE_ROWS", 5)
-    header = ",".join(f"c{i}" for i in range(len(columns)))
-    source = tmp_path / "source.csv"
-    write_table(source, header, columns)
-    table = [np.asarray(column, dtype=np.float64) for column in columns]
-    if change and len(table[0]):
-        table[-1][-1] = np.nextafter(table[-1][-1], np.inf)
-    before = _files(source)
-    write_table(tmp_path / "new.csv", header, table, source)
-    write_table(tmp_path / "ref.csv", header, table)
-    assert _files(tmp_path / "new.csv") == _files(tmp_path / "ref.csv")
-    assert _files(source) == before

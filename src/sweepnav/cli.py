@@ -31,7 +31,6 @@ import logging
 import math
 import os
 import resource
-import shutil
 import sys
 import time
 from pathlib import Path
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import trajectory
 from .config import CHOICES, DEFAULTS, SECTIONS, ConfigError, PipelineConfig, load_config
-from .fileio import read_csv, read_stamped, write_json, write_table
+from .fileio import copy_table, read_csv, read_stamped, write_json, write_table
 from .geometry import median
 from .imu import load_imu, make_windows, resample, save_imu, to_hacf, window_stride
 from .orientation import estimate_orientation, relative_yaw, save_orientations
@@ -269,12 +268,7 @@ def cmd_refine(cfg: PipelineConfig, dataset: Path, manifest: dict,
     refined_path = dataset / "refined_trajectory.csv"
     with clock.lap("write"):
         if identity_fallback:
-            # the input passes through: its bytes, and its sidecar or none
-            shutil.copyfile(est_path, refined_path)
-            try:
-                shutil.copyfile(f"{est_path}.f64", f"{refined_path}.f64")
-            except FileNotFoundError:
-                Path(f"{refined_path}.f64").unlink(missing_ok=True)
+            copy_table(est_path, refined_path)  # the input passes through
         else:
             trajectory.save_trajectory(refined, refined_path)
         loop_closure.save_corrections(corrections, dataset / "corrections.jsonl")
@@ -452,6 +446,8 @@ def cmd_map(cfg: PipelineConfig, dataset: Path, manifest: dict,
             return meta, (f"map[{which}]: {len(clusters)} clusters, "
                           f"{map_report.n_matched} matched, mean error "
                           f"{map_report.mean_error:.3f} m (+/- {map_report.std_error:.3f})")
+    manifest.pop("map_eval", None)  # no report scores this map: drop the last one
+    (dataset / "map_eval.json").unlink(missing_ok=True)
     return meta, f"map[{which}]: {len(clusters)} clusters from {len(observations)} observations"
 
 

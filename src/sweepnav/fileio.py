@@ -34,7 +34,7 @@ other CSV reads, or fails, as if there were no sidecar; no read writes a
 file.  The checksum is CRC-32, not a ``hashlib`` digest: ``import
 hashlib`` loads OpenSSL, about 3.6 MB of resident memory per command.
 It guards against a stale copy, not against tampering.  The stamp
-names no file, so a CSV copied together with its sidecar keeps it.
+names no file, so a CSV copied with its sidecar (``copy_table``) keeps it.
 
 Without a matching sidecar, a table of numbers is read as one array
 by ``read_table``: after the header check, one ``np.loadtxt`` parses
@@ -56,6 +56,7 @@ import io
 import json
 import math
 import os
+import shutil
 import struct
 import zlib
 
@@ -154,6 +155,16 @@ def write_table(path, header: str, columns) -> None:
             side.write(_STAMP.pack(size, crc, values_crc))
     if not finite:
         os.remove(sidecar)
+
+
+def copy_table(src, dst) -> None:
+    """Copy the CSV ``src`` to ``dst`` with its sidecar, so ``dst`` reads
+    as ``src`` does; when ``src`` has none, remove a stale one at ``dst``."""
+    shutil.copyfile(src, dst)
+    if os.path.exists(f"{src}.f64"):
+        shutil.copyfile(f"{src}.f64", f"{dst}.f64")
+    elif os.path.exists(f"{dst}.f64"):
+        os.remove(f"{dst}.f64")
 
 
 def read_csv(path, header: str, parse) -> list[tuple[int, object]]:

@@ -16,8 +16,8 @@ translation l), and fits the corrections by gradient descent on
 where v_t is the per-frame displacement implied by the velocity
 estimates.  The corrections are produced by a small dense network over
 the normalized frame index, which regularizes them to vary smoothly
-along the trajectory.  Its initial weights are the draws of
-``np.random.default_rng(0)``, made here by a copy of that stream
+along the trajectory.  It starts from seed 0 at scale 0.01: the draws
+of ``np.random.default_rng(0)``, made by a copy of that stream
 (``_uniforms``) so that refining imports no ``numpy.random``, which
 would take about 6 MiB for a start that is the same on every run.
 Gradients are analytic (the max term follows its argmax frame, ties to
@@ -205,11 +205,11 @@ class CorrectionMlp:
     the rotation channel passes through pi * tanh so corrections stay in
     [-pi, pi].  Weights start He-uniform scaled by 0.01, so the initial
     corrections are near zero and refinement starts from the unrefined
-    trajectory.  They are the bits that
-    ``np.random.default_rng(seed).uniform`` draws, taken from
-    ``_uniforms``' copy of numpy's stream: a start that is the same on
-    every run is not worth the 6 MiB that ``numpy.random`` and the
-    OpenSSL it loads add to refine's memory peak.
+    trajectory.  The start is always seed 0 at scale 0.01: the bits that
+    ``np.random.default_rng(0).uniform`` draws, from ``_uniforms``' copy
+    of numpy's stream; a start that is the same on every run is not
+    worth the 6 MiB that ``numpy.random`` and the OpenSSL it loads add
+    to refine's memory peak.
 
     Piece model: the network has one scalar input, so it is affine in s
     wherever no ReLU switches.  From ``_PIECES_FROM`` frames on, a pass
@@ -226,18 +226,18 @@ class CorrectionMlp:
         self._s: np.ndarray | None = None  # the last pass's input column
 
     @classmethod
-    def initialize(cls, seed: int = 0, hidden: int = 64, init_scale: float = 0.01) -> "CorrectionMlp":
-        """The network whose weights ``np.random.default_rng(seed).uniform``
-        would draw, layer by layer, bit for bit (see ``_uniforms``)."""
+    def initialize(cls, hidden: int = 64) -> "CorrectionMlp":
+        """The start: the network whose weights
+        ``np.random.default_rng(0).uniform`` would draw, layer by layer,
+        scaled by 0.01, bit for bit (see ``_uniforms``)."""
         dims = [1, hidden, hidden, 3]
-        u = np.array(_uniforms(seed, sum(a * b for a, b in zip(dims, dims[1:]))))
+        u = np.array(_uniforms(sum(a * b for a, b in zip(dims, dims[1:]))))
         params = []
         for a, b in zip(dims, dims[1:]):
             lim = np.sqrt(6.0 / a)
-            low, high = -lim, lim
             draws, u = u[:a * b].reshape(a, b), u[a * b:]
-            # numpy's uniform is low + (high - low) * u, rounded per step
-            params.append((low + (high - low) * draws) * init_scale)
+            # numpy's uniform(low, high) is low + (high - low) * u, rounded per step
+            params.append((-lim + (lim + lim) * draws) * 0.01)
             params.append(np.zeros(b))
         return cls(params)
 
@@ -399,76 +399,29 @@ def _switch_frames(s, a, c, s0, lo, hi):
     return start + before.sum(axis=1)
 
 
-_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
+# PCG64's state and increment as seed 0 sets them: np.random.PCG64(0).state["state"]
+_PCG_STATE = 0x1AA1B5345996452D09585EB7A69561E3
+_PCG_INC = 0x418DDADB3AF71A82588133BC447873A9
 
 
-def _uniforms(seed: int, n: int) -> list[float]:
-    """The first n doubles of ``np.random.default_rng(seed).random()``,
-    bit for bit, without importing ``numpy.random``.
-
-    That import costs about 6 MiB of resident memory (``secrets`` loads
-    OpenSSL) for a start that is the same on every run.  The stream is
-    numpy's: ``SeedSequence(seed).generate_state(4, uint64)`` seeds
-    PCG64 (O'Neill 2014), whose 128-bit LCG state gives each output by
-    XSL-RR, and a double is its top 53 bits times 2**-53.  A negative
-    seed raises ``ValueError``, as numpy's does.
-    """
-    s_hi, s_lo, i_hi, i_lo = _seed_sequence(seed)
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-    out = []
+def _uniforms(n: int) -> list[float]:
+    """The first n doubles of ``np.random.default_rng(0).random()``, bit
+    for bit, without importing ``numpy.random`` (about 6 MiB of resident
+    memory: ``secrets`` loads OpenSSL).  The stream is numpy's PCG64
+    (O'Neill 2014) from seed 0's state (``_PCG_STATE``, ``_PCG_INC``):
+    each step advances the 128-bit LCG, XSL-RR makes the output, and a
+    double is its top 53 bits times 2**-53."""
+    state, out = _PCG_STATE, []
     for _ in range(n):
-        state = (state * _PCG_MULT + inc) & _MASK128
+        state = (state * _PCG_MULT + _PCG_INC) & _MASK128
         rot = state >> 122
         x = (state >> 64 ^ state) & _MASK64
         x = (x >> rot | x << (64 - rot)) & _MASK64
         out.append((x >> 11) * 2.0 ** -53)
     return out
-
-
-def _seed_sequence(seed: int) -> list[int]:
-    """``np.random.SeedSequence(seed).generate_state(4, np.uint64)`` as
-    Python ints: the seed's 32-bit words, least significant first, are
-    hashed into a pool of four words, which is hashed out to eight
-    32-bit words, paired low word first."""
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    entropy = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        entropy.append(seed & _MASK32)
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931E8875 & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = 0x8B51F9DD
-    words = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & _MASK32
-        value = value * hash_const & _MASK32
-        words.append(value ^ value >> 16)
-    return [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]
 
 
 def _index_column(n_frames: int) -> np.ndarray:

@@ -179,8 +179,9 @@ def refinement_loss_ref(P, r, l, v, grads):
 
 
 def correction_mlp_init_ref(seed=0, hidden=64, init_scale=0.01) -> list[np.ndarray]:
-    """``CorrectionMlp.initialize``'s parameters as drawn by numpy's own
-    generator, layer after layer from one ``default_rng(seed)``."""
+    """A ``CorrectionMlp``'s parameters for any seed and scale, drawn by
+    numpy's own generator, layer after layer from one ``default_rng(seed)``;
+    ``CorrectionMlp.initialize`` is seed 0 at scale 0.01."""
     rng = np.random.default_rng(seed)
     dims = [1, hidden, hidden, 3]
     params = []

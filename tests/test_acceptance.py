@@ -25,6 +25,7 @@ from sweepnav.rae import RaeConfig, rae_estimate
 from .oracles import (
     apply_similarity_ref,
     corrected_positions_ref,
+    correction_mlp_init_ref,
     line_trajectory,
     numeric_gradients,
     quantization_bound,
@@ -222,7 +223,7 @@ class TestCriterion05GradientCheck:
             xy = np.vstack([start,
                             start + np.cumsum(rng.normal(0.0, 0.03, (n - 1, 2)), axis=0)])
             v = np.diff(xy, axis=0) + rng.normal(0.0, 0.01, (n - 1, 2))
-            mlp = CorrectionMlp.initialize(seed=seed, hidden=64)
+            mlp = CorrectionMlp(correction_mlp_init_ref(seed, 64))
             # bias offsets keep ReLU inputs away from their kinks so the
             # finite-difference probes stay on one linear piece
             mlp.params[1][:] = rng.choice([-0.08, 0.08], size=mlp.params[1].shape)

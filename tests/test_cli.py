@@ -311,6 +311,20 @@ class TestPipelineArtifacts:
         assert (sum(len(c["items"]) for c in observed)
                 == meta["n_observations"] + meta["n_items_unplaced"])
 
+    def test_a_map_that_scores_nothing_leaves_no_report(self, pipeline, tmp_path):
+        """When no caption names an item the map has no cluster to score:
+        the last run's map_eval.json and its manifest entry go, so no
+        reader takes that report for this map."""
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline, ds)
+        captions = [{**json.loads(line), "items": []} for line in
+                    (ds / "captions.jsonl").read_text().splitlines()]
+        (ds / "captions.jsonl").write_text("".join(json.dumps(c) + "\n" for c in captions))
+        assert run("map", "--dataset", ds, "--trajectory", "gt") == 0
+        assert json.loads((ds / "run_meta_map.json").read_text())["n_clusters"] == 0
+        assert "map_eval" not in json.loads((ds / "manifest.json").read_text())
+        assert not (ds / "map_eval.json").exists()
+
     @pytest.mark.parametrize("names_items", [False, True], ids=["names_nothing", "names_items"])
     def test_map_reads_a_raster_only_for_a_caption_that_names_items(self, pipeline, tmp_path,
                                                                      capsys, names_items):
@@ -333,6 +347,8 @@ class TestPipelineArtifacts:
             assert (ds / name).read_bytes() == (pipeline / name).read_bytes(), name
         meta, before = (json.loads((d / "run_meta_map.json").read_text()) for d in (ds, pipeline))
         assert meta.pop("elapsed_s").keys() == before.pop("elapsed_s").keys()
+        # the process's peak so far: both runs share this process
+        assert meta.pop("peak_rss_mb") > 0 and before.pop("peak_rss_mb") > 0
         assert meta == before
 
     def test_map_run_meta_counts_caption_retries_and_failures(self, pipeline, tmp_path,

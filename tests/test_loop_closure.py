@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import sweepnav as sn
 from sweepnav.loop_closure import (
     LOSS_CSV_HEADER,
+    _PCG_INC,
+    _PCG_STATE,
     _PIECES_FROM,
     _corrected_positions,
     _index_column,
@@ -280,7 +282,7 @@ class TestLossOracle:
 def _mixed_mlp(seed):
     """A network whose ReLUs are neither all on nor all off."""
     rng = np.random.default_rng(seed)
-    mlp = CorrectionMlp.initialize(seed=seed, hidden=16, init_scale=1.0)
+    mlp = CorrectionMlp(correction_mlp_init_ref(seed, 16, 1.0))
     mlp.params[1][:] = rng.normal(0.0, 1.0, 16)
     mlp.params[3][:] = rng.normal(0.0, 1.0, 16)
     return mlp
@@ -323,8 +325,8 @@ def correction_networks(draw):
                        st.sampled_from([_PIECES_FROM - 1, _PIECES_FROM, 20_000])))
     hidden = draw(st.sampled_from([1, 8, 16, 64]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mlp = CorrectionMlp.initialize(seed=draw(st.integers(0, 1000)), hidden=hidden,
-                                   init_scale=draw(st.sampled_from([0.01, 1.0])))
+    mlp = CorrectionMlp(correction_mlp_init_ref(draw(st.integers(0, 1000)), hidden,
+                                                draw(st.sampled_from([0.01, 1.0]))))
     W1, b1, W2, b2, _, b3 = mlp.params
     s = _index_column(n)[:, 0]
     kinks = draw(st.sampled_from(["zero", "random", "on_frames", "all_off_until"]))
@@ -419,39 +421,31 @@ class TestCorrectionMlp:
 
 
 class TestInitialWeights:
-    """``_uniforms`` is numpy's ``default_rng(seed).random`` stream, and
+    """``_uniforms`` is numpy's ``default_rng(0).random`` stream, and
     ``CorrectionMlp.initialize`` draws from it what numpy's ``uniform``
-    would."""
+    would at seed 0 and scale 0.01, the one start ``refine`` uses."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 3])
-    def test_stream_is_numpys(self, seed):
-        assert same_bits(np.array(_uniforms(seed, 5000)), np.random.default_rng(seed).random(5000))
+    def test_constants_are_seed_0s_state(self):
+        state = np.random.PCG64(0).state["state"]
+        assert (_PCG_STATE, _PCG_INC) == (state["state"], state["inc"])
 
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 5000))
-    def test_stream_is_numpys_for_any_seed(self, seed, n):
-        assert same_bits(np.array(_uniforms(seed, n), dtype=float),
-                         np.random.default_rng(seed).random(n))
+    @pytest.mark.parametrize("n", [0, 1, 66_560])
+    def test_stream_is_numpys(self, n):
+        """66 560 draws are the whole start at hidden 256; both streams
+        draw in order, so each shorter one is a prefix of these."""
+        assert same_bits(np.array(_uniforms(n), dtype=float), np.random.default_rng(0).random(n))
 
     def test_first_draws_of_seed_0(self):
         """Pinned as written, since numpy does not promise to keep its
         generators' streams across versions (NEP 19)."""
-        assert [u.hex() for u in _uniforms(0, 4)] == [
+        assert [u.hex() for u in _uniforms(4)] == [
             "0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2",
             "0x1.4fa7b529d9bd0p-5", "0x1.0ec9ed84d0bc0p-6"]
 
-    def test_negative_seed_is_refused_as_numpy_refuses_it(self):
-        with pytest.raises(ValueError):
-            np.random.default_rng(-1)
-        with pytest.raises(ValueError):
-            _uniforms(-1, 1)
-
-    @pytest.mark.parametrize("hidden", [1, 8, 64, 100])
-    @pytest.mark.parametrize("seed", [0, 3, 2**40 + 1])
-    @pytest.mark.parametrize("init_scale", [0.01, 1.0])
-    def test_initialize_draws_numpys_weights(self, hidden, seed, init_scale):
-        got = CorrectionMlp.initialize(seed, hidden, init_scale).params
-        want = correction_mlp_init_ref(seed, hidden, init_scale)
+    @pytest.mark.parametrize("hidden", [1, 8, 64, 100, 256])
+    def test_initialize_draws_numpys_weights(self, hidden):
+        got = CorrectionMlp.initialize(hidden).params
+        want = correction_mlp_init_ref(0, hidden, 0.01)
         assert len(got) == len(want) and all(map(same_bits, got, want))
 
 
@@ -465,7 +459,7 @@ class TestGradients:
         start = rng.normal(0.0, 1.0, 2)
         xy = np.vstack([start, start + np.cumsum(rng.normal(0.0, 0.03, (n - 1, 2)), axis=0)])
         v = np.diff(xy, axis=0) + rng.normal(0.0, 0.01, (n - 1, 2))
-        mlp = CorrectionMlp.initialize(seed=seed, hidden=64)
+        mlp = CorrectionMlp(correction_mlp_init_ref(seed, 64))
         # keep every ReLU input away from zero so the finite-difference
         # probes never cross an activation kink
         mlp.params[1][:] = rng.choice([-0.08, 0.08], size=mlp.params[1].shape)

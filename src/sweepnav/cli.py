@@ -191,9 +191,9 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict,
             rate, source = bundle.meta.sample_rate_hz, f"the weights in {cfg['estimator.weights']}"
         else:
             gt_path = _manifest_file(dataset, manifest, "gt_trajectory")
-            gt = trajectory.load_trajectory(gt_path)
-            model = estimator.OracleVelocityEstimator(gt, _from_config(cfg, "oracle"))
-            rate, source = gt.frame_rate, f"the ground truth in {gt_path}"
+            model = estimator.OracleVelocityEstimator(trajectory.load_trajectory(gt_path),
+                                                      _from_config(cfg, "oracle"))
+            rate, source = model.trajectory.frame_rate, f"the ground truth in {gt_path}"
         imu_path = _manifest_file(dataset, manifest, "imu")
         imu = load_imu(imu_path)
         # eval and map pair the estimate with the ground truth and the
@@ -222,6 +222,9 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict,
         yaws = relative_yaw(orientations)
         est_traj = trajectory.integrate(held, yaws, frame_rate=float(imu.sample_rate()),
                                         t0=float(imu.t[0]))
+        n_windows = len(windows)
+        # the capture and write laps set infer's peak: free what they do not read
+        del imu, orientations, windows, model
     with clock.lap("captures"):
         captures = trajectory.capture_schedule(est_traj, cfg["capture.distance_m"])
     with clock.lap("write"):
@@ -238,12 +241,12 @@ def cmd_infer(cfg: PipelineConfig, dataset: Path, manifest: dict,
         "estimator": cfg["estimator.kind"],
         "k": cfg["rae.k"],
         "reducer": cfg["rae.reducer"],
-        "n_windows": len(windows),
+        "n_windows": n_windows,
         "n_members_nonfinite": ens.n_members_nonfinite,
         "n_windows_clamped": ens.n_windows_clamped,
         "n_windows_median_capped": ens.n_windows_median_capped,
         "rae_member_spread": float(median(ens.member_spread)),
-    }, (f"infer: {len(windows)} windows, K={cfg['rae.k']} "
+    }, (f"infer: {n_windows} windows, K={cfg['rae.k']} "
         f"({cfg['rae.reducer']}), {len(captures)} captures")
 
 

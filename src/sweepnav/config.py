@@ -22,11 +22,10 @@ stage's module imports its own back.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .fileio import write_json
+from .fileio import _is_number, write_json
 
 
 class ConfigError(Exception):
@@ -213,15 +212,6 @@ LIMITS: dict = {
 
 # list keys of one or more numbers; any other holds as many as its default
 _OPEN_LISTS = {"eval.grids"}
-
-
-def _is_number(value) -> bool:
-    """A JSON number that a float holds: ``true``, ``false``, ``NaN``,
-    ``Infinity`` and integers past the float range are not numbers."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
 
 
 def _check_type(key: str, value, default):

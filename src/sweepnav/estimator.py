@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import base64
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -101,8 +100,8 @@ def load_weights(path) -> WeightsBundle:
             raise ValueError("gravity_subtracted must be true: the pipeline feeds "
                              "windows with gravity removed")
         rate = json_field(meta_doc, "sample_rate_hz", float)
-        if not (math.isfinite(rate) and rate > 0.0):
-            raise ValueError(f"sample_rate_hz must be finite and positive, got {rate:g}")
+        if not rate > 0.0:
+            raise ValueError(f"sample_rate_hz must be positive, got {rate:g}")
         meta = WeightsMeta(
             tau=json_field(meta_doc, "tau", int),
             sample_rate_hz=rate,
@@ -227,13 +226,17 @@ class DenseVelocityNetwork:
 class OracleVelocityEstimator:
     """True mean velocity over each window, in the frame of each member.
 
-    Member (i, k) reads ``Rz(angles[k]) @ v_true + bias + noise``, where
-    ``v_true`` is the ground-truth displacement across window i over its
-    duration.  The bias is added after the rotation: that is exactly
-    the error mode a rotation ensemble averages out.  The noise is drawn
-    once per window start, so evaluation order (or parallelism) cannot
-    change results.  The contents themselves are never read, so the
-    window length ``tau`` that ``infer`` cuts for it is a constant.
+    Member (i, k) reads ``Rz(angles[k] - yaw_0) @ v_true + bias + noise``,
+    where ``v_true`` is the ground-truth world displacement across window
+    i over its duration and ``yaw_0`` the true yaw at frame 0.  So the
+    estimate is in the heading-anchored frame the windows are in (x along
+    the heading at frame 0, see ``imu.to_hacf``), as a network's is, and
+    turning the world turns no estimate.  The bias is added after the
+    rotation: that is exactly the error mode a rotation ensemble averages
+    out.  The noise is drawn once per window start, so evaluation order
+    (or parallelism) cannot change results.  The contents themselves are
+    never read, so the window length ``tau`` that ``infer`` cuts for it
+    is a constant.
     """
 
     tau = 64
@@ -252,7 +255,7 @@ class OracleVelocityEstimator:
             raise ValueError(f"window frames [{starts[bad][0]}, {ends[bad][0]}] fall outside "
                              f"the ground-truth span of {len(traj)} frames")
         v_true = (traj.xy[ends] - traj.xy[starts]) / (tau / traj.frame_rate)
-        v = rotate_xy(v_true[:, None], angles) + np.array(self.cfg.bias)
+        v = rotate_xy(v_true[:, None], angles - traj.yaw[0]) + np.array(self.cfg.bias)
         if self.cfg.noise_sigma > 0.0:
             uniq = unique(starts)
             noise = np.array([np.random.default_rng((self.cfg.seed, int(s)))

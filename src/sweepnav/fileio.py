@@ -208,6 +208,33 @@ def read_table(path, header: str) -> np.ndarray:
     return np.array([row for _, row in rows], dtype=float).reshape(-1, n_fields)
 
 
+class RowError(ValueError):
+    """A row of a table that breaks ``rule``; ``row`` counts the rows
+    from 0, and a loader names its line (``table_error``)."""
+
+    def __init__(self, rule: str, row: int):
+        super().__init__(f"{rule} at index {row}")
+        self.rule, self.row = rule, row
+
+
+def check_rows(ok: np.ndarray, rule: str) -> None:
+    """Raise ``RowError(rule, k)`` at the first row k where ``ok`` is False."""
+    if not ok.all():
+        raise RowError(rule, int(np.argmin(ok)))
+
+
+def table_error(path, exc: ValueError) -> ValueError:
+    """``exc``, raised by the rows of the CSV table at ``path``, as
+    ``path:lineno: rule`` for a ``RowError``, else as ``path: exc``.
+    Only a failure rereads the file: blank lines hold no row."""
+    if not isinstance(exc, RowError):
+        return ValueError(f"{path}: {exc}")
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    rows = [lineno for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+    return ValueError(f"{path}:{rows[exc.row]}: {exc.rule}")
+
+
 def read_stamped(path, header: str) -> tuple[bytes, np.ndarray | None]:
     """The bytes of the CSV at ``path``, and a copy of its sidecar's
     values as an (n, k) array, k the header's field count, when the CSV
@@ -268,13 +295,22 @@ def read_jsonl(path, parse) -> list[tuple[int, object]]:
     return out
 
 
+def _is_number(value) -> bool:
+    """A JSON number that a float holds: ``true``, ``false``, ``NaN``,
+    ``Infinity`` and integers past the float range are not numbers."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 def json_field(rec: dict, key: str, kind: type):
     """``rec[key]`` as ``kind``.  It must be a JSON integer for ``kind``
-    int, any JSON number for float, a string for str or a list for list;
-    ``true`` and ``false`` are not numbers."""
+    int, a JSON number for float (either one a float holds: see
+    ``_is_number``), a string for str or a list for list."""
     value = rec[key]
     name, types = _JSON_KINDS[kind]
-    if not isinstance(value, types) or isinstance(value, bool):
+    if not isinstance(value, types) or (kind in (int, float) and not _is_number(value)):
         raise TypeError(f"{key} must be a JSON {name}, got {json.dumps(value)}")
     return kind(value)
 

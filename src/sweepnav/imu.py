@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fileio import read_table, write_table
+from .fileio import check_rows, read_table, table_error, write_table
 from .geometry import GRAVITY_VEC, _frozen, median, quats_to_matrices, rotate_xyz_about_z
 
 IMU_FIELDS = ("t", "ax", "ay", "az", "gx", "gy", "gz")
@@ -48,16 +48,11 @@ class ImuSequence:
             raise ValueError(
                 f"shape mismatch: t has {n} samples, acc {acc.shape}, gyro {gyro.shape}"
             )
-        if n and not np.isfinite(t).all():
-            raise ValueError("non-finite timestamp")
-        if n and (t < 0).any():
-            raise ValueError("negative timestamp")
-        if not (np.isfinite(acc).all() and np.isfinite(gyro).all()):
-            raise ValueError("non-finite IMU sample")
-        if n >= 2:
-            bad = np.nonzero(np.diff(t) <= 0)[0]
-            if bad.size:
-                raise ValueError(f"non-monotonic timestamp at index {bad[0] + 1}")
+        check_rows(np.isfinite(t), "non-finite timestamp")
+        check_rows(t >= 0, "negative timestamp")
+        check_rows(np.isfinite(acc).all(axis=1) & np.isfinite(gyro).all(axis=1),
+                   "non-finite IMU sample")
+        check_rows(np.append(True, t[1:] > t[:-1]), "non-monotonic timestamp")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -79,7 +74,7 @@ def load_imu(path) -> ImuSequence:
     try:
         return ImuSequence(arr[:, 0], arr[:, 1:4], arr[:, 4:7])
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise table_error(path, exc) from None
 
 
 def save_imu(seq: ImuSequence, path) -> None:

@@ -81,12 +81,28 @@ def _member_sums(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _unit_terms(ex, ey):
-    """Distances d to the members along the last axis, 1/d, and the unit
-    vectors; the last three are zero at a member where d is zero."""
-    d = np.hypot(ex, ey)
-    w = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
-    return d, w, ex * w, ey * w
+def _unit_terms(e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Distances d to the members from their (2, n, m) offsets ``e``; the
+    unit vectors and 1/d go into the rows of the (3, n, m) ``out``, and
+    are zero at a member where d is zero."""
+    d = np.hypot(e[0], e[1])
+    out[2].fill(0.0)
+    np.divide(1.0, d, out=out[2], where=d > 0.0)
+    np.multiply(e, out[2], out=out[:2])
+    return d
+
+
+def _optimal_members(p: np.ndarray) -> np.ndarray:
+    """The (n, m) mask of the members, a (2, n, m) array of x and y, that
+    meet the Vardi-Zhang condition: the pull of the others on member i,
+    taken in one set of buffers."""
+    e, units = np.empty_like(p), np.empty((3, *p.shape[1:]))
+    optimal = np.empty(p.shape[1:], dtype=bool)
+    for i in range(p.shape[2]):
+        np.subtract(p, p[:, :, i, None], out=e)
+        d = _unit_terms(e, units)
+        optimal[:, i] = np.hypot(*_member_sums(units[:2])) <= (d == 0.0).sum(axis=1)
+    return optimal
 
 
 def _geometric_medians(pts: np.ndarray) -> tuple[np.ndarray, int]:
@@ -131,47 +147,54 @@ def _geometric_medians(pts: np.ndarray) -> tuple[np.ndarray, int]:
     out[rows, 0] = 0.5 * (x[rows, lo] + x[rows, hi])
     out[rows, 1] = 0.5 * (y[rows, lo] + y[rows, hi])
     rows = live[~on_line]
-    px, py = x[rows], y[rows]
-    optimal = np.empty((len(rows), m), dtype=bool)
-    for i in range(m):  # Vardi-Zhang: the pull of the members on member i
-        d, _, ux, uy = _unit_terms(px - px[:, i, None], py - py[:, i, None])
-        optimal[:, i] = np.hypot(_member_sums(ux), _member_sums(uy)) <= (d == 0.0).sum(axis=1)
+    p = np.stack((x[rows], y[rows]))
+    del order, x, y, ex, ey, dist  # the rest needs only p
+    optimal = _optimal_members(p)
     first = optimal.argmax(axis=1)
     hit = optimal[np.arange(len(rows)), first]
-    out[rows[hit], 0] = px[hit, first[hit]]
-    out[rows[hit], 1] = py[hit, first[hit]]
-    rows, px, py = rows[~hit], px[~hit], py[~hit]
-    yx, yy = cx[rows], cy[rows]
+    out[rows[hit]] = p[:, hit, first[hit]].T
+    rows, p = rows[~hit], p[:, ~hit]
+    c = np.stack((cx[rows], cy[rows]))  # each window's point, from its mean
     stop_scale = _GM_RTOL * m
+    # one step's member terms, filled in place, then its scratch
+    terms = np.empty((8, len(rows), m))
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_GM_MAX_ITER):
             if not len(rows):
                 break
-            ex, ey = px - yx[:, None], py - yy[:, None]
-            d, w, ux, uy = _unit_terms(ex, ey)
-            gx, gy, hxx, hxy, hyy, wsum, wx, wy = _member_sums(np.stack(
-                [ux, uy, w * uy * uy, -(w * ux * uy), w * ux * ux, w, w * px, w * py]))
+            t = terms[:, :len(rows)]
+            e = p - c[:, :, None]
+            d = _unit_terms(e, t[:3])  # ux, uy, w
+            np.multiply(t[2], t[:2], out=t[3:5])  # w ux, w uy
+            np.multiply(t[3], t[1], out=t[5])
+            np.negative(t[5], out=t[5])  # -(w ux) uy
+            t[3:5] *= t[:2]  # (w ux) ux, (w uy) uy
+            np.multiply(t[2], p, out=t[6:])  # w x, w y
+            gx, gy, wsum, hyy, hxx, hxy, wx, wy = _member_sums(t)
             det = hxx * hyy - hxy * hxy
-            newton = det > 0.0
-            sx = np.where(newton, (hyy * gx - hxy * gy) / det, 0.0)
-            sy = np.where(newton, (hxx * gy - hxy * gx) / det, 0.0)
+            s = np.where(det > 0.0, np.stack((hyy * gx - hxy * gy, hxx * gy - hxy * gx)) / det,
+                         0.0)
             # change of the distance sum over the step, as
             # sum (|e - s|^2 - |e|^2) / (|e - s| + |e|), which keeps its
             # precision for steps far below the sum's own rounding
-            den = d + np.hypot(ex - sx[:, None], ey - sy[:, None])
-            num = (sx * sx + sy * sy)[:, None] - 2.0 * (ex * sx[:, None] + ey * sy[:, None])
-            change = _member_sums(np.divide(num, den, out=np.zeros_like(den), where=den > 0.0))
-            weiszfeld = ~(change < 0.0)
-            sx = np.where(weiszfeld, wx / wsum - yx, sx)
-            sy = np.where(weiszfeld, wy / wsum - yy, sy)
-            yx, yy = yx + sx, yy + sy
-            done = np.hypot(sx, sy) <= np.maximum(stop_scale / wsum,
-                                                  _GM_ULPS * np.spacing(np.hypot(yx, yy)))
-            out[rows[done], 0] = yx[done]
-            out[rows[done], 1] = yy[done]
-            rows, px, py, yx, yy = (a[~done] for a in (rows, px, py, yx, yy))
-    out[rows, 0] = yx
-    out[rows, 1] = yy
+            den, num, part = t[2:5]
+            np.subtract(e, s[:, :, None], out=t[:2])
+            np.hypot(t[0], t[1], out=den)
+            den += d
+            np.multiply(e, s[:, :, None], out=t[:2])
+            np.add(t[0], t[1], out=num)
+            num *= 2.0
+            np.subtract((s[0] * s[0] + s[1] * s[1])[:, None], num, out=num)
+            part.fill(0.0)
+            np.divide(num, den, out=part, where=den > 0.0)
+            weiszfeld = ~(_member_sums(part) < 0.0)
+            s = np.where(weiszfeld, np.stack((wx, wy)) / wsum - c, s)
+            c = c + s
+            done = np.hypot(*s) <= np.maximum(stop_scale / wsum,
+                                              _GM_ULPS * np.spacing(np.hypot(*c)))
+            out[rows[done]] = c[:, done].T
+            rows, p, c = rows[~done], p[:, ~done], c[:, ~done]
+    out[rows] = c.T
     return out, len(rows)
 
 
@@ -198,7 +221,10 @@ def reduce_members(back: np.ndarray, kept: np.ndarray, reducer: str) -> tuple[np
     capped = 0
     for m in np.flatnonzero(np.bincount(n_kept)).tolist():
         rows = np.flatnonzero(n_kept == m)
-        pts = back[rows][kept[rows]].reshape(len(rows), m, 2)
+        if m == back.shape[1]:  # every member kept: no copy where every window is
+            pts = back if len(rows) == len(back) else back[rows]
+        else:
+            pts = back[rows][kept[rows]].reshape(len(rows), m, 2)
         if reducer == "mean":
             out[rows] = pts.mean(axis=1)
         else:

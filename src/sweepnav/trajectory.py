@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import json_field, read_jsonl, read_table, write_jsonl, write_table
+from .fileio import (check_rows, json_field, read_jsonl, read_table, table_error,
+                     write_jsonl, write_table)
 from .geometry import _frozen, median, row_norms, wrap_angle
 
 TRAJECTORY_CSV_HEADER = "t,x,y,yaw"
@@ -34,6 +35,8 @@ class Pose2:
     yaw: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t, self.x, self.y, self.yaw))):
+            raise ValueError(f"non-finite pose {self}")
         object.__setattr__(self, "yaw", float(wrap_angle(self.yaw)))
 
     def ahead(self, distance: float) -> tuple[float, float]:
@@ -54,20 +57,18 @@ class Trajectory:
     def __post_init__(self):
         t = _frozen(self.t)
         xy = _frozen(self.xy)
-        yaw = _frozen(wrap_angle(np.asarray(self.yaw, dtype=float)))
+        yaw = np.asarray(self.yaw, dtype=float)
         n = len(t)
         if xy.shape != (n, 2) or yaw.shape != (n,):
             raise ValueError(f"expected xy ({n}, 2) and yaw ({n},), got {xy.shape}, {yaw.shape}")
-        if not (np.isfinite(t).all() and np.isfinite(xy).all() and np.isfinite(yaw).all()):
-            raise ValueError("non-finite trajectory entry")
-        if self.frame_rate <= 0:
+        check_rows(np.isfinite(t) & np.isfinite(xy).all(axis=1) & np.isfinite(yaw),
+                   "non-finite trajectory entry")
+        yaw = _frozen(wrap_angle(yaw))
+        check_rows(np.append(True, t[1:] > t[:-1]), "non-monotonic timestamp")
+        if not self.frame_rate > 0:
             raise ValueError("frame_rate must be positive")
-        if n >= 2:
-            dt = np.diff(t)
-            if (dt <= 0).any():
-                raise ValueError(f"non-monotonic timestamp at index {int(np.argmax(dt <= 0)) + 1}")
-            if np.max(np.abs(dt - 1.0 / self.frame_rate)) > 1e-6:
-                raise ValueError("timestamps are not uniform at the stated frame rate")
+        if n >= 2 and np.max(np.abs(np.diff(t) - 1.0 / self.frame_rate)) > 1e-6:
+            raise ValueError("timestamps are not uniform at the stated frame rate")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "yaw", yaw)
@@ -95,13 +96,14 @@ def load_trajectory(path) -> Trajectory:
         raise ValueError(f"{path}: empty trajectory")
     if len(arr) < 2:
         raise ValueError(f"{path}: cannot infer frame rate from a single pose")
-    dt = float(median(np.diff(arr[:, 0])))
-    if not dt > 0:
-        raise ValueError(f"{path}: cannot infer frame rate: median time step is {dt!r}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        dt = float(median(np.diff(arr[:, 0])))
     try:
-        return Trajectory(arr[:, 0], arr[:, 1:3], arr[:, 3], 1.0 / dt)
+        # a median step that is not positive comes of a non-finite or a
+        # non-increasing time, whose row Trajectory names before the rate
+        return Trajectory(arr[:, 0], arr[:, 1:3], arr[:, 3], 1.0 / dt if dt > 0 else 0.0)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise table_error(path, exc) from None
 
 
 # ---------------------------------------------------------------------------

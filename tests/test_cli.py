@@ -970,6 +970,61 @@ def test_oracle_runs_at_the_rate_of_its_ground_truth(tmp_path):
     assert report["coverage"] == 1.0
 
 
+@pytest.fixture(scope="module")
+def world_ds(tmp_path_factory):
+    """A seed-1 dataset, and beside it a dense network's weights."""
+    root = tmp_path_factory.mktemp("world")
+    assert run("simulate", "--out", root / "ds", "--seed", 1, *SMALL_ROOM) == 0
+    est_mod.save_weights(est_mod.make_random_bundle(tau=64, seed=1), root / "weights.json")
+    return root
+
+
+def _world_scores(ds, estimator, weights):
+    """``infer``, ``eval`` and ``map`` on ``ds``: eval's rte, rte_metric
+    and rre, and the map's errors."""
+    assert run("infer", "--dataset", ds, "--estimator", estimator,
+               "--set", f"estimator.weights={weights}") == 0
+    assert run("eval", "--dataset", ds) == 0
+    assert run("map", "--dataset", ds) == 0
+    report = json.loads((ds / "eval_grid_1.0.json").read_text())
+    map_eval = json.loads((ds / "map_eval.json").read_text())
+    return ({key: report[key] for key in ("rte", "rte_metric", "rre")},
+            {"mean_error": map_eval["mean_error"], "std_error": map_eval["std_error"],
+             **map_eval["per_item"]})
+
+
+@pytest.mark.parametrize("estimator", ["oracle", "network"])
+@pytest.mark.parametrize("beta", [0.7, np.pi, -np.pi / 2])
+def test_a_turned_and_shifted_world_scores_the_same(world_ds, tmp_path, estimator, beta):
+    """The device senses and sees nothing of where the world frame is, so
+    turning the ground truth (trajectory and items) by ``beta`` and
+    shifting it moves no score: every estimate is in the heading-anchored
+    frame, which the alignment maps onto the world."""
+    from sweepnav import object_map
+
+    weights = world_ds / "weights.json"
+    scores = []
+    for turned in (False, True):
+        ds = tmp_path / f"ds_{turned}"
+        shutil.copytree(world_ds / "ds", ds)
+        if turned:
+            gt = trajectory.load_trajectory(ds / "gt_trajectory.csv")
+            trajectory.save_trajectory(trajectory.Trajectory(
+                gt.t, rotate_xy(gt.xy, beta) + (3.0, -2.0), gt.yaw + beta, gt.frame_rate),
+                ds / "gt_trajectory.csv")
+            items = object_map.load_items_csv(ds / "items.csv")
+            object_map.save_items_csv({name: np.array([*rotate_xy(xyz[:2], beta) + (3.0, -2.0),
+                                                       xyz[2]]) for name, xyz in items.items()},
+                                      ds / "items.csv")
+        scores.append(_world_scores(ds, estimator, weights))
+    (report, map_errors), (turned_report, turned_map_errors) = scores
+    assert map_errors and set(turned_map_errors) == set(map_errors)
+    for name in report:
+        assert turned_report[name] == pytest.approx(report[name], rel=0, abs=1e-9), name
+    for name in map_errors:
+        assert turned_map_errors[name] == pytest.approx(map_errors[name], rel=0, abs=1e-9), name
+
+
 class TestRefineRunMeta:
     def test_buckets(self, pipeline):
         buckets = json.loads((pipeline / "run_meta_refine.json").read_text())["elapsed_s"]

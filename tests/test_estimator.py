@@ -342,18 +342,33 @@ class TestWeightsFile:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             sn.load_weights(path)
 
+    @pytest.mark.parametrize("part, key, where", [
+        ("meta", "tau", "malformed weights bundle"), ("layer", "rows", "layer 0")])
+    def test_an_integer_past_the_float_range_is_refused(self, tmp_path, part, key, where):
+        """An integer no float holds is no JSON number, as in every JSON
+        reader; it once loaded and failed later as a size mismatch."""
+        path = tmp_path / "weights.json"
+        sn.save_weights(sn.make_random_bundle(tau=1, hidden=()), path)
+        doc = json.loads(path.read_text())
+        (doc["meta"] if part == "meta" else doc["layers"][0])[key] = 10**400
+        path.write_text(json.dumps(doc))
+        message = f"{path}: {where}: {key} must be a JSON integer, got {10**400}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sn.load_weights(path)
+
     @pytest.mark.parametrize("value, reason", [
         ("50", 'sample_rate_hz must be a JSON number, got "50"'),
         (True, "sample_rate_hz must be a JSON number, got true"),
-        (-50, "sample_rate_hz must be finite and positive, got -50"),
-        (0, "sample_rate_hz must be finite and positive, got 0"),
-        (float("inf"), "sample_rate_hz must be finite and positive, got inf"),
-        (float("nan"), "sample_rate_hz must be finite and positive, got nan"),
-        (10**400, "int too large to convert to float"),
+        (-50, "sample_rate_hz must be positive, got -50"),
+        (0, "sample_rate_hz must be positive, got 0"),
+        (float("inf"), "sample_rate_hz must be a JSON number, got Infinity"),
+        (float("nan"), "sample_rate_hz must be a JSON number, got NaN"),
+        (10**400, f"sample_rate_hz must be a JSON number, got {10**400}"),
     ], ids=["string", "bool", "negative", "zero", "infinite", "nan", "huge"])
     def test_sample_rate_must_be_a_finite_positive_number(self, tmp_path, value, reason):
         """``"50"`` once loaded as 50 Hz, ``true`` as 1 Hz, and -50 and 0
-        loaded too."""
+        loaded too.  ``NaN``, ``Infinity`` and an integer past the float
+        range break the rule of every JSON reader (``fileio._is_number``)."""
         path = tmp_path / "weights.json"
         sn.save_weights(sn.make_random_bundle(tau=1, hidden=()), path)
         doc = json.loads(path.read_text())

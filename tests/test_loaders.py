@@ -159,6 +159,53 @@ def test_jsonl_numbers_and_strings_are_typed(tmp_path, load, name, rec, message)
         load(path)
 
 
+@pytest.mark.parametrize("load, name, rec, message", [
+    (load_captures, "captures.jsonl", {**_CAPTURE, "t": float("nan"), "y": float("inf")},
+     "t must be a JSON number, got NaN"),
+    (load_captures, "captures.jsonl", {**_CAPTURE, "y": float("-inf")},
+     "y must be a JSON number, got -Infinity"),
+    (load_captures, "captures.jsonl", {**_CAPTURE, "frame": 10**400},
+     f"frame must be a JSON integer, got {10**400}"),
+    (load_captions, "captions.jsonl", {"image_id": "img_000003", "frame": 10**400, "items": []},
+     f"frame must be a JSON integer, got {10**400}"),
+], ids=["captures-nan", "captures-infinity", "captures-huge", "captions-huge"])
+def test_a_number_no_float_holds_is_refused_at_its_line(tmp_path, load, name, rec, message):
+    """``NaN``, ``Infinity`` and an integer past the float range are not
+    JSON numbers to any reader (``fileio._is_number``); a capture once
+    loaded at t = nan, y = inf."""
+    path = tmp_path / name
+    good = _CAPTURE if load is load_captures else {"image_id": "img_000001", "frame": 1,
+                                                     "items": []}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(rec) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+        load(path)
+
+
+_IMU_ROW = ",0.0,0.0,9.81,0.0,0.0,0.0"
+
+
+@pytest.mark.parametrize("load, header, rows, message", [
+    (load_imu, IMU_CSV_HEADER, ["0.0" + _IMU_ROW, "0.02" + _IMU_ROW, "0.01" + _IMU_ROW],
+     "4: non-monotonic timestamp"),
+    (load_imu, IMU_CSV_HEADER, ["0.0" + _IMU_ROW, "", "0.02" + _IMU_ROW, "0.01" + _IMU_ROW],
+     "5: non-monotonic timestamp"),
+    (load_imu, IMU_CSV_HEADER, ["0.0" + _IMU_ROW, "0.01,nan,0,9.81,0,0,0"],
+     "3: non-finite IMU sample"),
+    (load_imu, IMU_CSV_HEADER, ["0.0" + _IMU_ROW, "-inf" + _IMU_ROW], "3: non-finite timestamp"),
+    (load_trajectory, TRAJECTORY_CSV_HEADER, ["0.0,0,0,0", "0.02,0,0,0", "0.01,0,0,0"],
+     "4: non-monotonic timestamp"),
+    (load_trajectory, TRAJECTORY_CSV_HEADER, ["0.0,0,0,0", "0.01,0,0,0", "", "inf,0,0,0"],
+     "5: non-finite trajectory entry"),
+], ids=["imu-order", "imu-order-after-a-blank", "imu-nan", "imu-time", "trajectory-order",
+        "trajectory-time-after-a-blank"])
+def test_a_bad_sample_is_named_by_its_line(tmp_path, load, header, rows, message):
+    """Sample k of a table with no blank lines is line k + 2."""
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{message}')}$"):
+        load(path)
+
+
 def _outcome(load, *args):
     """("ok", value) or ("error", message) of a load."""
     try:
@@ -359,11 +406,13 @@ def test_a_malformed_line_beside_a_stale_sidecar_is_named(saved_trajectory):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_table_gets_no_sidecar_and_loads_as_before(saved_trajectory, bad):
-    """The old sidecar goes too, and the load raises as it did."""
+    """The old sidecar goes too, and the load names the line of row 9,
+    after the header."""
     path, sidecar, table = saved_trajectory
     yaw = table[:, 3].copy()
     yaw[9] = bad
     write_table(path, TRAJECTORY_CSV_HEADER, [table[:, 0], table[:, 1], table[:, 2], yaw])
     assert not sidecar.exists()
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: non-finite trajectory entry$"):
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}:11: non-finite trajectory entry$"):
         load_trajectory(path)

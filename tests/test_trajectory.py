@@ -27,6 +27,16 @@ class TestTrajectoryType:
     def test_pose_wraps_yaw(self):
         assert sn.Pose2(0.0, 0.0, 0.0, 7.0).yaw == pytest.approx(7.0 - 2.0 * np.pi)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_yaw_is_refused_before_it_is_wrapped(self, bad):
+        """Wrapping an infinity warns and gives NaN, so the check comes
+        first; a pose once kept a NaN yaw."""
+        with pytest.raises(ValueError, match="^non-finite trajectory entry at index 1$"):
+            sn.Trajectory([0.0, 0.02], np.zeros((2, 2)), [0.0, bad], 50.0)
+        with pytest.raises(ValueError, match="^non-finite pose "):
+            sn.Pose2(0.0, 0.0, 0.0, bad)
+
     def test_csv_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(12)
         traj = sn.Trajectory(np.arange(30) / 50.0, rng.normal(size=(30, 2)),

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import logging
 import math
@@ -40,7 +39,7 @@ import numpy as np
 from . import trajectory
 from .config import CHOICES, DEFAULTS, SECTIONS, ConfigError, PipelineConfig, load_config
 from .fileio import copy_table, read_csv, read_stamped, write_json, write_table
-from .geometry import median
+from .geometry import _record_fields, median
 from .imu import load_imu, make_windows, resample, save_imu, to_hacf, window_stride
 from .orientation import estimate_orientation, relative_yaw, save_orientations
 
@@ -85,9 +84,11 @@ def _manifest_file(dataset: Path, manifest: dict, key: str) -> Path:
 
 
 class Stopwatch:
-    """Wall time of one command: its total and the named laps inside it."""
+    """Wall time of one command: its total and the named laps inside it;
+    ``startup_cpu_s`` is the process's CPU time when the command starts."""
 
     def __init__(self):
+        self.startup_cpu_s = time.process_time()
         self.start = time.perf_counter()
         self.laps: dict[str, float] = {}
 
@@ -107,12 +108,12 @@ class Stopwatch:
 
 
 def _from_config(cfg: PipelineConfig, prefix: str):
-    """Build the dataclass of section ``prefix`` from its keys; lists become tuples."""
+    """Build the record of section ``prefix`` from its keys; lists become tuples."""
     cls = SECTIONS[prefix]
     values = {}
-    for f in dataclasses.fields(cls):
-        value = cfg[f"{prefix}.{f.name}"]
-        values[f.name] = tuple(value) if isinstance(value, list) else value
+    for name in _record_fields(cls):
+        value = cfg[f"{prefix}.{name}"]
+        values[name] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**values)
     except (ValueError, TypeError) as exc:
@@ -616,7 +617,7 @@ def main(argv: list[str] | None = None) -> int:
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
         write_json(args.dataset / f"run_meta_{args.command}.json",
                    {"command": args.command, **meta, "elapsed_s": clock.elapsed(),
-                    "peak_rss_mb": peak_rss_mb})
+                    "peak_rss_mb": peak_rss_mb, "startup_cpu_s": clock.startup_cpu_s})
         print(summary)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,13 +8,13 @@ must be finite and within a float's range), a value of a ``CHOICES`` key
 outside its choices, a value of a ``LIMITS`` key that breaks its rule,
 and a list that holds anything but such numbers, or not as many as the
 default (``eval.grids``: one or more).  All of it is checked as a value
-is set.  The keys of a section in ``SECTIONS`` are its dataclass's
-fields, with their defaults; a section's own rules (its dataclass's
-``__post_init__``) are checked when the section is built, which the CLI
-does for every section once the configuration is resolved, before a
-command reads any file.
+is set.  The keys of a section in ``SECTIONS`` are the fields of its
+record class (``geometry._record_fields``), with their defaults; a
+section's own rules (its class's ``__post_init__``) are checked when the
+section is built, which the CLI does for every section once the
+configuration is resolved, before a command reads any file.
 
-The section dataclasses live here, not in the modules that run them,
+The section classes live here, not in the modules that run them,
 so that resolving a configuration imports no pipeline stage; each
 stage's module imports its own back.
 """
@@ -22,10 +22,10 @@ stage's module imports its own back.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .fileio import _is_number, write_json
+from .geometry import _record, _record_fields
 
 
 class ConfigError(Exception):
@@ -33,10 +33,10 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Sections: the settings of each stage, one dataclass each
+# Sections: the settings of each stage, one record class each
 
 
-@dataclass(frozen=True)
+@_record
 class SimConfig:
     """Room, motion, and sensor-error parameters of a simulated run."""
 
@@ -68,7 +68,7 @@ class SimConfig:
             raise ValueError("n_items must be >= 0")
 
 
-@dataclass(frozen=True)
+@_record
 class MapConfig:
     """Mount calibration: the camera's height above the floor, which must
     lie in the indoor band [0, 3] m, and its offset ahead of the robot
@@ -89,7 +89,7 @@ DEFAULT_PROMPT = (
 CAPTION_TOKEN_ENV = "SWEEPNAV_CAPTION_TOKEN"
 
 
-@dataclass(frozen=True)
+@_record
 class CaptionServiceConfig:
     endpoint: str = ""
     prompt: str = DEFAULT_PROMPT
@@ -104,7 +104,7 @@ class CaptionServiceConfig:
             raise ValueError("max_workers and retries must be >= 1")
 
 
-@dataclass(frozen=True)
+@_record
 class OracleConfig:
     """Errors of the ground-truth estimator double: ``bias`` is added in
     the estimator's input frame, and noise of ``noise_sigma`` per axis is
@@ -127,7 +127,7 @@ class OracleConfig:
 _REDUCERS = ("median", "mean")
 
 
-@dataclass(frozen=True)
+@_record
 class RaeConfig:
     """Ensemble shape: member count and reducer."""
 
@@ -141,7 +141,7 @@ class RaeConfig:
             raise ValueError(f"reducer must be one of {_REDUCERS}")
 
 
-@dataclass(frozen=True)
+@_record
 class RefineConfig:
     epochs: int = 100
     learning_rate: float = 0.01
@@ -160,7 +160,7 @@ class RefineConfig:
 # Flat keys
 
 
-# prefix -> the dataclass whose fields the ``prefix.<field>`` keys set
+# prefix -> the record class whose fields the ``prefix.<field>`` keys set
 SECTIONS: dict = {
     "sim": SimConfig,
     "oracle": OracleConfig,
@@ -172,9 +172,9 @@ SECTIONS: dict = {
 
 
 def _field_defaults(prefix: str) -> dict:
-    """The ``prefix.<field>`` keys of a section at their dataclass defaults."""
-    return {f"{prefix}.{f.name}": list(f.default) if isinstance(f.default, tuple) else f.default
-            for f in fields(SECTIONS[prefix])}
+    """The ``prefix.<field>`` keys of a section at their field defaults."""
+    return {f"{prefix}.{name}": list(default) if isinstance(default, tuple) else default
+            for name, default in _record_fields(SECTIONS[prefix]).items()}
 
 
 # Keys of a section field default to that field; the literal keys are
@@ -196,14 +196,14 @@ DEFAULTS: dict = {
     **_field_defaults("caption"),
 }
 
-# enumerated string keys that no section dataclass checks -> allowed values
+# enumerated string keys that no section checks -> allowed values
 CHOICES: dict = {
     "estimator.kind": ("oracle", "network"),
     "eval.trajectory": ("auto", "gt", "est", "refined"),
     "map.trajectory": ("auto", "gt", "est", "refined"),
 }
 
-# number keys that no section dataclass checks -> the rule their values
+# number keys that no section checks -> the rule their values
 # keep, and its text
 LIMITS: dict = {
     "hacf.stride": (lambda x: x >= 0, "must be >= 0 (0 = tau)"),

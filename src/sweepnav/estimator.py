@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .config import OracleConfig
 from .fileio import json_field
-from .geometry import rotate_xy, row_norms, unique
+from .geometry import _record, rotate_xy, row_norms, unique
 
 INPUT_LAYOUT = "acc_then_gyro_rowmajor"
 
@@ -33,7 +32,7 @@ class NonFiniteEstimateError(RuntimeError):
     weights, bad input)."""
 
 
-@dataclass(frozen=True)
+@_record
 class WeightsMeta:
     tau: int
     sample_rate_hz: float
@@ -41,7 +40,7 @@ class WeightsMeta:
     input_layout: str = INPUT_LAYOUT
 
 
-@dataclass(frozen=True)
+@_record
 class Layer:
     kind: str  # "dense" | "relu"
     rows: int = 0
@@ -50,7 +49,7 @@ class Layer:
     bias: np.ndarray | None = None  # (cols,)
 
 
-@dataclass(frozen=True)
+@_record
 class WeightsBundle:
     meta: WeightsMeta
     layers: tuple[Layer, ...]

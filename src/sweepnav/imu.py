@@ -10,13 +10,11 @@ for the velocity estimator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fileio import check_rows, read_table, table_error, write_table
-from .geometry import GRAVITY_VEC, _frozen, median, quats_to_matrices, rotate_xyz_about_z
+from .geometry import GRAVITY_VEC, _frozen, _record, median, quats_to_matrices, rotate_xyz_about_z
 
 IMU_FIELDS = ("t", "ax", "ay", "az", "gx", "gy", "gz")
 IMU_CSV_HEADER = ",".join(IMU_FIELDS)
@@ -24,7 +22,7 @@ IMU_CSV_HEADER = ",".join(IMU_FIELDS)
 _MAX_GAP_S = 0.5
 
 
-@dataclass(frozen=True)
+@_record
 class ImuSequence:
     """A time-ordered IMU recording.
 

@@ -44,20 +44,18 @@ and each reduction is taken as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import RefineConfig
 from .fileio import write_csv, write_jsonl
-from .geometry import _frozen, unique, wrap_angle
+from .geometry import _frozen, _record, unique, wrap_angle
 from .trajectory import Trajectory
 
 LOSS_CSV_HEADER = "epoch,total,loop,rot,smooth"
 _R_MAX = np.pi + 1e-12  # largest rotation correction accepted, with rounding slack
 
 
-@dataclass(frozen=True)
+@_record
 class CorrectionParams:
     """Per-frame corrections: rotations r (T,) in [-pi, pi], offsets l (T, 2).
 
@@ -82,7 +80,7 @@ class CorrectionParams:
         return len(self.r)
 
 
-@dataclass(frozen=True)
+@_record
 class LossBreakdown:
     total: float
     loop: float

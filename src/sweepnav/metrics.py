@@ -21,12 +21,10 @@ not outliers: on the seed-1 350 s sweep of a 20 m x 6 m room it keeps
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fileio import write_csv, write_json
-from .geometry import _frozen, median, rot2, wrap_angle
+from .geometry import _frozen, _record, median, rot2, wrap_angle
 from .trajectory import Trajectory
 
 RESIDUAL_CSV_HEADER = "frame,dx,dy,dist,yaw_err"
@@ -34,7 +32,7 @@ RESIDUAL_CSV_HEADER = "frame,dx,dy,dist,yaw_err"
 _MAD_K = 3.0
 
 
-@dataclass(frozen=True)
+@_record
 class AlignmentResult:
     """Similarity transform gt ~ scale * R(rotation) @ est + translation."""
 
@@ -49,7 +47,7 @@ class AlignmentResult:
         object.__setattr__(self, "inliers", _frozen(self.inliers, dtype=bool))
 
 
-@dataclass(frozen=True)
+@_record
 class EvalReport:
     rte: float
     rte_metric: float

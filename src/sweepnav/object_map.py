@@ -23,7 +23,6 @@ import struct
 import threading
 import time
 import unicodedata
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .config import CaptionServiceConfig, MapConfig
 from .fileio import json_field, read_csv, read_jsonl, write_csv, write_json, write_jsonl
-from .geometry import _frozen, median
+from .geometry import _frozen, _record, median
 from .trajectory import CaptureEvent, Pose2, image_id_for_frame
 
 if TYPE_CHECKING:
@@ -52,7 +51,7 @@ RASTER_VERSION = 1
 ITEMS_CSV_HEADER = "name,x,y,z"
 
 
-@dataclass(frozen=True)
+@_record
 class DepthRaster:
     """Dense metric depth image with pinhole intrinsics."""
 
@@ -77,14 +76,14 @@ class DepthRaster:
         object.__setattr__(self, "depth", depth)
 
 
-@dataclass(frozen=True)
+@_record
 class CaptionRecord:
     image_id: str
     frame: int
     items: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@_record
 class ItemObservation:
     name: str  # normalized
     point: np.ndarray  # (3,) world-frame meters
@@ -97,7 +96,7 @@ class ItemObservation:
         object.__setattr__(self, "point", point)
 
 
-@dataclass(frozen=True)
+@_record
 class ItemCluster:
     name: str
     centroid: np.ndarray  # (3,)
@@ -207,7 +206,7 @@ def cluster_items(observations: list[ItemObservation]) -> list[ItemCluster]:
     return clusters
 
 
-@dataclass(frozen=True)
+@_record
 class MapEvalReport:
     per_item: dict[str, float]
     mean_error: float

@@ -10,12 +10,10 @@ recording, gives the heading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fileio import write_csv
-from .geometry import _frozen, quats_to_matrices, wrap_angle
+from .geometry import _frozen, _record, quats_to_matrices, wrap_angle
 from .imu import ImuSequence
 
 ORIENTATION_CSV_HEADER = "t,qw,qx,qy,qz"
@@ -23,7 +21,7 @@ ORIENTATION_CSV_HEADER = "t,qw,qx,qy,qz"
 _IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
+@_record
 class OrientationSequence:
     """The orientation model's parameters: per-sample timestamps and
     headings (rad about world +z), and one unit quaternion (w, x, y, z)

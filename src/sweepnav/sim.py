@@ -11,12 +11,11 @@ stage.  Everything is deterministic given config and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import MapConfig, SimConfig
-from .geometry import median
+from .geometry import _record, median
 from .imu import ImuSequence
 from .object_map import CENTER_FRACTION, CaptionRecord, DepthRaster, center_region, normalize_name
 from .orientation import OrientationSequence
@@ -47,7 +46,7 @@ WALL_MARGIN = 1.0  # background walls sit this far outside the room
 # path end; this is what makes closure exact rather than approximate.
 
 
-@dataclass(frozen=True)
+@_record
 class _Seg:
     kind: str  # "line" | "arc" | "spin"
     duration: float

@@ -12,13 +12,12 @@ capture, which is how image capture is throttled on the real system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fileio import (check_rows, json_field, read_jsonl, read_table, table_error,
                      write_jsonl, write_table)
-from .geometry import _frozen, median, row_norms, wrap_angle
+from .geometry import _frozen, _record, median, row_norms, wrap_angle
 
 TRAJECTORY_CSV_HEADER = "t,x,y,yaw"
 
@@ -27,7 +26,7 @@ TRAJECTORY_CSV_HEADER = "t,x,y,yaw"
 _TRIGGER_EPS = 1e-9
 
 
-@dataclass(frozen=True)
+@_record
 class Pose2:
     t: float
     x: float
@@ -45,7 +44,7 @@ class Pose2:
                 self.y + math.sin(self.yaw) * distance)
 
 
-@dataclass(frozen=True)
+@_record
 class Trajectory:
     """Uniformly sampled poses. Yaw is wrapped to (-pi, pi] at construction."""
 
@@ -170,7 +169,7 @@ def integrate(held: np.ndarray, yaws, frame_rate: float = 50.0,
 # Capture scheduling
 
 
-@dataclass(frozen=True)
+@_record
 class CaptureEvent:
     frame: int
     pose: Pose2

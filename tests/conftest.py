@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import sweepnav as sn
+
+# CI runs with ``--hypothesis-profile=ci``: every run draws the same
+# examples and keeps no example database, so a failure there replays
+# with the same flag anywhere.
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ checked against a second opinion that is auditable by eye.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import json
 import math
 
@@ -655,3 +656,20 @@ def write_csv_ref(path, header, rows) -> None:
 def write_jsonl_ref(path, records) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+
+
+# ---------------------------------------------------------------------------
+# The record classes as frozen dataclasses, as they were declared before
+# ``geometry._record`` replaced ``dataclasses.dataclass(frozen=True)``.
+
+# what ``_record`` adds to a class body
+_RECORD_ADDS = {"__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__",
+                "__match_args__", "__dict__", "__weakref__"}
+
+
+def dataclass_twin(cls):
+    """The class body of the record class ``cls`` (its annotations,
+    defaults, ``__post_init__``, other methods and name) under
+    ``dataclasses.dataclass(frozen=True)``."""
+    body = {key: value for key, value in vars(cls).items() if key not in _RECORD_ADDS}
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), body))

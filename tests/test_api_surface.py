@@ -18,7 +18,6 @@ a command builds with a literal ``_from_config(cfg, "<prefix>")``.
 """
 
 import ast
-import dataclasses
 import re
 from pathlib import Path
 
@@ -93,6 +92,7 @@ def test_every_top_level_definition_has_a_caller():
 
 def test_every_config_key_is_read_by_a_command():
     from sweepnav.config import DEFAULTS, SECTIONS
+    from sweepnav.geometry import _record_fields
 
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     read = set()
@@ -104,6 +104,6 @@ def test_every_config_key_is_read_by_a_command():
               and node.func.id == "_from_config" and len(node.args) == 2
               and isinstance(node.args[1], ast.Constant)):
             prefix = node.args[1].value
-            read |= {f"{prefix}.{f.name}" for f in dataclasses.fields(SECTIONS[prefix])}
+            read |= {f"{prefix}.{name}" for name in _record_fields(SECTIONS[prefix])}
     unread = sorted(set(DEFAULTS) - read)
     assert not unread, "no command in cli.py reads: " + ", ".join(unread)

@@ -1,11 +1,11 @@
 """End-to-end tests of the sweepnav command-line pipeline."""
 
-import dataclasses
 import functools
 import gc
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import shutil
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from sweepnav import cli
 from sweepnav import estimator as est_mod
 from sweepnav import trajectory
-from sweepnav.geometry import rotate_xy
+from sweepnav.geometry import _record_fields, rotate_xy
 from sweepnav.cli import (COMMANDS, _load_velocities, _from_config, _resolve_config,
                           build_parser, main)
 from sweepnav.config import CHOICES, DEFAULTS, LIMITS, SECTIONS, ConfigError, PipelineConfig
@@ -241,10 +241,12 @@ class TestPipelineArtifacts:
     @pytest.mark.parametrize("command", list(LAPS))
     def test_every_command_writes_run_meta(self, pipeline, command):
         """``elapsed_s`` holds the command's total and its laps, which
-        fit inside it, and ``peak_rss_mb`` the process's peak memory."""
+        fit inside it, ``peak_rss_mb`` the process's peak memory and
+        ``startup_cpu_s`` its CPU seconds before the command started."""
         meta = json.loads((pipeline / f"run_meta_{command}.json").read_text())
         assert meta["command"] == command
         assert meta["peak_rss_mb"] > 0.0
+        assert math.isfinite(meta["startup_cpu_s"]) and meta["startup_cpu_s"] > 0.0
         elapsed = meta["elapsed_s"]
         assert sorted(elapsed) == sorted(["total", *self.LAPS[command]])
         assert elapsed["total"] > 0.0
@@ -347,8 +349,9 @@ class TestPipelineArtifacts:
             assert (ds / name).read_bytes() == (pipeline / name).read_bytes(), name
         meta, before = (json.loads((d / "run_meta_map.json").read_text()) for d in (ds, pipeline))
         assert meta.pop("elapsed_s").keys() == before.pop("elapsed_s").keys()
-        # the process's peak so far: both runs share this process
-        assert meta.pop("peak_rss_mb") > 0 and before.pop("peak_rss_mb") > 0
+        # the process's peak and CPU time so far: both runs share this process
+        for key in ("peak_rss_mb", "startup_cpu_s"):
+            assert meta.pop(key) > 0 and before.pop(key) > 0
         assert meta == before
 
     def test_map_run_meta_counts_caption_retries_and_failures(self, pipeline, tmp_path,
@@ -712,7 +715,7 @@ class TestModuleConfig:
         for key in DEFAULTS:
             prefix, name = key.split(".", 1)
             if prefix in SECTIONS and key not in self.NOT_FIELDS:
-                assert name in {f.name for f in dataclasses.fields(SECTIONS[prefix])}, key
+                assert name in _record_fields(SECTIONS[prefix]), key
 
     def test_defaults_build_the_dataclass_defaults(self):
         for prefix, cls in SECTIONS.items():

@@ -1,14 +1,21 @@
 """Planar rotations, angle wrapping, np.hypot's layouts, and quaternion algebra."""
 
+import dataclasses
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sweepnav as sn
+from sweepnav import config, estimator, object_map, sim
 from sweepnav import geometry as geo
 
-from .oracles import (quat_from_rotvec_ref, quat_multiply_ref, quat_normalize_ref,
-                      quat_rotate_ref, quat_to_matrix_ref, rot2_ref, same_bits)
+from .oracles import (dataclass_twin, quat_from_rotvec_ref, quat_multiply_ref,
+                      quat_normalize_ref, quat_rotate_ref, quat_to_matrix_ref, rot2_ref,
+                      same_bits)
 
 
 class TestWrapAngle:
@@ -167,3 +174,149 @@ class TestNpHypotLayouts:
             y = x * rng.choice([1.0, -1.0, 0.5, 1e-8, 1e8, 0.0], size=len(x))
         y += rng.normal(size=len(x)) * scale
         self._check(x, y)
+
+
+# ---------------------------------------------------------------------------
+# Record classes: each behaves as its frozen dataclass twin
+
+
+def _layers(dim_in=12, hidden=4, dim_out=2):
+    return [estimator.Layer("dense", dim_in, hidden, np.ones((dim_in, hidden)), np.zeros(hidden)),
+            estimator.Layer("relu"),
+            estimator.Layer("dense", hidden, dim_out, np.ones((hidden, dim_out)),
+                               np.zeros(dim_out))]
+
+
+_POSE = sn.Pose2(1.0, 2.0, 3.0, 0.5)
+_META = estimator.WeightsMeta(1, 50.0, True)
+_T3 = np.arange(3) / 10
+# record class -> (fields to build it with: every required one and some
+# defaulted ones, each a value distinct from the other fields'; the
+# changes to those fields that its __post_init__ refuses)
+RECORDS = {
+    sn.SimConfig: ({"room_width": 5.0, "speed": 0.4, "turn_model": "stop_and_turn"},
+                   [{"room_width": 0.0}, {"row_spacing": 3.0},
+                    {"room_width": 0.4, "row_spacing": 1.0}, {"speed": 0.0},
+                    {"turn_model": "zigzag"}, {"n_items": -1}]),
+    sn.MapConfig: ({"mount_height": 0.5, "mount_forward": 0.1}, [{"mount_height": 3.5}]),
+    config.CaptionServiceConfig: ({"endpoint": "http://localhost:1", "max_workers": 2},
+                                     [{"max_workers": 0}, {"retries": 0}]),
+    sn.OracleConfig: ({"bias": [0.1, 0.2], "noise_sigma": 0.01, "seed": 3},
+                      [{"bias": (1.0,)}, {"noise_sigma": -1.0}, {"seed": -1}]),
+    sn.RaeConfig: ({"k": 3, "reducer": "mean"}, [{"k": 0}, {"reducer": "mode"}]),
+    sn.RefineConfig: ({"epochs": 5, "learning_rate": 0.1, "hidden": 8},
+                      [{"epochs": 0}, {"learning_rate": 0.0}, {"hidden": 0}]),
+    sn.Pose2: ({"t": 1.0, "x": 2.0, "y": 3.0, "yaw": 7.0}, [{"x": np.nan}]),
+    sn.Trajectory: ({"t": _T3, "xy": np.arange(6.0).reshape(3, 2), "yaw": [0.0, 1.0, 7.0],
+                     "frame_rate": 10.0},
+                    [{"xy": np.zeros((3, 3))}, {"yaw": [0.0, np.nan, 1.0]},
+                     {"t": [0.0, 0.2, 0.1]}, {"frame_rate": 0.0}, {"frame_rate": 5.0}]),
+    sn.CaptureEvent: ({"frame": 3, "pose": _POSE, "trigger": "distance"}, []),
+    sn.ImuSequence: ({"t": _T3, "acc": np.ones((3, 3)), "gyro": np.zeros((3, 3))},
+                     [{"acc": np.ones((2, 3))}, {"t": [0.0, np.nan, 0.2]}, {"t": [-1.0, 0.0, 1.0]},
+                      {"gyro": [[0.0] * 3, [np.inf] * 3, [0.0] * 3]}, {"t": [0.0, 0.2, 0.1]}]),
+    sn.OrientationSequence: ({"t": [0.0, 0.1], "heading": [0.0, 0.5]},
+                             [{"heading": [0.0, 0.5, 1.0]}, {"mount": (1.0, 0.0, 0.0)},
+                              {"t": [0.0, np.nan]}, {"heading": [np.inf, 0.0]},
+                              {"mount": (2.0, 0.0, 0.0, 0.0)}]),
+    estimator.WeightsMeta: ({"tau": 8, "sample_rate_hz": 50.0, "gravity_subtracted": True},
+                               []),
+    estimator.Layer: ({"kind": "dense", "rows": 2, "cols": 3, "weights": np.ones((2, 3)),
+                          "bias": np.zeros(3)}, []),
+    sn.WeightsBundle: ({"meta": _META, "layers": _layers()},
+                       [{"layers": []}, {"layers": _layers()[1:]},
+                        {"layers": [*_layers(), estimator.Layer("conv")]},
+                        {"layers": _layers(dim_in=13)}, {"layers": _layers(dim_out=3)}]),
+    sn.CorrectionParams: ({"r": np.zeros(3), "l": np.ones((3, 2))},
+                          [{"l": np.ones((2, 2))}, {"r": [4.0, 0.0, 0.0]}]),
+    sn.LossBreakdown: ({"total": 1.0, "loop": 0.5, "rot": 0.25, "smooth": 0.125}, []),
+    sn.AlignmentResult: ({"scale": 1.0, "rotation": 0.1, "translation": [1.0, 2.0],
+                          "inliers": [1, 0], "rmse": 0.3}, []),
+    sn.EvalReport: ({"rte": 0.1, "rte_metric": 0.2, "rre": 0.3, "coverage": 1.0,
+                     "n_pairs": 10, "n_inliers": 8}, []),
+    sn.DepthRaster: ({"width": 3, "height": 2, "depth": np.ones((2, 3)), "focal_length": 100.0,
+                      "cx": 1.5, "cy": 1.0},
+                     [{"depth": np.ones((3, 2))}, {"focal_length": 0.0},
+                      {"depth": [[1.0, -1.0, 0.0], [1.0] * 3]},
+                      {"depth": [[1.0, np.inf, 0.0], [1.0] * 3]}]),
+    sn.CaptionRecord: ({"image_id": "img_0001", "frame": 1, "items": ("milk",)}, []),
+    sn.ItemObservation: ({"name": "milk", "point": [1.0, 2.0, 0.3], "image_id": "img_0001"},
+                         [{"point": [1.0, 2.0]}, {"point": [1.0, np.nan, 0.3]}]),
+    sn.ItemCluster: ({"name": "milk", "centroid": [1.0, 2.0, 3.0], "n_observations": 2,
+                      "spread": 0.1}, []),
+    object_map.MapEvalReport: ({"per_item": {"milk": 0.1}, "mean_error": 0.1,
+                                   "std_error": 0.0, "n_matched": 1, "unmatched_gt": (),
+                                   "unmatched_est": ("soap",)}, []),
+    sim._Seg: ({"kind": "line", "duration": 2.0, "x0": 0.5, "y0": 0.25, "yaw0": 0.125,
+                   "dx": 1.0}, []),
+}
+
+
+def _outcome(fn):
+    """What ``fn()`` returns, or the type and text of what it raises."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+def _same(record_outcome, twin_outcome) -> bool:
+    """Equal outcomes, where a dataclass's ``FrozenInstanceError`` stands
+    for the ``AttributeError`` it subclasses."""
+    if twin_outcome[0] is dataclasses.FrozenInstanceError:
+        twin_outcome = (AttributeError, twin_outcome[1])
+    return record_outcome == twin_outcome
+
+
+def test_every_record_class_is_compared():
+    modules = [importlib.import_module(f"sweepnav.{path.stem}")
+               for path in Path(geo.__file__).parent.glob("*.py")]
+    records = {value for module in modules for value in vars(module).values()
+               if isinstance(value, type) and value.__init__.__qualname__.startswith("_record.")}
+    assert records == set(RECORDS) and len(RECORDS) == 24
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_record_behaves_as_its_frozen_dataclass(cls):
+    twin = dataclass_twin(cls)
+    given, refused = RECORDS[cls]
+    fields = geo._record_fields(cls)
+    assert list(fields) == [f.name for f in dataclasses.fields(twin)]
+    assert {name: d for name, d in fields.items() if d is not geo._REQUIRED} == {
+        f.name: f.default for f in dataclasses.fields(twin) if f.default is not dataclasses.MISSING}
+
+    # by position, by keyword, and with the defaults
+    full = [given.get(name, default) for name, default in fields.items()]
+    required = {name: given[name] for name, d in fields.items() if d is geo._REQUIRED}
+    built = [(cls(*full), twin(*full)), (cls(**given), twin(**given)),
+             (cls(**required), twin(**required))]
+    for record, reference in built:
+        assert repr(record) == repr(reference)
+        assert _outcome(lambda: hash(record)) == _outcome(lambda: hash(reference))
+    record, reference = built[0]
+    assert _outcome(lambda: record == cls(*full)) == _outcome(lambda: reference == twin(*full))
+    assert _outcome(lambda: record != cls(*full)) == _outcome(lambda: reference != twin(*full))
+    assert (record == "other", record != "other") == (False, True)
+
+    # immutability, of a field and of any other name
+    first = next(iter(fields))
+    for name in (first, "other"):
+        assert _same(_outcome(lambda: setattr(record, name, 1)),
+                     _outcome(lambda: setattr(reference, name, 1)))
+        assert _same(_outcome(lambda: delattr(record, name)),
+                     _outcome(lambda: delattr(reference, name)))
+    assert repr(record) == repr(reference)
+
+    # missing, unknown, repeated and surplus arguments
+    calls = [lambda c: c(**given, nope=1), lambda c: c(full[0], **{first: full[0]}),
+             lambda c: c(*full, None)]
+    if required:
+        calls.append(lambda c: c())
+    for call in calls:
+        assert _outcome(lambda: call(cls))[0] is _outcome(lambda: call(twin))[0] is TypeError
+
+    # each rule of __post_init__
+    for change in refused:
+        outcome = _outcome(lambda: cls(**{**given, **change}))
+        assert issubclass(outcome[0], ValueError), change
+        assert outcome == _outcome(lambda: twin(**{**given, **change})), change

@@ -3,9 +3,10 @@
 ``import sweepnav.cli`` loads the run frame and the modules whose
 functions perfbench's tracer wraps as globals of ``cli``; every other
 pipeline module, ``concurrent.futures`` and ``numpy.ma`` wait for the
-command that needs them.  ``numpy.random``, and OpenSSL's ``_hashlib``
-that it loads through ``secrets``, wait for the oracle's noise: no
-other command draws a random number.  The package's public names
+command that needs them, and no command loads ``dataclasses``.
+``numpy.random``, and OpenSSL's ``_hashlib`` that it loads through
+``secrets``, wait for the oracle's noise: no other command draws a
+random number.  The package's public names
 resolve on first use.  The import checks run in fresh interpreters,
 since this one has imported everything already.
 """
@@ -88,6 +89,23 @@ def test_noise_free_commands_never_import_numpy_random(refined_dataset, tmp_path
                   "print(code, 'numpy.random' in sys.modules, '_hashlib' in sys.modules)",
                   command, "--dataset", str(ds))
     assert out.splitlines()[-1] == "0 False False"
+
+
+@pytest.mark.parametrize("command", ["simulate", "infer", "refine", "eval", "map", "plot"])
+def test_no_command_imports_dataclasses(refined_dataset, tmp_path, command):
+    """The record classes are built by ``geometry._record``: neither
+    ``import sweepnav.cli`` nor a command loads ``dataclasses``."""
+    ds = tmp_path / "ds"
+    if command == "simulate":
+        args = ["--out", str(ds), "--set", "sim.n_items=3"]
+    else:
+        shutil.copytree(refined_dataset, ds)
+        args = ["--dataset", str(ds)]
+    out = _python("import sys\nfrom sweepnav.cli import main\n"
+                  "imported = 'dataclasses' in sys.modules\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print(imported, code, 'dataclasses' in sys.modules)", command, *args)
+    assert out.splitlines()[-1] == "False 0 False"
 
 
 def test_plot_and_simulate_leave_metrics_unloaded(refined_dataset, tmp_path):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sweepnav as sn
@@ -577,6 +577,53 @@ _ENSEMBLES = st.builds(
 )
 
 
+def _dense_case(stride, seed, scale):
+    """A random dense network and the windows of a random recording."""
+    net = sn.DenseVelocityNetwork(sn.make_random_bundle(tau=8, hidden=(16,), seed=seed,
+                                                        scale=scale))
+    hacf = np.random.default_rng(seed).normal(size=(2, 150, 3))
+    windows = sn.make_windows(hacf, tau=8, stride=stride)
+    return net, windows, stride * np.arange(len(windows))
+
+
+def _members_norm(model, windows, starts, cfg, v_max=2.0):
+    """The norm of each window's largest member, clamped to ``v_max``."""
+    v = np.asarray(model.velocities(windows, starts, ensemble_angles(cfg)))
+    return np.minimum(np.linalg.norm(v, axis=2), v_max).max(axis=1)
+
+
+def _agrees_to_rounding(ens, ref, members_norm, cfg) -> bool:
+    """Whether every reduced velocity of ``ens`` is within rounding of
+    the reference's (``_ref_stack``)."""
+    bound = 1e-12 * np.linalg.norm(ref[0], axis=1)
+    if cfg.reducer == "median":
+        # the geometric median stops within _GM_RTOL of the harmonic
+        # mean member distance (at most the spread) of its optimum, so
+        # members that differ by rounding may move it by twice that
+        bound += 2 * _GM_RTOL * ref[3]
+    else:
+        # the mean keeps its members' rounding, which scales with them,
+        # while it may cancel to far below them
+        bound += 1e-13 * members_norm
+    return bool(np.all(np.linalg.norm(ens.v - ref[0], axis=1) <= bound))
+
+
+class _Moved:
+    """Wraps a model: the largest member of the window at ``start`` moves
+    by 1e-12 of its norm, at a right angle to it, so that a clamp keeps
+    the move."""
+
+    def __init__(self, model, start):
+        self.model, self.start = model, start
+
+    def velocities(self, windows, starts, angles):
+        v = np.array(self.model.velocities(windows, starts, angles))
+        for i in np.flatnonzero(starts == self.start):
+            k = np.argmax(np.linalg.norm(v[i], axis=1))
+            v[i, k] += 1e-12 * np.array([-v[i, k, 1], v[i, k, 0]])
+        return v
+
+
 class TestMatchesPerWindowReference:
     @settings(max_examples=60, deadline=None)
     @given(cfg=_ENSEMBLES, stride=st.sampled_from([1, 7, 16, 64]),
@@ -611,23 +658,26 @@ class TestMatchesPerWindowReference:
     @settings(max_examples=25, deadline=None)
     @given(cfg=_ENSEMBLES, stride=st.sampled_from([1, 5, 8]), seed=st.integers(0, 100),
            scale=st.sampled_from([0.05, 5.0]))
+    @example(cfg=sn.RaeConfig(k=2, reducer="mean"), stride=1, seed=22, scale=5.0)
     def test_dense_network_agrees_to_rounding(self, cfg, stride, seed, scale):
         """gemm over the block against one gemv per member.  Scale 0.05 is
         the benchmark's; at 5.0 every member is clamped."""
-        net = sn.DenseVelocityNetwork(sn.make_random_bundle(tau=8, hidden=(16,), seed=seed,
-                                                            scale=scale))
-        rng = np.random.default_rng(seed)
-        n = 150
-        hacf = rng.normal(size=(2, n, 3))
-        windows = sn.make_windows(hacf, tau=8, stride=stride)
-        starts = stride * np.arange(len(windows))
+        net, windows, starts = _dense_case(stride, seed, scale)
         ref = _ref_stack(windows, starts, net, cfg, 2.0)
         ens = sn.rae_estimate(windows, starts, net, cfg)
-        bound = 1e-12 * np.linalg.norm(ref[0], axis=1)
-        if cfg.reducer == "median":
-            # the geometric median stops within _GM_RTOL of the harmonic
-            # mean member distance (at most the spread) of its optimum, so
-            # members that differ by rounding may move it by twice that
-            bound += 2 * _GM_RTOL * ref[3]
-        assert np.all(np.linalg.norm(ens.v - ref[0], axis=1) <= bound)
+        assert _agrees_to_rounding(ens, ref, _members_norm(net, windows, starts, cfg), cfg)
         assert (ens.n_members_nonfinite, ens.n_windows_clamped) == ref[1:3]
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_a_member_moved_by_1e12_of_its_norm_breaks_the_mean_bound(self, k):
+        """The case hypothesis found (at k = 2, two clamped members whose
+        mean cancels to 1.7e-4 m/s) passes, and fails once one member of
+        the window whose mean cancels most moves."""
+        cfg = sn.RaeConfig(k=k, reducer="mean")
+        net, windows, starts = _dense_case(stride=1, seed=22, scale=5.0)
+        ref = _ref_stack(windows, starts, net, cfg, 2.0)
+        norms = _members_norm(net, windows, starts, cfg)
+        assert _agrees_to_rounding(sn.rae_estimate(windows, starts, net, cfg), ref, norms, cfg)
+        start = starts[np.argmin(np.linalg.norm(ref[0], axis=1) / norms)]
+        moved = sn.rae_estimate(windows, starts, _Moved(net, start), cfg)
+        assert not _agrees_to_rounding(moved, ref, norms, cfg)
